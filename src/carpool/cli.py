@@ -17,6 +17,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,9 +27,9 @@ from .instances import (GenerationError, GeometricConfig, builtin_instances,
                         generate_geometric, plain_routing_cost)
 from .model import (FlowVector, InfeasibleSessionError, Instance,
                     InstanceError, Node, Session, build_expanded_graph,
-                    conservation_residual, enumerate_triples, total_cost,
-                    transmission_summary)
-from .solver import SolverConfig, solve
+                    conservation_residual, enumerate_triples, ordered_pairs,
+                    total_cost, transmission_summary)
+from .solver import NonFiniteError, SolverConfig, solve
 
 log = logging.getLogger("carpool")
 
@@ -84,17 +86,15 @@ def write_trace(path: str, trace) -> None:
 def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
+    v, mid, w = idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()
     sessions = []
     for f in sol.flows:
-        entries = []
-        for k in np.nonzero(f.values)[0]:
-            v, i, w = idx.triples[int(k)]
-            entries.append({"triple": [v, i, w], "value": float(f.values[k])})
+        ks = np.nonzero(f.values)[0]
+        entries = [{"triple": [v[k], mid[k], w[k]], "value": x}
+                   for k, x in zip(ks.tolist(), f.values[ks].tolist())]
         sessions.append({"id": f.session, "flows": entries})
-    pairs = []
-    for row, k in enumerate(idx.pair_fwd):
-        v, i, w = idx.triples[int(k)]
-        pairs.append({"v": v, "mid": i, "w": w, "y": float(sol.summary.y[row])})
+    pairs = [{"v": v[k], "mid": mid[k], "w": w[k], "y": y}
+             for k, y in zip(idx.pair_fwd.tolist(), sol.summary.y.tolist())]
     z = [{"node": i, "z": float(sol.summary.z[i])} for i in range(inst.n)]
     return {
         "sessions": sessions,
@@ -107,6 +107,128 @@ def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
         "certified": sol.certified,
         "iterations": sol.iterations,
     }
+
+
+class SolutionError(ValueError):
+    """Malformed solution data; the message names the offending element."""
+
+
+@dataclass
+class SolutionDoc:
+    """A solution file's claims, as arrays.
+
+    flows maps a session id to its (m, 3) triples and m values, in file
+    order.  A cost the file does not state is None.
+    """
+
+    flows: dict[str, tuple[np.ndarray, np.ndarray]]
+    pairs: np.ndarray        # (m, 3): v, mid, w of each stated y
+    y: np.ndarray
+    nodes: np.ndarray
+    z: np.ndarray
+    expanded_cost: float | None
+    physical_cost: float | None
+    routing_cost: float | None
+
+
+def _records(doc: dict, name: str, where: str) -> list:
+    recs = doc.get(name, [])
+    if not isinstance(recs, list):
+        raise SolutionError(f"{where} must be a list, got "
+                            f"{type(recs).__name__}")
+    return recs
+
+
+def _name_bad_record(recs: list, where: str, key: str, convert,
+                     what: str) -> NoReturn:
+    for n, rec in enumerate(recs):
+        if not isinstance(rec, dict):
+            raise SolutionError(f"{where}[{n}] must be an object, got "
+                                f"{type(rec).__name__}")
+        if key not in rec:
+            raise SolutionError(f"{where}[{n}] has no {key!r}")
+        try:
+            convert(rec[key])
+        except (TypeError, ValueError, OverflowError):
+            raise SolutionError(f"{where}[{n}] {key}: {rec[key]!r} is not "
+                                f"{what}") from None
+    raise SolutionError(f"{where}: malformed {key!r} entries")
+
+
+def _numbers(recs: list, where: str, key: str) -> np.ndarray:
+    try:
+        return np.array([float(rec[key]) for rec in recs], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        _name_bad_record(recs, where, key, float, "a number")
+
+
+def _node_ids(recs: list, where: str, key: str,
+              shape: tuple[int, ...] = ()) -> np.ndarray:
+    """rec[key] of every record as int64 node ids of the given shape."""
+    def convert(value) -> np.ndarray:
+        ids = np.array(value, dtype=np.int64)
+        if ids.shape != shape:
+            raise ValueError(f"shape {ids.shape}")
+        return ids
+
+    try:
+        ids = np.array([rec[key] for rec in recs], dtype=np.int64)
+        if ids.shape == (len(recs),) + shape or not recs:
+            return ids.reshape((len(recs),) + shape)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    _name_bad_record(recs, where, key, convert,
+                     "three node ids" if shape else "a node id")
+
+
+def solution_from_dict(doc) -> SolutionDoc:
+    """Parse a solution document; raise SolutionError naming what is bad."""
+    if not isinstance(doc, dict):
+        raise SolutionError(f"solution must be a JSON object, got "
+                            f"{type(doc).__name__}")
+    flows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for n, rec in enumerate(_records(doc, "sessions", "sessions")):
+        if not isinstance(rec, dict):
+            raise SolutionError(f"sessions[{n}] must be an object, got "
+                                f"{type(rec).__name__}")
+        if "id" not in rec:
+            raise SolutionError(f"sessions[{n}] has no 'id'")
+        sid = str(rec["id"])
+        if sid in flows:
+            raise SolutionError(f"sessions[{n}]: duplicate session id "
+                                f"{sid!r}")
+        if "flows" not in rec:
+            raise SolutionError(f"session {sid}: record has no 'flows'")
+        where = f"session {sid} flows"
+        ents = _records(rec, "flows", where)
+        flows[sid] = (_node_ids(ents, where, "triple", (3,)),
+                      _numbers(ents, where, "value"))
+    pairs = _records(doc, "pair_transmissions", "pair_transmissions")
+    pair_ids = np.stack([_node_ids(pairs, "pair_transmissions", key)
+                         for key in ("v", "mid", "w")], axis=1)
+    y = _numbers(pairs, "pair_transmissions", "y")
+    nodes = _records(doc, "node_transmissions", "node_transmissions")
+    node_ids = _node_ids(nodes, "node_transmissions", "node")
+    z = _numbers(nodes, "node_transmissions", "z")
+    costs = []
+    for name in ("expanded_cost", "physical_cost", "routing_cost"):
+        value = doc.get(name)
+        try:
+            costs.append(None if value is None else float(value))
+        except (TypeError, ValueError):
+            raise SolutionError(f"{name}: {value!r} is not a number") \
+                from None
+    return SolutionDoc(flows, pair_ids, y, node_ids, z, *costs)
+
+
+def load_solution(path: str) -> SolutionDoc:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SolutionError(
+                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    return solution_from_dict(doc)
 
 
 def cmd_gen(args) -> int:
@@ -181,86 +303,103 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _last_of_each(rows: np.ndarray) -> np.ndarray:
+    """Positions of the last occurrence of each distinct value in rows."""
+    _, first_from_end = np.unique(rows[::-1], return_index=True)
+    return len(rows) - 1 - first_from_end
+
+
 def cmd_check(args) -> int:
     inst = load_instance(args.instance)
-    with open(args.solution) as fh:
-        doc = json.load(fh)
+    doc = load_solution(args.solution)
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     problems: list[str] = []
 
-    by_id = {s.sid: s for s in inst.sessions}
-    flows = []
-    doc_sessions = {rec["id"]: rec for rec in doc.get("sessions", [])}
-    if set(doc_sessions) != set(by_id):
+    by_id = {s.sid for s in inst.sessions}
+    if set(doc.flows) != by_id:
         print(f"session sets differ: instance has {sorted(by_id)}, "
-              f"solution has {sorted(doc_sessions)}", file=sys.stderr)
+              f"solution has {sorted(doc.flows)}", file=sys.stderr)
         return 1
+    flows = []
     for s in inst.sessions:
-        values = np.zeros(len(idx))
-        for ent in doc_sessions[s.sid]["flows"]:
-            key = tuple(int(x) for x in ent["triple"])
-            if key not in idx.index:
-                print(f"session {s.sid}: unknown triple {key}",
-                      file=sys.stderr)
-                return 1
-            val = float(ent["value"])
+        trips, vals = doc.flows[s.sid]
+        rows = idx.rows(trips)
+        if (rows < 0).any():
+            key = tuple(trips[int(np.argmax(rows < 0))].tolist())
+            print(f"session {s.sid}: unknown triple {key}", file=sys.stderr)
+            return 1
+        bad = ~(vals >= 0) | np.isinf(vals)
+        for j in np.nonzero(bad)[0]:
+            key = tuple(trips[j].tolist())
+            val = float(vals[j])
             if val < 0:
                 problems.append(f"session {s.sid}: negative flow on {key}")
-                val = 0.0
-            values[idx.index[key]] = val
+            else:
+                problems.append(f"session {s.sid}: non-finite flow {val!r} "
+                                f"on {key}")
+        vals = np.where(bad, 0.0, vals)
+        # a later entry for the same triple overrides an earlier one
+        last = _last_of_each(rows)
+        values = np.zeros(len(idx))
+        values[rows[last]] = vals[last]
         flows.append(FlowVector(s.sid, values))
 
-    for f in flows:
-        res = conservation_residual(f, g, idx)
-        for pair, r in sorted(res.items()):
-            if abs(r) > 1e-9:
-                problems.append(
-                    f"session {f.session}: conservation violated at pair "
-                    f"{pair}: residual {r:.3g}")
+    res = conservation_residual(flows, g, idx)
+    bad_rows, bad_pairs = np.nonzero(~(np.abs(res) <= 1e-9))
+    if len(bad_pairs):
+        pairs = ordered_pairs(g)
+        for r, e in zip(bad_rows.tolist(), bad_pairs.tolist()):
+            problems.append(
+                f"session {flows[r].session}: conservation violated at pair "
+                f"{pairs[e]}: residual {res[r, e]:.3g}")
 
     summary = transmission_summary(flows, g, idx)
-    stated_y = {}
-    for rec in doc.get("pair_transmissions", []):
-        stated_y[(int(rec["v"]), int(rec["mid"]), int(rec["w"]))] = \
-            float(rec["y"])
-    for row, k in enumerate(idx.pair_fwd):
-        key = idx.triples[int(k)]
-        want = float(summary.y[row])
-        got = stated_y.pop(key, 0.0)
-        if got != want:
-            note = " (session flows through the pair exceed its y)" \
-                if got < want else ""
-            problems.append(f"transmissions for pair {key}: stated "
-                            f"y={got!r}, flows give {want!r}{note}")
-    for key in stated_y:
+    row_of = np.full(len(idx), -1)
+    row_of[idx.pair_fwd] = np.arange(len(idx.pair_fwd))
+    k = idx.rows(doc.pairs)
+    stated_rows = np.full(len(k), -1)
+    stated_rows[k >= 0] = row_of[k[k >= 0]]
+    known = stated_rows >= 0
+    stated_rows, stated_y = stated_rows[known], doc.y[known]
+    last = _last_of_each(stated_rows)
+    got = np.zeros(len(idx.pair_fwd))
+    got[stated_rows[last]] = stated_y[last]
+    for row in np.nonzero(got != summary.y)[0].tolist():
+        kf = int(idx.pair_fwd[row])
+        key = (int(idx.v[kf]), int(idx.mid[kf]), int(idx.w[kf]))
+        want, stated = float(summary.y[row]), float(got[row])
+        note = " (session flows through the pair exceed its y)" \
+            if stated < want else ""
+        problems.append(f"transmissions for pair {key}: stated "
+                        f"y={stated!r}, flows give {want!r}{note}")
+    unknown = dict.fromkeys(map(tuple, doc.pairs[~known].tolist()))
+    for key in unknown:
         problems.append(f"transmissions stated for unknown pair {key}")
-    for rec in doc.get("node_transmissions", []):
-        i = int(rec["node"])
-        if not (0 <= i < g.n_nodes):
+    known = (doc.nodes >= 0) & (doc.nodes < g.n_nodes)
+    want_z = np.zeros(len(doc.nodes))
+    want_z[known] = summary.z[doc.nodes[known]]
+    for j in np.nonzero(~known | (doc.z != want_z))[0].tolist():
+        i = int(doc.nodes[j])
+        if not known[j]:
             problems.append(f"transmissions stated for unknown node {i}")
-            continue
-        if float(rec["z"]) != summary.z[i]:
-            problems.append(
-                f"node {i}: stated z={rec['z']!r}, flows give "
-                f"{float(summary.z[i])!r}")
+        else:
+            problems.append(f"node {i}: stated z={float(doc.z[j])!r}, "
+                            f"flows give {float(want_z[j])!r}")
 
     expanded, physical = total_cost(summary, g)
-    for name, stated, want in (("expanded_cost", doc.get("expanded_cost"),
-                                expanded),
-                               ("physical_cost", doc.get("physical_cost"),
-                                physical)):
-        if stated is None or abs(float(stated) - want) > 1e-9:
+    for name, stated, want in (("expanded_cost", doc.expanded_cost, expanded),
+                               ("physical_cost", doc.physical_cost, physical)):
+        if stated is None or not abs(stated - want) <= 1e-9:
             problems.append(f"{name}: stated {stated!r}, flows give {want!r}")
-    if "routing_cost" in doc:
+    if doc.routing_cost is not None:
         routing, _ = plain_routing_cost(inst)
-        if abs(float(doc["routing_cost"]) - routing) > 1e-9:
-            problems.append(f"routing_cost: stated {doc['routing_cost']!r}, "
+        if not abs(doc.routing_cost - routing) <= 1e-9:
+            problems.append(f"routing_cost: stated {doc.routing_cost!r}, "
                             f"recomputed {routing!r}")
 
-    from_doc = doc.get("expanded_cost")
     log.debug("check: %d sessions, worst problems: %d, expanded %s",
-              len(flows), len(problems), from_doc)
+              len(flows), len(problems), doc.expanded_cost)
     for msg in problems:
         print(msg, file=sys.stderr)
     if problems:
@@ -326,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 1
     except (InstanceError, InfeasibleSessionError, GenerationError,
-            ValueError) as exc:
+            NonFiniteError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
-                    PriceVector, TripleIndex)
+                    PriceVector, TripleIndex, ordered_pairs)
 
 INF = math.inf
 
@@ -52,20 +52,18 @@ class EdgeGraph:
 
 
 def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
-    vertices = []
-    for a, b in g.edges:
-        vertices.append((a, b))
-        vertices.append((b, a))
-    vertices.sort()
+    vertices = ordered_pairs(g)
     vindex = {p: i for i, p in enumerate(vertices)}
-    tail = np.array([vindex[(v, i)] for v, i, _ in idx.triples], dtype=np.int64)
-    head = np.array([vindex[(i, w)] for _, i, w in idx.triples], dtype=np.int64)
-    out: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    for k in range(len(idx)):
-        out[int(tail[k])].append((int(head[k]), k))
+    # arcs grouped by tail vertex, in triple order within each group
+    order = np.argsort(idx.tail, kind="stable")
+    bounds = np.searchsorted(idx.tail[order], np.arange(len(vertices) + 1))
+    arcs = list(zip(idx.head[order].tolist(), order.tolist()))
+    out = [arcs[lo:hi] for lo, hi in zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist())]
     src = [vindex[g.source_vertex(t)] for t in range(len(g.base.sessions))]
     dst = [vindex[g.dest_vertex(t)] for t in range(len(g.base.sessions))]
-    return EdgeGraph(g, idx, vertices, vindex, tail, head, out, src, dst)
+    return EdgeGraph(g, idx, vertices, vindex, idx.tail, idx.head, out, src,
+                     dst)
 
 
 def _dijkstra(h: EdgeGraph, wts: list[float], src: int,

@@ -18,7 +18,9 @@ physical cost subtracts those c_{d_t} * R_t terms back out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,10 +87,16 @@ class Instance:
             raise InstanceError(f"node ids must be dense 0..{n - 1}, got {ids}")
         self.nodes = sorted(self.nodes, key=lambda nd: nd.nid)
         for nd in self.nodes:
-            if not (nd.cost >= 0.0):
+            if not math.isfinite(nd.cost):
+                raise InstanceError(
+                    f"node {nd.nid} has non-finite cost {nd.cost}")
+            if nd.cost < 0.0:
                 raise InstanceError(f"node {nd.nid} has negative cost {nd.cost}")
             if nd.pos is not None and len(nd.pos) != 2:
                 raise InstanceError(f"node {nd.nid} position must be 2-D")
+            if nd.pos is not None and not all(map(math.isfinite, nd.pos)):
+                raise InstanceError(
+                    f"node {nd.nid} has non-finite position {tuple(nd.pos)}")
         seen: set[tuple[int, int]] = set()
         norm: list[tuple[int, int]] = []
         for a, b in self.edges:
@@ -117,6 +125,9 @@ class Instance:
                     f"session {s.sid} has source = dest = {s.source}")
             if not (s.rate > 0.0):
                 raise InstanceError(f"session {s.sid} rate must be > 0")
+            if not math.isfinite(s.rate):
+                raise InstanceError(
+                    f"session {s.sid} has non-finite rate {s.rate}")
             if labels[s.source] != labels[s.dest]:
                 raise InfeasibleSessionError(
                     s.sid,
@@ -138,6 +149,11 @@ class ExpandedGraph:
     Artificial ids follow the physical ones: session t (0-based) owns
     s'_t = n + 2t and d'_t = n + 2t + 1.  Artificial nodes cost 0; they
     never relay (degree 1), so they never transmit.
+
+    indptr/indices hold the sorted adjacency lists in CSR form.  Entry e
+    of indices is the ordered pair (a, indices[e]) with indptr[a] <= e <
+    indptr[a + 1], so the entries run through the ordered pairs in sorted
+    order: e is the pair index used by the residual and the edge graph.
     """
 
     base: Instance
@@ -147,6 +163,8 @@ class ExpandedGraph:
     edges: list[tuple[int, int]]
     adj: list[list[int]]
     terminals: list[tuple[int, int]]  # (s'_t, d'_t) per session
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def is_artificial(self, v: int) -> bool:
         return v >= self.n_base
@@ -156,6 +174,15 @@ class ExpandedGraph:
 
     def dest_vertex(self, t: int) -> tuple[int, int]:
         return (self.base.sessions[t].dest, self.terminals[t][1])
+
+    def pair_index(self, pair: tuple[int, int]) -> int:
+        """Position of the ordered pair (a, b) among all ordered pairs."""
+        a, b = pair
+        lo, hi = int(self.indptr[a]), int(self.indptr[a + 1])
+        e = lo + int(np.searchsorted(self.indices[lo:hi], b))
+        if e == hi or self.indices[e] != b:
+            raise KeyError(pair)
+        return e
 
 
 def build_expanded_graph(inst: Instance) -> ExpandedGraph:
@@ -176,7 +203,18 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
         adj[b].append(a)
     for lst in adj:
         lst.sort()
-    return ExpandedGraph(inst, n, n_total, costs, edges, adj, terminals)
+    indptr = np.zeros(n_total + 1, dtype=np.int64)
+    np.cumsum([len(lst) for lst in adj], out=indptr[1:])
+    indices = np.fromiter((b for lst in adj for b in lst), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return ExpandedGraph(inst, n, n_total, costs, edges, adj, terminals,
+                         indptr, indices)
+
+
+def ordered_pairs(g: ExpandedGraph) -> list[tuple[int, int]]:
+    """Every ordered pair (a, b) with {a, b} an edge, in pair-index order."""
+    tails = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    return list(zip(tails.tolist(), g.indices.tolist()))
 
 
 @dataclass
@@ -184,68 +222,80 @@ class TripleIndex:
     """Canonical enumeration of relay triples (v, i, w), both orientations.
 
     Order is lexicographic by (i, v, w), so triples sharing a middle node
-    are contiguous, as are the forward rows (v < w) in the pair arrays.
-    A triple whose tail and head are both artificial can never carry flow
+    are contiguous, as are the forward rows (v < w) in the pair arrays;
+    key = (i * n_nodes + v) * n_nodes + w is strictly increasing.  A
+    triple whose tail and head are both artificial can never carry flow
     (its end pairs have no inflow and no demand), so those are dropped to
     keep the index aligned with meaningful unknowns.
     """
 
-    triples: list[tuple[int, int, int]]
-    index: dict[tuple[int, int, int], int]
+    n_nodes: int
     v: np.ndarray
     mid: np.ndarray
     w: np.ndarray
+    key: np.ndarray
     rev: np.ndarray          # rev[k] indexes (w, i, v)
+    tail: np.ndarray         # pair index of (v, i)
+    head: np.ndarray         # pair index of (i, w)
     cost: np.ndarray         # c of the middle node, per triple
     pair_fwd: np.ndarray     # triple rows with v < w, one per unordered pair
     pair_rev: np.ndarray
     pair_cost: np.ndarray
-    pair_rows_of_mid: dict[int, tuple[int, int]] = field(default_factory=dict)
-    pair_row_of_triple: dict[int, int] = field(default_factory=dict)
+    pair_rows_of_mid: dict[int, tuple[int, int]]
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.key)
+
+    @cached_property
+    def triples(self) -> list[tuple[int, int, int]]:
+        return list(zip(self.v.tolist(), self.mid.tolist(), self.w.tolist()))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int, int], int]:
+        return {tr: k for k, tr in enumerate(self.triples)}
+
+    def rows(self, triples) -> np.ndarray:
+        """Row of each (v, i, w) of an (m, 3) array; -1 where none exists."""
+        v, mid, w = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+        n = self.n_nodes
+        ok = ((v >= 0) & (v < n) & (mid >= 0) & (mid < n)
+              & (w >= 0) & (w < n))
+        q = np.where(ok, (mid * n + v) * n + w, -1)
+        if not len(self.key):
+            return np.full(q.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.key, q), len(self.key) - 1)
+        return np.where(ok & (self.key[pos] == q), pos, -1)
 
 
 def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
-    triples: list[tuple[int, int, int]] = []
-    for i in range(g.n_nodes):
-        nbrs = g.adj[i]
-        if len(nbrs) < 2:
-            continue
-        for v in nbrs:
-            for w in nbrs:
-                if v == w:
-                    continue
-                if g.is_artificial(v) and g.is_artificial(w):
-                    continue
-                triples.append((v, i, w))
-    index = {tr: k for k, tr in enumerate(triples)}
-    varr = np.array([tr[0] for tr in triples], dtype=np.int64)
-    marr = np.array([tr[1] for tr in triples], dtype=np.int64)
-    warr = np.array([tr[2] for tr in triples], dtype=np.int64)
-    rev = np.array([index[(tr[2], tr[1], tr[0])] for tr in triples],
-                   dtype=np.int64)
-    cost = g.costs[marr] if len(triples) else np.zeros(0)
-    fwd_mask = varr < warr
-    pair_fwd = np.nonzero(fwd_mask)[0]
+    n = g.n_nodes
+    indptr, nbr = g.indptr, g.indices
+    deg = np.diff(indptr)
+    # every (v, w) in the neighbour list of every i, row-major per i
+    block = deg * deg
+    mid = np.repeat(np.arange(n, dtype=np.int64), block)
+    r = np.arange(len(mid)) - np.repeat(np.cumsum(block) - block, block)
+    d = deg[mid]
+    ew = indptr[mid] + r % d       # pair index of (i, w)
+    v, w = nbr[indptr[mid] + r // d], nbr[ew]
+    keep = (v != w) & ((v < g.n_base) | (w < g.n_base))
+    mid, v, w, ew = mid[keep], v[keep], w[keep], ew[keep]
+    key = (mid * n + v) * n + w
+    rev = np.searchsorted(key, (mid * n + w) * n + v)
+    # pair index of (v, i), by its key among the sorted ordered pairs
+    pair_key = np.repeat(np.arange(n, dtype=np.int64), deg) * n + nbr
+    tail = np.searchsorted(pair_key, v * n + mid)
+    cost = g.costs[mid]
+    pair_fwd = np.nonzero(v < w)[0]
     pair_rev = rev[pair_fwd]
     pair_cost = cost[pair_fwd]
     # forward rows are contiguous per middle node (triples sorted by middle)
-    rows_of_mid: dict[int, tuple[int, int]] = {}
-    row_of_triple: dict[int, int] = {}
-    for row, k in enumerate(pair_fwd):
-        k = int(k)
-        row_of_triple[k] = row
-        row_of_triple[int(rev[k])] = row
-        m = int(marr[k])
-        if m not in rows_of_mid:
-            rows_of_mid[m] = (row, row + 1)
-        else:
-            rows_of_mid[m] = (rows_of_mid[m][0], row + 1)
-    return TripleIndex(triples, index, varr, marr, warr, rev, cost,
-                       pair_fwd, pair_rev, pair_cost, rows_of_mid,
-                       row_of_triple)
+    mids, first, count = np.unique(mid[pair_fwd], return_index=True,
+                                   return_counts=True)
+    rows_of_mid = {m: (lo, lo + c) for m, lo, c in
+                   zip(mids.tolist(), first.tolist(), count.tolist())}
+    return TripleIndex(n, v, mid, w, key, rev, tail, ew, cost, pair_fwd,
+                       pair_rev, pair_cost, rows_of_mid)
 
 
 @dataclass
@@ -306,15 +356,6 @@ class TransmissionSummary:
     z: np.ndarray
 
 
-def ordered_pairs(g: ExpandedGraph) -> list[tuple[int, int]]:
-    out = []
-    for a, b in g.edges:
-        out.append((a, b))
-        out.append((b, a))
-    out.sort()
-    return out
-
-
 def transmission_summary(flows: list[FlowVector], g: ExpandedGraph,
                          idx: TripleIndex) -> TransmissionSummary:
     agg = np.zeros(len(idx))
@@ -343,49 +384,41 @@ def total_cost(summary: TransmissionSummary, g: ExpandedGraph
     return expanded, expanded - correction
 
 
-def conservation_residual(x: FlowVector, g: ExpandedGraph, idx: TripleIndex
-                          ) -> dict[tuple[int, int], float]:
-    """Flow balance at every ordered pair (i, j) with {i, j} an edge.
+def conservation_residual(flows: list[FlowVector], g: ExpandedGraph,
+                          idx: TripleIndex) -> np.ndarray:
+    """Flow balance of each flow at every ordered pair (i, j), {i, j} an edge.
 
-    Residual = (flow continuing out through j) - (flow arriving onto (i, j))
-    - sigma, where sigma injects +R_t at (s'_t, s_t) and -R_t at
-    (d_t, d'_t).  Zero everywhere iff x is a feasible flow for its session.
+    Row r belongs to flows[r], column e to ordered pair e (the order of
+    ordered_pairs).  Residual = (flow continuing out through j) - (flow
+    arriving onto (i, j)) - sigma, where sigma injects +R_t at (s'_t, s_t)
+    and -R_t at (d_t, d'_t).  A row is zero everywhere iff its flow is
+    feasible for its session.  Sums run in triple order.
     """
-    t = None
-    for k, s in enumerate(g.base.sessions):
-        if s.sid == x.session:
-            t = k
-            break
-    if t is None:
-        raise ValueError(f"unknown session {x.session!r}")
-    sess = g.base.sessions[t]
-    sp, dp = g.terminals[t]
-    out_sum: dict[tuple[int, int], float] = {}
-    in_sum: dict[tuple[int, int], float] = {}
-    vals = x.values
-    for k, (v, i, w) in enumerate(idx.triples):
-        if vals[k] == 0.0:
-            continue
-        out_sum[(v, i)] = out_sum.get((v, i), 0.0) + vals[k]
-        in_sum[(i, w)] = in_sum.get((i, w), 0.0) + vals[k]
-    res: dict[tuple[int, int], float] = {}
-    for pair in ordered_pairs(g):
-        sigma = 0.0
-        if pair == (sp, sess.source):
-            sigma = sess.rate
-        elif pair == (sess.dest, dp):
-            sigma = -sess.rate
-        res[pair] = out_sum.get(pair, 0.0) - in_sum.get(pair, 0.0) - sigma
-    return res
+    t_of = {s.sid: t for t, s in enumerate(g.base.sessions)}
+    shape = (len(flows), len(g.indices))
+    sigma = np.zeros(shape)
+    x = np.zeros((len(flows), len(idx)))
+    for r, f in enumerate(flows):
+        t = t_of.get(f.session)
+        if t is None:
+            raise ValueError(f"unknown session {f.session!r}")
+        rate = g.base.sessions[t].rate
+        sigma[r, g.pair_index(g.source_vertex(t))] = rate
+        sigma[r, g.pair_index(g.dest_vertex(t))] = -rate
+        x[r] = f.values
+    rows, ks = np.nonzero(x)
+    vals = x[rows, ks]
+    out = np.zeros(shape)
+    np.add.at(out, (rows, idx.tail[ks]), vals)
+    into = np.zeros(shape)
+    np.add.at(into, (rows, idx.head[ks]), vals)
+    return out - into - sigma
 
 
 def worst_residual(flows: list[FlowVector], g: ExpandedGraph,
                    idx: TripleIndex) -> float:
-    worst = 0.0
-    for f in flows:
-        for r in conservation_residual(f, g, idx).values():
-            worst = max(worst, abs(r))
-    return worst
+    return float(np.abs(conservation_residual(flows, g, idx)).max(
+        initial=0.0))
 
 
 def session_flow_cost(x: FlowVector, idx: TripleIndex) -> float:

@@ -29,6 +29,10 @@ from .model import (ExpandedGraph, FlowVector, Instance, PriceVector,
                     enumerate_triples, total_cost, transmission_summary)
 
 
+class NonFiniteError(ArithmeticError):
+    """A bound or cost of the loop left float range; the message says which."""
+
+
 @dataclass
 class SolverConfig:
     step_a: float = 1.0
@@ -171,14 +175,24 @@ class _LoopState:
 
     def ingest(self, n: int, flows: list[FlowVector], q: float) -> bool:
         """Record round n; True means the gap certificate is in hand."""
+        if not math.isfinite(q):
+            raise NonFiniteError(
+                f"iteration {n}: dual bound is {q!r}; costs or rates are "
+                f"too large for float arithmetic")
         if q > self.best:
             self.best = q
-        for s, f in zip(self.sums, flows):
-            s += f.values
-        self.mean = [FlowVector(f.session, s / n)
-                     for s, f in zip(self.sums, flows)]
-        self.summary = transmission_summary(self.mean, self.g, self.idx)
-        cost, _ = total_cost(self.summary, self.g)
+        # an overflow here is reported below, as a non-finite cost
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, f in zip(self.sums, flows):
+                s += f.values
+            self.mean = [FlowVector(f.session, s / n)
+                         for s, f in zip(self.sums, flows)]
+            self.summary = transmission_summary(self.mean, self.g, self.idx)
+            cost, _ = total_cost(self.summary, self.g)
+        if not math.isfinite(cost):
+            raise NonFiniteError(
+                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
+                f"are too large for float arithmetic")
         self.gap = (cost - self.best) / max(1.0, self.best)
         self.trace.append(n, self.cfg.alpha(n), q, self.best, cost, self.gap)
         if self.gap <= self.cfg.tol:

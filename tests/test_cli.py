@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carpool import cli
 
@@ -252,6 +254,136 @@ def test_unreachable_session_exits_one(tmp_path, relay3_path, capsys):
     bad.write_text(json.dumps(doc))
     assert cli.main(["baseline", str(bad)]) == 1
     assert "session s1 unreachable" in capsys.readouterr().err
+
+
+def rejected(argv, capsys):
+    """Run the CLI on bad data: exit 1, a message, no traceback."""
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def _drop_flows(doc):
+    del doc["sessions"][0]["flows"]
+    return doc
+
+
+def _set(path, value):
+    def mutate(doc):
+        rec = doc
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop_flows, "session s1: record has no 'flows'"),
+    (lambda doc: [doc], "solution must be a JSON object, got list"),
+    (_set(["sessions", 0, "flows", 0, "value"], "lots"),
+     "session s1 flows[0] value: 'lots' is not a number"),
+    (_set(["sessions", 0, "flows", 0, "value"], float("nan")),
+     "session s1: non-finite flow nan on (3, 0, 1)"),
+    (_set(["sessions", 0, "flows", 0, "value"], float("inf")),
+     "session s1: non-finite flow inf on (3, 0, 1)"),
+    (_set(["pair_transmissions", 1, "y"], None),
+     "pair_transmissions[1] y: None is not a number"),
+    (_set(["node_transmissions", 2, "z"], [2.0]),
+     "node_transmissions[2] z: [2.0] is not a number"),
+    (_set(["sessions", 1, "flows", 2, "triple"], [1, 0]),
+     "session s2 flows[2] triple: [1, 0] is not three node ids"),
+], ids=["no-flows", "list-document", "text-value", "nan-value", "inf-value",
+        "null-y", "list-z", "short-triple"])
+def test_check_rejects_a_malformed_solution(solved, tmp_path, capsys, mutate,
+                                            message):
+    relay3_path, sol_path, _ = solved
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.load(open(sol_path)))))
+    capsys.readouterr()
+    assert message in rejected(["check", relay3_path, str(bad)], capsys)
+
+
+def test_check_names_pairs_and_nodes_the_instance_lacks(tmp_path, capsys):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"nodes": [], "edges": [], "sessions": []}))
+    doc = {"sessions": [], "expanded_cost": 0.0, "physical_cost": 0.0,
+           "pair_transmissions": [{"v": 0, "mid": 1, "w": 2, "y": 1.0}],
+           "node_transmissions": [{"node": 0, "z": 1.0}]}
+    sol = tmp_path / "empty.sol.json"
+    sol.write_text(json.dumps(doc))
+    err = rejected(["check", str(inst), str(sol)], capsys)
+    assert err == ("transmissions stated for unknown pair (0, 1, 2)\n"
+                   "transmissions stated for unknown node 0\n")
+
+
+def test_check_reports_the_position_of_bad_json(relay3_path, tmp_path,
+                                                capsys):
+    bad = tmp_path / "broken.sol.json"
+    bad.write_text('{"sessions": [\n  {"id": "s1",, }]}')
+    err = rejected(["check", relay3_path, str(bad)], capsys)
+    assert f"{bad}:2:15: Expecting property name" in err
+
+
+@pytest.fixture(scope="module")
+def relay3_solution(tmp_path_factory):
+    """relay3's instance file and certified solution document."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst_path = root / "relay3.json"
+    sol_path = root / "sol.json"
+    assert cli.main(["gen", "--builtin", "relay3", "--out",
+                     str(inst_path)]) == 0
+    assert cli.main(["solve", str(inst_path), "--tol", "1e-4",
+                     "--out", str(sol_path)]) == 0
+    return str(inst_path), json.load(open(sol_path)), root
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_check_never_crashes_on_a_mutated_solution(relay3_solution, data):
+    inst_path, doc, root = relay3_solution
+    doc = json.loads(json.dumps(doc))
+    # walk down to a random container, then replace or delete one member
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or data.draw(st.booleans())):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        doc = data.draw(json_values)
+    elif isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(json_values)
+    path = root / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", inst_path, str(path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (["nodes", 1, "cost"], float("inf"), "node 1 has non-finite cost inf"),
+    (["sessions", 0, "rate"], "inf", "session s1 has non-finite rate inf"),
+    (["sessions", 0, "rate"], 1e308,
+     "iteration 1: recovered cost is inf"),
+], ids=["inf-cost", "inf-rate", "rate-1e308"])
+def test_solve_rejects_non_finite_numbers(relay3_path, tmp_path, capsys, path,
+                                          value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set(path, value)(json.load(open(relay3_path)))))
+    for extra in ([], ["--distributed"]):
+        err = rejected(["solve", str(bad)] + extra, capsys)
+        assert message in err
 
 
 # ---------------------------------------------------------------- logging

@@ -12,6 +12,9 @@ from carpool import (FlowVector, InfeasibleSessionError, InstanceError,
 from carpool.model import (Instance, Node, Session, component_labels,
                            ordered_pairs, session_flow_cost, worst_residual)
 from lp_reference import lp_optimum
+from model_reference import (conservation_residual_reference,
+                             enumerate_triples_reference,
+                             ordered_pairs_reference)
 
 
 def unit_instance(n, edges, sessions=()):
@@ -96,11 +99,15 @@ def test_star_center_and_path_counts():
 
 def test_reversal_and_pair_tables(relay3_parts):
     g, idx = relay3_parts
+    pair_row_of_triple = {}
+    for row, (kf, kr) in enumerate(zip(idx.pair_fwd, idx.pair_rev)):
+        pair_row_of_triple[int(kf)] = pair_row_of_triple[int(kr)] = row
+    assert len(pair_row_of_triple) == len(idx)
     for k, (v, i, w) in enumerate(idx.triples):
         assert idx.triples[idx.rev[k]] == (w, i, v)
         assert idx.rev[idx.rev[k]] == k
         assert idx.cost[k] == g.costs[i]
-        assert idx.pair_row_of_triple[k] == idx.pair_row_of_triple[idx.rev[k]]
+        assert pair_row_of_triple[k] == pair_row_of_triple[int(idx.rev[k])]
     for row in range(len(idx.pair_fwd)):
         assert idx.rev[idx.pair_fwd[row]] == idx.pair_rev[row]
         fwd = idx.triples[idx.pair_fwd[row]]
@@ -132,15 +139,15 @@ def test_triple_set_properties_on_random_graphs(data):
 
 def test_path_flow_conserves_exactly(relay3_parts):
     g, idx = relay3_parts
-    res = conservation_residual(path_flow(idx, "s1", S1_PATH), g, idx)
-    assert set(res) == set(ordered_pairs(g))
-    assert all(r == 0.0 for r in res.values())
+    res = conservation_residual([path_flow(idx, "s1", S1_PATH)], g, idx)
+    assert res.shape == (1, len(set(ordered_pairs(g))))
+    assert all(r == 0.0 for r in res[0])
 
 
 def test_zero_flow_residual_sits_at_the_terminals(relay3_parts):
     g, idx = relay3_parts
-    res = conservation_residual(path_flow(idx, "s1", [], rate=0.0), g, idx)
-    nonzero = {pair: r for pair, r in res.items() if r}
+    res = conservation_residual([path_flow(idx, "s1", [], rate=0.0)], g, idx)
+    nonzero = {pair: r for pair, r in zip(ordered_pairs(g), res[0]) if r}
     assert nonzero == {(3, 0): -1.0, (2, 4): 1.0}
     assert worst_residual([FlowVector("s1", np.zeros(len(idx)))],
                           g, idx) == 1.0
@@ -150,10 +157,74 @@ def test_residual_scales_with_rate():
     inst = unit_instance(3, [(0, 1), (1, 2)], [Session("s1", 0, 2, 2.5)])
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    res = conservation_residual(FlowVector("s1", np.zeros(len(idx))), g, idx)
+    res = dict(zip(ordered_pairs(g), conservation_residual(
+        [FlowVector("s1", np.zeros(len(idx)))], g, idx)[0]))
     assert res[(3, 0)] == -2.5 and res[(2, 4)] == 2.5
     full = path_flow(idx, "s1", [(3, 0, 1), (0, 1, 2), (1, 2, 4)], rate=2.5)
     assert worst_residual([full], g, idx) == 0.0
+
+
+@st.composite
+def flows_on_random_instances(draw):
+    """A connected random instance and one flow per session, in a random
+    session order; some flows are all zero, some sessions sparse."""
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, a - 1)), a) for a in range(1, n)]
+    extra = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if (a, b) not in edges]
+    if extra:
+        edges += draw(st.lists(st.sampled_from(extra), unique=True))
+    costs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.7, 3.1]),
+                          min_size=n, max_size=n))
+    sessions = []
+    for t in range(draw(st.integers(0, 4))):
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+        rate = draw(st.floats(0.1, 10.0))
+        sessions.append(Session(f"s{t}", src, dst, rate))
+    inst = Instance([Node(i, c) for i, c in enumerate(costs)], edges,
+                    sessions)
+    g = build_expanded_graph(inst)
+    n_triples = len(enumerate_triples_reference(g).triples)
+    value = st.one_of(st.just(0.0), st.floats(0.0, 1e3),
+                      st.sampled_from([0.1, 0.2, 0.3, 1.0]))
+    flows = []
+    for s in draw(st.permutations(sessions)):
+        if draw(st.booleans()):
+            values = np.zeros(n_triples)
+        else:
+            values = np.array(draw(st.lists(
+                value, min_size=n_triples, max_size=n_triples)))
+        flows.append(FlowVector(s.sid, values))
+    return g, flows
+
+
+@settings(max_examples=80, deadline=None)
+@given(flows_on_random_instances())
+def test_array_model_equals_the_loop_reference_bit_for_bit(case):
+    g, flows = case
+    idx = enumerate_triples(g)
+    ref = enumerate_triples_reference(g)
+    assert idx.triples == ref.triples
+    assert idx.index == ref.index
+    for name in ("v", "mid", "w", "rev", "cost", "pair_fwd", "pair_rev",
+                 "pair_cost"):
+        a, b = getattr(idx, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert list(idx.pair_rows_of_mid.items()) == \
+        list(ref.pair_rows_of_mid.items())
+    pairs = ordered_pairs(g)
+    assert pairs == ordered_pairs_reference(g)
+    assert [pairs[e] for e in idx.tail] == [(v, i) for v, i, _ in ref.triples]
+    assert [pairs[e] for e in idx.head] == [(i, w) for _, i, w in ref.triples]
+    assert idx.rows(ref.triples).tolist() == list(range(len(idx)))
+    assert idx.rows([(1, 0, 0), (-1, 0, 1), (g.n_nodes, 0, 1)]).tolist() == \
+        [-1, -1, -1]
+    res = conservation_residual(flows, g, idx)
+    assert res.shape == (len(flows), len(pairs))
+    for r, f in enumerate(flows):
+        want = conservation_residual_reference(f, g, ref.triples)
+        assert res[r].tobytes() == np.array([want[p] for p in pairs]).tobytes()
 
 
 # ------------------------------------------------- transmissions and costs
@@ -254,6 +325,16 @@ def test_instance_rejects_malformed_inputs():
     with pytest.raises(InstanceError, match="duplicate session id"):
         unit_instance(2, [(0, 1)], [Session("s1", 0, 1, 1.0),
                                     Session("s1", 1, 0, 1.0)])
+    for cost in (float("inf"), float("nan")):
+        with pytest.raises(InstanceError, match="node 1 has non-finite cost"):
+            Instance([Node(0, 1.0), Node(1, cost)], [(0, 1)], [])
+    with pytest.raises(InstanceError, match="node 0 has non-finite position"):
+        Instance([Node(0, 1.0, (float("inf"), 0.0)), Node(1, 1.0)],
+                 [(0, 1)], [])
+    with pytest.raises(InstanceError, match="session s1 has non-finite rate"):
+        unit_instance(2, [(0, 1)], [Session("s1", 0, 1, float("inf"))])
+    with pytest.raises(InstanceError, match="session s1 rate must be > 0"):
+        unit_instance(2, [(0, 1)], [Session("s1", 0, 1, float("nan"))])
 
 
 def test_unreachable_session_names_itself():
