@@ -52,15 +52,28 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    where = "instance document"
+
+    def records(name: str):
+        nonlocal where
+        where = "instance document"
+        recs = doc[name]
+        where = name
+        for n, rec in enumerate(recs):
+            where = f"{name}[{n}]"
+            yield rec
+
     try:
         nodes = [Node(int(r["id"]), float(r["cost"]),
                       tuple(float(x) for x in r["pos"]) if "pos" in r else None)
-                 for r in doc["nodes"]]
-        edges = [(int(a), int(b)) for a, b in doc["edges"]]
+                 for r in records("nodes")]
+        edges = [(int(a), int(b)) for a, b in records("edges")]
         sessions = [Session(str(r["id"]), int(r["source"]), int(r["dest"]),
-                            float(r["rate"])) for r in doc["sessions"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"malformed instance document: {exc}") from exc
+                            float(r["rate"])) for r in records("sessions")]
+    except KeyError as exc:
+        raise InstanceError(f"{where} has no {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"malformed {where}: {exc}") from exc
     return Instance(nodes, edges, sessions)
 
 

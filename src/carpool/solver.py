@@ -42,12 +42,12 @@ class SolverConfig:
     seed: int | None = None  # callers' instance reproducibility; solve is deterministic
 
     def __post_init__(self):
-        if not (self.step_a > 0):
-            raise ValueError(f"step_a must be > 0, got {self.step_a}")
+        for name in ("step_a", "tol"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.step_rule not in ("diminishing", "constant"):
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

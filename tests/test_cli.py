@@ -347,10 +347,8 @@ json_values = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_check_never_crashes_on_a_mutated_solution(relay3_solution, data):
-    inst_path, doc, root = relay3_solution
+def mutate_one_member(doc, data):
+    """A copy of doc with one member anywhere replaced or deleted."""
     doc = json.loads(json.dumps(doc))
     # walk down to a random container, then replace or delete one member
     parent, key = None, None
@@ -366,9 +364,28 @@ def test_check_never_crashes_on_a_mutated_solution(relay3_solution, data):
         del parent[key]
     else:
         parent[key] = data.draw(json_values)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_check_never_crashes_on_a_mutated_solution(relay3_solution, data):
+    inst_path, doc, root = relay3_solution
     path = root / "mutated.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(mutate_one_member(doc, data)))
     assert cli.main(["check", inst_path, str(path)]) in (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_and_baseline_never_crash_on_a_mutated_instance(
+        relay3_solution, data):
+    inst_path, _, root = relay3_solution
+    path = root / "mutated-instance.json"
+    path.write_text(json.dumps(mutate_one_member(
+        json.load(open(inst_path)), data)))
+    assert cli.main(["solve", str(path), "--max-iters", "20"]) in (0, 1, 2)
+    assert cli.main(["baseline", str(path)]) in (0, 1)
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -384,6 +401,56 @@ def test_solve_rejects_non_finite_numbers(relay3_path, tmp_path, capsys, path,
     for extra in ([], ["--distributed"]):
         err = rejected(["solve", str(bad)] + extra, capsys)
         assert message in err
+
+
+def _delete(path):
+    def mutate(doc):
+        rec = doc
+        for key in path[:-1]:
+            rec = rec[key]
+        del rec[path[-1]]
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(["sessions", 0, "source"], float("inf")),
+     "malformed sessions[0]: cannot convert float infinity to integer"),
+    (_set(["nodes", 2, "id"], float("nan")),
+     "malformed nodes[2]: cannot convert float NaN to integer"),
+    (_set(["edges", 1], [1, float("-inf")]),
+     "malformed edges[1]: cannot convert float infinity to integer"),
+    (_set(["edges", 0], [1]),
+     "malformed edges[0]: not enough values to unpack"),
+    (_set(["nodes"], 5), "malformed nodes: 'int' object is not iterable"),
+    (_delete(["sessions", 1, "rate"]), "sessions[1] has no 'rate'"),
+    (_delete(["edges"]), "instance document has no 'edges'"),
+], ids=["inf-source", "nan-id", "inf-endpoint", "short-edge", "int-nodes",
+        "no-rate", "no-edges"])
+def test_malformed_instance_names_the_element(relay3_path, tmp_path, capsys,
+                                              mutate, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.load(open(relay3_path)))))
+    for argv in (["solve", str(bad)], ["baseline", str(bad)]):
+        assert message in rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("flag, value", [("--step-a", "inf"),
+                                         ("--step-a", "nan"),
+                                         ("--tol", "inf"), ("--tol", "nan")])
+def test_solve_rejects_non_finite_flags(relay3_path, capsys, flag, value):
+    name = flag[2:].replace("-", "_")
+    for extra in ([], ["--distributed"]):
+        err = rejected(["solve", relay3_path, flag, value] + extra, capsys)
+        assert f"{name} must be finite and > 0, got {value}" in err
+
+
+@pytest.mark.parametrize("side, message", [
+    ("1e9", "side 1000000000.0 and intensity 1.0 give 1e+18 expected nodes"),
+    ("inf", "side must be finite and > 0, got inf")])
+def test_gen_rejects_a_side_too_large_to_draw(side, message, capsys):
+    err = rejected(["gen", "-L", side, "--sessions", "2"], capsys)
+    assert message in err
 
 
 # ---------------------------------------------------------------- logging

@@ -81,6 +81,30 @@ def test_async_activation_orders_change_nothing(geo5):
         assert stats.neighbor_violations == 0 and stats.in_flight() == 0
 
 
+# (iterations, label, flow, rounds, delivered, bytes) of whole runs at
+# tol 2e-2, frozen so that a faster simulator must send the same traffic
+TRAFFIC = {
+    ("grid2rate", "sync"): (95, 30760, 1528, 1812, 32288, 1279296),
+    ("grid2rate", "async"): (95, 32987, 1528, 1237, 34515, 1368376),
+    ("grid2", "sync"): (179, 72602, 2874, 3406, 75476, 2996048),
+    ("grid2", "async"): (179, 65425, 2874, 2346, 68299, 2708968),
+    ("geo4", "sync"): (82, 69900, 2756, 2064, 72656, 2884192),
+    ("geo4", "async"): (82, 88375, 2756, 1396, 91131, 3623192),
+}
+
+
+@pytest.mark.parametrize("name, mode", list(TRAFFIC))
+def test_builtin_traffic_is_frozen(named, name, mode):
+    schedule = SimSchedule("sync") if mode == "sync" \
+        else SimSchedule("async", seed=3)
+    _, _, stats = run_distributed_solve(
+        named[name], SolverConfig(tol=2e-2, max_iters=2000), schedule)
+    assert (len(stats.per_iteration), stats.label_messages,
+            stats.flow_messages, stats.rounds, stats.delivered,
+            stats.bytes_estimate) == TRAFFIC[name, mode]
+    assert stats.neighbor_violations == 0
+
+
 def test_price_updates_track_the_centralized_iterates(geo5):
     for iters in (1, 3):
         cfg = SolverConfig(tol=1e-12, max_iters=iters)

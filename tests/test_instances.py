@@ -1,10 +1,13 @@
 """Geometric generator, plain-routing baseline, builtin instances."""
 
+import math
+
 import numpy as np
 import pytest
 
 from carpool import (GenerationError, GeometricConfig, edges_within_radius,
                      generate_geometric, plain_routing_cost)
+from carpool.instances import MAX_EXPECTED_NODES
 from carpool.model import Instance, Node, Session, component_labels
 
 
@@ -70,6 +73,28 @@ def test_config_validation():
                 dict(side=6.0, sessions=1, rate=0.0)):
         with pytest.raises(ValueError):
             GeometricConfig(**bad)
+
+
+@pytest.mark.parametrize("field", ["side", "intensity"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_sizes(field, value):
+    sizes = {"side": 6.0, "intensity": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        GeometricConfig(sessions=1, **sizes)
+
+
+@pytest.mark.parametrize("side, intensity", [(1e9, 1.0), (1e200, 1.0),
+                                             (10.0, 1e6)])
+def test_config_caps_the_expected_node_count(side, intensity):
+    # raised by the config itself, before the generator allocates anything
+    with pytest.raises(ValueError) as exc:
+        GeometricConfig(side=side, sessions=1, intensity=intensity)
+    assert str(exc.value).startswith(
+        f"side {side} and intensity {intensity} give ")
+    assert str(exc.value).endswith(
+        f"expected nodes, above the limit of {MAX_EXPECTED_NODES}")
+    side = math.sqrt(MAX_EXPECTED_NODES)  # exactly at the limit is allowed
+    assert GeometricConfig(side=side, sessions=1).side == side
 
 
 # ------------------------------------------------------------ plain routing

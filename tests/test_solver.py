@@ -1,5 +1,7 @@
 """Price projection, subgradient updates, certified solve loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -229,6 +231,11 @@ def test_config_rejects_bad_values():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="step_a"):
         SolverConfig(step_a=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="step_a must be finite"):
+            SolverConfig(step_a=bad)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolverConfig(tol=bad)
 
 
 def test_step_rules():
