@@ -13,12 +13,12 @@ controls diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -51,6 +51,14 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _node_id(value) -> int:
+    """An integral number as a node id; a bool or a fraction is refused."""
+    nid = int(value)
+    if isinstance(value, bool) or nid != value:
+        raise ValueError(f"node id {value!r} is not an integer")
+    return nid
+
+
 def instance_from_dict(doc: dict) -> Instance:
     where = "instance document"
 
@@ -64,12 +72,13 @@ def instance_from_dict(doc: dict) -> Instance:
             yield rec
 
     try:
-        nodes = [Node(int(r["id"]), float(r["cost"]),
+        nodes = [Node(_node_id(r["id"]), float(r["cost"]),
                       tuple(float(x) for x in r["pos"]) if "pos" in r else None)
                  for r in records("nodes")]
-        edges = [(int(a), int(b)) for a, b in records("edges")]
-        sessions = [Session(str(r["id"]), int(r["source"]), int(r["dest"]),
-                            float(r["rate"])) for r in records("sessions")]
+        edges = [(_node_id(a), _node_id(b)) for a, b in records("edges")]
+        sessions = [Session(str(r["id"]), _node_id(r["source"]),
+                            _node_id(r["dest"]), float(r["rate"]))
+                    for r in records("sessions")]
     except KeyError as exc:
         raise InstanceError(f"{where} has no {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -97,8 +106,7 @@ def write_trace(path: str, trace) -> None:
 
 
 def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
-    g = build_expanded_graph(inst)
-    idx = enumerate_triples(g)
+    idx = sol.summary.idx
     v, mid, w = idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()
     sessions = []
     for f in sol.flows:
@@ -108,7 +116,8 @@ def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
         sessions.append({"id": f.session, "flows": entries})
     pairs = [{"v": v[k], "mid": mid[k], "w": w[k], "y": y}
              for k, y in zip(idx.pair_fwd.tolist(), sol.summary.y.tolist())]
-    z = [{"node": i, "z": float(sol.summary.z[i])} for i in range(inst.n)]
+    z = [{"node": i, "z": zi}
+         for i, zi in enumerate(sol.summary.z[:inst.n].tolist())]
     return {
         "sessions": sessions,
         "pair_transmissions": pairs,
@@ -120,6 +129,71 @@ def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
         "certified": sol.certified,
         "iterations": sol.iterations,
     }
+
+
+# json.dumps(doc, indent=1) of each record kind of a solution document, at
+# the depth solution_to_dict puts it: node ids are ints, and "%s" takes
+# json's text of a float.
+_FLOW_ENTRY = ('    {\n     "triple": [\n      %d,\n      %d,\n      %d\n'
+               '     ],\n     "value": %s\n    }')
+_SESSION = '  {\n   "id": %s,\n   "flows": %s\n  }'
+_PAIR = '  {\n   "v": %d,\n   "mid": %d,\n   "w": %d,\n   "y": %s\n  }'
+_NODE = '  {\n   "node": %d,\n   "z": %s\n  }'
+
+
+def _texts(values: list) -> list[str]:
+    """json's text of each number, from one call of the C encoder.
+
+    json.dumps without indent runs the C encoder, which renders floats
+    (repr, NaN, Infinity) exactly as the pure-Python one does.
+    """
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _json_list(body: str, indent: str) -> str:
+    return f"[\n{body}\n{indent}]" if body else "[]"
+
+
+def _sessions_text(recs: list) -> str:
+    out = []
+    for rec in recs:
+        ents = rec["flows"]
+        values = _texts([e["value"] for e in ents])
+        body = ",\n".join([_FLOW_ENTRY % (*e["triple"], x)
+                           for e, x in zip(ents, values)])
+        out.append(_SESSION % (json.dumps(rec["id"]),
+                               _json_list(body, "   ")))
+    return ",\n".join(out)
+
+
+def _pairs_text(recs: list) -> str:
+    ys = _texts([r["y"] for r in recs])
+    return ",\n".join([_PAIR % (r["v"], r["mid"], r["w"], y)
+                       for r, y in zip(recs, ys)])
+
+
+def _nodes_text(recs: list) -> str:
+    zs = _texts([r["z"] for r in recs])
+    return ",\n".join([_NODE % (r["node"], z) for r, z in zip(recs, zs)])
+
+
+_RECORD_LISTS = {"sessions": _sessions_text,
+                 "pair_transmissions": _pairs_text,
+                 "node_transmissions": _nodes_text}
+
+
+def dumps_solution(doc: dict) -> str:
+    """json.dumps(doc, indent=1) of a solution_to_dict document, byte for
+    byte, without json's pure-Python encoder (indent turns the C one off).
+    """
+    parts = []
+    for key, value in doc.items():
+        if key in _RECORD_LISTS:
+            text = _json_list(_RECORD_LISTS[key](value), " ")
+        else:
+            text = json.dumps(value, indent=1).replace("\n", "\n ")
+        parts.append(f" {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 class SolutionError(ValueError):
@@ -152,8 +226,10 @@ def _records(doc: dict, name: str, where: str) -> list:
     return recs
 
 
-def _name_bad_record(recs: list, where: str, key: str, convert,
-                     what: str) -> NoReturn:
+def _convert_each(recs: list, where: str, key: str, convert,
+                  what: str) -> list:
+    """convert(rec[key]) of every record; SolutionError names a bad one."""
+    out = []
     for n, rec in enumerate(recs):
         if not isinstance(rec, dict):
             raise SolutionError(f"{where}[{n}] must be an object, got "
@@ -161,37 +237,46 @@ def _name_bad_record(recs: list, where: str, key: str, convert,
         if key not in rec:
             raise SolutionError(f"{where}[{n}] has no {key!r}")
         try:
-            convert(rec[key])
+            out.append(convert(rec[key]))
         except (TypeError, ValueError, OverflowError):
             raise SolutionError(f"{where}[{n}] {key}: {rec[key]!r} is not "
                                 f"{what}") from None
-    raise SolutionError(f"{where}: malformed {key!r} entries")
+    return out
 
 
 def _numbers(recs: list, where: str, key: str) -> np.ndarray:
     try:
         return np.array([float(rec[key]) for rec in recs], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        _name_bad_record(recs, where, key, float, "a number")
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return np.array(_convert_each(recs, where, key, float, "a number"),
+                        dtype=float)
 
 
 def _node_ids(recs: list, where: str, key: str,
               shape: tuple[int, ...] = ()) -> np.ndarray:
     """rec[key] of every record as int64 node ids of the given shape."""
+    full = (len(recs),) + shape
+    try:
+        raw = [rec[key] for rec in recs]
+        ids = np.array(raw, dtype=np.int64)
+        # numpy truncates fractions and reads bools and digit strings, so
+        # the fast path takes only plain JSON integers
+        flat = itertools.chain.from_iterable(raw) if shape else raw
+        if ids.shape == full and set(map(type, flat)) <= {int}:
+            return ids
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+
     def convert(value) -> np.ndarray:
-        ids = np.array(value, dtype=np.int64)
+        ids = np.array([_node_id(x) for x in value] if shape
+                       else _node_id(value), dtype=np.int64)
         if ids.shape != shape:
             raise ValueError(f"shape {ids.shape}")
         return ids
 
-    try:
-        ids = np.array([rec[key] for rec in recs], dtype=np.int64)
-        if ids.shape == (len(recs),) + shape or not recs:
-            return ids.reshape((len(recs),) + shape)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    _name_bad_record(recs, where, key, convert,
-                     "three node ids" if shape else "a node id")
+    return np.array(_convert_each(recs, where, key, convert,
+                                  "three node ids" if shape else "a node id"),
+                    dtype=np.int64).reshape(full)
 
 
 def solution_from_dict(doc) -> SolutionDoc:
@@ -228,7 +313,7 @@ def solution_from_dict(doc) -> SolutionDoc:
         value = doc.get(name)
         try:
             costs.append(None if value is None else float(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SolutionError(f"{name}: {value!r} is not a number") \
                 from None
     return SolutionDoc(flows, pair_ids, y, node_ids, z, *costs)
@@ -291,8 +376,8 @@ def cmd_solve(args) -> int:
         write_trace(args.trace, trace)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(solution_to_dict(inst, sol, routing), fh, indent=1)
-            fh.write("\n")
+            fh.write(dumps_solution(solution_to_dict(inst, sol, routing))
+                     + "\n")
     saving = 100.0 * (routing - sol.physical_cost) / routing if routing else 0.0
     status = "certified" if sol.certified else "uncertified"
     print(f"physical_cost={sol.physical_cost:.12g} "

@@ -34,6 +34,13 @@ class GenerationError(RuntimeError):
 # 2-vCPU machine, and the time grows with the square of the count.
 MAX_EXPECTED_NODES = 10_000
 
+# Largest expected edge count a draw may ask for.  Edges grow with the
+# square of the intensity on a fixed side, so the node limit alone lets
+# side 1 at intensity 1,500 through: 1.1M edge tuples drawn in 2.5 s.  A
+# 104,493-edge draw took 0.25 s and 56 MB RSS on a 2-vCPU machine, and
+# relay triples, the solver's unknowns, grow with the squared degrees.
+MAX_EXPECTED_EDGES = 100_000
+
 
 @dataclass
 class GeometricConfig:
@@ -56,6 +63,15 @@ class GeometricConfig:
                 f"side {self.side} and intensity {self.intensity} give "
                 f"{expected:.3g} expected nodes, above the limit of "
                 f"{MAX_EXPECTED_NODES}")
+        # each of the expected**2 / 2 pairs is linked with probability at
+        # most pi r**2 / side**2 (less near the border), and never above 1
+        disc, area = math.pi * self.radius * self.radius, self.side * self.side
+        edges = expected * expected / 2 * (disc / area if disc < area else 1.0)
+        if edges > MAX_EXPECTED_EDGES:
+            raise ValueError(
+                f"side {self.side}, intensity {self.intensity} and radius "
+                f"{self.radius} give {edges:.3g} expected edges, above the "
+                f"limit of {MAX_EXPECTED_EDGES}")
         if self.sessions < 0:
             raise ValueError("sessions must be >= 0")
         if not (self.rate > 0):

@@ -241,7 +241,6 @@ class TripleIndex:
     pair_fwd: np.ndarray     # triple rows with v < w, one per unordered pair
     pair_rev: np.ndarray
     pair_cost: np.ndarray
-    pair_rows_of_mid: dict[int, tuple[int, int]]
 
     def __len__(self) -> int:
         return len(self.key)
@@ -289,13 +288,8 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     pair_fwd = np.nonzero(v < w)[0]
     pair_rev = rev[pair_fwd]
     pair_cost = cost[pair_fwd]
-    # forward rows are contiguous per middle node (triples sorted by middle)
-    mids, first, count = np.unique(mid[pair_fwd], return_index=True,
-                                   return_counts=True)
-    rows_of_mid = {m: (lo, lo + c) for m, lo, c in
-                   zip(mids.tolist(), first.tolist(), count.tolist())}
     return TripleIndex(n, v, mid, w, key, rev, tail, ew, cost, pair_fwd,
-                       pair_rev, pair_cost, rows_of_mid)
+                       pair_rev, pair_cost)
 
 
 @dataclass

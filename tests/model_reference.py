@@ -27,7 +27,6 @@ class ReferenceTriples:
     pair_fwd: np.ndarray
     pair_rev: np.ndarray
     pair_cost: np.ndarray
-    pair_rows_of_mid: dict[int, tuple[int, int]]
 
 
 def enumerate_triples_reference(g) -> ReferenceTriples:
@@ -53,15 +52,8 @@ def enumerate_triples_reference(g) -> ReferenceTriples:
     pair_fwd = np.nonzero(varr < warr)[0]
     pair_rev = rev[pair_fwd]
     pair_cost = cost[pair_fwd]
-    rows_of_mid: dict[int, tuple[int, int]] = {}
-    for row, k in enumerate(pair_fwd):
-        m = int(marr[int(k)])
-        if m not in rows_of_mid:
-            rows_of_mid[m] = (row, row + 1)
-        else:
-            rows_of_mid[m] = (rows_of_mid[m][0], row + 1)
     return ReferenceTriples(triples, index, varr, marr, warr, rev, cost,
-                            pair_fwd, pair_rev, pair_cost, rows_of_mid)
+                            pair_fwd, pair_rev, pair_cost)
 
 
 def ordered_pairs_reference(g) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """CLI commands, file formats, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpool import cli
+from carpool import (Instance, Session, SolverConfig, cli, distributed,
+                     model, plain_routing_cost, run_distributed_solve, solve,
+                     solver)
 
 
 @pytest.fixture()
@@ -146,6 +149,95 @@ def test_async_schedule_flag_accepted(solved, tmp_path):
                      "--schedule", "async", "--schedule-seed", "7",
                      "--out", str(dist)]) == 0
     assert dist.read_bytes() == open(sol_path, "rb").read()
+
+
+def _json_bytes(doc):
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", ["relay3", "grid2", "grid2rate", "geo4"])
+def test_solution_file_is_json_dumps_of_the_document(named, name, tmp_path):
+    inst = named[name]
+    path = tmp_path / f"{name}.json"
+    assert cli.main(["gen", "--builtin", name, "--out", str(path)]) == 0
+    cfg = SolverConfig(tol=2e-2, max_iters=300)
+    routing, _ = plain_routing_cost(inst)
+    runs = [([], solve(inst, cfg)[0]),
+            (["--distributed"], run_distributed_solve(inst, cfg)[0])]
+    for extra, sol in runs:
+        out = tmp_path / "sol.json"
+        assert cli.main(["solve", str(path), "--tol", "2e-2", "--max-iters",
+                         "300", "--out", str(out)] + extra) in (0, 2)
+        doc = cli.solution_to_dict(inst, sol, routing)
+        assert cli.dumps_solution(doc) == json.dumps(doc, indent=1)
+        assert out.read_bytes() == _json_bytes(doc)
+
+
+def test_writer_escapes_session_ids_and_writes_empty_lists(relay3):
+    odd = Instance(relay3.nodes, relay3.edges,
+                   [Session('s"1\\\u00e9', 0, 2, 1.0),
+                    Session("\u2713\n\t\x7f", 2, 0, 1.0)])
+    for inst in (odd, Instance([], [], [])):
+        sol, _ = solve(inst, SolverConfig(tol=1e-4, max_iters=100))
+        doc = cli.solution_to_dict(inst, sol, plain_routing_cost(inst)[0])
+        assert cli.dumps_solution(doc) == json.dumps(doc, indent=1)
+    assert cli.dumps_solution(doc).startswith('{\n "sessions": [],\n')
+
+
+_edge_floats = st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                 math.nan, math.inf, -math.inf, 0.0, 1.0])
+_node = st.integers(0, 10**9)
+
+
+def _record(*keys, **values):
+    return st.tuples(*(values[k] for k in keys)).map(
+        lambda vals: dict(zip(keys, vals)))
+
+
+_solution_docs = _record(
+    "sessions", "pair_transmissions", "node_transmissions", "expanded_cost",
+    "physical_cost", "routing_cost", "gap", "certified", "iterations",
+    sessions=st.lists(_record(
+        "id", "flows", id=st.text(max_size=5),
+        flows=st.lists(_record("triple", "value",
+                               triple=st.lists(_node, min_size=3, max_size=3),
+                               value=_edge_floats | st.floats()),
+                       max_size=4)), max_size=3),
+    pair_transmissions=st.lists(_record(
+        "v", "mid", "w", "y", v=_node, mid=_node, w=_node,
+        y=_edge_floats | st.floats()), max_size=4),
+    node_transmissions=st.lists(_record(
+        "node", "z", node=_node, z=_edge_floats | st.floats()), max_size=4),
+    expanded_cost=_edge_floats, physical_cost=st.floats(),
+    routing_cost=_edge_floats | st.floats(), gap=_edge_floats,
+    certified=st.booleans(), iterations=st.integers(0, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solution_docs)
+def test_writer_equals_json_dumps_on_drawn_documents(doc):
+    assert cli.dumps_solution(doc) == json.dumps(doc, indent=1)
+
+
+def test_solve_builds_the_graph_once(relay3_path, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(model, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for module in (cli, solver, distributed):
+        for name in ("build_expanded_graph", "enumerate_triples"):
+            monkeypatch.setattr(module, name, counted(name))
+    for extra in ([], ["--distributed"]):
+        calls.clear()
+        assert cli.main(["solve", relay3_path, "--out",
+                         str(tmp_path / "sol.json")] + extra) == 0
+        assert calls == ["build_expanded_graph", "enumerate_triples"]
 
 
 # -------------------------------------------------------------- baseline
@@ -294,8 +386,22 @@ def _set(path, value):
      "node_transmissions[2] z: [2.0] is not a number"),
     (_set(["sessions", 1, "flows", 2, "triple"], [1, 0]),
      "session s2 flows[2] triple: [1, 0] is not three node ids"),
+    (_set(["sessions", 0, "flows", 0, "triple"], [3.5, 0, 1]),
+     "session s1 flows[0] triple: [3.5, 0, 1] is not three node ids"),
+    (_set(["sessions", 0, "flows", 0, "triple"], ["3", "0", "1"]),
+     "session s1 flows[0] triple: ['3', '0', '1'] is not three node ids"),
+    (_set(["pair_transmissions", 0, "v"], True),
+     "pair_transmissions[0] v: True is not a node id"),
+    (_set(["node_transmissions", 0, "node"], 0.25),
+     "node_transmissions[0] node: 0.25 is not a node id"),
+    (_set(["pair_transmissions", 1, "y"], 10**400),
+     f"pair_transmissions[1] y: {10**400!r} is not a number"),
+    (_set(["physical_cost"], 10**400),
+     f"physical_cost: {10**400!r} is not a number"),
 ], ids=["no-flows", "list-document", "text-value", "nan-value", "inf-value",
-        "null-y", "list-z", "short-triple"])
+        "null-y", "list-z", "short-triple", "fraction-in-triple",
+        "text-in-triple", "bool-v", "fraction-node", "huge-y",
+        "huge-cost"])
 def test_check_rejects_a_malformed_solution(solved, tmp_path, capsys, mutate,
                                             message):
     relay3_path, sol_path, _ = solved
@@ -425,8 +531,17 @@ def _delete(path):
     (_set(["nodes"], 5), "malformed nodes: 'int' object is not iterable"),
     (_delete(["sessions", 1, "rate"]), "sessions[1] has no 'rate'"),
     (_delete(["edges"]), "instance document has no 'edges'"),
+    (_set(["sessions", 0, "source"], 0.9),
+     "malformed sessions[0]: node id 0.9 is not an integer"),
+    (_set(["sessions", 1, "dest"], True),
+     "malformed sessions[1]: node id True is not an integer"),
+    (_set(["edges", 1], [1, 2.5]),
+     "malformed edges[1]: node id 2.5 is not an integer"),
+    (_set(["nodes", 0, "id"], "0"),
+     "malformed nodes[0]: node id '0' is not an integer"),
 ], ids=["inf-source", "nan-id", "inf-endpoint", "short-edge", "int-nodes",
-        "no-rate", "no-edges"])
+        "no-rate", "no-edges", "fraction-source", "bool-dest",
+        "fraction-endpoint", "text-id"])
 def test_malformed_instance_names_the_element(relay3_path, tmp_path, capsys,
                                               mutate, message):
     bad = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ import pytest
 
 from carpool import (GenerationError, GeometricConfig, edges_within_radius,
                      generate_geometric, plain_routing_cost)
-from carpool.instances import MAX_EXPECTED_NODES
+from carpool.instances import MAX_EXPECTED_EDGES, MAX_EXPECTED_NODES
 from carpool.model import Instance, Node, Session, component_labels
 
 
@@ -95,6 +95,25 @@ def test_config_caps_the_expected_node_count(side, intensity):
         f"expected nodes, above the limit of {MAX_EXPECTED_NODES}")
     side = math.sqrt(MAX_EXPECTED_NODES)  # exactly at the limit is allowed
     assert GeometricConfig(side=side, sessions=1).side == side
+
+
+@pytest.mark.parametrize("side, intensity, radius", [
+    (1.0, 1500.0, 1.0), (1.0, 10_000.0, 1.0), (10.0, 50.0, 1.0),
+    (100.0, 1.0, 3.0)])
+def test_config_caps_the_expected_edge_count(side, intensity, radius):
+    # each stays within the node limit; edges grow with intensity squared
+    assert intensity * side * side <= MAX_EXPECTED_NODES
+    with pytest.raises(ValueError) as exc:
+        GeometricConfig(side=side, sessions=1, intensity=intensity,
+                        radius=radius)
+    assert str(exc.value).startswith(
+        f"side {side}, intensity {intensity} and radius {radius} give ")
+    assert str(exc.value).endswith(
+        f"expected edges, above the limit of {MAX_EXPECTED_EDGES}")
+    # expected**2 / 2 pairs, every one linked when the radius spans the side
+    assert GeometricConfig(side=1.0, sessions=1, intensity=447.0)
+    assert GeometricConfig(side=1.0, sessions=1, radius=1e200)
+    assert GeometricConfig(side=math.sqrt(MAX_EXPECTED_NODES), sessions=1)
 
 
 # ------------------------------------------------------------ plain routing
