@@ -9,8 +9,8 @@ from .edge_graph import (EdgeGraph, SessionPath, build_edge_graph,
                          dominant_path, path_to_flow, primal_subproblem,
                          shortest_path)
 from .solver import (Solution, SolverConfig, SolveTrace, init_prices,
-                     project_pair, project_pair_reference, recover_primal,
-                     solve, subgradient_step)
+                     project_pair, project_pair_reference, solve,
+                     subgradient_step)
 from .distributed import (Message, MessageStats, NodeProcessor, SimSchedule,
                           distributed_price_update, distributed_shortest_paths,
                           make_processors, run_distributed_solve)

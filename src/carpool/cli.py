@@ -59,6 +59,21 @@ def _node_id(value) -> int:
     return nid
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a bool or a string is refused."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _session_id(value) -> str:
+    """A JSON string or integer as a session id."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"session id {value!r} is not a string or an "
+                         f"integer")
+    return str(value)
+
+
 def instance_from_dict(doc: dict) -> Instance:
     where = "instance document"
 
@@ -72,12 +87,13 @@ def instance_from_dict(doc: dict) -> Instance:
             yield rec
 
     try:
-        nodes = [Node(_node_id(r["id"]), float(r["cost"]),
-                      tuple(float(x) for x in r["pos"]) if "pos" in r else None)
+        nodes = [Node(_node_id(r["id"]), _number(r["cost"]),
+                      tuple(_number(x) for x in r["pos"]) if "pos" in r
+                      else None)
                  for r in records("nodes")]
         edges = [(_node_id(a), _node_id(b)) for a, b in records("edges")]
-        sessions = [Session(str(r["id"]), _node_id(r["source"]),
-                            _node_id(r["dest"]), float(r["rate"]))
+        sessions = [Session(_session_id(r["id"]), _node_id(r["source"]),
+                            _node_id(r["dest"]), _number(r["rate"]))
                     for r in records("sessions")]
     except KeyError as exc:
         raise InstanceError(f"{where} has no {exc}") from exc
@@ -245,11 +261,17 @@ def _convert_each(recs: list, where: str, key: str, convert,
 
 
 def _numbers(recs: list, where: str, key: str) -> np.ndarray:
+    """rec[key] of every record as floats; a bool or a string is refused."""
     try:
-        return np.array([float(rec[key]) for rec in recs], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return np.array(_convert_each(recs, where, key, float, "a number"),
-                        dtype=float)
+        raw = [rec[key] for rec in recs]
+        # numpy reads bools and numeric strings, so the fast path takes
+        # only plain JSON numbers
+        if set(map(type, raw)) <= {int, float}:
+            return np.array(raw, dtype=float)
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return np.array(_convert_each(recs, where, key, _number, "a number"),
+                    dtype=float)
 
 
 def _node_ids(recs: list, where: str, key: str,
@@ -291,7 +313,10 @@ def solution_from_dict(doc) -> SolutionDoc:
                                 f"{type(rec).__name__}")
         if "id" not in rec:
             raise SolutionError(f"sessions[{n}] has no 'id'")
-        sid = str(rec["id"])
+        try:
+            sid = _session_id(rec["id"])
+        except ValueError as exc:
+            raise SolutionError(f"sessions[{n}]: {exc}") from None
         if sid in flows:
             raise SolutionError(f"sessions[{n}]: duplicate session id "
                                 f"{sid!r}")
@@ -312,7 +337,7 @@ def solution_from_dict(doc) -> SolutionDoc:
     for name in ("expanded_cost", "physical_cost", "routing_cost"):
         value = doc.get(name)
         try:
-            costs.append(None if value is None else float(value))
+            costs.append(None if value is None else _number(value))
         except (TypeError, ValueError, OverflowError):
             raise SolutionError(f"{name}: {value!r} is not a number") \
                 from None

@@ -345,7 +345,7 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    p0 = init_prices(g, idx, cfg)
+    p0 = init_prices(g, idx)
     procs = make_processors(g, idx, p0, schedule, h)
     ctx = procs[0].ctx
     trace = SolveTrace()

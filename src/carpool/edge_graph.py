@@ -12,20 +12,43 @@ arcs, then smaller predecessor vertex index.  The order makes every run
 reproducible and lets the message-passing solver reach bit-identical
 results.  With the arc count in the key, zero-price arcs cannot produce
 cyclic or ambiguous paths.
+
+The searches run in one call of a C kernel (_subproblem.c) for every
+session.  The kernel is compiled on first use by the local C compiler
+into the user's cache directory and loaded through ctypes; without a
+compiler, or when the build or the load fails, _dijkstra runs instead.
+Either way the labels, and so every path, are the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
 import math
+import os
+import shutil
+import subprocess
+import tempfile
 from collections import deque
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
                     PriceVector, TripleIndex, ordered_pairs)
 
+log = logging.getLogger(__name__)
+
 INF = math.inf
+
+# No -ffast-math and no -march: the kernel must make exactly the IEEE
+# double additions _dijkstra makes, and -ffp-contract=off also forbids
+# fusing them into multiply-adds.
+CC_FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 @dataclass
@@ -49,6 +72,10 @@ class EdgeGraph:
     out: list[list[tuple[int, int]]]  # per vertex: (head vertex, triple row)
     src_vertex: list[int]  # per session
     dst_vertex: list[int]
+    # CSR by tail vertex: the arcs (triple rows) leaving vertex u are
+    # order[bounds[u]:bounds[u + 1]], in triple order
+    order: np.ndarray
+    bounds: np.ndarray
 
 
 def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
@@ -63,13 +90,18 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     src = [vindex[g.source_vertex(t)] for t in range(len(g.base.sessions))]
     dst = [vindex[g.dest_vertex(t)] for t in range(len(g.base.sessions))]
     return EdgeGraph(g, idx, vertices, vindex, idx.tail, idx.head, out, src,
-                     dst)
+                     dst, order, bounds)
 
 
-def _dijkstra(h: EdgeGraph, wts: list[float], src: int,
-              stop_at: int | None = None
+def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
+              wts: list[float], src: int, stop_at: int | None = None
               ) -> tuple[list[float], list[int], list[int]]:
     """Labels (dist, hops, pred vertex) from src under the tie-break order.
+
+    The graph is a CSR: the arcs leaving u are arcs[bounds[u]:bounds[u +
+    1]], and arc k runs to heads[k] at weight wts[k].  This is the
+    reference that the compiled kernel must reproduce bit for bit, and
+    the fallback that runs when the kernel cannot be built or loaded.
 
     Predecessors settle to the smallest-index in-neighbour whose final
     label supports the vertex's final (dist, hops); every such supporter
@@ -77,7 +109,7 @@ def _dijkstra(h: EdgeGraph, wts: list[float], src: int,
     """
     from heapq import heappush, heappop
 
-    nv = len(h.vertices)
+    nv = len(bounds) - 1
     dist = [INF] * nv
     hops = [0] * nv
     pred = [-1] * nv
@@ -89,7 +121,8 @@ def _dijkstra(h: EdgeGraph, wts: list[float], src: int,
             continue
         if u == stop_at:
             break
-        for vtx, k in h.out[u]:
+        for k in arcs[bounds[u]:bounds[u + 1]]:
+            vtx = heads[k]
             nd = d + wts[k]
             nh = hp + 1
             if nd < dist[vtx] or (nd == dist[vtx] and nh < hops[vtx]):
@@ -145,36 +178,181 @@ def relaxation_labels(h: EdgeGraph, wts: list[float], src: int
     return dist, hops, pred
 
 
-def _walk_back(h: EdgeGraph, pred: list[int], src: int, dst: int
-               ) -> tuple[list[tuple[int, int]], list[int]]:
-    seq = [dst]
-    while seq[-1] != src:
-        p = pred[seq[-1]]
-        if p < 0:
-            raise RuntimeError("broken predecessor chain")
-        seq.append(p)
-    seq.reverse()
-    vidx = h.idx.index
-    verts = [h.vertices[u] for u in seq]
-    trips = [vidx[(verts[j][0], verts[j][1], verts[j + 1][1])]
-             for j in range(len(verts) - 1)]
-    return verts, trips
+def build_kernel(directory) -> Path:
+    """Compile _subproblem.c into directory unless it is there; its path.
+
+    The file name carries the SHA-256 of the source and the flags, so an
+    edited kernel never loads a stale build.  The compiler writes a
+    temporary file that then replaces the target in one step, so two
+    processes building at once cannot load a half-written library.
+    """
+    source = resources.files("carpool").joinpath("_subproblem.c")
+    text = source.read_bytes()
+    key = hashlib.sha256(text + " ".join(CC_FLAGS).encode()).hexdigest()
+    directory = Path(directory)
+    target = directory / f"subproblem-{key}.so"
+    if target.exists():
+        return target
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler: cc is not on PATH")
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    try:
+        with resources.as_file(source) as path:
+            done = subprocess.run([cc, *CC_FLAGS, "-o", tmp, str(path)],
+                                  capture_output=True, text=True)
+        if done.returncode:
+            first = (done.stderr.strip().splitlines() or [""])[0]
+            raise OSError(f"cc exited {done.returncode}: {first}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def bind_kernel(path):
+    """The kernel's carpool_routes in the library at path, typed.
+
+    Arrays go in as addresses that _kernel_routes checks first: numpy's
+    ndpointer argtypes would check them too, but at about 5 us per array
+    they made an iteration on a small instance about 20% slower.
+    """
+    fn = ctypes.CDLL(str(path)).carpool_routes
+    fn.restype = ctypes.c_int64
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, ptr, i64, ptr, i64, ptr, ptr, i64] + [ptr] * 8 + [i64]
+    return fn
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled kernel, or None when only _dijkstra can run.
+
+    Logs one line naming the kernel that runs and, on fallback, why.
+    """
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME")
+                     or Path.home() / ".cache") / "carpool"
+        path = build_kernel(cache)
+        fn = bind_kernel(path)
+    except (OSError, RuntimeError, AttributeError) as exc:
+        log.info("sub-problem kernel: python (%s)", exc)
+        return None
+    log.info("sub-problem kernel: C (%s)", path)
+    return fn
+
+
+def _address(a: np.ndarray, dtype) -> int:
+    """The data address of a, which must be 1-d and C-contiguous."""
+    if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous:
+        raise TypeError(f"kernel argument must be a contiguous 1-d {dtype} "
+                        f"array, got {a.dtype} of shape {a.shape}")
+    return a.ctypes.data
+
+
+def _kernel_routes(fn, bounds: np.ndarray, arcs: np.ndarray,
+                   heads: np.ndarray, wts: np.ndarray, src: list[int],
+                   dst: list[int]):
+    """One kernel call: (distances, path starts, arc rows, last labels).
+
+    Session t's arcs are rows[start[t]:start[t + 1]]; a negative dst[t]
+    searches the whole graph and returns no path.  The labels (dist,
+    hops, pred) are those of the last session.
+    """
+    nv, ns = len(bounds) - 1, len(src)
+    if len(wts) != len(heads):
+        raise ValueError(f"{len(wts)} weights for {len(heads)} arcs")
+    if len(dst) != ns or (ns and not (0 <= min(src) and max(src) < nv
+                                      and max(dst) < nv)):
+        raise ValueError("session end vertices out of range")
+    i64 = np.dtype(np.int64)
+    # every array stays bound to a name until the call returns
+    ends = np.array([src, dst], dtype=i64).reshape(2, ns)
+    dist = np.empty(nv)
+    hops = np.empty(nv, dtype=i64)
+    pred = np.empty(nv, dtype=i64)
+    qdist = np.empty(ns)
+    start = np.empty(ns + 1, dtype=i64)
+    cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
+    rows = np.empty(cap, dtype=i64)
+    status = fn(nv, _address(bounds, i64), len(arcs), _address(arcs, i64),
+                len(heads), _address(heads, i64),
+                _address(wts, np.dtype(np.float64)), ns,
+                _address(ends[0], i64), _address(ends[1], i64),
+                *[x.ctypes.data for x in (dist, hops, pred, qdist, start,
+                                          rows)], cap)
+    if status:
+        raise RuntimeError(f"sub-problem kernel failed with status {status}")
+    return qdist, start, rows, (dist, hops, pred)
+
+
+def _python_routes(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
+                   wts: np.ndarray, src: list[int], dst: list[int]
+                   ) -> tuple[list[float], list[np.ndarray]]:
+    """shortest_routes by _dijkstra, one session at a time."""
+    bounds, arcs, heads = bounds.tolist(), arcs.tolist(), heads.tolist()
+    wts = wts.tolist()
+    dists, paths = [], []
+    for s, t in zip(src, dst):
+        dist, _, pred = _dijkstra(bounds, arcs, heads, wts, s, stop_at=t)
+        rows = []
+        if dist[t] != INF:
+            x = t
+            while x != s:
+                u = pred[x]
+                if u < 0:
+                    raise RuntimeError("broken predecessor chain")
+                rows.append(next(k for k in arcs[bounds[u]:bounds[u + 1]]
+                                 if heads[k] == x))
+                x = u
+            rows.reverse()
+        dists.append(dist[t])
+        paths.append(np.array(rows, dtype=np.int64))
+    return dists, paths
+
+
+def shortest_routes(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
+                    wts: np.ndarray, src: list[int], dst: list[int]
+                    ) -> tuple[list[float], list[np.ndarray]]:
+    """Cheapest route from src[t] to dst[t] for every t, on one CSR graph.
+
+    The arcs leaving u are arcs[bounds[u]:bounds[u + 1]]; arc k runs to
+    heads[k] at weight wts[k] >= 0.  Returns each route's distance (inf
+    when the destination is out of reach) and its arcs, source first.
+    """
+    wts = np.ascontiguousarray(wts, dtype=np.float64)
+    fn = _load_kernel()
+    if fn is None:
+        return _python_routes(bounds, arcs, heads, wts, src, dst)
+    qdist, start, rows, _ = _kernel_routes(fn, bounds, arcs, heads, wts,
+                                           src, dst)
+    ends = start.tolist()
+    return qdist.tolist(), [rows[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _session_routes(h: EdgeGraph, p: PriceVector, sessions: list[int]
+                    ) -> tuple[list[float], list[np.ndarray]]:
+    """Priced routes of the given sessions; an unreachable one raises."""
+    dists, paths = shortest_routes(
+        h.bounds, h.order, h.head, p.values,
+        [h.src_vertex[t] for t in sessions],
+        [h.dst_vertex[t] for t in sessions])
+    for t, d in zip(sessions, dists):
+        if d == INF:
+            raise InfeasibleSessionError(h.g.base.sessions[t].sid,
+                                         "no priced route to destination")
+    return dists, paths
 
 
 def shortest_path(h: EdgeGraph, p: PriceVector, t: int) -> SessionPath:
     """Cheapest priced route for session index t, deterministic under ties."""
-    wts = p.values.tolist()
-    return _session_path(h, wts, t)
-
-
-def _session_path(h: EdgeGraph, wts: list[float], t: int) -> SessionPath:
-    src, dst = h.src_vertex[t], h.dst_vertex[t]
-    sid = h.g.base.sessions[t].sid
-    dist, _, pred = _dijkstra(h, wts, src, stop_at=dst)
-    if dist[dst] == INF:
-        raise InfeasibleSessionError(sid, "no priced route to destination")
-    verts, trips = _walk_back(h, pred, src, dst)
-    return SessionPath(sid, verts, dist[dst], trips)
+    (dist,), (rows,) = _session_routes(h, p, [t])
+    verts = [h.vertices[h.src_vertex[t]]]
+    verts += [h.vertices[v] for v in h.head[rows].tolist()]
+    return SessionPath(h.g.base.sessions[t].sid, verts, dist, rows.tolist())
 
 
 def path_to_flow(path: SessionPath, rate: float, idx: TripleIndex
@@ -185,7 +363,6 @@ def path_to_flow(path: SessionPath, rate: float, idx: TripleIndex
 
 
 def primal_subproblem(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
-                      sessions: list[int] | None = None,
                       h: EdgeGraph | None = None
                       ) -> tuple[list[FlowVector], float]:
     """Per-session cheapest routes and the dual bound they certify.
@@ -195,15 +372,15 @@ def primal_subproblem(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
     """
     if h is None:
         h = build_edge_graph(g, idx)
-    if sessions is None:
-        sessions = list(range(len(g.base.sessions)))
-    wts = p.values.tolist()
+    sessions = g.base.sessions
+    dists, paths = _session_routes(h, p, list(range(len(sessions))))
     flows = []
     q = 0.0
-    for t in sessions:
-        path = _session_path(h, wts, t)
-        flows.append(path_to_flow(path, g.base.sessions[t].rate, idx))
-        q += g.base.sessions[t].rate * path.weight
+    for s, dist, rows in zip(sessions, dists, paths):
+        values = np.zeros(len(idx))
+        values[rows] = s.rate
+        flows.append(FlowVector(s.sid, values))
+        q += s.rate * dist
     return flows, q
 
 

@@ -14,12 +14,13 @@ can do no better.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
+from .edge_graph import shortest_routes
 from .model import (InfeasibleSessionError, Instance, Node, Session,
                     component_labels)
 
@@ -132,49 +133,30 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
 
     Arc u -> v costs c_u (the transmitter pays), so a path's cost is the
     sum over its transmitting nodes; the destination is free.  Ties break
-    toward fewer hops, then the smaller predecessor, as everywhere else.
+    toward fewer hops, then the smaller predecessor, as everywhere else:
+    the routes come from the edge graph's shortest-route search, run on
+    the node graph.
     """
-    n = inst.n
-    costs = [nd.cost for nd in inst.nodes]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in inst.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        lst.sort()
+    ends = np.fromiter(itertools.chain.from_iterable(inst.edges),
+                       dtype=np.int64, count=2 * len(inst.edges)
+                       ).reshape(-1, 2)
+    tails = np.concatenate([ends[:, 0], ends[:, 1]])
+    heads = np.concatenate([ends[:, 1], ends[:, 0]])
+    # arc e is the e-th entry of the sorted adjacency lists
+    order = np.lexsort((heads, tails))
+    tails, heads = tails[order], heads[order]
+    bounds = np.searchsorted(tails, np.arange(inst.n + 1))
+    dists, paths = shortest_routes(
+        bounds, np.arange(len(heads)), heads, inst.costs()[tails],
+        [s.source for s in inst.sessions], [s.dest for s in inst.sessions])
     total = 0.0
-    paths = []
-    for s in inst.sessions:
-        dist = [math.inf] * n
-        hops = [0] * n
-        pred = [-1] * n
-        dist[s.source] = 0.0
-        heap = [(0.0, 0, s.source)]
-        while heap:
-            d, hp, u = heappop(heap)
-            if d != dist[u] or hp != hops[u]:
-                continue
-            if u == s.dest:
-                break
-            for v in adj[u]:
-                nd = d + costs[u]
-                nh = hp + 1
-                if nd < dist[v] or (nd == dist[v] and nh < hops[v]):
-                    dist[v], hops[v], pred[v] = nd, nh, u
-                    heappush(heap, (nd, nh, v))
-                elif nd == dist[v] and nh == hops[v] and (
-                        pred[v] == -1 or u < pred[v]):
-                    if v != s.source:
-                        pred[v] = u
-        if dist[s.dest] == math.inf:
+    routes = []
+    for s, dist, rows in zip(inst.sessions, dists, paths):
+        if dist == math.inf:
             raise InfeasibleSessionError(s.sid, "no route to destination")
-        path = [s.dest]
-        while path[-1] != s.source:
-            path.append(pred[path[-1]])
-        path.reverse()
-        paths.append(path)
-        total += s.rate * dist[s.dest]
-    return total, paths
+        routes.append([s.source] + heads[rows].tolist())
+        total += s.rate * dist
+    return total, routes
 
 
 def _grid5(sessions: list[Session]) -> Instance:

@@ -413,8 +413,3 @@ def worst_residual(flows: list[FlowVector], g: ExpandedGraph,
                    idx: TripleIndex) -> float:
     return float(np.abs(conservation_residual(flows, g, idx)).max(
         initial=0.0))
-
-
-def session_flow_cost(x: FlowVector, idx: TripleIndex) -> float:
-    """Expanded-cost share of one session's flow: sum of c_i * x(v,i,w)."""
-    return float(np.dot(idx.cost, x.values))

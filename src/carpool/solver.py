@@ -39,7 +39,6 @@ class SolverConfig:
     step_rule: str = "diminishing"  # step a/n, or "constant" for a
     tol: float = 1e-2
     max_iters: int = 5000
-    seed: int | None = None  # callers' instance reproducibility; solve is deterministic
 
     def __post_init__(self):
         for name in ("step_a", "tol"):
@@ -91,8 +90,7 @@ class Solution:
     iterations: int
 
 
-def init_prices(g: ExpandedGraph, idx: TripleIndex,
-                cfg: SolverConfig | None = None) -> PriceVector:
+def init_prices(g: ExpandedGraph, idx: TripleIndex) -> PriceVector:
     """Start every pair at an even split of its relay's broadcast cost."""
     return PriceVector(0.5 * idx.cost)
 
@@ -141,18 +139,6 @@ def subgradient_step(p: PriceVector, flows: list[FlowVector], n: int,
     out[idx.pair_fwd] = fwd
     out[idx.pair_rev] = idx.pair_cost - fwd
     return PriceVector(out)
-
-
-def recover_primal(history: list[list[FlowVector]]) -> list[FlowVector]:
-    """Arithmetic mean of per-round flows, in round order per session."""
-    if not history:
-        raise ValueError("empty flow history")
-    sums = [np.zeros_like(f.values) for f in history[0]]
-    for flows in history:
-        for s, f in zip(sums, flows):
-            s += f.values
-    n = len(history)
-    return [FlowVector(f.session, s / n) for s, f in zip(sums, history[0])]
 
 
 class _LoopState:
@@ -223,7 +209,7 @@ def _solve_on(g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
               cfg: SolverConfig) -> tuple[Solution, SolveTrace]:
     trace = SolveTrace()
     state = _LoopState(g, idx, cfg, trace)
-    p = init_prices(g, idx, cfg)
+    p = init_prices(g, idx)
     if not g.base.sessions:
         state.certified = True
         return state.solution(p, 0), trace

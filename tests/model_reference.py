@@ -1,18 +1,24 @@
-"""Loop references for the array code in carpool.model.
+"""Loop references for the array code in carpool.model and the baseline.
 
 These are the dictionary-and-loop forms of triple enumeration and the
 conservation residual that the package computed before it moved to
-arrays.  The tests require the array versions to reproduce them bit for
-bit: same triple order, same reversal and pair tables, and residuals
-whose sums run in the same (triple) order, so every float is equal, not
-merely close.
+arrays, and the node-graph Dijkstra that the no-coding baseline ran
+before it shared the edge graph's shortest-route search.  The tests
+require the package to reproduce them bit for bit: same triple order,
+same reversal and pair tables, residuals whose sums run in the same
+(triple) order, and the same baseline routes and total, so every float
+is equal, not merely close.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
+
+from carpool.model import InfeasibleSessionError
 
 
 @dataclass
@@ -97,3 +103,53 @@ def conservation_residual_reference(x, g, triples
             sigma = -sess.rate
         res[pair] = out_sum.get(pair, 0.0) - in_sum.get(pair, 0.0) - sigma
     return res
+
+
+def plain_routing_cost_reference(inst) -> tuple[float, list[list[int]]]:
+    """Cheapest independent route per session, no coding, by its own loop.
+
+    Arc u -> v costs c_u (the transmitter pays), so a path's cost is the
+    sum over its transmitting nodes; the destination is free.  Ties break
+    toward fewer hops, then the smaller predecessor, as everywhere else.
+    """
+    n = inst.n
+    costs = [nd.cost for nd in inst.nodes]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in inst.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for lst in adj:
+        lst.sort()
+    total = 0.0
+    paths = []
+    for s in inst.sessions:
+        dist = [math.inf] * n
+        hops = [0] * n
+        pred = [-1] * n
+        dist[s.source] = 0.0
+        heap = [(0.0, 0, s.source)]
+        while heap:
+            d, hp, u = heappop(heap)
+            if d != dist[u] or hp != hops[u]:
+                continue
+            if u == s.dest:
+                break
+            for v in adj[u]:
+                nd = d + costs[u]
+                nh = hp + 1
+                if nd < dist[v] or (nd == dist[v] and nh < hops[v]):
+                    dist[v], hops[v], pred[v] = nd, nh, u
+                    heappush(heap, (nd, nh, v))
+                elif nd == dist[v] and nh == hops[v] and (
+                        pred[v] == -1 or u < pred[v]):
+                    if v != s.source:
+                        pred[v] = u
+        if dist[s.dest] == math.inf:
+            raise InfeasibleSessionError(s.sid, "no route to destination")
+        path = [s.dest]
+        while path[-1] != s.source:
+            path.append(pred[path[-1]])
+        path.reverse()
+        paths.append(path)
+        total += s.rate * dist[s.dest]
+    return total, paths

@@ -398,10 +398,22 @@ def _set(path, value):
      f"pair_transmissions[1] y: {10**400!r} is not a number"),
     (_set(["physical_cost"], 10**400),
      f"physical_cost: {10**400!r} is not a number"),
+    (_set(["sessions", 0, "flows", 1, "value"], True),
+     "session s1 flows[1] value: True is not a number"),
+    (_set(["pair_transmissions", 0, "y"], True),
+     "pair_transmissions[0] y: True is not a number"),
+    (_set(["node_transmissions", 1, "z"], "2"),
+     "node_transmissions[1] z: '2' is not a number"),
+    (_set(["expanded_cost"], "5"), "expanded_cost: '5' is not a number"),
+    (_set(["sessions", 1, "id"], None),
+     "sessions[1]: session id None is not a string or an integer"),
+    (_set(["sessions", 0, "id"], 1.5),
+     "sessions[0]: session id 1.5 is not a string or an integer"),
 ], ids=["no-flows", "list-document", "text-value", "nan-value", "inf-value",
         "null-y", "list-z", "short-triple", "fraction-in-triple",
         "text-in-triple", "bool-v", "fraction-node", "huge-y",
-        "huge-cost"])
+        "huge-cost", "bool-value", "bool-y", "text-z", "text-cost",
+        "null-session-id", "fraction-session-id"])
 def test_check_rejects_a_malformed_solution(solved, tmp_path, capsys, mutate,
                                             message):
     relay3_path, sol_path, _ = solved
@@ -496,7 +508,8 @@ def test_solve_and_baseline_never_crash_on_a_mutated_instance(
 
 @pytest.mark.parametrize("path, value, message", [
     (["nodes", 1, "cost"], float("inf"), "node 1 has non-finite cost inf"),
-    (["sessions", 0, "rate"], "inf", "session s1 has non-finite rate inf"),
+    (["sessions", 0, "rate"], float("inf"),
+     "session s1 has non-finite rate inf"),
     (["sessions", 0, "rate"], 1e308,
      "iteration 1: recovered cost is inf"),
 ], ids=["inf-cost", "inf-rate", "rate-1e308"])
@@ -539,9 +552,23 @@ def _delete(path):
      "malformed edges[1]: node id 2.5 is not an integer"),
     (_set(["nodes", 0, "id"], "0"),
      "malformed nodes[0]: node id '0' is not an integer"),
+    (_set(["sessions", 0, "rate"], True),
+     "malformed sessions[0]: True is not a number"),
+    (_set(["sessions", 1, "rate"], "inf"),
+     "malformed sessions[1]: 'inf' is not a number"),
+    (_set(["nodes", 1, "cost"], "1"),
+     "malformed nodes[1]: '1' is not a number"),
+    (_set(["nodes", 2, "pos"], [2, "0"]),
+     "malformed nodes[2]: '0' is not a number"),
+    (_set(["sessions", 1, "id"], None),
+     "malformed sessions[1]: session id None is not a string or an integer"),
+    (_set(["sessions", 0, "id"], ["s1"]),
+     "malformed sessions[0]: session id ['s1'] is not a string or an "
+     "integer"),
 ], ids=["inf-source", "nan-id", "inf-endpoint", "short-edge", "int-nodes",
         "no-rate", "no-edges", "fraction-source", "bool-dest",
-        "fraction-endpoint", "text-id"])
+        "fraction-endpoint", "text-id", "bool-rate", "text-rate", "text-cost",
+        "text-pos", "null-session-id", "list-session-id"])
 def test_malformed_instance_names_the_element(relay3_path, tmp_path, capsys,
                                               mutate, message):
     bad = tmp_path / "bad.json"
@@ -585,6 +612,9 @@ def test_log_env_var_controls_stderr(relay3_path):
         return done
     noisy = run("debug")
     assert "INFO carpool: solving" in noisy.stderr
+    info = run("info").stderr
+    assert ("sub-problem kernel: C (" in info
+            or "sub-problem kernel: python (" in info), info
     quiet = run("quiet")
     assert quiet.stderr == ""
     assert noisy.stdout == quiet.stdout

@@ -1,14 +1,23 @@
 """Edge-graph construction, priced shortest paths, primal sub-problem."""
 
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carpool import (FlowVector, GeometricConfig, PriceVector,
-                     build_edge_graph, build_expanded_graph, dominant_path,
+from carpool import (FlowVector, GenerationError, GeometricConfig,
+                     InfeasibleSessionError,
+                     PriceVector, SolverConfig, build_edge_graph,
+                     build_expanded_graph, dominant_path, edge_graph,
                      enumerate_triples, generate_geometric, init_prices,
-                     path_to_flow, primal_subproblem, shortest_path)
-from carpool.edge_graph import _dijkstra, relaxation_labels
+                     path_to_flow, plain_routing_cost, primal_subproblem,
+                     shortest_path, solve)
+from carpool.edge_graph import (_dijkstra, _kernel_routes, _python_routes,
+                                bind_kernel, build_kernel, relaxation_labels)
 from carpool.model import Instance, Node, Session, worst_residual
+from model_reference import plain_routing_cost_reference
 
 
 def graph_parts(inst):
@@ -175,8 +184,9 @@ def test_fifo_relaxation_matches_priority_labels():
         vals[idx.pair_fwd] = u
         vals[idx.pair_rev] = idx.pair_cost - u
         wts = vals.tolist()
+        csr = h.bounds.tolist(), h.order.tolist(), h.head.tolist()
         for src in range(len(h.vertices)):
-            assert relaxation_labels(h, wts, src) == _dijkstra(h, wts, src)
+            assert relaxation_labels(h, wts, src) == _dijkstra(*csr, wts, src)
 
 
 # ------------------------------------------------------------ flow reading
@@ -193,3 +203,148 @@ def test_dominant_path_rejects_vanishing_flow(relay3_parts):
     g, idx, h = relay3_parts
     with pytest.raises(ValueError, match="dies out"):
         dominant_path(h, FlowVector("s1", np.zeros(len(idx))), 0)
+
+
+# ---------------------------------------------------- compiled kernel
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    """The kernel compiled into a fresh directory, bypassing any cache."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    directory = tmp_path_factory.mktemp("kernel")
+    path = build_kernel(directory)
+    assert path.parent == directory and path.suffix == ".so"
+    assert build_kernel(directory) == path  # built once, then reused
+    return bind_kernel(path)
+
+
+def random_graph(rng, n_lo=4, n_hi=11):
+    """A spine, random chords, and sometimes a detached pair of nodes."""
+    n = int(rng.integers(n_lo, n_hi))
+    edges = {(a, a + 1) for a in range(n - 1)}
+    for _ in range(n):
+        a, b = sorted(rng.integers(0, n, 2).tolist())
+        if a != b:
+            edges.add((a, b))
+    if rng.random() < 0.3:
+        edges.add((n, n + 1))
+        n += 2
+    return n, sorted(edges)
+
+
+def random_weights(rng, size, huge=0.1):
+    """Uniform weights with about 30% zeros and a share above 1e308, so
+    that ties are common and any two huge weights sum to inf."""
+    w = rng.uniform(0.0, 2.0, size)
+    pick = rng.random(size)
+    w[pick < 0.3] = 0.0
+    big = pick > 1.0 - huge
+    w[big] = rng.uniform(1.0e308, 1.7e308, int(big.sum()))
+    return w
+
+
+def draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, edges = random_graph(rng)
+        yield rng, n, edges
+
+
+def test_kernel_labels_and_rows_equal_dijkstra(kernel):
+    unreachable = 0
+    for rng, n, edges in draws(11, 40):
+        g, idx, h = graph_parts(unit_instance(n, edges))
+        w = random_weights(rng, len(idx))
+        csr = (h.bounds, h.order, h.head)
+        lists = [a.tolist() for a in csr] + [w.tolist()]
+        nv = len(h.vertices)
+        for src in range(nv):
+            # full tree
+            _, _, _, labels = _kernel_routes(kernel, *csr, w, [src], [-1])
+            dist, hops, pred = _dijkstra(*lists, src)
+            assert labels[0].tobytes() == np.array(dist).tobytes()
+            assert labels[1].tolist() == hops and labels[2].tolist() == pred
+            # early stop at every destination
+            srcs, dsts = [src] * nv, list(range(nv))
+            qdist, start, rows, _ = _kernel_routes(kernel, *csr, w, srcs,
+                                                   dsts)
+            ref_dist, ref_rows = _python_routes(*csr, w, srcs, dsts)
+            assert qdist.tobytes() == np.array(ref_dist).tobytes()
+            for t in range(nv):
+                assert rows[start[t]:start[t + 1]].tolist() == \
+                    ref_rows[t].tolist()
+            unreachable += int(np.isinf(qdist).sum())
+            dst = int(rng.integers(0, nv))
+            _, _, _, labels = _kernel_routes(kernel, *csr, w, [src], [dst])
+            dist, hops, pred = _dijkstra(*lists, src, stop_at=dst)
+            assert labels[0].tobytes() == np.array(dist).tobytes()
+            assert labels[1].tolist() == hops and labels[2].tolist() == pred
+    assert unreachable > 0
+
+
+def random_instance(rng, n, edges):
+    """Node costs with zeros and near-1e308 values; sessions within one
+    component."""
+    costs = random_weights(rng, n, huge=0.4)
+    nodes = [Node(i, float(c)) for i, c in enumerate(costs)]
+    comp = list(range(n - 2)) if (n - 2, n - 1) in edges else list(range(n))
+    sessions = []
+    for t in range(int(rng.integers(1, 4))):
+        s, d = rng.choice(comp, 2, replace=False).tolist()
+        sessions.append(Session(f"s{t + 1}", s, d, float(rng.uniform(0.5, 2))))
+    return Instance(nodes, edges, sessions)
+
+
+def baseline_or_error(routing, inst):
+    try:
+        return routing(inst)
+    except InfeasibleSessionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_baseline_equals_its_loop_oracle(kernel, compiled):
+    errors = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edge_graph, "_load_kernel",
+                   lambda: kernel if compiled else None)
+        for rng, n, edges in draws(11, 40):
+            inst = random_instance(rng, n, edges)
+            got = baseline_or_error(plain_routing_cost, inst)
+            want = baseline_or_error(plain_routing_cost_reference, inst)
+            assert got == want
+            errors += isinstance(got, str)
+    assert errors > 0  # some draws overflow every route to inf
+
+
+def run_digest(inst, cfg):
+    sol, trace = solve(inst, cfg)
+    return (trace.iters, [np.array(col).tobytes() for col in (
+        trace.alphas, trace.dual_bounds, trace.best_bounds,
+        trace.recovered_costs, trace.rel_gaps)],
+        [(f.session, f.values.tobytes()) for f in sol.flows],
+        sol.prices.values.tobytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sessions=st.integers(1, 3),
+       costs=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+                      min_size=40, max_size=40))
+def test_solve_is_bit_identical_with_kernel_and_fallback(kernel, seed,
+                                                         sessions, costs):
+    try:
+        base = generate_geometric(GeometricConfig(side=4.0,
+                                                  sessions=sessions,
+                                                  seed=seed))
+    except GenerationError:
+        return
+    inst = Instance([Node(nd.nid, costs[nd.nid % len(costs)], nd.pos)
+                     for nd in base.nodes], base.edges, base.sessions)
+    cfg = SolverConfig(tol=1e-3, max_iters=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        compiled = run_digest(inst, cfg)
+        mp.setattr(edge_graph, "_load_kernel", lambda: None)
+        fallback = run_digest(inst, cfg)
+    assert compiled == fallback

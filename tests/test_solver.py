@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from carpool import (FlowVector, SolverConfig, build_expanded_graph,
-                     enumerate_triples, init_prices, plain_routing_cost,
-                     primal_subproblem, project_pair, project_pair_reference,
-                     recover_primal, solve, subgradient_step)
+from carpool import (FlowVector, SolverConfig, SolveTrace,
+                     build_expanded_graph, enumerate_triples, init_prices,
+                     plain_routing_cost, primal_subproblem, project_pair,
+                     project_pair_reference, solve, subgradient_step)
 from carpool.model import Instance, Node, Session, worst_residual
+from carpool.solver import _LoopState
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,14 @@ def test_random_steps_stay_dual_feasible(relay3_parts):
 
 # ----------------------------------------------------------------- recovery
 
+def running_mean(g, idx, history):
+    """The solve loop's recovered flows after ingesting every round."""
+    state = _LoopState(g, idx, SolverConfig(), SolveTrace())
+    for n, flows in enumerate(history, 1):
+        state.ingest(n, flows, 0.0)
+    return state.mean
+
+
 def test_recovery_is_the_running_mean(relay3_parts):
     g, idx = relay3_parts
     a = np.zeros(len(idx))
@@ -115,7 +124,7 @@ def test_recovery_is_the_running_mean(relay3_parts):
     a[idx.index[(0, 1, 2)]] = 1.0
     b[idx.index[(2, 1, 0)]] = 1.0
     history = [[FlowVector("s1", a)], [FlowVector("s1", b)]]
-    mean = recover_primal(history)
+    mean = running_mean(g, idx, history)
     assert mean[0].session == "s1"
     assert mean[0].values[idx.index[(0, 1, 2)]] == 0.5
     assert mean[0].values[idx.index[(2, 1, 0)]] == 0.5
@@ -135,7 +144,7 @@ def test_recovered_average_still_conserves():
         for trip in route:
             f[idx.index[trip]] = 1.0
         history.append([FlowVector("s1", f)])
-    mean = recover_primal(history)
+    mean = running_mean(g, idx, history)
     assert worst_residual(mean, g, idx) == 0.0
     assert mean[0].values[idx.index[(0, 1, 3)]] == pytest.approx(2 / 3)
 
