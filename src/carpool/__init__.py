@@ -8,8 +8,7 @@ from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
 from .edge_graph import (EdgeGraph, SessionPath, build_edge_graph,
                          dominant_path, path_to_flow, primal_subproblem,
                          shortest_path)
-from .solver import (Solution, SolverConfig, SolveTrace, init_prices,
-                     project_pair, project_pair_reference, solve,
+from .solver import (Solution, SolverConfig, SolveTrace, init_prices, solve,
                      subgradient_step)
 from .distributed import (Message, MessageStats, NodeProcessor, SimSchedule,
                           distributed_price_update, distributed_shortest_paths,

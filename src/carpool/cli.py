@@ -477,7 +477,10 @@ def cmd_check(args) -> int:
                 f"session {flows[r].session}: conservation violated at pair "
                 f"{pairs[e]}: residual {res[r, e]:.3g}")
 
-    summary = transmission_summary(flows, g, idx)
+    agg = np.zeros(len(idx))
+    for f in flows:
+        agg += f.values
+    summary = transmission_summary(agg, g, idx)
     row_of = np.full(len(idx), -1)
     row_of[idx.pair_fwd] = np.arange(len(idx.pair_fwd))
     k = idx.rows(doc.pairs)

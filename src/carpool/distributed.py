@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .edge_graph import EdgeGraph, SessionPath, build_edge_graph
-from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
+from .model import (ExpandedGraph, InfeasibleSessionError,
                     Instance, PriceVector, TripleIndex, build_expanded_graph,
                     enumerate_triples)
 from .solver import SolverConfig, SolveTrace, Solution, _LoopState, init_prices
@@ -115,6 +115,10 @@ class _SimContext:
         # triple rows of middle node i: bounds[i] to bounds[i + 1]
         self.bounds = np.searchsorted(idx.mid, np.arange(g.n_nodes + 1)
                                       ).tolist()
+        # out[u]: (head vertex, triple row) of every arc leaving vertex u
+        arcs = list(zip(h.head[h.order].tolist(), h.order.tolist()))
+        cuts = h.bounds.tolist()
+        self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.prices = p.values.copy()
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
         self.set_schedule(schedule)
@@ -173,7 +177,7 @@ class NodeProcessor:
         labels = self.labels[t]
         wts, lo = self.wts, self.k_lo
         d, nh = msg.dist, msg.hops + 1
-        for vtx, k in self.ctx.h.out[uv]:
+        for vtx, k in self.ctx.out[uv]:
             nd = d + wts[k - lo]
             cur = labels.get(vtx)
             if cur is None or nd < cur[0] or (nd == cur[0] and nh < cur[1]):
@@ -186,15 +190,15 @@ class NodeProcessor:
         pred = self.labels[t][vid][2]
         if pred < 0:
             return  # source pair reached; nothing upstream of it
-        h = self.ctx.h
-        self.tally[t, _arc(h, pred, vid) - self.k_lo] += value
-        self.ctx.send(Message(self.nid, h.vertices[pred][0], "flow", t, pred,
-                              value=value))
+        ctx = self.ctx
+        self.tally[t, _arc(ctx, pred, vid) - self.k_lo] += value
+        ctx.send(Message(self.nid, ctx.h.vertices[pred][0], "flow", t, pred,
+                         value=value))
 
 
-def _arc(h: EdgeGraph, u: int, v: int) -> int:
+def _arc(ctx: _SimContext, u: int, v: int) -> int:
     """Triple row of the edge-graph arc u -> v."""
-    return next(k for head, k in h.out[u] if head == v)
+    return next(k for head, k in ctx.out[u] if head == v)
 
 
 def _share_prices(procs: list[NodeProcessor]) -> None:
@@ -303,7 +307,7 @@ def _read_path(procs: list[NodeProcessor], t: int) -> SessionPath:
             raise RuntimeError("broken predecessor chain")
         seq.append(pred)
     seq.reverse()
-    trips = [_arc(h, u, v) for u, v in zip(seq, seq[1:])]
+    trips = [_arc(ctx, u, v) for u, v in zip(seq, seq[1:])]
     return SessionPath(sid, [h.vertices[u] for u in seq], dist, trips)
 
 
@@ -361,13 +365,12 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
         rounds_before = ctx.stats.rounds
         paths = distributed_shortest_paths(procs, sessions)
         _flow_notification(procs, sessions)
-        tallies = ctx.tally.copy()
-        flows = [FlowVector(s.sid, tallies[t])
-                 for t, s in enumerate(g.base.sessions)]
         q = 0.0
         for t in sessions:
             q += g.base.sessions[t].rate * paths[t].weight
-        stop = state.ingest(n, flows, q)
+        # row-major: session order, as the solve loop ingests its routes
+        carried = np.nonzero(ctx.tally)
+        stop = state.ingest(n, *carried, ctx.tally[carried], q)
         if not stop:
             distributed_price_update(procs, n, cfg)
         ctx.tally.fill(0.0)

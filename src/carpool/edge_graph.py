@@ -31,7 +31,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -61,36 +60,38 @@ class SessionPath:
 
 @dataclass
 class EdgeGraph:
-    """Directed graph over ordered node pairs; arcs are the triples."""
+    """Directed graph over ordered node pairs; arcs are the triples.
+
+    Vertex u is the ordered pair vertices[u], which is pair u of the
+    expanded graph's CSR.  Triple k is the arc tail[k] -> head[k], and
+    the arcs leaving u are the triple rows order[bounds[u]:bounds[u + 1]],
+    in triple order.  search is the route search of every session, built
+    by the first primal_subproblem call on the graph and reused by later
+    ones.
+    """
 
     g: ExpandedGraph
     idx: TripleIndex
     vertices: list[tuple[int, int]]
-    vindex: dict[tuple[int, int], int]
     tail: np.ndarray   # per triple: vertex index of (v, i)
     head: np.ndarray   # per triple: vertex index of (i, w)
-    out: list[list[tuple[int, int]]]  # per vertex: (head vertex, triple row)
     src_vertex: list[int]  # per session
     dst_vertex: list[int]
-    # CSR by tail vertex: the arcs (triple rows) leaving vertex u are
-    # order[bounds[u]:bounds[u + 1]], in triple order
     order: np.ndarray
     bounds: np.ndarray
+    search: RouteSearch | None = None
 
 
 def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     vertices = ordered_pairs(g)
-    vindex = {p: i for i, p in enumerate(vertices)}
     # arcs grouped by tail vertex, in triple order within each group
     order = np.argsort(idx.tail, kind="stable")
     bounds = np.searchsorted(idx.tail[order], np.arange(len(vertices) + 1))
-    arcs = list(zip(idx.head[order].tolist(), order.tolist()))
-    out = [arcs[lo:hi] for lo, hi in zip(bounds[:-1].tolist(),
-                                         bounds[1:].tolist())]
-    src = [vindex[g.source_vertex(t)] for t in range(len(g.base.sessions))]
-    dst = [vindex[g.dest_vertex(t)] for t in range(len(g.base.sessions))]
-    return EdgeGraph(g, idx, vertices, vindex, idx.tail, idx.head, out, src,
-                     dst, order, bounds)
+    sessions = range(len(g.base.sessions))
+    src = [g.pair_index(g.source_vertex(t)) for t in sessions]
+    dst = [g.pair_index(g.dest_vertex(t)) for t in sessions]
+    return EdgeGraph(g, idx, vertices, idx.tail, idx.head, src, dst, order,
+                     bounds)
 
 
 def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
@@ -137,47 +138,6 @@ def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
     return dist, hops, pred
 
 
-def relaxation_labels(h: EdgeGraph, wts: list[float], src: int
-                      ) -> tuple[list[float], list[int], list[int]]:
-    """FIFO label-correcting sweep; same label order, no priority queue.
-
-    Kept as an independent route to the same fixed point: the acceptance
-    rule is identical, only the work schedule differs.  The labels match
-    _dijkstra on the test cases, but not always: once a label improves to
-    a smaller distance with more hops, a neighbour whose extension rounds
-    to its current distance keeps its old predecessor, as the
-    message-passing twin does (see the strict xfail
-    test_twin_matches_solve_on_side8_draw3).
-    """
-    nv = len(h.vertices)
-    dist = [INF] * nv
-    hops = [0] * nv
-    pred = [-1] * nv
-    dist[src] = 0.0
-    queue = deque([src])
-    queued = [False] * nv
-    queued[src] = True
-    while queue:
-        u = queue.popleft()
-        queued[u] = False
-        d, hp = dist[u], hops[u]
-        for vtx, k in h.out[u]:
-            nd = d + wts[k]
-            nh = hp + 1
-            if nd < dist[vtx] or (nd == dist[vtx] and nh < hops[vtx]):
-                dist[vtx] = nd
-                hops[vtx] = nh
-                pred[vtx] = u
-                if not queued[vtx]:
-                    queue.append(vtx)
-                    queued[vtx] = True
-            elif nd == dist[vtx] and nh == hops[vtx] and (
-                    pred[vtx] == -1 or u < pred[vtx]):
-                if vtx != src:
-                    pred[vtx] = u
-    return dist, hops, pred
-
-
 def build_kernel(directory) -> Path:
     """Compile _subproblem.c into directory unless it is there; its path.
 
@@ -216,7 +176,7 @@ def build_kernel(directory) -> Path:
 def bind_kernel(path):
     """The kernel's carpool_routes in the library at path, typed.
 
-    Arrays go in as addresses that _kernel_routes checks first: numpy's
+    Arrays go in as addresses that RouteSearch checks first: numpy's
     ndpointer argtypes would check them too, but at about 5 us per array
     they made an iteration on a small instance about 20% slower.
     """
@@ -253,106 +213,113 @@ def _address(a: np.ndarray, dtype) -> int:
     return a.ctypes.data
 
 
-def _kernel_routes(fn, bounds: np.ndarray, arcs: np.ndarray,
-                   heads: np.ndarray, wts: np.ndarray, src: list[int],
-                   dst: list[int]):
-    """One kernel call: (distances, path starts, arc rows, last labels).
+class RouteSearch:
+    """Cheapest routes from src[t] to dst[t] on one CSR graph, any weights.
 
-    Session t's arcs are rows[start[t]:start[t + 1]]; a negative dst[t]
-    searches the whole graph and returns no path.  The labels (dist,
-    hops, pred) are those of the last session.
+    The arcs leaving u are arcs[bounds[u]:bounds[u + 1]], and arc k runs
+    to heads[k].  Building the search checks the CSR arrays and the
+    session ends once; with the compiled kernel fn it also allocates the
+    output buffers and takes every address, so that a call checks only
+    the weights.  Without fn, _dijkstra runs one session at a time.
+
+    A negative dst[t] searches the whole graph and returns no path (the
+    kernel only).  After a kernel call, dist, hops and pred hold the
+    labels of the last session.
     """
-    nv, ns = len(bounds) - 1, len(src)
-    if len(wts) != len(heads):
-        raise ValueError(f"{len(wts)} weights for {len(heads)} arcs")
-    if len(dst) != ns or (ns and not (0 <= min(src) and max(src) < nv
-                                      and max(dst) < nv)):
-        raise ValueError("session end vertices out of range")
-    i64 = np.dtype(np.int64)
-    # every array stays bound to a name until the call returns
-    ends = np.array([src, dst], dtype=i64).reshape(2, ns)
-    dist = np.empty(nv)
-    hops = np.empty(nv, dtype=i64)
-    pred = np.empty(nv, dtype=i64)
-    qdist = np.empty(ns)
-    start = np.empty(ns + 1, dtype=i64)
-    cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
-    rows = np.empty(cap, dtype=i64)
-    status = fn(nv, _address(bounds, i64), len(arcs), _address(arcs, i64),
-                len(heads), _address(heads, i64),
-                _address(wts, np.dtype(np.float64)), ns,
-                _address(ends[0], i64), _address(ends[1], i64),
-                *[x.ctypes.data for x in (dist, hops, pred, qdist, start,
-                                          rows)], cap)
-    if status:
-        raise RuntimeError(f"sub-problem kernel failed with status {status}")
-    return qdist, start, rows, (dist, hops, pred)
 
+    def __init__(self, fn, bounds: np.ndarray, arcs: np.ndarray,
+                 heads: np.ndarray, src: list[int], dst: list[int]):
+        nv, ns = len(bounds) - 1, len(src)
+        if len(dst) != ns or (ns and not (0 <= min(src) and max(src) < nv
+                                          and max(dst) < nv)):
+            raise ValueError("session end vertices out of range")
+        i64 = np.dtype(np.int64)
+        csr = [_address(x, i64) for x in (bounds, arcs, heads)]
+        self.fn, self.narcs = fn, len(heads)
+        if fn is None:
+            self.lists = [x.tolist() for x in (bounds, arcs, heads)]
+            self.sessions = list(zip(src, dst))
+            return
+        # every array stays bound to self while the kernel may write it
+        self.csr = (bounds, arcs, heads)
+        self.ends = np.array([src, dst], dtype=i64).reshape(2, ns)
+        self.dist = np.empty(nv)
+        self.hops = np.empty(nv, dtype=i64)
+        self.pred = np.empty(nv, dtype=i64)
+        self.qdist = np.empty(ns)
+        self.start = np.empty(ns + 1, dtype=i64)
+        cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
+        self.rows = np.empty(cap, dtype=i64)
+        self.before_wts = (nv, csr[0], len(arcs), csr[1], len(heads), csr[2])
+        self.after_wts = (ns, self.ends[0].ctypes.data,
+                          self.ends[1].ctypes.data,
+                          *[x.ctypes.data for x in (
+                              self.dist, self.hops, self.pred, self.qdist,
+                              self.start, self.rows)], cap)
 
-def _python_routes(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
-                   wts: np.ndarray, src: list[int], dst: list[int]
-                   ) -> tuple[list[float], list[np.ndarray]]:
-    """shortest_routes by _dijkstra, one session at a time."""
-    bounds, arcs, heads = bounds.tolist(), arcs.tolist(), heads.tolist()
-    wts = wts.tolist()
-    dists, paths = [], []
-    for s, t in zip(src, dst):
-        dist, _, pred = _dijkstra(bounds, arcs, heads, wts, s, stop_at=t)
-        rows = []
-        if dist[t] != INF:
-            x = t
-            while x != s:
-                u = pred[x]
-                if u < 0:
-                    raise RuntimeError("broken predecessor chain")
-                rows.append(next(k for k in arcs[bounds[u]:bounds[u + 1]]
-                                 if heads[k] == x))
-                x = u
-            rows.reverse()
-        dists.append(dist[t])
-        paths.append(np.array(rows, dtype=np.int64))
-    return dists, paths
+    def __call__(self, wts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(distances, start, rows) at weights wts: route t's arcs, source
+        first, are rows[start[t]:start[t + 1]]; an unreached destination
+        has distance inf and no arcs."""
+        if len(wts) != self.narcs:
+            raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
+        address = _address(wts, np.dtype(np.float64))
+        if self.fn is None:
+            return self._python(wts.tolist())
+        status = self.fn(*self.before_wts, address, *self.after_wts)
+        if status:
+            raise RuntimeError(
+                f"sub-problem kernel failed with status {status}")
+        return (self.qdist.copy(), self.start.copy(),
+                self.rows[:self.start[-1]].copy())
+
+    def _python(self, wts: list[float]):
+        bounds, arcs, heads = self.lists
+        dists, start, rows = [], [0], []
+        for s, t in self.sessions:
+            dist, _, pred = _dijkstra(bounds, arcs, heads, wts, s, stop_at=t)
+            path = []
+            if dist[t] != INF:
+                x = t
+                while x != s:
+                    u = pred[x]
+                    if u < 0:
+                        raise RuntimeError("broken predecessor chain")
+                    path.append(next(k for k in arcs[bounds[u]:bounds[u + 1]]
+                                     if heads[k] == x))
+                    x = u
+                path.reverse()
+            dists.append(dist[t])
+            rows += path
+            start.append(len(rows))
+        return (np.array(dists, dtype=float), np.array(start, dtype=np.int64),
+                np.array(rows, dtype=np.int64))
 
 
 def shortest_routes(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
                     wts: np.ndarray, src: list[int], dst: list[int]
-                    ) -> tuple[list[float], list[np.ndarray]]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cheapest route from src[t] to dst[t] for every t, on one CSR graph.
 
     The arcs leaving u are arcs[bounds[u]:bounds[u + 1]]; arc k runs to
-    heads[k] at weight wts[k] >= 0.  Returns each route's distance (inf
-    when the destination is out of reach) and its arcs, source first.
+    heads[k] at weight wts[k] >= 0.  Returns RouteSearch's (distances,
+    start, rows).
     """
-    wts = np.ascontiguousarray(wts, dtype=np.float64)
-    fn = _load_kernel()
-    if fn is None:
-        return _python_routes(bounds, arcs, heads, wts, src, dst)
-    qdist, start, rows, _ = _kernel_routes(fn, bounds, arcs, heads, wts,
-                                           src, dst)
-    ends = start.tolist()
-    return qdist.tolist(), [rows[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _session_routes(h: EdgeGraph, p: PriceVector, sessions: list[int]
-                    ) -> tuple[list[float], list[np.ndarray]]:
-    """Priced routes of the given sessions; an unreachable one raises."""
-    dists, paths = shortest_routes(
-        h.bounds, h.order, h.head, p.values,
-        [h.src_vertex[t] for t in sessions],
-        [h.dst_vertex[t] for t in sessions])
-    for t, d in zip(sessions, dists):
-        if d == INF:
-            raise InfeasibleSessionError(h.g.base.sessions[t].sid,
-                                         "no priced route to destination")
-    return dists, paths
+    search = RouteSearch(_load_kernel(), bounds, arcs, heads, src, dst)
+    return search(np.ascontiguousarray(wts, dtype=np.float64))
 
 
 def shortest_path(h: EdgeGraph, p: PriceVector, t: int) -> SessionPath:
     """Cheapest priced route for session index t, deterministic under ties."""
-    (dist,), (rows,) = _session_routes(h, p, [t])
-    verts = [h.vertices[h.src_vertex[t]]]
-    verts += [h.vertices[v] for v in h.head[rows].tolist()]
-    return SessionPath(h.g.base.sessions[t].sid, verts, dist, rows.tolist())
+    src = h.src_vertex[t]
+    dists, _, rows = shortest_routes(h.bounds, h.order, h.head, p.values,
+                                     [src], [h.dst_vertex[t]])
+    sid = h.g.base.sessions[t].sid
+    if dists[0] == INF:
+        raise InfeasibleSessionError(sid, "no priced route to destination")
+    verts = [h.vertices[v] for v in [src] + h.head[rows].tolist()]
+    return SessionPath(sid, verts, float(dists[0]), rows.tolist())
 
 
 def path_to_flow(path: SessionPath, rate: float, idx: TripleIndex
@@ -364,24 +331,27 @@ def path_to_flow(path: SessionPath, rate: float, idx: TripleIndex
 
 def primal_subproblem(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
                       h: EdgeGraph | None = None
-                      ) -> tuple[list[FlowVector], float]:
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-session cheapest routes and the dual bound they certify.
 
-    Returns the rate-scaled path flows and q = sum_t R_t * dist_t, which
-    never exceeds the coded optimum.
+    Returns (rows, start, q): session t routes its rate along the triple
+    rows rows[start[t]:start[t + 1]], source first, and q = sum_t R_t *
+    dist_t never exceeds the coded optimum.
     """
     if h is None:
         h = build_edge_graph(g, idx)
-    sessions = g.base.sessions
-    dists, paths = _session_routes(h, p, list(range(len(sessions))))
-    flows = []
+    if h.search is None:
+        h.search = RouteSearch(_load_kernel(), h.bounds, h.order, h.head,
+                               h.src_vertex, h.dst_vertex)
+    dists, start, rows = h.search(
+        np.ascontiguousarray(p.values, dtype=np.float64))
     q = 0.0
-    for s, dist, rows in zip(sessions, dists, paths):
-        values = np.zeros(len(idx))
-        values[rows] = s.rate
-        flows.append(FlowVector(s.sid, values))
+    for s, dist in zip(g.base.sessions, dists.tolist()):
+        if dist == INF:
+            raise InfeasibleSessionError(s.sid,
+                                         "no priced route to destination")
         q += s.rate * dist
-    return flows, q
+    return rows, start, q
 
 
 def dominant_path(h: EdgeGraph, x: FlowVector, t: int) -> SessionPath:
@@ -394,29 +364,22 @@ def dominant_path(h: EdgeGraph, x: FlowVector, t: int) -> SessionPath:
     src, dst = h.src_vertex[t], h.dst_vertex[t]
     vals = x.values
     u = src
-    verts = [h.vertices[src]]
     trips: list[int] = []
-    seen = {src}
+    seen = [src]
     while u != dst:
-        best_k = -1
-        best_val = 0.0
-        best_head = -1
-        for vtx, k in h.out[u]:
-            if vals[k] > best_val:
-                best_val = vals[k]
-                best_k = k
-                best_head = vtx
-        if best_k < 0:
+        arcs = h.order[h.bounds[u]:h.bounds[u + 1]]
+        if not (len(arcs) and vals[arcs].max() > 0.0):
             raise ValueError(
                 f"session {x.session}: recovered flow dies out at "
                 f"{h.vertices[u]}")
-        if best_head in seen:
+        k = int(arcs[np.argmax(vals[arcs])])  # the first largest
+        u = int(h.head[k])
+        if u in seen:
             raise ValueError(
                 f"session {x.session}: recovered flow cycles at "
-                f"{h.vertices[best_head]}")
-        seen.add(best_head)
-        verts.append(h.vertices[best_head])
-        trips.append(best_k)
-        u = best_head
+                f"{h.vertices[u]}")
+        seen.append(u)
+        trips.append(k)
     weight = float(sum(h.idx.cost[k] for k in trips))
-    return SessionPath(x.session, verts, weight, trips)
+    return SessionPath(x.session, [h.vertices[v] for v in seen], weight,
+                       trips)

@@ -146,15 +146,16 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
     order = np.lexsort((heads, tails))
     tails, heads = tails[order], heads[order]
     bounds = np.searchsorted(tails, np.arange(inst.n + 1))
-    dists, paths = shortest_routes(
+    dists, start, rows = shortest_routes(
         bounds, np.arange(len(heads)), heads, inst.costs()[tails],
         [s.source for s in inst.sessions], [s.dest for s in inst.sessions])
     total = 0.0
     routes = []
-    for s, dist, rows in zip(inst.sessions, dists, paths):
+    cuts = start.tolist()
+    for s, dist, a, b in zip(inst.sessions, dists.tolist(), cuts, cuts[1:]):
         if dist == math.inf:
             raise InfeasibleSessionError(s.sid, "no route to destination")
-        routes.append([s.source] + heads[rows].tolist())
+        routes.append([s.source] + heads[rows[a:b]].tolist())
         total += s.rate * dist
     return total, routes
 

@@ -350,11 +350,9 @@ class TransmissionSummary:
     z: np.ndarray
 
 
-def transmission_summary(flows: list[FlowVector], g: ExpandedGraph,
+def transmission_summary(agg: np.ndarray, g: ExpandedGraph,
                          idx: TripleIndex) -> TransmissionSummary:
-    agg = np.zeros(len(idx))
-    for f in flows:
-        agg += f.values
+    """Coded broadcasts of agg, the flow per triple summed over sessions."""
     fwd = agg[idx.pair_fwd]
     rev = agg[idx.pair_rev]
     y = np.maximum(fwd, rev)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -95,43 +94,14 @@ def init_prices(g: ExpandedGraph, idx: TripleIndex) -> PriceVector:
     return PriceVector(0.5 * idx.cost)
 
 
-def project_pair(u1: float, u2: float, c: float) -> tuple[float, float]:
-    """Closed-form nearest point on {p1 + p2 = c, p >= 0} to (u1, u2)."""
-    p1 = min(max((u1 - u2 + c) / 2.0, 0.0), c)
-    return p1, c - p1
-
-
-def project_pair_reference(u1: float, u2: float, c: float
-                           ) -> tuple[float, float]:
-    """Independent oracle for project_pair, via exact rational arithmetic.
-
-    On the line p2 = c - p1 the squared distance is a parabola in p1;
-    fit it exactly through p1 = 0 and p1 = c, take the vertex, clamp.
-    No step of the closed form is reused.
-    """
-    if c == 0:
-        return 0.0, 0.0
-    u1f, u2f, cf = Fraction(u1), Fraction(u2), Fraction(c)
-
-    def dist2(s: Fraction) -> Fraction:
-        return (s - u1f) ** 2 + (cf - s - u2f) ** 2
-
-    s = (dist2(Fraction(0)) - dist2(cf)) / (4 * cf) + cf / 2
-    s = min(max(s, Fraction(0)), cf)
-    return float(s), float(cf - s)
-
-
-def subgradient_step(p: PriceVector, flows: list[FlowVector], n: int,
+def subgradient_step(p: PriceVector, agg: np.ndarray, n: int,
                      cfg: SolverConfig, idx: TripleIndex) -> PriceVector:
-    """One projected price update from this round's routed flows.
+    """One projected price update from this round's total flow per triple.
 
     For each unordered pair the forward price moves by half the step
     times the net forward flow, clamped to [0, c]; the reverse price is
     the complement, so the coupled constraint holds exactly.
     """
-    agg = np.zeros(len(idx))
-    for f in flows:
-        agg += f.values
     diff = agg[idx.pair_fwd] - agg[idx.pair_rev]
     half = 0.5 * cfg.alpha(n)
     fwd = np.clip(p.values[idx.pair_fwd] + half * diff, 0.0, idx.pair_cost)
@@ -147,33 +117,52 @@ class _LoopState:
     Keeping this in one place is what makes the message-passing runner's
     costs, gaps, and stopping decisions bit-identical to the in-process
     loop: same sums in the same order on the same arrays.
+
+    sums[t] is session t's flow summed over the rounds so far, and
+    sums[t] / n its recovered flow after round n.  The transmission
+    summary reads the total of those means, added in session order on
+    the triples that ever carried flow; elsewhere every term is +0.0, so
+    the restriction changes no bit.  (Dividing one running total by n
+    instead would round differently.)  The per-session means themselves
+    are built only for the solution.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
                  cfg: SolverConfig, trace: SolveTrace):
         self.g, self.idx, self.cfg, self.trace = g, idx, cfg, trace
-        self.sums = [np.zeros(len(idx)) for _ in g.base.sessions]
+        self.sums = np.zeros((len(g.base.sessions), len(idx)))
+        self.carried = np.zeros(len(idx), dtype=bool)
+        self.support = np.flatnonzero(self.carried)
+        self.n = 0
         self.best = -math.inf
-        self.mean: list[FlowVector] = []
         self.summary: TransmissionSummary | None = None
         self.gap = math.inf
         self.certified = False
 
-    def ingest(self, n: int, flows: list[FlowVector], q: float) -> bool:
-        """Record round n; True means the gap certificate is in hand."""
+    def ingest(self, n: int, sessions: np.ndarray, rows: np.ndarray,
+               values: np.ndarray, q: float) -> bool:
+        """Record round n, in which session sessions[j] carried values[j]
+        on triple rows[j], each (session, triple) at most once; True means
+        the gap certificate is in hand."""
         if not math.isfinite(q):
             raise NonFiniteError(
                 f"iteration {n}: dual bound is {q!r}; costs or rates are "
                 f"too large for float arithmetic")
         if q > self.best:
             self.best = q
+        self.n = n
+        fresh = rows[~self.carried[rows]]
+        if len(fresh):
+            self.carried[fresh] = True
+            self.support = np.flatnonzero(self.carried)
+        agg = np.zeros(len(self.idx))
         # an overflow here is reported below, as a non-finite cost
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, f in zip(self.sums, flows):
-                s += f.values
-            self.mean = [FlowVector(f.session, s / n)
-                         for s, f in zip(self.sums, flows)]
-            self.summary = transmission_summary(self.mean, self.g, self.idx)
+            self.sums[sessions, rows] += values
+            # accumulate runs row by row: the session-order sum
+            means = self.sums[:, self.support] / n
+            agg[self.support] = np.cumsum(means, axis=0)[-1]
+            self.summary = transmission_summary(agg, self.g, self.idx)
             cost, _ = total_cost(self.summary, self.g)
         if not math.isfinite(cost):
             raise NonFiniteError(
@@ -188,10 +177,13 @@ class _LoopState:
     def solution(self, prices: PriceVector, iterations: int) -> Solution:
         summary = self.summary
         if summary is None:
-            summary = transmission_summary([], self.g, self.idx)
+            summary = transmission_summary(np.zeros(len(self.idx)), self.g,
+                                           self.idx)
         expanded, physical = total_cost(summary, self.g)
         gap = 0.0 if not len(self.trace) else self.gap
-        return Solution(self.mean, prices, summary, expanded, physical,
+        mean = [FlowVector(s.sid, row / self.n)
+                for s, row in zip(self.g.base.sessions, self.sums)]
+        return Solution(mean, prices, summary, expanded, physical,
                         gap, self.certified, iterations)
 
 
@@ -213,10 +205,14 @@ def _solve_on(g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
     if not g.base.sessions:
         state.certified = True
         return state.solution(p, 0), trace
+    rates = np.array([s.rate for s in g.base.sessions])
     n = 0
     for n in range(1, cfg.max_iters + 1):
-        flows, q = primal_subproblem(g, idx, p, h=h)
-        if state.ingest(n, flows, q):
+        rows, start, q = primal_subproblem(g, idx, p, h=h)
+        sessions = np.repeat(np.arange(len(rates)), np.diff(start))
+        values = rates[sessions]
+        if state.ingest(n, sessions, rows, values, q):
             break
-        p = subgradient_step(p, flows, n, cfg, idx)
+        agg = np.bincount(rows, weights=values, minlength=len(idx))
+        p = subgradient_step(p, agg, n, cfg, idx)
     return state.solution(p, n), trace

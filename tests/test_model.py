@@ -13,7 +13,7 @@ from carpool.model import (Instance, Node, Session, component_labels,
                            ordered_pairs, worst_residual)
 from lp_reference import lp_optimum
 from model_reference import (conservation_residual_reference,
-                             enumerate_triples_reference,
+                             dense_aggregate, enumerate_triples_reference,
                              ordered_pairs_reference)
 
 
@@ -234,7 +234,7 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
 def test_opposite_sessions_share_the_middle_broadcast(relay3_parts):
     g, idx = relay3_parts
     flows = [path_flow(idx, "s1", S1_PATH), path_flow(idx, "s2", S2_PATH)]
-    summ = transmission_summary(flows, g, idx)
+    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
     pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 1.0           # max(1, 1), not the sum
@@ -249,7 +249,7 @@ def test_one_direction_pays_alone(relay3_parts):
     g, idx = relay3_parts
     flows = [path_flow(idx, "s1", S1_PATH),
              FlowVector("s2", np.zeros(len(idx)))]
-    summ = transmission_summary(flows, g, idx)
+    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
     pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 1.0 and summ.saving[shared] == 0.0
@@ -261,8 +261,8 @@ def test_unbalanced_directions_save_the_smaller_side(relay3_parts):
     f1[idx.index[(0, 1, 2)]] = 2.0
     f2 = np.zeros(len(idx))
     f2[idx.index[(2, 1, 0)]] = 3.0
-    summ = transmission_summary([FlowVector("s1", f1), FlowVector("s2", f2)],
-                                g, idx)
+    flows = [FlowVector("s1", f1), FlowVector("s2", f2)]
+    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
     pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 3.0 and summ.saving[shared] == 2.0
@@ -271,15 +271,15 @@ def test_unbalanced_directions_save_the_smaller_side(relay3_parts):
 def test_summary_ignores_flow_list_order(relay3_parts):
     g, idx = relay3_parts
     flows = [path_flow(idx, "s1", S1_PATH), path_flow(idx, "s2", S2_PATH)]
-    a = transmission_summary(flows, g, idx)
-    b = transmission_summary(flows[::-1], g, idx)
+    a = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
+    b = transmission_summary(dense_aggregate(flows[::-1], len(idx)), g, idx)
     assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
 
 
 def test_zero_flow_costs_refund_the_artificial_hop(relay3_parts):
     g, idx = relay3_parts
     flows = [FlowVector(s, np.zeros(len(idx))) for s in ("s1", "s2")]
-    summ = transmission_summary(flows, g, idx)
+    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
     assert total_cost(summ, g) == (0.0, -2.0)
 
 
@@ -289,7 +289,7 @@ def test_node_costs_weight_the_transmissions():
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     flow = path_flow(idx, "s1", [(3, 0, 1), (0, 1, 2), (1, 2, 4)])
-    summ = transmission_summary([flow], g, idx)
+    summ = transmission_summary(flow.values, g, idx)
     # transmitters: source (1) + relay (3) + destination (1), refund dest
     assert total_cost(summ, g) == (5.0, 4.0)
 

@@ -1,18 +1,23 @@
 """Price projection, subgradient updates, certified solve loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from carpool import (FlowVector, SolverConfig, SolveTrace,
-                     build_expanded_graph, enumerate_triples, init_prices,
-                     plain_routing_cost, primal_subproblem, project_pair,
-                     project_pair_reference, solve, subgradient_step)
+from carpool import (FlowVector, GeometricConfig, SolverConfig,
+                     SolveTrace, build_edge_graph, build_expanded_graph,
+                     enumerate_triples, generate_geometric, init_prices,
+                     plain_routing_cost, primal_subproblem, solve, solver,
+                     subgradient_step, transmission_summary)
 from carpool.model import Instance, Node, Session, worst_residual
 from carpool.solver import _LoopState
+from model_reference import (DenseLoopState, dense_aggregate,
+                             primal_subproblem_reference,
+                             project_pair_reference, project_pairs_by_step)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +27,12 @@ def relay3_parts(relay3):
 
 
 # --------------------------------------------------------------- projection
+
+def project_pair(u1, u2, c):
+    """subgradient_step's projection of the one point (u1, u2)."""
+    p1, p2 = project_pairs_by_step([u1], [u2], [c])
+    return float(p1[0]), float(p2[0])
+
 
 def test_projection_examples():
     assert project_pair(0.5, 0.5, 1.0) == (0.5, 0.5)
@@ -59,11 +70,19 @@ def test_initial_prices_split_the_transmission_cost(relay3_parts):
     pd.validate(xd)
 
 
+def routed_total(g, idx, p):
+    """This round's flow per triple summed over sessions, as the solve
+    loop sums it for the price step."""
+    rows, start, _ = primal_subproblem(g, idx, p)
+    rates = np.repeat([s.rate for s in g.base.sessions], np.diff(start))
+    return np.bincount(rows, weights=rates, minlength=len(idx))
+
+
 def test_balanced_opposite_flows_leave_prices_alone(relay3_parts):
     g, idx = relay3_parts
     p0 = init_prices(g, idx)
-    flows, _ = primal_subproblem(g, idx, p0)
-    p1 = subgradient_step(p0, flows, 1, SolverConfig(), idx)
+    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
+                          idx)
     shared = idx.index[(0, 1, 2)]
     assert p1.values[shared] == 0.5 == p1.values[idx.rev[shared]]
     p1.validate(idx)
@@ -75,8 +94,8 @@ def test_price_rises_with_flow_and_falls_opposite():
     g = build_expanded_graph(single)
     idx = enumerate_triples(g)
     p0 = init_prices(g, idx)
-    flows, _ = primal_subproblem(g, idx, p0)
-    p1 = subgradient_step(p0, flows, 1, SolverConfig(), idx)
+    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
+                          idx)
     for trip in [(3, 0, 1), (0, 1, 2), (1, 2, 4)]:
         k = idx.index[trip]
         assert p1.values[k] == 1.0          # walked direction clips up
@@ -89,10 +108,11 @@ def test_update_magnitude_is_half_step_times_imbalance(relay3_parts):
     f = np.zeros(len(idx))
     f[k] = 0.6
     flows = [FlowVector("s1", f), FlowVector("s2", np.zeros(len(idx)))]
-    p1 = subgradient_step(init_prices(g, idx), flows, 1, SolverConfig(), idx)
+    agg = dense_aggregate(flows, len(idx))
+    p1 = subgradient_step(init_prices(g, idx), agg, 1, SolverConfig(), idx)
     assert p1.values[k] == pytest.approx(0.8)           # 0.5 + (1/2)*0.6
     assert p1.values[idx.rev[k]] == pytest.approx(0.2)
-    p2 = subgradient_step(init_prices(g, idx), flows, 2, SolverConfig(), idx)
+    p2 = subgradient_step(init_prices(g, idx), agg, 2, SolverConfig(), idx)
     assert p2.values[k] == pytest.approx(0.65)          # alpha halves
 
 
@@ -103,18 +123,60 @@ def test_random_steps_stay_dual_feasible(relay3_parts):
     for n in range(1, 30):
         flows = [FlowVector(s.sid, rng.uniform(0.0, 2.0, len(idx)))
                  for s in g.base.sessions]
-        p = subgradient_step(p, flows, n, SolverConfig(step_a=2.0), idx)
+        p = subgradient_step(p, dense_aggregate(flows, len(idx)), n,
+                             SolverConfig(step_a=2.0), idx)
         p.validate(idx)
 
 
+def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
+    rng = np.random.default_rng(5)
+    line = Instance([Node(i, 1.0) for i in range(3)], [(0, 1), (1, 2)],
+                    [Session(f"s{t}", 0, 2, r) for t, r in
+                     enumerate([0.1, 0.3, 0.7, 0.2, 1 / 3])])
+    geo = generate_geometric(GeometricConfig(side=5.0, sessions=6, seed=4))
+    geo = Instance(geo.nodes, geo.edges,
+                   [Session(s.sid, s.source, s.dest, float(r)) for s, r in
+                    zip(geo.sessions, rng.uniform(0.1, 3.0, 6))])
+    steps = []
+
+    def step(p, agg, n, cfg, idx, _step=solver.subgradient_step):
+        steps.append((p, agg))
+        return _step(p, agg, n, cfg, idx)
+
+    monkeypatch.setattr(solver, "subgradient_step", step)
+    shared = 0
+    for inst in (line, geo):
+        steps.clear()
+        solve(inst, SolverConfig(tol=1e-12, max_iters=12))
+        g = build_expanded_graph(inst)
+        idx = enumerate_triples(g)
+        h = build_edge_graph(g, idx)
+        assert len(steps) == 12
+        for p, agg in steps:
+            flows, _ = primal_subproblem_reference(g, idx, p, h)
+            assert agg.tobytes() == dense_aggregate(flows, len(idx)).tobytes()
+            crossing = np.count_nonzero([f.values for f in flows], axis=0)
+            shared = max(shared, int(crossing.max()))
+    # on the line every session crosses the relay, and the five rates
+    # sum to different floats forward and backward
+    assert shared == 5
+
+
 # ----------------------------------------------------------------- recovery
+
+def ingest_dense(state, n, flows):
+    """Feed _LoopState round n given as one dense flow per session."""
+    x = np.array([f.values for f in flows])
+    sessions, rows = np.nonzero(x)
+    return state.ingest(n, sessions, rows, x[sessions, rows], 0.0)
+
 
 def running_mean(g, idx, history):
     """The solve loop's recovered flows after ingesting every round."""
     state = _LoopState(g, idx, SolverConfig(), SolveTrace())
     for n, flows in enumerate(history, 1):
-        state.ingest(n, flows, 0.0)
-    return state.mean
+        ingest_dense(state, n, flows)
+    return state.solution(init_prices(g, idx), len(history)).flows
 
 
 def test_recovery_is_the_running_mean(relay3_parts):
@@ -149,6 +211,37 @@ def test_recovered_average_still_conserves():
     assert mean[0].values[idx.index[(0, 1, 3)]] == pytest.approx(2 / 3)
 
 
+def test_support_restricted_total_equals_the_sum_of_session_means():
+    inst = generate_geometric(GeometricConfig(side=6.0, sessions=6, seed=9))
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    rng = np.random.default_rng(17)
+    cfg = SolverConfig(tol=1e-12)
+    state = _LoopState(g, idx, cfg, SolveTrace())
+    dense = DenseLoopState(g, idx, cfg, SolveTrace())
+    for n in range(1, 8):
+        flows = []
+        for s in inst.sessions:
+            values = np.zeros(len(idx))
+            # from a few triples, so that sessions overlap
+            picked = rng.choice(20, 12, replace=False)
+            values[picked] = rng.uniform(0.1, 3.0, 12)
+            flows.append(FlowVector(s.sid, values))
+        ingest_dense(state, n, flows)
+        dense.ingest(n, flows, 0.0)
+        assert len(state.support) < len(idx)
+        want = transmission_summary(dense_aggregate(dense.mean, len(idx)),
+                                    g, idx)
+        for name in ("y", "saving", "z"):
+            assert getattr(state.summary, name).tobytes() == \
+                getattr(want, name).tobytes()
+    assert state.trace.recovered_costs == dense.trace.recovered_costs
+    got = state.solution(init_prices(g, idx), 7).flows
+    assert [f.session for f in got] == [f.session for f in dense.mean]
+    assert all(a.values.tobytes() == b.values.tobytes()
+               for a, b in zip(got, dense.mean))
+
+
 # ------------------------------------------------------------- solve loop
 
 def test_relay3_trace_is_exact(relay3_run):
@@ -169,8 +262,8 @@ def test_certification_precedes_the_price_update(relay3, relay3_run):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
     p0 = init_prices(g, idx)
-    flows, _ = primal_subproblem(g, idx, p0)
-    p1 = subgradient_step(p0, flows, 1, SolverConfig(), idx)
+    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
+                          idx)
     assert np.array_equal(sol.prices.values, p1.values)
     sol.prices.validate(idx)
 
@@ -216,6 +309,29 @@ def test_gap_keeps_shrinking(grid2):
     _, trace = solve(grid2, SolverConfig(tol=1e-12, max_iters=2000))
     assert len(trace) == 2000  # nothing certifies at 1e-12 here
     assert trace.rel_gaps[1999] <= trace.rel_gaps[199]
+
+
+def test_solve_calls_each_layer_once_per_iteration_through_solver(
+        relay3, grid2, monkeypatch):
+    # bench/spans.py times these layers by wrapping carpool.solver's names
+    calls = Counter()
+    for name in ("primal_subproblem", "subgradient_step",
+                 "transmission_summary", "total_cost"):
+        def counted(*args, _name=name, _call=getattr(solver, name), **kw):
+            calls[_name] += 1
+            return _call(*args, **kw)
+        monkeypatch.setattr(solver, name, counted)
+    for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
+                      (grid2, SolverConfig(tol=1e-12, max_iters=40))):
+        calls.clear()
+        sol, trace = solve(inst, cfg)
+        n = sol.iterations
+        assert len(trace) == n and n == (2 if inst is relay3 else 40)
+        # the last round either certifies or hits the cap; the solution
+        # costs its summary once more
+        assert calls == {"primal_subproblem": n,
+                         "subgradient_step": n - sol.certified,
+                         "transmission_summary": n, "total_cost": n + 1}
 
 
 def test_solve_is_deterministic(grid2):
