@@ -5,9 +5,7 @@ from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
                     TransmissionSummary, TripleIndex, build_expanded_graph,
                     conservation_residual, enumerate_triples, total_cost,
                     transmission_summary)
-from .edge_graph import (EdgeGraph, SessionPath, build_edge_graph,
-                         dominant_path, path_to_flow, primal_subproblem,
-                         shortest_path)
+from .edge_graph import EdgeGraph, build_edge_graph, primal_subproblem
 from .solver import (Solution, SolverConfig, SolveTrace, init_prices, solve,
                      subgradient_step)
 from .distributed import (Message, MessageStats, NodeProcessor, SimSchedule,

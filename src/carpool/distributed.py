@@ -17,15 +17,17 @@ The strict xfail test_twin_matches_solve_on_side8_draw3 in bench/tests
 keeps a seeded draw on which this happens.
 
 After each routing phase the destination starts a hop-by-hop trace back
-along predecessors; each node on the path learns its own triple's flow
-from that message and needs nothing else to update its prices locally.
+along predecessors.  A label keeps the triple row that set it, so each
+node on the path tallies its own triple's flow from that message; this
+chase is the only walk of a route.  The price step then sums the
+tallies and takes solve()'s subgradient_step, whose update of a triple's
+price reads only the same node's prices and tallies.
 
 Triples are sorted by middle node, so node i's prices and tallies are
-one contiguous slice of arrays the simulator keeps for all nodes.  The
-price step updates them in one elementwise pass: each entry depends
-only on the same node's prices and tallies, so the pass is every node's
-own computation, done side by side.  Relaxations read the node's prices
-from a list it refreshes once per price step.
+one contiguous slice of arrays the simulator keeps for all nodes, and
+the elementwise price step is every node's own computation, done side
+by side.  Relaxations read the node's prices from a list it refreshes
+once per price step.
 
 The simulator is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
@@ -41,11 +43,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edge_graph import EdgeGraph, SessionPath, build_edge_graph
+from .edge_graph import EdgeGraph, build_edge_graph
 from .model import (ExpandedGraph, InfeasibleSessionError,
                     Instance, PriceVector, TripleIndex, build_expanded_graph,
                     enumerate_triples)
-from .solver import SolverConfig, SolveTrace, Solution, _LoopState, init_prices
+from .solver import (SolverConfig, SolveTrace, Solution, _LoopState,
+                     init_prices, subgradient_step)
 
 INF = math.inf
 
@@ -109,7 +112,8 @@ class _SimContext:
     def __init__(self, g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
                  schedule: SimSchedule, p: PriceVector):
         self.g, self.idx, self.h = g, idx, h
-        self.adjset = [set(nbrs) for nbrs in g.adj]
+        ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
+        self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
         self.stats = MessageStats()
         self.staging: list[Message] = []
         # triple rows of middle node i: bounds[i] to bounds[i + 1]
@@ -121,15 +125,9 @@ class _SimContext:
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.prices = p.values.copy()
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
-        self.set_schedule(schedule)
-
-    def set_schedule(self, schedule: SimSchedule) -> None:
         self.schedule = schedule
         self.rng = random.Random(schedule.seed)
-        if schedule.max_rounds is not None:
-            self.max_rounds = schedule.max_rounds
-        else:
-            self.max_rounds = 2 * len(self.h.vertices) + 16
+        self.max_rounds = schedule.max_rounds or 2 * len(h.vertices) + 16
 
     def send(self, msg: Message) -> None:
         if msg.receiver not in self.adjset[msg.sender]:
@@ -155,8 +153,9 @@ class NodeProcessor:
         self.k_lo, self.k_hi = ctx.bounds[nid], ctx.bounds[nid + 1]
         self.tally = ctx.tally[:, self.k_lo:self.k_hi]
         self.wts: list[float] = []  # own triple prices, refreshed per step
-        # labels[t]: owned vertex id -> (dist, hops, pred vertex id)
-        self.labels: list[dict[int, tuple[float, int, int]]] = [
+        # labels[t]: owned vertex id -> (dist, hops, pred vertex id, row
+        # of the triple pred -> vertex)
+        self.labels: list[dict[int, tuple[float, int, int, int]]] = [
             {} for _ in range(len(ctx.g.base.sessions))]
         self.inbox: list[Message] = []
 
@@ -165,7 +164,7 @@ class NodeProcessor:
             d.clear()
 
     def prime_source(self, t: int, vid: int) -> None:
-        self.labels[t][vid] = (0.0, 0, -1)
+        self.labels[t][vid] = (0.0, 0, -1, -1)
         self._announce(t, vid, 0.0, 0)
 
     def _announce(self, t: int, vid: int, dist: float, hops: int) -> None:
@@ -181,24 +180,21 @@ class NodeProcessor:
             nd = d + wts[k - lo]
             cur = labels.get(vtx)
             if cur is None or nd < cur[0] or (nd == cur[0] and nh < cur[1]):
-                labels[vtx] = (nd, nh, uv)
+                labels[vtx] = (nd, nh, uv, k)
                 self._announce(t, vtx, nd, nh)
             elif nd == cur[0] and nh == cur[1] and uv < cur[2]:
-                labels[vtx] = (nd, nh, uv)
+                labels[vtx] = (nd, nh, uv, k)
 
     def _chase(self, t: int, vid: int, value: float) -> None:
-        pred = self.labels[t][vid][2]
+        label = self.labels[t].get(vid)
+        if label is None:
+            raise RuntimeError("broken predecessor chain")
+        _, _, pred, k = label
         if pred < 0:
             return  # source pair reached; nothing upstream of it
-        ctx = self.ctx
-        self.tally[t, _arc(ctx, pred, vid) - self.k_lo] += value
-        ctx.send(Message(self.nid, ctx.h.vertices[pred][0], "flow", t, pred,
-                         value=value))
-
-
-def _arc(ctx: _SimContext, u: int, v: int) -> int:
-    """Triple row of the edge-graph arc u -> v."""
-    return next(k for head, k in ctx.out[u] if head == v)
+        self.tally[t, k - self.k_lo] += value
+        self.ctx.send(Message(self.nid, self.ctx.h.vertices[pred][0], "flow",
+                              t, pred, value=value))
 
 
 def _share_prices(procs: list[NodeProcessor]) -> None:
@@ -218,8 +214,9 @@ def make_processors(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
     return procs
 
 
-def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]) -> int:
-    """Deliver and process until nothing moves; returns rounds used."""
+def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]
+                       ) -> None:
+    """Deliver and process until nothing moves."""
     rounds = 0
     sync = ctx.schedule.mode == "sync"
     order = list(range(len(procs)))
@@ -257,69 +254,33 @@ def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]) -> int:
         if not sync:
             order.sort()
     ctx.stats.rounds += rounds
-    return rounds
 
 
-def distributed_shortest_paths(procs: list[NodeProcessor],
-                               sessions: list[int] | None = None,
-                               schedule: SimSchedule | None = None
-                               ) -> list[SessionPath]:
-    """Run the label protocol to quiescence; reconstruct each session's path.
-
-    Label dissemination is the only messaging here; the returned paths
-    are read out of the quiescent predecessor chains.
-    """
-    ctx = procs[0].ctx
-    if schedule is not None:
-        ctx.set_schedule(schedule)
-    g, h = ctx.g, ctx.h
-    if sessions is None:
-        sessions = list(range(len(g.base.sessions)))
-    for proc in procs:
-        proc.reset_labels()
-    for t in sessions:
-        src = h.src_vertex[t]
-        procs[h.vertices[src][0]].prime_source(t, src)
-    _run_to_quiescence(ctx, procs)
-    paths = []
-    for t in sessions:
-        paths.append(_read_path(procs, t))
-    return paths
-
-
-def _read_path(procs: list[NodeProcessor], t: int) -> SessionPath:
+def distributed_shortest_paths(procs: list[NodeProcessor]) -> list[float]:
+    """Flood labels to quiescence; each destination's settled distance."""
     ctx = procs[0].ctx
     h = ctx.h
-    src, dst = h.src_vertex[t], h.dst_vertex[t]
-    sid = ctx.g.base.sessions[t].sid
-
-    def label_of(vid: int) -> tuple[float, int, int]:
-        owner = procs[h.vertices[vid][0]]
-        return owner.labels[t].get(vid, (INF, 0, -1))
-
-    dist = label_of(dst)[0]
-    if dist == INF:
-        raise InfeasibleSessionError(sid, "no priced route to destination")
-    seq = [dst]
-    while seq[-1] != src:
-        pred = label_of(seq[-1])[2]
-        if pred < 0:
-            raise RuntimeError("broken predecessor chain")
-        seq.append(pred)
-    seq.reverse()
-    trips = [_arc(ctx, u, v) for u, v in zip(seq, seq[1:])]
-    return SessionPath(sid, [h.vertices[u] for u in seq], dist, trips)
+    for proc in procs:
+        proc.reset_labels()
+    for t, src in enumerate(h.src_vertex):
+        procs[h.vertices[src][0]].prime_source(t, src)
+    _run_to_quiescence(ctx, procs)
+    dists = []
+    for t, (s, dst) in enumerate(zip(ctx.g.base.sessions, h.dst_vertex)):
+        dist = procs[h.vertices[dst][0]].labels[t].get(dst, (INF,))[0]
+        if dist == INF:
+            raise InfeasibleSessionError(s.sid,
+                                         "no priced route to destination")
+        dists.append(dist)
+    return dists
 
 
-def _flow_notification(procs: list[NodeProcessor],
-                       sessions: list[int]) -> None:
+def _flow_notification(procs: list[NodeProcessor]) -> None:
     """Each destination walks its predecessor chain; relays tally rates."""
     ctx = procs[0].ctx
     h = ctx.h
-    for t in sessions:
-        dst = h.dst_vertex[t]
-        rate = ctx.g.base.sessions[t].rate
-        procs[h.vertices[dst][0]]._chase(t, dst, rate)
+    for t, (s, dst) in enumerate(zip(ctx.g.base.sessions, h.dst_vertex)):
+        procs[h.vertices[dst][0]]._chase(t, dst, s.rate)
     _run_to_quiescence(ctx, procs)
 
 
@@ -327,16 +288,11 @@ def distributed_price_update(procs: list[NodeProcessor], n: int,
                              cfg: SolverConfig) -> None:
     """Every node reprices its own triples from its tallies; no messages."""
     ctx = procs[0].ctx
-    idx, prices = ctx.idx, ctx.prices
-    agg = np.zeros(len(idx))
+    agg = np.zeros(len(ctx.idx))
     for row in ctx.tally:
         agg += row
-    half = 0.5 * cfg.alpha(n)
-    fwd = np.clip(prices[idx.pair_fwd]
-                  + half * (agg[idx.pair_fwd] - agg[idx.pair_rev]),
-                  0.0, idx.pair_cost)
-    prices[idx.pair_fwd] = fwd
-    prices[idx.pair_rev] = idx.pair_cost - fwd
+    ctx.prices = subgradient_step(PriceVector(ctx.prices), agg, n, cfg,
+                                  ctx.idx).values
     _share_prices(procs)
 
 
@@ -349,7 +305,7 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    p0 = init_prices(g, idx)
+    p0 = init_prices(idx)
     procs = make_processors(g, idx, p0, schedule, h)
     ctx = procs[0].ctx
     trace = SolveTrace()
@@ -357,17 +313,16 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
     if not g.base.sessions:
         state.certified = True
         return state.solution(p0, 0), trace, ctx.stats
-    sessions = list(range(len(g.base.sessions)))
     n = 0
     for n in range(1, cfg.max_iters + 1):
         labels_before = ctx.stats.label_messages
         flows_before = ctx.stats.flow_messages
         rounds_before = ctx.stats.rounds
-        paths = distributed_shortest_paths(procs, sessions)
-        _flow_notification(procs, sessions)
+        dists = distributed_shortest_paths(procs)
+        _flow_notification(procs)
         q = 0.0
-        for t in sessions:
-            q += g.base.sessions[t].rate * paths[t].weight
+        for s, dist in zip(g.base.sessions, dists):
+            q += s.rate * dist
         # row-major: session order, as the solve loop ingests its routes
         carried = np.nonzero(ctx.tally)
         stop = state.ingest(n, *carried, ctx.tally[carried], q)
@@ -382,5 +337,4 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
         })
         if stop:
             break
-    return (state.solution(PriceVector(ctx.prices.copy()), n), trace,
-            ctx.stats)
+    return state.solution(PriceVector(ctx.prices), n), trace, ctx.stats

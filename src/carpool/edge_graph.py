@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
-                    PriceVector, TripleIndex, ordered_pairs)
+from .model import (ExpandedGraph, InfeasibleSessionError, PriceVector,
+                    TripleIndex, ordered_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -51,29 +51,20 @@ CC_FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
 
 @dataclass
-class SessionPath:
-    session: str
-    vertices: list[tuple[int, int]]
-    weight: float
-    triples: list[int]  # arc ids (= triple rows) along the path
-
-
-@dataclass
 class EdgeGraph:
     """Directed graph over ordered node pairs; arcs are the triples.
 
     Vertex u is the ordered pair vertices[u], which is pair u of the
-    expanded graph's CSR.  Triple k is the arc tail[k] -> head[k], and
-    the arcs leaving u are the triple rows order[bounds[u]:bounds[u + 1]],
-    in triple order.  search is the route search of every session, built
-    by the first primal_subproblem call on the graph and reused by later
-    ones.
+    expanded graph's CSR.  Triple k is the arc idx.tail[k] -> head[k],
+    and the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
+    1]], in triple order.  search is the route search of every session,
+    built by the first primal_subproblem call on the graph and reused by
+    later ones.
     """
 
     g: ExpandedGraph
     idx: TripleIndex
     vertices: list[tuple[int, int]]
-    tail: np.ndarray   # per triple: vertex index of (v, i)
     head: np.ndarray   # per triple: vertex index of (i, w)
     src_vertex: list[int]  # per session
     dst_vertex: list[int]
@@ -90,8 +81,7 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     sessions = range(len(g.base.sessions))
     src = [g.pair_index(g.source_vertex(t)) for t in sessions]
     dst = [g.pair_index(g.dest_vertex(t)) for t in sessions]
-    return EdgeGraph(g, idx, vertices, idx.tail, idx.head, src, dst, order,
-                     bounds)
+    return EdgeGraph(g, idx, vertices, idx.head, src, dst, order, bounds)
 
 
 def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
@@ -297,40 +287,13 @@ class RouteSearch:
                 np.array(rows, dtype=np.int64))
 
 
-def shortest_routes(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
-                    wts: np.ndarray, src: list[int], dst: list[int]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cheapest route from src[t] to dst[t] for every t, on one CSR graph.
-
-    The arcs leaving u are arcs[bounds[u]:bounds[u + 1]]; arc k runs to
-    heads[k] at weight wts[k] >= 0.  Returns RouteSearch's (distances,
-    start, rows).
-    """
-    search = RouteSearch(_load_kernel(), bounds, arcs, heads, src, dst)
-    return search(np.ascontiguousarray(wts, dtype=np.float64))
+def route_search(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
+                 src: list[int], dst: list[int]) -> RouteSearch:
+    """A RouteSearch on the compiled kernel, or on _dijkstra without it."""
+    return RouteSearch(_load_kernel(), bounds, arcs, heads, src, dst)
 
 
-def shortest_path(h: EdgeGraph, p: PriceVector, t: int) -> SessionPath:
-    """Cheapest priced route for session index t, deterministic under ties."""
-    src = h.src_vertex[t]
-    dists, _, rows = shortest_routes(h.bounds, h.order, h.head, p.values,
-                                     [src], [h.dst_vertex[t]])
-    sid = h.g.base.sessions[t].sid
-    if dists[0] == INF:
-        raise InfeasibleSessionError(sid, "no priced route to destination")
-    verts = [h.vertices[v] for v in [src] + h.head[rows].tolist()]
-    return SessionPath(sid, verts, float(dists[0]), rows.tolist())
-
-
-def path_to_flow(path: SessionPath, rate: float, idx: TripleIndex
-                 ) -> FlowVector:
-    values = np.zeros(len(idx))
-    values[path.triples] = rate
-    return FlowVector(path.session, values)
-
-
-def primal_subproblem(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
-                      h: EdgeGraph | None = None
+def primal_subproblem(h: EdgeGraph, p: PriceVector
                       ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-session cheapest routes and the dual bound they certify.
 
@@ -338,48 +301,15 @@ def primal_subproblem(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
     rows rows[start[t]:start[t + 1]], source first, and q = sum_t R_t *
     dist_t never exceeds the coded optimum.
     """
-    if h is None:
-        h = build_edge_graph(g, idx)
     if h.search is None:
-        h.search = RouteSearch(_load_kernel(), h.bounds, h.order, h.head,
-                               h.src_vertex, h.dst_vertex)
+        h.search = route_search(h.bounds, h.order, h.head, h.src_vertex,
+                                h.dst_vertex)
     dists, start, rows = h.search(
         np.ascontiguousarray(p.values, dtype=np.float64))
     q = 0.0
-    for s, dist in zip(g.base.sessions, dists.tolist()):
+    for s, dist in zip(h.g.base.sessions, dists.tolist()):
         if dist == INF:
             raise InfeasibleSessionError(s.sid,
                                          "no priced route to destination")
         q += s.rate * dist
     return rows, start, q
-
-
-def dominant_path(h: EdgeGraph, x: FlowVector, t: int) -> SessionPath:
-    """Follow the largest recovered flow from source to destination.
-
-    Long-run averages keep vanishing mass on paths visited early on; the
-    dominant successor walk extracts the route the session settles on.
-    Ties prefer the smaller triple row.
-    """
-    src, dst = h.src_vertex[t], h.dst_vertex[t]
-    vals = x.values
-    u = src
-    trips: list[int] = []
-    seen = [src]
-    while u != dst:
-        arcs = h.order[h.bounds[u]:h.bounds[u + 1]]
-        if not (len(arcs) and vals[arcs].max() > 0.0):
-            raise ValueError(
-                f"session {x.session}: recovered flow dies out at "
-                f"{h.vertices[u]}")
-        k = int(arcs[np.argmax(vals[arcs])])  # the first largest
-        u = int(h.head[k])
-        if u in seen:
-            raise ValueError(
-                f"session {x.session}: recovered flow cycles at "
-                f"{h.vertices[u]}")
-        seen.append(u)
-        trips.append(k)
-    weight = float(sum(h.idx.cost[k] for k in trips))
-    return SessionPath(x.session, [h.vertices[v] for v in seen], weight,
-                       trips)

@@ -14,15 +14,14 @@ can do no better.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .edge_graph import shortest_routes
+from .edge_graph import route_search
 from .model import (InfeasibleSessionError, Instance, Node, Session,
-                    component_labels)
+                    adjacency, check_config_types, component_labels)
 
 
 class GenerationError(RuntimeError):
@@ -54,6 +53,9 @@ class GeometricConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_types(self, counts=("sessions", "seed"),
+                           reals=("side", "intensity", "radius", "rate",
+                                  "cost"))
         for name in ("side", "intensity", "radius"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
@@ -137,18 +139,12 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
     the routes come from the edge graph's shortest-route search, run on
     the node graph.
     """
-    ends = np.fromiter(itertools.chain.from_iterable(inst.edges),
-                       dtype=np.int64, count=2 * len(inst.edges)
-                       ).reshape(-1, 2)
-    tails = np.concatenate([ends[:, 0], ends[:, 1]])
-    heads = np.concatenate([ends[:, 1], ends[:, 0]])
-    # arc e is the e-th entry of the sorted adjacency lists
-    order = np.lexsort((heads, tails))
-    tails, heads = tails[order], heads[order]
-    bounds = np.searchsorted(tails, np.arange(inst.n + 1))
-    dists, start, rows = shortest_routes(
-        bounds, np.arange(len(heads)), heads, inst.costs()[tails],
-        [s.source for s in inst.sessions], [s.dest for s in inst.sessions])
+    # arc e is entry e of the sorted adjacency lists
+    bounds, heads = adjacency(inst.n, inst.edges)
+    search = route_search(bounds, np.arange(len(heads)), heads,
+                          [s.source for s in inst.sessions],
+                          [s.dest for s in inst.sessions])
+    dists, start, rows = search(np.repeat(inst.costs(), np.diff(bounds)))
     total = 0.0
     routes = []
     cuts = start.tolist()

@@ -18,7 +18,9 @@ physical cost subtracts those c_{d_t} * R_t terms back out.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +29,21 @@ import numpy as np
 
 class InstanceError(ValueError):
     """Invalid instance data; the message names the offending element."""
+
+
+def check_config_types(cfg, counts: tuple[str, ...],
+                       reals: tuple[str, ...]) -> None:
+    """Refuse, naming the field, a count of cfg that operator.index
+    would refuse (its type has no __index__) or a real field that is not
+    a real number; a bool is neither."""
+    for name in counts + reals:
+        value = getattr(cfg, name)
+        if name in counts:
+            kind, ok = "an integer", hasattr(type(value), "__index__")
+        else:
+            kind, ok = "a number", isinstance(value, numbers.Real)
+        if isinstance(value, bool) or not ok:
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 class InfeasibleSessionError(RuntimeError):
@@ -53,6 +70,22 @@ class Session:
     source: int
     dest: int
     rate: float
+
+
+def adjacency(n: int, edges: list[tuple[int, int]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices): the sorted neighbour lists of n nodes, as a CSR.
+
+    Node a's neighbours are indices[indptr[a]:indptr[a + 1]], ascending.
+    Each undirected edge gives one entry at either end.
+    """
+    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges)).reshape(-1, 2)
+    tails = np.concatenate([ends[:, 0], ends[:, 1]])
+    heads = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.argsort(tails * n + heads)  # keys are distinct
+    indptr = np.searchsorted(tails[order], np.arange(n + 1))
+    return indptr, heads[order]
 
 
 def component_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -160,14 +193,9 @@ class ExpandedGraph:
     n_base: int
     n_nodes: int
     costs: np.ndarray
-    edges: list[tuple[int, int]]
-    adj: list[list[int]]
     terminals: list[tuple[int, int]]  # (s'_t, d'_t) per session
     indptr: np.ndarray
     indices: np.ndarray
-
-    def is_artificial(self, v: int) -> bool:
-        return v >= self.n_base
 
     def source_vertex(self, t: int) -> tuple[int, int]:
         return (self.terminals[t][0], self.base.sessions[t].source)
@@ -197,18 +225,8 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
         terminals.append((sp, dp))
         edges.append((s.source, sp))
         edges.append((s.dest, dp))
-    adj: list[list[int]] = [[] for _ in range(n_total)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        lst.sort()
-    indptr = np.zeros(n_total + 1, dtype=np.int64)
-    np.cumsum([len(lst) for lst in adj], out=indptr[1:])
-    indices = np.fromiter((b for lst in adj for b in lst), dtype=np.int64,
-                          count=int(indptr[-1]))
-    return ExpandedGraph(inst, n, n_total, costs, edges, adj, terminals,
-                         indptr, indices)
+    indptr, indices = adjacency(n_total, edges)
+    return ExpandedGraph(inst, n, n_total, costs, terminals, indptr, indices)
 
 
 def ordered_pairs(g: ExpandedGraph) -> list[tuple[int, int]]:
@@ -316,50 +334,28 @@ class PriceVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
 
-    def validate(self, idx: TripleIndex, tol: float = 1e-12) -> None:
-        p = self.values
-        if p.shape != (len(idx),):
-            raise ValueError(f"price vector has shape {p.shape}, "
-                             f"expected ({len(idx)},)")
-        lo = p < -tol
-        hi = p > idx.cost + tol
-        if lo.any() or hi.any():
-            k = int(np.argmax(lo | hi))
-            raise ValueError(
-                f"price out of [0, c] at triple {idx.triples[k]}: {p[k]}")
-        gap = np.abs(p[idx.pair_fwd] + p[idx.pair_rev] - idx.pair_cost)
-        if (gap > tol).any():
-            r = int(np.argmax(gap))
-            k = int(idx.pair_fwd[r])
-            raise ValueError(
-                f"price pair around {idx.triples[k]} sums to "
-                f"{p[k] + p[int(idx.pair_rev[r])]}, expected {idx.pair_cost[r]}")
-
 
 @dataclass
 class TransmissionSummary:
     """Broadcast counts after coding: y per unordered pair, z per node.
 
-    y and saving align with idx.pair_fwd; saving is the smaller of the two
-    directional sums (the coded reuse).  z is indexed by expanded node id.
+    y aligns with idx.pair_fwd: the larger of the two directional sums,
+    since one coded broadcast serves both.  z is indexed by expanded node
+    id.
     """
 
     idx: TripleIndex
     y: np.ndarray
-    saving: np.ndarray
     z: np.ndarray
 
 
 def transmission_summary(agg: np.ndarray, g: ExpandedGraph,
                          idx: TripleIndex) -> TransmissionSummary:
     """Coded broadcasts of agg, the flow per triple summed over sessions."""
-    fwd = agg[idx.pair_fwd]
-    rev = agg[idx.pair_rev]
-    y = np.maximum(fwd, rev)
-    saving = np.minimum(fwd, rev)
+    y = np.maximum(agg[idx.pair_fwd], agg[idx.pair_rev])
     z = np.zeros(g.n_nodes)
     np.add.at(z, idx.mid[idx.pair_fwd], y)
-    return TransmissionSummary(idx, y, saving, z)
+    return TransmissionSummary(idx, y, z)
 
 
 def total_cost(summary: TransmissionSummary, g: ExpandedGraph
@@ -405,9 +401,3 @@ def conservation_residual(flows: list[FlowVector], g: ExpandedGraph,
     into = np.zeros(shape)
     np.add.at(into, (rows, idx.head[ks]), vals)
     return out - into - sigma
-
-
-def worst_residual(flows: list[FlowVector], g: ExpandedGraph,
-                   idx: TripleIndex) -> float:
-    return float(np.abs(conservation_residual(flows, g, idx)).max(
-        initial=0.0))

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edge_graph import EdgeGraph, build_edge_graph, primal_subproblem
+from .edge_graph import build_edge_graph, primal_subproblem
 from .model import (ExpandedGraph, FlowVector, Instance, PriceVector,
                     TransmissionSummary, TripleIndex, build_expanded_graph,
-                    enumerate_triples, total_cost, transmission_summary)
+                    check_config_types, enumerate_triples, total_cost,
+                    transmission_summary)
 
 
 class NonFiniteError(ArithmeticError):
@@ -40,6 +41,8 @@ class SolverConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
+        check_config_types(self, counts=("max_iters",),
+                           reals=("step_a", "tol"))
         for name in ("step_a", "tol"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
@@ -89,7 +92,7 @@ class Solution:
     iterations: int
 
 
-def init_prices(g: ExpandedGraph, idx: TripleIndex) -> PriceVector:
+def init_prices(idx: TripleIndex) -> PriceVector:
     """Start every pair at an even split of its relay's broadcast cost."""
     return PriceVector(0.5 * idx.cost)
 
@@ -194,21 +197,16 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    return _solve_on(g, idx, h, cfg)
-
-
-def _solve_on(g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
-              cfg: SolverConfig) -> tuple[Solution, SolveTrace]:
     trace = SolveTrace()
     state = _LoopState(g, idx, cfg, trace)
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     if not g.base.sessions:
         state.certified = True
         return state.solution(p, 0), trace
     rates = np.array([s.rate for s in g.base.sessions])
     n = 0
     for n in range(1, cfg.max_iters + 1):
-        rows, start, q = primal_subproblem(g, idx, p, h=h)
+        rows, start, q = primal_subproblem(h, p)
         sessions = np.repeat(np.arange(len(rates)), np.diff(start))
         values = rates[sessions]
         if state.ingest(n, sessions, rows, values, q):

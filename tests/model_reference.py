@@ -1,4 +1,5 @@
-"""Loop references for the array code in carpool.
+"""Loop references for the array code in carpool, and the test helpers
+that read its results.
 
 These are the dictionary-and-loop forms of triple enumeration and the
 conservation residual that the package computed before it moved to
@@ -7,7 +8,9 @@ before it shared the edge graph's shortest-route search.  The tests
 require the package to reproduce them bit for bit: same triple order,
 same reversal and pair tables, residuals whose sums run in the same
 (triple) order, and the same baseline routes and total, so every float
-is equal, not merely close.
+is equal, not merely close.  The triple and pair references build their
+neighbour lists from the instance's edges and the terminal edges, never
+from the expanded graph's CSR that they check.
 
 The solve loop has its dense form here too: one flow vector per session
 and round, summed, averaged and priced vector by vector, as the package
@@ -15,6 +18,12 @@ did before it carried each round's routes as triple rows.  Beside it
 are the exact projection onto a coupled price pair and a FIFO
 label-correcting sweep, two independent routes to results the package
 computes in closed form or with a priority queue.
+
+The rest reads results the package only computes: one session's route
+as a path (shortest_path, path_to_flow), the route a recovered flow
+settles on (dominant_path), the largest conservation residual
+(worst_residual) and the dual-feasibility check of a price vector
+(validate_prices).
 """
 
 from __future__ import annotations
@@ -28,9 +37,10 @@ from heapq import heappop, heappush
 import numpy as np
 
 from carpool import (FlowVector, PriceVector, SolverConfig, SolveTrace,
-                     build_edge_graph, build_expanded_graph, enumerate_triples,
-                     init_prices, path_to_flow, shortest_path,
-                     subgradient_step, total_cost, transmission_summary)
+                     build_edge_graph, build_expanded_graph,
+                     conservation_residual, edge_graph, enumerate_triples,
+                     init_prices, subgradient_step, total_cost,
+                     transmission_summary)
 from carpool.model import InfeasibleSessionError, Instance, Node
 
 
@@ -48,17 +58,38 @@ class ReferenceTriples:
     pair_cost: np.ndarray
 
 
+def expanded_edges_reference(g) -> list[tuple[int, int]]:
+    """The instance's edges, then (s_t, n + 2t) and (d_t, n + 2t + 1)."""
+    n = g.base.n
+    edges = list(g.base.edges)
+    for t, s in enumerate(g.base.sessions):
+        edges += [(s.source, n + 2 * t), (s.dest, n + 2 * t + 1)]
+    return edges
+
+
+def adjacency_reference(n, edges) -> list[list[int]]:
+    """Sorted neighbour list of each of n nodes, by a loop."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for lst in adj:
+        lst.sort()
+    return adj
+
+
 def enumerate_triples_reference(g) -> ReferenceTriples:
     triples: list[tuple[int, int, int]] = []
+    adj = adjacency_reference(g.n_nodes, expanded_edges_reference(g))
     for i in range(g.n_nodes):
-        nbrs = g.adj[i]
+        nbrs = adj[i]
         if len(nbrs) < 2:
             continue
         for v in nbrs:
             for w in nbrs:
                 if v == w:
                     continue
-                if g.is_artificial(v) and g.is_artificial(w):
+                if v >= g.n_base and w >= g.n_base:
                     continue
                 triples.append((v, i, w))
     index = {tr: k for k, tr in enumerate(triples)}
@@ -77,7 +108,7 @@ def enumerate_triples_reference(g) -> ReferenceTriples:
 
 def ordered_pairs_reference(g) -> list[tuple[int, int]]:
     out = []
-    for a, b in g.edges:
+    for a, b in expanded_edges_reference(g):
         out.append((a, b))
         out.append((b, a))
     out.sort()
@@ -127,12 +158,7 @@ def plain_routing_cost_reference(inst) -> tuple[float, list[list[int]]]:
     """
     n = inst.n
     costs = [nd.cost for nd in inst.nodes]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in inst.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for lst in adj:
-        lst.sort()
+    adj = adjacency_reference(n, inst.edges)
     total = 0.0
     paths = []
     for s in inst.sessions:
@@ -176,6 +202,94 @@ def dense_aggregate(flows, size: int) -> np.ndarray:
     for f in flows:
         agg += f.values
     return agg
+
+
+# ------------------------------------------------ one route, one flow
+
+@dataclass
+class SessionPath:
+    session: str
+    vertices: list[tuple[int, int]]
+    weight: float
+    triples: list[int]  # arc ids (= triple rows) along the path
+
+
+def shortest_path(h, p, t) -> SessionPath:
+    """Cheapest priced route for session index t, searched alone."""
+    src = h.src_vertex[t]
+    search = edge_graph.route_search(h.bounds, h.order, h.head, [src],
+                                     [h.dst_vertex[t]])
+    dists, _, rows = search(np.ascontiguousarray(p.values, dtype=float))
+    sid = h.g.base.sessions[t].sid
+    if dists[0] == math.inf:
+        raise InfeasibleSessionError(sid, "no priced route to destination")
+    verts = [h.vertices[v] for v in [src] + h.head[rows].tolist()]
+    return SessionPath(sid, verts, float(dists[0]), rows.tolist())
+
+
+def path_to_flow(path: SessionPath, rate: float, idx) -> FlowVector:
+    values = np.zeros(len(idx))
+    values[path.triples] = rate
+    return FlowVector(path.session, values)
+
+
+def dominant_path(h, x: FlowVector, t: int) -> SessionPath:
+    """Follow the largest recovered flow from source to destination.
+
+    Long-run averages keep vanishing mass on paths visited early on; the
+    dominant successor walk extracts the route the session settles on.
+    Ties prefer the smaller triple row.  The weight is the path's
+    transmission cost, not its price.
+    """
+    src, dst = h.src_vertex[t], h.dst_vertex[t]
+    vals = x.values
+    u = src
+    trips: list[int] = []
+    seen = [src]
+    while u != dst:
+        arcs = h.order[h.bounds[u]:h.bounds[u + 1]]
+        if not (len(arcs) and vals[arcs].max() > 0.0):
+            raise ValueError(
+                f"session {x.session}: recovered flow dies out at "
+                f"{h.vertices[u]}")
+        k = int(arcs[np.argmax(vals[arcs])])  # the first largest
+        u = int(h.head[k])
+        if u in seen:
+            raise ValueError(
+                f"session {x.session}: recovered flow cycles at "
+                f"{h.vertices[u]}")
+        seen.append(u)
+        trips.append(k)
+    weight = float(sum(h.idx.cost[k] for k in trips))
+    return SessionPath(x.session, [h.vertices[v] for v in seen], weight,
+                       trips)
+
+
+def worst_residual(flows, g, idx) -> float:
+    return float(np.abs(conservation_residual(flows, g, idx)).max(
+        initial=0.0))
+
+
+def validate_prices(p: PriceVector, idx, tol: float = 1e-12) -> None:
+    """Raise ValueError unless 0 <= p <= c on every triple and each
+    coupled pair sums to its relay's cost."""
+    p = p.values
+    if p.shape != (len(idx),):
+        raise ValueError(f"price vector has shape {p.shape}, "
+                         f"expected ({len(idx)},)")
+    lo = p < -tol
+    hi = p > idx.cost + tol
+    if lo.any() or hi.any():
+        k = int(np.argmax(lo | hi))
+        raise ValueError(
+            f"price out of [0, c] at triple {idx.triples[k]}: {p[k]}")
+    gap = np.abs(p[idx.pair_fwd] + p[idx.pair_rev] - idx.pair_cost)
+    if (gap > tol).any():
+        r = int(np.argmax(gap))
+        k = int(idx.pair_fwd[r])
+        raise ValueError(
+            f"price pair around {idx.triples[k]} sums to "
+            f"{p[k] + p[int(idx.pair_rev[r])]}, expected {idx.pair_cost[r]}")
 
 
 def primal_subproblem_reference(g, idx, p, h):
@@ -232,7 +346,7 @@ def solve_reference(inst, cfg):
     h = build_edge_graph(g, idx)
     trace = SolveTrace()
     state = DenseLoopState(g, idx, cfg, trace)
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     for n in range(1, cfg.max_iters + 1):
         flows, q = primal_subproblem_reference(g, idx, p, h)
         if state.ingest(n, flows, q):
@@ -279,7 +393,7 @@ def project_pairs_by_step(u1, u2, c) -> tuple[np.ndarray, np.ndarray]:
     g = build_expanded_graph(Instance(nodes, edges, []))
     idx = enumerate_triples(g)
     assert idx.mid[idx.pair_fwd].tolist() == list(range(m))
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     agg = np.zeros(len(idx))
     agg[idx.pair_fwd] = np.asarray(u1, dtype=float) - p.values[idx.pair_fwd]
     agg[idx.pair_rev] = np.asarray(u2, dtype=float) - p.values[idx.pair_rev]

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from carpool import (build_edge_graph, build_expanded_graph, cli,
-                     dominant_path, enumerate_triples, plain_routing_cost)
+                     enumerate_triples, plain_routing_cost)
 from carpool.model import Instance, Session
 
 from lp_reference import lp_optimum
-from model_reference import project_pair_reference, project_pairs_by_step
+from model_reference import (dominant_path, project_pair_reference,
+                             project_pairs_by_step)
 
 
 def absolute_gap(sol, trace):

@@ -1,0 +1,40 @@
+"""The public API is what the program itself calls.
+
+Every name the package root re-exports must be used, as a name or an
+attribute, by some other module of the package.  A function that only
+tests call belongs in the tests (model_reference.py), not in carpool.
+"""
+
+import ast
+from pathlib import Path
+
+import carpool
+
+PACKAGE = Path(carpool.__file__).parent
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def used_names() -> set[str]:
+    """Names read or written, and attributes taken, outside __init__."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_inside_the_package():
+    exported = exported_names()
+    assert "solve" in exported and "plain_routing_cost" in exported
+    assert sorted(exported - used_names()) == []

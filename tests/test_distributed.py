@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from carpool import (GeometricConfig, SimSchedule, SolverConfig,
-                     build_expanded_graph, distributed_shortest_paths,
-                     enumerate_triples, generate_geometric, init_prices,
-                     make_processors, run_distributed_solve, solve)
+                     build_edge_graph, build_expanded_graph,
+                     distributed_shortest_paths, enumerate_triples,
+                     generate_geometric, init_prices, make_processors,
+                     primal_subproblem, run_distributed_solve, solve,
+                     subgradient_step)
 from carpool.distributed import (FLOW_BYTES, LABEL_BYTES, Message,
-                                 QuiescenceError)
+                                 QuiescenceError, _flow_notification)
+from carpool.edge_graph import route_search
 from carpool.model import Instance, Node, Session
 
 
@@ -116,7 +119,7 @@ def test_price_updates_track_the_centralized_iterates(geo5):
 def test_sends_are_refused_between_non_neighbours(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    procs = make_processors(g, idx, init_prices(g, idx), SimSchedule("sync"))
+    procs = make_processors(g, idx, init_prices(idx), SimSchedule("sync"))
     ctx = procs[0].ctx
     bad = Message(sender=1, receiver=3, kind="label", session=0, vertex=0,
                   dist=0.0, hops=0, value=0.0)
@@ -131,7 +134,7 @@ def test_sends_are_refused_between_non_neighbours(relay3):
 def test_round_cap_surfaces_the_stuck_work(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    procs = make_processors(g, idx, init_prices(g, idx),
+    procs = make_processors(g, idx, init_prices(idx),
                             SimSchedule("sync", max_rounds=1))
     with pytest.raises(QuiescenceError, match="no quiescence"):
         distributed_shortest_paths(procs)
@@ -144,10 +147,43 @@ def test_label_flood_settles_in_length_plus_two_rounds(hops):
     inst = Instance(nodes, edges, [Session("s1", 0, hops, 1.0)])
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    procs = make_processors(g, idx, init_prices(g, idx), SimSchedule("sync"))
-    paths = distributed_shortest_paths(procs)
+    procs = make_processors(g, idx, init_prices(idx), SimSchedule("sync"))
+    dists = distributed_shortest_paths(procs)
     assert procs[0].ctx.stats.rounds == hops + 2
-    assert paths[0].weight == (hops + 1) / 2  # every arc priced at 1/2
+    assert dists == [(hops + 1) / 2]  # every arc priced at 1/2
+
+
+@pytest.mark.parametrize("name", ["geo5", "grid2"])
+def test_twin_distances_equal_the_route_search(name, request):
+    inst = request.getfixturevalue(name)
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    h = build_edge_graph(g, idx)
+    p0 = init_prices(idx)
+    rows, start, _ = primal_subproblem(h, p0)
+    rates = np.repeat([s.rate for s in inst.sessions], np.diff(start))
+    agg = np.bincount(rows, weights=rates, minlength=len(idx))
+    p1 = subgradient_step(p0, agg, 1, SolverConfig(), idx)
+    search = route_search(h.bounds, h.order, h.head, h.src_vertex,
+                          h.dst_vertex)
+    for p in (p0, p1):
+        want = search(p.values)[0].tolist()
+        for schedule in (SimSchedule("sync"), SimSchedule("async", seed=2)):
+            procs = make_processors(g, idx, p, schedule, h)
+            assert distributed_shortest_paths(procs) == want
+
+
+def test_flow_chase_refuses_a_vertex_without_a_label(relay3):
+    g = build_expanded_graph(relay3)
+    idx = enumerate_triples(g)
+    procs = make_processors(g, idx, init_prices(idx), SimSchedule("sync"))
+    distributed_shortest_paths(procs)
+    h = procs[0].ctx.h
+    dst = h.dst_vertex[0]
+    pred = procs[h.vertices[dst][0]].labels[0][dst][2]
+    del procs[h.vertices[pred][0]].labels[0][pred]
+    with pytest.raises(RuntimeError, match="broken predecessor chain"):
+        _flow_notification(procs)
 
 
 def test_no_sessions_means_no_traffic():

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from carpool import (FlowVector, GenerationError, GeometricConfig,
                      InfeasibleSessionError, PriceVector, SolverConfig,
                      build_edge_graph, build_expanded_graph,
-                     builtin_instances, dominant_path, edge_graph,
-                     enumerate_triples, generate_geometric, init_prices,
-                     path_to_flow, plain_routing_cost, primal_subproblem,
-                     shortest_path, solve)
+                     builtin_instances, edge_graph, enumerate_triples,
+                     generate_geometric, init_prices, plain_routing_cost,
+                     primal_subproblem, solve)
 from carpool.edge_graph import (RouteSearch, _dijkstra, bind_kernel,
                                 build_kernel)
-from carpool.model import Instance, Node, Session, worst_residual
-from model_reference import (plain_routing_cost_reference, relaxation_labels,
-                             solve_reference)
+from carpool.model import Instance, Node, Session
+from model_reference import (dominant_path, path_to_flow,
+                             plain_routing_cost_reference, relaxation_labels,
+                             shortest_path, solve_reference, worst_residual)
 
 
 def graph_parts(inst):
@@ -61,22 +61,22 @@ def relay3_parts(relay3):
 def test_path_graph_gives_two_arcs():
     g, idx, h = graph_parts(unit_instance(3, [(0, 1), (1, 2)]))
     assert h.vertices == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    arcs = {(h.vertices[h.tail[k]], h.vertices[h.head[k]])
-            for k in range(len(h.tail))}
+    arcs = {(h.vertices[idx.tail[k]], h.vertices[h.head[k]])
+            for k in range(len(idx))}
     assert arcs == {((0, 1), (1, 2)), ((2, 1), (1, 0))}
 
 
 def test_isolated_edge_has_no_arcs():
     g, idx, h = graph_parts(unit_instance(2, [(0, 1)]))
     assert h.vertices == [(0, 1), (1, 0)]
-    assert len(h.tail) == len(idx) == 0
+    assert len(h.head) == len(idx) == 0
 
 
 def test_arcs_are_exactly_the_triples(relay3_parts):
     g, idx, h = relay3_parts
-    assert len(h.tail) == len(idx)
+    assert len(h.head) == len(idx)
     for k, (v, i, w) in enumerate(idx.triples):
-        assert h.vertices[h.tail[k]] == (v, i)
+        assert h.vertices[idx.tail[k]] == (v, i)
         assert h.vertices[h.head[k]] == (i, w)
     assert [h.vertices[v] for v in h.src_vertex] == [(3, 0), (5, 2)]
     assert [h.vertices[v] for v in h.dst_vertex] == [(2, 4), (0, 6)]
@@ -86,7 +86,7 @@ def test_arcs_are_exactly_the_triples(relay3_parts):
 
 def test_relay3_path_at_initial_prices(relay3_parts):
     g, idx, h = relay3_parts
-    sp = shortest_path(h, init_prices(g, idx), 0)
+    sp = shortest_path(h, init_prices(idx), 0)
     assert sp.vertices == [(3, 0), (0, 1), (1, 2), (2, 4)]
     assert sp.weight == 1.5
     assert [idx.triples[k] for k in sp.triples] == \
@@ -95,7 +95,7 @@ def test_relay3_path_at_initial_prices(relay3_parts):
 
 def test_weight_equals_sum_of_arc_prices(relay3_parts):
     g, idx, h = relay3_parts
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     for t in range(2):
         sp = shortest_path(h, p, t)
         assert sp.weight == pytest.approx(sum(p.values[sp.triples]),
@@ -107,7 +107,7 @@ def test_equal_price_breaks_to_fewer_hops():
                     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
                     [Session("s1", 0, 4, 1.0)])
     g, idx, h = graph_parts(ring)
-    sp = shortest_path(h, init_prices(g, idx), 0)  # all prices zero
+    sp = shortest_path(h, init_prices(idx), 0)  # all prices zero
     assert sp.vertices == [(5, 0), (0, 4), (4, 6)]
 
 
@@ -115,7 +115,7 @@ def test_equal_price_equal_hops_breaks_to_smaller_predecessor():
     dia = unit_instance(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
                         [Session("s1", 0, 3, 1.0)])
     g, idx, h = graph_parts(dia)
-    sp = shortest_path(h, init_prices(g, idx), 0)
+    sp = shortest_path(h, init_prices(idx), 0)
     assert sp.vertices == [(4, 0), (0, 1), (1, 3), (3, 5)]
 
 
@@ -134,7 +134,7 @@ def test_paths_never_relay_through_foreign_terminals():
     inst = generate_geometric(GeometricConfig(side=4.0, sessions=3, seed=2))
     g, idx, h = graph_parts(inst)
     for t in range(3):
-        sp = shortest_path(h, init_prices(g, idx), t)
+        sp = shortest_path(h, init_prices(idx), t)
         interior = [a for pair in sp.vertices[1:-1] for a in pair]
         assert all(a < g.n_base for a in interior)
 
@@ -143,7 +143,7 @@ def test_paths_never_relay_through_foreign_terminals():
 
 def test_primal_subproblem_bound_at_initial_prices(relay3_parts):
     g, idx, h = relay3_parts
-    rows, start, q = primal_subproblem(g, idx, init_prices(g, idx), h=h)
+    rows, start, q = primal_subproblem(h, init_prices(idx))
     flows = route_flows(g, idx, rows, start)
     assert q == 3.0
     assert [f.session for f in flows] == ["s1", "s2"]
@@ -153,7 +153,7 @@ def test_primal_subproblem_bound_at_initial_prices(relay3_parts):
 def test_path_to_flow_conserves_exactly():
     inst = generate_geometric(GeometricConfig(side=4.0, sessions=2, seed=5))
     g, idx, h = graph_parts(inst)
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     for t, s in enumerate(inst.sessions):
         flow = path_to_flow(shortest_path(h, p, t), s.rate, idx)
         assert worst_residual([flow], g, idx) == 0.0
@@ -169,12 +169,12 @@ def test_bound_is_concave_in_prices(relay3_parts):
             vals = np.empty(len(idx))
             vals[idx.pair_fwd] = u
             vals[idx.pair_rev] = idx.pair_cost - u
-            qs.append((PriceVector(vals), primal_subproblem(
-                g, idx, PriceVector(vals), h=h)[2]))
+            qs.append((PriceVector(vals),
+                       primal_subproblem(h, PriceVector(vals))[2]))
         for lam in (0.25, 0.5, 0.75):
             mix = PriceVector(lam * qs[0][0].values
                               + (1 - lam) * qs[1][0].values)
-            q_mix = primal_subproblem(g, idx, mix, h=h)[2]
+            q_mix = primal_subproblem(h, mix)[2]
             assert q_mix >= lam * qs[0][1] + (1 - lam) * qs[1][1] - 1e-9
 
 
@@ -206,7 +206,7 @@ def test_fifo_relaxation_matches_priority_labels():
 
 def test_dominant_path_of_a_single_route(relay3_parts):
     g, idx, h = relay3_parts
-    rows, start, _ = primal_subproblem(g, idx, init_prices(g, idx), h=h)
+    rows, start, _ = primal_subproblem(h, init_prices(idx))
     dom = dominant_path(h, route_flows(g, idx, rows, start)[0], 0)
     assert dom.vertices == [(3, 0), (0, 1), (1, 2), (2, 4)]
     assert dom.weight == 3.0  # transmission cost, not price
@@ -399,7 +399,7 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
         RouteSearch(fn, h.bounds, h.order, h.head.reshape(1, -1),
                     [0], [1])
     search = RouteSearch(fn, *csr, h.src_vertex, h.dst_vertex)
-    w = init_prices(g, idx).values
+    w = init_prices(idx).values
     with pytest.raises(ValueError, match="weights for"):
         search(w[:-1])
     with pytest.raises(TypeError, match="float64"):
@@ -418,17 +418,17 @@ def test_kernel_failure_raises(kernel):
     bounds[-1] = len(h.order) + 1  # past the end of the arc list
     search = RouteSearch(kernel, bounds, h.order, h.head, [0], [1])
     with pytest.raises(RuntimeError, match="status -5"):
-        search(init_prices(g, idx).values)
+        search(init_prices(idx).values)
 
 
 def test_primal_subproblem_builds_one_search_per_graph(relay3_parts):
     g, idx, h = relay3_parts
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     h.search = None
-    first = primal_subproblem(g, idx, p, h=h)
+    first = primal_subproblem(h, p)
     search = h.search
     assert search is not None
-    again = primal_subproblem(g, idx, p, h=h)
+    again = primal_subproblem(h, p)
     assert h.search is search
     assert all(np.array_equal(a, b) for a, b in zip(first[:2], again[:2]))
     assert first[2] == again[2]

@@ -73,6 +73,19 @@ def test_config_validation():
                 dict(side=6.0, sessions=1, rate=0.0)):
         with pytest.raises(ValueError):
             GeometricConfig(**bad)
+    # counts must be integers and real fields numbers; a bool is neither
+    for name in ("sessions", "seed"):
+        for bad in (2.5, float("inf"), "3", True):
+            with pytest.raises(ValueError,
+                               match=rf"{name} must be an integer, got "):
+                GeometricConfig(**{"side": 6.0, "sessions": 1, name: bad})
+    for name in ("side", "intensity", "radius", "rate", "cost"):
+        for bad in ("1", False, None):
+            with pytest.raises(ValueError,
+                               match=rf"{name} must be a number, got "):
+                GeometricConfig(**{"side": 6.0, "sessions": 1, name: bad})
+    assert GeometricConfig(side=6, sessions=np.int64(2), seed=np.int32(4),
+                           cost=0).sessions == 2
 
 
 @pytest.mark.parametrize("field", ["side", "intensity"])

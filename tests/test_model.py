@@ -9,12 +9,14 @@ from carpool import (FlowVector, InfeasibleSessionError, InstanceError,
                      PriceVector, build_expanded_graph, conservation_residual,
                      enumerate_triples, init_prices, total_cost,
                      transmission_summary)
-from carpool.model import (Instance, Node, Session, component_labels,
-                           ordered_pairs, worst_residual)
+from carpool.model import (Instance, Node, Session, adjacency,
+                           component_labels, ordered_pairs)
 from lp_reference import lp_optimum
-from model_reference import (conservation_residual_reference,
+from model_reference import (adjacency_reference,
+                             conservation_residual_reference,
                              dense_aggregate, enumerate_triples_reference,
-                             ordered_pairs_reference)
+                             ordered_pairs_reference, validate_prices,
+                             worst_residual)
 
 
 def unit_instance(n, edges, sessions=()):
@@ -25,6 +27,11 @@ def unit_instance(n, edges, sessions=()):
 def relay3_parts(relay3):
     g = build_expanded_graph(relay3)
     return g, enumerate_triples(g)
+
+
+def neighbours(g, a):
+    """Node a's neighbours in the expanded graph, read off its CSR."""
+    return g.indices[g.indptr[a]:g.indptr[a + 1]].tolist()
 
 
 def path_flow(idx, sid, triples, rate=1.0):
@@ -44,23 +51,27 @@ def test_expansion_adds_one_terminal_pair_per_session(relay3, relay3_parts):
     g, _ = relay3_parts
     assert g.n_base == 3
     assert g.n_nodes == 3 + 2 * len(relay3.sessions)
-    assert len(g.edges) == len(relay3.edges) + 2 * len(relay3.sessions)
+    # one CSR entry at either end of each edge, terminal edges included
+    assert len(g.indices) == 2 * (len(relay3.edges)
+                                  + 2 * len(relay3.sessions))
     # session t gets ids n+2t (source side) and n+2t+1 (destination side)
     assert g.terminals == [(3, 4), (5, 6)]
     assert g.source_vertex(0) == (3, 0) and g.dest_vertex(0) == (2, 4)
     assert g.source_vertex(1) == (5, 2) and g.dest_vertex(1) == (0, 6)
     for a in range(3, 7):
-        assert g.is_artificial(a)
         assert g.costs[a] == 0.0
-        assert len(g.adj[a]) == 1  # degree-1: purely a source or a sink
-    assert not any(g.is_artificial(i) for i in range(3))
+        assert len(neighbours(g, a)) == 1  # purely a source or a sink
+    # the artificial ids are exactly those after the physical ones
+    assert [a for pair in g.terminals for a in pair] == \
+        list(range(g.n_base, g.n_nodes))
 
 
 def test_expansion_without_sessions_is_identity(relay3):
     bare = Instance(relay3.nodes, relay3.edges, [])
     g = build_expanded_graph(bare)
     assert g.n_nodes == g.n_base == 3
-    assert g.edges == list(relay3.edges)
+    assert ordered_pairs(g) == sorted(
+        [(a, b) for a, b in relay3.edges] + [(b, a) for a, b in relay3.edges])
 
 
 def test_expanded_costs_match_base(relay3, relay3_parts):
@@ -84,9 +95,8 @@ def test_relay3_triples_enumerated_in_canonical_order(relay3_parts):
 def test_triples_skip_terminal_to_terminal_hops(relay3_parts):
     # packets never relay between two artificial endpoints
     g, idx = relay3_parts
-    assert all(not (g.is_artificial(v) and g.is_artificial(w))
-               for v, _, w in idx.triples)
-    assert not any(g.is_artificial(i) for _, i, _ in idx.triples)
+    assert all(v < g.n_base or w < g.n_base for v, _, w in idx.triples)
+    assert all(i < g.n_base for _, i, _ in idx.triples)
 
 
 def test_star_center_and_path_counts():
@@ -125,14 +135,38 @@ def test_triple_set_properties_on_random_graphs(data):
     idx = enumerate_triples(g)
     seen = set(idx.triples)
     assert len(seen) == len(idx.triples)
-    deg = {i: len(g.adj[i]) for i in range(n)}
+    deg = {i: len(neighbours(g, i)) for i in range(n)}
     for v, i, w in idx.triples:
         assert v != w and deg[i] >= 2
         assert (w, i, v) in seen            # closed under reversal
-        assert v in g.adj[i] and w in g.adj[i]
+        assert v in neighbours(g, i) and w in neighbours(g, i)
     # every two-hop combination around a relay appears
     expect = sum(d * (d - 1) for d in deg.values())
     assert len(idx.triples) == expect
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_adjacency_equals_the_sorted_neighbour_lists(data):
+    # node count may exceed every endpoint: the last nodes are isolated
+    n = data.draw(st.integers(0, 9))
+    possible = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(possible), unique=True,
+                               max_size=len(possible))) if possible else []
+    edges = [(b, a) if data.draw(st.booleans()) else (a, b)
+             for a, b in edges]
+    indptr, indices = adjacency(n, edges)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert len(indptr) == n + 1 and indptr[0] == 0
+    assert [indices[indptr[a]:indptr[a + 1]].tolist() for a in range(n)] \
+        == adjacency_reference(n, edges)
+
+
+def test_adjacency_of_no_edges_is_empty():
+    indptr, indices = adjacency(4, [])
+    assert indptr.tolist() == [0, 0, 0, 0, 0] and indices.tolist() == []
+    indptr, indices = adjacency(0, [])
+    assert indptr.tolist() == [0] and indices.tolist() == []
 
 
 # ------------------------------------------------------------- conservation
@@ -231,14 +265,23 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
 
 # ------------------------------------------------- transmissions and costs
 
+def saving(agg, idx, summ, row):
+    """Sends that coding spares pair row: both directions' flow, less
+    the broadcasts the summary charges for it."""
+    fwd, rev = int(idx.pair_fwd[row]), int(idx.pair_rev[row])
+    return agg[fwd] + agg[rev] - summ.y[row]
+
+
 def test_opposite_sessions_share_the_middle_broadcast(relay3_parts):
     g, idx = relay3_parts
     flows = [path_flow(idx, "s1", S1_PATH), path_flow(idx, "s2", S2_PATH)]
-    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
+    agg = dense_aggregate(flows, len(idx))
+    summ = transmission_summary(agg, g, idx)
     pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 1.0           # max(1, 1), not the sum
-    assert summ.saving[shared] == 1.0      # one broadcast replaces two sends
+    # one broadcast replaces two sends
+    assert saving(agg, idx, summ, shared) == 1.0
     assert list(summ.y) == [1.0] * 5
     assert list(summ.z) == [2.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
     assert total_cost(summ, g) == (5.0, 3.0)
@@ -249,10 +292,11 @@ def test_one_direction_pays_alone(relay3_parts):
     g, idx = relay3_parts
     flows = [path_flow(idx, "s1", S1_PATH),
              FlowVector("s2", np.zeros(len(idx)))]
-    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
+    agg = dense_aggregate(flows, len(idx))
+    summ = transmission_summary(agg, g, idx)
     pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
-    assert summ.y[shared] == 1.0 and summ.saving[shared] == 0.0
+    assert summ.y[shared] == 1.0 and saving(agg, idx, summ, shared) == 0.0
 
 
 def test_unbalanced_directions_save_the_smaller_side(relay3_parts):
@@ -262,10 +306,11 @@ def test_unbalanced_directions_save_the_smaller_side(relay3_parts):
     f2 = np.zeros(len(idx))
     f2[idx.index[(2, 1, 0)]] = 3.0
     flows = [FlowVector("s1", f1), FlowVector("s2", f2)]
-    summ = transmission_summary(dense_aggregate(flows, len(idx)), g, idx)
+    agg = dense_aggregate(flows, len(idx))
+    summ = transmission_summary(agg, g, idx)
     pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
-    assert summ.y[shared] == 3.0 and summ.saving[shared] == 2.0
+    assert summ.y[shared] == 3.0 and saving(agg, idx, summ, shared) == 2.0
 
 
 def test_summary_ignores_flow_list_order(relay3_parts):
@@ -359,12 +404,12 @@ def test_flow_vector_rejects_negative_entries():
 
 def test_price_validation_names_the_offending_triple(relay3_parts):
     g, idx = relay3_parts
-    init_prices(g, idx).validate(idx)  # feasible by construction
-    bad = init_prices(g, idx).values.copy()
+    validate_prices(init_prices(idx), idx)  # feasible by construction
+    bad = init_prices(idx).values.copy()
     bad[0] = -0.01
     with pytest.raises(ValueError, match=r"\(1, 0, 3\)"):
-        PriceVector(bad).validate(idx)
-    bad = init_prices(g, idx).values.copy()
+        validate_prices(PriceVector(bad), idx)
+    bad = init_prices(idx).values.copy()
     bad[0] += 0.2  # box still fine, pair sum no longer c
     with pytest.raises(ValueError, match="sums to"):
-        PriceVector(bad).validate(idx)
+        validate_prices(PriceVector(bad), idx)

@@ -13,11 +13,12 @@ from carpool import (FlowVector, GeometricConfig, SolverConfig,
                      enumerate_triples, generate_geometric, init_prices,
                      plain_routing_cost, primal_subproblem, solve, solver,
                      subgradient_step, transmission_summary)
-from carpool.model import Instance, Node, Session, worst_residual
+from carpool.model import Instance, Node, Session
 from carpool.solver import _LoopState
 from model_reference import (DenseLoopState, dense_aggregate,
                              primal_subproblem_reference,
-                             project_pair_reference, project_pairs_by_step)
+                             project_pair_reference, project_pairs_by_step,
+                             validate_prices, worst_residual)
 
 
 @pytest.fixture(scope="module")
@@ -59,33 +60,33 @@ def test_projection_matches_reference(u1, u2, c):
 
 def test_initial_prices_split_the_transmission_cost(relay3_parts):
     g, idx = relay3_parts
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     assert np.array_equal(p.values, np.full(len(idx), 0.5))
     dear = Instance([Node(0, 1.0), Node(1, 3.0), Node(2, 1.0)],
                     [(0, 1), (1, 2)], [Session("s1", 0, 2, 1.0)])
     gd = build_expanded_graph(dear)
     xd = enumerate_triples(gd)
-    pd = init_prices(gd, xd)
+    pd = init_prices(xd)
     assert pd.values[xd.index[(0, 1, 2)]] == 1.5
-    pd.validate(xd)
+    validate_prices(pd, xd)
 
 
 def routed_total(g, idx, p):
     """This round's flow per triple summed over sessions, as the solve
     loop sums it for the price step."""
-    rows, start, _ = primal_subproblem(g, idx, p)
+    rows, start, _ = primal_subproblem(build_edge_graph(g, idx), p)
     rates = np.repeat([s.rate for s in g.base.sessions], np.diff(start))
     return np.bincount(rows, weights=rates, minlength=len(idx))
 
 
 def test_balanced_opposite_flows_leave_prices_alone(relay3_parts):
     g, idx = relay3_parts
-    p0 = init_prices(g, idx)
+    p0 = init_prices(idx)
     p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
                           idx)
     shared = idx.index[(0, 1, 2)]
     assert p1.values[shared] == 0.5 == p1.values[idx.rev[shared]]
-    p1.validate(idx)
+    validate_prices(p1, idx)
 
 
 def test_price_rises_with_flow_and_falls_opposite():
@@ -93,7 +94,7 @@ def test_price_rises_with_flow_and_falls_opposite():
                       [Session("s1", 0, 2, 1.0)])
     g = build_expanded_graph(single)
     idx = enumerate_triples(g)
-    p0 = init_prices(g, idx)
+    p0 = init_prices(idx)
     p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
                           idx)
     for trip in [(3, 0, 1), (0, 1, 2), (1, 2, 4)]:
@@ -109,23 +110,23 @@ def test_update_magnitude_is_half_step_times_imbalance(relay3_parts):
     f[k] = 0.6
     flows = [FlowVector("s1", f), FlowVector("s2", np.zeros(len(idx)))]
     agg = dense_aggregate(flows, len(idx))
-    p1 = subgradient_step(init_prices(g, idx), agg, 1, SolverConfig(), idx)
+    p1 = subgradient_step(init_prices(idx), agg, 1, SolverConfig(), idx)
     assert p1.values[k] == pytest.approx(0.8)           # 0.5 + (1/2)*0.6
     assert p1.values[idx.rev[k]] == pytest.approx(0.2)
-    p2 = subgradient_step(init_prices(g, idx), agg, 2, SolverConfig(), idx)
+    p2 = subgradient_step(init_prices(idx), agg, 2, SolverConfig(), idx)
     assert p2.values[k] == pytest.approx(0.65)          # alpha halves
 
 
 def test_random_steps_stay_dual_feasible(relay3_parts):
     g, idx = relay3_parts
     rng = np.random.default_rng(3)
-    p = init_prices(g, idx)
+    p = init_prices(idx)
     for n in range(1, 30):
         flows = [FlowVector(s.sid, rng.uniform(0.0, 2.0, len(idx)))
                  for s in g.base.sessions]
         p = subgradient_step(p, dense_aggregate(flows, len(idx)), n,
                              SolverConfig(step_a=2.0), idx)
-        p.validate(idx)
+        validate_prices(p, idx)
 
 
 def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
@@ -176,7 +177,7 @@ def running_mean(g, idx, history):
     state = _LoopState(g, idx, SolverConfig(), SolveTrace())
     for n, flows in enumerate(history, 1):
         ingest_dense(state, n, flows)
-    return state.solution(init_prices(g, idx), len(history)).flows
+    return state.solution(init_prices(idx), len(history)).flows
 
 
 def test_recovery_is_the_running_mean(relay3_parts):
@@ -232,11 +233,11 @@ def test_support_restricted_total_equals_the_sum_of_session_means():
         assert len(state.support) < len(idx)
         want = transmission_summary(dense_aggregate(dense.mean, len(idx)),
                                     g, idx)
-        for name in ("y", "saving", "z"):
+        for name in ("y", "z"):
             assert getattr(state.summary, name).tobytes() == \
                 getattr(want, name).tobytes()
     assert state.trace.recovered_costs == dense.trace.recovered_costs
-    got = state.solution(init_prices(g, idx), 7).flows
+    got = state.solution(init_prices(idx), 7).flows
     assert [f.session for f in got] == [f.session for f in dense.mean]
     assert all(a.values.tobytes() == b.values.tobytes()
                for a, b in zip(got, dense.mean))
@@ -261,11 +262,11 @@ def test_certification_precedes_the_price_update(relay3, relay3_run):
     sol, _, _ = relay3_run
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    p0 = init_prices(g, idx)
+    p0 = init_prices(idx)
     p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
                           idx)
     assert np.array_equal(sol.prices.values, p1.values)
-    sol.prices.validate(idx)
+    validate_prices(sol.prices, idx)
 
 
 def test_trace_invariants_on_grid2(grid2_run):
@@ -361,6 +362,18 @@ def test_config_rejects_bad_values():
             SolverConfig(step_a=bad)
         with pytest.raises(ValueError, match="tol must be finite"):
             SolverConfig(tol=bad)
+    # counts must be integers and real fields numbers; a bool is neither
+    for bad in (2.5, float("inf"), "3", True, None):
+        with pytest.raises(ValueError,
+                           match=r"max_iters must be an integer, got "):
+            SolverConfig(max_iters=bad)
+    for name in ("step_a", "tol"):
+        for bad in ("1", True, None, 1j):
+            with pytest.raises(ValueError,
+                               match=rf"{name} must be a number, got "):
+                SolverConfig(**{name: bad})
+    assert SolverConfig(max_iters=np.int64(3), tol=np.float32(0.1),
+                        step_a=2).max_iters == 3
 
 
 def test_step_rules():
