@@ -6,8 +6,9 @@
  * Labels follow carpool.edge_graph._dijkstra exactly: pop order
  * (dist, hops, vertex); a label is replaced on a strictly smaller
  * distance, or an equal distance with fewer hops; on an equal (dist,
- * hops) the smaller predecessor vertex wins, and the source's is never
- * replaced; the search stops when it pops the destination.  Sums are
+ * hops) the smaller predecessor vertex wins (an offer has at least one
+ * hop, so no tie reaches the source or an unreached vertex, which have
+ * none); the search stops when it pops the destination.  Sums are
  * plain IEEE double additions, so the build must not contract or
  * reorder them (no -ffast-math, -ffp-contract=off).
  *
@@ -130,8 +131,7 @@ int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
                     pred[x] = u;
                     via[x] = k;
                     push(heap, &n, (entry){nd, nh, x});
-                } else if (nd == dist[x] && nh == hops[x]
-                           && (pred[x] == -1 || u < pred[x]) && x != s) {
+                } else if (nd == dist[x] && nh == hops[x] && u < pred[x]) {
                     pred[x] = u;
                     via[x] = k;
                 }

@@ -19,15 +19,15 @@ keeps a seeded draw on which this happens.
 After each routing phase the destination starts a hop-by-hop trace back
 along predecessors.  A label keeps the triple row that set it, so each
 node on the path tallies its own triple's flow from that message; this
-chase is the only walk of a route.  The price step then sums the
-tallies and takes solve()'s subgradient_step, whose update of a triple's
-price reads only the same node's prices and tallies.
+chase is the only walk of a route.  solve()'s loop, price_ascent, reads
+the routes from the tallies and runs the price step.
 
-Triples are sorted by middle node, so node i's prices and tallies are
-one contiguous slice of arrays the simulator keeps for all nodes, and
-the elementwise price step is every node's own computation, done side
-by side.  Relaxations read the node's prices from a list it refreshes
-once per price step.
+Triples are sorted by middle node, so node i's tallies are one
+contiguous slice of an array the simulator keeps for all nodes, and
+node i's slice of the loop's flow per triple is the sum of its own
+tallies.  subgradient_step's update of a triple's price reads only that
+slice and node i's prices, so the elementwise step is every node's own
+computation, done side by side.
 
 The simulator is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
@@ -44,11 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .edge_graph import EdgeGraph, build_edge_graph
-from .model import (ExpandedGraph, InfeasibleSessionError,
-                    Instance, PriceVector, TripleIndex, build_expanded_graph,
-                    enumerate_triples)
-from .solver import (SolverConfig, SolveTrace, Solution, _LoopState,
-                     init_prices, subgradient_step)
+from .model import (ExpandedGraph, Instance, PriceVector, TripleIndex,
+                    build_expanded_graph, enumerate_triples)
+from .solver import (SolverConfig, SolveTrace, Solution, init_prices,
+                     price_ascent, subgradient_step)
 
 INF = math.inf
 
@@ -70,13 +69,10 @@ class QuiescenceError(RuntimeError):
 class SimSchedule:
     mode: str = "sync"  # "sync" or "async"
     seed: int = 0
-    max_rounds: int | None = None  # per phase; default scales with the graph
 
     def __post_init__(self):
         if self.mode not in ("sync", "async"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
 @dataclass(slots=True)
@@ -101,17 +97,14 @@ class MessageStats:
     neighbor_violations: int = 0
     per_iteration: list[dict] = field(default_factory=list)
 
-    def in_flight(self) -> int:
-        return self.label_messages + self.flow_messages - self.delivered
-
 
 class _SimContext:
     """Static structure shared by all processors of one run, and the
-    price and tally arrays whose per-node slices the processors own."""
+    tally array whose per-node slices the processors own."""
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
-                 schedule: SimSchedule, p: PriceVector):
-        self.g, self.idx, self.h = g, idx, h
+                 schedule: SimSchedule):
+        self.g, self.idx, self.h, self.vertices = g, idx, h, h.vertices
         ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
         self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
         self.stats = MessageStats()
@@ -123,11 +116,10 @@ class _SimContext:
         arcs = list(zip(h.head[h.order].tolist(), h.order.tolist()))
         cuts = h.bounds.tolist()
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        self.prices = p.values.copy()
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
         self.schedule = schedule
         self.rng = random.Random(schedule.seed)
-        self.max_rounds = schedule.max_rounds or 2 * len(h.vertices) + 16
+        self.max_rounds = 2 * len(g.indices) + 16  # per phase
 
     def send(self, msg: Message) -> None:
         if msg.receiver not in self.adjset[msg.sender]:
@@ -159,16 +151,12 @@ class NodeProcessor:
             {} for _ in range(len(ctx.g.base.sessions))]
         self.inbox: list[Message] = []
 
-    def reset_labels(self) -> None:
-        for d in self.labels:
-            d.clear()
-
     def prime_source(self, t: int, vid: int) -> None:
         self.labels[t][vid] = (0.0, 0, -1, -1)
         self._announce(t, vid, 0.0, 0)
 
     def _announce(self, t: int, vid: int, dist: float, hops: int) -> None:
-        self.ctx.send(Message(self.nid, self.ctx.h.vertices[vid][1], "label",
+        self.ctx.send(Message(self.nid, self.ctx.vertices[vid][1], "label",
                               t, vid, dist, hops))
 
     def _relax(self, msg: Message) -> None:
@@ -193,12 +181,12 @@ class NodeProcessor:
         if pred < 0:
             return  # source pair reached; nothing upstream of it
         self.tally[t, k - self.k_lo] += value
-        self.ctx.send(Message(self.nid, self.ctx.h.vertices[pred][0], "flow",
+        self.ctx.send(Message(self.nid, self.ctx.vertices[pred][0], "flow",
                               t, pred, value=value))
 
 
-def _share_prices(procs: list[NodeProcessor]) -> None:
-    wts = procs[0].ctx.prices.tolist()
+def _share_prices(procs: list[NodeProcessor], p: PriceVector) -> None:
+    wts = p.values.tolist()
     for proc in procs:
         proc.wts = wts[proc.k_lo:proc.k_hi]
 
@@ -208,9 +196,9 @@ def make_processors(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
                     h: EdgeGraph | None = None) -> list[NodeProcessor]:
     if h is None:
         h = build_edge_graph(g, idx)
-    ctx = _SimContext(g, idx, h, schedule or SimSchedule(), p)
+    ctx = _SimContext(g, idx, h, schedule or SimSchedule())
     procs = [NodeProcessor(i, ctx) for i in range(g.n_nodes)]
-    _share_prices(procs)
+    _share_prices(procs, p)
     return procs
 
 
@@ -223,7 +211,7 @@ def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]
     while ctx.staging or any(p.inbox for p in procs):
         rounds += 1
         if rounds > ctx.max_rounds:
-            vertices = ctx.h.vertices
+            vertices = ctx.vertices
             active = sorted({(m.kind, m.session, vertices[m.vertex])
                              for m in ctx.staging}
                             | {(m.kind, m.session, vertices[m.vertex])
@@ -257,22 +245,17 @@ def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]
 
 
 def distributed_shortest_paths(procs: list[NodeProcessor]) -> list[float]:
-    """Flood labels to quiescence; each destination's settled distance."""
+    """Flood labels to quiescence; each destination's distance, or inf."""
     ctx = procs[0].ctx
     h = ctx.h
     for proc in procs:
-        proc.reset_labels()
+        for labels in proc.labels:
+            labels.clear()
     for t, src in enumerate(h.src_vertex):
         procs[h.vertices[src][0]].prime_source(t, src)
     _run_to_quiescence(ctx, procs)
-    dists = []
-    for t, (s, dst) in enumerate(zip(ctx.g.base.sessions, h.dst_vertex)):
-        dist = procs[h.vertices[dst][0]].labels[t].get(dst, (INF,))[0]
-        if dist == INF:
-            raise InfeasibleSessionError(s.sid,
-                                         "no priced route to destination")
-        dists.append(dist)
-    return dists
+    return [procs[h.vertices[dst][0]].labels[t].get(dst, (INF,))[0]
+            for t, dst in enumerate(h.dst_vertex)]
 
 
 def _flow_notification(procs: list[NodeProcessor]) -> None:
@@ -284,16 +267,37 @@ def _flow_notification(procs: list[NodeProcessor]) -> None:
     _run_to_quiescence(ctx, procs)
 
 
-def distributed_price_update(procs: list[NodeProcessor], n: int,
-                             cfg: SolverConfig) -> None:
-    """Every node reprices its own triples from its tallies; no messages."""
+def _message_round(procs: list[NodeProcessor]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route every session by messages at the nodes' prices: the label
+    flood, then the flow chase.  The routes, read from the tallies, come
+    back as price_ascent's (dists, start, rows)."""
     ctx = procs[0].ctx
-    agg = np.zeros(len(ctx.idx))
-    for row in ctx.tally:
-        agg += row
-    ctx.prices = subgradient_step(PriceVector(ctx.prices), agg, n, cfg,
-                                  ctx.idx).values
-    _share_prices(procs)
+    stats = ctx.stats
+    before = stats.label_messages, stats.flow_messages, stats.rounds
+    dists = distributed_shortest_paths(procs)
+    _flow_notification(procs)
+    # row-major: session order, as the route search returns its rows
+    sessions, rows = np.nonzero(ctx.tally)
+    ctx.tally.fill(0.0)
+    stats.per_iteration.append({
+        "iteration": len(stats.per_iteration) + 1,
+        "label_messages": stats.label_messages - before[0],
+        "flow_messages": stats.flow_messages - before[1],
+        "rounds": stats.rounds - before[2],
+    })
+    start = np.searchsorted(sessions, np.arange(len(dists) + 1))
+    return np.array(dists), start, rows
+
+
+def distributed_price_update(procs: list[NodeProcessor], p: PriceVector,
+                             agg: np.ndarray, n: int, cfg: SolverConfig
+                             ) -> PriceVector:
+    """Every node reprices its own triples from its slice of agg and
+    reads them into its relaxation list; no messages."""
+    p = subgradient_step(p, agg, n, cfg, procs[0].ctx.idx)
+    _share_prices(procs, p)
+    return p
 
 
 def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
@@ -301,40 +305,12 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
                           ) -> tuple[Solution, SolveTrace, MessageStats]:
     """Same contract as solve(), computed by neighbour-only messaging."""
     cfg = cfg or SolverConfig()
-    schedule = schedule or SimSchedule()
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    p0 = init_prices(idx)
-    procs = make_processors(g, idx, p0, schedule, h)
-    ctx = procs[0].ctx
-    trace = SolveTrace()
-    state = _LoopState(g, idx, cfg, trace)
-    if not g.base.sessions:
-        state.certified = True
-        return state.solution(p0, 0), trace, ctx.stats
-    n = 0
-    for n in range(1, cfg.max_iters + 1):
-        labels_before = ctx.stats.label_messages
-        flows_before = ctx.stats.flow_messages
-        rounds_before = ctx.stats.rounds
-        dists = distributed_shortest_paths(procs)
-        _flow_notification(procs)
-        q = 0.0
-        for s, dist in zip(g.base.sessions, dists):
-            q += s.rate * dist
-        # row-major: session order, as the solve loop ingests its routes
-        carried = np.nonzero(ctx.tally)
-        stop = state.ingest(n, *carried, ctx.tally[carried], q)
-        if not stop:
-            distributed_price_update(procs, n, cfg)
-        ctx.tally.fill(0.0)
-        ctx.stats.per_iteration.append({
-            "iteration": n,
-            "label_messages": ctx.stats.label_messages - labels_before,
-            "flow_messages": ctx.stats.flow_messages - flows_before,
-            "rounds": ctx.stats.rounds - rounds_before,
-        })
-        if stop:
-            break
-    return state.solution(PriceVector(ctx.prices), n), trace, ctx.stats
+    procs = make_processors(g, idx, init_prices(idx), schedule, h)
+    # each round runs at the prices the last price step shared out
+    sol, trace = price_ascent(
+        g, idx, cfg, lambda p: _message_round(procs),
+        lambda p, agg, n: distributed_price_update(procs, p, agg, n, cfg))
+    return sol, trace, procs[0].ctx.stats

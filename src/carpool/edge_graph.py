@@ -37,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (ExpandedGraph, InfeasibleSessionError, PriceVector,
-                    TripleIndex, ordered_pairs)
+from .model import ExpandedGraph, PriceVector, TripleIndex, ordered_pairs
 
 log = logging.getLogger(__name__)
 
@@ -59,12 +58,12 @@ class EdgeGraph:
     and the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
     1]], in triple order.  search is the route search of every session,
     built by the first primal_subproblem call on the graph and reused by
-    later ones.
+    later ones.  vertices is built on first read; the solve loop never
+    reads it.
     """
 
     g: ExpandedGraph
     idx: TripleIndex
-    vertices: list[tuple[int, int]]
     head: np.ndarray   # per triple: vertex index of (i, w)
     src_vertex: list[int]  # per session
     dst_vertex: list[int]
@@ -72,16 +71,19 @@ class EdgeGraph:
     bounds: np.ndarray
     search: RouteSearch | None = None
 
+    @functools.cached_property
+    def vertices(self) -> list[tuple[int, int]]:
+        return ordered_pairs(self.g)
+
 
 def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
-    vertices = ordered_pairs(g)
     # arcs grouped by tail vertex, in triple order within each group
     order = np.argsort(idx.tail, kind="stable")
-    bounds = np.searchsorted(idx.tail[order], np.arange(len(vertices) + 1))
+    bounds = np.searchsorted(idx.tail[order], np.arange(len(g.indices) + 1))
     sessions = range(len(g.base.sessions))
     src = [g.pair_index(g.source_vertex(t)) for t in sessions]
     dst = [g.pair_index(g.dest_vertex(t)) for t in sessions]
-    return EdgeGraph(g, idx, vertices, idx.head, src, dst, order, bounds)
+    return EdgeGraph(g, idx, idx.head, src, dst, order, bounds)
 
 
 def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
@@ -97,6 +99,7 @@ def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
     Predecessors settle to the smallest-index in-neighbour whose final
     label supports the vertex's final (dist, hops); every such supporter
     pops strictly earlier in (dist, hops) order, so one pass suffices.
+    A tie has at least one hop, so never reaches src or an unreached one.
     """
     from heapq import heappush, heappop
 
@@ -121,10 +124,8 @@ def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
                 hops[vtx] = nh
                 pred[vtx] = u
                 heappush(heap, (nd, nh, vtx))
-            elif nd == dist[vtx] and nh == hops[vtx] and (
-                    pred[vtx] == -1 or u < pred[vtx]):
-                if vtx != src:
-                    pred[vtx] = u
+            elif nd == dist[vtx] and nh == hops[vtx] and u < pred[vtx]:
+                pred[vtx] = u
     return dist, hops, pred
 
 
@@ -294,22 +295,14 @@ def route_search(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
 
 
 def primal_subproblem(h: EdgeGraph, p: PriceVector
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-session cheapest routes and the dual bound they certify.
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-session cheapest routes at prices p, as (dists, start, rows).
 
-    Returns (rows, start, q): session t routes its rate along the triple
-    rows rows[start[t]:start[t + 1]], source first, and q = sum_t R_t *
-    dist_t never exceeds the coded optimum.
+    Session t routes its rate along the triple rows rows[start[t]:start[t
+    + 1]], source first, at priced distance dists[t]; sum_t R_t * dists[t]
+    never exceeds the coded optimum.
     """
     if h.search is None:
         h.search = route_search(h.bounds, h.order, h.head, h.src_vertex,
                                 h.dst_vertex)
-    dists, start, rows = h.search(
-        np.ascontiguousarray(p.values, dtype=np.float64))
-    q = 0.0
-    for s, dist in zip(h.g.base.sessions, dists.tolist()):
-        if dist == INF:
-            raise InfeasibleSessionError(s.sid,
-                                         "no priced route to destination")
-        q += s.rate * dist
-    return rows, start, q
+    return h.search(np.ascontiguousarray(p.values, dtype=np.float64))

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge_graph import route_search
-from .model import (InfeasibleSessionError, Instance, Node, Session,
-                    adjacency, check_config_types, component_labels)
+from .model import (Instance, Node, Session, adjacency, check_config_types,
+                    component_labels)
+from .solver import NonFiniteError
 
 
 class GenerationError(RuntimeError):
@@ -149,10 +150,11 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
     routes = []
     cuts = start.tolist()
     for s, dist, a, b in zip(inst.sessions, dists.tolist(), cuts, cuts[1:]):
-        if dist == math.inf:
-            raise InfeasibleSessionError(s.sid, "no route to destination")
-        routes.append([s.source] + heads[rows[a:b]].tolist())
         total += s.rate * dist
+        if total == math.inf:  # Instance keeps every session connected
+            raise NonFiniteError(f"session {s.sid}: routing cost is too "
+                                 f"large for float arithmetic")
+        routes.append([s.source] + heads[rows[a:b]].tolist())
     return total, routes
 
 

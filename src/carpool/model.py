@@ -49,12 +49,9 @@ def check_config_types(cfg, counts: tuple[str, ...],
 class InfeasibleSessionError(RuntimeError):
     """A session's destination cannot be reached from its source."""
 
-    def __init__(self, session: str, detail: str = ""):
+    def __init__(self, session: str, detail: str):
         self.session = session
-        msg = f"session {session} unreachable"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"session {session} unreachable: {detail}")
 
 
 @dataclass(frozen=True)

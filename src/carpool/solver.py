@@ -12,7 +12,9 @@ within tolerance, the answer is certified.
 
 All arithmetic is deterministic: fixed tie-break order in the path
 solver, fixed session order in every sum, vectorised elementwise price
-updates.  The message-passing runner reproduces this loop bit for bit.
+updates.  price_ascent is the one copy of this loop: solve() runs it on
+the route search, and the message-passing twin on its neighbour
+messages and node-local price step, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -115,11 +117,7 @@ def subgradient_step(p: PriceVector, agg: np.ndarray, n: int,
 
 
 class _LoopState:
-    """Per-iteration bookkeeping shared by both solver front ends.
-
-    Keeping this in one place is what makes the message-passing runner's
-    costs, gaps, and stopping decisions bit-identical to the in-process
-    loop: same sums in the same order on the same arrays.
+    """Recovery, bounds and the stop decision of price_ascent's rounds.
 
     sums[t] is session t's flow summed over the rounds so far, and
     sums[t] / n its recovered flow after round n.  The transmission
@@ -190,13 +188,16 @@ class _LoopState:
                         gap, self.certified, iterations)
 
 
-def solve(inst: Instance, cfg: SolverConfig | None = None
-          ) -> tuple[Solution, SolveTrace]:
-    """Full pipeline: expand, price, iterate to a certified gap or the cap."""
-    cfg = cfg or SolverConfig()
-    g = build_expanded_graph(inst)
-    idx = enumerate_triples(g)
-    h = build_edge_graph(g, idx)
+def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
+                 route, price) -> tuple[Solution, SolveTrace]:
+    """Iterate to a certified gap or the cap; both front ends run this.
+
+    route(p) gives every session's cheapest route at prices p as (dists,
+    start, rows): session t's distance is dists[t] and its triple rows
+    are rows[start[t]:start[t + 1]].  price(p, agg, n) steps the prices
+    on agg, the round's flow per triple.  An overflowed distance makes
+    the dual bound inf, which ingest reports.
+    """
     trace = SolveTrace()
     state = _LoopState(g, idx, cfg, trace)
     p = init_prices(idx)
@@ -206,11 +207,26 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     rates = np.array([s.rate for s in g.base.sessions])
     n = 0
     for n in range(1, cfg.max_iters + 1):
-        rows, start, q = primal_subproblem(h, p)
+        dists, start, rows = route(p)
+        q = 0.0
+        for s, dist in zip(g.base.sessions, dists.tolist()):
+            q += s.rate * dist
         sessions = np.repeat(np.arange(len(rates)), np.diff(start))
         values = rates[sessions]
         if state.ingest(n, sessions, rows, values, q):
             break
         agg = np.bincount(rows, weights=values, minlength=len(idx))
-        p = subgradient_step(p, agg, n, cfg, idx)
+        p = price(p, agg, n)
     return state.solution(p, n), trace
+
+
+def solve(inst: Instance, cfg: SolverConfig | None = None
+          ) -> tuple[Solution, SolveTrace]:
+    """Full pipeline: expand, price, iterate to a certified gap or the cap."""
+    cfg = cfg or SolverConfig()
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    h = build_edge_graph(g, idx)
+    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p),
+                        lambda p, agg, n: subgradient_step(p, agg, n, cfg,
+                                                           idx))

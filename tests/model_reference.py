@@ -42,6 +42,7 @@ from carpool import (FlowVector, PriceVector, SolverConfig, SolveTrace,
                      init_prices, subgradient_step, total_cost,
                      transmission_summary)
 from carpool.model import InfeasibleSessionError, Instance, Node
+from carpool.solver import NonFiniteError
 
 
 @dataclass
@@ -183,14 +184,15 @@ def plain_routing_cost_reference(inst) -> tuple[float, list[list[int]]]:
                         pred[v] == -1 or u < pred[v]):
                     if v != s.source:
                         pred[v] = u
-        if dist[s.dest] == math.inf:
-            raise InfeasibleSessionError(s.sid, "no route to destination")
+        total += s.rate * dist[s.dest]
+        if total == math.inf:
+            raise NonFiniteError(f"session {s.sid}: routing cost is too "
+                                 f"large for float arithmetic")
         path = [s.dest]
         while path[-1] != s.source:
             path.append(pred[path[-1]])
         path.reverse()
         paths.append(path)
-        total += s.rate * dist[s.dest]
     return total, paths
 
 

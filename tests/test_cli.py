@@ -522,6 +522,27 @@ def test_solve_rejects_non_finite_numbers(relay3_path, tmp_path, capsys, path,
         assert message in err
 
 
+def test_overflowing_costs_are_not_reported_unreachable(named, tmp_path,
+                                                         capsys):
+    # grid2 is connected, but at cost 1e308 every route sums to inf
+    doc = cli.instance_to_dict(named["grid2"])
+    for node in doc["nodes"]:
+        node["cost"] = 1e308
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["solve"], ["solve", "--distributed"], ["baseline"]):
+        err = rejected(argv[:1] + [str(bad)] + argv[1:], capsys)
+        assert "too large for float arithmetic" in err
+        assert "unreachable" not in err
+    # each relay3 route costs 1e308, but the two together overflow
+    doc = cli.instance_to_dict(named["relay3"])
+    for node in doc["nodes"]:
+        node["cost"] = 5e307
+    bad.write_text(json.dumps(doc))
+    assert "session s2: routing cost is too large" in rejected(
+        ["baseline", str(bad)], capsys)
+
+
 def _delete(path):
     def mutate(doc):
         rec = doc

@@ -1,14 +1,16 @@
 """Message-passing simulator: equivalence, locality, quiescence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from carpool import (GeometricConfig, SimSchedule, SolverConfig,
+from carpool import (GeometricConfig, SimSchedule, SolverConfig, distributed,
                      build_edge_graph, build_expanded_graph,
                      distributed_shortest_paths, enumerate_triples,
                      generate_geometric, init_prices, make_processors,
                      primal_subproblem, run_distributed_solve, solve,
-                     subgradient_step)
+                     solver, subgradient_step)
 from carpool.distributed import (FLOW_BYTES, LABEL_BYTES, Message,
                                  QuiescenceError, _flow_notification)
 from carpool.edge_graph import route_search
@@ -44,7 +46,7 @@ def test_relay3_runs_match_bit_for_bit(relay3, relay3_run):
     assert (dsol.expanded_cost, dsol.physical_cost) == \
         (sol.expanded_cost, sol.physical_cost)
     assert stats.neighbor_violations == 0
-    assert stats.in_flight() == 0
+    assert stats.label_messages + stats.flow_messages == stats.delivered
 
 
 def test_relay3_message_economy(relay3):
@@ -68,7 +70,8 @@ def test_geo_runs_match_bit_for_bit(geo5):
     assert flows_equal(dsol.flows, sol.flows)
     assert np.array_equal(dsol.prices.values, sol.prices.values)
     assert traces_equal(dtrace, trace)
-    assert stats.neighbor_violations == 0 and stats.in_flight() == 0
+    assert stats.neighbor_violations == 0
+    assert stats.label_messages + stats.flow_messages == stats.delivered
 
 
 def test_async_activation_orders_change_nothing(geo5):
@@ -81,7 +84,9 @@ def test_async_activation_orders_change_nothing(geo5):
         assert flows_equal(sol.flows, base_sol.flows)
         assert np.array_equal(sol.prices.values, base_sol.prices.values)
         assert traces_equal(trace, base_trace)
-        assert stats.neighbor_violations == 0 and stats.in_flight() == 0
+        assert stats.neighbor_violations == 0
+        assert stats.label_messages + stats.flow_messages == \
+            stats.delivered
 
 
 # (iterations, label, flow, rounds, delivered, bytes) of whole runs at
@@ -106,6 +111,37 @@ def test_builtin_traffic_is_frozen(named, name, mode):
             stats.flow_messages, stats.rounds, stats.delivered,
             stats.bytes_estimate) == TRAFFIC[name, mode]
     assert stats.neighbor_violations == 0
+
+
+def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
+                                                  monkeypatch):
+    # bench/spans.py times the twin's layers by wrapping these names, and
+    # both front ends run the one loop, price_ascent
+    calls = Counter()
+    for module, name in ((distributed, "distributed_shortest_paths"),
+                         (distributed, "distributed_price_update"),
+                         (distributed, "price_ascent"),
+                         (solver, "price_ascent"),
+                         (solver, "transmission_summary"),
+                         (solver, "total_cost")):
+        def counted(*args, _name=name, _call=getattr(module, name), **kw):
+            calls[_name] += 1
+            return _call(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
+                      (grid2, SolverConfig(tol=1e-12, max_iters=40))):
+        calls.clear()
+        solve(inst, cfg)
+        assert calls["price_ascent"] == 1
+        calls.clear()
+        sol, trace, _ = run_distributed_solve(inst, cfg)
+        n = sol.iterations
+        assert len(trace) == n and n == (2 if inst is relay3 else 40)
+        # the last round either certifies or hits the cap; the solution
+        # costs its summary once more
+        assert calls == {"price_ascent": 1, "distributed_shortest_paths": n,
+                         "distributed_price_update": n - sol.certified,
+                         "transmission_summary": n, "total_cost": n + 1}
 
 
 def test_price_updates_track_the_centralized_iterates(geo5):
@@ -134,8 +170,8 @@ def test_sends_are_refused_between_non_neighbours(relay3):
 def test_round_cap_surfaces_the_stuck_work(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    procs = make_processors(g, idx, init_prices(idx),
-                            SimSchedule("sync", max_rounds=1))
+    procs = make_processors(g, idx, init_prices(idx), SimSchedule("sync"))
+    procs[0].ctx.max_rounds = 1
     with pytest.raises(QuiescenceError, match="no quiescence"):
         distributed_shortest_paths(procs)
 
@@ -160,7 +196,7 @@ def test_twin_distances_equal_the_route_search(name, request):
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
     p0 = init_prices(idx)
-    rows, start, _ = primal_subproblem(h, p0)
+    _, start, rows = primal_subproblem(h, p0)
     rates = np.repeat([s.rate for s in inst.sessions], np.diff(start))
     agg = np.bincount(rows, weights=rates, minlength=len(idx))
     p1 = subgradient_step(p0, agg, 1, SolverConfig(), idx)

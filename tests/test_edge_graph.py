@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpool import (FlowVector, GenerationError, GeometricConfig,
-                     InfeasibleSessionError, PriceVector, SolverConfig,
-                     build_edge_graph, build_expanded_graph,
-                     builtin_instances, edge_graph, enumerate_triples,
-                     generate_geometric, init_prices, plain_routing_cost,
-                     primal_subproblem, solve)
+                     PriceVector, SolverConfig, build_edge_graph,
+                     build_expanded_graph, builtin_instances, edge_graph,
+                     enumerate_triples, generate_geometric, init_prices,
+                     plain_routing_cost, primal_subproblem, solve)
 from carpool.edge_graph import (RouteSearch, _dijkstra, bind_kernel,
                                 build_kernel)
 from carpool.model import Instance, Node, Session
-from model_reference import (dominant_path, path_to_flow,
-                             plain_routing_cost_reference, relaxation_labels,
-                             shortest_path, solve_reference, worst_residual)
+from carpool.solver import NonFiniteError
+from model_reference import (dominant_path, ordered_pairs_reference,
+                             path_to_flow, plain_routing_cost_reference,
+                             relaxation_labels, shortest_path,
+                             solve_reference, worst_residual)
 
 
 def graph_parts(inst):
@@ -49,6 +50,14 @@ def route_flows(g, idx, rows, start):
         values[rows[start[t]:start[t + 1]]] = s.rate
         flows.append(FlowVector(s.sid, values))
     return flows
+
+
+def dual_bound(h, p):
+    """sum_t R_t * dist_t at prices p, added in session order."""
+    q = 0.0
+    for s, dist in zip(h.g.base.sessions, primal_subproblem(h, p)[0]):
+        q += s.rate * float(dist)
+    return q
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +152,9 @@ def test_paths_never_relay_through_foreign_terminals():
 
 def test_primal_subproblem_bound_at_initial_prices(relay3_parts):
     g, idx, h = relay3_parts
-    rows, start, q = primal_subproblem(h, init_prices(idx))
+    _, start, rows = primal_subproblem(h, init_prices(idx))
     flows = route_flows(g, idx, rows, start)
-    assert q == 3.0
+    assert dual_bound(h, init_prices(idx)) == 3.0
     assert [f.session for f in flows] == ["s1", "s2"]
     assert worst_residual(flows, g, idx) == 0.0
 
@@ -169,12 +178,11 @@ def test_bound_is_concave_in_prices(relay3_parts):
             vals = np.empty(len(idx))
             vals[idx.pair_fwd] = u
             vals[idx.pair_rev] = idx.pair_cost - u
-            qs.append((PriceVector(vals),
-                       primal_subproblem(h, PriceVector(vals))[2]))
+            qs.append((PriceVector(vals), dual_bound(h, PriceVector(vals))))
         for lam in (0.25, 0.5, 0.75):
             mix = PriceVector(lam * qs[0][0].values
                               + (1 - lam) * qs[1][0].values)
-            q_mix = primal_subproblem(h, mix)[2]
+            q_mix = dual_bound(h, mix)
             assert q_mix >= lam * qs[0][1] + (1 - lam) * qs[1][1] - 1e-9
 
 
@@ -206,7 +214,7 @@ def test_fifo_relaxation_matches_priority_labels():
 
 def test_dominant_path_of_a_single_route(relay3_parts):
     g, idx, h = relay3_parts
-    rows, start, _ = primal_subproblem(h, init_prices(idx))
+    _, start, rows = primal_subproblem(h, init_prices(idx))
     dom = dominant_path(h, route_flows(g, idx, rows, start)[0], 0)
     assert dom.vertices == [(3, 0), (0, 1), (1, 2), (2, 4)]
     assert dom.weight == 3.0  # transmission cost, not price
@@ -316,7 +324,7 @@ def random_instance(rng, n, edges):
 def baseline_or_error(routing, inst):
     try:
         return routing(inst)
-    except InfeasibleSessionError as exc:
+    except NonFiniteError as exc:
         return str(exc)
 
 
@@ -421,6 +429,18 @@ def test_kernel_failure_raises(kernel):
         search(init_prices(idx).values)
 
 
+def test_solve_never_lists_the_ordered_pairs(grid2, monkeypatch):
+    def refuse(g):
+        raise AssertionError("ordered_pairs called")
+    monkeypatch.setattr(edge_graph, "ordered_pairs", refuse)
+    sol, _ = solve(grid2, SolverConfig(tol=1e-12, max_iters=5))
+    assert sol.iterations == 5
+    monkeypatch.undo()
+    g, idx, h = graph_parts(grid2)
+    assert "vertices" not in vars(h)
+    assert h.vertices == ordered_pairs_reference(g)
+
+
 def test_primal_subproblem_builds_one_search_per_graph(relay3_parts):
     g, idx, h = relay3_parts
     p = init_prices(idx)
@@ -430,5 +450,4 @@ def test_primal_subproblem_builds_one_search_per_graph(relay3_parts):
     assert search is not None
     again = primal_subproblem(h, p)
     assert h.search is search
-    assert all(np.array_equal(a, b) for a, b in zip(first[:2], again[:2]))
-    assert first[2] == again[2]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))

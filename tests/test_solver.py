@@ -74,7 +74,7 @@ def test_initial_prices_split_the_transmission_cost(relay3_parts):
 def routed_total(g, idx, p):
     """This round's flow per triple summed over sessions, as the solve
     loop sums it for the price step."""
-    rows, start, _ = primal_subproblem(build_edge_graph(g, idx), p)
+    _, start, rows = primal_subproblem(build_edge_graph(g, idx), p)
     rates = np.repeat([s.rate for s in g.base.sessions], np.diff(start))
     return np.bincount(rows, weights=rates, minlength=len(idx))
 
