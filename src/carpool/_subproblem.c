@@ -12,68 +12,120 @@
  * plain IEEE double additions, so the build must not contract or
  * reorder them (no -ffast-math, -ffp-contract=off).
  *
+ * The queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
+ * Tarjan, J. ACM 37(2), 1990).  A key is two words compared as one
+ * unsigned 128-bit number: the bit pattern of dist, then hops << 32 |
+ * vertex.  Its order is the pop order (dist, hops, vertex), because a
+ * finite double >= +0.0 orders by its bits exactly as by value, and no
+ * distance is -0.0, NaN or infinite: +0.0 + -0.0 is +0.0, and a NaN or
+ * infinite offer never beats a label.  Every weight is >= 0, so every
+ * key pushed is larger than the key just popped: its distance is no
+ * smaller, and an equal distance has one hop more.  Bucket 0 holds keys
+ * equal to the last key popped, bucket b >= 1 those whose highest bit
+ * that differs from it is bit b - 1.  A pop takes the lowest bucket
+ * that is not empty, which a bitmask finds, makes its smallest key the
+ * last key popped and moves the others to lower buckets.  Entries are
+ * nodes of one pool of narcs + 1: each vertex is settled once and
+ * relaxes its arcs once, so a session pushes at most once per arc, plus
+ * its source.
+ *
  * Session t searches from src[t] to dst[t] (no early stop when dst[t]
  * is negative).  Its distance goes to qdist[t] and its arcs, source
  * first, to rows[start[t]] .. rows[start[t + 1] - 1]; an unreached
- * destination has distance infinity and no arcs.  dist, hops and pred
- * hold the labels of the last session when the call returns.
+ * destination has distance infinity and no arcs, and a negative dst[t]
+ * distance 0 and no arcs.  dist, hops and pred hold the labels of the
+ * last session when the call returns.
  *
- * Returns 0, or -1 when memory runs out, -2 when the heap outgrows the
- * arc count (a negative weight), -3 when the paths need more than cap
- * rows, -4 on a broken predecessor chain, -5 when an index of the CSR
- * is out of range.
+ * Returns 0, or -1 when memory runs out, -2 when a weight is negative
+ * (below -0.0: its keys could fall below the last one popped) or the
+ * pushes outgrow the pool, -3 when the paths need more than cap rows,
+ * -4 on a broken predecessor chain, -5 when an index of the CSR is out
+ * of range or nv or narcs is 2^31 or more (hops and the vertex must fit
+ * 32 bits each).
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+
+#define BUCKETS 129
 
 typedef struct {
+    uint64_t hi, lo; /* the bits of dist, then hops << 32 | vertex */
+    int64_t next;    /* the next node in the same bucket, or -1 */
+} node;
+
+typedef struct {
+    node *pool;
+    int64_t head[BUCKETS];
+    uint64_t full[3];  /* bit b % 64 of full[b / 64]: bucket b has nodes */
+    uint64_t hi, lo;   /* the last key popped */
+} radix_heap;
+
+/* The index of the highest set bit of x, which is not 0. */
+static int top_bit(uint64_t x)
+{
+#if defined(__GNUC__)
+    return 63 - __builtin_clzll(x);
+#else
+    int b = 0;
+    while (x >>= 1)
+        b++;
+    return b;
+#endif
+}
+
+static void put(radix_heap *q, int64_t i)
+{
+    node *e = &q->pool[i];
+    int b = e->hi != q->hi ? 65 + top_bit(e->hi ^ q->hi)
+            : e->lo != q->lo ? 1 + top_bit(e->lo ^ q->lo) : 0;
+    uint64_t bit = (uint64_t)1 << (b % 64);
+    e->next = q->full[b / 64] & bit ? q->head[b] : -1;
+    q->head[b] = i;
+    q->full[b / 64] |= bit;
+}
+
+/* Pops the smallest key into q->hi and q->lo; 0 when q is empty. */
+static int pop(radix_heap *q)
+{
+    int word = 0;
+    while (word < 3 && !q->full[word])
+        word++;
+    if (word == 3)
+        return 0;
+    uint64_t low = q->full[word] & (~q->full[word] + 1);
+    int b = 64 * word + top_bit(low);
+    node *pool = q->pool;
+    int64_t best = q->head[b];
+    for (int64_t j = pool[best].next; j >= 0; j = pool[j].next)
+        if (pool[j].hi < pool[best].hi
+            || (pool[j].hi == pool[best].hi && pool[j].lo < pool[best].lo))
+            best = j;
+    q->full[word] &= ~low;
+    q->hi = pool[best].hi;
+    q->lo = pool[best].lo;
+    for (int64_t j = q->head[b], next; j >= 0; j = next) {
+        next = pool[j].next;
+        if (j != best)
+            put(q, j);
+    }
+    return 1;
+}
+
+static uint64_t bits(double d)
+{
+    uint64_t u;
+    memcpy(&u, &d, sizeof u);
+    return u;
+}
+
+static double value(uint64_t u)
+{
     double d;
-    int64_t h;
-    int64_t v;
-} entry;
-
-static int before(const entry *a, const entry *b)
-{
-    if (a->d != b->d)
-        return a->d < b->d;
-    if (a->h != b->h)
-        return a->h < b->h;
-    return a->v < b->v;
-}
-
-static void push(entry *heap, int64_t *n, entry e)
-{
-    int64_t i = (*n)++;
-    while (i > 0) {
-        int64_t parent = (i - 1) / 2;
-        if (!before(&e, &heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = e;
-}
-
-static entry pop(entry *heap, int64_t *n)
-{
-    entry top = heap[0], last = heap[--*n];
-    int64_t i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= *n)
-            break;
-        if (c + 1 < *n && before(&heap[c + 1], &heap[c]))
-            c++;
-        if (!before(&heap[c], &last))
-            break;
-        heap[i] = heap[c];
-        i = c;
-    }
-    if (*n > 0)
-        heap[i] = last;
-    return top;
+    memcpy(&d, &u, sizeof d);
+    return d;
 }
 
 int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
@@ -83,46 +135,57 @@ int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
                        int64_t *pred, double *qdist, int64_t *start,
                        int64_t *rows, int64_t cap)
 {
-    int64_t cap_heap = narcs + 1, used = 0, status = 0;
-    entry *heap = malloc(cap_heap * sizeof *heap);
-    int64_t *via = malloc((nv + 1) * sizeof *via);
-    if (!heap || !via) {
+    const int64_t limit = (int64_t)1 << 31;
+    int64_t used = 0, status = 0, *via;
+    radix_heap q;
+    if (nv >= limit || narcs >= limit)
+        return -5;
+    for (int64_t u = 0; u < nv; u++)
+        if (bounds[u] < 0 || bounds[u] > bounds[u + 1]
+            || bounds[u + 1] > narcs)
+            return -5;
+    for (int64_t j = 0; j < narcs; j++)
+        if (arcs[j] < 0 || arcs[j] >= m)
+            return -5;
+    for (int64_t k = 0; k < m; k++)
+        if (heads[k] < 0 || heads[k] >= nv)
+            return -5;
+    for (int64_t k = 0; k < m; k++)
+        if (w[k] < 0.0)
+            return -2;
+    q.pool = malloc((narcs + 1) * sizeof *q.pool);
+    via = malloc((nv + 1) * sizeof *via);
+    if (!q.pool || !via) {
         status = -1;
         goto done;
     }
-    for (int64_t u = 0; u < nv; u++)
-        if (bounds[u] < 0 || bounds[u] > bounds[u + 1]
-            || bounds[u + 1] > narcs) {
-            status = -5;
-            goto done;
-        }
     start[0] = 0;
     for (int64_t t = 0; t < ns; t++) {
-        int64_t s = src[t], stop = dst[t], n = 0;
+        int64_t s = src[t], stop = dst[t], pushed = 1;
         for (int64_t x = 0; x < nv; x++) {
             dist[x] = INFINITY;
             hops[x] = 0;
             pred[x] = -1;
         }
         dist[s] = 0.0;
-        push(heap, &n, (entry){0.0, 0, s});
-        while (n > 0) {
-            entry e = pop(heap, &n);
-            int64_t u = e.v;
-            if (e.d != dist[u] || e.h != hops[u])
+        q.full[0] = q.full[1] = q.full[2] = 0;
+        q.hi = q.lo = 0;
+        q.pool[0].hi = 0;
+        q.pool[0].lo = (uint64_t)s;
+        put(&q, 0);
+        while (pop(&q)) {
+            double d = value(q.hi);
+            int64_t h = (int64_t)(q.lo >> 32);
+            int64_t u = (int64_t)(q.lo & 0xffffffffu);
+            if (d != dist[u] || h != hops[u])
                 continue;
             if (u == stop)
                 break;
             for (int64_t j = bounds[u]; j < bounds[u + 1]; j++) {
-                int64_t k = arcs[j], nh = e.h + 1;
-                if (k < 0 || k >= m || heads[k] < 0 || heads[k] >= nv) {
-                    status = -5;
-                    goto done;
-                }
-                int64_t x = heads[k];
-                double nd = e.d + w[k];
+                int64_t k = arcs[j], x = heads[k], nh = h + 1;
+                double nd = d + w[k];
                 if (nd < dist[x] || (nd == dist[x] && nh < hops[x])) {
-                    if (n == cap_heap) {
+                    if (pushed > narcs) {
                         status = -2;
                         goto done;
                     }
@@ -130,7 +193,9 @@ int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
                     hops[x] = nh;
                     pred[x] = u;
                     via[x] = k;
-                    push(heap, &n, (entry){nd, nh, x});
+                    q.pool[pushed].hi = bits(nd);
+                    q.pool[pushed].lo = (uint64_t)nh << 32 | (uint64_t)x;
+                    put(&q, pushed++);
                 } else if (nd == dist[x] && nh == hops[x] && u < pred[x]) {
                     pred[x] = u;
                     via[x] = k;
@@ -157,7 +222,7 @@ int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
         start[t + 1] = used;
     }
 done:
-    free(heap);
+    free(q.pool);
     free(via);
     return status;
 }

@@ -205,7 +205,8 @@ def _address(a: np.ndarray, dtype) -> int:
 
 
 class RouteSearch:
-    """Cheapest routes from src[t] to dst[t] on one CSR graph, any weights.
+    """Cheapest routes from src[t] to dst[t] on one CSR graph, at any
+    weights that are not negative.
 
     The arcs leaving u are arcs[bounds[u]:bounds[u + 1]], and arc k runs
     to heads[k].  Building the search checks the CSR arrays and the
@@ -213,9 +214,10 @@ class RouteSearch:
     output buffers and takes every address, so that a call checks only
     the weights.  Without fn, _dijkstra runs one session at a time.
 
-    A negative dst[t] searches the whole graph and returns no path (the
-    kernel only).  After a kernel call, dist, hops and pred hold the
-    labels of the last session.
+    Both searches refuse a negative weight with the same ValueError; NaN,
+    inf and -0.0 are accepted.  A negative dst[t] searches the whole
+    graph and returns distance 0 and no arcs.  After a kernel call, dist,
+    hops and pred hold the labels of the last session.
     """
 
     def __init__(self, fn, bounds: np.ndarray, arcs: np.ndarray,
@@ -257,8 +259,12 @@ class RouteSearch:
             raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
         address = _address(wts, np.dtype(np.float64))
         if self.fn is None:
+            if (wts < 0.0).any():
+                raise _negative_weight(wts)
             return self._python(wts.tolist())
         status = self.fn(*self.before_wts, address, *self.after_wts)
+        if status == -2:
+            raise _negative_weight(wts)
         if status:
             raise RuntimeError(
                 f"sub-problem kernel failed with status {status}")
@@ -271,7 +277,7 @@ class RouteSearch:
         for s, t in self.sessions:
             dist, _, pred = _dijkstra(bounds, arcs, heads, wts, s, stop_at=t)
             path = []
-            if dist[t] != INF:
+            if t >= 0 and dist[t] != INF:
                 x = t
                 while x != s:
                     u = pred[x]
@@ -281,11 +287,17 @@ class RouteSearch:
                                      if heads[k] == x))
                     x = u
                 path.reverse()
-            dists.append(dist[t])
+            dists.append(dist[t] if t >= 0 else 0.0)
             rows += path
             start.append(len(rows))
         return (np.array(dists, dtype=float), np.array(start, dtype=np.int64),
                 np.array(rows, dtype=np.int64))
+
+
+def _negative_weight(wts: np.ndarray) -> ValueError:
+    k = int(np.argmax(wts < 0.0))
+    return ValueError(f"weight {float(wts[k])!r} of arc {k} is negative; "
+                      "a route search needs weights >= 0")
 
 
 def route_search(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,

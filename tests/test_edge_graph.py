@@ -1,6 +1,8 @@
 """Edge-graph construction, priced shortest paths, primal sub-problem."""
 
 import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,39 +274,49 @@ def draws(seed, count):
         yield rng, n, edges
 
 
+# Weights whose bit patterns stress the kernel's two-word keys: many
+# sums tie on the distance word and are ordered by hops and vertex, and
+# the draw covers -0.0, the smallest denormal, the next double after 1,
+# sums that overflow to inf, and inf and NaN arcs.
+TIE_WEIGHTS = np.array([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0, 1 + 2**-52,
+                        2.0**1000, 1.7e308, np.inf, np.nan])
+
+
 def test_kernel_labels_and_rows_equal_dijkstra(kernel):
     unreachable = 0
+    ties = np.random.default_rng(12)
     for rng, n, edges in draws(11, 40):
         g, idx, h = graph_parts(unit_instance(n, edges))
-        w = random_weights(rng, len(idx))
         csr = (h.bounds, h.order, h.head)
-        lists = [a.tolist() for a in csr] + [w.tolist()]
         nv = len(h.vertices)
-        for src in range(nv):
-            # full tree
-            search = RouteSearch(kernel, *csr, [src], [-1])
-            search(w)
-            dist, hops, pred = _dijkstra(*lists, src)
-            assert search.dist.tobytes() == np.array(dist).tobytes()
-            assert search.hops.tolist() == hops
-            assert search.pred.tolist() == pred
-            # early stop at every destination
-            srcs, dsts = [src] * nv, list(range(nv))
-            qdist, start, rows = RouteSearch(kernel, *csr, srcs, dsts)(w)
-            ref_dist, ref_start, ref_rows = RouteSearch(None, *csr, srcs,
-                                                        dsts)(w)
-            assert qdist.tobytes() == ref_dist.tobytes()
-            for t in range(nv):
-                assert rows[start[t]:start[t + 1]].tolist() == \
-                    ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
-            unreachable += int(np.isinf(qdist).sum())
-            dst = int(rng.integers(0, nv))
-            search = RouteSearch(kernel, *csr, [src], [dst])
-            search(w)
-            dist, hops, pred = _dijkstra(*lists, src, stop_at=dst)
-            assert search.dist.tobytes() == np.array(dist).tobytes()
-            assert search.hops.tolist() == hops
-            assert search.pred.tolist() == pred
+        for w, pick in ((random_weights(rng, len(idx)), rng),
+                        (ties.choice(TIE_WEIGHTS, len(idx)), ties)):
+            lists = [a.tolist() for a in csr] + [w.tolist()]
+            for src in range(nv):
+                # full tree
+                search = RouteSearch(kernel, *csr, [src], [-1])
+                search(w)
+                dist, hops, pred = _dijkstra(*lists, src)
+                assert search.dist.tobytes() == np.array(dist).tobytes()
+                assert search.hops.tolist() == hops
+                assert search.pred.tolist() == pred
+                # early stop at every destination
+                srcs, dsts = [src] * nv, list(range(nv))
+                qdist, start, rows = RouteSearch(kernel, *csr, srcs, dsts)(w)
+                ref_dist, ref_start, ref_rows = RouteSearch(None, *csr, srcs,
+                                                            dsts)(w)
+                assert qdist.tobytes() == ref_dist.tobytes()
+                for t in range(nv):
+                    assert rows[start[t]:start[t + 1]].tolist() == \
+                        ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
+                unreachable += int(np.isinf(qdist).sum())
+                dst = int(pick.integers(0, nv))
+                search = RouteSearch(kernel, *csr, [src], [dst])
+                search(w)
+                dist, hops, pred = _dijkstra(*lists, src, stop_at=dst)
+                assert search.dist.tobytes() == np.array(dist).tobytes()
+                assert search.hops.tolist() == hops
+                assert search.pred.tolist() == pred
     assert unreachable > 0
 
 
@@ -418,15 +430,49 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     kept = [a.copy() for a in first]
     search(np.zeros_like(w))  # a later call leaves earlier results alone
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+    # a negative destination searches the whole graph: distance 0, no arcs
+    qdist, start, rows = RouteSearch(fn, *csr, list(range(nv)), [-1] * nv)(w)
+    assert qdist.tolist() == [0.0] * nv
+    assert start.tolist() == [0] * (nv + 1) and rows.size == 0
 
 
-def test_kernel_failure_raises(kernel):
-    g, idx, h = graph_parts(builtin_instances()["relay3"])
-    bounds = h.bounds.copy()
-    bounds[-1] = len(h.order) + 1  # past the end of the arc list
-    search = RouteSearch(kernel, bounds, h.order, h.head, [0], [1])
-    with pytest.raises(RuntimeError, match="status -5"):
-        search(init_prices(idx).values)
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_kernel_failure_raises(kernel, compiled):
+    g, idx, h = graph_parts(builtin_instances()["grid2"])
+    fn = kernel if compiled else None
+    search = RouteSearch(fn, h.bounds, h.order, h.head, h.src_vertex,
+                         h.dst_vertex)
+    w = init_prices(idx).values.copy()
+    _, start, rows = search(w)
+    k = int(rows[start[0]])  # an arc of session 0's route
+    for accepted in (-0.0, np.inf, np.nan):
+        w[k] = accepted
+        search(w)
+    w[k] = -0.25  # no cycle, but a radix heap cannot take the key
+    with pytest.raises(ValueError,
+                       match=f"^weight -0.25 of arc {k} is negative; "):
+        search(w)
+    if compiled:  # only the kernel checks the CSR ranges
+        bounds = h.bounds.copy()
+        bounds[-1] = len(h.order) + 1  # past the end of the arc list
+        search = RouteSearch(kernel, bounds, h.order, h.head, [0], [1])
+        with pytest.raises(RuntimeError, match="status -5"):
+            search(init_prices(idx).values)
+
+
+def test_kernel_is_portable_c(tmp_path):
+    """The kernel builds as strict C99 with every warning an error, so a
+    cc without GNU extensions builds it too instead of falling back to
+    the much slower _dijkstra."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    source = Path(edge_graph.__file__).with_name("_subproblem.c")
+    done = subprocess.run(
+        [cc, *edge_graph.CC_FLAGS, "-std=c99", "-Wall", "-Wextra",
+         "-Wpedantic", "-Werror", "-o", str(tmp_path / "kernel.so"),
+         str(source)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_solve_never_lists_the_ordered_pairs(grid2, monkeypatch):
