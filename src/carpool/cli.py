@@ -25,10 +25,10 @@ import numpy as np
 from .distributed import SimSchedule, run_distributed_solve
 from .instances import (GenerationError, GeometricConfig, builtin_instances,
                         generate_geometric, plain_routing_cost)
-from .model import (FlowVector, InfeasibleSessionError, Instance,
-                    InstanceError, Node, Session, build_expanded_graph,
-                    conservation_residual, enumerate_triples, ordered_pairs,
-                    total_cost, transmission_summary)
+from .model import (InfeasibleSessionError, Instance, InstanceError, Node,
+                    Session, build_expanded_graph, conservation_residual,
+                    enumerate_triples, ordered_pairs, total_cost,
+                    transmission_summary)
 from .solver import NonFiniteError, SolverConfig, solve
 
 log = logging.getLogger("carpool")
@@ -444,42 +444,44 @@ def cmd_check(args) -> int:
         print(f"session sets differ: instance has {sorted(by_id)}, "
               f"solution has {sorted(doc.flows)}", file=sys.stderr)
         return 1
-    flows = []
-    for s in inst.sessions:
-        trips, vals = doc.flows[s.sid]
-        rows = idx.rows(trips)
-        if (rows < 0).any():
-            key = tuple(trips[int(np.argmax(rows < 0))].tolist())
-            print(f"session {s.sid}: unknown triple {key}", file=sys.stderr)
-            return 1
-        bad = ~(vals >= 0) | np.isinf(vals)
-        for j in np.nonzero(bad)[0]:
-            key = tuple(trips[j].tolist())
-            val = float(vals[j])
-            if val < 0:
-                problems.append(f"session {s.sid}: negative flow on {key}")
-            else:
-                problems.append(f"session {s.sid}: non-finite flow {val!r} "
-                                f"on {key}")
-        vals = np.where(bad, 0.0, vals)
-        # a later entry for the same triple overrides an earlier one
-        last = _last_of_each(rows)
-        values = np.zeros(len(idx))
-        values[rows[last]] = vals[last]
-        flows.append(FlowVector(s.sid, values))
+    # every entry, in instance session order and then file order
+    sids = [s.sid for s in inst.sessions]
+    parts = [doc.flows[sid] for sid in sids]
+    sessions = np.repeat(np.arange(len(parts)), [len(v) for _, v in parts])
+    trips = np.concatenate([np.empty((0, 3), np.int64)]
+                           + [trips for trips, _ in parts])
+    vals = np.concatenate([np.empty(0)] + [vals for _, vals in parts])
+    rows = idx.rows(trips)
+    if (rows < 0).any():
+        j = int(np.argmax(rows < 0))
+        print(f"session {sids[sessions[j]]}: unknown triple "
+              f"{tuple(trips[j].tolist())}", file=sys.stderr)
+        return 1
+    bad = ~(vals >= 0) | np.isinf(vals)
+    for j in np.nonzero(bad)[0]:
+        where = f"session {sids[sessions[j]]}"
+        key = tuple(trips[j].tolist())
+        val = float(vals[j])
+        if val < 0:
+            problems.append(f"{where}: negative flow on {key}")
+        else:
+            problems.append(f"{where}: non-finite flow {val!r} on {key}")
+    # a later entry for the same (session, triple) overrides an earlier
+    # one; the survivors come sorted by (session, triple)
+    last = _last_of_each(sessions * len(idx) + rows)
+    sessions, rows = sessions[last], rows[last]
+    vals = np.where(bad, 0.0, vals)[last]
 
-    res = conservation_residual(flows, g, idx)
+    res = conservation_residual(sessions, rows, vals, g, idx)
     bad_rows, bad_pairs = np.nonzero(~(np.abs(res) <= 1e-9))
     if len(bad_pairs):
         pairs = ordered_pairs(g)
-        for r, e in zip(bad_rows.tolist(), bad_pairs.tolist()):
+        for t, e in zip(bad_rows.tolist(), bad_pairs.tolist()):
             problems.append(
-                f"session {flows[r].session}: conservation violated at pair "
-                f"{pairs[e]}: residual {res[r, e]:.3g}")
+                f"session {sids[t]}: conservation violated at pair "
+                f"{pairs[e]}: residual {res[t, e]:.3g}")
 
-    agg = np.zeros(len(idx))
-    for f in flows:
-        agg += f.values
+    agg = np.bincount(rows, weights=vals, minlength=len(idx))
     summary = transmission_summary(agg, g, idx)
     row_of = np.full(len(idx), -1)
     row_of[idx.pair_fwd] = np.arange(len(idx.pair_fwd))
@@ -525,7 +527,7 @@ def cmd_check(args) -> int:
                             f"recomputed {routing!r}")
 
     log.debug("check: %d sessions, worst problems: %d, expanded %s",
-              len(flows), len(problems), doc.expanded_cost)
+              len(inst.sessions), len(problems), doc.expanded_cost)
     for msg in problems:
         print(msg, file=sys.stderr)
     if problems:

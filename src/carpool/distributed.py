@@ -104,7 +104,7 @@ class _SimContext:
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
                  schedule: SimSchedule):
-        self.g, self.idx, self.h, self.vertices = g, idx, h, h.vertices
+        self.g, self.idx, self.vertices = g, idx, h.vertices
         ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
         self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
         self.stats = MessageStats()
@@ -192,10 +192,9 @@ def _share_prices(procs: list[NodeProcessor], p: PriceVector) -> None:
 
 
 def make_processors(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
-                    schedule: SimSchedule | None = None,
-                    h: EdgeGraph | None = None) -> list[NodeProcessor]:
-    if h is None:
-        h = build_edge_graph(g, idx)
+                    schedule: SimSchedule | None = None
+                    ) -> list[NodeProcessor]:
+    h = build_edge_graph(g, idx)
     ctx = _SimContext(g, idx, h, schedule or SimSchedule())
     procs = [NodeProcessor(i, ctx) for i in range(g.n_nodes)]
     _share_prices(procs, p)
@@ -247,23 +246,23 @@ def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]
 def distributed_shortest_paths(procs: list[NodeProcessor]) -> list[float]:
     """Flood labels to quiescence; each destination's distance, or inf."""
     ctx = procs[0].ctx
-    h = ctx.h
+    vertices = ctx.vertices
     for proc in procs:
         for labels in proc.labels:
             labels.clear()
-    for t, src in enumerate(h.src_vertex):
-        procs[h.vertices[src][0]].prime_source(t, src)
+    for t, src in enumerate(ctx.g.src_pair.tolist()):
+        procs[vertices[src][0]].prime_source(t, src)
     _run_to_quiescence(ctx, procs)
-    return [procs[h.vertices[dst][0]].labels[t].get(dst, (INF,))[0]
-            for t, dst in enumerate(h.dst_vertex)]
+    return [procs[vertices[dst][0]].labels[t].get(dst, (INF,))[0]
+            for t, dst in enumerate(ctx.g.dst_pair.tolist())]
 
 
 def _flow_notification(procs: list[NodeProcessor]) -> None:
     """Each destination walks its predecessor chain; relays tally rates."""
     ctx = procs[0].ctx
-    h = ctx.h
-    for t, (s, dst) in enumerate(zip(ctx.g.base.sessions, h.dst_vertex)):
-        procs[h.vertices[dst][0]]._chase(t, dst, s.rate)
+    g = ctx.g
+    for t, (s, dst) in enumerate(zip(g.base.sessions, g.dst_pair.tolist())):
+        procs[ctx.vertices[dst][0]]._chase(t, dst, s.rate)
     _run_to_quiescence(ctx, procs)
 
 
@@ -307,8 +306,7 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    h = build_edge_graph(g, idx)
-    procs = make_processors(g, idx, init_prices(idx), schedule, h)
+    procs = make_processors(g, idx, init_prices(idx), schedule)
     # each round runs at the prices the last price step shared out
     sol, trace = price_ascent(
         g, idx, cfg, lambda p: _message_round(procs),

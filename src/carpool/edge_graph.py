@@ -54,8 +54,9 @@ class EdgeGraph:
     """Directed graph over ordered node pairs; arcs are the triples.
 
     Vertex u is the ordered pair vertices[u], which is pair u of the
-    expanded graph's CSR.  Triple k is the arc idx.tail[k] -> head[k],
-    and the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
+    expanded graph's CSR, so session t routes from vertex g.src_pair[t]
+    to g.dst_pair[t].  Triple k is the arc idx.tail[k] -> head[k], and
+    the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
     1]], in triple order.  search is the route search of every session,
     built by the first primal_subproblem call on the graph and reused by
     later ones.  vertices is built on first read; the solve loop never
@@ -65,8 +66,6 @@ class EdgeGraph:
     g: ExpandedGraph
     idx: TripleIndex
     head: np.ndarray   # per triple: vertex index of (i, w)
-    src_vertex: list[int]  # per session
-    dst_vertex: list[int]
     order: np.ndarray
     bounds: np.ndarray
     search: RouteSearch | None = None
@@ -80,10 +79,7 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     # arcs grouped by tail vertex, in triple order within each group
     order = np.argsort(idx.tail, kind="stable")
     bounds = np.searchsorted(idx.tail[order], np.arange(len(g.indices) + 1))
-    sessions = range(len(g.base.sessions))
-    src = [g.pair_index(g.source_vertex(t)) for t in sessions]
-    dst = [g.pair_index(g.dest_vertex(t)) for t in sessions]
-    return EdgeGraph(g, idx, idx.head, src, dst, order, bounds)
+    return EdgeGraph(g, idx, idx.head, order, bounds)
 
 
 def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
@@ -209,10 +205,12 @@ class RouteSearch:
     weights that are not negative.
 
     The arcs leaving u are arcs[bounds[u]:bounds[u + 1]], and arc k runs
-    to heads[k].  Building the search checks the CSR arrays and the
-    session ends once; with the compiled kernel fn it also allocates the
-    output buffers and takes every address, so that a call checks only
-    the weights.  Without fn, _dijkstra runs one session at a time.
+    to heads[k].  Building the search checks the session ends, and the
+    CSR arrays' types and index ranges, once: a ValueError for a range
+    the kernel's status -5 would refuse, whichever search runs.  With the
+    compiled kernel fn it also allocates the output buffers and takes
+    every address, so that a call checks only the weights.  Without fn,
+    _dijkstra runs one session at a time.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
@@ -221,21 +219,34 @@ class RouteSearch:
     """
 
     def __init__(self, fn, bounds: np.ndarray, arcs: np.ndarray,
-                 heads: np.ndarray, src: list[int], dst: list[int]):
-        nv, ns = len(bounds) - 1, len(src)
+                 heads: np.ndarray, src: list[int] | np.ndarray,
+                 dst: list[int] | np.ndarray):
+        nv, ns, m = len(bounds) - 1, len(src), len(heads)
         if len(dst) != ns or (ns and not (0 <= min(src) and max(src) < nv
                                           and max(dst) < nv)):
             raise ValueError("session end vertices out of range")
         i64 = np.dtype(np.int64)
         csr = [_address(x, i64) for x in (bounds, arcs, heads)]
-        self.fn, self.narcs = fn, len(heads)
+        # the conditions of the kernel's status -5, checked here once so
+        # that _dijkstra is held to them too; read as unsigned, a
+        # negative index is out of range as well
+        u64 = np.uint64
+        for name, bad in (
+                ("size", max(nv, len(arcs)) >= 1 << 31),  # 32-bit keys
+                ("bounds", nv > 0 and (bounds[0] < 0 or bounds[-1] > len(arcs)
+                                       or (bounds[1:] < bounds[:-1]).any())),
+                ("arcs", (arcs.view(u64) >= m).any()),
+                ("heads", (heads.view(u64) >= nv).any())):
+            if bad:
+                raise ValueError(f"route search {name} out of range")
+        self.fn, self.narcs = fn, m
+        self.ends = np.array([src, dst], dtype=i64).reshape(2, ns)
         if fn is None:
             self.lists = [x.tolist() for x in (bounds, arcs, heads)]
-            self.sessions = list(zip(src, dst))
+            self.sessions = list(zip(*self.ends.tolist()))
             return
         # every array stays bound to self while the kernel may write it
         self.csr = (bounds, arcs, heads)
-        self.ends = np.array([src, dst], dtype=i64).reshape(2, ns)
         self.dist = np.empty(nv)
         self.hops = np.empty(nv, dtype=i64)
         self.pred = np.empty(nv, dtype=i64)
@@ -301,7 +312,8 @@ def _negative_weight(wts: np.ndarray) -> ValueError:
 
 
 def route_search(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
-                 src: list[int], dst: list[int]) -> RouteSearch:
+                 src: list[int] | np.ndarray, dst: list[int] | np.ndarray
+                 ) -> RouteSearch:
     """A RouteSearch on the compiled kernel, or on _dijkstra without it."""
     return RouteSearch(_load_kernel(), bounds, arcs, heads, src, dst)
 
@@ -315,6 +327,6 @@ def primal_subproblem(h: EdgeGraph, p: PriceVector
     never exceeds the coded optimum.
     """
     if h.search is None:
-        h.search = route_search(h.bounds, h.order, h.head, h.src_vertex,
-                                h.dst_vertex)
+        h.search = route_search(h.bounds, h.order, h.head, h.g.src_pair,
+                                h.g.dst_pair)
     return h.search(np.ascontiguousarray(p.values, dtype=np.float64))

@@ -22,7 +22,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -184,30 +183,27 @@ class ExpandedGraph:
     of indices is the ordered pair (a, indices[e]) with indptr[a] <= e <
     indptr[a + 1], so the entries run through the ordered pairs in sorted
     order: e is the pair index used by the residual and the edge graph.
+    Session t's flow enters at pair src_pair[t], (s'_t, s_t), and leaves
+    at pair dst_pair[t], (d_t, d'_t).
     """
 
     base: Instance
     n_base: int
     n_nodes: int
     costs: np.ndarray
-    terminals: list[tuple[int, int]]  # (s'_t, d'_t) per session
+    src_pair: np.ndarray
+    dst_pair: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
 
-    def source_vertex(self, t: int) -> tuple[int, int]:
-        return (self.terminals[t][0], self.base.sessions[t].source)
 
-    def dest_vertex(self, t: int) -> tuple[int, int]:
-        return (self.base.sessions[t].dest, self.terminals[t][1])
-
-    def pair_index(self, pair: tuple[int, int]) -> int:
-        """Position of the ordered pair (a, b) among all ordered pairs."""
-        a, b = pair
-        lo, hi = int(self.indptr[a]), int(self.indptr[a + 1])
-        e = lo + int(np.searchsorted(self.indices[lo:hi], b))
-        if e == hi or self.indices[e] != b:
-            raise KeyError(pair)
-        return e
+def pair_positions(indptr: np.ndarray, indices: np.ndarray, a: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    """Pair index of each ordered pair (a[j], b[j]) of a CSR; each must
+    be an entry of it."""
+    n = len(indptr) - 1
+    key = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n
+    return np.searchsorted(key + indices, a * n + b)
 
 
 def build_expanded_graph(inst: Instance) -> ExpandedGraph:
@@ -215,15 +211,15 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
     n_total = n + 2 * len(inst.sessions)
     costs = np.zeros(n_total)
     costs[:n] = inst.costs()
-    edges = list(inst.edges)
-    terminals = []
-    for t, s in enumerate(inst.sessions):
-        sp, dp = n + 2 * t, n + 2 * t + 1
-        terminals.append((sp, dp))
-        edges.append((s.source, sp))
-        edges.append((s.dest, dp))
-    indptr, indices = adjacency(n_total, edges)
-    return ExpandedGraph(inst, n, n_total, costs, terminals, indptr, indices)
+    src = np.array([s.source for s in inst.sessions], dtype=np.int64)
+    dst = np.array([s.dest for s in inst.sessions], dtype=np.int64)
+    sp = n + 2 * np.arange(len(src), dtype=np.int64)  # s'_t; d'_t = sp + 1
+    indptr, indices = adjacency(n_total, [*inst.edges, *zip(src, sp),
+                                          *zip(dst, sp + 1)])
+    return ExpandedGraph(inst, n, n_total, costs,
+                         pair_positions(indptr, indices, sp, src),
+                         pair_positions(indptr, indices, dst, sp + 1),
+                         indptr, indices)
 
 
 def ordered_pairs(g: ExpandedGraph) -> list[tuple[int, int]]:
@@ -260,14 +256,6 @@ class TripleIndex:
     def __len__(self) -> int:
         return len(self.key)
 
-    @cached_property
-    def triples(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.v.tolist(), self.mid.tolist(), self.w.tolist()))
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int, int], int]:
-        return {tr: k for k, tr in enumerate(self.triples)}
-
     def rows(self, triples) -> np.ndarray:
         """Row of each (v, i, w) of an (m, 3) array; -1 where none exists."""
         v, mid, w = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
@@ -296,9 +284,7 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     mid, v, w, ew = mid[keep], v[keep], w[keep], ew[keep]
     key = (mid * n + v) * n + w
     rev = np.searchsorted(key, (mid * n + w) * n + v)
-    # pair index of (v, i), by its key among the sorted ordered pairs
-    pair_key = np.repeat(np.arange(n, dtype=np.int64), deg) * n + nbr
-    tail = np.searchsorted(pair_key, v * n + mid)
+    tail = pair_positions(indptr, nbr, v, mid)  # pair index of (v, i)
     cost = g.costs[mid]
     pair_fwd = np.nonzero(v < w)[0]
     pair_rev = rev[pair_fwd]
@@ -369,32 +355,31 @@ def total_cost(summary: TransmissionSummary, g: ExpandedGraph
     return expanded, expanded - correction
 
 
-def conservation_residual(flows: list[FlowVector], g: ExpandedGraph,
+def conservation_residual(sessions: np.ndarray, rows: np.ndarray,
+                          values: np.ndarray, g: ExpandedGraph,
                           idx: TripleIndex) -> np.ndarray:
-    """Flow balance of each flow at every ordered pair (i, j), {i, j} an edge.
+    """Flow balance of every session at every ordered pair (i, j), {i, j}
+    an edge.
 
-    Row r belongs to flows[r], column e to ordered pair e (the order of
-    ordered_pairs).  Residual = (flow continuing out through j) - (flow
-    arriving onto (i, j)) - sigma, where sigma injects +R_t at (s'_t, s_t)
-    and -R_t at (d_t, d'_t).  A row is zero everywhere iff its flow is
-    feasible for its session.  Sums run in triple order.
+    Session sessions[j] (an index into g.base.sessions) carries values[j]
+    on triple rows[j].  Row t of the result belongs to session t, column e
+    to ordered pair e (the order of ordered_pairs).  Residual = (flow
+    continuing out through j) - (flow arriving onto (i, j)) - sigma, where
+    sigma injects +R_t at (s'_t, s_t) and -R_t at (d_t, d'_t).  A row is
+    zero everywhere iff its session's flow is feasible.  Each sum runs in
+    input order, so when the input is sorted by (session, row), with each
+    pair at most once, it runs in triple order and its bits do not depend
+    on how the flows were stored.
     """
-    t_of = {s.sid: t for t, s in enumerate(g.base.sessions)}
-    shape = (len(flows), len(g.indices))
-    sigma = np.zeros(shape)
-    x = np.zeros((len(flows), len(idx)))
-    for r, f in enumerate(flows):
-        t = t_of.get(f.session)
-        if t is None:
-            raise ValueError(f"unknown session {f.session!r}")
-        rate = g.base.sessions[t].rate
-        sigma[r, g.pair_index(g.source_vertex(t))] = rate
-        sigma[r, g.pair_index(g.dest_vertex(t))] = -rate
-        x[r] = f.values
-    rows, ks = np.nonzero(x)
-    vals = x[rows, ks]
-    out = np.zeros(shape)
-    np.add.at(out, (rows, idx.tail[ks]), vals)
-    into = np.zeros(shape)
-    np.add.at(into, (rows, idx.head[ks]), vals)
-    return out - into - sigma
+    rates = np.array([s.rate for s in g.base.sessions])
+    t, n_pairs = np.arange(len(rates)), len(g.indices)
+
+    def total(pairs: np.ndarray) -> np.ndarray:
+        return np.bincount(sessions * n_pairs + pairs, weights=values,
+                           minlength=len(rates) * n_pairs
+                           ).reshape(len(rates), n_pairs)
+
+    sigma = np.zeros((len(rates), n_pairs))
+    sigma[t, g.src_pair] = rates
+    sigma[t, g.dst_pair] = -rates
+    return total(idx.tail[rows]) - total(idx.head[rows]) - sigma

@@ -19,11 +19,12 @@ are the exact projection onto a coupled price pair and a FIFO
 label-correcting sweep, two independent routes to results the package
 computes in closed form or with a priority queue.
 
-The rest reads results the package only computes: one session's route
-as a path (shortest_path, path_to_flow), the route a recovered flow
-settles on (dominant_path), the largest conservation residual
-(worst_residual) and the dual-feasibility check of a price vector
-(validate_prices).
+The rest reads results the package only computes: the triples of a
+TripleIndex as tuples and their rows (triples_of, index_of), one
+session's route as a path (shortest_path, path_to_flow), the route a
+recovered flow settles on (dominant_path), the conservation residual of
+dense flow vectors (flow_entries, residual_of, worst_residual) and the
+dual-feasibility check of a price vector (validate_prices).
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def conservation_residual_reference(x, g, triples
     if t is None:
         raise ValueError(f"unknown session {x.session!r}")
     sess = g.base.sessions[t]
-    sp, dp = g.terminals[t]
+    sp, dp = g.n_base + 2 * t, g.n_base + 2 * t + 1
     out_sum: dict[tuple[int, int], float] = {}
     in_sum: dict[tuple[int, int], float] = {}
     vals = x.values
@@ -206,6 +207,18 @@ def dense_aggregate(flows, size: int) -> np.ndarray:
     return agg
 
 
+# ------------------------------------------------ reading the triples
+
+def triples_of(idx) -> list[tuple[int, int, int]]:
+    """Every triple (v, i, w) of idx, in row order."""
+    return list(zip(idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()))
+
+
+def index_of(idx) -> dict[tuple[int, int, int], int]:
+    """The row of each triple (v, i, w) of idx."""
+    return {tr: k for k, tr in enumerate(triples_of(idx))}
+
+
 # ------------------------------------------------ one route, one flow
 
 @dataclass
@@ -218,9 +231,9 @@ class SessionPath:
 
 def shortest_path(h, p, t) -> SessionPath:
     """Cheapest priced route for session index t, searched alone."""
-    src = h.src_vertex[t]
+    src = int(h.g.src_pair[t])
     search = edge_graph.route_search(h.bounds, h.order, h.head, [src],
-                                     [h.dst_vertex[t]])
+                                     [int(h.g.dst_pair[t])])
     dists, _, rows = search(np.ascontiguousarray(p.values, dtype=float))
     sid = h.g.base.sessions[t].sid
     if dists[0] == math.inf:
@@ -243,7 +256,7 @@ def dominant_path(h, x: FlowVector, t: int) -> SessionPath:
     Ties prefer the smaller triple row.  The weight is the path's
     transmission cost, not its price.
     """
-    src, dst = h.src_vertex[t], h.dst_vertex[t]
+    src, dst = int(h.g.src_pair[t]), int(h.g.dst_pair[t])
     vals = x.values
     u = src
     trips: list[int] = []
@@ -267,9 +280,29 @@ def dominant_path(h, x: FlowVector, t: int) -> SessionPath:
                        trips)
 
 
+def flow_entries(flows, g, idx):
+    """Dense per-session flows as conservation_residual's (sessions, rows,
+    values), sorted by (session, row) with zeros left out; session t is
+    g.base.sessions[t], and each session has at most one flow."""
+    t_of = {s.sid: t for t, s in enumerate(g.base.sessions)}
+    x = np.zeros((len(g.base.sessions), len(idx)))
+    for f in flows:
+        x[t_of[f.session]] = f.values
+    sessions, rows = np.nonzero(x)
+    return sessions, rows, x[sessions, rows]
+
+
+def residual_of(flows, g, idx) -> np.ndarray:
+    """conservation_residual of dense flows: one row per instance session,
+    a session without a flow carrying none."""
+    return conservation_residual(*flow_entries(flows, g, idx), g, idx)
+
+
 def worst_residual(flows, g, idx) -> float:
-    return float(np.abs(conservation_residual(flows, g, idx)).max(
-        initial=0.0))
+    """The largest residual of the sessions that flows covers."""
+    t_of = {s.sid: t for t, s in enumerate(g.base.sessions)}
+    res = residual_of(flows, g, idx)[[t_of[f.session] for f in flows]]
+    return float(np.abs(res).max(initial=0.0))
 
 
 def validate_prices(p: PriceVector, idx, tol: float = 1e-12) -> None:
@@ -284,13 +317,13 @@ def validate_prices(p: PriceVector, idx, tol: float = 1e-12) -> None:
     if lo.any() or hi.any():
         k = int(np.argmax(lo | hi))
         raise ValueError(
-            f"price out of [0, c] at triple {idx.triples[k]}: {p[k]}")
+            f"price out of [0, c] at triple {triples_of(idx)[k]}: {p[k]}")
     gap = np.abs(p[idx.pair_fwd] + p[idx.pair_rev] - idx.pair_cost)
     if (gap > tol).any():
         r = int(np.argmax(gap))
         k = int(idx.pair_fwd[r])
         raise ValueError(
-            f"price pair around {idx.triples[k]} sums to "
+            f"price pair around {triples_of(idx)[k]} sums to "
             f"{p[k] + p[int(idx.pair_rev[r])]}, expected {idx.pair_cost[r]}")
 
 

@@ -1,7 +1,8 @@
 """The public API is what the program itself calls.
 
 Every name the package root re-exports must be used, as a name or an
-attribute, by some other module of the package.  A function that only
+attribute, by some other module of the package, and so must every
+function, method and class the package defines.  A function that only
 tests call belongs in the tests (model_reference.py), not in carpool.
 """
 
@@ -34,7 +35,24 @@ def used_names() -> set[str]:
     return used
 
 
+def defined_names() -> set[str]:
+    """Every function, method and class defined in the package, nested
+    ones included; dunder methods, which Python calls itself, are left
+    out."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, kinds) and not (node.name.startswith("__")
+                                                and node.name.endswith("__"))}
+
+
 def test_every_export_is_used_inside_the_package():
     exported = exported_names()
     assert "solve" in exported and "plain_routing_cost" in exported
     assert sorted(exported - used_names()) == []
+
+
+def test_every_definition_is_used_inside_the_package():
+    defined = defined_names()
+    assert {"solve", "RouteSearch", "rows"} <= defined
+    assert sorted(defined - used_names()) == []

@@ -315,6 +315,51 @@ def test_check_recomputes_the_costs(solved, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def relay3_document(flows):
+    """A relay3 solution document stating flows and, for the transmissions
+    and costs, the two opposite unit routes that share the relay."""
+    pairs = [(1, 0, 3), (1, 0, 6), (0, 1, 2), (1, 2, 4), (1, 2, 5)]
+    return {"sessions": [{"id": sid, "flows": [
+                {"triple": list(t), "value": x} for t, x in entries]}
+                         for sid, entries in flows],
+            "pair_transmissions": [{"v": v, "mid": i, "w": w, "y": 1.0}
+                                   for v, i, w in pairs],
+            "node_transmissions": [{"node": i, "z": z}
+                                   for i, z in enumerate([2.0, 1.0, 2.0])],
+            "expanded_cost": 5.0, "physical_cost": 3.0,
+            "routing_cost": 4.0}
+
+
+def test_check_keys_each_flow_by_session_and_triple(relay3_path, tmp_path,
+                                                    capsys):
+    s1 = [((3, 0, 1), 1.0), ((0, 1, 2), 7.0), ((1, 2, 4), 1.0),
+          ((0, 1, 2), 1.0)]  # the later entry for (0, 1, 2) wins
+    s2 = [((5, 2, 1), 1.0), ((2, 1, 0), 1.0), ((1, 0, 6), 1.0)]
+    # sessions in reverse order, and s2 on a triple of s1's, which s2's
+    # flow must not merge with
+    doc = relay3_document([("s2", s2 + [((0, 1, 2), 0.5)]), ("s1", s1)])
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "session s2: conservation violated at pair (0, 1): residual 0.5",
+        "session s2: conservation violated at pair (1, 2): residual -0.5",
+        "transmissions for pair (0, 1, 2): stated y=1.0, flows give 1.5 "
+        "(session flows through the pair exceed its y)",
+        "node 1: stated z=1.0, flows give 1.5",
+        "expanded_cost: stated 5.0, flows give 5.5",
+        "physical_cost: stated 3.0, flows give 3.5"]
+    assert check_code(relay3_path, relay3_document([("s2", s2),
+                                                    ("s1", s1)]),
+                      tmp_path) == 0
+    # an unknown triple in the instance's last session, listed first
+    doc = relay3_document([("s2", s2 + [((0, 2, 1), 1.0)]), ("s1", s1)])
+    capsys.readouterr()
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr() == ("", "session s2: unknown triple "
+                                   "(0, 2, 1)\n")
+
+
 # ------------------------------------------------------------ bad inputs
 
 def test_missing_file_exits_one(capsys):

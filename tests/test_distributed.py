@@ -200,12 +200,12 @@ def test_twin_distances_equal_the_route_search(name, request):
     rates = np.repeat([s.rate for s in inst.sessions], np.diff(start))
     agg = np.bincount(rows, weights=rates, minlength=len(idx))
     p1 = subgradient_step(p0, agg, 1, SolverConfig(), idx)
-    search = route_search(h.bounds, h.order, h.head, h.src_vertex,
-                          h.dst_vertex)
+    search = route_search(h.bounds, h.order, h.head, g.src_pair,
+                          g.dst_pair)
     for p in (p0, p1):
         want = search(p.values)[0].tolist()
         for schedule in (SimSchedule("sync"), SimSchedule("async", seed=2)):
-            procs = make_processors(g, idx, p, schedule, h)
+            procs = make_processors(g, idx, p, schedule)
             assert distributed_shortest_paths(procs) == want
 
 
@@ -214,10 +214,10 @@ def test_flow_chase_refuses_a_vertex_without_a_label(relay3):
     idx = enumerate_triples(g)
     procs = make_processors(g, idx, init_prices(idx), SimSchedule("sync"))
     distributed_shortest_paths(procs)
-    h = procs[0].ctx.h
-    dst = h.dst_vertex[0]
-    pred = procs[h.vertices[dst][0]].labels[0][dst][2]
-    del procs[h.vertices[pred][0]].labels[0][pred]
+    vertices = procs[0].ctx.vertices
+    dst = int(g.dst_pair[0])
+    pred = procs[vertices[dst][0]].labels[0][dst][2]
+    del procs[vertices[pred][0]].labels[0][pred]
     with pytest.raises(RuntimeError, match="broken predecessor chain"):
         _flow_notification(procs)
 

@@ -18,10 +18,11 @@ from carpool.edge_graph import (RouteSearch, _dijkstra, bind_kernel,
                                 build_kernel)
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError
-from model_reference import (dominant_path, ordered_pairs_reference,
-                             path_to_flow, plain_routing_cost_reference,
-                             relaxation_labels, shortest_path,
-                             solve_reference, worst_residual)
+from model_reference import (dominant_path, index_of,
+                             ordered_pairs_reference, path_to_flow,
+                             plain_routing_cost_reference, relaxation_labels,
+                             shortest_path, solve_reference, triples_of,
+                             worst_residual)
 
 
 def graph_parts(inst):
@@ -37,8 +38,9 @@ def unit_instance(n, edges, sessions=()):
 def pinned_prices(idx, fixed):
     """Half-cost everywhere except explicitly fixed triples (+complement)."""
     vals = 0.5 * idx.cost.astype(float)
+    row = index_of(idx)
     for trip, price in fixed.items():
-        k = idx.index[trip]
+        k = row[trip]
         vals[k] = price
         vals[idx.rev[k]] = idx.cost[k] - price
     return PriceVector(vals)
@@ -86,11 +88,11 @@ def test_isolated_edge_has_no_arcs():
 def test_arcs_are_exactly_the_triples(relay3_parts):
     g, idx, h = relay3_parts
     assert len(h.head) == len(idx)
-    for k, (v, i, w) in enumerate(idx.triples):
+    for k, (v, i, w) in enumerate(triples_of(idx)):
         assert h.vertices[idx.tail[k]] == (v, i)
         assert h.vertices[h.head[k]] == (i, w)
-    assert [h.vertices[v] for v in h.src_vertex] == [(3, 0), (5, 2)]
-    assert [h.vertices[v] for v in h.dst_vertex] == [(2, 4), (0, 6)]
+    assert [h.vertices[v] for v in g.src_pair] == [(3, 0), (5, 2)]
+    assert [h.vertices[v] for v in g.dst_pair] == [(2, 4), (0, 6)]
 
 
 # ------------------------------------------------------------------- paths
@@ -100,7 +102,7 @@ def test_relay3_path_at_initial_prices(relay3_parts):
     sp = shortest_path(h, init_prices(idx), 0)
     assert sp.vertices == [(3, 0), (0, 1), (1, 2), (2, 4)]
     assert sp.weight == 1.5
-    assert [idx.triples[k] for k in sp.triples] == \
+    assert [triples_of(idx)[k] for k in sp.triples] == \
         [(3, 0, 1), (0, 1, 2), (1, 2, 4)]
 
 
@@ -418,7 +420,17 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     with pytest.raises(TypeError, match="contiguous 1-d int64"):
         RouteSearch(fn, h.bounds, h.order, h.head.reshape(1, -1),
                     [0], [1])
-    search = RouteSearch(fn, *csr, h.src_vertex, h.dst_vertex)
+    # the ranges the kernel refuses with status -5, refused by both
+    for which, at, value in ((0, -1, len(h.order) + 1),  # past the arcs
+                             (0, 0, -1), (0, 5, h.bounds[4] - 1),
+                             (1, 3, len(h.head)), (1, 0, -1),
+                             (2, 7, nv), (2, 0, -1)):
+        bad = [a.copy() for a in csr]
+        bad[which][at] = value
+        name = ("bounds", "arcs", "heads")[which]
+        with pytest.raises(ValueError, match=f"^route search {name} out "):
+            RouteSearch(fn, *bad, [0], [1])
+    search = RouteSearch(fn, *csr, g.src_pair, g.dst_pair)
     w = init_prices(idx).values
     with pytest.raises(ValueError, match="weights for"):
         search(w[:-1])
@@ -440,8 +452,8 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
 def test_kernel_failure_raises(kernel, compiled):
     g, idx, h = graph_parts(builtin_instances()["grid2"])
     fn = kernel if compiled else None
-    search = RouteSearch(fn, h.bounds, h.order, h.head, h.src_vertex,
-                         h.dst_vertex)
+    csr = [a.copy() for a in (h.bounds, h.order, h.head)]
+    search = RouteSearch(fn, *csr, g.src_pair, g.dst_pair)
     w = init_prices(idx).values.copy()
     _, start, rows = search(w)
     k = int(rows[start[0]])  # an arc of session 0's route
@@ -452,10 +464,8 @@ def test_kernel_failure_raises(kernel, compiled):
     with pytest.raises(ValueError,
                        match=f"^weight -0.25 of arc {k} is negative; "):
         search(w)
-    if compiled:  # only the kernel checks the CSR ranges
-        bounds = h.bounds.copy()
-        bounds[-1] = len(h.order) + 1  # past the end of the arc list
-        search = RouteSearch(kernel, bounds, h.order, h.head, [0], [1])
+    if compiled:  # the kernel checks the ranges again on every call
+        csr[0][-1] = len(h.order) + 1  # past the end of the arc list
         with pytest.raises(RuntimeError, match="status -5"):
             search(init_prices(idx).values)
 

@@ -15,8 +15,8 @@ from lp_reference import lp_optimum
 from model_reference import (adjacency_reference,
                              conservation_residual_reference,
                              dense_aggregate, enumerate_triples_reference,
-                             ordered_pairs_reference, validate_prices,
-                             worst_residual)
+                             index_of, ordered_pairs_reference, residual_of,
+                             triples_of, validate_prices, worst_residual)
 
 
 def unit_instance(n, edges, sessions=()):
@@ -37,7 +37,7 @@ def neighbours(g, a):
 def path_flow(idx, sid, triples, rate=1.0):
     values = np.zeros(len(idx))
     for trip in triples:
-        values[idx.index[trip]] = rate
+        values[index_of(idx)[trip]] = rate
     return FlowVector(sid, values)
 
 
@@ -55,14 +55,15 @@ def test_expansion_adds_one_terminal_pair_per_session(relay3, relay3_parts):
     assert len(g.indices) == 2 * (len(relay3.edges)
                                   + 2 * len(relay3.sessions))
     # session t gets ids n+2t (source side) and n+2t+1 (destination side)
-    assert g.terminals == [(3, 4), (5, 6)]
-    assert g.source_vertex(0) == (3, 0) and g.dest_vertex(0) == (2, 4)
-    assert g.source_vertex(1) == (5, 2) and g.dest_vertex(1) == (0, 6)
+    pairs = ordered_pairs(g)
+    assert [pairs[e] for e in g.src_pair] == [(3, 0), (5, 2)]
+    assert [pairs[e] for e in g.dst_pair] == [(2, 4), (0, 6)]
     for a in range(3, 7):
         assert g.costs[a] == 0.0
         assert len(neighbours(g, a)) == 1  # purely a source or a sink
     # the artificial ids are exactly those after the physical ones
-    assert [a for pair in g.terminals for a in pair] == \
+    assert sorted([pairs[e][0] for e in g.src_pair]
+                  + [pairs[e][1] for e in g.dst_pair]) == \
         list(range(g.n_base, g.n_nodes))
 
 
@@ -83,20 +84,22 @@ def test_expanded_costs_match_base(relay3, relay3_parts):
 
 def test_relay3_triples_enumerated_in_canonical_order(relay3_parts):
     g, idx = relay3_parts
-    assert idx.triples == [
+    triples = triples_of(idx)
+    assert triples == [
         (1, 0, 3), (1, 0, 6), (3, 0, 1), (6, 0, 1),
         (0, 1, 2), (2, 1, 0),
         (1, 2, 4), (1, 2, 5), (4, 2, 1), (5, 2, 1),
     ]
-    assert idx.triples == sorted(idx.triples, key=lambda t: (t[1], t[0], t[2]))
-    assert all(idx.index[trip] == k for k, trip in enumerate(idx.triples))
+    assert triples == sorted(triples, key=lambda t: (t[1], t[0], t[2]))
+    assert all(index_of(idx)[trip] == k for k, trip in enumerate(triples))
 
 
 def test_triples_skip_terminal_to_terminal_hops(relay3_parts):
     # packets never relay between two artificial endpoints
     g, idx = relay3_parts
-    assert all(v < g.n_base or w < g.n_base for v, _, w in idx.triples)
-    assert all(i < g.n_base for _, i, _ in idx.triples)
+    triples = triples_of(idx)
+    assert all(v < g.n_base or w < g.n_base for v, _, w in triples)
+    assert all(i < g.n_base for _, i, _ in triples)
 
 
 def test_star_center_and_path_counts():
@@ -113,14 +116,15 @@ def test_reversal_and_pair_tables(relay3_parts):
     for row, (kf, kr) in enumerate(zip(idx.pair_fwd, idx.pair_rev)):
         pair_row_of_triple[int(kf)] = pair_row_of_triple[int(kr)] = row
     assert len(pair_row_of_triple) == len(idx)
-    for k, (v, i, w) in enumerate(idx.triples):
-        assert idx.triples[idx.rev[k]] == (w, i, v)
+    triples = triples_of(idx)
+    for k, (v, i, w) in enumerate(triples):
+        assert triples[idx.rev[k]] == (w, i, v)
         assert idx.rev[idx.rev[k]] == k
         assert idx.cost[k] == g.costs[i]
         assert pair_row_of_triple[k] == pair_row_of_triple[int(idx.rev[k])]
     for row in range(len(idx.pair_fwd)):
         assert idx.rev[idx.pair_fwd[row]] == idx.pair_rev[row]
-        fwd = idx.triples[idx.pair_fwd[row]]
+        fwd = triples[idx.pair_fwd[row]]
         assert idx.pair_cost[row] == g.costs[fwd[1]]
 
 
@@ -132,17 +136,17 @@ def test_triple_set_properties_on_random_graphs(data):
     edges = data.draw(st.lists(st.sampled_from(possible), min_size=1,
                                max_size=len(possible), unique=True))
     g = build_expanded_graph(unit_instance(n, edges))
-    idx = enumerate_triples(g)
-    seen = set(idx.triples)
-    assert len(seen) == len(idx.triples)
+    triples = triples_of(enumerate_triples(g))
+    seen = set(triples)
+    assert len(seen) == len(triples)
     deg = {i: len(neighbours(g, i)) for i in range(n)}
-    for v, i, w in idx.triples:
+    for v, i, w in triples:
         assert v != w and deg[i] >= 2
         assert (w, i, v) in seen            # closed under reversal
         assert v in neighbours(g, i) and w in neighbours(g, i)
     # every two-hop combination around a relay appears
     expect = sum(d * (d - 1) for d in deg.values())
-    assert len(idx.triples) == expect
+    assert len(triples) == expect
 
 
 @settings(max_examples=80, deadline=None)
@@ -173,16 +177,22 @@ def test_adjacency_of_no_edges_is_empty():
 
 def test_path_flow_conserves_exactly(relay3_parts):
     g, idx = relay3_parts
-    res = conservation_residual([path_flow(idx, "s1", S1_PATH)], g, idx)
-    assert res.shape == (1, len(set(ordered_pairs(g))))
+    rows = np.sort([index_of(idx)[trip] for trip in S1_PATH])
+    res = conservation_residual(np.zeros(3, dtype=np.int64), rows,
+                                np.ones(3), g, idx)
+    # one row per instance session: s2 carries nothing here
+    assert res.shape == (2, len(set(ordered_pairs(g))))
     assert all(r == 0.0 for r in res[0])
 
 
 def test_zero_flow_residual_sits_at_the_terminals(relay3_parts):
     g, idx = relay3_parts
-    res = conservation_residual([path_flow(idx, "s1", [], rate=0.0)], g, idx)
-    nonzero = {pair: r for pair, r in zip(ordered_pairs(g), res[0]) if r}
-    assert nonzero == {(3, 0): -1.0, (2, 4): 1.0}
+    none = np.zeros(0, dtype=np.int64)
+    res = conservation_residual(none, none, np.zeros(0), g, idx)
+    for row, want in zip(res, ({(3, 0): -1.0, (2, 4): 1.0},
+                               {(5, 2): -1.0, (0, 6): 1.0})):
+        assert {pair: r for pair, r in zip(ordered_pairs(g), row) if r} \
+            == want
     assert worst_residual([FlowVector("s1", np.zeros(len(idx)))],
                           g, idx) == 1.0
 
@@ -191,7 +201,7 @@ def test_residual_scales_with_rate():
     inst = unit_instance(3, [(0, 1), (1, 2)], [Session("s1", 0, 2, 2.5)])
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    res = dict(zip(ordered_pairs(g), conservation_residual(
+    res = dict(zip(ordered_pairs(g), residual_of(
         [FlowVector("s1", np.zeros(len(idx)))], g, idx)[0]))
     assert res[(3, 0)] == -2.5 and res[(2, 4)] == 2.5
     full = path_flow(idx, "s1", [(3, 0, 1), (0, 1, 2), (1, 2, 4)], rate=2.5)
@@ -239,8 +249,8 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
     g, flows = case
     idx = enumerate_triples(g)
     ref = enumerate_triples_reference(g)
-    assert idx.triples == ref.triples
-    assert idx.index == ref.index
+    assert triples_of(idx) == ref.triples
+    assert index_of(idx) == ref.index
     for name in ("v", "mid", "w", "rev", "cost", "pair_fwd", "pair_rev",
                  "pair_cost"):
         a, b = getattr(idx, name), getattr(ref, name)
@@ -256,11 +266,15 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
     assert idx.rows(ref.triples).tolist() == list(range(len(idx)))
     assert idx.rows([(1, 0, 0), (-1, 0, 1), (g.n_nodes, 0, 1)]).tolist() == \
         [-1, -1, -1]
-    res = conservation_residual(flows, g, idx)
+    # residual_of passes the flows sorted by (session, row), each pair
+    # once: the condition under which the sums run in triple order
+    res = residual_of(flows, g, idx)
     assert res.shape == (len(flows), len(pairs))
-    for r, f in enumerate(flows):
+    t_of = {s.sid: t for t, s in enumerate(g.base.sessions)}
+    for f in flows:
         want = conservation_residual_reference(f, g, ref.triples)
-        assert res[r].tobytes() == np.array([want[p] for p in pairs]).tobytes()
+        assert res[t_of[f.session]].tobytes() == \
+            np.array([want[p] for p in pairs]).tobytes()
 
 
 # ------------------------------------------------- transmissions and costs
@@ -277,7 +291,7 @@ def test_opposite_sessions_share_the_middle_broadcast(relay3_parts):
     flows = [path_flow(idx, "s1", S1_PATH), path_flow(idx, "s2", S2_PATH)]
     agg = dense_aggregate(flows, len(idx))
     summ = transmission_summary(agg, g, idx)
-    pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
+    pairs = [triples_of(idx)[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 1.0           # max(1, 1), not the sum
     # one broadcast replaces two sends
@@ -294,7 +308,7 @@ def test_one_direction_pays_alone(relay3_parts):
              FlowVector("s2", np.zeros(len(idx)))]
     agg = dense_aggregate(flows, len(idx))
     summ = transmission_summary(agg, g, idx)
-    pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
+    pairs = [triples_of(idx)[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 1.0 and saving(agg, idx, summ, shared) == 0.0
 
@@ -302,13 +316,13 @@ def test_one_direction_pays_alone(relay3_parts):
 def test_unbalanced_directions_save_the_smaller_side(relay3_parts):
     g, idx = relay3_parts
     f1 = np.zeros(len(idx))
-    f1[idx.index[(0, 1, 2)]] = 2.0
+    f1[index_of(idx)[(0, 1, 2)]] = 2.0
     f2 = np.zeros(len(idx))
-    f2[idx.index[(2, 1, 0)]] = 3.0
+    f2[index_of(idx)[(2, 1, 0)]] = 3.0
     flows = [FlowVector("s1", f1), FlowVector("s2", f2)]
     agg = dense_aggregate(flows, len(idx))
     summ = transmission_summary(agg, g, idx)
-    pairs = [idx.triples[int(k)] for k in idx.pair_fwd]
+    pairs = [triples_of(idx)[int(k)] for k in idx.pair_fwd]
     shared = pairs.index((0, 1, 2))
     assert summ.y[shared] == 3.0 and saving(agg, idx, summ, shared) == 2.0
 

@@ -15,7 +15,7 @@ from carpool import (FlowVector, GeometricConfig, SolverConfig,
                      subgradient_step, transmission_summary)
 from carpool.model import Instance, Node, Session
 from carpool.solver import _LoopState
-from model_reference import (DenseLoopState, dense_aggregate,
+from model_reference import (DenseLoopState, dense_aggregate, index_of,
                              primal_subproblem_reference,
                              project_pair_reference, project_pairs_by_step,
                              validate_prices, worst_residual)
@@ -67,7 +67,7 @@ def test_initial_prices_split_the_transmission_cost(relay3_parts):
     gd = build_expanded_graph(dear)
     xd = enumerate_triples(gd)
     pd = init_prices(xd)
-    assert pd.values[xd.index[(0, 1, 2)]] == 1.5
+    assert pd.values[index_of(xd)[(0, 1, 2)]] == 1.5
     validate_prices(pd, xd)
 
 
@@ -84,7 +84,7 @@ def test_balanced_opposite_flows_leave_prices_alone(relay3_parts):
     p0 = init_prices(idx)
     p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
                           idx)
-    shared = idx.index[(0, 1, 2)]
+    shared = index_of(idx)[(0, 1, 2)]
     assert p1.values[shared] == 0.5 == p1.values[idx.rev[shared]]
     validate_prices(p1, idx)
 
@@ -98,14 +98,14 @@ def test_price_rises_with_flow_and_falls_opposite():
     p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
                           idx)
     for trip in [(3, 0, 1), (0, 1, 2), (1, 2, 4)]:
-        k = idx.index[trip]
+        k = index_of(idx)[trip]
         assert p1.values[k] == 1.0          # walked direction clips up
         assert p1.values[idx.rev[k]] == 0.0  # complement pays the rest
 
 
 def test_update_magnitude_is_half_step_times_imbalance(relay3_parts):
     g, idx = relay3_parts
-    k = idx.index[(0, 1, 2)]
+    k = index_of(idx)[(0, 1, 2)]
     f = np.zeros(len(idx))
     f[k] = 0.6
     flows = [FlowVector("s1", f), FlowVector("s2", np.zeros(len(idx)))]
@@ -182,15 +182,16 @@ def running_mean(g, idx, history):
 
 def test_recovery_is_the_running_mean(relay3_parts):
     g, idx = relay3_parts
+    fwd, rev = index_of(idx)[(0, 1, 2)], index_of(idx)[(2, 1, 0)]
     a = np.zeros(len(idx))
     b = np.zeros(len(idx))
-    a[idx.index[(0, 1, 2)]] = 1.0
-    b[idx.index[(2, 1, 0)]] = 1.0
+    a[fwd] = 1.0
+    b[rev] = 1.0
     history = [[FlowVector("s1", a)], [FlowVector("s1", b)]]
     mean = running_mean(g, idx, history)
     assert mean[0].session == "s1"
-    assert mean[0].values[idx.index[(0, 1, 2)]] == 0.5
-    assert mean[0].values[idx.index[(2, 1, 0)]] == 0.5
+    assert mean[0].values[fwd] == 0.5
+    assert mean[0].values[rev] == 0.5
 
 
 def test_recovered_average_still_conserves():
@@ -201,15 +202,16 @@ def test_recovered_average_still_conserves():
     idx = enumerate_triples(g)
     top = [(4, 0, 1), (0, 1, 3), (1, 3, 5)]
     bot = [(4, 0, 2), (0, 2, 3), (2, 3, 5)]
+    row = index_of(idx)
     history = []
     for route in (top, bot, top):
         f = np.zeros(len(idx))
         for trip in route:
-            f[idx.index[trip]] = 1.0
+            f[row[trip]] = 1.0
         history.append([FlowVector("s1", f)])
     mean = running_mean(g, idx, history)
     assert worst_residual(mean, g, idx) == 0.0
-    assert mean[0].values[idx.index[(0, 1, 3)]] == pytest.approx(2 / 3)
+    assert mean[0].values[row[(0, 1, 3)]] == pytest.approx(2 / 3)
 
 
 def test_support_restricted_total_equals_the_sum_of_session_means():
