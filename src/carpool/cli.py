@@ -102,23 +102,38 @@ def instance_from_dict(doc: dict) -> Instance:
     return Instance(nodes, edges, sessions)
 
 
+def _read_json(path: str, error: type[ValueError]):
+    """The JSON document in the UTF-8 file at path.  A failure to read or
+    decode it raises error, with a message that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # deep nesting
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to the file at path; an OSError names the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return instance_from_dict(doc)
+    return instance_from_dict(_read_json(path, InstanceError))
 
 
 def write_trace(path: str, trace) -> None:
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row in zip(trace.iters, trace.alphas, trace.dual_bounds,
-                       trace.best_bounds, trace.recovered_costs,
-                       trace.rel_gaps):
-            fh.write("%d,%.12g,%.12g,%.12g,%.12g,%.12g\n" % row)
+    rows = zip(trace.iters, trace.alphas, trace.dual_bounds,
+               trace.best_bounds, trace.recovered_costs, trace.rel_gaps)
+    _write_text(path, TRACE_HEADER + "\n" + "".join(
+        "%d,%.12g,%.12g,%.12g,%.12g,%.12g\n" % row for row in rows))
 
 
 def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
@@ -345,13 +360,7 @@ def solution_from_dict(doc) -> SolutionDoc:
 
 
 def load_solution(path: str) -> SolutionDoc:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SolutionError(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return solution_from_dict(doc)
+    return solution_from_dict(_read_json(path, SolutionError))
 
 
 def cmd_gen(args) -> int:
@@ -374,8 +383,7 @@ def cmd_gen(args) -> int:
     counts = (f"nodes={len(inst.nodes)} edges={len(inst.edges)} "
               f"sessions={len(inst.sessions)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+        _write_text(args.out, doc + "\n")
         print(counts)
     else:
         print(doc)
@@ -400,9 +408,8 @@ def cmd_solve(args) -> int:
     if args.trace:
         write_trace(args.trace, trace)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps_solution(solution_to_dict(inst, sol, routing))
-                     + "\n")
+        _write_text(args.out,
+                   dumps_solution(solution_to_dict(inst, sol, routing)) + "\n")
     saving = 100.0 * (routing - sol.physical_cost) / routing if routing else 0.0
     status = "certified" if sol.certified else "uncertified"
     print(f"physical_cost={sol.physical_cost:.12g} "
@@ -504,7 +511,8 @@ def cmd_check(args) -> int:
     unknown = dict.fromkeys(map(tuple, doc.pairs[~known].tolist()))
     for key in unknown:
         problems.append(f"transmissions stated for unknown pair {key}")
-    known = (doc.nodes >= 0) & (doc.nodes < g.n_nodes)
+    # z is stated for physical nodes only; an unstated one reads as 0
+    known = (doc.nodes >= 0) & (doc.nodes < g.n_base)
     want_z = np.zeros(len(doc.nodes))
     want_z[known] = summary.z[doc.nodes[known]]
     for j in np.nonzero(~known | (doc.z != want_z))[0].tolist():
@@ -514,6 +522,11 @@ def cmd_check(args) -> int:
         else:
             problems.append(f"node {i}: stated z={float(doc.z[j])!r}, "
                             f"flows give {float(want_z[j])!r}")
+    unstated = summary.z[:g.n_base].copy()
+    unstated[doc.nodes[known]] = 0.0
+    for i in np.nonzero(unstated)[0].tolist():
+        problems.append(f"node {i}: no z stated, flows give "
+                        f"{float(unstated[i])!r}")
 
     expanded, physical = total_cost(summary, g)
     for name, stated, want in (("expanded_cost", doc.expanded_cost, expanded),
@@ -589,11 +602,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
-        return 1
     except (InstanceError, InfeasibleSessionError, GenerationError,
-            NonFiniteError, ValueError) as exc:
+            NonFiniteError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

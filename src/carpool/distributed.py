@@ -22,12 +22,13 @@ node on the path tallies its own triple's flow from that message; this
 chase is the only walk of a route.  solve()'s loop, price_ascent, reads
 the routes from the tallies and runs the price step.
 
-Triples are sorted by middle node, so node i's tallies are one
-contiguous slice of an array the simulator keeps for all nodes, and
-node i's slice of the loop's flow per triple is the sum of its own
-tallies.  subgradient_step's update of a triple's price reads only that
-slice and node i's prices, so the elementwise step is every node's own
-computation, done side by side.
+The simulator keeps one price list and one (session, triple) tally
+array for all nodes, indexed by triple row.  Every arc (v, i) -> (i, w)
+that node i extends or tallies is a row whose middle node is i, so node
+i reads and writes its own rows only.  The loop's flow on such a row is
+the sum of node i's tallies, and subgradient_step's update of a row's
+price reads only that row and its reverse (w, i, v), also node i's, so
+the elementwise step is every node's own computation, done side by side.
 
 The simulator is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
@@ -99,23 +100,21 @@ class MessageStats:
 
 
 class _SimContext:
-    """Static structure shared by all processors of one run, and the
-    tally array whose per-node slices the processors own."""
+    """Static structure shared by all processors of one run, with the
+    prices and the tally array whose rows the processors own."""
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
-                 schedule: SimSchedule):
+                 p: PriceVector, schedule: SimSchedule):
         self.g, self.idx, self.vertices = g, idx, h.vertices
         ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
         self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
         self.stats = MessageStats()
         self.staging: list[Message] = []
-        # triple rows of middle node i: bounds[i] to bounds[i + 1]
-        self.bounds = np.searchsorted(idx.mid, np.arange(g.n_nodes + 1)
-                                      ).tolist()
         # out[u]: (head vertex, triple row) of every arc leaving vertex u
-        arcs = list(zip(h.head[h.order].tolist(), h.order.tolist()))
+        arcs = list(zip(idx.head[h.order].tolist(), h.order.tolist()))
         cuts = h.bounds.tolist()
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        self.wts = p.values.tolist()  # price per triple, reset per step
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
         self.schedule = schedule
         self.rng = random.Random(schedule.seed)
@@ -137,14 +136,11 @@ class _SimContext:
 
 
 class NodeProcessor:
-    """One node's local state: prices, tallies, owned labels, inbox."""
+    """One node's labels and inbox; its prices and tallies are its rows."""
 
     def __init__(self, nid: int, ctx: _SimContext):
         self.nid = nid
         self.ctx = ctx
-        self.k_lo, self.k_hi = ctx.bounds[nid], ctx.bounds[nid + 1]
-        self.tally = ctx.tally[:, self.k_lo:self.k_hi]
-        self.wts: list[float] = []  # own triple prices, refreshed per step
         # labels[t]: owned vertex id -> (dist, hops, pred vertex id, row
         # of the triple pred -> vertex)
         self.labels: list[dict[int, tuple[float, int, int, int]]] = [
@@ -162,10 +158,10 @@ class NodeProcessor:
     def _relax(self, msg: Message) -> None:
         uv, t = msg.vertex, msg.session
         labels = self.labels[t]
-        wts, lo = self.wts, self.k_lo
+        wts = self.ctx.wts
         d, nh = msg.dist, msg.hops + 1
         for vtx, k in self.ctx.out[uv]:
-            nd = d + wts[k - lo]
+            nd = d + wts[k]
             cur = labels.get(vtx)
             if cur is None or nd < cur[0] or (nd == cur[0] and nh < cur[1]):
                 labels[vtx] = (nd, nh, uv, k)
@@ -180,25 +176,17 @@ class NodeProcessor:
         _, _, pred, k = label
         if pred < 0:
             return  # source pair reached; nothing upstream of it
-        self.tally[t, k - self.k_lo] += value
+        self.ctx.tally[t, k] += value
         self.ctx.send(Message(self.nid, self.ctx.vertices[pred][0], "flow",
                               t, pred, value=value))
-
-
-def _share_prices(procs: list[NodeProcessor], p: PriceVector) -> None:
-    wts = p.values.tolist()
-    for proc in procs:
-        proc.wts = wts[proc.k_lo:proc.k_hi]
 
 
 def make_processors(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
                     schedule: SimSchedule | None = None
                     ) -> list[NodeProcessor]:
     h = build_edge_graph(g, idx)
-    ctx = _SimContext(g, idx, h, schedule or SimSchedule())
-    procs = [NodeProcessor(i, ctx) for i in range(g.n_nodes)]
-    _share_prices(procs, p)
-    return procs
+    ctx = _SimContext(g, idx, h, p, schedule or SimSchedule())
+    return [NodeProcessor(i, ctx) for i in range(g.n_nodes)]
 
 
 def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]
@@ -292,10 +280,10 @@ def _message_round(procs: list[NodeProcessor]
 def distributed_price_update(procs: list[NodeProcessor], p: PriceVector,
                              agg: np.ndarray, n: int, cfg: SolverConfig
                              ) -> PriceVector:
-    """Every node reprices its own triples from its slice of agg and
-    reads them into its relaxation list; no messages."""
+    """Every node reprices its own triple rows from agg and reads them
+    into the price list it relaxes with; no messages."""
     p = subgradient_step(p, agg, n, cfg, procs[0].ctx.idx)
-    _share_prices(procs, p)
+    procs[0].ctx.wts = p.values.tolist()
     return p
 
 

@@ -55,8 +55,8 @@ class EdgeGraph:
 
     Vertex u is the ordered pair vertices[u], which is pair u of the
     expanded graph's CSR, so session t routes from vertex g.src_pair[t]
-    to g.dst_pair[t].  Triple k is the arc idx.tail[k] -> head[k], and
-    the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
+    to g.dst_pair[t].  Triple k is the arc idx.tail[k] -> idx.head[k],
+    and the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
     1]], in triple order.  search is the route search of every session,
     built by the first primal_subproblem call on the graph and reused by
     later ones.  vertices is built on first read; the solve loop never
@@ -65,7 +65,6 @@ class EdgeGraph:
 
     g: ExpandedGraph
     idx: TripleIndex
-    head: np.ndarray   # per triple: vertex index of (i, w)
     order: np.ndarray
     bounds: np.ndarray
     search: RouteSearch | None = None
@@ -79,7 +78,7 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     # arcs grouped by tail vertex, in triple order within each group
     order = np.argsort(idx.tail, kind="stable")
     bounds = np.searchsorted(idx.tail[order], np.arange(len(g.indices) + 1))
-    return EdgeGraph(g, idx, idx.head, order, bounds)
+    return EdgeGraph(g, idx, order, bounds)
 
 
 def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
@@ -327,6 +326,6 @@ def primal_subproblem(h: EdgeGraph, p: PriceVector
     never exceeds the coded optimum.
     """
     if h.search is None:
-        h.search = route_search(h.bounds, h.order, h.head, h.g.src_pair,
+        h.search = route_search(h.bounds, h.order, h.idx.head, h.g.src_pair,
                                 h.g.dst_pair)
     return h.search(np.ascontiguousarray(p.values, dtype=np.float64))

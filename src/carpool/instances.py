@@ -1,7 +1,7 @@
 """Instance generation and the no-coding routing baseline.
 
 Random instances drop Poisson(intensity * L^2) nodes uniformly on an
-L x L square and connect every pair strictly closer than the radius.
+L x L square and connect every pair strictly closer than the unit radius.
 Reproducibility across platforms comes from a fixed generator (PCG64)
 with three documented substreams spawned from the seed in order: node
 count, positions, session endpoints.
@@ -29,6 +29,9 @@ class GenerationError(RuntimeError):
     """Random instance generation exhausted its retry budget."""
 
 
+# The paper's unit radius; radius r draws as side / r, intensity * r**2.
+RADIUS = 1.0
+
 # Largest expected node count intensity * side**2 a draw may ask for.
 # edges_within_radius compares every pair of nodes, n**2 / 2 distances in
 # one numpy pass per node: a 10,000-node draw takes about 1.7 s on a
@@ -49,15 +52,13 @@ class GeometricConfig:
     sessions: int
     rate: float = 1.0
     cost: float = 1.0
-    radius: float = 1.0
     intensity: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         check_config_types(self, counts=("sessions", "seed"),
-                           reals=("side", "intensity", "radius", "rate",
-                                  "cost"))
-        for name in ("side", "intensity", "radius"):
+                           reals=("side", "intensity", "rate", "cost"))
+        for name in ("side", "intensity"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -69,13 +70,13 @@ class GeometricConfig:
                 f"{MAX_EXPECTED_NODES}")
         # each of the expected**2 / 2 pairs is linked with probability at
         # most pi r**2 / side**2 (less near the border), and never above 1
-        disc, area = math.pi * self.radius * self.radius, self.side * self.side
+        disc, area = math.pi * RADIUS * RADIUS, self.side * self.side
         edges = expected * expected / 2 * (disc / area if disc < area else 1.0)
         if edges > MAX_EXPECTED_EDGES:
             raise ValueError(
-                f"side {self.side}, intensity {self.intensity} and radius "
-                f"{self.radius} give {edges:.3g} expected edges, above the "
-                f"limit of {MAX_EXPECTED_EDGES}")
+                f"side {self.side} and intensity {self.intensity} give "
+                f"{edges:.3g} expected edges, above the limit of "
+                f"{MAX_EXPECTED_EDGES}")
         if self.sessions < 0:
             raise ValueError("sessions must be >= 0")
         if not (self.rate > 0):
@@ -105,7 +106,7 @@ def generate_geometric(cfg: GeometricConfig) -> Instance:
         cfg.intensity * cfg.side ** 2))
     pos = np.random.Generator(np.random.PCG64(pos_ss)).uniform(
         0.0, cfg.side, size=(n, 2))
-    edges = edges_within_radius(pos, cfg.radius)
+    edges = edges_within_radius(pos, RADIUS)
     nodes = [Node(i, cfg.cost, (float(pos[i, 0]), float(pos[i, 1])))
              for i in range(n)]
     sessions: list[Session] = []

@@ -237,7 +237,8 @@ class TripleIndex:
     key = (i * n_nodes + v) * n_nodes + w is strictly increasing.  A
     triple whose tail and head are both artificial can never carry flow
     (its end pairs have no inflow and no demand), so those are dropped to
-    keep the index aligned with meaningful unknowns.
+    keep the index aligned with meaningful unknowns.  Triple k is the
+    edge-graph arc from pair tail[k] to pair head[k].
     """
 
     n_nodes: int
@@ -245,12 +246,11 @@ class TripleIndex:
     mid: np.ndarray
     w: np.ndarray
     key: np.ndarray
-    rev: np.ndarray          # rev[k] indexes (w, i, v)
     tail: np.ndarray         # pair index of (v, i)
     head: np.ndarray         # pair index of (i, w)
     cost: np.ndarray         # c of the middle node, per triple
     pair_fwd: np.ndarray     # triple rows with v < w, one per unordered pair
-    pair_rev: np.ndarray
+    pair_rev: np.ndarray     # row of (w, i, v) of each pair_fwd row
     pair_cost: np.ndarray
 
     def __len__(self) -> int:
@@ -283,14 +283,13 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     keep = (v != w) & ((v < g.n_base) | (w < g.n_base))
     mid, v, w, ew = mid[keep], v[keep], w[keep], ew[keep]
     key = (mid * n + v) * n + w
-    rev = np.searchsorted(key, (mid * n + w) * n + v)
     tail = pair_positions(indptr, nbr, v, mid)  # pair index of (v, i)
     cost = g.costs[mid]
     pair_fwd = np.nonzero(v < w)[0]
-    pair_rev = rev[pair_fwd]
-    pair_cost = cost[pair_fwd]
-    return TripleIndex(n, v, mid, w, key, rev, tail, ew, cost, pair_fwd,
-                       pair_rev, pair_cost)
+    fv, fmid, fw = v[pair_fwd], mid[pair_fwd], w[pair_fwd]
+    pair_rev = np.searchsorted(key, (fmid * n + fw) * n + fv)
+    return TripleIndex(n, v, mid, w, key, tail, ew, cost, pair_fwd,
+                       pair_rev, cost[pair_fwd])
 
 
 @dataclass

@@ -20,11 +20,12 @@ label-correcting sweep, two independent routes to results the package
 computes in closed form or with a priority queue.
 
 The rest reads results the package only computes: the triples of a
-TripleIndex as tuples and their rows (triples_of, index_of), one
-session's route as a path (shortest_path, path_to_flow), the route a
-recovered flow settles on (dominant_path), the conservation residual of
-dense flow vectors (flow_entries, residual_of, worst_residual) and the
-dual-feasibility check of a price vector (validate_prices).
+TripleIndex as tuples, their rows and the rows of their reversals
+(triples_of, index_of, rev_of), one session's route as a path
+(shortest_path, path_to_flow), the route a recovered flow settles on
+(dominant_path), the conservation residual of dense flow vectors
+(flow_entries, residual_of, worst_residual) and the dual-feasibility
+check of a price vector (validate_prices).
 """
 
 from __future__ import annotations
@@ -219,6 +220,12 @@ def index_of(idx) -> dict[tuple[int, int, int], int]:
     return {tr: k for k, tr in enumerate(triples_of(idx))}
 
 
+def rev_of(idx) -> np.ndarray:
+    """The row of the reversal (w, i, v) of every triple (v, i, w) of idx."""
+    n = idx.n_nodes
+    return np.searchsorted(idx.key, (idx.mid * n + idx.w) * n + idx.v)
+
+
 # ------------------------------------------------ one route, one flow
 
 @dataclass
@@ -232,13 +239,13 @@ class SessionPath:
 def shortest_path(h, p, t) -> SessionPath:
     """Cheapest priced route for session index t, searched alone."""
     src = int(h.g.src_pair[t])
-    search = edge_graph.route_search(h.bounds, h.order, h.head, [src],
+    search = edge_graph.route_search(h.bounds, h.order, h.idx.head, [src],
                                      [int(h.g.dst_pair[t])])
     dists, _, rows = search(np.ascontiguousarray(p.values, dtype=float))
     sid = h.g.base.sessions[t].sid
     if dists[0] == math.inf:
         raise InfeasibleSessionError(sid, "no priced route to destination")
-    verts = [h.vertices[v] for v in [src] + h.head[rows].tolist()]
+    verts = [h.vertices[v] for v in [src] + h.idx.head[rows].tolist()]
     return SessionPath(sid, verts, float(dists[0]), rows.tolist())
 
 
@@ -268,7 +275,7 @@ def dominant_path(h, x: FlowVector, t: int) -> SessionPath:
                 f"session {x.session}: recovered flow dies out at "
                 f"{h.vertices[u]}")
         k = int(arcs[np.argmax(vals[arcs])])  # the first largest
-        u = int(h.head[k])
+        u = int(h.idx.head[k])
         if u in seen:
             raise ValueError(
                 f"session {x.session}: recovered flow cycles at "

@@ -4,12 +4,17 @@ Every name the package root re-exports must be used, as a name or an
 attribute, by some other module of the package, and so must every
 function, method and class the package defines.  A function that only
 tests call belongs in the tests (model_reference.py), not in carpool.
+Every field of the graph structures (ExpandedGraph, TripleIndex,
+EdgeGraph) must be read by the package too: a field that only tests
+read is an array that every graph build stores for nothing.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import carpool
+from carpool import EdgeGraph, ExpandedGraph, TripleIndex
 
 PACKAGE = Path(carpool.__file__).parent
 
@@ -35,6 +40,14 @@ def used_names() -> set[str]:
     return used
 
 
+def read_attributes() -> set[str]:
+    """Attributes read anywhere in the package."""
+    return {node.attr for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def defined_names() -> set[str]:
     """Every function, method and class defined in the package, nested
     ones included; dunder methods, which Python calls itself, are left
@@ -56,3 +69,12 @@ def test_every_definition_is_used_inside_the_package():
     defined = defined_names()
     assert {"solve", "RouteSearch", "rows"} <= defined
     assert sorted(defined - used_names()) == []
+
+
+def test_every_graph_field_is_read_inside_the_package():
+    # the three are plain dataclasses, so no read is in a constructor
+    read = read_attributes()
+    for cls in (ExpandedGraph, TripleIndex, EdgeGraph):
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert [name for name in fields if name not in read] == [], \
+            cls.__name__

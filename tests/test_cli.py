@@ -315,6 +315,28 @@ def test_check_recomputes_the_costs(solved, tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_check_reads_an_unstated_z_as_zero(solved, tmp_path, capsys):
+    relay3_path, sol_path, _ = solved
+    doc = json.load(open(sol_path))
+    doc["node_transmissions"] = []
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "node 0: no z stated, flows give 2.0",
+        "node 1: no z stated, flows give 1.0",
+        "node 2: no z stated, flows give 2.0"]
+    # node 4 is s'_1, an artificial node; the duplicate of node 1 is
+    # compared on its own, and node 0 stays unstated
+    doc = json.load(open(sol_path))
+    doc["node_transmissions"] = [{"node": 4, "z": 0.0},
+                                 {"node": 1, "z": 1.0}, {"node": 2, "z": 2.0},
+                                 {"node": 1, "z": 0.5}]
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "transmissions stated for unknown node 4",
+        "node 1: stated z=0.5, flows give 1.0",
+        "node 0: no z stated, flows give 2.0"]
+
+
 def relay3_document(flows):
     """A relay3 solution document stating flows and, for the transmissions
     and costs, the two opposite unit routes that share the relay."""
@@ -365,6 +387,40 @@ def test_check_keys_each_flow_by_session_and_triple(relay3_path, tmp_path,
 def test_missing_file_exits_one(capsys):
     assert cli.main(["solve", "/nonexistent/x.json"]) == 1
     assert "cannot read /nonexistent/x.json" in capsys.readouterr().err
+
+
+def test_unreadable_files_are_named(tmp_path, relay3_path, solved, capsys):
+    _, sol_path, _ = solved
+    text = '{"nodes": [], "edges": [], "sessions": [{"id": "caf\xe9"}]}'
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(text.encode("latin-1"))
+    not_utf8 = (f"cannot read {latin}: 'utf-8' codec can't decode byte "
+                f"0xe9 in position {text.index(chr(0xe9))}: invalid "
+                f"continuation byte\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    too_deep = f"cannot read {deep}: maximum recursion depth exceeded"
+    for argv, message in (
+            (["solve", str(tmp_path)],
+             f"cannot read {tmp_path}: Is a directory\n"),
+            (["baseline", str(latin)], not_utf8),
+            (["solve", str(deep)], too_deep),
+            (["check", relay3_path, str(tmp_path)],
+             f"cannot read {tmp_path}: Is a directory\n"),
+            (["check", relay3_path, str(latin)], not_utf8),
+            (["check", relay3_path, str(deep)], too_deep)):
+        assert rejected(argv, capsys).startswith(message)
+
+
+def test_unwritable_outputs_are_named(tmp_path, relay3_path, capsys):
+    missing = tmp_path / "missing"
+    for argv, path in (
+            (["gen", "--builtin", "relay3", "--out"], missing / "i.json"),
+            (["solve", relay3_path, "--out"], missing / "s.json"),
+            (["solve", relay3_path, "--trace"], missing / "t.csv")):
+        assert rejected(argv + [str(path)], capsys) == \
+            f"cannot write {path}: No such file or directory\n"
+    assert not missing.exists()
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

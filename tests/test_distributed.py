@@ -200,13 +200,30 @@ def test_twin_distances_equal_the_route_search(name, request):
     rates = np.repeat([s.rate for s in inst.sessions], np.diff(start))
     agg = np.bincount(rows, weights=rates, minlength=len(idx))
     p1 = subgradient_step(p0, agg, 1, SolverConfig(), idx)
-    search = route_search(h.bounds, h.order, h.head, g.src_pair,
+    search = route_search(h.bounds, h.order, idx.head, g.src_pair,
                           g.dst_pair)
     for p in (p0, p1):
         want = search(p.values)[0].tolist()
         for schedule in (SimSchedule("sync"), SimSchedule("async", seed=2)):
             procs = make_processors(g, idx, p, schedule)
             assert distributed_shortest_paths(procs) == want
+
+
+@pytest.mark.parametrize("name", ["geo4", "grid2"])
+def test_each_node_relaxes_and_tallies_only_its_own_rows(name, request):
+    # the arcs leaving (v, i), which node i extends and tallies, are the
+    # triples with middle node i, each triple row exactly once
+    inst = request.getfixturevalue(name)
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    ctx = make_processors(g, idx, init_prices(idx))[0].ctx
+    vertices, mid = ctx.vertices, idx.mid.tolist()
+    rows = []
+    for u, out in enumerate(ctx.out):
+        for x, k in out:
+            assert mid[k] == vertices[u][1] == vertices[x][0]
+            rows.append(k)
+    assert sorted(rows) == list(range(len(idx)))
 
 
 def test_flow_chase_refuses_a_vertex_without_a_label(relay3):

@@ -21,8 +21,8 @@ from carpool.solver import NonFiniteError
 from model_reference import (dominant_path, index_of,
                              ordered_pairs_reference, path_to_flow,
                              plain_routing_cost_reference, relaxation_labels,
-                             shortest_path, solve_reference, triples_of,
-                             worst_residual)
+                             rev_of, shortest_path, solve_reference,
+                             triples_of, worst_residual)
 
 
 def graph_parts(inst):
@@ -42,7 +42,7 @@ def pinned_prices(idx, fixed):
     for trip, price in fixed.items():
         k = row[trip]
         vals[k] = price
-        vals[idx.rev[k]] = idx.cost[k] - price
+        vals[rev_of(idx)[k]] = idx.cost[k] - price
     return PriceVector(vals)
 
 
@@ -74,7 +74,7 @@ def relay3_parts(relay3):
 def test_path_graph_gives_two_arcs():
     g, idx, h = graph_parts(unit_instance(3, [(0, 1), (1, 2)]))
     assert h.vertices == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    arcs = {(h.vertices[idx.tail[k]], h.vertices[h.head[k]])
+    arcs = {(h.vertices[idx.tail[k]], h.vertices[idx.head[k]])
             for k in range(len(idx))}
     assert arcs == {((0, 1), (1, 2)), ((2, 1), (1, 0))}
 
@@ -82,15 +82,15 @@ def test_path_graph_gives_two_arcs():
 def test_isolated_edge_has_no_arcs():
     g, idx, h = graph_parts(unit_instance(2, [(0, 1)]))
     assert h.vertices == [(0, 1), (1, 0)]
-    assert len(h.head) == len(idx) == 0
+    assert len(idx.head) == len(idx) == 0
 
 
 def test_arcs_are_exactly_the_triples(relay3_parts):
     g, idx, h = relay3_parts
-    assert len(h.head) == len(idx)
+    assert len(idx.head) == len(idx)
     for k, (v, i, w) in enumerate(triples_of(idx)):
         assert h.vertices[idx.tail[k]] == (v, i)
-        assert h.vertices[h.head[k]] == (i, w)
+        assert h.vertices[idx.head[k]] == (i, w)
     assert [h.vertices[v] for v in g.src_pair] == [(3, 0), (5, 2)]
     assert [h.vertices[v] for v in g.dst_pair] == [(2, 4), (0, 6)]
 
@@ -208,7 +208,7 @@ def test_fifo_relaxation_matches_priority_labels():
         vals[idx.pair_fwd] = u
         vals[idx.pair_rev] = idx.pair_cost - u
         wts = vals.tolist()
-        csr = h.bounds.tolist(), h.order.tolist(), h.head.tolist()
+        csr = h.bounds.tolist(), h.order.tolist(), idx.head.tolist()
         for src in range(len(h.vertices)):
             assert relaxation_labels(*csr, wts, src) == \
                 _dijkstra(*csr, wts, src)
@@ -289,7 +289,7 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
     ties = np.random.default_rng(12)
     for rng, n, edges in draws(11, 40):
         g, idx, h = graph_parts(unit_instance(n, edges))
-        csr = (h.bounds, h.order, h.head)
+        csr = (h.bounds, h.order, idx.head)
         nv = len(h.vertices)
         for w, pick in ((random_weights(rng, len(idx)), rng),
                         (ties.choice(TIE_WEIGHTS, len(idx)), ties)):
@@ -410,20 +410,20 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
                                                                compiled):
     g, idx, h = graph_parts(builtin_instances()["grid2"])
     fn = kernel if compiled else None
-    csr = (h.bounds, h.order, h.head)
+    csr = (h.bounds, h.order, idx.head)
     nv = len(h.vertices)
     for src, dst in (([nv], [0]), ([-1], [0]), ([0], [nv]), ([0, 1], [2])):
         with pytest.raises(ValueError, match="session end"):
             RouteSearch(fn, *csr, src, dst)
     with pytest.raises(TypeError, match="contiguous 1-d int64"):
-        RouteSearch(fn, h.bounds.astype(np.int32), h.order, h.head, [0], [1])
+        RouteSearch(fn, h.bounds.astype(np.int32), h.order, idx.head, [0], [1])
     with pytest.raises(TypeError, match="contiguous 1-d int64"):
-        RouteSearch(fn, h.bounds, h.order, h.head.reshape(1, -1),
+        RouteSearch(fn, h.bounds, h.order, idx.head.reshape(1, -1),
                     [0], [1])
     # the ranges the kernel refuses with status -5, refused by both
     for which, at, value in ((0, -1, len(h.order) + 1),  # past the arcs
                              (0, 0, -1), (0, 5, h.bounds[4] - 1),
-                             (1, 3, len(h.head)), (1, 0, -1),
+                             (1, 3, len(idx.head)), (1, 0, -1),
                              (2, 7, nv), (2, 0, -1)):
         bad = [a.copy() for a in csr]
         bad[which][at] = value
@@ -452,7 +452,7 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
 def test_kernel_failure_raises(kernel, compiled):
     g, idx, h = graph_parts(builtin_instances()["grid2"])
     fn = kernel if compiled else None
-    csr = [a.copy() for a in (h.bounds, h.order, h.head)]
+    csr = [a.copy() for a in (h.bounds, h.order, idx.head)]
     search = RouteSearch(fn, *csr, g.src_pair, g.dst_pair)
     w = init_prices(idx).values.copy()
     _, start, rows = search(w)

@@ -68,7 +68,7 @@ def test_generation_fails_loudly_when_area_is_too_empty():
 
 def test_config_validation():
     for bad in (dict(side=-1.0, sessions=1), dict(side=6.0, sessions=-1),
-                dict(side=6.0, sessions=1, radius=0.0),
+                dict(side=6.0, sessions=1, intensity=0.0),
                 dict(side=6.0, sessions=1, intensity=-2.0),
                 dict(side=6.0, sessions=1, rate=0.0)):
         with pytest.raises(ValueError):
@@ -79,13 +79,16 @@ def test_config_validation():
             with pytest.raises(ValueError,
                                match=rf"{name} must be an integer, got "):
                 GeometricConfig(**{"side": 6.0, "sessions": 1, name: bad})
-    for name in ("side", "intensity", "radius", "rate", "cost"):
+    for name in ("side", "intensity", "rate", "cost"):
         for bad in ("1", False, None):
             with pytest.raises(ValueError,
                                match=rf"{name} must be a number, got "):
                 GeometricConfig(**{"side": 6.0, "sessions": 1, name: bad})
     assert GeometricConfig(side=6, sessions=np.int64(2), seed=np.int32(4),
                            cost=0).sessions == 2
+    # the radius is the paper's unit radius, not a setting
+    with pytest.raises(TypeError, match="radius"):
+        GeometricConfig(side=6.0, sessions=1, radius=2.0)
 
 
 @pytest.mark.parametrize("field", ["side", "intensity"])
@@ -110,22 +113,20 @@ def test_config_caps_the_expected_node_count(side, intensity):
     assert GeometricConfig(side=side, sessions=1).side == side
 
 
-@pytest.mark.parametrize("side, intensity, radius", [
-    (1.0, 1500.0, 1.0), (1.0, 10_000.0, 1.0), (10.0, 50.0, 1.0),
-    (100.0, 1.0, 3.0)])
-def test_config_caps_the_expected_edge_count(side, intensity, radius):
+@pytest.mark.parametrize("side, intensity", [
+    (1.0, 1500.0), (1.0, 10_000.0), (10.0, 50.0), (30.0, 10.0)])
+def test_config_caps_the_expected_edge_count(side, intensity):
     # each stays within the node limit; edges grow with intensity squared
     assert intensity * side * side <= MAX_EXPECTED_NODES
     with pytest.raises(ValueError) as exc:
-        GeometricConfig(side=side, sessions=1, intensity=intensity,
-                        radius=radius)
+        GeometricConfig(side=side, sessions=1, intensity=intensity)
     assert str(exc.value).startswith(
-        f"side {side}, intensity {intensity} and radius {radius} give ")
+        f"side {side} and intensity {intensity} give ")
     assert str(exc.value).endswith(
         f"expected edges, above the limit of {MAX_EXPECTED_EDGES}")
     # expected**2 / 2 pairs, every one linked when the radius spans the side
     assert GeometricConfig(side=1.0, sessions=1, intensity=447.0)
-    assert GeometricConfig(side=1.0, sessions=1, radius=1e200)
+    assert GeometricConfig(side=1e-200, sessions=1)  # side**2 underflows
     assert GeometricConfig(side=math.sqrt(MAX_EXPECTED_NODES), sessions=1)
 
 

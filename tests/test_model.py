@@ -16,7 +16,8 @@ from model_reference import (adjacency_reference,
                              conservation_residual_reference,
                              dense_aggregate, enumerate_triples_reference,
                              index_of, ordered_pairs_reference, residual_of,
-                             triples_of, validate_prices, worst_residual)
+                             rev_of, triples_of, validate_prices,
+                             worst_residual)
 
 
 def unit_instance(n, edges, sessions=()):
@@ -116,14 +117,14 @@ def test_reversal_and_pair_tables(relay3_parts):
     for row, (kf, kr) in enumerate(zip(idx.pair_fwd, idx.pair_rev)):
         pair_row_of_triple[int(kf)] = pair_row_of_triple[int(kr)] = row
     assert len(pair_row_of_triple) == len(idx)
-    triples = triples_of(idx)
+    triples, rev = triples_of(idx), rev_of(idx)
     for k, (v, i, w) in enumerate(triples):
-        assert triples[idx.rev[k]] == (w, i, v)
-        assert idx.rev[idx.rev[k]] == k
+        assert triples[rev[k]] == (w, i, v)
+        assert rev[rev[k]] == k
         assert idx.cost[k] == g.costs[i]
-        assert pair_row_of_triple[k] == pair_row_of_triple[int(idx.rev[k])]
+        assert pair_row_of_triple[k] == pair_row_of_triple[int(rev[k])]
     for row in range(len(idx.pair_fwd)):
-        assert idx.rev[idx.pair_fwd[row]] == idx.pair_rev[row]
+        assert rev[idx.pair_fwd[row]] == idx.pair_rev[row]
         fwd = triples[idx.pair_fwd[row]]
         assert idx.pair_cost[row] == g.costs[fwd[1]]
 
@@ -251,10 +252,12 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
     ref = enumerate_triples_reference(g)
     assert triples_of(idx) == ref.triples
     assert index_of(idx) == ref.index
-    for name in ("v", "mid", "w", "rev", "cost", "pair_fwd", "pair_rev",
+    for name in ("v", "mid", "w", "cost", "pair_fwd", "pair_rev",
                  "pair_cost"):
         a, b = getattr(idx, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    rev = rev_of(idx)
+    assert rev.dtype == ref.rev.dtype and rev.tobytes() == ref.rev.tobytes()
     # forward rows are contiguous per middle node (triples sorted by middle)
     fwd_mid = idx.mid[idx.pair_fwd]
     assert (np.diff(fwd_mid) >= 0).all()

@@ -18,7 +18,7 @@ from carpool.solver import _LoopState
 from model_reference import (DenseLoopState, dense_aggregate, index_of,
                              primal_subproblem_reference,
                              project_pair_reference, project_pairs_by_step,
-                             validate_prices, worst_residual)
+                             rev_of, validate_prices, worst_residual)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_balanced_opposite_flows_leave_prices_alone(relay3_parts):
     p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
                           idx)
     shared = index_of(idx)[(0, 1, 2)]
-    assert p1.values[shared] == 0.5 == p1.values[idx.rev[shared]]
+    assert p1.values[shared] == 0.5 == p1.values[rev_of(idx)[shared]]
     validate_prices(p1, idx)
 
 
@@ -100,7 +100,7 @@ def test_price_rises_with_flow_and_falls_opposite():
     for trip in [(3, 0, 1), (0, 1, 2), (1, 2, 4)]:
         k = index_of(idx)[trip]
         assert p1.values[k] == 1.0          # walked direction clips up
-        assert p1.values[idx.rev[k]] == 0.0  # complement pays the rest
+        assert p1.values[rev_of(idx)[k]] == 0.0  # complement pays the rest
 
 
 def test_update_magnitude_is_half_step_times_imbalance(relay3_parts):
@@ -112,7 +112,7 @@ def test_update_magnitude_is_half_step_times_imbalance(relay3_parts):
     agg = dense_aggregate(flows, len(idx))
     p1 = subgradient_step(init_prices(idx), agg, 1, SolverConfig(), idx)
     assert p1.values[k] == pytest.approx(0.8)           # 0.5 + (1/2)*0.6
-    assert p1.values[idx.rev[k]] == pytest.approx(0.2)
+    assert p1.values[rev_of(idx)[k]] == pytest.approx(0.2)
     p2 = subgradient_step(init_prices(idx), agg, 2, SolverConfig(), idx)
     assert p2.values[k] == pytest.approx(0.65)          # alpha halves
 
