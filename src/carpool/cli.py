@@ -13,6 +13,7 @@ controls diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import logging
@@ -359,10 +360,6 @@ def solution_from_dict(doc) -> SolutionDoc:
     return SolutionDoc(flows, pair_ids, y, node_ids, z, *costs)
 
 
-def load_solution(path: str) -> SolutionDoc:
-    return solution_from_dict(_read_json(path, SolutionError))
-
-
 def cmd_gen(args) -> int:
     if args.builtin:
         named = builtin_instances()
@@ -392,6 +389,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # fail now, as _write_text would after the solve
+    for path in filter(None, (args.trace, args.out)):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(f"cannot write {path}: {os.strerror(code)}")
     inst = load_instance(args.instance)
     log.info("solving %s: %d nodes, %d edges, %d sessions",
              args.instance, len(inst.nodes), len(inst.edges),
@@ -441,7 +444,7 @@ def _last_of_each(rows: np.ndarray) -> np.ndarray:
 
 def cmd_check(args) -> int:
     inst = load_instance(args.instance)
-    doc = load_solution(args.solution)
+    doc = solution_from_dict(_read_json(args.solution, SolutionError))
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     problems: list[str] = []
@@ -490,11 +493,10 @@ def cmd_check(args) -> int:
 
     agg = np.bincount(rows, weights=vals, minlength=len(idx))
     summary = transmission_summary(agg, g, idx)
-    row_of = np.full(len(idx), -1)
+    # pair row of each triple row; row -1, an unknown triple, maps to -1
+    row_of = np.full(len(idx) + 1, -1)
     row_of[idx.pair_fwd] = np.arange(len(idx.pair_fwd))
-    k = idx.rows(doc.pairs)
-    stated_rows = np.full(len(k), -1)
-    stated_rows[k >= 0] = row_of[k[k >= 0]]
+    stated_rows = row_of[idx.rows(doc.pairs)]
     known = stated_rows >= 0
     stated_rows, stated_y = stated_rows[known], doc.y[known]
     last = _last_of_each(stated_rows)

@@ -42,6 +42,7 @@ from .model import ExpandedGraph, PriceVector, TripleIndex, ordered_pairs
 log = logging.getLogger(__name__)
 
 INF = math.inf
+F64 = np.dtype(np.float64)
 
 # No -ffast-math and no -march: the kernel must make exactly the IEEE
 # double additions _dijkstra makes, and -ffp-contract=off also forbids
@@ -267,7 +268,7 @@ class RouteSearch:
         has distance inf and no arcs."""
         if len(wts) != self.narcs:
             raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
-        address = _address(wts, np.dtype(np.float64))
+        address = _address(wts, F64)
         if self.fn is None:
             if (wts < 0.0).any():
                 raise _negative_weight(wts)
@@ -328,4 +329,4 @@ def primal_subproblem(h: EdgeGraph, p: PriceVector
     if h.search is None:
         h.search = route_search(h.bounds, h.order, h.idx.head, h.g.src_pair,
                                 h.g.dst_pair)
-    return h.search(np.ascontiguousarray(p.values, dtype=np.float64))
+    return h.search(p.values)

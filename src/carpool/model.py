@@ -195,6 +195,7 @@ class ExpandedGraph:
     dst_pair: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    refund: float            # sum_t c_{d_t} R_t, in session order
 
 
 def pair_positions(indptr: np.ndarray, indices: np.ndarray, a: np.ndarray,
@@ -216,10 +217,13 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
     sp = n + 2 * np.arange(len(src), dtype=np.int64)  # s'_t; d'_t = sp + 1
     indptr, indices = adjacency(n_total, [*inst.edges, *zip(src, sp),
                                           *zip(dst, sp + 1)])
+    refund = 0.0
+    for s in inst.sessions:
+        refund += float(costs[s.dest]) * s.rate
     return ExpandedGraph(inst, n, n_total, costs,
                          pair_positions(indptr, indices, sp, src),
                          pair_positions(indptr, indices, dst, sp + 1),
-                         indptr, indices)
+                         indptr, indices, refund)
 
 
 def ordered_pairs(g: ExpandedGraph) -> list[tuple[int, int]]:
@@ -335,8 +339,8 @@ def transmission_summary(agg: np.ndarray, g: ExpandedGraph,
                          idx: TripleIndex) -> TransmissionSummary:
     """Coded broadcasts of agg, the flow per triple summed over sessions."""
     y = np.maximum(agg[idx.pair_fwd], agg[idx.pair_rev])
-    z = np.zeros(g.n_nodes)
-    np.add.at(z, idx.mid[idx.pair_fwd], y)
+    # bincount adds from 0.0 in input order, as np.add.at does
+    z = np.bincount(idx.mid[idx.pair_fwd], weights=y, minlength=g.n_nodes)
     return TransmissionSummary(idx, y, z)
 
 
@@ -348,10 +352,7 @@ def total_cost(summary: TransmissionSummary, g: ExpandedGraph
     makes toward its artificial sink; physical refunds those deliveries.
     """
     expanded = float(np.dot(g.costs, summary.z))
-    correction = 0.0
-    for s in g.base.sessions:
-        correction += float(g.costs[s.dest]) * s.rate
-    return expanded, expanded - correction
+    return expanded, expanded - g.refund
 
 
 def conservation_residual(sessions: np.ndarray, rows: np.ndarray,

@@ -109,7 +109,8 @@ def subgradient_step(p: PriceVector, agg: np.ndarray, n: int,
     """
     diff = agg[idx.pair_fwd] - agg[idx.pair_rev]
     half = 0.5 * cfg.alpha(n)
-    fwd = np.clip(p.values[idx.pair_fwd] + half * diff, 0.0, idx.pair_cost)
+    x = p.values[idx.pair_fwd] + half * diff
+    fwd = np.minimum(np.maximum(x, 0.0), idx.pair_cost)  # np.clip's bits
     out = np.empty_like(p.values)
     out[idx.pair_fwd] = fwd
     out[idx.pair_rev] = idx.pair_cost - fwd
@@ -121,71 +122,62 @@ class _LoopState:
 
     sums[t] is session t's flow summed over the rounds so far, and
     sums[t] / n its recovered flow after round n.  The transmission
-    summary reads the total of those means, added in session order on
-    the triples that ever carried flow; elsewhere every term is +0.0, so
-    the restriction changes no bit.  (Dividing one running total by n
-    instead would round differently.)  The per-session means themselves
-    are built only for the solution.
+    summary adds those means in session order over keys, the sorted flat
+    positions t * T + row of the entries that ever carried flow; every
+    other term is +0.0 and changes no bit.  (Dividing one running total
+    by n would round differently.)  The means are built only for the
+    solution.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
                  cfg: SolverConfig, trace: SolveTrace):
         self.g, self.idx, self.cfg, self.trace = g, idx, cfg, trace
         self.sums = np.zeros((len(g.base.sessions), len(idx)))
-        self.carried = np.zeros(len(idx), dtype=bool)
-        self.support = np.flatnonzero(self.carried)
-        self.n = 0
+        self.keys = self.bins = np.zeros(0, dtype=np.int64)  # bins: keys % T
         self.best = -math.inf
-        self.summary: TransmissionSummary | None = None
-        self.gap = math.inf
-        self.certified = False
+        self.summary = TransmissionSummary(idx, np.zeros(len(idx.pair_fwd)),
+                                           np.zeros(g.n_nodes))
+        self.gap = 0.0
+        self.certified = not g.base.sessions
 
     def ingest(self, n: int, sessions: np.ndarray, rows: np.ndarray,
                values: np.ndarray, q: float) -> bool:
         """Record round n, in which session sessions[j] carried values[j]
-        on triple rows[j], each (session, triple) at most once; True means
-        the gap certificate is in hand."""
+        > 0 on triple rows[j], each (session, triple) at most once; True
+        means the gap certificate is in hand."""
         if not math.isfinite(q):
             raise NonFiniteError(
                 f"iteration {n}: dual bound is {q!r}; costs or rates are "
                 f"too large for float arithmetic")
         if q > self.best:
             self.best = q
-        self.n = n
-        fresh = rows[~self.carried[rows]]
+        T, sums = len(self.idx), self.sums.reshape(-1)
+        flat = sessions * T + rows
+        fresh = flat[sums[flat] == 0.0]  # never carried, as values > 0
         if len(fresh):
-            self.carried[fresh] = True
-            self.support = np.flatnonzero(self.carried)
-        agg = np.zeros(len(self.idx))
-        # an overflow here is reported below, as a non-finite cost
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.sums[sessions, rows] += values
-            # accumulate runs row by row: the session-order sum
-            means = self.sums[:, self.support] / n
-            agg[self.support] = np.cumsum(means, axis=0)[-1]
-            self.summary = transmission_summary(agg, self.g, self.idx)
-            cost, _ = total_cost(self.summary, self.g)
+            self.keys = np.sort(np.concatenate((self.keys, fresh)),
+                                kind="stable")
+            self.bins = self.keys % T
+        sums[flat] += values
+        agg = np.bincount(self.bins, weights=sums[self.keys] / n,
+                          minlength=T)
+        self.summary = transmission_summary(agg, self.g, self.idx)
+        cost, _ = total_cost(self.summary, self.g)
         if not math.isfinite(cost):
             raise NonFiniteError(
                 f"iteration {n}: recovered cost is {cost!r}; costs or rates "
                 f"are too large for float arithmetic")
         self.gap = (cost - self.best) / max(1.0, self.best)
         self.trace.append(n, self.cfg.alpha(n), q, self.best, cost, self.gap)
-        if self.gap <= self.cfg.tol:
-            self.certified = True
+        self.certified = self.gap <= self.cfg.tol
         return self.certified
 
     def solution(self, prices: PriceVector, iterations: int) -> Solution:
-        summary = self.summary
-        if summary is None:
-            summary = transmission_summary(np.zeros(len(self.idx)), self.g,
-                                           self.idx)
-        expanded, physical = total_cost(summary, self.g)
-        gap = 0.0 if not len(self.trace) else self.gap
-        mean = [FlowVector(s.sid, row / self.n)
+        expanded, physical = total_cost(self.summary, self.g)
+        mean = [FlowVector(s.sid, row / iterations)
                 for s, row in zip(self.g.base.sessions, self.sums)]
-        return Solution(mean, prices, summary, expanded, physical,
-                        gap, self.certified, iterations)
+        return Solution(mean, prices, self.summary, expanded, physical,
+                        self.gap, self.certified, iterations)
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
@@ -196,27 +188,31 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     start, rows): session t's distance is dists[t] and its triple rows
     are rows[start[t]:start[t + 1]].  price(p, agg, n) steps the prices
     on agg, the round's flow per triple.  An overflowed distance makes
-    the dual bound inf, which ingest reports.
+    the dual bound inf, which ingest reports.  The recovery's keys sort
+    session-major, so its bincount adds each triple's means in session
+    order, as a cumulative sum down the sessions would.
     """
     trace = SolveTrace()
     state = _LoopState(g, idx, cfg, trace)
     p = init_prices(idx)
-    if not g.base.sessions:
-        state.certified = True
+    if state.certified:  # no sessions
         return state.solution(p, 0), trace
-    rates = np.array([s.rate for s in g.base.sessions])
+    rate_list = [s.rate for s in g.base.sessions]
+    rates, ids = np.array(rate_list), np.arange(len(rate_list))
     n = 0
-    for n in range(1, cfg.max_iters + 1):
-        dists, start, rows = route(p)
-        q = 0.0
-        for s, dist in zip(g.base.sessions, dists.tolist()):
-            q += s.rate * dist
-        sessions = np.repeat(np.arange(len(rates)), np.diff(start))
-        values = rates[sessions]
-        if state.ingest(n, sessions, rows, values, q):
-            break
-        agg = np.bincount(rows, weights=values, minlength=len(idx))
-        p = price(p, agg, n)
+    # ingest reports an overflow as a non-finite bound or cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cfg.max_iters + 1):
+            dists, start, rows = route(p)
+            q = 0.0
+            for rate, dist in zip(rate_list, dists.tolist()):
+                q += rate * dist
+            sessions = np.repeat(ids, start[1:] - start[:-1])
+            values = rates[sessions]
+            if state.ingest(n, sessions, rows, values, q):
+                break
+            agg = np.bincount(rows, weights=values, minlength=len(idx))
+            p = price(p, agg, n)
     return state.solution(p, n), trace
 
 

@@ -14,7 +14,11 @@ from the expanded graph's CSR that they check.
 
 The solve loop has its dense form here too: one flow vector per session
 and round, summed, averaged and priced vector by vector, as the package
-did before it carried each round's routes as triple rows.  Beside it
+did before it carried each round's routes as triple rows.  Its
+transmission summary adds z up with np.add.at, its cost adds the
+destinations' refund up on every call and its price step clamps with
+np.clip, as the package did before it used np.bincount, a refund
+computed once per graph and np.minimum/np.maximum.  Beside it
 are the exact projection onto a coupled price pair and a FIFO
 label-correcting sweep, two independent routes to results the package
 computes in closed form or with a priority queue.
@@ -39,10 +43,9 @@ from heapq import heappop, heappush
 import numpy as np
 
 from carpool import (FlowVector, PriceVector, SolverConfig, SolveTrace,
-                     build_edge_graph, build_expanded_graph,
-                     conservation_residual, edge_graph, enumerate_triples,
-                     init_prices, subgradient_step, total_cost,
-                     transmission_summary)
+                     TransmissionSummary, build_edge_graph,
+                     build_expanded_graph, conservation_residual, edge_graph,
+                     enumerate_triples, init_prices, subgradient_step)
 from carpool.model import InfeasibleSessionError, Instance, Node
 from carpool.solver import NonFiniteError
 
@@ -345,9 +348,25 @@ def primal_subproblem_reference(g, idx, p, h):
     return flows, q
 
 
-def subgradient_step_reference(p, flows, n, cfg, idx) -> PriceVector:
-    """The price step on dense per-session flows."""
-    agg = dense_aggregate(flows, len(idx))
+def transmission_summary_reference(agg, g, idx) -> TransmissionSummary:
+    """transmission_summary with z added up by np.add.at."""
+    y = np.maximum(agg[idx.pair_fwd], agg[idx.pair_rev])
+    z = np.zeros(g.n_nodes)
+    np.add.at(z, idx.mid[idx.pair_fwd], y)
+    return TransmissionSummary(idx, y, z)
+
+
+def total_cost_reference(summary, g) -> tuple[float, float]:
+    """total_cost with the destinations' refund added up on every call."""
+    expanded = float(np.dot(g.costs, summary.z))
+    correction = 0.0
+    for s in g.base.sessions:
+        correction += float(g.costs[s.dest]) * s.rate
+    return expanded, expanded - correction
+
+
+def subgradient_step_reference(p, agg, n, cfg, idx) -> PriceVector:
+    """The price step on agg, the flow per triple, clamped by np.clip."""
     diff = agg[idx.pair_fwd] - agg[idx.pair_rev]
     half = 0.5 * cfg.alpha(n)
     fwd = np.clip(p.values[idx.pair_fwd] + half * diff, 0.0, idx.pair_cost)
@@ -358,24 +377,34 @@ def subgradient_step_reference(p, flows, n, cfg, idx) -> PriceVector:
 
 
 class DenseLoopState:
-    """Recovery on dense vectors: per-session sums, means, their total."""
+    """Recovery on dense vectors: per-session sums, means, their total,
+    with the same non-finite checks and messages as the solve loop."""
 
     def __init__(self, g, idx, cfg, trace):
         self.g, self.idx, self.cfg, self.trace = g, idx, cfg, trace
         self.sums = [np.zeros(len(idx)) for _ in g.base.sessions]
         self.best = -math.inf
         self.mean: list[FlowVector] = []
+        self.summary = None
 
     def ingest(self, n, flows, q) -> bool:
+        if not math.isfinite(q):
+            raise NonFiniteError(
+                f"iteration {n}: dual bound is {q!r}; costs or rates are "
+                f"too large for float arithmetic")
         if q > self.best:
             self.best = q
         for s, f in zip(self.sums, flows):
             s += f.values
         self.mean = [FlowVector(f.session, s / n)
                      for s, f in zip(self.sums, flows)]
-        summary = transmission_summary(
+        self.summary = transmission_summary_reference(
             dense_aggregate(self.mean, len(self.idx)), self.g, self.idx)
-        cost, _ = total_cost(summary, self.g)
+        cost, _ = total_cost_reference(self.summary, self.g)
+        if not math.isfinite(cost):
+            raise NonFiniteError(
+                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
+                f"are too large for float arithmetic")
         gap = (cost - self.best) / max(1.0, self.best)
         self.trace.append(n, self.cfg.alpha(n), q, self.best, cost, gap)
         return gap <= self.cfg.tol
@@ -393,7 +422,8 @@ def solve_reference(inst, cfg):
         flows, q = primal_subproblem_reference(g, idx, p, h)
         if state.ingest(n, flows, q):
             break
-        p = subgradient_step_reference(p, flows, n, cfg, idx)
+        p = subgradient_step_reference(p, dense_aggregate(flows, len(idx)),
+                                       n, cfg, idx)
     return trace, state.mean, p
 
 
@@ -419,22 +449,27 @@ def project_pair_reference(u1: float, u2: float, c: float
     return float(s), float(cf - s)
 
 
-def project_pairs_by_step(u1, u2, c) -> tuple[np.ndarray, np.ndarray]:
-    """subgradient_step's projection of each point (u1[j], u2[j]) onto
-    {p1 + p2 = c[j], p >= 0}.
-
-    Pair j is node j, of broadcast cost c[j], relaying between two leaves
-    of its own.  From the even split (c/2, c/2), one unit step (n = 1,
-    a = 1) with forward flow u1 - c/2 and reverse flow u2 - c/2 moves the
-    pair to (u1, u2) before the clamp.
-    """
+def pair_network(c):
+    """The triples of a network whose node j, of broadcast cost c[j],
+    relays between two leaves of its own, so pair row j is node j's."""
     m = len(c)
     nodes = [Node(j, float(x)) for j, x in enumerate(c)]
     nodes += [Node(m + j, 1.0) for j in range(2 * m)]
     edges = [(j, m + 2 * j + e) for j in range(m) for e in (0, 1)]
-    g = build_expanded_graph(Instance(nodes, edges, []))
-    idx = enumerate_triples(g)
+    idx = enumerate_triples(build_expanded_graph(Instance(nodes, edges, [])))
     assert idx.mid[idx.pair_fwd].tolist() == list(range(m))
+    return idx
+
+
+def project_pairs_by_step(u1, u2, c) -> tuple[np.ndarray, np.ndarray]:
+    """subgradient_step's projection of each point (u1[j], u2[j]) onto
+    {p1 + p2 = c[j], p >= 0}.
+
+    Pair j is node j of pair_network(c).  From the even split (c/2,
+    c/2), one unit step (n = 1, a = 1) with forward flow u1 - c/2 and
+    reverse flow u2 - c/2 moves the pair to (u1, u2) before the clamp.
+    """
+    idx = pair_network(c)
     p = init_prices(idx)
     agg = np.zeros(len(idx))
     agg[idx.pair_fwd] = np.asarray(u1, dtype=float) - p.values[idx.pair_fwd]

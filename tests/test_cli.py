@@ -423,6 +423,31 @@ def test_unwritable_outputs_are_named(tmp_path, relay3_path, capsys):
     assert not missing.exists()
 
 
+def test_unwritable_outputs_fail_before_the_solve(tmp_path, relay3_path,
+                                                  capsys, monkeypatch):
+    calls = []
+
+    def never(*args, **kw):
+        calls.append(args)
+        raise AssertionError("the solve ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "solve", never)
+    monkeypatch.setattr(cli, "run_distributed_solve", never)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for flag, path, reason in (
+            ("--out", tmp_path / "missing" / "s.json",
+             "No such file or directory"),
+            ("--trace", tmp_path / "missing" / "t.csv",
+             "No such file or directory"),
+            ("--out", plain / "s.json", "Not a directory")):
+        for extra in ([], ["--distributed"]):
+            argv = ["solve", relay3_path, flag, str(path), *extra]
+            assert rejected(argv, capsys) == \
+                f"cannot write {path}: {reason}\n"
+    assert calls == []
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"nodes": [,]}')

@@ -16,8 +16,9 @@ from model_reference import (adjacency_reference,
                              conservation_residual_reference,
                              dense_aggregate, enumerate_triples_reference,
                              index_of, ordered_pairs_reference, residual_of,
-                             rev_of, triples_of, validate_prices,
-                             worst_residual)
+                             rev_of, total_cost_reference,
+                             transmission_summary_reference, triples_of,
+                             validate_prices, worst_residual)
 
 
 def unit_instance(n, edges, sessions=()):
@@ -354,6 +355,39 @@ def test_node_costs_weight_the_transmissions():
     summ = transmission_summary(flow.values, g, idx)
     # transmitters: source (1) + relay (3) + destination (1), refund dest
     assert total_cost(summ, g) == (5.0, 4.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["grid2", "grid2rate", "geo4"]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, 5e-324, 1e308, np.inf, np.nan]),
+                max_size=5))
+def test_summary_and_cost_equal_their_references(named, name, seed, edges):
+    rng = np.random.default_rng(seed)
+    # costs and rates whose sums round, so that their order shows
+    base = named[name]
+    g = build_expanded_graph(Instance(
+        [Node(nd.nid, float(c)) for nd, c in
+         zip(base.nodes, rng.uniform(0.1, 3.0, len(base.nodes)))],
+        base.edges,
+        [Session(s.sid, s.source, s.dest, float(r)) for s, r in
+         zip(base.sessions, rng.uniform(0.1, 3.0, len(base.sessions)))]))
+    idx = enumerate_triples(g)
+    # magnitudes that round when added, and a few edge values
+    agg = rng.uniform(0.0, 1.0, len(idx)) * 10.0 ** rng.integers(-8, 9,
+                                                                len(idx))
+    agg[rng.integers(0, len(idx), len(edges))] = edges
+    agg[rng.random(len(idx)) < 0.5] = 0.0
+    got = transmission_summary(agg, g, idx)
+    want = transmission_summary_reference(agg, g, idx)
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.z.tobytes() == want.z.tobytes()
+    # at zero flow the physical cost is the refund alone
+    zero = transmission_summary(np.zeros(len(idx)), g, idx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in ((got, want), (zero, zero)):
+            assert np.array(total_cost(a, g)).tobytes() == \
+                np.array(total_cost_reference(b, g)).tobytes()
 
 
 # -------------------------------------------------------- reference optima

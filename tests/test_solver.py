@@ -1,24 +1,26 @@
 """Price projection, subgradient updates, certified solve loop."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpool import (FlowVector, GeometricConfig, SolverConfig,
+from carpool import (FlowVector, GeometricConfig, PriceVector, SolverConfig,
                      SolveTrace, build_edge_graph, build_expanded_graph,
                      enumerate_triples, generate_geometric, init_prices,
                      plain_routing_cost, primal_subproblem, solve, solver,
-                     subgradient_step, transmission_summary)
+                     subgradient_step)
 from carpool.model import Instance, Node, Session
-from carpool.solver import _LoopState
+from carpool.solver import NonFiniteError, _LoopState
 from model_reference import (DenseLoopState, dense_aggregate, index_of,
-                             primal_subproblem_reference,
+                             pair_network, primal_subproblem_reference,
                              project_pair_reference, project_pairs_by_step,
-                             rev_of, validate_prices, worst_residual)
+                             rev_of, subgradient_step_reference,
+                             validate_prices, worst_residual)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,26 @@ def test_random_steps_stay_dual_feasible(relay3_parts):
         validate_prices(p, idx)
 
 
+def test_price_clamp_equals_np_clip_on_edge_values():
+    # every forward price before the clamp against every pair cost a node
+    # may have, 0.0 and -0.0 among them
+    before = [-0.0, 0.0, 5e-324, math.nan, math.inf, -math.inf, 0.5, -1.0,
+              1e308]
+    costs = [0.0, -0.0, 5e-324, 1.0, 1e308]
+    x, c = (np.array(v) for v in zip(*itertools.product(before, costs)))
+    idx = pair_network(c)
+    p = PriceVector(np.zeros(len(idx)))
+    p.values[idx.pair_fwd] = x
+    # net forward flow -0.0 - 0.0 = -0.0, and x + -0.0 is x, bit for bit
+    agg = np.zeros(len(idx))
+    agg[idx.pair_fwd] = -0.0
+    got = subgradient_step(p, agg, 1, SolverConfig(), idx).values
+    want = subgradient_step_reference(p, agg, 1, SolverConfig(), idx).values
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[idx.pair_fwd]).any()  # a -0.0 reached the clamp
+    assert np.isnan(got[idx.pair_fwd]).any()
+
+
 def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
     rng = np.random.default_rng(5)
     line = Instance([Node(i, 1.0) for i in range(3)], [(0, 1), (1, 2)],
@@ -232,17 +254,105 @@ def test_support_restricted_total_equals_the_sum_of_session_means():
             flows.append(FlowVector(s.sid, values))
         ingest_dense(state, n, flows)
         dense.ingest(n, flows, 0.0)
-        assert len(state.support) < len(idx)
-        want = transmission_summary(dense_aggregate(dense.mean, len(idx)),
-                                    g, idx)
+        # recovery ran on fewer entries than the S x T sums hold
+        assert len(state.keys) < len(inst.sessions) * len(idx)
         for name in ("y", "z"):
             assert getattr(state.summary, name).tobytes() == \
-                getattr(want, name).tobytes()
+                getattr(dense.summary, name).tobytes()
     assert state.trace.recovered_costs == dense.trace.recovered_costs
     got = state.solution(init_prices(idx), 7).flows
     assert [f.session for f in got] == [f.session for f in dense.mean]
     assert all(a.values.tobytes() == b.values.tobytes()
                for a, b in zip(got, dense.mean))
+
+
+def recover_both(g, idx, rounds):
+    """Feed each round to _LoopState and to DenseLoopState, which must
+    agree bit for bit after every round.  A round lists, per session, the
+    (row, value) pairs it carried, in route order.  The NonFiniteError
+    message that stopped both at the same round, or None."""
+    cfg = SolverConfig(tol=1e-12)
+    state = _LoopState(g, idx, cfg, SolveTrace())
+    dense = DenseLoopState(g, idx, cfg, SolveTrace())
+    stopped = None
+    # as in price_ascent, an overflow shows as a non-finite cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, carried in enumerate(rounds, 1):
+            entries = [(t, k, x) for t, ks in enumerate(carried)
+                       for k, x in ks]
+            sessions = np.array([t for t, _, _ in entries], dtype=np.int64)
+            rows = np.array([k for _, k, _ in entries], dtype=np.int64)
+            values = np.array([x for _, _, x in entries], dtype=float)
+            flows = []
+            for s, ks in zip(g.base.sessions, carried):
+                f = np.zeros(len(idx))
+                f[[k for k, _ in ks]] = [x for _, x in ks]
+                flows.append(FlowVector(s.sid, f))
+            outcome = []
+            for ingest in (lambda: state.ingest(n, sessions, rows, values,
+                                                0.0),
+                           lambda: dense.ingest(n, flows, 0.0)):
+                try:
+                    outcome.append(ingest())
+                except NonFiniteError as exc:
+                    outcome.append(str(exc))
+            assert outcome[0] == outcome[1]
+            if isinstance(outcome[0], str):
+                stopped = outcome[0]
+                break
+            for name in ("y", "z"):
+                assert getattr(state.summary, name).tobytes() == \
+                    getattr(dense.summary, name).tobytes()
+    for name in ("iters", "alphas", "dual_bounds", "best_bounds",
+                 "recovered_costs", "rel_gaps"):
+        assert np.array(getattr(state.trace, name)).tobytes() == \
+            np.array(getattr(dense.trace, name)).tobytes()
+    if stopped is None:
+        got = state.solution(init_prices(idx), len(rounds)).flows
+        assert [f.session for f in got] == [f.session for f in dense.mean]
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(got, dense.mean))
+    return stopped
+
+
+@pytest.fixture(scope="module")
+def geo4_parts(geo4):
+    g = build_expanded_graph(geo4)
+    return g, enumerate_triples(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_recovery_equals_the_dense_loop(geo4_parts, data):
+    g, idx = geo4_parts
+    # a few triples for all sessions to draw from, so that they share
+    pool = data.draw(st.lists(st.integers(0, len(idx) - 1), min_size=1,
+                              max_size=8, unique=True))
+    # the odd fractions round when added and divided, the extremes
+    # underflow or overflow
+    value = st.one_of(st.sampled_from([5e-324, 1e308]),
+                      st.integers(1, 10**9).map(lambda k: k / 7919),
+                      st.floats(1e-3, 1e3))
+    route = st.lists(st.tuples(st.sampled_from(pool), value), max_size=6,
+                     unique_by=lambda e: e[0])
+    rounds = data.draw(st.lists(
+        st.lists(route, min_size=len(g.base.sessions),
+                 max_size=len(g.base.sessions)), min_size=1, max_size=8))
+    recover_both(g, idx, rounds)
+
+
+def test_sparse_recovery_keeps_the_smallest_subnormal(geo4_parts):
+    g, idx = geo4_parts
+    tiny = [[(3, 5e-324), (7, 5e-324)], [(7, 5e-324)], [], [(3, 5e-324)]]
+    assert recover_both(g, idx, [tiny, tiny, tiny]) is None
+
+
+def test_sparse_recovery_overflows_at_the_dense_loops_round(geo4_parts):
+    g, idx = geo4_parts
+    huge = [[(3, 1e308)], [(7, 1.0)], [], []]
+    assert recover_both(g, idx, [huge, huge, huge]) == (
+        "iteration 2: recovered cost is inf; costs or rates are too large "
+        "for float arithmetic")
 
 
 # ------------------------------------------------------------- solve loop
