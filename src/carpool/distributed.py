@@ -22,15 +22,18 @@ node on the path tallies its own triple's flow from that message; this
 chase is the only walk of a route.  solve()'s loop, price_ascent, reads
 the routes from the tallies and runs the price step.
 
-The simulator keeps one price list and one (session, triple) tally
-array for all nodes, indexed by triple row.  Every arc (v, i) -> (i, w)
-that node i extends or tallies is a row whose middle node is i, so node
-i reads and writes its own rows only.  The loop's flow on such a row is
-the sum of node i's tallies, and subgradient_step's update of a row's
-price reads only that row and its reverse (w, i, v), also node i's, so
-the elementwise step is every node's own computation, done side by side.
+One Simulator object holds a run: its nodes (one NodeProcessor each),
+the links between graph neighbours, the message counts, and one price
+list and one (session, triple) tally array for all nodes, indexed by
+triple row.  Every arc (v, i) -> (i, w) that node i extends or tallies
+is a row whose middle node is i, so node i reads and writes its own rows
+only.  The loop's flow on such a row is the sum of node i's tallies, and
+subgradient_step's update of a row's price reads only that row, its
+reverse (w, i, v), also node i's, and the step size alpha, which is the
+same for the whole network.  So the elementwise step is every node's own
+computation, done side by side.
 
-The simulator is a deterministic event loop: synchronous rounds deliver
+Simulator.run is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
 seeded-random order each round.  Either way every node acts every round,
 and a message may only connect graph neighbours (checked on every send).
@@ -44,9 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edge_graph import EdgeGraph, build_edge_graph
+from .edge_graph import build_edge_graph
 from .model import (ExpandedGraph, Instance, PriceVector, TripleIndex,
-                    build_expanded_graph, enumerate_triples)
+                    build_expanded_graph, check_config_types,
+                    enumerate_triples)
 from .solver import (SolverConfig, SolveTrace, Solution, init_prices,
                      price_ascent, subgradient_step)
 
@@ -72,6 +76,7 @@ class SimSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_types(self, counts=("seed",), reals=())
         if self.mode not in ("sync", "async"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 
@@ -95,16 +100,17 @@ class MessageStats:
     rounds: int = 0
     bytes_estimate: int = 0
     delivered: int = 0
-    neighbor_violations: int = 0
     per_iteration: list[dict] = field(default_factory=list)
 
 
-class _SimContext:
-    """Static structure shared by all processors of one run, with the
-    prices and the tally array whose rows the processors own."""
+class Simulator:
+    """One run's network: every node's processor, the links a message
+    may use, the prices and tally array whose rows the nodes own, and
+    the event loop that delivers their messages."""
 
-    def __init__(self, g: ExpandedGraph, idx: TripleIndex, h: EdgeGraph,
-                 p: PriceVector, schedule: SimSchedule):
+    def __init__(self, g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
+                 schedule: SimSchedule | None = None):
+        h = build_edge_graph(g, idx)
         self.g, self.idx, self.vertices = g, idx, h.vertices
         ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
         self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
@@ -116,13 +122,13 @@ class _SimContext:
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.wts = p.values.tolist()  # price per triple, reset per step
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
-        self.schedule = schedule
-        self.rng = random.Random(schedule.seed)
+        self.schedule = schedule or SimSchedule()
+        self.rng = random.Random(self.schedule.seed)
         self.max_rounds = 2 * len(g.indices) + 16  # per phase
+        self.nodes = [NodeProcessor(i, self) for i in range(g.n_nodes)]
 
     def send(self, msg: Message) -> None:
         if msg.receiver not in self.adjset[msg.sender]:
-            self.stats.neighbor_violations += 1
             raise RuntimeError(
                 f"message {msg.kind} from {msg.sender} to non-neighbour "
                 f"{msg.receiver}")
@@ -134,17 +140,58 @@ class _SimContext:
             self.stats.bytes_estimate += FLOW_BYTES
         self.staging.append(msg)
 
+    def run(self) -> None:
+        """Deliver and process until nothing moves."""
+        nodes = self.nodes
+        rounds = 0
+        sync = self.schedule.mode == "sync"
+        order = list(range(len(nodes)))
+        while self.staging or any(node.inbox for node in nodes):
+            rounds += 1
+            if rounds > self.max_rounds:
+                vertices = self.vertices
+                active = sorted({(m.kind, m.session, vertices[m.vertex])
+                                 for m in self.staging}
+                                | {(m.kind, m.session, vertices[m.vertex])
+                                   for node in nodes for m in node.inbox})
+                raise QuiescenceError(active)
+            pending, self.staging = self.staging, []
+            for msg in pending:
+                nodes[msg.receiver].inbox.append(msg)
+            if not sync:
+                self.rng.shuffle(order)
+                # late activations see messages sent earlier in the round
+            for nid in order:
+                node = nodes[nid]
+                batch = node.inbox
+                if not batch:
+                    continue  # an idle node sends nothing
+                node.inbox = []
+                self.stats.delivered += len(batch)
+                for msg in batch:
+                    if msg.kind == "label":
+                        node._relax(msg)
+                    else:
+                        node._chase(msg.session, msg.vertex, msg.value)
+                if not sync and self.staging:
+                    pending, self.staging = self.staging, []
+                    for msg in pending:
+                        nodes[msg.receiver].inbox.append(msg)
+            if not sync:
+                order.sort()
+        self.stats.rounds += rounds
+
 
 class NodeProcessor:
     """One node's labels and inbox; its prices and tallies are its rows."""
 
-    def __init__(self, nid: int, ctx: _SimContext):
+    def __init__(self, nid: int, sim: Simulator):
         self.nid = nid
-        self.ctx = ctx
+        self.sim = sim
         # labels[t]: owned vertex id -> (dist, hops, pred vertex id, row
         # of the triple pred -> vertex)
         self.labels: list[dict[int, tuple[float, int, int, int]]] = [
-            {} for _ in range(len(ctx.g.base.sessions))]
+            {} for _ in range(len(sim.g.base.sessions))]
         self.inbox: list[Message] = []
 
     def prime_source(self, t: int, vid: int) -> None:
@@ -152,15 +199,15 @@ class NodeProcessor:
         self._announce(t, vid, 0.0, 0)
 
     def _announce(self, t: int, vid: int, dist: float, hops: int) -> None:
-        self.ctx.send(Message(self.nid, self.ctx.vertices[vid][1], "label",
+        self.sim.send(Message(self.nid, self.sim.vertices[vid][1], "label",
                               t, vid, dist, hops))
 
     def _relax(self, msg: Message) -> None:
         uv, t = msg.vertex, msg.session
         labels = self.labels[t]
-        wts = self.ctx.wts
+        wts = self.sim.wts
         d, nh = msg.dist, msg.hops + 1
-        for vtx, k in self.ctx.out[uv]:
+        for vtx, k in self.sim.out[uv]:
             nd = d + wts[k]
             cur = labels.get(vtx)
             if cur is None or nd < cur[0] or (nd == cur[0] and nh < cur[1]):
@@ -176,97 +223,44 @@ class NodeProcessor:
         _, _, pred, k = label
         if pred < 0:
             return  # source pair reached; nothing upstream of it
-        self.ctx.tally[t, k] += value
-        self.ctx.send(Message(self.nid, self.ctx.vertices[pred][0], "flow",
+        self.sim.tally[t, k] += value
+        self.sim.send(Message(self.nid, self.sim.vertices[pred][0], "flow",
                               t, pred, value=value))
 
 
-def make_processors(g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
-                    schedule: SimSchedule | None = None
-                    ) -> list[NodeProcessor]:
-    h = build_edge_graph(g, idx)
-    ctx = _SimContext(g, idx, h, p, schedule or SimSchedule())
-    return [NodeProcessor(i, ctx) for i in range(g.n_nodes)]
-
-
-def _run_to_quiescence(ctx: _SimContext, procs: list[NodeProcessor]
-                       ) -> None:
-    """Deliver and process until nothing moves."""
-    rounds = 0
-    sync = ctx.schedule.mode == "sync"
-    order = list(range(len(procs)))
-    while ctx.staging or any(p.inbox for p in procs):
-        rounds += 1
-        if rounds > ctx.max_rounds:
-            vertices = ctx.vertices
-            active = sorted({(m.kind, m.session, vertices[m.vertex])
-                             for m in ctx.staging}
-                            | {(m.kind, m.session, vertices[m.vertex])
-                               for p in procs for m in p.inbox})
-            raise QuiescenceError(active)
-        pending, ctx.staging = ctx.staging, []
-        for msg in pending:
-            procs[msg.receiver].inbox.append(msg)
-        if not sync:
-            ctx.rng.shuffle(order)
-            # late activations see messages sent earlier in the same round
-        for nid in order:
-            proc = procs[nid]
-            batch = proc.inbox
-            if not batch:
-                continue  # an idle node sends nothing
-            proc.inbox = []
-            ctx.stats.delivered += len(batch)
-            for msg in batch:
-                if msg.kind == "label":
-                    proc._relax(msg)
-                else:
-                    proc._chase(msg.session, msg.vertex, msg.value)
-            if not sync and ctx.staging:
-                pending, ctx.staging = ctx.staging, []
-                for msg in pending:
-                    procs[msg.receiver].inbox.append(msg)
-        if not sync:
-            order.sort()
-    ctx.stats.rounds += rounds
-
-
-def distributed_shortest_paths(procs: list[NodeProcessor]) -> list[float]:
+def distributed_shortest_paths(sim: Simulator) -> list[float]:
     """Flood labels to quiescence; each destination's distance, or inf."""
-    ctx = procs[0].ctx
-    vertices = ctx.vertices
-    for proc in procs:
-        for labels in proc.labels:
+    nodes, vertices = sim.nodes, sim.vertices
+    for node in nodes:
+        for labels in node.labels:
             labels.clear()
-    for t, src in enumerate(ctx.g.src_pair.tolist()):
-        procs[vertices[src][0]].prime_source(t, src)
-    _run_to_quiescence(ctx, procs)
-    return [procs[vertices[dst][0]].labels[t].get(dst, (INF,))[0]
-            for t, dst in enumerate(ctx.g.dst_pair.tolist())]
+    for t, src in enumerate(sim.g.src_pair.tolist()):
+        nodes[vertices[src][0]].prime_source(t, src)
+    sim.run()
+    return [nodes[vertices[dst][0]].labels[t].get(dst, (INF,))[0]
+            for t, dst in enumerate(sim.g.dst_pair.tolist())]
 
 
-def _flow_notification(procs: list[NodeProcessor]) -> None:
+def _flow_notification(sim: Simulator) -> None:
     """Each destination walks its predecessor chain; relays tally rates."""
-    ctx = procs[0].ctx
-    g = ctx.g
+    g = sim.g
     for t, (s, dst) in enumerate(zip(g.base.sessions, g.dst_pair.tolist())):
-        procs[ctx.vertices[dst][0]]._chase(t, dst, s.rate)
-    _run_to_quiescence(ctx, procs)
+        sim.nodes[sim.vertices[dst][0]]._chase(t, dst, s.rate)
+    sim.run()
 
 
-def _message_round(procs: list[NodeProcessor]
+def _message_round(sim: Simulator
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route every session by messages at the nodes' prices: the label
     flood, then the flow chase.  The routes, read from the tallies, come
     back as price_ascent's (dists, start, rows)."""
-    ctx = procs[0].ctx
-    stats = ctx.stats
+    stats = sim.stats
     before = stats.label_messages, stats.flow_messages, stats.rounds
-    dists = distributed_shortest_paths(procs)
-    _flow_notification(procs)
+    dists = distributed_shortest_paths(sim)
+    _flow_notification(sim)
     # row-major: session order, as the route search returns its rows
-    sessions, rows = np.nonzero(ctx.tally)
-    ctx.tally.fill(0.0)
+    sessions, rows = np.nonzero(sim.tally)
+    sim.tally.fill(0.0)
     stats.per_iteration.append({
         "iteration": len(stats.per_iteration) + 1,
         "label_messages": stats.label_messages - before[0],
@@ -277,13 +271,13 @@ def _message_round(procs: list[NodeProcessor]
     return np.array(dists), start, rows
 
 
-def distributed_price_update(procs: list[NodeProcessor], p: PriceVector,
-                             agg: np.ndarray, n: int, cfg: SolverConfig
-                             ) -> PriceVector:
-    """Every node reprices its own triple rows from agg and reads them
-    into the price list it relaxes with; no messages."""
-    p = subgradient_step(p, agg, n, cfg, procs[0].ctx.idx)
-    procs[0].ctx.wts = p.values.tolist()
+def distributed_price_update(sim: Simulator, p: PriceVector,
+                             agg: np.ndarray, alpha: float) -> PriceVector:
+    """Every node steps its own triple rows from agg by the network's one
+    step size alpha and reads them into the price list it relaxes with;
+    no messages."""
+    p = subgradient_step(p, agg, alpha, sim.idx)
+    sim.wts = p.values.tolist()
     return p
 
 
@@ -294,9 +288,9 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    procs = make_processors(g, idx, init_prices(idx), schedule)
+    sim = Simulator(g, idx, init_prices(idx), schedule)
     # each round runs at the prices the last price step shared out
     sol, trace = price_ascent(
-        g, idx, cfg, lambda p: _message_round(procs),
-        lambda p, agg, n: distributed_price_update(procs, p, agg, n, cfg))
-    return sol, trace, procs[0].ctx.stats
+        g, idx, cfg, lambda p: _message_round(sim),
+        lambda p, agg, alpha: distributed_price_update(sim, p, agg, alpha))
+    return sol, trace, sim.stats

@@ -79,10 +79,12 @@ class GeometricConfig:
                 f"{MAX_EXPECTED_EDGES}")
         if self.sessions < 0:
             raise ValueError("sessions must be >= 0")
-        if not (self.rate > 0):
-            raise ValueError("rate must be > 0")
-        if self.cost < 0:
-            raise ValueError("cost must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (0 < self.rate < math.inf):
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        if not (0 <= self.cost < math.inf):
+            raise ValueError(f"cost must be finite and >= 0, got {self.cost}")
 
 
 def edges_within_radius(pos: np.ndarray, radius: float

@@ -37,8 +37,7 @@ class NonFiniteError(ArithmeticError):
 
 @dataclass
 class SolverConfig:
-    step_a: float = 1.0
-    step_rule: str = "diminishing"  # step a/n, or "constant" for a
+    step_a: float = 1.0  # round n steps by alpha = step_a / n
     tol: float = 1e-2
     max_iters: int = 5000
 
@@ -49,15 +48,8 @@ class SolverConfig:
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.step_rule not in ("diminishing", "constant"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-    def alpha(self, n: int) -> float:
-        if self.step_rule == "diminishing":
-            return self.step_a / n
-        return self.step_a
 
 
 @dataclass
@@ -99,16 +91,16 @@ def init_prices(idx: TripleIndex) -> PriceVector:
     return PriceVector(0.5 * idx.cost)
 
 
-def subgradient_step(p: PriceVector, agg: np.ndarray, n: int,
-                     cfg: SolverConfig, idx: TripleIndex) -> PriceVector:
+def subgradient_step(p: PriceVector, agg: np.ndarray, alpha: float,
+                     idx: TripleIndex) -> PriceVector:
     """One projected price update from this round's total flow per triple.
 
     For each unordered pair the forward price moves by half the step
-    times the net forward flow, clamped to [0, c]; the reverse price is
-    the complement, so the coupled constraint holds exactly.
+    alpha times the net forward flow, clamped to [0, c]; the reverse
+    price is the complement, so the coupled constraint holds exactly.
     """
     diff = agg[idx.pair_fwd] - agg[idx.pair_rev]
-    half = 0.5 * cfg.alpha(n)
+    half = 0.5 * alpha
     x = p.values[idx.pair_fwd] + half * diff
     fwd = np.minimum(np.maximum(x, 0.0), idx.pair_cost)  # np.clip's bits
     out = np.empty_like(p.values)
@@ -140,11 +132,12 @@ class _LoopState:
         self.gap = 0.0
         self.certified = not g.base.sessions
 
-    def ingest(self, n: int, sessions: np.ndarray, rows: np.ndarray,
-               values: np.ndarray, q: float) -> bool:
-        """Record round n, in which session sessions[j] carried values[j]
-        > 0 on triple rows[j], each (session, triple) at most once; True
-        means the gap certificate is in hand."""
+    def ingest(self, n: int, alpha: float, sessions: np.ndarray,
+               rows: np.ndarray, values: np.ndarray, q: float) -> bool:
+        """Record round n, whose step size is alpha, in which session
+        sessions[j] carried values[j] > 0 on triple rows[j], each
+        (session, triple) at most once; True means the gap certificate
+        is in hand."""
         if not math.isfinite(q):
             raise NonFiniteError(
                 f"iteration {n}: dual bound is {q!r}; costs or rates are "
@@ -168,7 +161,7 @@ class _LoopState:
                 f"iteration {n}: recovered cost is {cost!r}; costs or rates "
                 f"are too large for float arithmetic")
         self.gap = (cost - self.best) / max(1.0, self.best)
-        self.trace.append(n, self.cfg.alpha(n), q, self.best, cost, self.gap)
+        self.trace.append(n, alpha, q, self.best, cost, self.gap)
         self.certified = self.gap <= self.cfg.tol
         return self.certified
 
@@ -186,11 +179,13 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
 
     route(p) gives every session's cheapest route at prices p as (dists,
     start, rows): session t's distance is dists[t] and its triple rows
-    are rows[start[t]:start[t + 1]].  price(p, agg, n) steps the prices
-    on agg, the round's flow per triple.  An overflowed distance makes
-    the dual bound inf, which ingest reports.  The recovery's keys sort
-    session-major, so its bincount adds each triple's means in session
-    order, as a cumulative sum down the sessions would.
+    are rows[start[t]:start[t + 1]].  price(p, agg, alpha) steps the
+    prices on agg, the round's flow per triple, by alpha = step_a / n,
+    worked out once per round and recorded in the trace too.  An
+    overflowed distance makes the dual bound inf, which ingest reports.
+    The recovery's keys sort session-major, so its bincount adds each
+    triple's means in session order, as a cumulative sum down the
+    sessions would.
     """
     trace = SolveTrace()
     state = _LoopState(g, idx, cfg, trace)
@@ -203,16 +198,17 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     # ingest reports an overflow as a non-finite bound or cost
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, cfg.max_iters + 1):
+            alpha = cfg.step_a / n
             dists, start, rows = route(p)
             q = 0.0
             for rate, dist in zip(rate_list, dists.tolist()):
                 q += rate * dist
             sessions = np.repeat(ids, start[1:] - start[:-1])
             values = rates[sessions]
-            if state.ingest(n, sessions, rows, values, q):
+            if state.ingest(n, alpha, sessions, rows, values, q):
                 break
             agg = np.bincount(rows, weights=values, minlength=len(idx))
-            p = price(p, agg, n)
+            p = price(p, agg, alpha)
     return state.solution(p, n), trace
 
 
@@ -224,5 +220,5 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
     return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p),
-                        lambda p, agg, n: subgradient_step(p, agg, n, cfg,
-                                                           idx))
+                        lambda p, agg, alpha: subgradient_step(p, agg, alpha,
+                                                               idx))

@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from carpool import (FlowVector, PriceVector, SolverConfig, SolveTrace,
+from carpool import (FlowVector, PriceVector, SolveTrace,
                      TransmissionSummary, build_edge_graph,
                      build_expanded_graph, conservation_residual, edge_graph,
                      enumerate_triples, init_prices, subgradient_step)
@@ -365,10 +365,11 @@ def total_cost_reference(summary, g) -> tuple[float, float]:
     return expanded, expanded - correction
 
 
-def subgradient_step_reference(p, agg, n, cfg, idx) -> PriceVector:
-    """The price step on agg, the flow per triple, clamped by np.clip."""
+def subgradient_step_reference(p, agg, alpha, idx) -> PriceVector:
+    """The price step alpha on agg, the flow per triple, clamped by
+    np.clip."""
     diff = agg[idx.pair_fwd] - agg[idx.pair_rev]
-    half = 0.5 * cfg.alpha(n)
+    half = 0.5 * alpha
     fwd = np.clip(p.values[idx.pair_fwd] + half * diff, 0.0, idx.pair_cost)
     out = np.empty_like(p.values)
     out[idx.pair_fwd] = fwd
@@ -406,7 +407,7 @@ class DenseLoopState:
                 f"iteration {n}: recovered cost is {cost!r}; costs or rates "
                 f"are too large for float arithmetic")
         gap = (cost - self.best) / max(1.0, self.best)
-        self.trace.append(n, self.cfg.alpha(n), q, self.best, cost, gap)
+        self.trace.append(n, self.cfg.step_a / n, q, self.best, cost, gap)
         return gap <= self.cfg.tol
 
 
@@ -423,7 +424,7 @@ def solve_reference(inst, cfg):
         if state.ingest(n, flows, q):
             break
         p = subgradient_step_reference(p, dense_aggregate(flows, len(idx)),
-                                       n, cfg, idx)
+                                       cfg.step_a / n, idx)
     return trace, state.mean, p
 
 
@@ -466,7 +467,7 @@ def project_pairs_by_step(u1, u2, c) -> tuple[np.ndarray, np.ndarray]:
     {p1 + p2 = c[j], p >= 0}.
 
     Pair j is node j of pair_network(c).  From the even split (c/2,
-    c/2), one unit step (n = 1, a = 1) with forward flow u1 - c/2 and
+    c/2), one unit step (alpha = 1) with forward flow u1 - c/2 and
     reverse flow u2 - c/2 moves the pair to (u1, u2) before the clamp.
     """
     idx = pair_network(c)
@@ -474,7 +475,7 @@ def project_pairs_by_step(u1, u2, c) -> tuple[np.ndarray, np.ndarray]:
     agg = np.zeros(len(idx))
     agg[idx.pair_fwd] = np.asarray(u1, dtype=float) - p.values[idx.pair_fwd]
     agg[idx.pair_rev] = np.asarray(u2, dtype=float) - p.values[idx.pair_rev]
-    out = subgradient_step(p, agg, 1, SolverConfig(), idx).values
+    out = subgradient_step(p, agg, 1.0, idx).values
     return out[idx.pair_fwd], out[idx.pair_rev]
 
 

@@ -147,7 +147,6 @@ def test_criterion_6_distributed_equivalence(dist_equiv_runs):
                                   sol.prices.values), tag
             assert dtrace.dual_bounds == trace.dual_bounds, tag
             assert dtrace.rel_gaps == trace.rel_gaps, tag
-            assert stats.neighbor_violations == 0, tag
             assert stats.label_messages + stats.flow_messages == \
                 stats.delivered, tag
             checked += 1

@@ -151,6 +151,15 @@ def test_async_schedule_flag_accepted(solved, tmp_path):
     assert dist.read_bytes() == open(sol_path, "rb").read()
 
 
+def test_distributed_solve_of_an_empty_network(tmp_path, capsys):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"nodes": [], "edges": [], "sessions": []}))
+    assert cli.main(["solve", str(inst), "--distributed"]) == 0
+    out = capsys.readouterr().out
+    assert "iterations=0 certified" in out
+    assert "messages: label=0 flow=0 rounds=0 bytes~0" in out
+
+
 def _json_bytes(doc):
     return (json.dumps(doc, indent=1) + "\n").encode()
 
@@ -739,6 +748,16 @@ def test_solve_rejects_non_finite_flags(relay3_path, capsys, flag, value):
     ("inf", "side must be finite and > 0, got inf")])
 def test_gen_rejects_a_side_too_large_to_draw(side, message, capsys):
     err = rejected(["gen", "-L", side, "--sessions", "2"], capsys)
+    assert message in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rate", "inf", "rate must be finite and > 0, got inf"),
+    ("--cost", "inf", "cost must be finite and >= 0, got inf"),
+    ("--cost", "nan", "cost must be finite and >= 0, got nan"),
+    ("--seed", "-1", "seed must be >= 0, got -1")])
+def test_gen_names_the_field_it_refuses(flag, value, message, capsys):
+    err = rejected(["gen", "-L", "3", "--sessions", "0", flag, value], capsys)
     assert message in err
 
 

@@ -84,6 +84,12 @@ def test_config_validation():
             with pytest.raises(ValueError,
                                match=rf"{name} must be a number, got "):
                 GeometricConfig(**{"side": 6.0, "sessions": 1, name: bad})
+    # a non-finite rate or cost and a negative seed are refused by name
+    for name, bad in (("rate", math.inf), ("rate", math.nan),
+                      ("cost", math.inf), ("cost", math.nan),
+                      ("cost", -1.0), ("seed", -1)):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            GeometricConfig(**{"side": 6.0, "sessions": 0, name: bad})
     assert GeometricConfig(side=6, sessions=np.int64(2), seed=np.int32(4),
                            cost=0).sessions == 2
     # the radius is the paper's unit radius, not a setting

@@ -84,8 +84,7 @@ def routed_total(g, idx, p):
 def test_balanced_opposite_flows_leave_prices_alone(relay3_parts):
     g, idx = relay3_parts
     p0 = init_prices(idx)
-    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
-                          idx)
+    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1.0, idx)
     shared = index_of(idx)[(0, 1, 2)]
     assert p1.values[shared] == 0.5 == p1.values[rev_of(idx)[shared]]
     validate_prices(p1, idx)
@@ -97,8 +96,7 @@ def test_price_rises_with_flow_and_falls_opposite():
     g = build_expanded_graph(single)
     idx = enumerate_triples(g)
     p0 = init_prices(idx)
-    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
-                          idx)
+    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1.0, idx)
     for trip in [(3, 0, 1), (0, 1, 2), (1, 2, 4)]:
         k = index_of(idx)[trip]
         assert p1.values[k] == 1.0          # walked direction clips up
@@ -112,10 +110,10 @@ def test_update_magnitude_is_half_step_times_imbalance(relay3_parts):
     f[k] = 0.6
     flows = [FlowVector("s1", f), FlowVector("s2", np.zeros(len(idx)))]
     agg = dense_aggregate(flows, len(idx))
-    p1 = subgradient_step(init_prices(idx), agg, 1, SolverConfig(), idx)
+    p1 = subgradient_step(init_prices(idx), agg, 1.0, idx)
     assert p1.values[k] == pytest.approx(0.8)           # 0.5 + (1/2)*0.6
     assert p1.values[rev_of(idx)[k]] == pytest.approx(0.2)
-    p2 = subgradient_step(init_prices(idx), agg, 2, SolverConfig(), idx)
+    p2 = subgradient_step(init_prices(idx), agg, 0.5, idx)
     assert p2.values[k] == pytest.approx(0.65)          # alpha halves
 
 
@@ -126,8 +124,8 @@ def test_random_steps_stay_dual_feasible(relay3_parts):
     for n in range(1, 30):
         flows = [FlowVector(s.sid, rng.uniform(0.0, 2.0, len(idx)))
                  for s in g.base.sessions]
-        p = subgradient_step(p, dense_aggregate(flows, len(idx)), n,
-                             SolverConfig(step_a=2.0), idx)
+        p = subgradient_step(p, dense_aggregate(flows, len(idx)), 2.0 / n,
+                             idx)
         validate_prices(p, idx)
 
 
@@ -144,8 +142,8 @@ def test_price_clamp_equals_np_clip_on_edge_values():
     # net forward flow -0.0 - 0.0 = -0.0, and x + -0.0 is x, bit for bit
     agg = np.zeros(len(idx))
     agg[idx.pair_fwd] = -0.0
-    got = subgradient_step(p, agg, 1, SolverConfig(), idx).values
-    want = subgradient_step_reference(p, agg, 1, SolverConfig(), idx).values
+    got = subgradient_step(p, agg, 1.0, idx).values
+    want = subgradient_step_reference(p, agg, 1.0, idx).values
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got[idx.pair_fwd]).any()  # a -0.0 reached the clamp
     assert np.isnan(got[idx.pair_fwd]).any()
@@ -162,20 +160,22 @@ def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
                     zip(geo.sessions, rng.uniform(0.1, 3.0, 6))])
     steps = []
 
-    def step(p, agg, n, cfg, idx, _step=solver.subgradient_step):
-        steps.append((p, agg))
-        return _step(p, agg, n, cfg, idx)
+    def step(p, agg, alpha, idx, _step=solver.subgradient_step):
+        steps.append((p, agg, alpha))
+        return _step(p, agg, alpha, idx)
 
     monkeypatch.setattr(solver, "subgradient_step", step)
     shared = 0
     for inst in (line, geo):
         steps.clear()
-        solve(inst, SolverConfig(tol=1e-12, max_iters=12))
+        _, trace = solve(inst, SolverConfig(tol=1e-12, max_iters=12))
         g = build_expanded_graph(inst)
         idx = enumerate_triples(g)
         h = build_edge_graph(g, idx)
         assert len(steps) == 12
-        for p, agg in steps:
+        # round n steps by the alpha its trace row records
+        assert [alpha for _, _, alpha in steps] == trace.alphas
+        for p, agg, _ in steps:
             flows, _ = primal_subproblem_reference(g, idx, p, h)
             assert agg.tobytes() == dense_aggregate(flows, len(idx)).tobytes()
             crossing = np.count_nonzero([f.values for f in flows], axis=0)
@@ -191,7 +191,7 @@ def ingest_dense(state, n, flows):
     """Feed _LoopState round n given as one dense flow per session."""
     x = np.array([f.values for f in flows])
     sessions, rows = np.nonzero(x)
-    return state.ingest(n, sessions, rows, x[sessions, rows], 0.0)
+    return state.ingest(n, 1.0 / n, sessions, rows, x[sessions, rows], 0.0)
 
 
 def running_mean(g, idx, history):
@@ -289,8 +289,8 @@ def recover_both(g, idx, rounds):
                 f[[k for k, _ in ks]] = [x for _, x in ks]
                 flows.append(FlowVector(s.sid, f))
             outcome = []
-            for ingest in (lambda: state.ingest(n, sessions, rows, values,
-                                                0.0),
+            for ingest in (lambda: state.ingest(n, 1.0 / n, sessions, rows,
+                                                values, 0.0),
                            lambda: dense.ingest(n, flows, 0.0)):
                 try:
                     outcome.append(ingest())
@@ -375,8 +375,7 @@ def test_certification_precedes_the_price_update(relay3, relay3_run):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
     p0 = init_prices(idx)
-    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1, SolverConfig(),
-                          idx)
+    p1 = subgradient_step(p0, routed_total(g, idx, p0), 1.0, idx)
     assert np.array_equal(sol.prices.values, p1.values)
     validate_prices(sol.prices, idx)
 
@@ -463,8 +462,8 @@ def test_solve_is_deterministic(grid2):
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="tol"):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError, match="step_rule"):
-        SolverConfig(step_rule="weird")
+    with pytest.raises(TypeError, match="step_rule"):
+        SolverConfig(step_rule="constant")  # the one rule is step_a / n
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="step_a"):
@@ -488,8 +487,8 @@ def test_config_rejects_bad_values():
                         step_a=2).max_iters == 3
 
 
-def test_step_rules():
-    cfg = SolverConfig(step_a=2.0)
-    assert [cfg.alpha(n) for n in (1, 2, 4)] == [2.0, 1.0, 0.5]
-    flat = SolverConfig(step_rule="constant", step_a=0.3)
-    assert flat.alpha(17) == 0.3
+def test_trace_alphas_are_step_a_over_n(grid2):
+    _, trace = solve(grid2, SolverConfig(step_a=2.0, tol=1e-12,
+                                          max_iters=4))
+    assert trace.iters == [1, 2, 3, 4]
+    assert [trace.alphas[n - 1] for n in (1, 2, 4)] == [2.0, 1.0, 0.5]
