@@ -22,16 +22,18 @@ node on the path tallies its own triple's flow from that message; this
 chase is the only walk of a route.  solve()'s loop, price_ascent, reads
 the routes from the tallies and runs the price step.
 
-One Simulator object holds a run: its nodes (one NodeProcessor each),
-the links between graph neighbours, the message counts, and one price
-list and one (session, triple) tally array for all nodes, indexed by
-triple row.  Every arc (v, i) -> (i, w) that node i extends or tallies
-is a row whose middle node is i, so node i reads and writes its own rows
-only.  The loop's flow on such a row is the sum of node i's tallies, and
-subgradient_step's update of a row's price reads only that row, its
-reverse (w, i, v), also node i's, and the step size alpha, which is the
-same for the whole network.  So the elementwise step is every node's own
-computation, done side by side.
+One Simulator object holds a run: the links between graph neighbours,
+the message counts, and every node's state as one table per kind.  The
+labels are one dict per session over all vertices, node i holding the
+entries of its vertices (i, j); the inboxes are one list per node; the
+prices are one list and the tallies one (session, triple) array,
+indexed by triple row.  Every arc (v, i) -> (i, w) that node i extends
+or tallies is a row whose middle node is i, so node i reads and writes
+its own rows only.  The loop's flow on such a row is the sum of node
+i's tallies, and subgradient_step's update of a row's price reads only
+that row, its reverse (w, i, v), also node i's, and the step size
+alpha, which is the same for the whole network.  So the elementwise
+step is every node's own computation, done side by side.
 
 Simulator.run is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
@@ -51,8 +53,9 @@ from .edge_graph import build_edge_graph
 from .model import (ExpandedGraph, Instance, PriceVector, TripleIndex,
                     build_expanded_graph, check_config_types,
                     enumerate_triples)
+from . import solver  # subgradient_step is looked up at call time
 from .solver import (SolverConfig, SolveTrace, Solution, init_prices,
-                     price_ascent, subgradient_step)
+                     price_ascent)
 
 INF = math.inf
 
@@ -77,6 +80,8 @@ class SimSchedule:
 
     def __post_init__(self):
         check_config_types(self, counts=("seed",), reals=())
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("sync", "async"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 
@@ -104,9 +109,9 @@ class MessageStats:
 
 
 class Simulator:
-    """One run's network: every node's processor, the links a message
-    may use, the prices and tally array whose rows the nodes own, and
-    the event loop that delivers their messages."""
+    """One run's network: the links a message may use, every node's
+    labels, inbox, prices and tallies as tables indexed by session,
+    node or triple row, and the event loop that delivers the messages."""
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
                  schedule: SimSchedule | None = None):
@@ -122,10 +127,14 @@ class Simulator:
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.wts = p.values.tolist()  # price per triple, reset per step
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
+        # labels[t]: vertex (i, j) -> (dist, hops, pred vertex, row of the
+        # triple pred -> vertex), held by node i
+        self.labels: list[dict[int, tuple[float, int, int, int]]] = [
+            {} for _ in g.base.sessions]
+        self.inbox: list[list[Message]] = [[] for _ in range(g.n_nodes)]
         self.schedule = schedule or SimSchedule()
         self.rng = random.Random(self.schedule.seed)
         self.max_rounds = 2 * len(g.indices) + 16  # per phase
-        self.nodes = [NodeProcessor(i, self) for i in range(g.n_nodes)]
 
     def send(self, msg: Message) -> None:
         if msg.receiver not in self.adjset[msg.sender]:
@@ -142,102 +151,87 @@ class Simulator:
 
     def run(self) -> None:
         """Deliver and process until nothing moves."""
-        nodes = self.nodes
+        inbox = self.inbox
         rounds = 0
         sync = self.schedule.mode == "sync"
-        order = list(range(len(nodes)))
-        while self.staging or any(node.inbox for node in nodes):
+        order = list(range(len(inbox)))
+        while self.staging or any(inbox):
             rounds += 1
             if rounds > self.max_rounds:
                 vertices = self.vertices
                 active = sorted({(m.kind, m.session, vertices[m.vertex])
                                  for m in self.staging}
                                 | {(m.kind, m.session, vertices[m.vertex])
-                                   for node in nodes for m in node.inbox})
+                                   for batch in inbox for m in batch})
                 raise QuiescenceError(active)
             pending, self.staging = self.staging, []
             for msg in pending:
-                nodes[msg.receiver].inbox.append(msg)
+                inbox[msg.receiver].append(msg)
             if not sync:
                 self.rng.shuffle(order)
                 # late activations see messages sent earlier in the round
             for nid in order:
-                node = nodes[nid]
-                batch = node.inbox
+                batch = inbox[nid]
                 if not batch:
                     continue  # an idle node sends nothing
-                node.inbox = []
+                inbox[nid] = []
                 self.stats.delivered += len(batch)
                 for msg in batch:
                     if msg.kind == "label":
-                        node._relax(msg)
+                        self.relax(msg)
                     else:
-                        node._chase(msg.session, msg.vertex, msg.value)
+                        self.chase(nid, msg.session, msg.vertex, msg.value)
                 if not sync and self.staging:
                     pending, self.staging = self.staging, []
                     for msg in pending:
-                        nodes[msg.receiver].inbox.append(msg)
+                        inbox[msg.receiver].append(msg)
             if not sync:
                 order.sort()
         self.stats.rounds += rounds
 
+    def announce(self, nid: int, t: int, vid: int, dist: float,
+                 hops: int) -> None:
+        """Node nid offers the label of its vertex vid = (nid, j) to j."""
+        self.send(Message(nid, self.vertices[vid][1], "label", t, vid,
+                          dist, hops))
 
-class NodeProcessor:
-    """One node's labels and inbox; its prices and tallies are its rows."""
-
-    def __init__(self, nid: int, sim: Simulator):
-        self.nid = nid
-        self.sim = sim
-        # labels[t]: owned vertex id -> (dist, hops, pred vertex id, row
-        # of the triple pred -> vertex)
-        self.labels: list[dict[int, tuple[float, int, int, int]]] = [
-            {} for _ in range(len(sim.g.base.sessions))]
-        self.inbox: list[Message] = []
-
-    def prime_source(self, t: int, vid: int) -> None:
-        self.labels[t][vid] = (0.0, 0, -1, -1)
-        self._announce(t, vid, 0.0, 0)
-
-    def _announce(self, t: int, vid: int, dist: float, hops: int) -> None:
-        self.sim.send(Message(self.nid, self.sim.vertices[vid][1], "label",
-                              t, vid, dist, hops))
-
-    def _relax(self, msg: Message) -> None:
+    def relax(self, msg: Message) -> None:
+        """Node msg.receiver, i, extends the offered label of (v, i) over
+        its own arcs (v, i) -> (i, w)."""
         uv, t = msg.vertex, msg.session
         labels = self.labels[t]
-        wts = self.sim.wts
+        wts = self.wts
         d, nh = msg.dist, msg.hops + 1
-        for vtx, k in self.sim.out[uv]:
+        for vtx, k in self.out[uv]:
             nd = d + wts[k]
             cur = labels.get(vtx)
             if cur is None or nd < cur[0] or (nd == cur[0] and nh < cur[1]):
                 labels[vtx] = (nd, nh, uv, k)
-                self._announce(t, vtx, nd, nh)
+                self.announce(msg.receiver, t, vtx, nd, nh)
             elif nd == cur[0] and nh == cur[1] and uv < cur[2]:
                 labels[vtx] = (nd, nh, uv, k)
 
-    def _chase(self, t: int, vid: int, value: float) -> None:
+    def chase(self, nid: int, t: int, vid: int, value: float) -> None:
+        """Node nid tallies value on the triple that set the label of its
+        vertex vid and passes it on to the predecessor's first node."""
         label = self.labels[t].get(vid)
         if label is None:
             raise RuntimeError("broken predecessor chain")
         _, _, pred, k = label
         if pred < 0:
             return  # source pair reached; nothing upstream of it
-        self.sim.tally[t, k] += value
-        self.sim.send(Message(self.nid, self.sim.vertices[pred][0], "flow",
-                              t, pred, value=value))
+        self.tally[t, k] += value
+        self.send(Message(nid, self.vertices[pred][0], "flow",
+                          t, pred, value=value))
 
 
 def distributed_shortest_paths(sim: Simulator) -> list[float]:
     """Flood labels to quiescence; each destination's distance, or inf."""
-    nodes, vertices = sim.nodes, sim.vertices
-    for node in nodes:
-        for labels in node.labels:
-            labels.clear()
     for t, src in enumerate(sim.g.src_pair.tolist()):
-        nodes[vertices[src][0]].prime_source(t, src)
+        sim.labels[t] = {src: (0.0, 0, -1, -1)}
+        sim.announce(sim.vertices[src][0], t, src, 0.0, 0)
     sim.run()
-    return [nodes[vertices[dst][0]].labels[t].get(dst, (INF,))[0]
+    return [sim.labels[t].get(dst, (INF,))[0]
             for t, dst in enumerate(sim.g.dst_pair.tolist())]
 
 
@@ -245,7 +239,7 @@ def _flow_notification(sim: Simulator) -> None:
     """Each destination walks its predecessor chain; relays tally rates."""
     g = sim.g
     for t, (s, dst) in enumerate(zip(g.base.sessions, g.dst_pair.tolist())):
-        sim.nodes[sim.vertices[dst][0]]._chase(t, dst, s.rate)
+        sim.chase(sim.vertices[dst][0], t, dst, s.rate)
     sim.run()
 
 
@@ -276,7 +270,7 @@ def distributed_price_update(sim: Simulator, p: PriceVector,
     """Every node steps its own triple rows from agg by the network's one
     step size alpha and reads them into the price list it relaxes with;
     no messages."""
-    p = subgradient_step(p, agg, alpha, sim.idx)
+    p = solver.subgradient_step(p, agg, alpha, sim.idx)
     sim.wts = p.values.tolist()
     return p
 

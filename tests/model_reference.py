@@ -352,7 +352,8 @@ def transmission_summary_reference(agg, g, idx) -> TransmissionSummary:
     """transmission_summary with z added up by np.add.at."""
     y = np.maximum(agg[idx.pair_fwd], agg[idx.pair_rev])
     z = np.zeros(g.n_nodes)
-    np.add.at(z, idx.mid[idx.pair_fwd], y)
+    with np.errstate(over="ignore"):  # bincount's sums overflow silently
+        np.add.at(z, idx.mid[idx.pair_fwd], y)
     return TransmissionSummary(idx, y, z)
 
 

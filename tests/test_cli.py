@@ -761,6 +761,12 @@ def test_gen_names_the_field_it_refuses(flag, value, message, capsys):
     assert message in err
 
 
+def test_solve_refuses_a_negative_schedule_seed(relay3_path, capsys):
+    err = rejected(["solve", relay3_path, "--distributed", "--schedule",
+                    "async", "--schedule-seed", "-1"], capsys)
+    assert "seed must be >= 0, got -1" in err
+
+
 # ---------------------------------------------------------------- logging
 
 def test_log_env_var_controls_stderr(relay3_path):

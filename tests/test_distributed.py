@@ -1,5 +1,7 @@
 """Message-passing simulator: equivalence, locality, quiescence."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -111,13 +113,14 @@ def test_builtin_traffic_is_frozen(named, name, mode):
 
 def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
                                                   monkeypatch):
-    # bench/spans.py times the twin's layers by wrapping these names, and
-    # both front ends run the one loop, price_ascent
+    # bench/spans.py times the twin's layers by wrapping these names, the
+    # price step too, and both front ends run the one loop, price_ascent
     calls = Counter()
     for module, name in ((distributed, "distributed_shortest_paths"),
                          (distributed, "distributed_price_update"),
                          (distributed, "price_ascent"),
                          (solver, "price_ascent"),
+                         (solver, "subgradient_step"),
                          (solver, "transmission_summary"),
                          (solver, "total_cost")):
         def counted(*args, _name=name, _call=getattr(module, name), **kw):
@@ -127,8 +130,11 @@ def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
     for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
                       (grid2, SolverConfig(tol=1e-12, max_iters=40))):
         calls.clear()
-        solve(inst, cfg)
-        assert calls["price_ascent"] == 1
+        sol, _ = solve(inst, cfg)
+        assert calls == {"price_ascent": 1,
+                         "subgradient_step": sol.iterations - sol.certified,
+                         "transmission_summary": sol.iterations,
+                         "total_cost": sol.iterations + 1}
         calls.clear()
         sol, trace, _ = run_distributed_solve(inst, cfg)
         n = sol.iterations
@@ -137,6 +143,7 @@ def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
         # costs its summary once more
         assert calls == {"price_ascent": 1, "distributed_shortest_paths": n,
                          "distributed_price_update": n - sol.certified,
+                         "subgradient_step": n - sol.certified,
                          "transmission_summary": n, "total_cost": n + 1}
 
 
@@ -222,15 +229,57 @@ def test_each_node_relaxes_and_tallies_only_its_own_rows(name, request):
     assert sorted(rows) == list(range(len(idx)))
 
 
+@pytest.mark.parametrize("name", ["geo4", "grid2"])
+@pytest.mark.parametrize("schedule", [SimSchedule("sync"),
+                                      SimSchedule("async", seed=2)],
+                         ids=["sync", "async"])
+def test_each_message_names_a_vertex_its_sender_owns(name, schedule,
+                                                     request, monkeypatch):
+    # node i holds the labels of its vertices (i, j) and offers them to j;
+    # a flow notice for (v, i) goes from i to v, which holds its label
+    inst = request.getfixturevalue(name)
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    sim = Simulator(g, idx, init_prices(idx), schedule)
+    sent = []
+    send = sim.send
+    monkeypatch.setattr(sim, "send", lambda msg: (sent.append(msg),
+                                                  send(msg)))
+    distributed_shortest_paths(sim)
+    _flow_notification(sim)
+    kinds = Counter(msg.kind for msg in sent)
+    assert kinds["label"] > 0 and kinds["flow"] > 0
+    vertices = sim.vertices
+    for msg in sent:
+        tail, head = vertices[msg.vertex]
+        if msg.kind == "label":
+            assert (tail, head) == (msg.sender, msg.receiver)
+        else:
+            assert (head, tail) == (msg.sender, msg.receiver)
+
+
+def test_a_finished_simulator_is_freed_without_the_cycle_collector(geo4):
+    g = build_expanded_graph(geo4)
+    idx = enumerate_triples(g)
+    gc.disable()
+    try:
+        sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+        distributed_shortest_paths(sim)
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_flow_chase_refuses_a_vertex_without_a_label(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
     sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
     distributed_shortest_paths(sim)
-    nodes, vertices = sim.nodes, sim.vertices
     dst = int(g.dst_pair[0])
-    pred = nodes[vertices[dst][0]].labels[0][dst][2]
-    del nodes[vertices[pred][0]].labels[0][pred]
+    pred = sim.labels[0][dst][2]
+    del sim.labels[0][pred]
     with pytest.raises(RuntimeError, match="broken predecessor chain"):
         _flow_notification(sim)
 
@@ -259,3 +308,11 @@ def test_schedule_seed_must_be_an_integer(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         SimSchedule(mode="async", seed=seed)
     assert SimSchedule(mode="async", seed=np.int64(3)).seed == 3
+
+
+def test_schedule_seed_must_not_be_negative():
+    # random.Random seeds from the absolute value, so -1 would draw the
+    # activation orders of seed 1
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimSchedule(mode="async", seed=-1)
+    assert SimSchedule(mode="async", seed=0).seed == 0
