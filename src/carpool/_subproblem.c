@@ -3,12 +3,14 @@
  * The graph is a CSR: the arcs leaving vertex u are arcs[bounds[u]] ..
  * arcs[bounds[u + 1] - 1], and arc k (0 <= k < m) runs to heads[k] at
  * weight w[k].  arcs has narcs entries.
- * Labels follow carpool.edge_graph._dijkstra exactly: pop order
+ * Labels follow carpool.edge_graph._routes exactly: pop order
  * (dist, hops, vertex); a label is replaced on a strictly smaller
  * distance, or an equal distance with fewer hops; on an equal (dist,
  * hops) the smaller predecessor vertex wins (an offer has at least one
  * hop, so no tie reaches the source or an unreached vertex, which have
- * none); the search stops when it pops the destination.  Sums are
+ * none), so of two parallel arcs that tie the first keeps the label;
+ * the search stops when it pops the destination, and a route is read
+ * back through the arc that set each label.  Sums are
  * plain IEEE double additions, so the build must not contract or
  * reorder them (no -ffast-math, -ffp-contract=off).
  *

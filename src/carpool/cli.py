@@ -392,9 +392,15 @@ def cmd_solve(args) -> int:
     # fail now, as _write_text would after the solve
     for path in filter(None, (args.trace, args.out)):
         parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         if not os.path.isdir(parent):
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
             raise OSError(f"cannot write {path}: {os.strerror(code)}")
+    if (args.trace and args.out
+            and os.path.realpath(args.trace) == os.path.realpath(args.out)):
+        raise ValueError(f"--out {args.out} and --trace {args.trace} name "
+                         "the same file")
     inst = load_instance(args.instance)
     log.info("solving %s: %d nodes, %d edges, %d sessions",
              args.instance, len(inst.nodes), len(inst.edges),

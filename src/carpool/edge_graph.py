@@ -8,16 +8,19 @@ flow for the priced relaxation, and the sum of rate-weighted distances
 is a lower bound on the coded optimum.
 
 Ties are broken by a total order on labels: smaller distance, then fewer
-arcs, then smaller predecessor vertex index.  The order makes every run
-reproducible and lets the message-passing solver reach bit-identical
-results.  With the arc count in the key, zero-price arcs cannot produce
-cyclic or ambiguous paths.
+arcs, then smaller predecessor vertex index; of two parallel arcs that
+tie, the first in CSR order carries the route.  The order makes every
+run reproducible and lets the message-passing solver reach
+bit-identical results.  With the arc count in the key, zero-price arcs
+cannot produce cyclic or ambiguous paths.
 
 The searches run in one call of a C kernel (_subproblem.c) for every
 session.  The kernel is compiled on first use by the local C compiler
 into the user's cache directory and loaded through ctypes; without a
-compiler, or when the build or the load fails, _dijkstra runs instead.
-Either way the labels, and so every path, are the same bits.
+compiler, or when the build or the load fails, _routes runs instead.
+_routes takes the kernel's arguments, fills its buffers and returns its
+status codes, so either way the labels, and so every path, are the
+same bits.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
 
@@ -45,7 +49,7 @@ INF = math.inf
 F64 = np.dtype(np.float64)
 
 # No -ffast-math and no -march: the kernel must make exactly the IEEE
-# double additions _dijkstra makes, and -ffp-contract=off also forbids
+# double additions _routes makes, and -ffp-contract=off also forbids
 # fusing them into multiply-adds.
 CC_FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"]
 
@@ -82,47 +86,62 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     return EdgeGraph(g, idx, order, bounds)
 
 
-def _dijkstra(bounds: list[int], arcs: list[int], heads: list[int],
-              wts: list[float], src: int, stop_at: int | None = None
-              ) -> tuple[list[float], list[int], list[int]]:
-    """Labels (dist, hops, pred vertex) from src under the tie-break order.
+def _routes(nv, bounds, narcs, arcs, m, heads, w, ns, src, dst, dist, hops,
+            pred, qdist, start, rows, cap) -> int:
+    """carpool_routes in Python, which runs when the kernel cannot be
+    built or loaded: the same arguments, with arrays where the kernel
+    takes addresses, the same buffers filled and the same status codes.
 
-    The graph is a CSR: the arcs leaving u are arcs[bounds[u]:bounds[u +
-    1]], and arc k runs to heads[k] at weight wts[k].  This is the
-    reference that the compiled kernel must reproduce bit for bit, and
-    the fallback that runs when the kernel cannot be built or loaded.
+    A binary heap of (dist, hops, vertex) pops in the kernel's order, and
+    each route is walked back through via[x], the arc that set or tied
+    the label of x.  RouteSearch makes the range checks of status -5 once
+    for both searches, and a list needs no pool, so the only codes here
+    are -2, -3 and -4.
 
     Predecessors settle to the smallest-index in-neighbour whose final
     label supports the vertex's final (dist, hops); every such supporter
     pops strictly earlier in (dist, hops) order, so one pass suffices.
     A tie has at least one hop, so never reaches src or an unreached one.
     """
-    from heapq import heappush, heappop
-
-    nv = len(bounds) - 1
-    dist = [INF] * nv
-    hops = [0] * nv
-    pred = [-1] * nv
-    dist[src] = 0.0
-    heap = [(0.0, 0, src)]
-    while heap:
-        d, hp, u = heappop(heap)
-        if d != dist[u] or hp != hops[u]:
-            continue
-        if u == stop_at:
-            break
-        for k in arcs[bounds[u]:bounds[u + 1]]:
-            vtx = heads[k]
-            nd = d + wts[k]
-            nh = hp + 1
-            if nd < dist[vtx] or (nd == dist[vtx] and nh < hops[vtx]):
-                dist[vtx] = nd
-                hops[vtx] = nh
-                pred[vtx] = u
-                heappush(heap, (nd, nh, vtx))
-            elif nd == dist[vtx] and nh == hops[vtx] and u < pred[vtx]:
-                pred[vtx] = u
-    return dist, hops, pred
+    if (w < 0.0).any():
+        return -2
+    bounds, arcs, heads, w = (a.tolist() for a in (bounds, arcs, heads, w))
+    used = start[0] = 0
+    for t in range(ns):
+        s, stop = int(src[t]), int(dst[t])
+        d_of, h_of, p_of, via = [INF] * nv, [0] * nv, [-1] * nv, [-1] * nv
+        d_of[s] = 0.0
+        heap = [(0.0, 0, s)]
+        while heap:
+            d, h, u = heappop(heap)
+            if d != d_of[u] or h != h_of[u]:
+                continue
+            if u == stop:
+                break
+            nh = h + 1
+            for k in arcs[bounds[u]:bounds[u + 1]]:
+                x = heads[k]
+                nd = d + w[k]
+                if nd < d_of[x] or (nd == d_of[x] and nh < h_of[x]):
+                    d_of[x], h_of[x], p_of[x], via[x] = nd, nh, u, k
+                    heappush(heap, (nd, nh, x))
+                elif nd == d_of[x] and nh == h_of[x] and u < p_of[x]:
+                    p_of[x], via[x] = u, k
+        dist[:], hops[:], pred[:] = d_of, h_of, p_of
+        qdist[t] = 0.0 if stop < 0 else d_of[stop]
+        if stop >= 0 and d_of[stop] != INF:
+            n, x, path = h_of[stop], stop, []
+            if n > cap - used:
+                return -3
+            while len(path) < n and x >= 0:
+                path.append(via[x])
+                x = p_of[x]
+            if x != s:
+                return -4
+            rows[used:used + n] = path[::-1]
+            used += n
+        start[t + 1] = used
+    return 0
 
 
 def build_kernel(directory) -> Path:
@@ -176,7 +195,7 @@ def bind_kernel(path):
 
 @functools.cache
 def _load_kernel():
-    """The compiled kernel, or None when only _dijkstra can run.
+    """The compiled kernel, or None when only _routes can run.
 
     Logs one line naming the kernel that runs and, on fallback, why.
     """
@@ -207,15 +226,16 @@ class RouteSearch:
     The arcs leaving u are arcs[bounds[u]:bounds[u + 1]], and arc k runs
     to heads[k].  Building the search checks the session ends, and the
     CSR arrays' types and index ranges, once: a ValueError for a range
-    the kernel's status -5 would refuse, whichever search runs.  With the
-    compiled kernel fn it also allocates the output buffers and takes
-    every address, so that a call checks only the weights.  Without fn,
-    _dijkstra runs one session at a time.
+    the kernel's status -5 would refuse, whichever search runs.  It also
+    allocates the output buffers and fixes every argument but the
+    weights, so that a call checks only the weights.  The search is the
+    compiled kernel fn, or _routes when fn is None; the kernel takes
+    addresses and _routes the arrays themselves.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
-    graph and returns distance 0 and no arcs.  After a kernel call, dist,
-    hops and pred hold the labels of the last session.
+    graph and returns distance 0 and no arcs.  After a call, dist, hops
+    and pred hold the labels of the last session.
     """
 
     def __init__(self, fn, bounds: np.ndarray, arcs: np.ndarray,
@@ -228,8 +248,8 @@ class RouteSearch:
         i64 = np.dtype(np.int64)
         csr = [_address(x, i64) for x in (bounds, arcs, heads)]
         # the conditions of the kernel's status -5, checked here once so
-        # that _dijkstra is held to them too; read as unsigned, a
-        # negative index is out of range as well
+        # that _routes is held to them too; read as unsigned, a negative
+        # index is out of range as well
         u64 = np.uint64
         for name, bad in (
                 ("size", max(nv, len(arcs)) >= 1 << 31),  # 32-bit keys
@@ -239,14 +259,10 @@ class RouteSearch:
                 ("heads", (heads.view(u64) >= nv).any())):
             if bad:
                 raise ValueError(f"route search {name} out of range")
-        self.fn, self.narcs = fn, m
-        self.ends = np.array([src, dst], dtype=i64).reshape(2, ns)
-        if fn is None:
-            self.lists = [x.tolist() for x in (bounds, arcs, heads)]
-            self.sessions = list(zip(*self.ends.tolist()))
-            return
+        self.fn, self.narcs = _routes if fn is None else fn, m
         # every array stays bound to self while the kernel may write it
         self.csr = (bounds, arcs, heads)
+        self.ends = np.array([src, dst], dtype=i64).reshape(2, ns)
         self.dist = np.empty(nv)
         self.hops = np.empty(nv, dtype=i64)
         self.pred = np.empty(nv, dtype=i64)
@@ -254,12 +270,12 @@ class RouteSearch:
         self.start = np.empty(ns + 1, dtype=i64)
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
         self.rows = np.empty(cap, dtype=i64)
-        self.before_wts = (nv, csr[0], len(arcs), csr[1], len(heads), csr[2])
-        self.after_wts = (ns, self.ends[0].ctypes.data,
-                          self.ends[1].ctypes.data,
-                          *[x.ctypes.data for x in (
-                              self.dist, self.hops, self.pred, self.qdist,
-                              self.start, self.rows)], cap)
+        args = [bounds, arcs, heads, *self.ends, self.dist, self.hops,
+                self.pred, self.qdist, self.start, self.rows]
+        if fn is not None:  # the kernel takes addresses
+            args = csr + [x.ctypes.data for x in args[3:]]
+        self.before_wts = (nv, args[0], len(arcs), args[1], m, args[2])
+        self.after_wts = (ns, *args[3:], cap)
 
     def __call__(self, wts: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,11 +285,9 @@ class RouteSearch:
         if len(wts) != self.narcs:
             raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
         address = _address(wts, F64)
-        if self.fn is None:
-            if (wts < 0.0).any():
-                raise _negative_weight(wts)
-            return self._python(wts.tolist())
-        status = self.fn(*self.before_wts, address, *self.after_wts)
+        status = self.fn(*self.before_wts,
+                         wts if self.fn is _routes else address,
+                         *self.after_wts)
         if status == -2:
             raise _negative_weight(wts)
         if status:
@@ -281,28 +295,6 @@ class RouteSearch:
                 f"sub-problem kernel failed with status {status}")
         return (self.qdist.copy(), self.start.copy(),
                 self.rows[:self.start[-1]].copy())
-
-    def _python(self, wts: list[float]):
-        bounds, arcs, heads = self.lists
-        dists, start, rows = [], [0], []
-        for s, t in self.sessions:
-            dist, _, pred = _dijkstra(bounds, arcs, heads, wts, s, stop_at=t)
-            path = []
-            if t >= 0 and dist[t] != INF:
-                x = t
-                while x != s:
-                    u = pred[x]
-                    if u < 0:
-                        raise RuntimeError("broken predecessor chain")
-                    path.append(next(k for k in arcs[bounds[u]:bounds[u + 1]]
-                                     if heads[k] == x))
-                    x = u
-                path.reverse()
-            dists.append(dist[t] if t >= 0 else 0.0)
-            rows += path
-            start.append(len(rows))
-        return (np.array(dists, dtype=float), np.array(start, dtype=np.int64),
-                np.array(rows, dtype=np.int64))
 
 
 def _negative_weight(wts: np.ndarray) -> ValueError:
@@ -314,7 +306,7 @@ def _negative_weight(wts: np.ndarray) -> ValueError:
 def route_search(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
                  src: list[int] | np.ndarray, dst: list[int] | np.ndarray
                  ) -> RouteSearch:
-    """A RouteSearch on the compiled kernel, or on _dijkstra without it."""
+    """A RouteSearch on the compiled kernel, or on _routes without it."""
     return RouteSearch(_load_kernel(), bounds, arcs, heads, src, dst)
 
 

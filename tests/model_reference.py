@@ -487,13 +487,14 @@ def relaxation_labels(bounds: list[int], arcs: list[int], heads: list[int],
                       ) -> tuple[list[float], list[int], list[int]]:
     """FIFO label-correcting sweep; same label order, no priority queue.
 
-    The graph is the CSR that _dijkstra reads.  Kept as an independent
-    route to the same fixed point: the acceptance rule is identical, only
-    the work schedule differs.  The labels match _dijkstra on the test
-    cases, but not always: once a label improves to a smaller distance
-    with more hops, a neighbour whose extension rounds to its current
-    distance keeps its old predecessor, as the message-passing twin does
-    (see the strict xfail test_twin_matches_solve_on_side8_draw3).
+    The graph is the CSR that the route search reads.  Kept as an
+    independent route to the same fixed point: the acceptance rule is
+    identical, only the work schedule differs.  The labels match the
+    route search's on the test cases, but not always: once a label
+    improves to a smaller distance with more hops, a neighbour whose
+    extension rounds to its current distance keeps its old predecessor,
+    as the message-passing twin does (see the strict xfail
+    test_twin_matches_solve_on_side8_draw3).
     """
     nv = len(bounds) - 1
     dist = [math.inf] * nv

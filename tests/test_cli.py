@@ -432,8 +432,9 @@ def test_unwritable_outputs_are_named(tmp_path, relay3_path, capsys):
     assert not missing.exists()
 
 
-def test_unwritable_outputs_fail_before_the_solve(tmp_path, relay3_path,
-                                                  capsys, monkeypatch):
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The arguments of every solve the CLI starts, which all fail."""
     calls = []
 
     def never(*args, **kw):
@@ -442,6 +443,11 @@ def test_unwritable_outputs_fail_before_the_solve(tmp_path, relay3_path,
 
     monkeypatch.setattr(cli, "solve", never)
     monkeypatch.setattr(cli, "run_distributed_solve", never)
+    return calls
+
+
+def test_unwritable_outputs_fail_before_the_solve(tmp_path, relay3_path,
+                                                  capsys, solve_calls):
     plain = tmp_path / "plain"
     plain.write_text("")
     for flag, path, reason in (
@@ -449,12 +455,29 @@ def test_unwritable_outputs_fail_before_the_solve(tmp_path, relay3_path,
              "No such file or directory"),
             ("--trace", tmp_path / "missing" / "t.csv",
              "No such file or directory"),
-            ("--out", plain / "s.json", "Not a directory")):
+            ("--out", plain / "s.json", "Not a directory"),
+            ("--out", tmp_path, "Is a directory"),
+            ("--trace", tmp_path, "Is a directory")):
         for extra in ([], ["--distributed"]):
             argv = ["solve", relay3_path, flag, str(path), *extra]
             assert rejected(argv, capsys) == \
                 f"cannot write {path}: {reason}\n"
-    assert calls == []
+    assert solve_calls == []
+
+
+def test_out_and_trace_must_name_different_files(tmp_path, relay3_path,
+                                                 capsys, solve_calls):
+    out = tmp_path / "s.json"
+    (tmp_path / "sub").mkdir()
+    for trace in (out, tmp_path / "sub" / ".." / "s.json"):
+        argv = ["solve", relay3_path, "--out", str(out), "--trace", str(trace)]
+        assert rejected(argv, capsys) == \
+            f"--out {out} and --trace {trace} name the same file\n"
+    assert solve_calls == [] and not out.exists()
+    with pytest.raises(AssertionError, match="the solve ran"):
+        cli.main(["solve", relay3_path, "--out", str(out), "--trace",
+                  str(tmp_path / "t.csv")])
+    assert len(solve_calls) == 1
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

@@ -14,8 +14,7 @@ from carpool import (FlowVector, GenerationError, GeometricConfig,
                      build_expanded_graph, builtin_instances, edge_graph,
                      enumerate_triples, generate_geometric, init_prices,
                      plain_routing_cost, primal_subproblem, solve)
-from carpool.edge_graph import (RouteSearch, _dijkstra, bind_kernel,
-                                build_kernel)
+from carpool.edge_graph import RouteSearch, bind_kernel, build_kernel
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError
 from model_reference import (dominant_path, index_of,
@@ -67,6 +66,14 @@ def dual_bound(h, p):
 @pytest.fixture(scope="module")
 def relay3_parts(relay3):
     return graph_parts(relay3)
+
+
+def python_labels(csr, wts, src, dst=-1):
+    """The Python search's labels (dist, hops, pred) from src, read from
+    the buffers of a one-session RouteSearch that stops at dst."""
+    search = RouteSearch(None, *csr, [src], [dst])
+    search(wts)
+    return search.dist.tolist(), search.hops.tolist(), search.pred.tolist()
 
 
 # ------------------------------------------------------------ construction
@@ -211,7 +218,7 @@ def test_fifo_relaxation_matches_priority_labels():
         csr = h.bounds.tolist(), h.order.tolist(), idx.head.tolist()
         for src in range(len(h.vertices)):
             assert relaxation_labels(*csr, wts, src) == \
-                _dijkstra(*csr, wts, src)
+                python_labels((h.bounds, h.order, idx.head), vals, src)
 
 
 # ------------------------------------------------------------ flow reading
@@ -293,12 +300,11 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
         nv = len(h.vertices)
         for w, pick in ((random_weights(rng, len(idx)), rng),
                         (ties.choice(TIE_WEIGHTS, len(idx)), ties)):
-            lists = [a.tolist() for a in csr] + [w.tolist()]
             for src in range(nv):
                 # full tree
                 search = RouteSearch(kernel, *csr, [src], [-1])
                 search(w)
-                dist, hops, pred = _dijkstra(*lists, src)
+                dist, hops, pred = python_labels(csr, w, src)
                 assert search.dist.tobytes() == np.array(dist).tobytes()
                 assert search.hops.tolist() == hops
                 assert search.pred.tolist() == pred
@@ -315,7 +321,7 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
                 dst = int(pick.integers(0, nv))
                 search = RouteSearch(kernel, *csr, [src], [dst])
                 search(w)
-                dist, hops, pred = _dijkstra(*lists, src, stop_at=dst)
+                dist, hops, pred = python_labels(csr, w, src, dst)
                 assert search.dist.tobytes() == np.array(dist).tobytes()
                 assert search.hops.tolist() == hops
                 assert search.pred.tolist() == pred
@@ -380,7 +386,7 @@ def test_solve_is_bit_identical_with_kernel_and_fallback(kernel, seed,
                                                          sessions, costs,
                                                          rates):
     """solve() gives the dense loop oracle's trace, flows and prices bit
-    for bit, under the compiled kernel and under _dijkstra."""
+    for bit, under the compiled kernel and under the Python search."""
     try:
         base = generate_geometric(GeometricConfig(side=4.0,
                                                   sessions=sessions,
@@ -470,10 +476,23 @@ def test_kernel_failure_raises(kernel, compiled):
             search(init_prices(idx).values)
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_parallel_arcs_route_along_the_arc_that_set_the_label(kernel,
+                                                              compiled):
+    """Two arcs 0 -> 1: the route takes the one that set the label, and on
+    a tie the first, which keeps the label."""
+    csr = (np.array([0, 2, 2]), np.array([0, 1]), np.array([1, 1]))
+    search = RouteSearch(kernel if compiled else None, *csr, [0], [1])
+    for wts, row in (([5.0, 1.0], 1), ([1.0, 1.0], 0)):
+        qdist, start, rows = search(np.array(wts))
+        assert (qdist.tolist(), start.tolist(), rows.tolist()) == \
+            ([1.0], [0, 1], [row])
+
+
 def test_kernel_is_portable_c(tmp_path):
     """The kernel builds as strict C99 with every warning an error, so a
     cc without GNU extensions builds it too instead of falling back to
-    the much slower _dijkstra."""
+    the much slower Python search."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler")
