@@ -138,6 +138,8 @@ def write_trace(path: str, trace) -> None:
 
 
 def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
+    """The solution document.  Only nonzero flows, y and z are stated:
+    check reads an unstated one as 0."""
     idx = sol.summary.idx
     v, mid, w = idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()
     sessions = []
@@ -146,14 +148,19 @@ def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
         entries = [{"triple": [v[k], mid[k], w[k]], "value": x}
                    for k, x in zip(ks.tolist(), f.values[ks].tolist())]
         sessions.append({"id": f.session, "flows": entries})
-    pairs = [{"v": v[k], "mid": mid[k], "w": w[k], "y": y}
-             for k, y in zip(idx.pair_fwd.tolist(), sol.summary.y.tolist())]
-    z = [{"node": i, "z": zi}
-         for i, zi in enumerate(sol.summary.z[:inst.n].tolist())]
+    y = sol.summary.y
+    rows = np.nonzero(y)[0]
+    pair_recs = [{"v": v[k], "mid": mid[k], "w": w[k], "y": yk}
+                 for k, yk in zip(idx.pair_fwd[rows].tolist(),
+                                  y[rows].tolist())]
+    z = sol.summary.z[:inst.n]
+    nodes = np.nonzero(z)[0]
+    node_recs = [{"node": i, "z": zi}
+                 for i, zi in zip(nodes.tolist(), z[nodes].tolist())]
     return {
         "sessions": sessions,
-        "pair_transmissions": pairs,
-        "node_transmissions": z,
+        "pair_transmissions": pair_recs,
+        "node_transmissions": node_recs,
         "expanded_cost": sol.expanded_cost,
         "physical_cost": sol.physical_cost,
         "routing_cost": routing_cost,
@@ -401,6 +408,10 @@ def cmd_solve(args) -> int:
             and os.path.realpath(args.trace) == os.path.realpath(args.out)):
         raise ValueError(f"--out {args.out} and --trace {args.trace} name "
                          "the same file")
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path and os.path.realpath(path) == os.path.realpath(args.instance):
+            raise ValueError(f"{flag} {path} names the instance file "
+                             f"{args.instance}")
     inst = load_instance(args.instance)
     log.info("solving %s: %d nodes, %d edges, %d sessions",
              args.instance, len(inst.nodes), len(inst.edges),
@@ -508,14 +519,20 @@ def cmd_check(args) -> int:
     last = _last_of_each(stated_rows)
     got = np.zeros(len(idx.pair_fwd))
     got[stated_rows[last]] = stated_y[last]
+    is_stated = np.zeros(len(idx.pair_fwd), dtype=bool)
+    is_stated[stated_rows] = True
     for row in np.nonzero(got != summary.y)[0].tolist():
         kf = int(idx.pair_fwd[row])
         key = (int(idx.v[kf]), int(idx.mid[kf]), int(idx.w[kf]))
         want, stated = float(summary.y[row]), float(got[row])
-        note = " (session flows through the pair exceed its y)" \
-            if stated < want else ""
-        problems.append(f"transmissions for pair {key}: stated "
-                        f"y={stated!r}, flows give {want!r}{note}")
+        if not is_stated[row]:
+            problems.append(f"transmissions for pair {key}: no y stated, "
+                            f"flows give {want!r}")
+        else:
+            note = " (session flows through the pair exceed its y)" \
+                if stated < want else ""
+            problems.append(f"transmissions for pair {key}: stated "
+                            f"y={stated!r}, flows give {want!r}{note}")
     unknown = dict.fromkeys(map(tuple, doc.pairs[~known].tolist()))
     for key in unknown:
         problems.append(f"transmissions stated for unknown pair {key}")

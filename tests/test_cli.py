@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpool import (Instance, Session, SolverConfig, cli, distributed,
-                     model, plain_routing_cost, run_distributed_solve, solve,
-                     solver)
+from carpool import (GeometricConfig, Instance, Session, SolverConfig, cli,
+                     distributed, generate_geometric, model,
+                     plain_routing_cost, run_distributed_solve, solve, solver)
 
 
 @pytest.fixture()
@@ -164,11 +164,38 @@ def _json_bytes(doc):
     return (json.dumps(doc, indent=1) + "\n").encode()
 
 
-@pytest.mark.parametrize("name", ["relay3", "grid2", "grid2rate", "geo4"])
+# the builtins, relay3's network with no session (nothing transmits), and
+# a geometric draw
+WRITER_INPUTS = ["relay3", "grid2", "grid2rate", "geo4", "idle", "geo6-s4"]
+
+
+def writer_input(named, name):
+    if name == "idle":
+        return Instance(named["relay3"].nodes, named["relay3"].edges, [])
+    if name == "geo6-s4":
+        return generate_geometric(GeometricConfig(side=6.0, sessions=4,
+                                                  seed=5))
+    return named[name]
+
+
+def assert_states_what_transmits(doc, inst, sol):
+    """The document states a y for exactly the pairs with y != 0, in pair
+    row order, and a z for exactly the physical nodes with z != 0, in node
+    order, each with the solution's bits."""
+    idx, y, z = sol.summary.idx, sol.summary.y, sol.summary.z[:inst.n]
+    want = [((int(idx.v[k]), int(idx.mid[k]), int(idx.w[k])), float(yk))
+            for k, yk in zip(idx.pair_fwd, y) if yk != 0]
+    assert [((r["v"], r["mid"], r["w"]), r["y"])
+            for r in doc["pair_transmissions"]] == want
+    assert [(r["node"], r["z"]) for r in doc["node_transmissions"]] == \
+        [(i, float(zi)) for i, zi in enumerate(z) if zi != 0]
+
+
+@pytest.mark.parametrize("name", WRITER_INPUTS)
 def test_solution_file_is_json_dumps_of_the_document(named, name, tmp_path):
-    inst = named[name]
+    inst = writer_input(named, name)
     path = tmp_path / f"{name}.json"
-    assert cli.main(["gen", "--builtin", name, "--out", str(path)]) == 0
+    path.write_text(json.dumps(cli.instance_to_dict(inst)))
     cfg = SolverConfig(tol=2e-2, max_iters=300)
     routing, _ = plain_routing_cost(inst)
     runs = [([], solve(inst, cfg)[0]),
@@ -178,8 +205,48 @@ def test_solution_file_is_json_dumps_of_the_document(named, name, tmp_path):
         assert cli.main(["solve", str(path), "--tol", "2e-2", "--max-iters",
                          "300", "--out", str(out)] + extra) in (0, 2)
         doc = cli.solution_to_dict(inst, sol, routing)
+        assert_states_what_transmits(doc, inst, sol)
         assert cli.dumps_solution(doc) == json.dumps(doc, indent=1)
         assert out.read_bytes() == _json_bytes(doc)
+    if name == "idle":
+        assert len(sol.summary.y) > 0
+        assert doc["pair_transmissions"] == doc["node_transmissions"] == []
+
+
+def dense_layout(doc, inst, idx):
+    """doc with the zero records added back: a y for every pair and a z
+    for every physical node, as solution files were once written."""
+    ys = {(r["v"], r["mid"], r["w"]): r["y"]
+          for r in doc["pair_transmissions"]}
+    zs = {r["node"]: r["z"] for r in doc["node_transmissions"]}
+    keys = [(int(idx.v[k]), int(idx.mid[k]), int(idx.w[k]))
+            for k in idx.pair_fwd]
+    return dict(doc, pair_transmissions=[
+        {"v": v, "mid": i, "w": w, "y": ys.get((v, i, w), 0.0)}
+        for v, i, w in keys], node_transmissions=[
+        {"node": i, "z": zs.get(i, 0.0)} for i in range(inst.n)])
+
+
+@pytest.mark.parametrize("name", WRITER_INPUTS)
+def test_check_reads_dense_and_sparse_files_alike(named, name, tmp_path,
+                                                  capsys):
+    inst = writer_input(named, name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cli.instance_to_dict(inst)))
+    sol, _ = solve(inst, SolverConfig(tol=2e-2, max_iters=300))
+    doc = cli.solution_to_dict(inst, sol, plain_routing_cost(inst)[0])
+    dense = dense_layout(doc, inst, sol.summary.idx)
+    # the dense layout holds every y and z of the solution, bit for bit
+    assert [r["y"] for r in dense["pair_transmissions"]] == \
+        sol.summary.y.tolist()
+    assert [r["z"] for r in dense["node_transmissions"]] == \
+        sol.summary.z[:inst.n].tolist()
+    outputs = []
+    for layout in (dense, doc):
+        capsys.readouterr()
+        assert check_code(str(path), layout, tmp_path) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_writer_escapes_session_ids_and_writes_empty_lists(relay3):
@@ -292,6 +359,24 @@ def test_check_catches_understated_transmissions(solved, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stated y=0.5, flows give 1.0 (session flows through the " \
         "pair exceed its y)" in err
+
+
+def test_check_reads_an_unstated_y_as_zero(solved, tmp_path, capsys):
+    relay3_path, sol_path, _ = solved
+    doc = json.load(open(sol_path))
+    pairs = doc["pair_transmissions"]
+    kept = [r for r in pairs if (r["v"], r["mid"], r["w"]) != (0, 1, 2)]
+    assert len(kept) == len(pairs) - 1
+    doc["pair_transmissions"] = kept
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "transmissions for pair (0, 1, 2): no y stated, flows give 1.0"]
+    # a y stated as 0 is stated, and wrong
+    doc["pair_transmissions"] = kept + [{"v": 0, "mid": 1, "w": 2, "y": 0.0}]
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "transmissions for pair (0, 1, 2): stated y=0.0, flows give 1.0 "
+        "(session flows through the pair exceed its y)"]
 
 
 def test_check_rejects_unknown_triples(solved, tmp_path, capsys):
@@ -478,6 +563,31 @@ def test_out_and_trace_must_name_different_files(tmp_path, relay3_path,
         cli.main(["solve", relay3_path, "--out", str(out), "--trace",
                   str(tmp_path / "t.csv")])
     assert len(solve_calls) == 1
+
+
+def test_outputs_must_not_name_the_instance(tmp_path, relay3_path, capsys,
+                                           solve_calls, monkeypatch):
+    def never(path):
+        raise AssertionError("the instance was loaded before the outputs "
+                             "were checked")
+
+    monkeypatch.setattr(cli, "load_instance", never)
+    before = open(relay3_path, "rb").read()
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "link.json"
+    link.symlink_to(relay3_path)
+    for flag in ("--out", "--trace"):
+        for path in (relay3_path, tmp_path / "sub" / ".." / "relay3.json",
+                     link):
+            argv = ["solve", relay3_path, flag, str(path)]
+            assert rejected(argv, capsys) == \
+                f"{flag} {path} names the instance file {relay3_path}\n"
+        # the instance may be named through a link, too
+        argv = ["solve", str(link), flag, relay3_path]
+        assert rejected(argv, capsys) == \
+            f"{flag} {relay3_path} names the instance file {link}\n"
+    assert solve_calls == []
+    assert open(relay3_path, "rb").read() == before
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):
