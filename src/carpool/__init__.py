@@ -8,7 +8,7 @@ from .model import (ExpandedGraph, FlowVector, InfeasibleSessionError,
 from .edge_graph import EdgeGraph, build_edge_graph, primal_subproblem
 from .solver import (Solution, SolverConfig, SolveTrace, init_prices, solve,
                      subgradient_step)
-from .distributed import (Message, MessageStats, SimSchedule, Simulator,
+from .distributed import (MessageStats, SimSchedule, Simulator,
                           distributed_price_update,
                           distributed_shortest_paths, run_distributed_solve)
 from .instances import (GenerationError, GeometricConfig, builtin_instances,

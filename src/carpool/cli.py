@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import json
 import logging
@@ -574,6 +575,7 @@ def cmd_check(args) -> int:
     return 0
 
 
+@functools.cache  # one build per process; each parse gets a new namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="carpool",

@@ -24,9 +24,9 @@ the routes from the tallies and runs the price step.
 
 One Simulator object holds a run: the links between graph neighbours,
 the message counts, and every node's state as one table per kind.  The
-labels are one dict per session over all vertices, node i holding the
-entries of its vertices (i, j); the inboxes are one list per node; the
-prices are one list and the tallies one (session, triple) array,
+labels are one list per session indexed by vertex id, node i holding
+the entries of its vertices (i, j); the inboxes are one list per node;
+the prices are one list and the tallies one (session, triple) array,
 indexed by triple row.  Every arc (v, i) -> (i, w) that node i extends
 or tallies is a row whose middle node is i, so node i reads and writes
 its own rows only.  The loop's flow on such a row is the sum of node
@@ -37,8 +37,10 @@ step is every node's own computation, done side by side.
 
 Simulator.run is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
-seeded-random order each round.  Either way every node acts every round,
-and a message may only connect graph neighbours (checked on every send).
+seeded-random order each round.  Either way every node acts every round.
+A message is a tuple (sender, receiver, session, vertex, value, hops),
+one kind per phase, and may only connect graph neighbours: relax checks
+each label offer it stages, send the flood seeds and flow notices.
 """
 
 from __future__ import annotations
@@ -86,18 +88,6 @@ class SimSchedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 
 
-@dataclass(slots=True)
-class Message:
-    sender: int
-    receiver: int
-    kind: str            # "label" or "flow"
-    session: int
-    vertex: int          # edge-graph vertex id of the ordered pair
-    dist: float = 0.0
-    hops: int = 0
-    value: float = 0.0
-
-
 @dataclass
 class MessageStats:
     label_messages: int = 0
@@ -117,31 +107,31 @@ class Simulator:
                  schedule: SimSchedule | None = None):
         h = build_edge_graph(g, idx)
         self.g, self.idx, self.vertices = g, idx, h.vertices
+        self.heads = [j for _, j in h.vertices]  # who hears of (i, j)
         ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
         self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
         self.stats = MessageStats()
-        self.staging: list[Message] = []
+        self.staging: list[tuple] = []
         # out[u]: (head vertex, triple row) of every arc leaving vertex u
         arcs = list(zip(idx.head[h.order].tolist(), h.order.tolist()))
         cuts = h.bounds.tolist()
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         self.wts = p.values.tolist()  # price per triple, reset per step
         self.tally = np.zeros((len(g.base.sessions), len(idx)))
-        # labels[t]: vertex (i, j) -> (dist, hops, pred vertex, row of the
-        # triple pred -> vertex), held by node i
-        self.labels: list[dict[int, tuple[float, int, int, int]]] = [
-            {} for _ in g.base.sessions]
-        self.inbox: list[list[Message]] = [[] for _ in range(g.n_nodes)]
+        # labels[t][vertex (i, j)]: (dist, hops, pred vertex, row of the
+        # triple pred -> vertex) or None, held by node i; reset per flood
+        self.labels: list[list] = [[] for _ in g.base.sessions]
+        self.inbox: list[list[tuple]] = [[] for _ in range(g.n_nodes)]
         self.schedule = schedule or SimSchedule()
         self.rng = random.Random(self.schedule.seed)
         self.max_rounds = 2 * len(g.indices) + 16  # per phase
 
-    def send(self, msg: Message) -> None:
-        if msg.receiver not in self.adjset[msg.sender]:
-            raise RuntimeError(
-                f"message {msg.kind} from {msg.sender} to non-neighbour "
-                f"{msg.receiver}")
-        if msg.kind == "label":
+    def send(self, kind: str, msg: tuple) -> None:
+        """Stage a flood seed (kind "label") or a flow notice ("flow")."""
+        if msg[1] not in self.adjset[msg[0]]:
+            raise RuntimeError(f"message {kind} from {msg[0]} to "
+                               f"non-neighbour {msg[1]}")
+        if kind == "label":
             self.stats.label_messages += 1
             self.stats.bytes_estimate += LABEL_BYTES
         else:
@@ -149,8 +139,10 @@ class Simulator:
             self.stats.bytes_estimate += FLOW_BYTES
         self.staging.append(msg)
 
-    def run(self) -> None:
-        """Deliver and process until nothing moves."""
+    def run(self, handle) -> None:
+        """Deliver and process until nothing moves.  A phase carries one
+        kind of message, and handle(nid, batch) processes a batch of it
+        at node nid."""
         inbox = self.inbox
         rounds = 0
         sync = self.schedule.mode == "sync"
@@ -158,15 +150,13 @@ class Simulator:
         while self.staging or any(inbox):
             rounds += 1
             if rounds > self.max_rounds:
-                vertices = self.vertices
-                active = sorted({(m.kind, m.session, vertices[m.vertex])
-                                 for m in self.staging}
-                                | {(m.kind, m.session, vertices[m.vertex])
-                                   for batch in inbox for m in batch})
-                raise QuiescenceError(active)
+                kind = "label" if handle == self.relax else "flow"
+                raise QuiescenceError(sorted(
+                    {(kind, m[2], self.vertices[m[3]])
+                     for batch in (self.staging, *inbox) for m in batch}))
             pending, self.staging = self.staging, []
             for msg in pending:
-                inbox[msg.receiver].append(msg)
+                inbox[msg[1]].append(msg)
             if not sync:
                 self.rng.shuffle(order)
                 # late activations see messages sent earlier in the round
@@ -176,63 +166,70 @@ class Simulator:
                     continue  # an idle node sends nothing
                 inbox[nid] = []
                 self.stats.delivered += len(batch)
-                for msg in batch:
-                    if msg.kind == "label":
-                        self.relax(msg)
-                    else:
-                        self.chase(nid, msg.session, msg.vertex, msg.value)
+                handle(nid, batch)
                 if not sync and self.staging:
                     pending, self.staging = self.staging, []
                     for msg in pending:
-                        inbox[msg.receiver].append(msg)
+                        inbox[msg[1]].append(msg)
             if not sync:
                 order.sort()
         self.stats.rounds += rounds
 
-    def announce(self, nid: int, t: int, vid: int, dist: float,
-                 hops: int) -> None:
-        """Node nid offers the label of its vertex vid = (nid, j) to j."""
-        self.send(Message(nid, self.vertices[vid][1], "label", t, vid,
-                          dist, hops))
+    def relax(self, nid: int, offers: list[tuple]) -> None:
+        """Node nid, i, extends each offered label of a vertex (v, i)
+        over its own arcs (v, i) -> (i, w) and offers every label it
+        improves to w, which must be a neighbour."""
+        adj, heads, out, wts = self.adjset[nid], self.heads, self.out, self.wts
+        staging = self.staging
+        staged = len(staging)
+        try:
+            for _, _, t, uv, d, nh in offers:
+                labels = self.labels[t]
+                nh += 1
+                for vtx, k in out[uv]:
+                    nd = d + wts[k]
+                    cur = labels[vtx]
+                    if cur is None or nd < cur[0] or (nd == cur[0]
+                                                      and nh < cur[1]):
+                        labels[vtx] = (nd, nh, uv, k)
+                        w = heads[vtx]
+                        if w not in adj:
+                            raise RuntimeError(f"message label from {nid} "
+                                               f"to non-neighbour {w}")
+                        staging.append((nid, w, t, vtx, nd, nh))
+                    elif nd == cur[0] and nh == cur[1] and uv < cur[2]:
+                        labels[vtx] = (nd, nh, uv, k)
+        finally:  # count what was staged, also when a check refused
+            self.stats.label_messages += len(staging) - staged
+            self.stats.bytes_estimate += LABEL_BYTES * (len(staging) - staged)
 
-    def relax(self, msg: Message) -> None:
-        """Node msg.receiver, i, extends the offered label of (v, i) over
-        its own arcs (v, i) -> (i, w)."""
-        uv, t = msg.vertex, msg.session
-        labels = self.labels[t]
-        wts = self.wts
-        d, nh = msg.dist, msg.hops + 1
-        for vtx, k in self.out[uv]:
-            nd = d + wts[k]
-            cur = labels.get(vtx)
-            if cur is None or nd < cur[0] or (nd == cur[0] and nh < cur[1]):
-                labels[vtx] = (nd, nh, uv, k)
-                self.announce(msg.receiver, t, vtx, nd, nh)
-            elif nd == cur[0] and nh == cur[1] and uv < cur[2]:
-                labels[vtx] = (nd, nh, uv, k)
+    def pass_on(self, nid: int, notices: list[tuple]) -> None:
+        """Node nid chases each flow notice it received."""
+        for _, _, t, vid, value, _ in notices:
+            self.chase(nid, t, vid, value)
 
     def chase(self, nid: int, t: int, vid: int, value: float) -> None:
         """Node nid tallies value on the triple that set the label of its
         vertex vid and passes it on to the predecessor's first node."""
-        label = self.labels[t].get(vid)
+        label = self.labels[t][vid]
         if label is None:
             raise RuntimeError("broken predecessor chain")
         _, _, pred, k = label
         if pred < 0:
             return  # source pair reached; nothing upstream of it
         self.tally[t, k] += value
-        self.send(Message(nid, self.vertices[pred][0], "flow",
-                          t, pred, value=value))
+        self.send("flow", (nid, self.vertices[pred][0], t, pred, value, 0))
 
 
 def distributed_shortest_paths(sim: Simulator) -> list[float]:
     """Flood labels to quiescence; each destination's distance, or inf."""
     for t, src in enumerate(sim.g.src_pair.tolist()):
-        sim.labels[t] = {src: (0.0, 0, -1, -1)}
-        sim.announce(sim.vertices[src][0], t, src, 0.0, 0)
-    sim.run()
-    return [sim.labels[t].get(dst, (INF,))[0]
-            for t, dst in enumerate(sim.g.dst_pair.tolist())]
+        sim.labels[t] = [None] * len(sim.vertices)
+        sim.labels[t][src] = (0.0, 0, -1, -1)
+        sim.send("label", (*sim.vertices[src], t, src, 0.0, 0))
+    sim.run(sim.relax)
+    return [INF if labels[dst] is None else labels[dst][0]
+            for labels, dst in zip(sim.labels, sim.g.dst_pair.tolist())]
 
 
 def _flow_notification(sim: Simulator) -> None:
@@ -240,7 +237,7 @@ def _flow_notification(sim: Simulator) -> None:
     g = sim.g
     for t, (s, dst) in enumerate(zip(g.base.sessions, g.dst_pair.tolist())):
         sim.chase(sim.vertices[dst][0], t, dst, s.rate)
-    sim.run()
+    sim.run(sim.pass_on)
 
 
 def _message_round(sim: Simulator

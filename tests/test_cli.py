@@ -151,6 +151,22 @@ def test_async_schedule_flag_accepted(solved, tmp_path):
     assert dist.read_bytes() == open(sol_path, "rb").read()
 
 
+def test_one_parser_serves_every_call_of_a_process(relay3_path, capsys,
+                                                   monkeypatch):
+    # the parser is built once; a flag of one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    tols = []
+    monkeypatch.setattr(cli, "solve", lambda inst, cfg: (
+        tols.append(cfg.tol), solve(inst, cfg))[1])
+    assert cli.main(["solve", relay3_path, "--distributed",
+                     "--tol", "1e-4"]) == 0
+    assert "messages: label=" in capsys.readouterr().out
+    assert cli.main(["solve", relay3_path]) == 0
+    out = capsys.readouterr().out
+    assert "certified" in out and "messages:" not in out
+    assert tols == [SolverConfig().tol]
+
+
 def test_distributed_solve_of_an_empty_network(tmp_path, capsys):
     inst = tmp_path / "empty.json"
     inst.write_text(json.dumps({"nodes": [], "edges": [], "sessions": []}))

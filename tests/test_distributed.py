@@ -13,8 +13,8 @@ from carpool import (GeometricConfig, MessageStats, SimSchedule, Simulator,
                      enumerate_triples, generate_geometric, init_prices,
                      primal_subproblem, run_distributed_solve, solve,
                      solver, subgradient_step)
-from carpool.distributed import (FLOW_BYTES, LABEL_BYTES, Message,
-                                 QuiescenceError, _flow_notification)
+from carpool.distributed import (FLOW_BYTES, LABEL_BYTES, QuiescenceError,
+                                 _flow_notification)
 from carpool.edge_graph import route_search
 from carpool.model import Instance, Node, Session
 
@@ -159,10 +159,8 @@ def test_sends_are_refused_between_non_neighbours(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
     sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
-    bad = Message(sender=1, receiver=3, kind="label", session=0, vertex=0,
-                  dist=0.0, hops=0, value=0.0)
     with pytest.raises(RuntimeError, match="non-neighbour"):
-        sim.send(bad)
+        sim.send("label", (1, 3, 0, 0, 0.0, 0))
     # the refused message is neither counted nor staged
     assert sim.stats == MessageStats() and sim.staging == []
     # a legitimate run sends between neighbours only, so it completes
@@ -170,13 +168,47 @@ def test_sends_are_refused_between_non_neighbours(relay3):
     assert sol.certified
 
 
+def test_offers_are_refused_between_non_neighbours(grid2):
+    # relax stages its own offers; point the last arc leaving session 0's
+    # source vertex (v, i) at a vertex whose second node is not a
+    # neighbour of i, so that its offers before that arc are staged
+    g = build_expanded_graph(grid2)
+    idx = enumerate_triples(g)
+    sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+    src = int(g.src_pair[0])
+    i = sim.vertices[src][1]
+    out = sim.out[src]
+    assert len(out) >= 2
+    bad = next(x for x, (_, w) in enumerate(sim.vertices)
+               if w != i and w not in sim.adjset[i])
+    out[-1] = (bad, out[-1][1])
+    with pytest.raises(RuntimeError,
+                       match=f"message label from {i} to non-neighbour "
+                             f"{sim.vertices[bad][1]}"):
+        distributed_shortest_paths(sim)
+    # every counted message was staged: delivered, waiting or staged
+    stats = sim.stats
+    assert len(sim.staging) > 0 and stats.flow_messages == 0
+    assert stats.label_messages == (stats.delivered + len(sim.staging)
+                                    + sum(map(len, sim.inbox)))
+    assert stats.bytes_estimate == LABEL_BYTES * stats.label_messages
+
+
 def test_round_cap_surfaces_the_stuck_work(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
     sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
     sim.max_rounds = 1
-    with pytest.raises(QuiescenceError, match="no quiescence"):
+    with pytest.raises(QuiescenceError, match="no quiescence") as exc:
         distributed_shortest_paths(sim)
+    # (kind, session, vertex (i, j)) of every message still moving
+    assert exc.value.active == [("label", 0, (0, 1)), ("label", 1, (2, 1))]
+    sim.max_rounds = 100
+    distributed_shortest_paths(sim)
+    sim.max_rounds = 1
+    with pytest.raises(QuiescenceError, match="no quiescence") as exc:
+        _flow_notification(sim)
+    assert exc.value.active == [("flow", 0, (0, 1)), ("flow", 1, (2, 1))]
 
 
 @pytest.mark.parametrize("hops", [3, 5, 8])
@@ -241,21 +273,25 @@ def test_each_message_names_a_vertex_its_sender_owns(name, schedule,
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     sim = Simulator(g, idx, init_prices(idx), schedule)
-    sent = []
-    send = sim.send
-    monkeypatch.setattr(sim, "send", lambda msg: (sent.append(msg),
-                                                  send(msg)))
+    seen = []  # (kind, node it was delivered to, message)
+    for handler, kind in (("relax", "label"), ("pass_on", "flow")):
+        def observe(nid, batch, _kind=kind, _handle=getattr(sim, handler)):
+            seen.extend((_kind, nid, msg) for msg in batch)
+            _handle(nid, batch)
+        monkeypatch.setattr(sim, handler, observe)
     distributed_shortest_paths(sim)
     _flow_notification(sim)
-    kinds = Counter(msg.kind for msg in sent)
+    kinds = Counter(kind for kind, _, _ in seen)
     assert kinds["label"] > 0 and kinds["flow"] > 0
+    assert len(seen) == sim.stats.label_messages + sim.stats.flow_messages
     vertices = sim.vertices
-    for msg in sent:
-        tail, head = vertices[msg.vertex]
-        if msg.kind == "label":
-            assert (tail, head) == (msg.sender, msg.receiver)
+    for kind, nid, (sender, receiver, _, vertex, _, _) in seen:
+        assert receiver == nid
+        tail, head = vertices[vertex]
+        if kind == "label":
+            assert (tail, head) == (sender, receiver)
         else:
-            assert (head, tail) == (msg.sender, msg.receiver)
+            assert (head, tail) == (sender, receiver)
 
 
 def test_a_finished_simulator_is_freed_without_the_cycle_collector(geo4):
@@ -279,7 +315,7 @@ def test_flow_chase_refuses_a_vertex_without_a_label(relay3):
     distributed_shortest_paths(sim)
     dst = int(g.dst_pair[0])
     pred = sim.labels[0][dst][2]
-    del sim.labels[0][pred]
+    sim.labels[0][pred] = None
     with pytest.raises(RuntimeError, match="broken predecessor chain"):
         _flow_notification(sim)
 
