@@ -454,12 +454,6 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _last_of_each(rows: np.ndarray) -> np.ndarray:
-    """Positions of the last occurrence of each distinct value in rows."""
-    _, first_from_end = np.unique(rows[::-1], return_index=True)
-    return len(rows) - 1 - first_from_end
-
-
 def cmd_check(args) -> int:
     inst = load_instance(args.instance)
     doc = solution_from_dict(_read_json(args.solution, SolutionError))
@@ -496,7 +490,9 @@ def cmd_check(args) -> int:
             problems.append(f"{where}: non-finite flow {val!r} on {key}")
     # a later entry for the same (session, triple) overrides an earlier
     # one; the survivors come sorted by (session, triple)
-    last = _last_of_each(sessions * len(idx) + rows)
+    flat = sessions * len(idx) + rows
+    _, first_from_end = np.unique(flat[::-1], return_index=True)
+    last = len(flat) - 1 - first_from_end
     sessions, rows = sessions[last], rows[last]
     vals = np.where(bad, 0.0, vals)[last]
 
@@ -514,29 +510,28 @@ def cmd_check(args) -> int:
     # pair row of each triple row; row -1, an unknown triple, maps to -1
     row_of = np.full(len(idx) + 1, -1)
     row_of[idx.pair_fwd] = np.arange(len(idx.pair_fwd))
+    # each stated y is compared on its own; an unstated one reads as 0
     stated_rows = row_of[idx.rows(doc.pairs)]
     known = stated_rows >= 0
-    stated_rows, stated_y = stated_rows[known], doc.y[known]
-    last = _last_of_each(stated_rows)
-    got = np.zeros(len(idx.pair_fwd))
-    got[stated_rows[last]] = stated_y[last]
-    is_stated = np.zeros(len(idx.pair_fwd), dtype=bool)
-    is_stated[stated_rows] = True
-    for row in np.nonzero(got != summary.y)[0].tolist():
-        kf = int(idx.pair_fwd[row])
-        key = (int(idx.v[kf]), int(idx.mid[kf]), int(idx.w[kf]))
-        want, stated = float(summary.y[row]), float(got[row])
-        if not is_stated[row]:
-            problems.append(f"transmissions for pair {key}: no y stated, "
-                            f"flows give {want!r}")
+    want_y = np.zeros(len(doc.y))
+    want_y[known] = summary.y[stated_rows[known]]
+    for j in np.nonzero(~known | (doc.y != want_y))[0].tolist():
+        key = tuple(doc.pairs[j].tolist())
+        if not known[j]:
+            problems.append(f"transmissions stated for unknown pair {key}")
         else:
+            stated, want = float(doc.y[j]), float(want_y[j])
             note = " (session flows through the pair exceed its y)" \
                 if stated < want else ""
             problems.append(f"transmissions for pair {key}: stated "
                             f"y={stated!r}, flows give {want!r}{note}")
-    unknown = dict.fromkeys(map(tuple, doc.pairs[~known].tolist()))
-    for key in unknown:
-        problems.append(f"transmissions stated for unknown pair {key}")
+    unstated = summary.y.copy()
+    unstated[stated_rows[known]] = 0.0
+    for row in np.nonzero(unstated)[0].tolist():
+        kf = int(idx.pair_fwd[row])
+        key = (int(idx.v[kf]), int(idx.mid[kf]), int(idx.w[kf]))
+        problems.append(f"transmissions for pair {key}: no y stated, "
+                        f"flows give {float(unstated[row])!r}")
     # z is stated for physical nodes only; an unstated one reads as 0
     known = (doc.nodes >= 0) & (doc.nodes < g.n_base)
     want_z = np.zeros(len(doc.nodes))

@@ -1,7 +1,7 @@
 """Message-passing twin of the solver loop.
 
 Every node of the expanded graph (artificial ones included) runs a
-processor.  Node i owns the prices and flow tallies of all triples whose
+processor.  Node i owns the prices and route rows of all triples whose
 middle node is i, and the routing labels of every ordered pair (i, j).
 When the label of (v, i) improves at node v, v tells i; i extends the
 route over its own priced arcs (v, i) -> (i, w) and, on improvement,
@@ -18,22 +18,23 @@ keeps a seeded draw on which this happens.
 
 After each routing phase the destination starts a hop-by-hop trace back
 along predecessors.  A label keeps the triple row that set it, so each
-node on the path tallies its own triple's flow from that message; this
-chase is the only walk of a route.  solve()'s loop, price_ascent, reads
-the routes from the tallies and runs the price step.
+node on the path adds its own triple's row to the session's route from
+that message; this chase is the only walk of a route.  solve()'s loop,
+price_ascent, gets the routes as the route search returns them and runs
+the price step.
 
 One Simulator object holds a run: the links between graph neighbours,
 the message counts, and every node's state as one table per kind.  The
 labels are one list per session indexed by vertex id, node i holding
 the entries of its vertices (i, j); the inboxes are one list per node;
-the prices are one list and the tallies one (session, triple) array,
-indexed by triple row.  Every arc (v, i) -> (i, w) that node i extends
-or tallies is a row whose middle node is i, so node i reads and writes
-its own rows only.  The loop's flow on such a row is the sum of node
-i's tallies, and subgradient_step's update of a row's price reads only
-that row, its reverse (w, i, v), also node i's, and the step size
-alpha, which is the same for the whole network.  So the elementwise
-step is every node's own computation, done side by side.
+the prices are one list indexed by triple row and the routes one list
+of rows per session.  Every arc (v, i) -> (i, w) that node i extends or
+routes over is a row whose middle node is i, so node i reads and writes
+its own rows only.  subgradient_step's update of a row's price reads
+only the loop's flow on that row and on its reverse (w, i, v), also
+node i's, and the step size alpha, which is the same for the whole
+network.  So the elementwise step is every node's own computation, done
+side by side.
 
 Simulator.run is a deterministic event loop: synchronous rounds deliver
 all messages at once, the asynchronous mode activates nodes in a
@@ -55,9 +56,7 @@ from .edge_graph import build_edge_graph
 from .model import (ExpandedGraph, Instance, PriceVector, TripleIndex,
                     build_expanded_graph, check_config_types,
                     enumerate_triples)
-from . import solver  # subgradient_step is looked up at call time
-from .solver import (SolverConfig, SolveTrace, Solution, init_prices,
-                     price_ascent)
+from .solver import SolverConfig, SolveTrace, Solution, price_ascent
 
 INF = math.inf
 
@@ -100,13 +99,13 @@ class MessageStats:
 
 class Simulator:
     """One run's network: the links a message may use, every node's
-    labels, inbox, prices and tallies as tables indexed by session,
-    node or triple row, and the event loop that delivers the messages."""
+    labels, inbox, prices and routes as tables indexed by session, node
+    or triple row, and the event loop that delivers the messages."""
 
-    def __init__(self, g: ExpandedGraph, idx: TripleIndex, p: PriceVector,
+    def __init__(self, g: ExpandedGraph, idx: TripleIndex,
                  schedule: SimSchedule | None = None):
         h = build_edge_graph(g, idx)
-        self.g, self.idx, self.vertices = g, idx, h.vertices
+        self.g, self.vertices = g, h.vertices
         self.heads = [j for _, j in h.vertices]  # who hears of (i, j)
         ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
         self.adjset = [set(nbrs[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
@@ -116,8 +115,8 @@ class Simulator:
         arcs = list(zip(idx.head[h.order].tolist(), h.order.tolist()))
         cuts = h.bounds.tolist()
         self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        self.wts = p.values.tolist()  # price per triple, reset per step
-        self.tally = np.zeros((len(g.base.sessions), len(idx)))
+        self.wts: list[float] = []  # price per triple, set per round
+        self.routes: list[list[int]] = []  # per session, destination first
         # labels[t][vertex (i, j)]: (dist, hops, pred vertex, row of the
         # triple pred -> vertex) or None, held by node i; reset per flood
         self.labels: list[list] = [[] for _ in g.base.sessions]
@@ -209,15 +208,15 @@ class Simulator:
             self.chase(nid, t, vid, value)
 
     def chase(self, nid: int, t: int, vid: int, value: float) -> None:
-        """Node nid tallies value on the triple that set the label of its
-        vertex vid and passes it on to the predecessor's first node."""
+        """Node nid adds the row of its vertex vid's label to route t and
+        passes value on to the predecessor's first node."""
         label = self.labels[t][vid]
         if label is None:
             raise RuntimeError("broken predecessor chain")
         _, _, pred, k = label
         if pred < 0:
             return  # source pair reached; nothing upstream of it
-        self.tally[t, k] += value
+        self.routes[t].append(k)
         self.send("flow", (nid, self.vertices[pred][0], t, pred, value, 0))
 
 
@@ -233,43 +232,40 @@ def distributed_shortest_paths(sim: Simulator) -> list[float]:
 
 
 def _flow_notification(sim: Simulator) -> None:
-    """Each destination walks its predecessor chain; relays tally rates."""
+    """Each destination walks its predecessor chain; relays add their rows."""
     g = sim.g
+    sim.routes = [[] for _ in g.base.sessions]
     for t, (s, dst) in enumerate(zip(g.base.sessions, g.dst_pair.tolist())):
         sim.chase(sim.vertices[dst][0], t, dst, s.rate)
     sim.run(sim.pass_on)
 
 
-def _message_round(sim: Simulator
+def _message_round(sim: Simulator, p: PriceVector
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route every session by messages at the nodes' prices: the label
-    flood, then the flow chase.  The routes, read from the tallies, come
-    back as price_ascent's (dists, start, rows)."""
+    """Route every session by messages at prices p: each node reads its
+    rows of p, then the label flood and the flow chase run.  The routes
+    come back as the route search returns them, (dists, start, rows)."""
+    distributed_price_update(sim, p)
     stats = sim.stats
     before = stats.label_messages, stats.flow_messages, stats.rounds
     dists = distributed_shortest_paths(sim)
     _flow_notification(sim)
-    # row-major: session order, as the route search returns its rows
-    sessions, rows = np.nonzero(sim.tally)
-    sim.tally.fill(0.0)
     stats.per_iteration.append({
         "iteration": len(stats.per_iteration) + 1,
         "label_messages": stats.label_messages - before[0],
         "flow_messages": stats.flow_messages - before[1],
         "rounds": stats.rounds - before[2],
     })
-    start = np.searchsorted(sessions, np.arange(len(dists) + 1))
-    return np.array(dists), start, rows
+    # a chase walks from the destination, so each route is reversed
+    rows = [k for route in sim.routes for k in reversed(route)]
+    start = np.cumsum([0] + list(map(len, sim.routes)), dtype=np.int64)
+    return np.array(dists), start, np.array(rows, dtype=np.int64)
 
 
-def distributed_price_update(sim: Simulator, p: PriceVector,
-                             agg: np.ndarray, alpha: float) -> PriceVector:
-    """Every node steps its own triple rows from agg by the network's one
-    step size alpha and reads them into the price list it relaxes with;
-    no messages."""
-    p = solver.subgradient_step(p, agg, alpha, sim.idx)
+def distributed_price_update(sim: Simulator, p: PriceVector) -> None:
+    """Every node reads its own triple rows of p into the price list it
+    relaxes with; no messages."""
     sim.wts = p.values.tolist()
-    return p
 
 
 def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
@@ -279,9 +275,6 @@ def run_distributed_solve(inst: Instance, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), schedule)
-    # each round runs at the prices the last price step shared out
-    sol, trace = price_ascent(
-        g, idx, cfg, lambda p: _message_round(sim),
-        lambda p, agg, alpha: distributed_price_update(sim, p, agg, alpha))
+    sim = Simulator(g, idx, schedule)
+    sol, trace = price_ascent(g, idx, cfg, lambda p: _message_round(sim, p))
     return sol, trace, sim.stats

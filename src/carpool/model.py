@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ def check_config_types(cfg, counts: tuple[str, ...],
                        reals: tuple[str, ...]) -> None:
     """Refuse, naming the field, a count of cfg that operator.index
     would refuse (its type has no __index__) or a real field that is not
-    a real number; a bool is neither."""
+    a real number; a bool is neither.  Store each as a plain int or
+    float, so that a numpy scalar computes as the Python number does."""
     for name in counts + reals:
         value = getattr(cfg, name)
         if name in counts:
@@ -43,6 +45,11 @@ def check_config_types(cfg, counts: tuple[str, ...],
             kind, ok = "a number", isinstance(value, numbers.Real)
         if isinstance(value, bool) or not ok:
             raise ValueError(f"{name} must be {kind}, got {value!r}")
+        try:
+            setattr(cfg, name, operator.index(value) if name in counts
+                    else float(value))
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
 
 
 class InfeasibleSessionError(RuntimeError):

@@ -12,9 +12,9 @@ within tolerance, the answer is certified.
 
 All arithmetic is deterministic: fixed tie-break order in the path
 solver, fixed session order in every sum, vectorised elementwise price
-updates.  price_ascent is the one copy of this loop: solve() runs it on
-the route search, and the message-passing twin on its neighbour
-messages and node-local price step, so both give the same bits.
+updates.  price_ascent is the one copy of this loop, price step
+included: solve() runs it on the route search, and the message-passing
+twin on its neighbour messages, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -174,12 +174,12 @@ class _LoopState:
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
-                 route, price) -> tuple[Solution, SolveTrace]:
+                 route) -> tuple[Solution, SolveTrace]:
     """Iterate to a certified gap or the cap; both front ends run this.
 
     route(p) gives every session's cheapest route at prices p as (dists,
     start, rows): session t's distance is dists[t] and its triple rows
-    are rows[start[t]:start[t + 1]].  price(p, agg, alpha) steps the
+    are rows[start[t]:start[t + 1]].  subgradient_step then moves the
     prices on agg, the round's flow per triple, by alpha = step_a / n,
     worked out once per round and recorded in the trace too.  An
     overflowed distance makes the dual bound inf, which ingest reports.
@@ -208,7 +208,7 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
             if state.ingest(n, alpha, sessions, rows, values, q):
                 break
             agg = np.bincount(rows, weights=values, minlength=len(idx))
-            p = price(p, agg, alpha)
+            p = subgradient_step(p, agg, alpha, idx)
     return state.solution(p, n), trace
 
 
@@ -219,6 +219,4 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p),
-                        lambda p, agg, alpha: subgradient_step(p, agg, alpha,
-                                                               idx))
+    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p))

@@ -395,6 +395,25 @@ def test_check_reads_an_unstated_y_as_zero(solved, tmp_path, capsys):
         "(session flows through the pair exceed its y)"]
 
 
+def test_check_compares_every_stated_y(solved, tmp_path, capsys):
+    # as for z, a wrong y is wrong also when a right one follows it
+    relay3_path, sol_path, _ = solved
+    doc = json.load(open(sol_path))
+    pairs = doc["pair_transmissions"]
+    right = next(r for r in pairs if (r["v"], r["mid"], r["w"]) == (0, 1, 2))
+    doc["pair_transmissions"] = [{**right, "y": 0.5}] + pairs
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "transmissions for pair (0, 1, 2): stated y=0.5, flows give 1.0 "
+        "(session flows through the pair exceed its y)"]
+    # an unknown pair is named once per record
+    doc["pair_transmissions"] = pairs + [{"v": 0, "mid": 2, "w": 1,
+                                          "y": 1.0}] * 2
+    assert check_code(relay3_path, doc, tmp_path) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "transmissions stated for unknown pair (0, 2, 1)"] * 2
+
+
 def test_check_rejects_unknown_triples(solved, tmp_path, capsys):
     relay3_path, sol_path, _ = solved
     doc = json.load(open(sol_path))

@@ -9,13 +9,13 @@ import pytest
 
 from carpool import (GeometricConfig, MessageStats, SimSchedule, Simulator,
                      SolverConfig, distributed, build_edge_graph,
-                     build_expanded_graph, distributed_shortest_paths,
+                     build_expanded_graph, distributed_price_update,
+                     distributed_shortest_paths,
                      enumerate_triples, generate_geometric, init_prices,
                      primal_subproblem, run_distributed_solve, solve,
                      solver, subgradient_step)
 from carpool.distributed import (FLOW_BYTES, LABEL_BYTES, QuiescenceError,
-                                 _flow_notification)
-from carpool.edge_graph import route_search
+                                 _flow_notification, _message_round)
 from carpool.model import Instance, Node, Session
 
 
@@ -142,7 +142,7 @@ def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
         # the last round either certifies or hits the cap; the solution
         # costs its summary once more
         assert calls == {"price_ascent": 1, "distributed_shortest_paths": n,
-                         "distributed_price_update": n - sol.certified,
+                         "distributed_price_update": n,
                          "subgradient_step": n - sol.certified,
                          "transmission_summary": n, "total_cost": n + 1}
 
@@ -158,7 +158,7 @@ def test_price_updates_track_the_centralized_iterates(geo5):
 def test_sends_are_refused_between_non_neighbours(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+    sim = Simulator(g, idx, SimSchedule("sync"))
     with pytest.raises(RuntimeError, match="non-neighbour"):
         sim.send("label", (1, 3, 0, 0, 0.0, 0))
     # the refused message is neither counted nor staged
@@ -174,7 +174,8 @@ def test_offers_are_refused_between_non_neighbours(grid2):
     # neighbour of i, so that its offers before that arc are staged
     g = build_expanded_graph(grid2)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+    sim = Simulator(g, idx, SimSchedule("sync"))
+    distributed_price_update(sim, init_prices(idx))
     src = int(g.src_pair[0])
     i = sim.vertices[src][1]
     out = sim.out[src]
@@ -197,7 +198,8 @@ def test_offers_are_refused_between_non_neighbours(grid2):
 def test_round_cap_surfaces_the_stuck_work(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+    sim = Simulator(g, idx, SimSchedule("sync"))
+    distributed_price_update(sim, init_prices(idx))
     sim.max_rounds = 1
     with pytest.raises(QuiescenceError, match="no quiescence") as exc:
         distributed_shortest_paths(sim)
@@ -218,14 +220,18 @@ def test_label_flood_settles_in_length_plus_two_rounds(hops):
     inst = Instance(nodes, edges, [Session("s1", 0, hops, 1.0)])
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+    sim = Simulator(g, idx, SimSchedule("sync"))
+    distributed_price_update(sim, init_prices(idx))
     dists = distributed_shortest_paths(sim)
     assert sim.stats.rounds == hops + 2
     assert dists == [(hops + 1) / 2]  # every arc priced at 1/2
 
 
-@pytest.mark.parametrize("name", ["geo5", "grid2"])
+@pytest.mark.parametrize("name", ["relay3", "geo4", "geo5", "grid2",
+                                  "grid2rate"])
 def test_twin_distances_equal_the_route_search(name, request):
+    # a message round returns the route search's three arrays, bytes and
+    # dtypes alike: distances, and each route's triple rows, source first
     inst = request.getfixturevalue(name)
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
@@ -235,23 +241,22 @@ def test_twin_distances_equal_the_route_search(name, request):
     rates = np.repeat([s.rate for s in inst.sessions], np.diff(start))
     agg = np.bincount(rows, weights=rates, minlength=len(idx))
     p1 = subgradient_step(p0, agg, 1.0, idx)
-    search = route_search(h.bounds, h.order, idx.head, g.src_pair,
-                          g.dst_pair)
     for p in (p0, p1):
-        want = search(p.values)[0].tolist()
+        want = primal_subproblem(h, p)
         for schedule in (SimSchedule("sync"), SimSchedule("async", seed=2)):
-            assert distributed_shortest_paths(
-                Simulator(g, idx, p, schedule)) == want
+            got = _message_round(Simulator(g, idx, schedule), p)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", ["geo4", "grid2"])
 def test_each_node_relaxes_and_tallies_only_its_own_rows(name, request):
-    # the arcs leaving (v, i), which node i extends and tallies, are the
-    # triples with middle node i, each triple row exactly once
+    # the arcs leaving (v, i), which node i extends and adds to routes,
+    # are the triples with middle node i, each triple row exactly once
     inst = request.getfixturevalue(name)
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx))
+    sim = Simulator(g, idx)
     vertices, mid = sim.vertices, idx.mid.tolist()
     rows = []
     for u, out in enumerate(sim.out):
@@ -272,7 +277,8 @@ def test_each_message_names_a_vertex_its_sender_owns(name, schedule,
     inst = request.getfixturevalue(name)
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), schedule)
+    sim = Simulator(g, idx, schedule)
+    distributed_price_update(sim, init_prices(idx))
     seen = []  # (kind, node it was delivered to, message)
     for handler, kind in (("relax", "label"), ("pass_on", "flow")):
         def observe(nid, batch, _kind=kind, _handle=getattr(sim, handler)):
@@ -299,7 +305,8 @@ def test_a_finished_simulator_is_freed_without_the_cycle_collector(geo4):
     idx = enumerate_triples(g)
     gc.disable()
     try:
-        sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+        sim = Simulator(g, idx, SimSchedule("sync"))
+        distributed_price_update(sim, init_prices(idx))
         distributed_shortest_paths(sim)
         ref = weakref.ref(sim)
         del sim
@@ -311,7 +318,8 @@ def test_a_finished_simulator_is_freed_without_the_cycle_collector(geo4):
 def test_flow_chase_refuses_a_vertex_without_a_label(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
-    sim = Simulator(g, idx, init_prices(idx), SimSchedule("sync"))
+    sim = Simulator(g, idx, SimSchedule("sync"))
+    distributed_price_update(sim, init_prices(idx))
     distributed_shortest_paths(sim)
     dst = int(g.dst_pair[0])
     pred = sim.labels[0][dst][2]
@@ -333,9 +341,18 @@ def test_empty_network_certifies_with_no_traffic():
     assert stats == MessageStats()
 
 
-def test_schedule_validation():
+def test_schedule_validation(relay3):
     with pytest.raises(ValueError, match="mode"):
         SimSchedule(mode="bogus")
+    # a numpy seed is stored as the int it equals, and runs as that int
+    cfg = SolverConfig(tol=1e-4)
+    for mode in ("sync", "async"):
+        schedule = SimSchedule(mode, seed=np.int64(3))
+        assert type(schedule.seed) is int
+        sol, trace, stats = run_distributed_solve(relay3, cfg, schedule)
+        want = run_distributed_solve(relay3, cfg, SimSchedule(mode, seed=3))
+        assert flows_equal(sol.flows, want[0].flows)
+        assert traces_equal(trace, want[1]) and stats == want[2]
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, "x", True, [1]])

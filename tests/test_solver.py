@@ -459,7 +459,7 @@ def test_solve_is_deterministic(grid2):
 
 # ------------------------------------------------------------ configuration
 
-def test_config_rejects_bad_values():
+def test_config_rejects_bad_values(grid2):
     with pytest.raises(ValueError, match="tol"):
         SolverConfig(tol=0.0)
     with pytest.raises(TypeError, match="step_rule"):
@@ -485,6 +485,16 @@ def test_config_rejects_bad_values():
                 SolverConfig(**{name: bad})
     assert SolverConfig(max_iters=np.int64(3), tol=np.float32(0.1),
                         step_a=2).max_iters == 3
+    with pytest.raises(ValueError, match="step_a is too large for a float"):
+        SolverConfig(step_a=10 ** 400)
+    # a float32 step_a is stored as the float it equals, so alpha = step_a
+    # / n is computed in double precision
+    cfg = SolverConfig(step_a=np.float32(0.7), tol=1e-12, max_iters=30)
+    assert type(cfg.step_a) is float and type(cfg.max_iters) is int
+    _, trace = solve(grid2, cfg)
+    _, want = solve(grid2, SolverConfig(step_a=float(np.float32(0.7)),
+                                        tol=1e-12, max_iters=30))
+    assert trace.alphas == want.alphas and trace.rel_gaps == want.rel_gaps
 
 
 def test_trace_alphas_are_step_a_over_n(grid2):
