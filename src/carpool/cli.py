@@ -8,6 +8,12 @@ solution file against its instance).  Exit codes: 0 success/certified,
 Instances and solutions are JSON with round-trip-exact floats; traces
 are CSV with one row per iteration.  CARPOOL_LOG=quiet|info|debug
 controls diagnostics on stderr.
+
+Both readers take a document whose values all have their plain JSON
+types in bulk, by a type check per list, and fall back to reading
+record by record only to name the first bad record.  Instance then
+checks the values themselves, nodes and edges on arrays, and reports
+the first faulty record in order.
 """
 
 from __future__ import annotations
@@ -76,7 +82,54 @@ def _session_id(value) -> str:
     return str(value)
 
 
-def instance_from_dict(doc: dict) -> Instance:
+def _plain_instance(doc) -> Instance | None:
+    """The instance of a document whose every record holds plain JSON
+    values: integer ids and endpoints, integer or float costs, rates and
+    positions, string or integer session ids.  None when some value is
+    missing or of another type."""
+    try:
+        nodes, edges, sessions = doc["nodes"], doc["edges"], doc["sessions"]
+        if not type(nodes) is type(edges) is type(sessions) is list:
+            return None
+        ids = [r["id"] for r in nodes]
+        costs = [r["cost"] for r in nodes]
+        placed = [r["pos"] for r in nodes if "pos" in r]
+        sids = [r["id"] for r in sessions]
+        ends = [r["source"] for r in sessions] + [r["dest"] for r in sessions]
+        rates = [r["rate"] for r in sessions]
+    except (KeyError, TypeError):
+        return None
+    # numbers are checked by type, as bool is an int and float() reads
+    # numeric strings
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, placed)) <= {list}
+            and set(map(type, itertools.chain(
+                ids, ends, itertools.chain.from_iterable(edges)))) <= {int}
+            and set(map(type, itertools.chain(
+                costs, rates, itertools.chain.from_iterable(placed))))
+            <= {int, float}
+            and set(map(type, sids)) <= {str, int}):
+        return None
+    try:
+        pos = [tuple(map(float, r["pos"])) if "pos" in r else None
+               for r in nodes]
+        nodes = list(map(Node, ids, map(float, costs), pos))
+        sessions = list(map(Session, map(str, sids), ends[:len(sids)],
+                            ends[len(sids):], map(float, rates)))
+    except OverflowError:  # an integer too large for a float
+        return None
+    return Instance(nodes, edges, sessions)
+
+
+def instance_from_dict(doc) -> Instance:
+    """The instance of a JSON document, validated.
+
+    A document of plain values is read in bulk; otherwise each record is
+    read in turn, and the first that cannot be read is named.
+    """
+    inst = _plain_instance(doc)
+    if inst is not None:
+        return inst
     where = "instance document"
 
     def records(name: str):
@@ -84,6 +137,9 @@ def instance_from_dict(doc: dict) -> Instance:
         where = "instance document"
         recs = doc[name]
         where = name
+        if not isinstance(recs, list):
+            iter(recs)  # a number or null is "not iterable"
+            raise TypeError(f"'{type(recs).__name__}' object is not a list")
         for n, rec in enumerate(recs):
             where = f"{name}[{n}]"
             yield rec

@@ -146,7 +146,8 @@ class Simulator:
         rounds = 0
         sync = self.schedule.mode == "sync"
         order = list(range(len(inbox)))
-        while self.staging or any(inbox):
+        # a sync round empties every inbox it delivers to
+        while self.staging or (not sync and any(inbox)):
             rounds += 1
             if rounds > self.max_rounds:
                 kind = "label" if handle == self.relax else "flow"
@@ -154,12 +155,21 @@ class Simulator:
                     {(kind, m[2], self.vertices[m[3]])
                      for batch in (self.staging, *inbox) for m in batch}))
             pending, self.staging = self.staging, []
-            for msg in pending:
-                inbox[msg[1]].append(msg)
-            if not sync:
+            if sync:  # visit the nodes that get mail, in id order
+                visit = []
+                for msg in pending:
+                    box = inbox[msg[1]]
+                    if not box:
+                        visit.append(msg[1])
+                    box.append(msg)
+                visit.sort()
+            else:
+                for msg in pending:
+                    inbox[msg[1]].append(msg)
                 self.rng.shuffle(order)
                 # late activations see messages sent earlier in the round
-            for nid in order:
+                visit = order
+            for nid in visit:
                 batch = inbox[nid]
                 if not batch:
                     continue  # an idle node sends nothing

@@ -219,6 +219,20 @@ def _address(a: np.ndarray, dtype) -> int:
     return a.ctypes.data
 
 
+def _carve(dtype, sizes: tuple[int, ...]
+           ) -> tuple[list[np.ndarray], list[int]]:
+    """Consecutive 1-d buffers of the given sizes, cut from one new block
+    of dtype, and their addresses: one address lookup for them all."""
+    block = np.empty(sum(sizes), dtype=dtype)
+    base, at = block.ctypes.data, 0
+    bufs, addresses = [], []
+    for size in sizes:
+        bufs.append(block[at:at + size])
+        addresses.append(base + at * block.itemsize)
+        at += size
+    return bufs, addresses
+
+
 class RouteSearch:
     """Cheapest routes from src[t] to dst[t] on one CSR graph, at any
     weights that are not negative.
@@ -262,18 +276,20 @@ class RouteSearch:
         self.fn, self.narcs = _routes if fn is None else fn, m
         # every array stays bound to self while the kernel may write it
         self.csr = (bounds, arcs, heads)
-        self.ends = np.array([src, dst], dtype=i64).reshape(2, ns)
-        self.dist = np.empty(nv)
-        self.hops = np.empty(nv, dtype=i64)
-        self.pred = np.empty(nv, dtype=i64)
-        self.qdist = np.empty(ns)
-        self.start = np.empty(ns + 1, dtype=i64)
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
-        self.rows = np.empty(cap, dtype=i64)
-        args = [bounds, arcs, heads, *self.ends, self.dist, self.hops,
-                self.pred, self.qdist, self.start, self.rows]
-        if fn is not None:  # the kernel takes addresses
-            args = csr + [x.ctypes.data for x in args[3:]]
+        ints, (src_at, dst_at, hops_at, pred_at, start_at, rows_at) = \
+            _carve(i64, (ns, ns, nv, nv, ns + 1, cap))
+        reals, (dist_at, qdist_at) = _carve(F64, (nv, ns))
+        self.ends = ints[:2]
+        self.hops, self.pred, self.start, self.rows = ints[2:]
+        self.dist, self.qdist = reals
+        self.ends[0][:], self.ends[1][:] = src, dst
+        if fn is None:
+            args = [bounds, arcs, heads, *self.ends, self.dist, self.hops,
+                    self.pred, self.qdist, self.start, self.rows]
+        else:  # the kernel takes addresses
+            args = csr + [src_at, dst_at, dist_at, hops_at, pred_at,
+                          qdist_at, start_at, rows_at]
         self.before_wts = (nv, args[0], len(arcs), args[1], m, args[2])
         self.after_wts = (ns, *args[3:], cap)
 

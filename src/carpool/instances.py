@@ -21,7 +21,7 @@ import numpy as np
 
 from .edge_graph import route_search
 from .model import (Instance, Node, Session, adjacency, check_config_types,
-                    component_labels)
+                    component_labels, edge_ends)
 from .solver import NonFiniteError
 
 
@@ -117,7 +117,7 @@ def generate_geometric(cfg: GeometricConfig) -> Instance:
             raise GenerationError(
                 f"seed {cfg.seed} drew only {n} node(s); "
                 f"cannot place {cfg.sessions} session(s)")
-        labels = component_labels(n, edges)
+        labels = component_labels(n, edge_ends(edges)).tolist()
         rng = np.random.Generator(np.random.PCG64(sess_ss))
         used: set[tuple[int, int]] = set()
         for t in range(cfg.sessions):

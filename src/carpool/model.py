@@ -75,6 +75,18 @@ class Session:
     rate: float
 
 
+def edge_ends(edges: list[tuple[int, int]]) -> np.ndarray:
+    """The (m, 2) array of the ends of m edges: int64, or Python ints in an
+    object array when one does not fit; such an id is out of range of
+    every instance."""
+    flat = list(itertools.chain.from_iterable(edges))
+    try:
+        ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:
+        ends = np.array(flat, dtype=object)
+    return ends.reshape(-1, 2)
+
+
 def adjacency(n: int, edges: list[tuple[int, int]]
               ) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices): the sorted neighbour lists of n nodes, as a CSR.
@@ -82,8 +94,7 @@ def adjacency(n: int, edges: list[tuple[int, int]]
     Node a's neighbours are indices[indptr[a]:indptr[a + 1]], ascending.
     Each undirected edge gives one entry at either end.
     """
-    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
-                       count=2 * len(edges)).reshape(-1, 2)
+    ends = edge_ends(edges)
     tails = np.concatenate([ends[:, 0], ends[:, 1]])
     heads = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.argsort(tails * n + heads)  # keys are distinct
@@ -91,26 +102,61 @@ def adjacency(n: int, edges: list[tuple[int, int]]
     return indptr, heads[order]
 
 
-def component_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Connected-component label per node id, via union-find."""
-    parent = list(range(n))
+def component_labels(n: int, edges) -> np.ndarray:
+    """Smallest node id in each node's connected component.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    edges is anything np.asarray reads as (m, 2) node ids.  Each round
+    hooks the larger of the two labels across every edge that still joins
+    two labels onto the smaller, then points each node at the end of its
+    chain of labels.  Labels only fall, and every label that still has an
+    edge to another merges with one, so O(log n) rounds settle it.
+    """
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    label = np.arange(n)
+    while len(a):
+        lo, hi = label[a], label[b]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        cross = lo != hi
+        a, b = a[cross], b[cross]
+        label[hi[cross]] = lo[cross]
+        up = label[label]
+        # count_nonzero tests a small array faster than .any() does
+        while np.count_nonzero(up != label):
+            label, up = up, up[up]
+    return label
 
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(i) for i in range(n)]
+
+def _dense_fault(ids: list, n: int) -> str:
+    """Why ids are not 0..n-1: the first id out of range, else the first
+    id that repeats an earlier one, and the smallest missing one."""
+    outside = [nid for nid in ids if nid not in range(n)]
+    if outside:
+        return f"got {outside[0]!r}"
+    seen: set = set()
+    for nid in ids:
+        if nid in seen:
+            break
+        seen.add(nid)
+    missing = min(set(range(n)).difference(ids))
+    return f"{nid!r} is repeated and {missing} is missing"
+
+
+_NID, _COST, _POS = (operator.attrgetter(name)
+                     for name in ("nid", "cost", "pos"))
 
 
 @dataclass
 class Instance:
-    """Connectivity graph with per-node broadcast costs and unicast sessions."""
+    """Connectivity graph with per-node broadcast costs and unicast sessions.
+
+    Validation checks the node ids, then the nodes and the edges on
+    arrays, then the sessions, and reports the first faulty record in
+    order (nodes in id order).  A node's cost is checked before its
+    position; an edge for a self-loop, then a missing node, then an
+    earlier copy; a session for an id used before, its endpoints, source
+    = dest, its rate and then whether its endpoints share a component.
+    Edges are stored as (min, max) tuples.
+    """
 
     nodes: list[Node]
     edges: list[tuple[int, int]]
@@ -118,35 +164,18 @@ class Instance:
 
     def __post_init__(self):
         n = len(self.nodes)
-        ids = sorted(nd.nid for nd in self.nodes)
-        if ids != list(range(n)):
-            raise InstanceError(f"node ids must be dense 0..{n - 1}, got {ids}")
-        self.nodes = sorted(self.nodes, key=lambda nd: nd.nid)
-        for nd in self.nodes:
-            if not math.isfinite(nd.cost):
-                raise InstanceError(
-                    f"node {nd.nid} has non-finite cost {nd.cost}")
-            if nd.cost < 0.0:
-                raise InstanceError(f"node {nd.nid} has negative cost {nd.cost}")
-            if nd.pos is not None and len(nd.pos) != 2:
-                raise InstanceError(f"node {nd.nid} position must be 2-D")
-            if nd.pos is not None and not all(map(math.isfinite, nd.pos)):
-                raise InstanceError(
-                    f"node {nd.nid} has non-finite position {tuple(nd.pos)}")
-        seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
-        for a, b in self.edges:
-            if a == b:
-                raise InstanceError(f"edge ({a},{b}) is a self-loop")
-            if not (0 <= a < n and 0 <= b < n):
-                raise InstanceError(f"edge ({a},{b}) references a missing node")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise InstanceError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        self.edges = norm
-        labels = component_labels(n, self.edges)
+        ids = list(map(_NID, self.nodes))
+        if sorted(ids) != list(range(n)):
+            raise InstanceError(f"node ids must be dense 0..{n - 1}, "
+                                f"{_dense_fault(ids, n)}")
+        self.nodes = sorted(self.nodes, key=_NID)
+        self._check_nodes()
+        ends = edge_ends(self.edges)
+        lo, hi = self._check_edges(ends)
+        self.edges = list(zip(lo.tolist(), hi.tolist()))
+        # sessions number in the tens: a loop checks them faster than
+        # arrays would
+        labels = component_labels(n, ends).tolist() if self.sessions else []
         sids: set[str] = set()
         for s in self.sessions:
             if s.sid in sids:
@@ -169,6 +198,53 @@ class Instance:
                     s.sid,
                     f"source {s.source} and destination {s.dest} lie in "
                     f"different components")
+
+    def _check_nodes(self) -> None:
+        n = len(self.nodes)
+        cost = np.fromiter(map(_COST, self.nodes), float, n)
+        pos = [(0.0, 0.0) if p is None else p  # no position passes
+               for p in map(_POS, self.nodes)]
+        size = np.fromiter(map(len, pos), np.int64, n)
+        off = ~np.isfinite(np.fromiter(itertools.chain.from_iterable(pos),
+                                       float))
+        bad = ~(np.isfinite(cost) & (cost >= 0.0)) | (size != 2)
+        if np.count_nonzero(off):  # flag each node holding a non-finite one
+            bad[np.repeat(np.arange(n), size)[off]] = True
+        if not np.count_nonzero(bad):
+            return
+        nd = self.nodes[int(bad.argmax())]
+        if not math.isfinite(nd.cost):
+            raise InstanceError(f"node {nd.nid} has non-finite cost {nd.cost}")
+        if nd.cost < 0.0:
+            raise InstanceError(f"node {nd.nid} has negative cost {nd.cost}")
+        if len(nd.pos) != 2:
+            raise InstanceError(f"node {nd.nid} position must be 2-D")
+        raise InstanceError(
+            f"node {nd.nid} has non-finite position {tuple(nd.pos)}")
+
+    def _check_edges(self, ends: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of every edge; raise on the first faulty one."""
+        n = self.n
+        a, b = ends.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * n + hi
+        bad = (a == b) | (lo < 0) | (hi >= n)
+        if np.count_nonzero(key[1:] <= key[:-1]):  # else no key repeats
+            key[bad] = -1 - np.nonzero(bad)[0]  # so that a bad one repeats none
+            _, first = np.unique(key, return_index=True)
+            repeat = np.ones(len(key), dtype=bool)
+            repeat[first] = False
+            bad |= repeat
+        if np.count_nonzero(bad):
+            a, b = self.edges[int(bad.argmax())]
+            if a == b:
+                raise InstanceError(f"edge ({a},{b}) is a self-loop")
+            if not (0 <= a < n and 0 <= b < n):
+                raise InstanceError(f"edge ({a},{b}) references a missing "
+                                    f"node")
+            raise InstanceError(f"duplicate edge {(min(a, b), max(a, b))}")
+        return lo, hi
 
     @property
     def n(self) -> int:
@@ -284,22 +360,28 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     n = g.n_nodes
     indptr, nbr = g.indptr, g.indices
     deg = np.diff(indptr)
-    # every (v, w) in the neighbour list of every i, row-major per i
-    block = deg * deg
-    mid = np.repeat(np.arange(n, dtype=np.int64), block)
-    r = np.arange(len(mid)) - np.repeat(np.cumsum(block) - block, block)
-    d = deg[mid]
-    ew = indptr[mid] + r % d       # pair index of (i, w)
-    v, w = nbr[indptr[mid] + r // d], nbr[ew]
+    tails = np.repeat(np.arange(n, dtype=np.int64), deg)  # a of pair (a, b)
+    # pair (b, a) of each pair (a, b): the pairs sorted by (b, a), as the
+    # reversal is its own inverse (the keys are distinct)
+    rev = np.argsort(nbr * n + tails)
+    # pair (i, v) heads deg(i) candidates (v, i, w), one per pair (i, w),
+    # so candidates run by (i, v, w)
+    d = deg[tails]
+    first = np.cumsum(d) - d                   # first candidate of a pair
+    ev = np.repeat(np.arange(len(nbr)), d)     # pair (i, v)
+    ew = np.arange(len(ev)) - np.repeat(first - indptr[tails], d)  # (i, w)
+    v, w = nbr[ev], nbr[ew]
     keep = (v != w) & ((v < g.n_base) | (w < g.n_base))
-    mid, v, w, ew = mid[keep], v[keep], w[keep], ew[keep]
+    row = np.cumsum(keep) - 1                  # row of a kept candidate
+    v, w, ev, ew = v[keep], w[keep], ev[keep], ew[keep]
+    mid = tails[ev]
     key = (mid * n + v) * n + w
-    tail = pair_positions(indptr, nbr, v, mid)  # pair index of (v, i)
     cost = g.costs[mid]
     pair_fwd = np.nonzero(v < w)[0]
-    fv, fmid, fw = v[pair_fwd], mid[pair_fwd], w[pair_fwd]
-    pair_rev = np.searchsorted(key, (fmid * n + fw) * n + fv)
-    return TripleIndex(n, v, mid, w, key, tail, ew, cost, pair_fwd,
+    fv, fw = ev[pair_fwd], ew[pair_fwd]
+    # (w, i, v) is the candidate of pair (i, w) at v's place in i's list
+    pair_rev = row[first[fw] + fv - indptr[mid[pair_fwd]]]
+    return TripleIndex(n, v, mid, w, key, rev[ev], ew, cost, pair_fwd,
                        pair_rev, cost[pair_fwd])
 
 

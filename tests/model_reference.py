@@ -23,6 +23,12 @@ are the exact projection onto a coupled price pair and a FIFO
 label-correcting sweep, two independent routes to results the package
 computes in closed form or with a priority queue.
 
+The instance loader is here as the package had it before it read plain
+documents in bulk and checked them on arrays: each record converted on
+its own, then each record checked in a loop, components by union-find.
+It has the package's later rules for a record list that is not a list
+and for naming a bad node id, so every message must match.
+
 The rest reads results the package only computes: the triples of a
 TripleIndex as tuples, their rows and the rows of their reversals
 (triples_of, index_of, rev_of), one session's route as a path
@@ -46,7 +52,8 @@ from carpool import (FlowVector, PriceVector, SolveTrace,
                      TransmissionSummary, build_edge_graph,
                      build_expanded_graph, conservation_residual, edge_graph,
                      enumerate_triples, init_prices, subgradient_step)
-from carpool.model import InfeasibleSessionError, Instance, Node
+from carpool.model import (InfeasibleSessionError, Instance,
+                           InstanceError, Node, Session)
 from carpool.solver import NonFiniteError
 
 
@@ -199,6 +206,140 @@ def plain_routing_cost_reference(inst) -> tuple[float, list[list[int]]]:
         path.reverse()
         paths.append(path)
     return total, paths
+
+
+# ------------------------------------------------------ the instance loader
+
+def _node_id_reference(value) -> int:
+    nid = int(value)
+    if isinstance(value, bool) or nid != value:
+        raise ValueError(f"node id {value!r} is not an integer")
+    return nid
+
+
+def _number_reference(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _session_id_reference(value) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"session id {value!r} is not a string or an "
+                         f"integer")
+    return str(value)
+
+
+def instance_from_dict_reference(doc) -> Instance:
+    """An instance document read record by record, then checked record by
+    record, raising what cli.instance_from_dict raises.
+
+    A record list that is not a JSON list is refused as a whole; a node
+    id fault names the first id out of range, else the first repeated
+    and the smallest missing id; components come from a union-find.
+    """
+    where = "instance document"
+
+    def records(name: str):
+        nonlocal where
+        where = "instance document"
+        recs = doc[name]
+        where = name
+        if not isinstance(recs, list):
+            iter(recs)
+            raise TypeError(f"'{type(recs).__name__}' object is not a list")
+        for n, rec in enumerate(recs):
+            where = f"{name}[{n}]"
+            yield rec
+
+    nid, number = _node_id_reference, _number_reference
+    try:
+        nodes = [Node(nid(r["id"]), number(r["cost"]),
+                      tuple(number(x) for x in r["pos"]) if "pos" in r
+                      else None)
+                 for r in records("nodes")]
+        edges = [(nid(a), nid(b)) for a, b in records("edges")]
+        sessions = [Session(_session_id_reference(r["id"]),
+                            nid(r["source"]), nid(r["dest"]),
+                            number(r["rate"]))
+                    for r in records("sessions")]
+    except KeyError as exc:
+        raise InstanceError(f"{where} has no {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"malformed {where}: {exc}") from exc
+    check_instance_reference(nodes, edges, sessions)
+    return Instance(nodes, edges, sessions)
+
+
+def check_instance_reference(nodes, edges, sessions) -> None:
+    """Instance's checks, one record at a time."""
+    n = len(nodes)
+    ids = [nd.nid for nd in nodes]
+    if sorted(ids) != list(range(n)):
+        fault = None
+        for nid in ids:
+            if not 0 <= nid < n:
+                fault = f"got {nid!r}"
+                break
+        if fault is None:
+            seen: set[int] = set()
+            for nid in ids:
+                if nid in seen:
+                    break
+                seen.add(nid)
+            missing = min(i for i in range(n) if i not in ids)
+            fault = f"{nid!r} is repeated and {missing} is missing"
+        raise InstanceError(f"node ids must be dense 0..{n - 1}, {fault}")
+    for nd in sorted(nodes, key=lambda nd: nd.nid):
+        if not math.isfinite(nd.cost):
+            raise InstanceError(f"node {nd.nid} has non-finite cost {nd.cost}")
+        if nd.cost < 0.0:
+            raise InstanceError(f"node {nd.nid} has negative cost {nd.cost}")
+        if nd.pos is not None and len(nd.pos) != 2:
+            raise InstanceError(f"node {nd.nid} position must be 2-D")
+        if nd.pos is not None and not all(map(math.isfinite, nd.pos)):
+            raise InstanceError(
+                f"node {nd.nid} has non-finite position {tuple(nd.pos)}")
+    seen_edges: set[tuple[int, int]] = set()
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        if a == b:
+            raise InstanceError(f"edge ({a},{b}) is a self-loop")
+        if not (0 <= a < n and 0 <= b < n):
+            raise InstanceError(f"edge ({a},{b}) references a missing node")
+        key = (min(a, b), max(a, b))
+        if key in seen_edges:
+            raise InstanceError(f"duplicate edge {key}")
+        seen_edges.add(key)
+        parent[find(a)] = find(b)
+    sids: set[str] = set()
+    for s in sessions:
+        if s.sid in sids:
+            raise InstanceError(f"duplicate session id {s.sid!r}")
+        sids.add(s.sid)
+        if not (0 <= s.source < n):
+            raise InstanceError(f"session {s.sid} source {s.source} missing")
+        if not (0 <= s.dest < n):
+            raise InstanceError(f"session {s.sid} dest {s.dest} missing")
+        if s.source == s.dest:
+            raise InstanceError(
+                f"session {s.sid} has source = dest = {s.source}")
+        if not (s.rate > 0.0):
+            raise InstanceError(f"session {s.sid} rate must be > 0")
+        if not math.isfinite(s.rate):
+            raise InstanceError(
+                f"session {s.sid} has non-finite rate {s.rate}")
+        if find(s.source) != find(s.dest):
+            raise InfeasibleSessionError(
+                s.sid, f"source {s.source} and destination {s.dest} lie in "
+                       f"different components")
 
 
 # ----------------------------------------------------- the dense solve loop

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from carpool import (GeometricConfig, Instance, Session, SolverConfig, cli,
                      distributed, generate_geometric, model,
                      plain_routing_cost, run_distributed_solve, solve, solver)
+from model_reference import instance_from_dict_reference
 
 
 @pytest.fixture()
@@ -768,8 +769,9 @@ json_values = st.recursive(
     max_leaves=6)
 
 
-def mutate_one_member(doc, data):
-    """A copy of doc with one member anywhere replaced or deleted."""
+def mutate_one_member(doc, data, values=json_values):
+    """A copy of doc with one member anywhere replaced, by one of values,
+    or deleted."""
     doc = json.loads(json.dumps(doc))
     # walk down to a random container, then replace or delete one member
     parent, key = None, None
@@ -780,11 +782,11 @@ def mutate_one_member(doc, data):
         parent, key = node, data.draw(st.sampled_from(keys))
         node = parent[key]
     if parent is None:
-        doc = data.draw(json_values)
+        doc = data.draw(values)
     elif isinstance(parent, dict) and data.draw(st.booleans()):
         del parent[key]
     else:
-        parent[key] = data.draw(json_values)
+        parent[key] = data.draw(values)
     return doc
 
 
@@ -807,6 +809,102 @@ def test_solve_and_baseline_never_crash_on_a_mutated_instance(
         json.load(open(inst_path)), data)))
     assert cli.main(["solve", str(path), "--max-iters", "20"]) in (0, 1, 2)
     assert cli.main(["baseline", str(path)]) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def instance_docs(named):
+    """The JSON documents of relay3 and geo4."""
+    return [json.loads(json.dumps(cli.instance_to_dict(named[name])))
+            for name in ("relay3", "geo4")]
+
+
+def field_types(inst):
+    """The type of every field of an instance, record by record."""
+    return ([(type(nd.nid), type(nd.cost),
+              None if nd.pos is None else tuple(map(type, nd.pos)))
+             for nd in inst.nodes],
+            [tuple(map(type, e)) for e in inst.edges],
+            [(type(s.sid), type(s.source), type(s.dest), type(s.rate))
+             for s in inst.sessions])
+
+
+# small numbers, which land on ids, ends and costs that exist or nearly do
+near_values = (st.integers(-2, 30) | st.floats(-1.0, 31.0)
+               | st.sampled_from([math.inf, -math.inf, math.nan, True, 0.0,
+                                  2**63, -2**63 - 1, 10**20]))
+
+
+def mutate_numbers(doc, data):
+    """A copy of doc with one to three numbers of its records replaced by
+    near values: faults that only the instance's checks catch, and
+    their order."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        recs = doc[data.draw(st.sampled_from(["nodes", "edges",
+                                              "sessions"]))]
+        rec = recs[data.draw(st.integers(0, len(recs) - 1))]
+        key = data.draw(st.sampled_from(
+            range(2) if isinstance(rec, list) else list(rec)))
+        if key == "pos":
+            rec = rec["pos"]
+            key = data.draw(st.integers(0, 1))
+        rec[key] = data.draw(near_values)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_loader_equals_the_record_loop(instance_docs, data):
+    doc = data.draw(st.sampled_from(instance_docs))
+    if data.draw(st.booleans()):
+        doc = mutate_numbers(doc, data)
+    else:
+        doc = mutate_one_member(doc, data, data.draw(
+            st.sampled_from([json_values, near_values])))
+    results = []
+    for load in (cli.instance_from_dict, instance_from_dict_reference):
+        try:
+            results.append(load(json.loads(json.dumps(doc))))
+        except (model.InstanceError, model.InfeasibleSessionError) as exc:
+            results.append((type(exc), str(exc)))
+    got, want = results
+    assert got == want
+    if isinstance(want, Instance):
+        assert field_types(got) == field_types(want)
+
+
+@pytest.fixture(scope="module")
+def side15():
+    return generate_geometric(GeometricConfig(side=15.0, intensity=2.0,
+                                              sessions=16, seed=1))
+
+
+def test_plain_documents_take_no_record_path(named, side15, monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"per-record conversion of {value!r}")
+
+    monkeypatch.setattr(cli, "_node_id", refuse)
+    monkeypatch.setattr(cli, "_number", refuse)
+    for inst in [*named.values(), side15]:
+        doc = json.loads(json.dumps(cli.instance_to_dict(inst)))
+        got = cli.instance_from_dict(doc)
+        assert got == inst
+        assert field_types(got) == field_types(inst)
+
+
+@pytest.mark.parametrize("nid, message", [
+    (463, "node ids must be dense 0..462, got 463"),
+    (-1, "node ids must be dense 0..462, got -1"),
+    (7, "node ids must be dense 0..462, 7 is repeated and 40 is missing")])
+def test_a_bad_node_id_is_named(side15, tmp_path, capsys, nid, message):
+    doc = cli.instance_to_dict(side15)
+    assert len(doc["nodes"]) == 463
+    doc["nodes"][40]["id"] = nid
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    err = rejected(["solve", str(bad)], capsys)
+    assert err == message + "\n"
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("path, value, message", [
@@ -889,10 +987,15 @@ def _delete(path):
     (_set(["sessions", 0, "id"], ["s1"]),
      "malformed sessions[0]: session id ['s1'] is not a string or an "
      "integer"),
+    (_set(["nodes"], {"a": 1}), "malformed nodes: 'dict' object is not a list"),
+    (_set(["edges"], "01"), "malformed edges: 'str' object is not a list"),
+    (_set(["sessions"], {}),
+     "malformed sessions: 'dict' object is not a list"),
 ], ids=["inf-source", "nan-id", "inf-endpoint", "short-edge", "int-nodes",
         "no-rate", "no-edges", "fraction-source", "bool-dest",
         "fraction-endpoint", "text-id", "bool-rate", "text-rate", "text-cost",
-        "text-pos", "null-session-id", "list-session-id"])
+        "text-pos", "null-session-id", "list-session-id", "object-nodes",
+        "text-edges", "object-sessions"])
 def test_malformed_instance_names_the_element(relay3_path, tmp_path, capsys,
                                               mutate, message):
     bad = tmp_path / "bad.json"

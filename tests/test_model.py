@@ -1,18 +1,21 @@
 """Instance validation, node expansion, triples, conservation, costs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carpool import (FlowVector, InfeasibleSessionError, InstanceError,
-                     PriceVector, build_expanded_graph, conservation_residual,
-                     enumerate_triples, init_prices, total_cost,
+from carpool import (FlowVector, GeometricConfig, InfeasibleSessionError,
+                     InstanceError, PriceVector, build_expanded_graph,
+                     conservation_residual, enumerate_triples,
+                     generate_geometric, init_prices, total_cost,
                      transmission_summary)
 from carpool.model import (Instance, Node, Session, adjacency,
                            component_labels, ordered_pairs)
 from lp_reference import lp_optimum
-from model_reference import (adjacency_reference,
+from model_reference import (adjacency_reference, check_instance_reference,
                              conservation_residual_reference,
                              dense_aggregate, enumerate_triples_reference,
                              index_of, ordered_pairs_reference, residual_of,
@@ -281,6 +284,28 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
             np.array([want[p] for p in pairs]).tobytes()
 
 
+@pytest.mark.parametrize("side, intensity, sessions", [(15.0, 2.0, 16),
+                                                       (20.0, 1.5, 32)])
+def test_triples_equal_the_loop_reference_on_large_draws(side, intensity,
+                                                         sessions):
+    g = build_expanded_graph(generate_geometric(GeometricConfig(
+        side=side, intensity=intensity, sessions=sessions, seed=1)))
+    idx = enumerate_triples(g)
+    ref = enumerate_triples_reference(g)
+    n = g.n_nodes
+    pair_of = {pair: e for e, pair in enumerate(ordered_pairs_reference(g))}
+    want = {"key": (ref.mid * n + ref.v) * n + ref.w,
+            "tail": np.array([pair_of[v, i] for v, i, _ in ref.triples]),
+            "head": np.array([pair_of[i, w] for _, i, w in ref.triples])}
+    for name in ("v", "mid", "w", "cost", "pair_fwd", "pair_rev",
+                 "pair_cost"):
+        want[name] = getattr(ref, name)
+    assert len(idx) == len(ref.triples) > 10000
+    for name, b in want.items():
+        a = getattr(idx, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 # ------------------------------------------------- transmissions and costs
 
 def saving(agg, idx, summ, row):
@@ -437,6 +462,52 @@ def test_instance_rejects_malformed_inputs():
         unit_instance(2, [(0, 1)], [Session("s1", 0, 1, float("nan"))])
 
 
+BIG = 2**70  # no int64 holds it
+NODES3 = [Node(0, 1.0), Node(1, 1.0), Node(2, 1.0)]
+
+
+@pytest.mark.parametrize("nodes, edges, sessions", [
+    ([], [], [Session("s1", 0, 1, 1.0)]),
+    ([Node(0, 1.0)], [], [Session("s1", 0, BIG, 1.0)]),
+    ([Node(1, -1.0), Node(0, 1.0, (math.inf, 0.0))], [], []),
+    ([Node(1, 1.0), Node(0, -1.0, (1.0, 2.0, 3.0))], [], []),
+    ([Node(0, 1.0, (1.0, 2.0, 3.0)), Node(1, math.nan)], [], []),
+    ([Node(0, 1.0, (0.0, 0.0)), Node(1, 1.0, (0.0,)),
+      Node(2, 1.0, (math.nan, 0.0))], [], []),
+    ([Node(0, 1.0), Node(2, 1.0), Node(1, 1.0), Node(2, 1.0)], [], []),
+    ([Node(3, 1.0), Node(BIG, 1.0)], [], []),
+    (NODES3, [(0, 1), (2, 2), (0, 5)], []),
+    (NODES3, [(0, 1), (1, 0), (5, 0)], []),
+    (NODES3, [(0, 5), (1, 1)], []),
+    (NODES3, [(1, 2), (BIG, BIG), (BIG, BIG + 1)], []),
+    (NODES3, [(1, 2), (BIG + 1, BIG), (0, 0)], []),
+    (NODES3, [(1, 2), (2, 0), (0, 1), (1, 0)], []),
+    (NODES3, [(0, 1)], [Session("s1", 0, 1, 1.0), Session("s1", 0, 1, -1.0)]),
+    (NODES3, [(0, 1)], [Session("s1", 0, 2, 1.0), Session("s2", 0, 1, 0.0)]),
+    (NODES3, [(0, 1)], [Session("s1", 1, 0, math.inf),
+                        Session("s2", 0, 2, 1.0)]),
+    (NODES3, [(0, 1)], [Session("s1", 1, 1, math.nan),
+                        Session("s2", -1, 2, 1.0)]),
+    (NODES3, [(0, 1), (1, 2)], [Session("s1", 2, 0, 1.0),
+                                Session("s2", 0, 1, 1.0)]),
+])
+def test_instance_reports_the_first_fault_the_loops_report(nodes, edges,
+                                                            sessions):
+    try:
+        check_instance_reference(nodes, edges, sessions)
+        want = None
+    except (InstanceError, InfeasibleSessionError) as exc:
+        want = (type(exc), str(exc))
+    try:
+        inst = Instance(nodes, edges, sessions)
+        got = None
+    except (InstanceError, InfeasibleSessionError) as exc:
+        got = (type(exc), str(exc))
+    assert got == want
+    if want is None:
+        assert inst.edges == [(min(e), max(e)) for e in edges]
+
+
 def test_unreachable_session_names_itself():
     with pytest.raises(InfeasibleSessionError, match="s9 unreachable") as ei:
         unit_instance(4, [(0, 1), (2, 3)], [Session("s9", 0, 2, 1.0)])
@@ -448,6 +519,25 @@ def test_component_labels_partition():
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] == labels[4]
     assert labels[0] != labels[3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=40))))
+def test_component_labels_are_the_smallest_id_in_each_component(case):
+    n, edges = case
+    adj = adjacency_reference(n, edges)
+    want = [-1] * n
+    for root in range(n):  # flood fill from each unlabelled node, in order
+        stack = [root] if want[root] < 0 else []
+        while stack:
+            a = stack.pop()
+            if want[a] < 0:
+                want[a] = root
+                stack += adj[a]
+    assert component_labels(n, edges).tolist() == want
+    assert component_labels(0, []).tolist() == []
 
 
 def test_flow_vector_rejects_negative_entries():
