@@ -1,8 +1,8 @@
 /* Priced shortest routes for every session in one call.
  *
- * The graph is a CSR: the arcs leaving vertex u are arcs[bounds[u]] ..
- * arcs[bounds[u + 1] - 1], and arc k (0 <= k < m) runs to heads[k] at
- * weight w[k].  arcs has narcs entries.
+ * The arcs leaving vertex u are k = lo[u] .. hi[u] - 1, and arc k
+ * (0 <= k < m) runs to heads[k] at weight w[k].  The ranges need not be
+ * in vertex order, and may be empty or overlap.
  * Labels follow carpool.edge_graph._routes exactly: pop order
  * (dist, hops, vertex); a label is replaced on a strictly smaller
  * distance, or an equal distance with fewer hops; on an equal (dist,
@@ -27,9 +27,9 @@
  * that differs from it is bit b - 1.  A pop takes the lowest bucket
  * that is not empty, which a bitmask finds, makes its smallest key the
  * last key popped and moves the others to lower buckets.  Entries are
- * nodes of one pool of narcs + 1: each vertex is settled once and
- * relaxes its arcs once, so a session pushes at most once per arc, plus
- * its source.
+ * nodes of one pool of sum(hi - lo) + 1: each vertex is settled once
+ * and relaxes its range once, so a session pushes at most once per
+ * range entry, plus its source.
  *
  * Session t searches from src[t] to dst[t] (no early stop when dst[t]
  * is negative).  Its distance goes to qdist[t] and its arcs, source
@@ -41,9 +41,9 @@
  * Returns 0, or -1 when memory runs out, -2 when a weight is negative
  * (below -0.0: its keys could fall below the last one popped) or the
  * pushes outgrow the pool, -3 when the paths need more than cap rows,
- * -4 on a broken predecessor chain, -5 when an index of the CSR is out
- * of range or nv or narcs is 2^31 or more (hops and the vertex must fit
- * 32 bits each).
+ * -4 on a broken predecessor chain, -5 when lo[u] < 0, lo[u] > hi[u],
+ * hi[u] > m or a head is out of range, or nv or m is 2^31 or more (hops
+ * and the vertex must fit 32 bits each).
  */
 
 #include <math.h>
@@ -130,32 +130,31 @@ static double value(uint64_t u)
     return d;
 }
 
-int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
-                       const int64_t *arcs, int64_t m, const int64_t *heads,
-                       const double *w, int64_t ns, const int64_t *src,
-                       const int64_t *dst, double *dist, int64_t *hops,
-                       int64_t *pred, double *qdist, int64_t *start,
-                       int64_t *rows, int64_t cap)
+int64_t carpool_routes(int64_t nv, const int64_t *lo, const int64_t *hi,
+                       int64_t m, const int64_t *heads, const double *w,
+                       int64_t ns, const int64_t *src, const int64_t *dst,
+                       double *dist, int64_t *hops, int64_t *pred,
+                       double *qdist, int64_t *start, int64_t *rows,
+                       int64_t cap)
 {
     const int64_t limit = (int64_t)1 << 31;
-    int64_t used = 0, status = 0, *via;
+    int64_t used = 0, status = 0, in_ranges = 0, *via;
     radix_heap q;
-    if (nv >= limit || narcs >= limit)
+    if (nv >= limit || m >= limit)
         return -5;
-    for (int64_t u = 0; u < nv; u++)
-        if (bounds[u] < 0 || bounds[u] > bounds[u + 1]
-            || bounds[u + 1] > narcs)
+    for (int64_t u = 0; u < nv; u++) {
+        if (lo[u] < 0 || lo[u] > hi[u] || hi[u] > m)
             return -5;
-    for (int64_t j = 0; j < narcs; j++)
-        if (arcs[j] < 0 || arcs[j] >= m)
-            return -5;
+        in_ranges += hi[u] - lo[u];
+    }
     for (int64_t k = 0; k < m; k++)
         if (heads[k] < 0 || heads[k] >= nv)
             return -5;
     for (int64_t k = 0; k < m; k++)
         if (w[k] < 0.0)
             return -2;
-    q.pool = malloc((narcs + 1) * sizeof *q.pool);
+    q.pool = (uint64_t)in_ranges < SIZE_MAX / sizeof *q.pool
+             ? malloc((in_ranges + 1) * sizeof *q.pool) : NULL;
     via = malloc((nv + 1) * sizeof *via);
     if (!q.pool || !via) {
         status = -1;
@@ -183,11 +182,11 @@ int64_t carpool_routes(int64_t nv, const int64_t *bounds, int64_t narcs,
                 continue;
             if (u == stop)
                 break;
-            for (int64_t j = bounds[u]; j < bounds[u + 1]; j++) {
-                int64_t k = arcs[j], x = heads[k], nh = h + 1;
+            for (int64_t k = lo[u]; k < hi[u]; k++) {
+                int64_t x = heads[k], nh = h + 1;
                 double nd = d + w[k];
                 if (nd < dist[x] || (nd == dist[x] && nh < hops[x])) {
-                    if (pushed > narcs) {
+                    if (pushed > in_ranges) {
                         status = -2;
                         goto done;
                     }

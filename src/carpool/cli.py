@@ -641,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--builtin", help="named instance instead of random")
     gen.add_argument("--out", help="output path (default: stdout)")
-    gen.set_defaults(func=cmd_gen)
 
     sv = sub.add_parser("solve", help="run the certified coded solver")
     sv.add_argument("instance")
@@ -654,16 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="solve by neighbour-only message passing")
     sv.add_argument("--schedule", choices=["sync", "async"], default="sync")
     sv.add_argument("--schedule-seed", type=int, default=0)
-    sv.set_defaults(func=cmd_solve)
 
     bl = sub.add_parser("baseline", help="plain per-session routing cost")
     bl.add_argument("instance")
-    bl.set_defaults(func=cmd_baseline)
 
     ck = sub.add_parser("check", help="re-verify a solution file")
     ck.add_argument("instance")
     ck.add_argument("solution")
-    ck.set_defaults(func=cmd_check)
     return ap
 
 
@@ -678,8 +674,11 @@ def _setup_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    # looked up on every call: the parser is built once per process
+    command = {"gen": cmd_gen, "solve": cmd_solve, "baseline": cmd_baseline,
+               "check": cmd_check}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (InstanceError, InfeasibleSessionError, GenerationError,
             NonFiniteError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)

@@ -36,9 +36,9 @@ node i's, and the step size alpha, which is the same for the whole
 network.  So the elementwise step is every node's own computation, done
 side by side.
 
-Simulator.run is a deterministic event loop: synchronous rounds deliver
-all messages at once, the asynchronous mode activates nodes in a
-seeded-random order each round.  Either way every node acts every round.
+Simulator.run is a deterministic event loop: a synchronous round delivers
+all messages at once, an asynchronous one activates nodes in a seeded
+random order.  Either way only the nodes that have mail act.
 A message is a tuple (sender, receiver, session, vertex, value, hops),
 one kind per phase, and may only connect graph neighbours: relax checks
 each label offer it stages, send the flood seeds and flow notices.
@@ -112,9 +112,9 @@ class Simulator:
         self.stats = MessageStats()
         self.staging: list[tuple] = []
         # out[u]: (head vertex, triple row) of every arc leaving vertex u
-        arcs = list(zip(idx.head[h.order].tolist(), h.order.tolist()))
-        cuts = h.bounds.tolist()
-        self.out = [arcs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        arcs = list(zip(idx.head.tolist(), range(len(idx))))
+        self.out = [arcs[lo:hi] for lo, hi in zip(idx.out_lo.tolist(),
+                                                   idx.out_hi.tolist())]
         self.wts: list[float] = []  # price per triple, set per round
         self.routes: list[list[int]] = []  # per session, destination first
         # labels[t][vertex (i, j)]: (dist, hops, pred vertex, row of the

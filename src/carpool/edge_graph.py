@@ -9,8 +9,8 @@ is a lower bound on the coded optimum.
 
 Ties are broken by a total order on labels: smaller distance, then fewer
 arcs, then smaller predecessor vertex index; of two parallel arcs that
-tie, the first in CSR order carries the route.  The order makes every
-run reproducible and lets the message-passing solver reach
+tie, the first in its vertex's arc range carries the route.  The order
+makes every run reproducible and lets the message-passing solver reach
 bit-identical results.  With the arc count in the key, zero-price arcs
 cannot produce cyclic or ambiguous paths.
 
@@ -61,17 +61,15 @@ class EdgeGraph:
     Vertex u is the ordered pair vertices[u], which is pair u of the
     expanded graph's CSR, so session t routes from vertex g.src_pair[t]
     to g.dst_pair[t].  Triple k is the arc idx.tail[k] -> idx.head[k],
-    and the arcs leaving u are the triple rows order[bounds[u]:bounds[u +
-    1]], in triple order.  search is the route search of every session,
-    built by the first primal_subproblem call on the graph and reused by
-    later ones.  vertices is built on first read; the solve loop never
-    reads it.
+    and the arcs leaving u are the triple rows idx.out_lo[u] to
+    idx.out_hi[u] - 1, so the graph keeps no index of its own.  search is
+    the route search of every session, built by the first
+    primal_subproblem call on the graph and reused by later ones.
+    vertices is built on first read; the solve loop never reads it.
     """
 
     g: ExpandedGraph
     idx: TripleIndex
-    order: np.ndarray
-    bounds: np.ndarray
     search: RouteSearch | None = None
 
     @functools.cached_property
@@ -80,14 +78,11 @@ class EdgeGraph:
 
 
 def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
-    # arcs grouped by tail vertex, in triple order within each group
-    order = np.argsort(idx.tail, kind="stable")
-    bounds = np.searchsorted(idx.tail[order], np.arange(len(g.indices) + 1))
-    return EdgeGraph(g, idx, order, bounds)
+    return EdgeGraph(g, idx)
 
 
-def _routes(nv, bounds, narcs, arcs, m, heads, w, ns, src, dst, dist, hops,
-            pred, qdist, start, rows, cap) -> int:
+def _routes(nv, lo, hi, m, heads, w, ns, src, dst, dist, hops, pred, qdist,
+            start, rows, cap) -> int:
     """carpool_routes in Python, which runs when the kernel cannot be
     built or loaded: the same arguments, with arrays where the kernel
     takes addresses, the same buffers filled and the same status codes.
@@ -105,7 +100,7 @@ def _routes(nv, bounds, narcs, arcs, m, heads, w, ns, src, dst, dist, hops,
     """
     if (w < 0.0).any():
         return -2
-    bounds, arcs, heads, w = (a.tolist() for a in (bounds, arcs, heads, w))
+    lo, hi, heads, w = (a.tolist() for a in (lo, hi, heads, w))
     used = start[0] = 0
     for t in range(ns):
         s, stop = int(src[t]), int(dst[t])
@@ -119,7 +114,7 @@ def _routes(nv, bounds, narcs, arcs, m, heads, w, ns, src, dst, dist, hops,
             if u == stop:
                 break
             nh = h + 1
-            for k in arcs[bounds[u]:bounds[u + 1]]:
+            for k in range(lo[u], hi[u]):
                 x = heads[k]
                 nd = d + w[k]
                 if nd < d_of[x] or (nd == d_of[x] and nh < h_of[x]):
@@ -189,7 +184,7 @@ def bind_kernel(path):
     fn = ctypes.CDLL(str(path)).carpool_routes
     fn.restype = ctypes.c_int64
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, i64, ptr, i64, ptr, ptr, i64] + [ptr] * 8 + [i64]
+    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, i64] + [ptr] * 8 + [i64]
     return fn
 
 
@@ -234,17 +229,18 @@ def _carve(dtype, sizes: tuple[int, ...]
 
 
 class RouteSearch:
-    """Cheapest routes from src[t] to dst[t] on one CSR graph, at any
-    weights that are not negative.
+    """Cheapest routes from src[t] to dst[t] on one graph, at any weights
+    that are not negative.
 
-    The arcs leaving u are arcs[bounds[u]:bounds[u + 1]], and arc k runs
-    to heads[k].  Building the search checks the session ends, and the
-    CSR arrays' types and index ranges, once: a ValueError for a range
-    the kernel's status -5 would refuse, whichever search runs.  It also
-    allocates the output buffers and fixes every argument but the
-    weights, so that a call checks only the weights.  The search is the
-    compiled kernel fn, or _routes when fn is None; the kernel takes
-    addresses and _routes the arrays themselves.
+    The arcs leaving vertex u are the k with lo[u] <= k < hi[u], and arc
+    k runs to heads[k]; the ranges need not be in vertex order, and may
+    overlap or be empty.  Building the search checks the session ends,
+    and the arrays' types and index ranges, once: a ValueError naming
+    the array whose range the kernel's status -5 would refuse, whichever
+    search runs.  It also allocates the output buffers and fixes every
+    argument but the weights, so that a call checks only the weights.
+    The search is the compiled kernel fn, or _routes when fn is None; the
+    kernel takes addresses and _routes the arrays themselves.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
@@ -252,30 +248,27 @@ class RouteSearch:
     and pred hold the labels of the last session.
     """
 
-    def __init__(self, fn, bounds: np.ndarray, arcs: np.ndarray,
+    def __init__(self, fn, lo: np.ndarray, hi: np.ndarray,
                  heads: np.ndarray, src: list[int] | np.ndarray,
                  dst: list[int] | np.ndarray):
-        nv, ns, m = len(bounds) - 1, len(src), len(heads)
+        nv, ns, m = len(lo), len(src), len(heads)
         if len(dst) != ns or (ns and not (0 <= min(src) and max(src) < nv
                                           and max(dst) < nv)):
             raise ValueError("session end vertices out of range")
         i64 = np.dtype(np.int64)
-        csr = [_address(x, i64) for x in (bounds, arcs, heads)]
+        graph = [_address(x, i64) for x in (lo, hi, heads)]
         # the conditions of the kernel's status -5, checked here once so
         # that _routes is held to them too; read as unsigned, a negative
-        # index is out of range as well
-        u64 = np.uint64
-        for name, bad in (
-                ("size", max(nv, len(arcs)) >= 1 << 31),  # 32-bit keys
-                ("bounds", nv > 0 and (bounds[0] < 0 or bounds[-1] > len(arcs)
-                                       or (bounds[1:] < bounds[:-1]).any())),
-                ("arcs", (arcs.view(u64) >= m).any()),
-                ("heads", (heads.view(u64) >= nv).any())):
-            if bad:
-                raise ValueError(f"route search {name} out of range")
+        # head is out of range as well
+        bad = ("size" if max(nv, m) >= 1 << 31  # 32-bit keys
+               else "hi" if len(hi) != nv or (hi > m).any()
+               else "lo" if (lo < 0).any() or (lo > hi).any()
+               else "heads" if (heads.view(np.uint64) >= nv).any() else "")
+        if bad:
+            raise ValueError(f"route search {bad} out of range")
         self.fn, self.narcs = _routes if fn is None else fn, m
         # every array stays bound to self while the kernel may write it
-        self.csr = (bounds, arcs, heads)
+        self.graph = (lo, hi, heads)
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
         ints, (src_at, dst_at, hops_at, pred_at, start_at, rows_at) = \
             _carve(i64, (ns, ns, nv, nv, ns + 1, cap))
@@ -285,12 +278,12 @@ class RouteSearch:
         self.dist, self.qdist = reals
         self.ends[0][:], self.ends[1][:] = src, dst
         if fn is None:
-            args = [bounds, arcs, heads, *self.ends, self.dist, self.hops,
+            args = [lo, hi, heads, *self.ends, self.dist, self.hops,
                     self.pred, self.qdist, self.start, self.rows]
         else:  # the kernel takes addresses
-            args = csr + [src_at, dst_at, dist_at, hops_at, pred_at,
-                          qdist_at, start_at, rows_at]
-        self.before_wts = (nv, args[0], len(arcs), args[1], m, args[2])
+            args = graph + [src_at, dst_at, dist_at, hops_at, pred_at,
+                            qdist_at, start_at, rows_at]
+        self.before_wts = (nv, args[0], args[1], m, args[2])
         self.after_wts = (ns, *args[3:], cap)
 
     def __call__(self, wts: np.ndarray
@@ -319,11 +312,11 @@ def _negative_weight(wts: np.ndarray) -> ValueError:
                       "a route search needs weights >= 0")
 
 
-def route_search(bounds: np.ndarray, arcs: np.ndarray, heads: np.ndarray,
+def route_search(lo: np.ndarray, hi: np.ndarray, heads: np.ndarray,
                  src: list[int] | np.ndarray, dst: list[int] | np.ndarray
                  ) -> RouteSearch:
     """A RouteSearch on the compiled kernel, or on _routes without it."""
-    return RouteSearch(_load_kernel(), bounds, arcs, heads, src, dst)
+    return RouteSearch(_load_kernel(), lo, hi, heads, src, dst)
 
 
 def primal_subproblem(h: EdgeGraph, p: PriceVector
@@ -335,6 +328,6 @@ def primal_subproblem(h: EdgeGraph, p: PriceVector
     never exceeds the coded optimum.
     """
     if h.search is None:
-        h.search = route_search(h.bounds, h.order, h.idx.head, h.g.src_pair,
-                                h.g.dst_pair)
+        h.search = route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
+                                h.g.src_pair, h.g.dst_pair)
     return h.search(p.values)

@@ -145,7 +145,7 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
     """
     # arc e is entry e of the sorted adjacency lists
     bounds, heads = adjacency(inst.n, inst.edges)
-    search = route_search(bounds, np.arange(len(heads)), heads,
+    search = route_search(bounds[:-1], bounds[1:], heads,
                           [s.source for s in inst.sessions],
                           [s.dest for s in inst.sessions])
     dists, start, rows = search(np.repeat(inst.costs(), np.diff(bounds)))

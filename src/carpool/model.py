@@ -325,7 +325,9 @@ class TripleIndex:
     triple whose tail and head are both artificial can never carry flow
     (its end pairs have no inflow and no demand), so those are dropped to
     keep the index aligned with meaningful unknowns.  Triple k is the
-    edge-graph arc from pair tail[k] to pair head[k].
+    edge-graph arc from pair tail[k] to pair head[k].  The arcs leaving
+    pair u = (v, i) are its triples (v, i, w), rows out_lo[u]:out_hi[u];
+    the blocks run in (i, v) order, not pair order, and may be empty.
     """
 
     n_nodes: int
@@ -339,6 +341,8 @@ class TripleIndex:
     pair_fwd: np.ndarray     # triple rows with v < w, one per unordered pair
     pair_rev: np.ndarray     # row of (w, i, v) of each pair_fwd row
     pair_cost: np.ndarray
+    out_lo: np.ndarray       # first row of each pair's arcs
+    out_hi: np.ndarray       # one past the last row of each pair's arcs
 
     def __len__(self) -> int:
         return len(self.key)
@@ -372,7 +376,9 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     ew = np.arange(len(ev)) - np.repeat(first - indptr[tails], d)  # (i, w)
     v, w = nbr[ev], nbr[ew]
     keep = (v != w) & ((v < g.n_base) | (w < g.n_base))
-    row = np.cumsum(keep) - 1                  # row of a kept candidate
+    # ends[c] counts the kept candidates before c: c's row if c is kept
+    ends = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=ends[1:])
     v, w, ev, ew = v[keep], w[keep], ev[keep], ew[keep]
     mid = tails[ev]
     key = (mid * n + v) * n + w
@@ -380,9 +386,11 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     pair_fwd = np.nonzero(v < w)[0]
     fv, fw = ev[pair_fwd], ew[pair_fwd]
     # (w, i, v) is the candidate of pair (i, w) at v's place in i's list
-    pair_rev = row[first[fw] + fv - indptr[mid[pair_fwd]]]
+    pair_rev = ends[first[fw] + fv - indptr[mid[pair_fwd]]]
+    # the arcs leaving pair (v, i) are the kept candidates of pair (i, v)
     return TripleIndex(n, v, mid, w, key, rev[ev], ew, cost, pair_fwd,
-                       pair_rev, cost[pair_fwd])
+                       pair_rev, cost[pair_fwd], ends[first[rev]],
+                       ends[(first + d)[rev]])
 
 
 @dataclass

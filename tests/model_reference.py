@@ -31,11 +31,12 @@ and for naming a bad node id, so every message must match.
 
 The rest reads results the package only computes: the triples of a
 TripleIndex as tuples, their rows and the rows of their reversals
-(triples_of, index_of, rev_of), one session's route as a path
-(shortest_path, path_to_flow), the route a recovered flow settles on
-(dominant_path), the conservation residual of dense flow vectors
-(flow_entries, residual_of, worst_residual) and the dual-feasibility
-check of a price vector (validate_prices).
+(triples_of, index_of, rev_of), the arcs of each edge-graph vertex
+grouped by a sort instead of read as a range (arc_csr_reference), one
+session's route as a path (shortest_path, path_to_flow), the route a
+recovered flow settles on (dominant_path), the conservation residual of
+dense flow vectors (flow_entries, residual_of, worst_residual) and the
+dual-feasibility check of a price vector (validate_prices).
 """
 
 from __future__ import annotations
@@ -370,6 +371,16 @@ def rev_of(idx) -> np.ndarray:
     return np.searchsorted(idx.key, (idx.mid * n + idx.w) * n + idx.v)
 
 
+def arc_csr_reference(idx, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds): the triple rows grouped by tail pair by a stable
+    sort, as the edge graph indexed its arcs before it read the ranges
+    TripleIndex.out_lo and out_hi.  The arcs leaving pair u are
+    order[bounds[u]:bounds[u + 1]], in triple order."""
+    order = np.argsort(idx.tail, kind="stable")
+    bounds = np.searchsorted(idx.tail[order], np.arange(n_pairs + 1))
+    return order, bounds
+
+
 # ------------------------------------------------ one route, one flow
 
 @dataclass
@@ -383,8 +394,8 @@ class SessionPath:
 def shortest_path(h, p, t) -> SessionPath:
     """Cheapest priced route for session index t, searched alone."""
     src = int(h.g.src_pair[t])
-    search = edge_graph.route_search(h.bounds, h.order, h.idx.head, [src],
-                                     [int(h.g.dst_pair[t])])
+    search = edge_graph.route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
+                                     [src], [int(h.g.dst_pair[t])])
     dists, _, rows = search(np.ascontiguousarray(p.values, dtype=float))
     sid = h.g.base.sessions[t].sid
     if dists[0] == math.inf:
@@ -413,7 +424,7 @@ def dominant_path(h, x: FlowVector, t: int) -> SessionPath:
     trips: list[int] = []
     seen = [src]
     while u != dst:
-        arcs = h.order[h.bounds[u]:h.bounds[u + 1]]
+        arcs = np.arange(h.idx.out_lo[u], h.idx.out_hi[u])
         if not (len(arcs) and vals[arcs].max() > 0.0):
             raise ValueError(
                 f"session {x.session}: recovered flow dies out at "
@@ -623,21 +634,21 @@ def project_pairs_by_step(u1, u2, c) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------------------------------------ label-correcting labels
 
-def relaxation_labels(bounds: list[int], arcs: list[int], heads: list[int],
+def relaxation_labels(lo: list[int], hi: list[int], heads: list[int],
                       wts: list[float], src: int
                       ) -> tuple[list[float], list[int], list[int]]:
     """FIFO label-correcting sweep; same label order, no priority queue.
 
-    The graph is the CSR that the route search reads.  Kept as an
-    independent route to the same fixed point: the acceptance rule is
-    identical, only the work schedule differs.  The labels match the
-    route search's on the test cases, but not always: once a label
-    improves to a smaller distance with more hops, a neighbour whose
-    extension rounds to its current distance keeps its old predecessor,
-    as the message-passing twin does (see the strict xfail
-    test_twin_matches_solve_on_side8_draw3).
+    The graph is the one the route search reads: the arcs leaving u are
+    lo[u] to hi[u] - 1.  Kept as an independent route to the same fixed
+    point: the acceptance rule is identical, only the work schedule
+    differs.  The labels match the route search's on the test cases,
+    but not always: once a label improves to a smaller distance with
+    more hops, a neighbour whose extension rounds to its current
+    distance keeps its old predecessor, as the message-passing twin
+    does (see the strict xfail test_twin_matches_solve_on_side8_draw3).
     """
-    nv = len(bounds) - 1
+    nv = len(lo)
     dist = [math.inf] * nv
     hops = [0] * nv
     pred = [-1] * nv
@@ -649,7 +660,7 @@ def relaxation_labels(bounds: list[int], arcs: list[int], heads: list[int],
         u = queue.popleft()
         queued[u] = False
         d, hp = dist[u], hops[u]
-        for k in arcs[bounds[u]:bounds[u + 1]]:
+        for k in range(lo[u], hi[u]):
             vtx = heads[k]
             nd = d + wts[k]
             nh = hp + 1

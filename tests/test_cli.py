@@ -344,6 +344,27 @@ def test_baseline_lists_routes(relay3_path, capsys):
         "s2: 2 -> 1 -> 0 (cost 2)\n")
 
 
+@pytest.mark.parametrize("name", ["gen", "solve", "baseline", "check"])
+def test_main_calls_the_command_function_set_now(solved, monkeypatch, name):
+    """main finds cmd_<name> when it runs, not when the parser was first
+    built, so a wrapper put in its place after a first call runs."""
+    relay3_path, sol_path, _ = solved
+    argv = {"gen": ["gen", "--builtin", "relay3"], "solve": [
+        "solve", relay3_path, "--tol", "1e-4", "--max-iters", "2000"],
+        "baseline": ["baseline", relay3_path],
+        "check": ["check", relay3_path, sol_path]}[name]
+    assert cli.main(argv) == 0
+    original, calls = getattr(cli, f"cmd_{name}"), []
+
+    def counted(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, f"cmd_{name}", counted)
+    assert cli.main(argv) == 0
+    assert calls == [name]
+
+
 # ----------------------------------------------------------------- check
 
 def test_check_accepts_the_solvers_output(solved, capsys):

@@ -17,7 +17,7 @@ from carpool import (FlowVector, GenerationError, GeometricConfig,
 from carpool.edge_graph import RouteSearch, bind_kernel, build_kernel
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError
-from model_reference import (dominant_path, index_of,
+from model_reference import (arc_csr_reference, dominant_path, index_of,
                              ordered_pairs_reference, path_to_flow,
                              plain_routing_cost_reference, relaxation_labels,
                              rev_of, shortest_path, solve_reference,
@@ -68,10 +68,10 @@ def relay3_parts(relay3):
     return graph_parts(relay3)
 
 
-def python_labels(csr, wts, src, dst=-1):
+def python_labels(graph, wts, src, dst=-1):
     """The Python search's labels (dist, hops, pred) from src, read from
     the buffers of a one-session RouteSearch that stops at dst."""
-    search = RouteSearch(None, *csr, [src], [dst])
+    search = RouteSearch(None, *graph, [src], [dst])
     search(wts)
     return search.dist.tolist(), search.hops.tolist(), search.pred.tolist()
 
@@ -100,6 +100,33 @@ def test_arcs_are_exactly_the_triples(relay3_parts):
         assert h.vertices[idx.head[k]] == (i, w)
     assert [h.vertices[v] for v in g.src_pair] == [(3, 0), (5, 2)]
     assert [h.vertices[v] for v in g.dst_pair] == [(2, 4), (0, 6)]
+
+
+def assert_ranges_are_the_sorted_arcs(g, idx):
+    """Each pair's arc range holds the rows that a stable sort of the
+    tails groups under it, in the same order."""
+    n_pairs = len(g.indices)
+    order, bounds = arc_csr_reference(idx, n_pairs)
+    for a in (idx.out_lo, idx.out_hi):
+        assert a.dtype == np.int64 and a.flags.c_contiguous
+        assert a.shape == (n_pairs,)
+    for u, (lo, hi) in enumerate(zip(idx.out_lo.tolist(),
+                                     idx.out_hi.tolist())):
+        assert order[bounds[u]:bounds[u + 1]].tolist() == list(range(lo, hi))
+
+
+@pytest.mark.parametrize("name", ["relay3", "grid2", "grid2rate", "geo4",
+                                  "side15", "side20"])
+def test_arc_ranges_equal_the_sorted_arcs(name):
+    sizes = {"side15": (15.0, 2.0, 16), "side20": (20.0, 1.5, 32)}
+    if name in sizes:
+        side, intensity, sessions = sizes[name]
+        inst = generate_geometric(GeometricConfig(
+            side=side, intensity=intensity, sessions=sessions, seed=1))
+    else:
+        inst = builtin_instances()[name]
+    g, idx, _ = graph_parts(inst)
+    assert_ranges_are_the_sorted_arcs(g, idx)
 
 
 # ------------------------------------------------------------------- paths
@@ -215,10 +242,11 @@ def test_fifo_relaxation_matches_priority_labels():
         vals[idx.pair_fwd] = u
         vals[idx.pair_rev] = idx.pair_cost - u
         wts = vals.tolist()
-        csr = h.bounds.tolist(), h.order.tolist(), idx.head.tolist()
+        assert_ranges_are_the_sorted_arcs(g, idx)
+        graph = idx.out_lo.tolist(), idx.out_hi.tolist(), idx.head.tolist()
         for src in range(len(h.vertices)):
-            assert relaxation_labels(*csr, wts, src) == \
-                python_labels((h.bounds, h.order, idx.head), vals, src)
+            assert relaxation_labels(*graph, wts, src) == \
+                python_labels((idx.out_lo, idx.out_hi, idx.head), vals, src)
 
 
 # ------------------------------------------------------------ flow reading
@@ -296,22 +324,22 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
     ties = np.random.default_rng(12)
     for rng, n, edges in draws(11, 40):
         g, idx, h = graph_parts(unit_instance(n, edges))
-        csr = (h.bounds, h.order, idx.head)
+        graph = (idx.out_lo, idx.out_hi, idx.head)
         nv = len(h.vertices)
         for w, pick in ((random_weights(rng, len(idx)), rng),
                         (ties.choice(TIE_WEIGHTS, len(idx)), ties)):
             for src in range(nv):
                 # full tree
-                search = RouteSearch(kernel, *csr, [src], [-1])
+                search = RouteSearch(kernel, *graph, [src], [-1])
                 search(w)
-                dist, hops, pred = python_labels(csr, w, src)
+                dist, hops, pred = python_labels(graph, w, src)
                 assert search.dist.tobytes() == np.array(dist).tobytes()
                 assert search.hops.tolist() == hops
                 assert search.pred.tolist() == pred
                 # early stop at every destination
                 srcs, dsts = [src] * nv, list(range(nv))
-                qdist, start, rows = RouteSearch(kernel, *csr, srcs, dsts)(w)
-                ref_dist, ref_start, ref_rows = RouteSearch(None, *csr, srcs,
+                qdist, start, rows = RouteSearch(kernel, *graph, srcs, dsts)(w)
+                ref_dist, ref_start, ref_rows = RouteSearch(None, *graph, srcs,
                                                             dsts)(w)
                 assert qdist.tobytes() == ref_dist.tobytes()
                 for t in range(nv):
@@ -319,9 +347,9 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
                         ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
                 unreachable += int(np.isinf(qdist).sum())
                 dst = int(pick.integers(0, nv))
-                search = RouteSearch(kernel, *csr, [src], [dst])
+                search = RouteSearch(kernel, *graph, [src], [dst])
                 search(w)
-                dist, hops, pred = python_labels(csr, w, src, dst)
+                dist, hops, pred = python_labels(graph, w, src, dst)
                 assert search.dist.tobytes() == np.array(dist).tobytes()
                 assert search.hops.tolist() == hops
                 assert search.pred.tolist() == pred
@@ -416,27 +444,29 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
                                                                compiled):
     g, idx, h = graph_parts(builtin_instances()["grid2"])
     fn = kernel if compiled else None
-    csr = (h.bounds, h.order, idx.head)
-    nv = len(h.vertices)
+    lo, hi, heads = graph = (idx.out_lo, idx.out_hi, idx.head)
+    nv, m = len(h.vertices), len(idx)
     for src, dst in (([nv], [0]), ([-1], [0]), ([0], [nv]), ([0, 1], [2])):
         with pytest.raises(ValueError, match="session end"):
-            RouteSearch(fn, *csr, src, dst)
+            RouteSearch(fn, *graph, src, dst)
     with pytest.raises(TypeError, match="contiguous 1-d int64"):
-        RouteSearch(fn, h.bounds.astype(np.int32), h.order, idx.head, [0], [1])
+        RouteSearch(fn, lo.astype(np.int32), hi, heads, [0], [1])
     with pytest.raises(TypeError, match="contiguous 1-d int64"):
-        RouteSearch(fn, h.bounds, h.order, idx.head.reshape(1, -1),
-                    [0], [1])
+        RouteSearch(fn, lo, hi, heads.reshape(1, -1), [0], [1])
     # the ranges the kernel refuses with status -5, refused by both
-    for which, at, value in ((0, -1, len(h.order) + 1),  # past the arcs
-                             (0, 0, -1), (0, 5, h.bounds[4] - 1),
-                             (1, 3, len(idx.head)), (1, 0, -1),
-                             (2, 7, nv), (2, 0, -1)):
-        bad = [a.copy() for a in csr]
+    u = int(np.argmax(hi > lo))  # a vertex with arcs
+    for which, at, value, name in ((1, -1, m + 1, "hi"),  # past the arcs
+                                   (0, 0, -1, "lo"),
+                                   (0, u, hi[u] + 1, "lo"),  # lo > hi
+                                   (1, u, lo[u] - 1, "lo"),
+                                   (2, 7, nv, "heads"), (2, 0, -1, "heads")):
+        bad = [a.copy() for a in graph]
         bad[which][at] = value
-        name = ("bounds", "arcs", "heads")[which]
         with pytest.raises(ValueError, match=f"^route search {name} out "):
             RouteSearch(fn, *bad, [0], [1])
-    search = RouteSearch(fn, *csr, g.src_pair, g.dst_pair)
+    with pytest.raises(ValueError, match="^route search hi out "):
+        RouteSearch(fn, lo, hi[:-1].copy(), heads, [0], [1])  # short
+    search = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)
     w = init_prices(idx).values
     with pytest.raises(ValueError, match="weights for"):
         search(w[:-1])
@@ -449,7 +479,8 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     search(np.zeros_like(w))  # a later call leaves earlier results alone
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
     # a negative destination searches the whole graph: distance 0, no arcs
-    qdist, start, rows = RouteSearch(fn, *csr, list(range(nv)), [-1] * nv)(w)
+    qdist, start, rows = RouteSearch(fn, *graph, list(range(nv)),
+                                     [-1] * nv)(w)
     assert qdist.tolist() == [0.0] * nv
     assert start.tolist() == [0] * (nv + 1) and rows.size == 0
 
@@ -458,8 +489,8 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
 def test_kernel_failure_raises(kernel, compiled):
     g, idx, h = graph_parts(builtin_instances()["grid2"])
     fn = kernel if compiled else None
-    csr = [a.copy() for a in (h.bounds, h.order, idx.head)]
-    search = RouteSearch(fn, *csr, g.src_pair, g.dst_pair)
+    graph = [a.copy() for a in (idx.out_lo, idx.out_hi, idx.head)]
+    search = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)
     w = init_prices(idx).values.copy()
     _, start, rows = search(w)
     k = int(rows[start[0]])  # an arc of session 0's route
@@ -471,7 +502,7 @@ def test_kernel_failure_raises(kernel, compiled):
                        match=f"^weight -0.25 of arc {k} is negative; "):
         search(w)
     if compiled:  # the kernel checks the ranges again on every call
-        csr[0][-1] = len(h.order) + 1  # past the end of the arc list
+        graph[1][-1] = len(idx) + 1  # past the end of the arc list
         with pytest.raises(RuntimeError, match="status -5"):
             search(init_prices(idx).values)
 
@@ -481,12 +512,39 @@ def test_parallel_arcs_route_along_the_arc_that_set_the_label(kernel,
                                                               compiled):
     """Two arcs 0 -> 1: the route takes the one that set the label, and on
     a tie the first, which keeps the label."""
-    csr = (np.array([0, 2, 2]), np.array([0, 1]), np.array([1, 1]))
-    search = RouteSearch(kernel if compiled else None, *csr, [0], [1])
+    graph = (np.array([0, 2]), np.array([2, 2]), np.array([1, 1]))
+    search = RouteSearch(kernel if compiled else None, *graph, [0], [1])
     for wts, row in (([5.0, 1.0], 1), ([1.0, 1.0], 0)):
         qdist, start, rows = search(np.array(wts))
         assert (qdist.tolist(), start.tolist(), rows.tolist()) == \
             ([1.0], [0, 1], [row])
+
+
+def test_arc_blocks_out_of_vertex_order(kernel):
+    """The edge graph's layout: each vertex's arcs are one block of rows,
+    the blocks run in another order than the vertices, and a vertex may
+    have none.  Both searches give the same labels and routes on it."""
+    # rows 0-1 leave vertex 2, rows 2-4 vertex 0 and row 5 vertex 1;
+    # vertex 3 has none, and rows 2 and 3 are parallel arcs 0 -> 1
+    graph = (np.array([2, 5, 0, 6]), np.array([5, 6, 2, 6]),
+             np.array([3, 1, 1, 1, 2, 3]))
+    w = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+    for fn in (kernel, None):
+        qdist, start, rows = RouteSearch(fn, *graph, [0, 0, 2],
+                                         [1, 3, 3])(w)
+        assert qdist.tolist() == [1.0, 1.0, 1.0]
+        assert (start.tolist(), rows.tolist()) == ([0, 1, 3, 4], [2, 4, 0, 0])
+    rng = np.random.default_rng(5)
+    for w in [w, *rng.choice([0.0, 0.5, 1.0], (30, 6))]:
+        for src in range(4):
+            ends = [src] * 4, [0, 1, 2, 3]
+            got = RouteSearch(kernel, *graph, *ends)(w)
+            want = RouteSearch(None, *graph, *ends)(w)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            search = RouteSearch(kernel, *graph, [src], [-1])
+            search(w)
+            assert (search.dist.tolist(), search.hops.tolist(),
+                    search.pred.tolist()) == python_labels(graph, w, src)
 
 
 def test_kernel_is_portable_c(tmp_path):
