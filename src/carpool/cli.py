@@ -170,7 +170,8 @@ def _read_json(path: str, error: type[ValueError]):
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # deep nesting
+    # bad UTF-8, deep nesting, or an integer of over 4,300 digits
+    except (ValueError, RecursionError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
@@ -340,45 +341,36 @@ def _convert_each(recs: list, where: str, key: str, convert,
     return out
 
 
-def _numbers(recs: list, where: str, key: str) -> np.ndarray:
-    """rec[key] of every record as floats; a bool or a string is refused."""
+def _column(recs: list, where: str, key: str, ids: int = 0) -> np.ndarray:
+    """rec[key] of every record: floats when ids is 0, otherwise int64
+    node ids, a single one per record when ids is 1 and a list of ids
+    when it is more.  A bool or a string is refused, and so is a fraction
+    as a node id."""
+    shape = (ids,) if ids > 1 else ()
+    dtype = np.int64 if ids else float
     try:
         raw = [rec[key] for rec in recs]
-        # numpy reads bools and numeric strings, so the fast path takes
-        # only plain JSON numbers
-        if set(map(type, raw)) <= {int, float}:
-            return np.array(raw, dtype=float)
-    except (KeyError, TypeError, OverflowError):
-        pass
-    return np.array(_convert_each(recs, where, key, _number, "a number"),
-                    dtype=float)
-
-
-def _node_ids(recs: list, where: str, key: str,
-              shape: tuple[int, ...] = ()) -> np.ndarray:
-    """rec[key] of every record as int64 node ids of the given shape."""
-    full = (len(recs),) + shape
-    try:
-        raw = [rec[key] for rec in recs]
-        ids = np.array(raw, dtype=np.int64)
-        # numpy truncates fractions and reads bools and digit strings, so
-        # the fast path takes only plain JSON integers
         flat = itertools.chain.from_iterable(raw) if shape else raw
-        if ids.shape == full and set(map(type, flat)) <= {int}:
-            return ids
+        # numpy truncates fractions and reads bools and numeric strings,
+        # so the bulk path takes only plain JSON numbers
+        if set(map(type, flat)) <= ({int} if ids else {int, float}):
+            out = np.array(raw, dtype=dtype)
+            if out.shape == (len(recs),) + shape:
+                return out
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
 
-    def convert(value) -> np.ndarray:
-        ids = np.array([_node_id(x) for x in value] if shape
+    def node_ids(value) -> np.ndarray:
+        out = np.array([_node_id(x) for x in value] if shape
                        else _node_id(value), dtype=np.int64)
-        if ids.shape != shape:
-            raise ValueError(f"shape {ids.shape}")
-        return ids
+        if out.shape != shape:
+            raise ValueError(f"shape {out.shape}")
+        return out
 
-    return np.array(_convert_each(recs, where, key, convert,
-                                  "three node ids" if shape else "a node id"),
-                    dtype=np.int64).reshape(full)
+    convert, what = ((node_ids, "three node ids" if shape else "a node id")
+                     if ids else (_number, "a number"))
+    return np.array(_convert_each(recs, where, key, convert, what),
+                    dtype=dtype).reshape((len(recs),) + shape)
 
 
 def solution_from_dict(doc) -> SolutionDoc:
@@ -404,15 +396,15 @@ def solution_from_dict(doc) -> SolutionDoc:
             raise SolutionError(f"session {sid}: record has no 'flows'")
         where = f"session {sid} flows"
         ents = _records(rec, "flows", where)
-        flows[sid] = (_node_ids(ents, where, "triple", (3,)),
-                      _numbers(ents, where, "value"))
+        flows[sid] = (_column(ents, where, "triple", 3),
+                      _column(ents, where, "value"))
     pairs = _records(doc, "pair_transmissions", "pair_transmissions")
-    pair_ids = np.stack([_node_ids(pairs, "pair_transmissions", key)
+    pair_ids = np.stack([_column(pairs, "pair_transmissions", key, 1)
                          for key in ("v", "mid", "w")], axis=1)
-    y = _numbers(pairs, "pair_transmissions", "y")
+    y = _column(pairs, "pair_transmissions", "y")
     nodes = _records(doc, "node_transmissions", "node_transmissions")
-    node_ids = _node_ids(nodes, "node_transmissions", "node")
-    z = _numbers(nodes, "node_transmissions", "z")
+    node_ids = _column(nodes, "node_transmissions", "node", 1)
+    z = _column(nodes, "node_transmissions", "z")
     costs = []
     for name in ("expanded_cost", "physical_cost", "routing_cost"):
         value = doc.get(name)
@@ -422,6 +414,32 @@ def solution_from_dict(doc) -> SolutionDoc:
             raise SolutionError(f"{name}: {value!r} is not a number") \
                 from None
     return SolutionDoc(flows, pair_ids, y, node_ids, z, *costs)
+
+
+def _compare_stated(problems: list[str], at: np.ndarray, stated: np.ndarray,
+                    want: np.ndarray, sym: str, lead: str, stated_name,
+                    entry_name, note: str = "") -> None:
+    """Compare each stated value j with want[at[j]] on its own, where at[j]
+    is -1 for a record that names no entry, and flag every nonzero entry
+    that no record states: an unstated value reads as 0.  lead and the
+    name of a record or an entry open its message; note ends a message
+    whose stated value is below the recomputed one."""
+    known = at >= 0
+    given = np.zeros(len(stated))
+    given[known] = want[at[known]]
+    for j in np.nonzero(~known | (stated != given))[0].tolist():
+        if not known[j]:
+            problems.append(
+                f"transmissions stated for unknown {stated_name(j)}")
+        else:
+            s, w = float(stated[j]), float(given[j])
+            problems.append(f"{lead}{stated_name(j)}: stated {sym}={s!r}, "
+                            f"flows give {w!r}{note if s < w else ''}")
+    unstated = want.copy()
+    unstated[at[known]] = 0.0
+    for e in np.nonzero(unstated)[0].tolist():
+        problems.append(f"{lead}{entry_name(e)}: no {sym} stated, flows "
+                        f"give {float(unstated[e])!r}")
 
 
 def cmd_gen(args) -> int:
@@ -564,46 +582,21 @@ def cmd_check(args) -> int:
     agg = np.bincount(rows, weights=vals, minlength=len(idx))
     summary = transmission_summary(agg, g, idx)
     # pair row of each triple row; row -1, an unknown triple, maps to -1
+    fwd = idx.pair_fwd
     row_of = np.full(len(idx) + 1, -1)
-    row_of[idx.pair_fwd] = np.arange(len(idx.pair_fwd))
-    # each stated y is compared on its own; an unstated one reads as 0
-    stated_rows = row_of[idx.rows(doc.pairs)]
-    known = stated_rows >= 0
-    want_y = np.zeros(len(doc.y))
-    want_y[known] = summary.y[stated_rows[known]]
-    for j in np.nonzero(~known | (doc.y != want_y))[0].tolist():
-        key = tuple(doc.pairs[j].tolist())
-        if not known[j]:
-            problems.append(f"transmissions stated for unknown pair {key}")
-        else:
-            stated, want = float(doc.y[j]), float(want_y[j])
-            note = " (session flows through the pair exceed its y)" \
-                if stated < want else ""
-            problems.append(f"transmissions for pair {key}: stated "
-                            f"y={stated!r}, flows give {want!r}{note}")
-    unstated = summary.y.copy()
-    unstated[stated_rows[known]] = 0.0
-    for row in np.nonzero(unstated)[0].tolist():
-        kf = int(idx.pair_fwd[row])
-        key = (int(idx.v[kf]), int(idx.mid[kf]), int(idx.w[kf]))
-        problems.append(f"transmissions for pair {key}: no y stated, "
-                        f"flows give {float(unstated[row])!r}")
-    # z is stated for physical nodes only; an unstated one reads as 0
+    row_of[fwd] = np.arange(len(fwd))
+    _compare_stated(
+        problems, row_of[idx.rows(doc.pairs)], doc.y, summary.y, "y",
+        "transmissions for ",
+        lambda j: "pair (%d, %d, %d)" % tuple(doc.pairs[j]),
+        lambda e: "pair (%d, %d, %d)" % (idx.v[fwd[e]], idx.mid[fwd[e]],
+                                         idx.w[fwd[e]]),
+        " (session flows through the pair exceed its y)")
+    # z is stated for physical nodes only
     known = (doc.nodes >= 0) & (doc.nodes < g.n_base)
-    want_z = np.zeros(len(doc.nodes))
-    want_z[known] = summary.z[doc.nodes[known]]
-    for j in np.nonzero(~known | (doc.z != want_z))[0].tolist():
-        i = int(doc.nodes[j])
-        if not known[j]:
-            problems.append(f"transmissions stated for unknown node {i}")
-        else:
-            problems.append(f"node {i}: stated z={float(doc.z[j])!r}, "
-                            f"flows give {float(want_z[j])!r}")
-    unstated = summary.z[:g.n_base].copy()
-    unstated[doc.nodes[known]] = 0.0
-    for i in np.nonzero(unstated)[0].tolist():
-        problems.append(f"node {i}: no z stated, flows give "
-                        f"{float(unstated[i])!r}")
+    _compare_stated(problems, np.where(known, doc.nodes, -1), doc.z,
+                    summary.z[:g.n_base], "z", "",
+                    lambda j: f"node {int(doc.nodes[j])}", "node {}".format)
 
     expanded, physical = total_cost(summary, g)
     for name, stated, want in (("expanded_cost", doc.expanded_cost, expanded),

@@ -206,26 +206,11 @@ def _load_kernel():
     return fn
 
 
-def _address(a: np.ndarray, dtype) -> int:
-    """The data address of a, which must be 1-d and C-contiguous."""
+def _check_array(a: np.ndarray, dtype) -> None:
+    """Refuse a unless it is a 1-d, C-contiguous array of dtype."""
     if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous:
         raise TypeError(f"kernel argument must be a contiguous 1-d {dtype} "
                         f"array, got {a.dtype} of shape {a.shape}")
-    return a.ctypes.data
-
-
-def _carve(dtype, sizes: tuple[int, ...]
-           ) -> tuple[list[np.ndarray], list[int]]:
-    """Consecutive 1-d buffers of the given sizes, cut from one new block
-    of dtype, and their addresses: one address lookup for them all."""
-    block = np.empty(sum(sizes), dtype=dtype)
-    base, at = block.ctypes.data, 0
-    bufs, addresses = [], []
-    for size in sizes:
-        bufs.append(block[at:at + size])
-        addresses.append(base + at * block.itemsize)
-        at += size
-    return bufs, addresses
 
 
 class RouteSearch:
@@ -237,10 +222,12 @@ class RouteSearch:
     overlap or be empty.  Building the search checks the session ends,
     and the arrays' types and index ranges, once: a ValueError naming
     the array whose range the kernel's status -5 would refuse, whichever
-    search runs.  It also allocates the output buffers and fixes every
-    argument but the weights, so that a call checks only the weights.
-    The search is the compiled kernel fn, or _routes when fn is None; the
-    kernel takes addresses and _routes the arrays themselves.
+    search runs.  It also copies src and dst, allocates one array per
+    output buffer and fixes every argument but the weights, so that a call
+    checks only the weights.  The eleven arrays are one list, arrays; the
+    search is _routes, which takes them as they are, when fn is None, and
+    otherwise the compiled kernel fn, which takes their addresses while
+    the list keeps them alive.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
@@ -256,7 +243,8 @@ class RouteSearch:
                                           and max(dst) < nv)):
             raise ValueError("session end vertices out of range")
         i64 = np.dtype(np.int64)
-        graph = [_address(x, i64) for x in (lo, hi, heads)]
+        for x in (lo, hi, heads):
+            _check_array(x, i64)
         # the conditions of the kernel's status -5, checked here once so
         # that _routes is held to them too; read as unsigned, a negative
         # head is out of range as well
@@ -267,22 +255,16 @@ class RouteSearch:
         if bad:
             raise ValueError(f"route search {bad} out of range")
         self.fn, self.narcs = _routes if fn is None else fn, m
-        # every array stays bound to self while the kernel may write it
-        self.graph = (lo, hi, heads)
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
-        ints, (src_at, dst_at, hops_at, pred_at, start_at, rows_at) = \
-            _carve(i64, (ns, ns, nv, nv, ns + 1, cap))
-        reals, (dist_at, qdist_at) = _carve(F64, (nv, ns))
-        self.ends = ints[:2]
-        self.hops, self.pred, self.start, self.rows = ints[2:]
-        self.dist, self.qdist = reals
-        self.ends[0][:], self.ends[1][:] = src, dst
-        if fn is None:
-            args = [lo, hi, heads, *self.ends, self.dist, self.hops,
-                    self.pred, self.qdist, self.start, self.rows]
-        else:  # the kernel takes addresses
-            args = graph + [src_at, dst_at, dist_at, hops_at, pred_at,
-                            qdist_at, start_at, rows_at]
+        self.dist, self.qdist = np.empty(nv), np.empty(ns)
+        self.hops, self.pred, self.start, self.rows = (
+            np.empty(size, dtype=i64) for size in (nv, nv, ns + 1, cap))
+        # bound to self, as the kernel reads and writes them by address
+        self.arrays = [lo, hi, heads, np.array(src, dtype=i64),
+                       np.array(dst, dtype=i64), self.dist, self.hops,
+                       self.pred, self.qdist, self.start, self.rows]
+        args = (self.arrays if fn is None
+                else [a.ctypes.data for a in self.arrays])
         self.before_wts = (nv, args[0], args[1], m, args[2])
         self.after_wts = (ns, *args[3:], cap)
 
@@ -293,9 +275,9 @@ class RouteSearch:
         has distance inf and no arcs."""
         if len(wts) != self.narcs:
             raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
-        address = _address(wts, F64)
+        _check_array(wts, F64)
         status = self.fn(*self.before_wts,
-                         wts if self.fn is _routes else address,
+                         wts if self.fn is _routes else wts.ctypes.data,
                          *self.after_wts)
         if status == -2:
             raise _negative_weight(wts)

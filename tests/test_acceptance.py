@@ -10,9 +10,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from carpool import (build_edge_graph, build_expanded_graph, cli,
-                     enumerate_triples, plain_routing_cost)
+from carpool import (GenerationError, GeometricConfig, SolverConfig,
+                     build_edge_graph, build_expanded_graph, cli,
+                     enumerate_triples, generate_geometric,
+                     plain_routing_cost, solve)
 from carpool.model import Instance, Session
 
 from lp_reference import lp_optimum
@@ -206,3 +210,24 @@ def test_reference_lp_brackets_certified_runs(named, relay3_run, grid2_run,
         assert sol.expanded_cost >= opt.expanded - 1e-9, name
         assert sol.expanded_cost - opt.expanded <= \
             absolute_gap(sol, trace) + 1e-9, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.floats(4.0, 6.0), sessions=st.integers(1, 3),
+       seed=st.integers(0, 10**6))
+def test_reference_lp_brackets_random_draws(side, sessions, seed):
+    """best dual bound <= LP optimum <= recovered cost on small geometric
+    draws, certified or not.  Either side may be met with equality, and
+    the LP solver meets its constraints only to 1e-7, so its optimum is
+    trusted to 1e-7 of the costs' scale."""
+    try:
+        inst = generate_geometric(GeometricConfig(side=side,
+                                                  sessions=sessions,
+                                                  seed=seed))
+    except GenerationError:  # too few nodes, or no pair for a session
+        reject()
+    sol, trace = solve(inst, SolverConfig(tol=1e-2))
+    opt = lp_optimum(inst).expanded
+    slack = 1e-7 * max(1.0, abs(opt))
+    assert trace.best_bounds[-1] <= opt + slack
+    assert opt <= sol.expanded_cost + slack

@@ -6,7 +6,9 @@ function, method and class the package defines.  A function that only
 tests call belongs in the tests (model_reference.py), not in carpool.
 Every field of the graph structures (ExpandedGraph, TripleIndex,
 EdgeGraph) must be read by the package too: a field that only tests
-read is an array that every graph build stores for nothing.
+read is an array that every graph build stores for nothing.  Every
+module-level import of a module but __init__ must be read in it, as no
+linter runs on the package.
 """
 
 import ast
@@ -59,6 +61,21 @@ def defined_names() -> set[str]:
                                                 and node.name.endswith("__"))}
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names that the module at path imports at its top level, other than
+    from __future__, and never reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, ast.Import) or (
+                 isinstance(node, ast.ImportFrom)
+                 and node.module != "__future__")
+             for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
 def test_every_export_is_used_inside_the_package():
     exported = exported_names()
     assert "solve" in exported and "plain_routing_cost" in exported
@@ -78,3 +95,11 @@ def test_every_graph_field_is_read_inside_the_package():
         fields = [f.name for f in dataclasses.fields(cls)]
         assert [name for name in fields if name not in read] == [], \
             cls.__name__
+
+
+def test_every_module_import_is_used():
+    modules = [p for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"]
+    assert {p.name for p in modules} >= {"cli.py", "edge_graph.py"}
+    assert {p.name: unused_imports(p) for p in modules} == \
+        {p.name: [] for p in modules}

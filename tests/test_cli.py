@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -561,6 +562,30 @@ def test_unreadable_files_are_named(tmp_path, relay3_path, solved, capsys):
             (["check", relay3_path, str(latin)], not_utf8),
             (["check", relay3_path, str(deep)], too_deep)):
         assert rejected(argv, capsys).startswith(message)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="integer string conversion is unlimited")
+def test_an_overlong_integer_names_its_file(tmp_path, relay3_path, solved,
+                                            capsys):
+    """json.load refuses an integer literal longer than the interpreter's
+    digit limit with a plain ValueError: the file is named all the same."""
+    _, sol_path, _ = solved
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 700)
+    inst, sol = tmp_path / "long_cost.json", tmp_path / "long_gap.json"
+    doc = json.loads(Path(relay3_path).read_text())
+    doc["nodes"][0]["cost"] = "LONG"
+    inst.write_text(json.dumps(doc).replace('"LONG"', digits))
+    doc = json.loads(Path(sol_path).read_text())
+    doc["gap"] = "LONG"
+    sol.write_text(json.dumps(doc).replace('"LONG"', digits))
+    for argv, path in ((["solve", str(inst)], inst),
+                       (["baseline", str(inst)], inst),
+                       (["check", relay3_path, str(sol)], sol)):
+        assert rejected(argv, capsys).startswith(
+            f"cannot read {path}: Exceeds the limit ({limit} digits) for "
+            f"integer string conversion")
 
 
 def test_unwritable_outputs_are_named(tmp_path, relay3_path, capsys):

@@ -1,5 +1,6 @@
 """Edge-graph construction, priced shortest paths, primal sub-problem."""
 
+import gc
 import shutil
 import subprocess
 from pathlib import Path
@@ -505,6 +506,31 @@ def test_kernel_failure_raises(kernel, compiled):
         graph[1][-1] = len(idx) + 1  # past the end of the arc list
         with pytest.raises(RuntimeError, match="status -5"):
             search(init_prices(idx).values)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_route_search_keeps_its_arrays_alive(kernel, compiled):
+    """A search built from arrays and lists that nothing else holds gives
+    the bits of one built on arrays the caller keeps, even after a
+    collection and new arrays of every size it allocated or copied: the
+    search holds each array whose address the kernel writes or reads."""
+    g, idx, _ = graph_parts(builtin_instances()["grid2"])
+    fn = kernel if compiled else None
+    graph = (idx.out_lo, idx.out_hi, idx.head)
+    held = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)
+    alone = RouteSearch(fn, *(a.copy() for a in graph), g.src_pair.tolist(),
+                        g.dst_pair.tolist())
+    gc.collect()
+    nv, ns = len(idx.out_lo), len(g.src_pair)
+    sizes = {len(idx.head), nv, ns, ns + 1, ns * (nv - 1)}
+    filler = [np.full(size, fill, dtype)
+              for size in sizes for fill, dtype in ((-7, np.int64),
+                                                    (-7.5, np.float64))]
+    w = init_prices(idx).values
+    assert [a.tobytes() for a in alone(w)] == [a.tobytes() for a in held(w)]
+    assert [a.tobytes() for a in (alone.dist, alone.hops, alone.pred)] == \
+        [a.tobytes() for a in (held.dist, held.hops, held.pred)]
+    assert all((a == a.flat[0]).all() for a in filler)  # nothing wrote them
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
