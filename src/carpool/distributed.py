@@ -36,9 +36,15 @@ node i's, and the step size alpha, which is the same for the whole
 network.  So the elementwise step is every node's own computation, done
 side by side.
 
-Simulator.run is a deterministic event loop: a synchronous round delivers
-all messages at once, an asynchronous one activates nodes in a seeded
-random order.  Either way only the nodes that have mail act.
+Simulator.run is a deterministic event loop.  Each round activates the
+nodes that hold mail when it starts, once each and no other node: a
+synchronous round in id order, each node reading the mail sent before
+the round; an asynchronous one in a seeded shuffle of that list, where
+a node also reads mail sent earlier in the round, and mail for a node
+already activated or not listed waits for the next round.  Any fair
+order reaches the same labels (totally asynchronous iterations,
+Bertsekas and Tsitsiklis 1989, ch. 6) but for the rounding tie above,
+so the schedule decides only the traffic.
 A message is a tuple (sender, receiver, session, vertex, value, hops),
 one kind per phase, and may only connect graph neighbours: relax checks
 each label offer it stages, send the flood seeds and flow notices.
@@ -76,6 +82,12 @@ class QuiescenceError(RuntimeError):
 
 @dataclass
 class SimSchedule:
+    """How Simulator.run orders a round's activations.  Either mode
+    activates only the nodes holding mail when the round starts.  "sync"
+    takes them in id order and delivers the round's mail after it;
+    "async" shuffles them with random.Random(seed) and delivers each
+    message at once, so a node later in the round reads it."""
+
     mode: str = "sync"  # "sync" or "async"
     seed: int = 0
 
@@ -121,6 +133,7 @@ class Simulator:
         # triple pred -> vertex) or None, held by node i; reset per flood
         self.labels: list[list] = [[] for _ in g.base.sessions]
         self.inbox: list[list[tuple]] = [[] for _ in range(g.n_nodes)]
+        self.waiting: list[int] = []  # the nodes whose inbox holds mail
         self.schedule = schedule or SimSchedule()
         self.rng = random.Random(self.schedule.seed)
         self.max_rounds = 2 * len(g.indices) + 16  # per phase
@@ -138,50 +151,46 @@ class Simulator:
             self.stats.bytes_estimate += FLOW_BYTES
         self.staging.append(msg)
 
+    def _post(self) -> None:
+        """Move the staged messages to their receivers' inboxes; a node
+        whose inbox was empty joins the waiting list."""
+        inbox, waiting = self.inbox, self.waiting
+        for msg in self.staging:
+            box = inbox[msg[1]]
+            if not box:
+                waiting.append(msg[1])
+            box.append(msg)
+        self.staging = []
+
     def run(self, handle) -> None:
         """Deliver and process until nothing moves.  A phase carries one
         kind of message, and handle(nid, batch) processes a batch of it
-        at node nid."""
+        at node nid.  A round activates the nodes that hold mail when it
+        starts, in id order or, async, in a seeded shuffle of that order."""
         inbox = self.inbox
         rounds = 0
         sync = self.schedule.mode == "sync"
-        order = list(range(len(inbox)))
-        # a sync round empties every inbox it delivers to
-        while self.staging or (not sync and any(inbox)):
+        self._post()
+        while self.waiting:
             rounds += 1
             if rounds > self.max_rounds:
                 kind = "label" if handle == self.relax else "flow"
                 raise QuiescenceError(sorted(
                     {(kind, m[2], self.vertices[m[3]])
-                     for batch in (self.staging, *inbox) for m in batch}))
-            pending, self.staging = self.staging, []
-            if sync:  # visit the nodes that get mail, in id order
-                visit = []
-                for msg in pending:
-                    box = inbox[msg[1]]
-                    if not box:
-                        visit.append(msg[1])
-                    box.append(msg)
-                visit.sort()
-            else:
-                for msg in pending:
-                    inbox[msg[1]].append(msg)
-                self.rng.shuffle(order)
-                # late activations see messages sent earlier in the round
-                visit = order
+                     for nid in self.waiting for m in inbox[nid]}))
+            visit, self.waiting = self.waiting, []
+            visit.sort()
+            if not sync:
+                self.rng.shuffle(visit)
             for nid in visit:
                 batch = inbox[nid]
-                if not batch:
-                    continue  # an idle node sends nothing
                 inbox[nid] = []
                 self.stats.delivered += len(batch)
                 handle(nid, batch)
-                if not sync and self.staging:
-                    pending, self.staging = self.staging, []
-                    for msg in pending:
-                        inbox[msg[1]].append(msg)
-            if not sync:
-                order.sort()
+                if not sync:  # a later node of visit reads this round
+                    self._post()
+            if sync:
+                self._post()
         self.stats.rounds += rounds
 
     def relax(self, nid: int, offers: list[tuple]) -> None:
