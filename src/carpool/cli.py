@@ -589,7 +589,7 @@ def cmd_check(args) -> int:
         problems, row_of[idx.rows(doc.pairs)], doc.y, summary.y, "y",
         "transmissions for ",
         lambda j: "pair (%d, %d, %d)" % tuple(doc.pairs[j]),
-        lambda e: "pair (%d, %d, %d)" % (idx.v[fwd[e]], idx.mid[fwd[e]],
+        lambda e: "pair (%d, %d, %d)" % (idx.v[fwd[e]], idx.pair_mid[e],
                                          idx.w[fwd[e]]),
         " (session flows through the pair exceed its y)")
     # z is stated for physical nodes only

@@ -166,7 +166,9 @@ class Simulator:
         """Deliver and process until nothing moves.  A phase carries one
         kind of message, and handle(nid, batch) processes a batch of it
         at node nid.  A round activates the nodes that hold mail when it
-        starts, in id order or, async, in a seeded shuffle of that order."""
+        starts, in id order or, async, in a seeded shuffle of that order.
+        When the round cap fires, the mail still moving is dropped, so a
+        later phase on this simulator starts from empty inboxes."""
         inbox = self.inbox
         rounds = 0
         sync = self.schedule.mode == "sync"
@@ -175,9 +177,13 @@ class Simulator:
             rounds += 1
             if rounds > self.max_rounds:
                 kind = "label" if handle == self.relax else "flow"
-                raise QuiescenceError(sorted(
+                exc = QuiescenceError(sorted(
                     {(kind, m[2], self.vertices[m[3]])
                      for nid in self.waiting for m in inbox[nid]}))
+                for nid in self.waiting:
+                    inbox[nid] = []
+                self.waiting, self.staging = [], []
+                raise exc
             visit, self.waiting = self.waiting, []
             visit.sort()
             if not sync:

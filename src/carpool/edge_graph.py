@@ -227,7 +227,10 @@ class RouteSearch:
     checks only the weights.  The eleven arrays are one list, arrays; the
     search is _routes, which takes them as they are, when fn is None, and
     otherwise the compiled kernel fn, which takes their addresses while
-    the list keeps them alive.
+    the list keeps them alive.  args is the search's whole argument
+    list.  A call puts its weights in, unless they are wts, the array of
+    the last call, changed in place or not: an array's data does not move
+    while a reference to it is held.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
@@ -263,10 +266,11 @@ class RouteSearch:
         self.arrays = [lo, hi, heads, np.array(src, dtype=i64),
                        np.array(dst, dtype=i64), self.dist, self.hops,
                        self.pred, self.qdist, self.start, self.rows]
-        args = (self.arrays if fn is None
+        refs = (self.arrays if fn is None
                 else [a.ctypes.data for a in self.arrays])
-        self.before_wts = (nv, args[0], args[1], m, args[2])
-        self.after_wts = (ns, *args[3:], cap)
+        self.args = [nv, refs[0], refs[1], m, refs[2], None, ns, *refs[3:],
+                     cap]  # args[5] is the weights
+        self.wts = None
 
     def __call__(self, wts: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,9 +280,10 @@ class RouteSearch:
         if len(wts) != self.narcs:
             raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
         _check_array(wts, F64)
-        status = self.fn(*self.before_wts,
-                         wts if self.fn is _routes else wts.ctypes.data,
-                         *self.after_wts)
+        if wts is not self.wts:
+            self.wts = wts
+            self.args[5] = wts if self.fn is _routes else wts.ctypes.data
+        status = self.fn(*self.args)
         if status == -2:
             raise _negative_weight(wts)
         if status:

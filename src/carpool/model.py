@@ -341,6 +341,7 @@ class TripleIndex:
     pair_fwd: np.ndarray     # triple rows with v < w, one per unordered pair
     pair_rev: np.ndarray     # row of (w, i, v) of each pair_fwd row
     pair_cost: np.ndarray
+    pair_mid: np.ndarray     # middle node of each pair_fwd row
     out_lo: np.ndarray       # first row of each pair's arcs
     out_hi: np.ndarray       # one past the last row of each pair's arcs
 
@@ -384,13 +385,13 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     key = (mid * n + v) * n + w
     cost = g.costs[mid]
     pair_fwd = np.nonzero(v < w)[0]
-    fv, fw = ev[pair_fwd], ew[pair_fwd]
+    fv, fw, pair_mid = ev[pair_fwd], ew[pair_fwd], mid[pair_fwd]
     # (w, i, v) is the candidate of pair (i, w) at v's place in i's list
-    pair_rev = ends[first[fw] + fv - indptr[mid[pair_fwd]]]
+    pair_rev = ends[first[fw] + fv - indptr[pair_mid]]
     # the arcs leaving pair (v, i) are the kept candidates of pair (i, v)
     return TripleIndex(n, v, mid, w, key, rev[ev], ew, cost, pair_fwd,
-                       pair_rev, cost[pair_fwd], ends[first[rev]],
-                       ends[(first + d)[rev]])
+                       pair_rev, cost[pair_fwd], pair_mid,
+                       ends[first[rev]], ends[(first + d)[rev]])
 
 
 @dataclass
@@ -437,7 +438,7 @@ def transmission_summary(agg: np.ndarray, g: ExpandedGraph,
     """Coded broadcasts of agg, the flow per triple summed over sessions."""
     y = np.maximum(agg[idx.pair_fwd], agg[idx.pair_rev])
     # bincount adds from 0.0 in input order, as np.add.at does
-    z = np.bincount(idx.mid[idx.pair_fwd], weights=y, minlength=g.n_nodes)
+    z = np.bincount(idx.pair_mid, weights=y, minlength=g.n_nodes)
     return TransmissionSummary(idx, y, z)
 
 

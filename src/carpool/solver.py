@@ -92,20 +92,29 @@ def init_prices(idx: TripleIndex) -> PriceVector:
 
 
 def subgradient_step(p: PriceVector, agg: np.ndarray, alpha: float,
-                     idx: TripleIndex) -> PriceVector:
+                     idx: TripleIndex, out: np.ndarray | None = None
+                     ) -> PriceVector:
     """One projected price update from this round's total flow per triple.
 
     For each unordered pair the forward price moves by half the step
     alpha times the net forward flow, clamped to [0, c]; the reverse
     price is the complement, so the coupled constraint holds exactly.
+    The new prices go into out, which may be p.values itself, or by
+    default into a new array.  The work is done in one pair-sized array,
+    and every float operation takes its operands in the order of
+    p_fwd + half * (agg_fwd - agg_rev): which of two NaNs numpy keeps in
+    a sum depends on that order.
     """
-    diff = agg[idx.pair_fwd] - agg[idx.pair_rev]
-    half = 0.5 * alpha
-    x = p.values[idx.pair_fwd] + half * diff
-    fwd = np.minimum(np.maximum(x, 0.0), idx.pair_cost)  # np.clip's bits
-    out = np.empty_like(p.values)
-    out[idx.pair_fwd] = fwd
-    out[idx.pair_rev] = idx.pair_cost - fwd
+    x = agg[idx.pair_fwd]
+    np.subtract(x, agg[idx.pair_rev], out=x)
+    np.multiply(0.5 * alpha, x, out=x)
+    np.add(p.values[idx.pair_fwd], x, out=x)
+    np.maximum(x, 0.0, out=x)  # then the minimum: np.clip's bits
+    np.minimum(x, idx.pair_cost, out=x)
+    if out is None:
+        out = np.empty_like(p.values)
+    out[idx.pair_fwd] = x
+    out[idx.pair_rev] = np.subtract(idx.pair_cost, x, out=x)
     return PriceVector(out)
 
 
@@ -125,6 +134,7 @@ class _LoopState:
                  cfg: SolverConfig, trace: SolveTrace):
         self.g, self.idx, self.cfg, self.trace = g, idx, cfg, trace
         self.sums = np.zeros((len(g.base.sessions), len(idx)))
+        self.flat_sums = self.sums.reshape(-1)  # a view of sums
         self.keys = self.bins = np.zeros(0, dtype=np.int64)  # bins: keys % T
         self.best = -math.inf
         self.summary = TransmissionSummary(idx, np.zeros(len(idx.pair_fwd)),
@@ -144,14 +154,15 @@ class _LoopState:
                 f"too large for float arithmetic")
         if q > self.best:
             self.best = q
-        T, sums = len(self.idx), self.sums.reshape(-1)
+        T, sums = len(self.idx), self.flat_sums
         flat = sessions * T + rows
-        fresh = flat[sums[flat] == 0.0]  # never carried, as values > 0
+        seen = sums[flat]
+        fresh = flat[seen == 0.0]  # never carried, as values > 0
         if len(fresh):
             self.keys = np.sort(np.concatenate((self.keys, fresh)),
                                 kind="stable")
             self.bins = self.keys % T
-        sums[flat] += values
+        sums[flat] = np.add(seen, values, out=seen)  # what += would store
         agg = np.bincount(self.bins, weights=sums[self.keys] / n,
                           minlength=T)
         self.summary = transmission_summary(agg, self.g, self.idx)
@@ -181,7 +192,11 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     start, rows): session t's distance is dists[t] and its triple rows
     are rows[start[t]:start[t + 1]].  subgradient_step then moves the
     prices on agg, the round's flow per triple, by alpha = step_a / n,
-    worked out once per round and recorded in the trace too.  An
+    worked out once per round and recorded in the trace too.  The step
+    writes the new prices over p.values: one array holds the prices for
+    the whole solve and ends as the solution's, so route may read p only
+    while it runs.  The twin copies p.values with tolist, and the route
+    search keeps the array only to reuse its address.  An
     overflowed distance makes the dual bound inf, which ingest reports.
     The recovery's keys sort session-major, so its bincount adds each
     triple's means in session order, as a cumulative sum down the
@@ -203,12 +218,12 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
             q = 0.0
             for rate, dist in zip(rate_list, dists.tolist()):
                 q += rate * dist
-            sessions = np.repeat(ids, start[1:] - start[:-1])
-            values = rates[sessions]
+            counts = start[1:] - start[:-1]
+            sessions, values = ids.repeat(counts), rates.repeat(counts)
             if state.ingest(n, alpha, sessions, rows, values, q):
                 break
             agg = np.bincount(rows, weights=values, minlength=len(idx))
-            p = subgradient_step(p, agg, alpha, idx)
+            subgradient_step(p, agg, alpha, idx, out=p.values)
     return state.solution(p, n), trace
 
 

@@ -7,9 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from carpool import (GeometricConfig, MessageStats, SimSchedule, Simulator,
-                     SolverConfig, distributed, build_edge_graph,
-                     build_expanded_graph, distributed_price_update,
+from carpool import (GeometricConfig, MessageStats, PriceVector,
+                     SimSchedule, Simulator, SolverConfig, distributed,
+                     build_edge_graph, build_expanded_graph,
+                     distributed_price_update,
                      distributed_shortest_paths,
                      enumerate_triples, generate_geometric, init_prices,
                      primal_subproblem, run_distributed_solve, solve,
@@ -215,6 +216,32 @@ def test_round_cap_surfaces_the_stuck_work(relay3):
         with pytest.raises(QuiescenceError, match="no quiescence") as exc:
             _flow_notification(sim)
         assert exc.value.active == [("flow", 0, (0, 1)), ("flow", 1, (2, 1))]
+
+
+@pytest.mark.parametrize("schedule", [SimSchedule("sync"),
+                                      SimSchedule("async", seed=1)],
+                         ids=["sync", "async"])
+def test_a_capped_flood_leaves_no_mail_for_the_next(grid2, schedule):
+    # the offers the cap stops are priced at the old prices; a later
+    # flood that read them would route at a mix of old and new
+    g = build_expanded_graph(grid2)
+    idx = enumerate_triples(g)
+    p0 = init_prices(idx)
+    p3 = PriceVector(3.0 * p0.values)
+    sim = Simulator(g, idx, schedule)
+    cap = sim.max_rounds
+    distributed_price_update(sim, p0)
+    sim.max_rounds = 3
+    with pytest.raises(QuiescenceError, match="no quiescence"):
+        distributed_shortest_paths(sim)
+    assert not any(sim.inbox) and not sim.waiting and not sim.staging
+    sim.max_rounds = cap
+    distributed_price_update(sim, p3)
+    fresh = Simulator(g, idx, schedule)
+    distributed_price_update(fresh, p3)
+    want = distributed_shortest_paths(fresh)
+    assert want == [10.5, 13.5]
+    assert distributed_shortest_paths(sim) == want
 
 
 @pytest.mark.parametrize("hops", [3, 5, 8])

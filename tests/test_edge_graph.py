@@ -534,6 +534,40 @@ def test_route_search_keeps_its_arrays_alive(kernel, compiled):
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_route_search_reads_the_weights_at_each_call(kernel, compiled):
+    """A search keeps the last weight array it was given and its address.
+    That array changed in place between calls routes as a new search on
+    a copy of it does, two arrays in turn each route as their own, and no
+    call changes what an earlier one returned."""
+    g, idx, _ = graph_parts(builtin_instances()["grid2"])
+    fn = kernel if compiled else None
+    graph = (idx.out_lo, idx.out_hi, idx.head)
+    search = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)
+    rng = np.random.default_rng(11)
+    w = init_prices(idx).values.copy()
+    other = rng.uniform(0.0, 2.0, len(idx))
+    results = []
+
+    def check(wts):
+        got = search(wts)
+        alone = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)(wts.copy())
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+        results.append((got, [a.copy() for a in got]))
+
+    check(w)
+    for _ in range(4):  # the same array, changed in place
+        w *= rng.uniform(0.0, 2.0, len(idx))
+        check(w)
+    for _ in range(3):  # two arrays in turn
+        check(other)
+        check(w)
+        other *= rng.uniform(0.0, 2.0, len(idx))
+    assert len({got[0].tobytes() for got, _ in results}) > 5  # routes moved
+    for got, kept in results:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in kept]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
 def test_parallel_arcs_route_along_the_arc_that_set_the_label(kernel,
                                                               compiled):
     """Two arcs 0 -> 1: the route takes the one that set the label, and on

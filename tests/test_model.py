@@ -263,8 +263,9 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
     rev = rev_of(idx)
     assert rev.dtype == ref.rev.dtype and rev.tobytes() == ref.rev.tobytes()
     # forward rows are contiguous per middle node (triples sorted by middle)
-    fwd_mid = idx.mid[idx.pair_fwd]
+    fwd_mid = idx.pair_mid  # the middle node of each forward row
     assert (np.diff(fwd_mid) >= 0).all()
+    assert fwd_mid.dtype == ref.mid.dtype
     assert fwd_mid.tobytes() == ref.mid[ref.pair_fwd].tobytes()
     pairs = ordered_pairs(g)
     assert pairs == ordered_pairs_reference(g)

@@ -136,17 +136,52 @@ def test_price_clamp_equals_np_clip_on_edge_values():
               1e308]
     costs = [0.0, -0.0, 5e-324, 1.0, 1e308]
     x, c = (np.array(v) for v in zip(*itertools.product(before, costs)))
-    idx = pair_network(c)
+    # and three last pairs whose NaN price meets a NaN net flow of another
+    # payload: which one the sum keeps depends on the order of its
+    # operands, and in numpy also on the element's place in the array
+    nans = np.array([0x7FF8000000000001] * 3 + [0xFFF8000000000002] * 3,
+                    dtype=np.uint64).view(np.float64)
+    idx = pair_network(np.append(c, [1.0] * 3))
     p = PriceVector(np.zeros(len(idx)))
-    p.values[idx.pair_fwd] = x
+    p.values[idx.pair_fwd] = np.append(x, nans[:3])
     # net forward flow -0.0 - 0.0 = -0.0, and x + -0.0 is x, bit for bit
     agg = np.zeros(len(idx))
-    agg[idx.pair_fwd] = -0.0
-    got = subgradient_step(p, agg, 1.0, idx).values
+    agg[idx.pair_fwd] = np.append(np.full(len(x), -0.0), nans[3:])
     want = subgradient_step_reference(p, agg, 1.0, idx).values
-    assert got.tobytes() == want.tobytes()
+    # a new array, then the solve loop's call, which writes over p.values
+    for out in (None, p.values):
+        got = subgradient_step(p, agg, 1.0, idx, out=out).values
+        assert got.tobytes() == want.tobytes()
+    assert got is p.values
     assert np.signbit(got[idx.pair_fwd]).any()  # a -0.0 reached the clamp
-    assert np.isnan(got[idx.pair_fwd]).any()
+    assert np.isnan(got[idx.pair_fwd[:len(x)]]).any()
+
+
+@st.composite
+def step_inputs(draw):
+    """Pair costs, and any floats, NaN and inf among them, for the prices
+    and flows of their triples and for alpha."""
+    any_float = st.floats(allow_nan=True, allow_infinity=True)
+    costs = draw(st.lists(st.floats(0.0, 1e308), min_size=1, max_size=5))
+    per_triple = st.lists(any_float, min_size=2 * len(costs),
+                          max_size=2 * len(costs))
+    return costs, draw(per_triple), draw(per_triple), draw(any_float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_inputs())
+def test_price_step_in_place_fresh_and_reference_agree(inputs):
+    costs, prices, flows, alpha = inputs
+    idx = pair_network(costs)
+    p = PriceVector(np.array(prices))
+    agg = np.array(flows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = subgradient_step_reference(p, agg, alpha, idx).values
+        fresh = subgradient_step(p, agg, alpha, idx).values
+        assert p.values.tobytes() == np.array(prices).tobytes()  # pure
+        subgradient_step(p, agg, alpha, idx, out=p.values)
+    assert fresh.tobytes() == want.tobytes()
+    assert p.values.tobytes() == want.tobytes()
 
 
 def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
@@ -160,9 +195,10 @@ def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
                     zip(geo.sessions, rng.uniform(0.1, 3.0, 6))])
     steps = []
 
-    def step(p, agg, alpha, idx, _step=solver.subgradient_step):
-        steps.append((p, agg, alpha))
-        return _step(p, agg, alpha, idx)
+    def step(p, agg, alpha, idx, out=None, _step=solver.subgradient_step):
+        # the loop steps p in place, so keep the prices this round routed at
+        steps.append((PriceVector(p.values.copy()), agg, alpha))
+        return _step(p, agg, alpha, idx, out)
 
     monkeypatch.setattr(solver, "subgradient_step", step)
     shared = 0
