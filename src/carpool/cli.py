@@ -74,6 +74,21 @@ def _number(value) -> float:
     return float(value)
 
 
+def _flag(value) -> bool:
+    """A JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _count(value) -> int:
+    """An integral number >= 0, read as a node id is read."""
+    n = _node_id(value)
+    if n < 0:
+        raise ValueError(f"{value!r} is negative")
+    return n
+
+
 def _session_id(value) -> str:
     """A JSON string or integer as a session id."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
@@ -127,6 +142,9 @@ def instance_from_dict(doc) -> Instance:
     A document of plain values is read in bulk; otherwise each record is
     read in turn, and the first that cannot be read is named.
     """
+    if not isinstance(doc, dict):
+        raise InstanceError(f"instance must be a JSON object, got "
+                            f"{type(doc).__name__}")
     inst = _plain_instance(doc)
     if inst is not None:
         return inst
@@ -405,15 +423,22 @@ def solution_from_dict(doc) -> SolutionDoc:
     nodes = _records(doc, "node_transmissions", "node_transmissions")
     node_ids = _column(nodes, "node_transmissions", "node", 1)
     z = _column(nodes, "node_transmissions", "z")
-    costs = []
-    for name in ("expanded_cost", "physical_cost", "routing_cost"):
+
+    def stated(name: str, convert=_number, what: str = "a number"):
+        """convert(doc[name]), or None when the file does not state it."""
         value = doc.get(name)
         try:
-            costs.append(None if value is None else _number(value))
+            return None if value is None else convert(value)
         except (TypeError, ValueError, OverflowError):
-            raise SolutionError(f"{name}: {value!r} is not a number") \
+            raise SolutionError(f"{name}: {value!r} is not {what}") \
                 from None
-    return SolutionDoc(flows, pair_ids, y, node_ids, z, *costs)
+    # the run's own claims are read for their type only
+    stated("gap")
+    stated("certified", _flag, "true or false")
+    stated("iterations", _count, "an integer >= 0")
+    return SolutionDoc(flows, pair_ids, y, node_ids, z,
+                       *map(stated, ("expanded_cost", "physical_cost",
+                                     "routing_cost")))
 
 
 def _compare_stated(problems: list[str], at: np.ndarray, stated: np.ndarray,

@@ -46,8 +46,9 @@ order reaches the same labels (totally asynchronous iterations,
 Bertsekas and Tsitsiklis 1989, ch. 6) but for the rounding tie above,
 so the schedule decides only the traffic.
 A message is a tuple (sender, receiver, session, vertex, value, hops),
-one kind per phase, and may only connect graph neighbours: relax checks
-each label offer it stages, send the flood seeds and flow notices.
+one kind per phase, and may only connect graph neighbours.  Every
+message is staged, and one post checks, counts and delivers it; when a
+phase fails, at the round cap or on a refused post, its mail is dropped.
 """
 
 from __future__ import annotations
@@ -101,12 +102,18 @@ class SimSchedule:
 
 @dataclass
 class MessageStats:
+    """A run's message counts; bytes_estimate is derived from them."""
+
     label_messages: int = 0
     flow_messages: int = 0
     rounds: int = 0
-    bytes_estimate: int = 0
     delivered: int = 0
     per_iteration: list[dict] = field(default_factory=list)
+
+    @property
+    def bytes_estimate(self) -> int:
+        return (LABEL_BYTES * self.label_messages
+                + FLOW_BYTES * self.flow_messages)
 
 
 class Simulator:
@@ -138,51 +145,52 @@ class Simulator:
         self.rng = random.Random(self.schedule.seed)
         self.max_rounds = 2 * len(g.indices) + 16  # per phase
 
-    def send(self, kind: str, msg: tuple) -> None:
-        """Stage a flood seed (kind "label") or a flow notice ("flow")."""
-        if msg[1] not in self.adjset[msg[0]]:
-            raise RuntimeError(f"message {kind} from {msg[0]} to "
-                               f"non-neighbour {msg[1]}")
-        if kind == "label":
-            self.stats.label_messages += 1
-            self.stats.bytes_estimate += LABEL_BYTES
-        else:
-            self.stats.flow_messages += 1
-            self.stats.bytes_estimate += FLOW_BYTES
-        self.staging.append(msg)
-
-    def _post(self) -> None:
-        """Move the staged messages to their receivers' inboxes; a node
+    def _post(self, kind: str) -> None:
+        """Deliver the staged messages, all of one kind, "label" or
+        "flow", and count them.  Each must join graph neighbours; a node
         whose inbox was empty joins the waiting list."""
-        inbox, waiting = self.inbox, self.waiting
-        for msg in self.staging:
-            box = inbox[msg[1]]
+        staged, self.staging = self.staging, []
+        inbox, waiting, adjset = self.inbox, self.waiting, self.adjset
+        for msg in staged:
+            sender, receiver = msg[0], msg[1]
+            if receiver not in adjset[sender]:
+                self._drop()
+                raise RuntimeError(f"message {kind} from {sender} to "
+                                   f"non-neighbour {receiver}")
+            box = inbox[receiver]
             if not box:
-                waiting.append(msg[1])
+                waiting.append(receiver)
             box.append(msg)
-        self.staging = []
+        if kind == "label":
+            self.stats.label_messages += len(staged)
+        else:
+            self.stats.flow_messages += len(staged)
 
-    def run(self, handle) -> None:
+    def _drop(self) -> None:
+        """Empty every inbox, the waiting list and the staged mail, so
+        that no later phase on this simulator reads a failed one's."""
+        for box in self.inbox:
+            box.clear()
+        self.waiting, self.staging = [], []
+
+    def run(self, handle, kind: str) -> None:
         """Deliver and process until nothing moves.  A phase carries one
         kind of message, and handle(nid, batch) processes a batch of it
         at node nid.  A round activates the nodes that hold mail when it
         starts, in id order or, async, in a seeded shuffle of that order.
-        When the round cap fires, the mail still moving is dropped, so a
-        later phase on this simulator starts from empty inboxes."""
+        When the round cap fires or a post is refused, the phase's mail
+        is dropped before the error is raised."""
         inbox = self.inbox
         rounds = 0
         sync = self.schedule.mode == "sync"
-        self._post()
+        self._post(kind)
         while self.waiting:
             rounds += 1
             if rounds > self.max_rounds:
-                kind = "label" if handle == self.relax else "flow"
                 exc = QuiescenceError(sorted(
                     {(kind, m[2], self.vertices[m[3]])
                      for nid in self.waiting for m in inbox[nid]}))
-                for nid in self.waiting:
-                    inbox[nid] = []
-                self.waiting, self.staging = [], []
+                self._drop()
                 raise exc
             visit, self.waiting = self.waiting, []
             visit.sort()
@@ -194,38 +202,28 @@ class Simulator:
                 self.stats.delivered += len(batch)
                 handle(nid, batch)
                 if not sync:  # a later node of visit reads this round
-                    self._post()
+                    self._post(kind)
             if sync:
-                self._post()
+                self._post(kind)
         self.stats.rounds += rounds
 
     def relax(self, nid: int, offers: list[tuple]) -> None:
         """Node nid, i, extends each offered label of a vertex (v, i)
         over its own arcs (v, i) -> (i, w) and offers every label it
-        improves to w, which must be a neighbour."""
-        adj, heads, out, wts = self.adjset[nid], self.heads, self.out, self.wts
-        staging = self.staging
-        staged = len(staging)
-        try:
-            for _, _, t, uv, d, nh in offers:
-                labels = self.labels[t]
-                nh += 1
-                for vtx, k in out[uv]:
-                    nd = d + wts[k]
-                    cur = labels[vtx]
-                    if cur is None or nd < cur[0] or (nd == cur[0]
-                                                      and nh < cur[1]):
-                        labels[vtx] = (nd, nh, uv, k)
-                        w = heads[vtx]
-                        if w not in adj:
-                            raise RuntimeError(f"message label from {nid} "
-                                               f"to non-neighbour {w}")
-                        staging.append((nid, w, t, vtx, nd, nh))
-                    elif nd == cur[0] and nh == cur[1] and uv < cur[2]:
-                        labels[vtx] = (nd, nh, uv, k)
-        finally:  # count what was staged, also when a check refused
-            self.stats.label_messages += len(staging) - staged
-            self.stats.bytes_estimate += LABEL_BYTES * (len(staging) - staged)
+        improves to w."""
+        heads, out, wts, staging = self.heads, self.out, self.wts, self.staging
+        for _, _, t, uv, d, nh in offers:
+            labels = self.labels[t]
+            nh += 1
+            for vtx, k in out[uv]:
+                nd = d + wts[k]
+                cur = labels[vtx]
+                if cur is None or nd < cur[0] or (nd == cur[0]
+                                                  and nh < cur[1]):
+                    labels[vtx] = (nd, nh, uv, k)
+                    staging.append((nid, heads[vtx], t, vtx, nd, nh))
+                elif nd == cur[0] and nh == cur[1] and uv < cur[2]:
+                    labels[vtx] = (nd, nh, uv, k)
 
     def pass_on(self, nid: int, notices: list[tuple]) -> None:
         """Node nid chases each flow notice it received."""
@@ -242,7 +240,7 @@ class Simulator:
         if pred < 0:
             return  # source pair reached; nothing upstream of it
         self.routes[t].append(k)
-        self.send("flow", (nid, self.vertices[pred][0], t, pred, value, 0))
+        self.staging.append((nid, self.vertices[pred][0], t, pred, value, 0))
 
 
 def distributed_shortest_paths(sim: Simulator) -> list[float]:
@@ -250,8 +248,8 @@ def distributed_shortest_paths(sim: Simulator) -> list[float]:
     for t, src in enumerate(sim.g.src_pair.tolist()):
         sim.labels[t] = [None] * len(sim.vertices)
         sim.labels[t][src] = (0.0, 0, -1, -1)
-        sim.send("label", (*sim.vertices[src], t, src, 0.0, 0))
-    sim.run(sim.relax)
+        sim.staging.append((*sim.vertices[src], t, src, 0.0, 0))
+    sim.run(sim.relax, "label")
     return [INF if labels[dst] is None else labels[dst][0]
             for labels, dst in zip(sim.labels, sim.g.dst_pair.tolist())]
 
@@ -262,7 +260,7 @@ def _flow_notification(sim: Simulator) -> None:
     sim.routes = [[] for _ in g.base.sessions]
     for t, (s, dst) in enumerate(zip(g.base.sessions, g.dst_pair.tolist())):
         sim.chase(sim.vertices[dst][0], t, dst, s.rate)
-    sim.run(sim.pass_on)
+    sim.run(sim.pass_on, "flow")
 
 
 def _message_round(sim: Simulator, p: PriceVector

@@ -239,6 +239,9 @@ def instance_from_dict_reference(doc) -> Instance:
     id fault names the first id out of range, else the first repeated
     and the smallest missing id; components come from a union-find.
     """
+    if not isinstance(doc, dict):
+        raise InstanceError(f"instance must be a JSON object, got "
+                            f"{type(doc).__name__}")
     where = "instance document"
 
     def records(name: str):

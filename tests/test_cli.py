@@ -759,11 +759,22 @@ def _set(path, value):
      "sessions[1]: session id None is not a string or an integer"),
     (_set(["sessions", 0, "id"], 1.5),
      "sessions[0]: session id 1.5 is not a string or an integer"),
+    (_set(["gap"], "0"), "gap: '0' is not a number"),
+    (_set(["gap"], False), "gap: False is not a number"),
+    (_set(["certified"], "yes"), "certified: 'yes' is not true or false"),
+    (_set(["certified"], 1), "certified: 1 is not true or false"),
+    (_set(["iterations"], "x"), "iterations: 'x' is not an integer >= 0"),
+    (_set(["iterations"], 2.5), "iterations: 2.5 is not an integer >= 0"),
+    (_set(["iterations"], -1), "iterations: -1 is not an integer >= 0"),
+    (_set(["iterations"], True),
+     "iterations: True is not an integer >= 0"),
 ], ids=["no-flows", "list-document", "text-value", "nan-value", "inf-value",
         "null-y", "list-z", "short-triple", "fraction-in-triple",
         "text-in-triple", "bool-v", "fraction-node", "huge-y",
         "huge-cost", "bool-value", "bool-y", "text-z", "text-cost",
-        "null-session-id", "fraction-session-id"])
+        "null-session-id", "fraction-session-id", "text-gap", "bool-gap",
+        "text-certified", "int-certified", "text-iterations",
+        "fraction-iterations", "negative-iterations", "bool-iterations"])
 def test_check_rejects_a_malformed_solution(solved, tmp_path, capsys, mutate,
                                             message):
     relay3_path, sol_path, _ = solved
@@ -1037,11 +1048,16 @@ def _delete(path):
     (_set(["edges"], "01"), "malformed edges: 'str' object is not a list"),
     (_set(["sessions"], {}),
      "malformed sessions: 'dict' object is not a list"),
+    (lambda doc: [], "instance must be a JSON object, got list"),
+    (lambda doc: None, "instance must be a JSON object, got NoneType"),
+    (lambda doc: 5, "instance must be a JSON object, got int"),
+    (lambda doc: "x", "instance must be a JSON object, got str"),
 ], ids=["inf-source", "nan-id", "inf-endpoint", "short-edge", "int-nodes",
         "no-rate", "no-edges", "fraction-source", "bool-dest",
         "fraction-endpoint", "text-id", "bool-rate", "text-rate", "text-cost",
         "text-pos", "null-session-id", "list-session-id", "object-nodes",
-        "text-edges", "object-sessions"])
+        "text-edges", "object-sessions", "list-document", "null-document",
+        "number-document", "text-document"])
 def test_malformed_instance_names_the_element(relay3_path, tmp_path, capsys,
                                               mutate, message):
     bad = tmp_path / "bad.json"

@@ -160,39 +160,53 @@ def test_sends_are_refused_between_non_neighbours(relay3):
     g = build_expanded_graph(relay3)
     idx = enumerate_triples(g)
     sim = Simulator(g, idx, SimSchedule("sync"))
-    with pytest.raises(RuntimeError, match="non-neighbour"):
-        sim.send("label", (1, 3, 0, 0, 0.0, 0))
-    # the refused message is neither counted nor staged
-    assert sim.stats == MessageStats() and sim.staging == []
+    for handle, kind in ((sim.relax, "label"), (sim.pass_on, "flow")):
+        # a message between neighbours, then one that skips node 1
+        sim.staging += [(0, 1, 0, 0, 0.0, 0), (0, 2, 0, 0, 0.0, 0)]
+        with pytest.raises(RuntimeError,
+                           match=f"message {kind} from 0 to non-neighbour 2"):
+            sim.run(handle, kind)
+        # the refused batch is neither counted nor left anywhere
+        assert sim.stats == MessageStats()
+        assert not any(sim.inbox) and not sim.waiting and not sim.staging
     # a legitimate run sends between neighbours only, so it completes
     sol, _, _ = run_distributed_solve(relay3, SolverConfig(tol=1e-4))
     assert sol.certified
 
 
-def test_offers_are_refused_between_non_neighbours(grid2):
-    # relax stages its own offers; point the last arc leaving session 0's
-    # source vertex (v, i) at a vertex whose second node is not a
-    # neighbour of i, so that its offers before that arc are staged
-    g = build_expanded_graph(grid2)
-    idx = enumerate_triples(g)
-    sim = Simulator(g, idx, SimSchedule("sync"))
-    distributed_price_update(sim, init_prices(idx))
-    src = int(g.src_pair[0])
+def misdirect_an_offer(sim: Simulator):
+    """Point the last arc leaving session 0's source vertex (v, i) at a
+    vertex whose second node is not a neighbour of i, so that i's offer
+    over it is refused; return a function that puts the arc back."""
+    src = int(sim.g.src_pair[0])
     i = sim.vertices[src][1]
     out = sim.out[src]
     assert len(out) >= 2
     bad = next(x for x, (_, w) in enumerate(sim.vertices)
                if w != i and w not in sim.adjset[i])
-    out[-1] = (bad, out[-1][1])
+    arc, out[-1] = out[-1], (bad, out[-1][1])
+
+    def restore():
+        out[-1] = arc
+    return i, sim.vertices[bad][1], restore
+
+
+def test_offers_are_refused_between_non_neighbours(grid2):
+    # relax stages its offers and the post checks them
+    g = build_expanded_graph(grid2)
+    idx = enumerate_triples(g)
+    sim = Simulator(g, idx, SimSchedule("sync"))
+    distributed_price_update(sim, init_prices(idx))
+    i, w, _ = misdirect_an_offer(sim)
     with pytest.raises(RuntimeError,
-                       match=f"message label from {i} to non-neighbour "
-                             f"{sim.vertices[bad][1]}"):
+                       match=f"message label from {i} to non-neighbour {w}"):
         distributed_shortest_paths(sim)
-    # every counted message was staged: delivered, waiting or staged
+    # no mail is left; every counted message was delivered, and the
+    # refused batch was not counted
+    assert not any(sim.inbox) and not sim.waiting and not sim.staging
     stats = sim.stats
-    assert len(sim.staging) > 0 and stats.flow_messages == 0
-    assert stats.label_messages == (stats.delivered + len(sim.staging)
-                                    + sum(map(len, sim.inbox)))
+    assert stats.flow_messages == 0
+    assert stats.label_messages == stats.delivered > 0
     assert stats.bytes_estimate == LABEL_BYTES * stats.label_messages
 
 
@@ -218,30 +232,63 @@ def test_round_cap_surfaces_the_stuck_work(relay3):
         assert exc.value.active == [("flow", 0, (0, 1)), ("flow", 1, (2, 1))]
 
 
-@pytest.mark.parametrize("schedule", [SimSchedule("sync"),
-                                      SimSchedule("async", seed=1)],
-                         ids=["sync", "async"])
-def test_a_capped_flood_leaves_no_mail_for_the_next(grid2, schedule):
-    # the offers the cap stops are priced at the old prices; a later
+@pytest.mark.parametrize(
+    "schedule, failure",
+    [(SimSchedule("sync"), "cap"), (SimSchedule("async", seed=1), "cap"),
+     (SimSchedule("sync"), "refusal"),
+     (SimSchedule("async", seed=1), "refusal"),
+     # seed 0 refuses while a node later in the round holds unread mail
+     (SimSchedule("async", seed=0), "refusal")],
+    ids=["sync", "async", "refused-sync", "refused-async",
+         "refused-async0"])
+def test_a_capped_flood_leaves_no_mail_for_the_next(grid2, schedule,
+                                                    failure):
+    # the offers a failure stops are priced at the old prices; a later
     # flood that read them would route at a mix of old and new
     g = build_expanded_graph(grid2)
     idx = enumerate_triples(g)
     p0 = init_prices(idx)
     p3 = PriceVector(3.0 * p0.values)
     sim = Simulator(g, idx, schedule)
-    cap = sim.max_rounds
     distributed_price_update(sim, p0)
-    sim.max_rounds = 3
-    with pytest.raises(QuiescenceError, match="no quiescence"):
-        distributed_shortest_paths(sim)
+    if failure == "cap":
+        cap, sim.max_rounds = sim.max_rounds, 3
+        with pytest.raises(QuiescenceError, match="no quiescence"):
+            distributed_shortest_paths(sim)
+        sim.max_rounds = cap
+    else:
+        _, _, restore = misdirect_an_offer(sim)
+        with pytest.raises(RuntimeError, match="non-neighbour"):
+            distributed_shortest_paths(sim)
+        restore()
     assert not any(sim.inbox) and not sim.waiting and not sim.staging
-    sim.max_rounds = cap
     distributed_price_update(sim, p3)
     fresh = Simulator(g, idx, schedule)
     distributed_price_update(fresh, p3)
     want = distributed_shortest_paths(fresh)
     assert want == [10.5, 13.5]
     assert distributed_shortest_paths(sim) == want
+
+
+@pytest.mark.parametrize("schedule", [SimSchedule("sync"),
+                                      SimSchedule("async", seed=3)],
+                         ids=["sync", "async"])
+def test_the_post_counts_every_message(geo4, schedule, monkeypatch):
+    # every message of a run goes through Simulator._post, which counts
+    # what it delivers by the phase's kind
+    posted = Counter()
+
+    def post(self, kind, _post=Simulator._post):
+        posted[kind] += len(self.staging)
+        _post(self, kind)
+    monkeypatch.setattr(Simulator, "_post", post)
+    _, _, stats = run_distributed_solve(
+        geo4, SolverConfig(tol=2e-2, max_iters=2000), schedule)
+    assert posted == {"label": stats.label_messages,
+                      "flow": stats.flow_messages}
+    assert (stats.label_messages, stats.flow_messages) == \
+        TRAFFIC["geo4", schedule.mode][1:3]
+    assert stats.delivered == stats.label_messages + stats.flow_messages
 
 
 @pytest.mark.parametrize("hops", [3, 5, 8])
