@@ -1,4 +1,9 @@
-/* Priced shortest routes for every session in one call.
+/* The two compiled parts of a round of price ascent (carpool.solver):
+ * carpool_routes, the priced shortest route of every session, and
+ * carpool_round, the recovery, the transmission summary and the price
+ * step that follow it.  Each runs in one call.
+ *
+ * carpool_routes
  *
  * The arcs leaving vertex u are k = lo[u] .. hi[u] - 1, and arc k
  * (0 <= k < m) runs to heads[k] at weight w[k].  The ranges need not be
@@ -38,12 +43,55 @@
  * distance 0 and no arcs.  dist, hops and pred hold the labels of the
  * last session when the call returns.
  *
- * Returns 0, or -1 when memory runs out, -2 when a weight is negative
+ * It returns 0, or -1 when memory runs out, -2 when a weight is negative
  * (below -0.0: its keys could fall below the last one popped) or the
  * pushes outgrow the pool, -3 when the paths need more than cap rows,
  * -4 on a broken predecessor chain, -5 when lo[u] < 0, lo[u] > hi[u],
  * hi[u] > m or a head is out of range, or nv or m is 2^31 or more (hops
  * and the vertex must fit 32 bits each).
+ *
+ * carpool_round
+ *
+ * Round n of the loop, whose step size is alpha, routed session t at
+ * rate rates[t] along the triple rows rows[start[t]] .. rows[start[t +
+ * 1] - 1], each (session, row) at most once.  One call does what
+ * carpool.solver._LoopState's numpy round does with the same IEEE
+ * operations in the same order, so both give the same bits:
+ *   - it adds each rate into sums[t * nt + row], in (session, route)
+ *     order, and merges the keys t * nt + row of the sums that were
+ *     +-0.0 into keys[0 .. nkeys - 1], sorted, and their rows into bins,
+ *     so that no key is divided by nt;
+ *   - it sets work[row], the recovered flow per triple, to the sum of
+ *     sums[key] / n over the keys of that row in key order, that is in
+ *     session order, added from +0.0 as np.bincount adds;
+ *   - it sets y[k] to the larger of work[fwd[k]] and work[rev[k]] and
+ *     adds it into z[mid[k]], from +0.0, in pair order;
+ *   - it sets work[row] to the round's flow per triple, each rate added
+ *     from +0.0 in (session, route) order, and steps the prices in
+ *     place: x = p[fwd[k]] + 0.5 * alpha * (work[fwd[k]] -
+ *     work[rev[k]]), clamped to [0, cost[k]], is the new p[fwd[k]] and
+ *     cost[k] - x the new p[rev[k]].  Once a pair's flows are read,
+ *     work[fwd[k]] and work[rev[k]] keep its prices from before the
+ *     step, the ones the round was routed at; each row is in one pair
+ *     at most.
+ * The larger and smaller of two doubles are taken as np.maximum and
+ * np.minimum take them: a NaN first operand, else a NaN second one,
+ * else the second on a tie, so max(-0.0, +0.0) is +0.0.  numpy
+ * documents no rule for a tie of signed zeros: this is the one its
+ * x86-64 loops follow (numpy 2.4, AVX-512), and where numpy breaks the
+ * tie the other way, as NEON's fmax does, the two rounds agree only on
+ * instances with no node cost of -0.0, the one source of the tie in a
+ * solve.  Of two NaNs of
+ * different payloads, an addition keeps the one the compiled code does;
+ * numpy keeps the first operand's in its vector loop and the second's
+ * in the tail of some arrays, so no order matches it everywhere.
+ *
+ * The fixed arrays and counts of a solve are one round_state, bound
+ * once; a round passes n, alpha and m, the count of rows in its buffer.
+ * keys and bins have room for cap entries, and nkeys of them are in use.
+ * It returns 0, or -1 when memory runs out, -3 when the merged keys
+ * would not fit cap (and then nothing has changed), -5 when start[0] is
+ * not 0, start falls, start[ns] exceeds m or a row is out of range.
  */
 
 #include <math.h>
@@ -226,4 +274,117 @@ done:
     free(q.pool);
     free(via);
     return status;
+}
+
+typedef struct {
+    int64_t ns, nt, npairs, nn;  /* sessions, triples, pairs, nodes */
+    const double *rates;         /* ns */
+    const int64_t *start;        /* ns + 1 */
+    const int64_t *rows;         /* the round's rows */
+    double *sums;                /* ns * nt */
+    int64_t *keys, *bins;        /* cap */
+    int64_t nkeys, cap;
+    const int64_t *fwd, *rev, *mid;  /* npairs */
+    const double *cost;          /* npairs */
+    double *y;                   /* npairs */
+    double *z;                   /* nn */
+    double *p, *work;            /* nt */
+} round_state;
+
+static double larger(double a, double b)
+{
+    return isnan(a) || a > b ? a : b;
+}
+
+static double smaller(double a, double b)
+{
+    return isnan(a) || a < b ? a : b;
+}
+
+int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
+{
+    const int64_t ns = r->ns, nt = r->nt, *start = r->start, *rows = r->rows;
+    const int64_t *fwd = r->fwd, *rev = r->rev;
+    double *sums = r->sums, *work = r->work, *p = r->p;
+    int64_t fresh = 0, *fkeys = NULL, *fbins = NULL;
+    double dn = (double)n, half = 0.5 * alpha;
+    if (start[0] != 0 || start[ns] > m)
+        return -5;
+    for (int64_t t = 0; t < ns; t++) {
+        if (start[t + 1] < start[t])
+            return -5;
+        for (int64_t j = start[t]; j < start[t + 1]; j++) {
+            if (rows[j] < 0 || rows[j] >= nt)
+                return -5;
+            fresh += sums[t * nt + rows[j]] == 0.0;
+        }
+    }
+    if (fresh > r->cap - r->nkeys)
+        return -3;
+    if (fresh) {
+        fkeys = malloc(2 * fresh * sizeof *fkeys);
+        if (!fkeys)
+            return -1;
+        fbins = fkeys + fresh;
+    }
+    /* the sums; the fresh keys in order, as the keys of session t all
+       lie below those of session t + 1 */
+    fresh = 0;
+    for (int64_t t = 0; t < ns; t++)
+        for (int64_t j = start[t]; j < start[t + 1]; j++) {
+            int64_t row = rows[j], key = t * nt + row, i = fresh;
+            if (sums[key] == 0.0) {
+                for (; i > 0 && fkeys[i - 1] > key; i--) {
+                    fkeys[i] = fkeys[i - 1];
+                    fbins[i] = fbins[i - 1];
+                }
+                fkeys[i] = key;
+                fbins[i] = row;
+                fresh++;
+            }
+            sums[key] = sums[key] + r->rates[t];
+        }
+    /* merge from the top down, so that no key is overwritten unread */
+    for (int64_t i = r->nkeys - 1, j = fresh - 1, k = r->nkeys + fresh - 1;
+         j >= 0; k--) {
+        if (i >= 0 && r->keys[i] > fkeys[j]) {
+            r->keys[k] = r->keys[i];
+            r->bins[k] = r->bins[i--];
+        } else {
+            r->keys[k] = fkeys[j];
+            r->bins[k] = fbins[j--];
+        }
+    }
+    r->nkeys += fresh;
+    free(fkeys);
+    /* the recovered flow per triple, then y and z */
+    for (int64_t k = 0; k < nt; k++)
+        work[k] = 0.0;
+    for (int64_t i = 0; i < r->nkeys; i++)
+        work[r->bins[i]] = work[r->bins[i]] + sums[r->keys[i]] / dn;
+    for (int64_t k = 0; k < r->nn; k++)
+        r->z[k] = 0.0;
+    for (int64_t k = 0; k < r->npairs; k++) {
+        double y = larger(work[fwd[k]], work[rev[k]]);
+        r->y[k] = y;
+        r->z[r->mid[k]] = r->z[r->mid[k]] + y;
+    }
+    /* the round's flow per triple, then the step, which leaves the
+       routed prices in work */
+    for (int64_t k = 0; k < nt; k++)
+        work[k] = 0.0;
+    for (int64_t t = 0; t < ns; t++)
+        for (int64_t j = start[t]; j < start[t + 1]; j++)
+            work[rows[j]] = work[rows[j]] + r->rates[t];
+    for (int64_t k = 0; k < r->npairs; k++) {
+        double x = work[fwd[k]] - work[rev[k]], c = r->cost[k];
+        work[fwd[k]] = p[fwd[k]];
+        work[rev[k]] = p[rev[k]];
+        x = half * x;
+        x = p[fwd[k]] + x;
+        x = smaller(larger(x, 0.0), c);
+        p[fwd[k]] = x;
+        p[rev[k]] = c - x;
+    }
+    return 0;
 }

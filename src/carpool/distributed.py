@@ -48,7 +48,8 @@ so the schedule decides only the traffic.
 A message is a tuple (sender, receiver, session, vertex, value, hops),
 one kind per phase, and may only connect graph neighbours.  Every
 message is staged, and one post checks, counts and delivers it; when a
-phase fails, at the round cap or on a refused post, its mail is dropped.
+phase fails, at the round cap, on a refused post or on a broken
+predecessor chain, its mail is dropped.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ class Simulator:
         kind of message, and handle(nid, batch) processes a batch of it
         at node nid.  A round activates the nodes that hold mail when it
         starts, in id order or, async, in a seeded shuffle of that order.
-        When the round cap fires or a post is refused, the phase's mail
-        is dropped before the error is raised."""
+        When the round cap fires, a post is refused or a chase finds a
+        broken chain, the phase's mail is dropped before the error is
+        raised."""
         inbox = self.inbox
         rounds = 0
         sync = self.schedule.mode == "sync"
@@ -235,6 +237,7 @@ class Simulator:
         passes value on to the predecessor's first node."""
         label = self.labels[t][vid]
         if label is None:
+            self._drop()
             raise RuntimeError("broken predecessor chain")
         _, _, pred, k = label
         if pred < 0:

@@ -20,7 +20,8 @@ into the user's cache directory and loaded through ctypes; without a
 compiler, or when the build or the load fails, _routes runs instead.
 _routes takes the kernel's arguments, fills its buffers and returns its
 status codes, so either way the labels, and so every path, are the
-same bits.
+same bits.  The same library holds carpool_round, the rest of a round
+of the solve loop, which carpool.solver calls.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -174,23 +176,36 @@ def build_kernel(directory) -> Path:
     return target
 
 
-def bind_kernel(path):
-    """The kernel's carpool_routes in the library at path, typed.
+class Kernel(NamedTuple):
+    """The compiled library's two entry points: routes, carpool_routes,
+    which RouteSearch calls, and round, carpool_round, which the solve
+    loop calls (carpool.solver._LoopState)."""
 
-    Arrays go in as addresses that RouteSearch checks first: numpy's
+    routes: Callable[..., int]
+    round: Callable[..., int]
+
+
+def bind_kernel(path) -> Kernel:
+    """The kernel's entry points in the library at path, typed.
+
+    Arrays go in as addresses that their callers check first: numpy's
     ndpointer argtypes would check them too, but at about 5 us per array
     they made an iteration on a small instance about 20% slower.
     """
-    fn = ctypes.CDLL(str(path)).carpool_routes
-    fn.restype = ctypes.c_int64
+    lib = ctypes.CDLL(str(path))
+    kernel = Kernel(lib.carpool_routes, lib.carpool_round)
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, i64, ptr, ptr, i64] + [ptr] * 8 + [i64]
-    return fn
+    kernel.routes.restype = kernel.round.restype = i64
+    kernel.routes.argtypes = ([i64, ptr, ptr, i64, ptr, ptr, i64] + [ptr] * 8
+                              + [i64])
+    kernel.round.argtypes = [ptr, i64, ctypes.c_double, i64]
+    return kernel
 
 
 @functools.cache
-def _load_kernel():
-    """The compiled kernel, or None when only _routes can run.
+def _load_kernel() -> Kernel | None:
+    """The compiled kernel, or None when only _routes and the numpy round
+    can run.
 
     Logs one line naming the kernel that runs and, on fallback, why.
     """
@@ -198,12 +213,12 @@ def _load_kernel():
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "carpool"
         path = build_kernel(cache)
-        fn = bind_kernel(path)
+        kernel = bind_kernel(path)
     except (OSError, RuntimeError, AttributeError) as exc:
         log.info("sub-problem kernel: python (%s)", exc)
         return None
     log.info("sub-problem kernel: C (%s)", path)
-    return fn
+    return kernel
 
 
 def _check_array(a: np.ndarray, dtype) -> None:
@@ -225,9 +240,9 @@ class RouteSearch:
     search runs.  It also copies src and dst, allocates one array per
     output buffer and fixes every argument but the weights, so that a call
     checks only the weights.  The eleven arrays are one list, arrays; the
-    search is _routes, which takes them as they are, when fn is None, and
-    otherwise the compiled kernel fn, which takes their addresses while
-    the list keeps them alive.  args is the search's whole argument
+    search, fn, is _routes, which takes them as they are, when kernel is
+    None, and otherwise the kernel's routes, which take their addresses
+    while the list keeps them alive.  args is the search's whole argument
     list.  A call puts its weights in, unless they are wts, the array of
     the last call, changed in place or not: an array's data does not move
     while a reference to it is held.
@@ -238,7 +253,7 @@ class RouteSearch:
     and pred hold the labels of the last session.
     """
 
-    def __init__(self, fn, lo: np.ndarray, hi: np.ndarray,
+    def __init__(self, kernel: Kernel | None, lo: np.ndarray, hi: np.ndarray,
                  heads: np.ndarray, src: list[int] | np.ndarray,
                  dst: list[int] | np.ndarray):
         nv, ns, m = len(lo), len(src), len(heads)
@@ -257,7 +272,8 @@ class RouteSearch:
                else "heads" if (heads.view(np.uint64) >= nv).any() else "")
         if bad:
             raise ValueError(f"route search {bad} out of range")
-        self.fn, self.narcs = _routes if fn is None else fn, m
+        self.fn = _routes if kernel is None else kernel.routes
+        self.narcs = m
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
         self.dist, self.qdist = np.empty(nv), np.empty(ns)
         self.hops, self.pred, self.start, self.rows = (
@@ -266,7 +282,7 @@ class RouteSearch:
         self.arrays = [lo, hi, heads, np.array(src, dtype=i64),
                        np.array(dst, dtype=i64), self.dist, self.hops,
                        self.pred, self.qdist, self.start, self.rows]
-        refs = (self.arrays if fn is None
+        refs = (self.arrays if kernel is None
                 else [a.ctypes.data for a in self.arrays])
         self.args = [nv, refs[0], refs[1], m, refs[2], None, ns, *refs[3:],
                      cap]  # args[5] is the weights

@@ -11,19 +11,27 @@ is a feasible flow whose cost gives an upper bound.  When the two meet
 within tolerance, the answer is certified.
 
 All arithmetic is deterministic: fixed tie-break order in the path
-solver, fixed session order in every sum, vectorised elementwise price
-updates.  price_ascent is the one copy of this loop, price step
-included: solve() runs it on the route search, and the message-passing
-twin on its neighbour messages, so both give the same bits.
+solver, fixed session order in every sum, elementwise price updates.
+price_ascent is the one copy of this loop, price step included: solve()
+runs it on the route search, and the message-passing twin on its
+neighbour messages, so both give the same bits.  After the routes, a
+round's recovery, transmission summary and price step are one call of
+the compiled kernel's round (carpool_round in _subproblem.c); without
+the kernel, numpy runs them as transmission_summary and
+subgradient_step, with the same IEEE operations in the same order.
+What stays in Python is the dual bound, total_cost, the gap, the trace
+and the stop decision.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import edge_graph
 from .edge_graph import build_edge_graph, primal_subproblem
 from .model import (ExpandedGraph, FlowVector, Instance, PriceVector,
                     TransmissionSummary, TripleIndex, build_expanded_graph,
@@ -118,8 +126,22 @@ def subgradient_step(p: PriceVector, agg: np.ndarray, alpha: float,
     return PriceVector(out)
 
 
+class _RoundState(ctypes.Structure):
+    """carpool_round's round_state (_subproblem.c), field for field."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in ("ns", "nt", "npairs",
+                                                      "nn")]
+                + [(name, ctypes.c_void_p) for name in ("rates", "start",
+                                                        "rows", "sums",
+                                                        "keys", "bins")]
+                + [(name, ctypes.c_int64) for name in ("nkeys", "cap")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "fwd", "rev", "mid", "cost", "y", "z", "p", "work")])
+
+
 class _LoopState:
-    """Recovery, bounds and the stop decision of price_ascent's rounds.
+    """Recovery, bounds, the price step and the stop decision of
+    price_ascent's rounds, on the prices p, which it steps in place.
 
     sums[t] is session t's flow summed over the rounds so far, and
     sums[t] / n its recovered flow after round n.  The transmission
@@ -128,34 +150,111 @@ class _LoopState:
     other term is +0.0 and changes no bit.  (Dividing one running total
     by n would round differently.)  The means are built only for the
     solution.
+
+    With the compiled kernel, a round is one call of its round, which
+    does the recovery, the summary and the price step; the fixed arrays
+    are bound once in frame, keys and bins grow on demand, and the
+    routes are copied into start and rows.  The call leaves in work the
+    prices the round was routed at, which a round that certifies puts
+    back.  Without the kernel the numpy round runs: the recovery,
+    transmission_summary and, unless the round certifies,
+    subgradient_step.  The two give the same bits, with one state that
+    callers must not rely on: when ingest raises NonFiniteError on the
+    recovered cost, the compiled round has stepped p and the numpy round
+    has not.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
-                 cfg: SolverConfig, trace: SolveTrace):
-        self.g, self.idx, self.cfg, self.trace = g, idx, cfg, trace
-        self.sums = np.zeros((len(g.base.sessions), len(idx)))
+                 cfg: SolverConfig, trace: SolveTrace, p: PriceVector,
+                 kernel: edge_graph.Kernel | None):
+        self.g, self.idx, self.cfg, self.trace, self.p = g, idx, cfg, trace, p
+        sessions, T = g.base.sessions, len(idx)
+        self.sums = np.zeros((len(sessions), T))
         self.flat_sums = self.sums.reshape(-1)  # a view of sums
+        # doubles whatever the rates' type: the kernel reads them as such
+        self.rates = np.array([s.rate for s in sessions], dtype=np.float64)
         self.keys = self.bins = np.zeros(0, dtype=np.int64)  # bins: keys % T
         self.best = -math.inf
         self.summary = TransmissionSummary(idx, np.zeros(len(idx.pair_fwd)),
                                            np.zeros(g.n_nodes))
         self.gap = 0.0
-        self.certified = not g.base.sessions
+        self.certified = not sessions
+        self.fn = None if kernel is None else kernel.round
+        if self.fn is None:
+            self.ids = np.arange(len(sessions))
+            return
+        # the pair arrays and the prices come from outside, and the kernel
+        # reads and writes them by address: check them once
+        pairs = len(idx.pair_fwd)
+        for a, dtype, size, bound in (
+                (idx.pair_fwd, np.int64, pairs, T),
+                (idx.pair_rev, np.int64, pairs, T),
+                (idx.pair_mid, np.int64, pairs, g.n_nodes),
+                (idx.pair_cost, np.float64, pairs, None),
+                (p.values, np.float64, T, None)):
+            edge_graph._check_array(a, np.dtype(dtype))
+            if len(a) != size or (bound is not None
+                                  and (a.view(np.uint64) >= bound).any()):
+                raise ValueError("price or pair array out of range")
+        self.start = np.zeros(len(sessions) + 1, dtype=np.int64)
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.work = np.zeros(T)
+        arrays = {"rates": self.rates, "start": self.start,
+                  "rows": self.rows, "sums": self.flat_sums,
+                  "keys": self.keys, "bins": self.bins, "fwd": idx.pair_fwd,
+                  "rev": idx.pair_rev, "mid": idx.pair_mid,
+                  "cost": idx.pair_cost, "y": self.summary.y,
+                  "z": self.summary.z, "p": p.values, "work": self.work}
+        # the frame holds addresses only; self, idx and p keep the arrays
+        self.frame = _RoundState(
+            len(sessions), T, pairs, g.n_nodes,
+            **{name: a.ctypes.data for name, a in arrays.items()})
+        self.ref = ctypes.addressof(self.frame)
 
-    def ingest(self, n: int, alpha: float, sessions: np.ndarray,
-               rows: np.ndarray, values: np.ndarray, q: float) -> bool:
-        """Record round n, whose step size is alpha, in which session
-        sessions[j] carried values[j] > 0 on triple rows[j], each
-        (session, triple) at most once; True means the gap certificate
-        is in hand."""
+    def ingest(self, n: int, alpha: float, start: np.ndarray,
+               rows: np.ndarray, q: float) -> bool:
+        """Record round n, whose step size is alpha and whose dual bound
+        is q, in which session t carried its rate on the triple rows
+        rows[start[t]:start[t + 1]], each (session, triple) at most once,
+        and step the prices unless the round certifies; True means the
+        gap certificate is in hand."""
         if not math.isfinite(q):
             raise NonFiniteError(
                 f"iteration {n}: dual bound is {q!r}; costs or rates are "
                 f"too large for float arithmetic")
         if q > self.best:
             self.best = q
+        if self.fn is None:
+            values = self._recover(n, start, rows)
+        else:
+            self._round(n, alpha, start, rows)
+        cost, _ = total_cost(self.summary, self.g)
+        if not math.isfinite(cost):
+            raise NonFiniteError(
+                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
+                f"are too large for float arithmetic")
+        self.gap = (cost - self.best) / max(1.0, self.best)
+        self.trace.append(n, alpha, q, self.best, cost, self.gap)
+        self.certified = self.gap <= self.cfg.tol
+        if self.fn is None:
+            if not self.certified:
+                agg = np.bincount(rows, weights=values,
+                                  minlength=len(self.idx))
+                # ints when the round carried nothing
+                subgradient_step(self.p, agg.astype(float, copy=False),
+                                 alpha, self.idx, out=self.p.values)
+        elif self.certified:  # put back the prices this round routed at
+            for pairs in (self.idx.pair_fwd, self.idx.pair_rev):
+                self.p.values[pairs] = self.work[pairs]
+        return self.certified
+
+    def _recover(self, n: int, start: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+        """The numpy round's recovery and summary; the values carried."""
+        counts = start[1:] - start[:-1]
+        values = self.rates.repeat(counts)
         T, sums = len(self.idx), self.flat_sums
-        flat = sessions * T + rows
+        flat = self.ids.repeat(counts) * T + rows
         seen = sums[flat]
         fresh = flat[seen == 0.0]  # never carried, as values > 0
         if len(fresh):
@@ -166,21 +265,34 @@ class _LoopState:
         agg = np.bincount(self.bins, weights=sums[self.keys] / n,
                           minlength=T)
         self.summary = transmission_summary(agg, self.g, self.idx)
-        cost, _ = total_cost(self.summary, self.g)
-        if not math.isfinite(cost):
-            raise NonFiniteError(
-                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
-                f"are too large for float arithmetic")
-        self.gap = (cost - self.best) / max(1.0, self.best)
-        self.trace.append(n, alpha, q, self.best, cost, self.gap)
-        self.certified = self.gap <= self.cfg.tol
-        return self.certified
+        return values
 
-    def solution(self, prices: PriceVector, iterations: int) -> Solution:
+    def _round(self, n: int, alpha: float, start: np.ndarray,
+               rows: np.ndarray) -> None:
+        """The compiled round: recovery, summary and price step."""
+        frame, m = self.frame, len(rows)
+        if m > len(self.rows):
+            self.rows = np.empty(2 * m, dtype=np.int64)
+            frame.rows = self.rows.ctypes.data
+        used = frame.nkeys
+        if used + m > frame.cap:  # room for every row to be a new key
+            for name in ("keys", "bins"):
+                a = np.empty(2 * (used + m), dtype=np.int64)
+                a[:used] = getattr(self, name)[:used]
+                setattr(self, name, a)
+                setattr(frame, name, a.ctypes.data)
+            frame.cap = len(a)
+        np.copyto(self.start, start)
+        self.rows[:m] = rows
+        status = self.fn(self.ref, n, alpha, m)
+        if status:
+            raise RuntimeError(f"round kernel failed with status {status}")
+
+    def solution(self, iterations: int) -> Solution:
         expanded, physical = total_cost(self.summary, self.g)
         mean = [FlowVector(s.sid, row / iterations)
                 for s, row in zip(self.g.base.sessions, self.sums)]
-        return Solution(mean, prices, self.summary, expanded, physical,
+        return Solution(mean, self.p, self.summary, expanded, physical,
                         self.gap, self.certified, iterations)
 
 
@@ -190,25 +302,24 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
 
     route(p) gives every session's cheapest route at prices p as (dists,
     start, rows): session t's distance is dists[t] and its triple rows
-    are rows[start[t]:start[t + 1]].  subgradient_step then moves the
-    prices on agg, the round's flow per triple, by alpha = step_a / n,
-    worked out once per round and recorded in the trace too.  The step
-    writes the new prices over p.values: one array holds the prices for
-    the whole solve and ends as the solution's, so route may read p only
-    while it runs.  The twin copies p.values with tolist, and the route
-    search keeps the array only to reuse its address.  An
-    overflowed distance makes the dual bound inf, which ingest reports.
-    The recovery's keys sort session-major, so its bincount adds each
-    triple's means in session order, as a cumulative sum down the
-    sessions would.
+    are rows[start[t]:start[t + 1]].  The round's ingest then moves the
+    prices on the round's flow per triple by alpha = step_a / n, worked
+    out once per round and recorded in the trace too, unless the round
+    certifies.  The step writes the new prices over p.values: one array
+    holds the prices for the whole solve and ends as the solution's, so
+    route may read p only while it runs.  The twin copies p.values with
+    tolist, and the route search keeps the array only to reuse its
+    address.  An overflowed distance makes the dual bound inf, which
+    ingest reports.  The recovery's keys sort session-major, so its sum
+    adds each triple's means in session order, as a cumulative sum down
+    the sessions would.
     """
     trace = SolveTrace()
-    state = _LoopState(g, idx, cfg, trace)
     p = init_prices(idx)
+    state = _LoopState(g, idx, cfg, trace, p, edge_graph._load_kernel())
     if state.certified:  # no sessions
-        return state.solution(p, 0), trace
+        return state.solution(0), trace
     rate_list = [s.rate for s in g.base.sessions]
-    rates, ids = np.array(rate_list), np.arange(len(rate_list))
     n = 0
     # ingest reports an overflow as a non-finite bound or cost
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,13 +329,9 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
             q = 0.0
             for rate, dist in zip(rate_list, dists.tolist()):
                 q += rate * dist
-            counts = start[1:] - start[:-1]
-            sessions, values = ids.repeat(counts), rates.repeat(counts)
-            if state.ingest(n, alpha, sessions, rows, values, q):
+            if state.ingest(n, alpha, start, rows, q):
                 break
-            agg = np.bincount(rows, weights=values, minlength=len(idx))
-            subgradient_step(p, agg, alpha, idx, out=p.values)
-    return state.solution(p, n), trace
+    return state.solution(n), trace
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None

@@ -7,6 +7,7 @@ Each run fixture returns (solution, trace, elapsed_seconds).
 
 from __future__ import annotations
 
+import shutil
 import time
 
 import pytest
@@ -14,7 +15,45 @@ import pytest
 from carpool import (GeometricConfig, SimSchedule, SolverConfig,
                      builtin_instances, generate_geometric,
                      run_distributed_solve, solve)
+from carpool.edge_graph import Kernel, bind_kernel, build_kernel
 from carpool.model import Instance, Node, Session
+
+
+@pytest.fixture(scope="session")
+def kernel(tmp_path_factory):
+    """The kernel compiled into a fresh directory, bypassing any cache."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    directory = tmp_path_factory.mktemp("kernel")
+    path = build_kernel(directory)
+    assert path.parent == directory and path.suffix == ".so"
+    assert build_kernel(directory) == path  # built once, then reused
+    return bind_kernel(path)
+
+
+@pytest.fixture(scope="session")
+def loop_kernels(request):
+    """Each way a solve runs here: the compiled kernel's route search and
+    round when cc builds them, then None, for _routes and the numpy
+    round."""
+    if shutil.which("cc") is None:
+        return [None]
+    return [request.getfixturevalue("kernel"), None]
+
+
+@pytest.fixture(scope="session")
+def count_rounds():
+    """count_rounds(kernel, calls): kernel, its round counted in
+    calls["round"], or None for None."""
+    def wrap(kernel, calls):
+        if kernel is None:
+            return None
+
+        def counted(*args, _call=kernel.round):
+            calls["round"] += 1
+            return _call(*args)
+        return Kernel(kernel.routes, counted)
+    return wrap
 
 
 @pytest.fixture(scope="session")

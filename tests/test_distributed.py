@@ -9,7 +9,7 @@ import pytest
 
 from carpool import (GeometricConfig, MessageStats, PriceVector,
                      SimSchedule, Simulator, SolverConfig, distributed,
-                     build_edge_graph, build_expanded_graph,
+                     build_edge_graph, edge_graph, build_expanded_graph,
                      distributed_price_update,
                      distributed_shortest_paths,
                      enumerate_triples, generate_geometric, init_prices,
@@ -113,9 +113,11 @@ def test_builtin_traffic_is_frozen(named, name, mode):
 
 
 def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
+                                                  loop_kernels, count_rounds,
                                                   monkeypatch):
     # bench/spans.py times the twin's layers by wrapping these names, the
-    # price step too, and both front ends run the one loop, price_ascent
+    # price step too, and both front ends run the one loop, price_ascent;
+    # the compiled round makes the summary and the step in its one call
     calls = Counter()
     for module, name in ((distributed, "distributed_shortest_paths"),
                          (distributed, "distributed_price_update"),
@@ -128,24 +130,32 @@ def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
             calls[_name] += 1
             return _call(*args, **kw)
         monkeypatch.setattr(module, name, counted)
-    for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
-                      (grid2, SolverConfig(tol=1e-12, max_iters=40))):
-        calls.clear()
-        sol, _ = solve(inst, cfg)
-        assert calls == {"price_ascent": 1,
-                         "subgradient_step": sol.iterations - sol.certified,
-                         "transmission_summary": sol.iterations,
-                         "total_cost": sol.iterations + 1}
-        calls.clear()
-        sol, trace, _ = run_distributed_solve(inst, cfg)
-        n = sol.iterations
-        assert len(trace) == n and n == (2 if inst is relay3 else 40)
-        # the last round either certifies or hits the cap; the solution
-        # costs its summary once more
-        assert calls == {"price_ascent": 1, "distributed_shortest_paths": n,
-                         "distributed_price_update": n,
-                         "subgradient_step": n - sol.certified,
-                         "transmission_summary": n, "total_cost": n + 1}
+    for kernel in loop_kernels:
+        counted_kernel = count_rounds(kernel, calls)
+        monkeypatch.setattr(edge_graph, "_load_kernel",
+                            lambda: counted_kernel)
+        for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
+                          (grid2, SolverConfig(tol=1e-12, max_iters=40))):
+            calls.clear()
+            sol, _ = solve(inst, cfg)
+            n = sol.iterations
+            step = ({"subgradient_step": n - sol.certified,
+                     "transmission_summary": n} if kernel is None
+                    else {"round": n})
+            assert calls == {"price_ascent": 1, "total_cost": n + 1, **step}
+            calls.clear()
+            sol, trace, _ = run_distributed_solve(inst, cfg)
+            n = sol.iterations
+            assert len(trace) == n and n == (2 if inst is relay3 else 40)
+            # the last round either certifies or hits the cap; the
+            # solution costs its summary once more
+            step = ({"subgradient_step": n - sol.certified,
+                     "transmission_summary": n} if kernel is None
+                    else {"round": n})
+            assert calls == {"price_ascent": 1,
+                             "distributed_shortest_paths": n,
+                             "distributed_price_update": n,
+                             "total_cost": n + 1, **step}
 
 
 def test_price_updates_track_the_centralized_iterates(geo5):
@@ -268,6 +278,25 @@ def test_a_capped_flood_leaves_no_mail_for_the_next(grid2, schedule,
     want = distributed_shortest_paths(fresh)
     assert want == [10.5, 13.5]
     assert distributed_shortest_paths(sim) == want
+
+
+@pytest.mark.parametrize("name", ["grid2", "relay3"])
+def test_a_broken_chain_leaves_no_mail_for_the_next(named, name):
+    # on grid2 the chase fails with a notice in an inbox, on relay3 with
+    # one staged
+    g = build_expanded_graph(named[name])
+    idx = enumerate_triples(g)
+    sim = Simulator(g, idx, SimSchedule("sync"))
+    distributed_price_update(sim, init_prices(idx))
+    distributed_shortest_paths(sim)
+    labels = sim.labels[1]
+    vertex = int(g.dst_pair[1])
+    for _ in range(2):  # two hops above session 1's destination
+        vertex = labels[vertex][2]
+    labels[vertex] = None
+    with pytest.raises(RuntimeError, match="broken predecessor chain"):
+        _flow_notification(sim)
+    assert not any(sim.inbox) and not sim.waiting and not sim.staging
 
 
 @pytest.mark.parametrize("schedule", [SimSchedule("sync"),

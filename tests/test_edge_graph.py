@@ -3,6 +3,7 @@
 import gc
 import shutil
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from carpool import (FlowVector, GenerationError, GeometricConfig,
                      build_expanded_graph, builtin_instances, edge_graph,
                      enumerate_triples, generate_geometric, init_prices,
                      plain_routing_cost, primal_subproblem, solve)
-from carpool.edge_graph import RouteSearch, bind_kernel, build_kernel
+from carpool.edge_graph import RouteSearch
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError
 from model_reference import (arc_csr_reference, dominant_path, index_of,
@@ -268,18 +269,6 @@ def test_dominant_path_rejects_vanishing_flow(relay3_parts):
 
 # ---------------------------------------------------- compiled kernel
 
-@pytest.fixture(scope="module")
-def kernel(tmp_path_factory):
-    """The kernel compiled into a fresh directory, bypassing any cache."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    directory = tmp_path_factory.mktemp("kernel")
-    path = build_kernel(directory)
-    assert path.parent == directory and path.suffix == ".so"
-    assert build_kernel(directory) == path  # built once, then reused
-    return bind_kernel(path)
-
-
 def random_graph(rng, n_lo=4, n_hi=11):
     """A spine, random chords, and sometimes a detached pair of nodes."""
     n = int(rng.integers(n_lo, n_hi))
@@ -436,6 +425,24 @@ def test_solve_is_bit_identical_with_kernel_and_fallback(kernel, seed,
         assert run_digest(inst, cfg, solve_reference) == oracle
     assert compiled == oracle
     assert fallback == oracle
+
+
+@pytest.mark.parametrize("rate", [4, Fraction(7, 3)], ids=["int", "Fraction"])
+def test_solve_converts_rates_that_are_not_floats(loop_kernels, rate):
+    """Rates of another real type solve as their floats do, bit for bit:
+    the rounds read every rate as a double."""
+    base = builtin_instances()["grid2rate"]
+
+    def with_rates(convert):
+        return Instance(base.nodes, base.edges,
+                        [Session(s.sid, s.source, s.dest, convert(r))
+                         for s, r in zip(base.sessions, (1, rate))])
+    cfg = SolverConfig(tol=1e-3, max_iters=60)
+    with pytest.MonkeyPatch.context() as mp:
+        for kernel in loop_kernels:
+            mp.setattr(edge_graph, "_load_kernel", lambda: kernel)
+            assert run_digest(with_rates(lambda r: r), cfg) == \
+                run_digest(with_rates(float), cfg)
 
 
 # ---------------------------------------------------- route search checks

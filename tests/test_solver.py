@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from carpool import (FlowVector, GeometricConfig, PriceVector, SolverConfig,
                      SolveTrace, build_edge_graph, build_expanded_graph,
                      enumerate_triples, generate_geometric, init_prices,
-                     plain_routing_cost, primal_subproblem, solve, solver,
-                     subgradient_step)
+                     edge_graph, plain_routing_cost, primal_subproblem,
+                     solve, solver, subgradient_step)
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError, _LoopState
 from model_reference import (DenseLoopState, dense_aggregate, index_of,
@@ -185,6 +186,9 @@ def test_price_step_in_place_fresh_and_reference_agree(inputs):
 
 
 def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
+    # the numpy round, whose step the test can wrap; the compiled round's
+    # prices are held to its bits by test_compiled_and_numpy_rounds_agree
+    monkeypatch.setattr(edge_graph, "_load_kernel", lambda: None)
     rng = np.random.default_rng(5)
     line = Instance([Node(i, 1.0) for i in range(3)], [(0, 1), (1, 2)],
                     [Session(f"s{t}", 0, 2, r) for t, r in
@@ -223,19 +227,44 @@ def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
 
 # ----------------------------------------------------------------- recovery
 
+def with_rates(inst, rates):
+    return Instance(inst.nodes, inst.edges,
+                    [Session(s.sid, s.source, s.dest, float(r))
+                     for s, r in zip(inst.sessions, rates)])
+
+
+def loop_state(g, idx, cfg=None, kernel=None):
+    """A _LoopState at the initial prices, on the numpy round by default."""
+    return _LoopState(g, idx, cfg or SolverConfig(), SolveTrace(),
+                      init_prices(idx), kernel)
+
+
+def routes_of(carried):
+    """(start, rows) of a round that lists each session's rows in route
+    order, as the route search returns them."""
+    start = np.cumsum([0] + [len(ks) for ks in carried], dtype=np.int64)
+    rows = np.array([k for ks in carried for k in ks], dtype=np.int64)
+    return start, rows
+
+
 def ingest_dense(state, n, flows):
-    """Feed _LoopState round n given as one dense flow per session."""
-    x = np.array([f.values for f in flows])
-    sessions, rows = np.nonzero(x)
-    return state.ingest(n, 1.0 / n, sessions, rows, x[sessions, rows], 0.0)
+    """Feed _LoopState round n given as one dense flow for each of the
+    first sessions, which carries the session's rate on each triple it
+    uses; the others carry nothing."""
+    x = np.zeros(state.sums.shape)
+    x[:len(flows)] = [f.values for f in flows]
+    for row, s in zip(x, state.g.base.sessions):
+        assert set(row[row != 0.0].tolist()) <= {s.rate}
+    start, rows = routes_of([np.nonzero(row)[0] for row in x])
+    return state.ingest(n, 1.0 / n, start, rows, 0.0)
 
 
 def running_mean(g, idx, history):
     """The solve loop's recovered flows after ingesting every round."""
-    state = _LoopState(g, idx, SolverConfig(), SolveTrace())
+    state = loop_state(g, idx)
     for n, flows in enumerate(history, 1):
         ingest_dense(state, n, flows)
-    return state.solution(init_prices(idx), len(history)).flows
+    return state.solution(len(history)).flows
 
 
 def test_recovery_is_the_running_mean(relay3_parts):
@@ -274,19 +303,19 @@ def test_recovered_average_still_conserves():
 
 def test_support_restricted_total_equals_the_sum_of_session_means():
     inst = generate_geometric(GeometricConfig(side=6.0, sessions=6, seed=9))
+    rng = np.random.default_rng(17)
+    inst = with_rates(inst, rng.uniform(0.1, 3.0, len(inst.sessions)))
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
-    rng = np.random.default_rng(17)
     cfg = SolverConfig(tol=1e-12)
-    state = _LoopState(g, idx, cfg, SolveTrace())
+    state = loop_state(g, idx, cfg)
     dense = DenseLoopState(g, idx, cfg, SolveTrace())
     for n in range(1, 8):
         flows = []
         for s in inst.sessions:
             values = np.zeros(len(idx))
             # from a few triples, so that sessions overlap
-            picked = rng.choice(20, 12, replace=False)
-            values[picked] = rng.uniform(0.1, 3.0, 12)
+            values[rng.choice(20, 12, replace=False)] = s.rate
             flows.append(FlowVector(s.sid, values))
         ingest_dense(state, n, flows)
         dense.ingest(n, flows, 0.0)
@@ -296,37 +325,36 @@ def test_support_restricted_total_equals_the_sum_of_session_means():
             assert getattr(state.summary, name).tobytes() == \
                 getattr(dense.summary, name).tobytes()
     assert state.trace.recovered_costs == dense.trace.recovered_costs
-    got = state.solution(init_prices(idx), 7).flows
+    got = state.solution(7).flows
     assert [f.session for f in got] == [f.session for f in dense.mean]
     assert all(a.values.tobytes() == b.values.tobytes()
                for a, b in zip(got, dense.mean))
 
 
-def recover_both(g, idx, rounds):
+def recover_both(inst, rates, rounds, kernel):
     """Feed each round to _LoopState and to DenseLoopState, which must
-    agree bit for bit after every round.  A round lists, per session, the
-    (row, value) pairs it carried, in route order.  The NonFiniteError
-    message that stopped both at the same round, or None."""
+    agree bit for bit after every round.  Session t of inst runs at
+    rates[t], and a round lists, per session, the rows it carried its
+    rate on, in route order.  The NonFiniteError message that stopped
+    both at the same round, or None."""
+    g = build_expanded_graph(with_rates(inst, rates))
+    idx = enumerate_triples(g)
     cfg = SolverConfig(tol=1e-12)
-    state = _LoopState(g, idx, cfg, SolveTrace())
+    state = loop_state(g, idx, cfg, kernel)
     dense = DenseLoopState(g, idx, cfg, SolveTrace())
     stopped = None
     # as in price_ascent, an overflow shows as a non-finite cost
     with np.errstate(over="ignore", invalid="ignore"):
         for n, carried in enumerate(rounds, 1):
-            entries = [(t, k, x) for t, ks in enumerate(carried)
-                       for k, x in ks]
-            sessions = np.array([t for t, _, _ in entries], dtype=np.int64)
-            rows = np.array([k for _, k, _ in entries], dtype=np.int64)
-            values = np.array([x for _, _, x in entries], dtype=float)
+            start, rows = routes_of(carried)
             flows = []
             for s, ks in zip(g.base.sessions, carried):
                 f = np.zeros(len(idx))
-                f[[k for k, _ in ks]] = [x for _, x in ks]
+                f[list(ks)] = s.rate
                 flows.append(FlowVector(s.sid, f))
             outcome = []
-            for ingest in (lambda: state.ingest(n, 1.0 / n, sessions, rows,
-                                                values, 0.0),
+            for ingest in (lambda: state.ingest(n, 1.0 / n, start, rows,
+                                                0.0),
                            lambda: dense.ingest(n, flows, 0.0)):
                 try:
                     outcome.append(ingest())
@@ -344,7 +372,7 @@ def recover_both(g, idx, rounds):
         assert np.array(getattr(state.trace, name)).tobytes() == \
             np.array(getattr(dense.trace, name)).tobytes()
     if stopped is None:
-        got = state.solution(init_prices(idx), len(rounds)).flows
+        got = state.solution(len(rounds)).flows
         assert [f.session for f in got] == [f.session for f in dense.mean]
         assert all(a.values.tobytes() == b.values.tobytes()
                    for a, b in zip(got, dense.mean))
@@ -352,43 +380,123 @@ def recover_both(g, idx, rounds):
 
 
 @pytest.fixture(scope="module")
-def geo4_parts(geo4):
-    g = build_expanded_graph(geo4)
-    return g, enumerate_triples(g)
+def geo4_triples(geo4):
+    return len(enumerate_triples(build_expanded_graph(geo4)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_sparse_recovery_equals_the_dense_loop(geo4_parts, data):
-    g, idx = geo4_parts
+@given(data=st.data())
+def test_sparse_recovery_equals_the_dense_loop(geo4, geo4_triples,
+                                               loop_kernels, data):
     # a few triples for all sessions to draw from, so that they share
-    pool = data.draw(st.lists(st.integers(0, len(idx) - 1), min_size=1,
+    pool = data.draw(st.lists(st.integers(0, geo4_triples - 1), min_size=1,
                               max_size=8, unique=True))
     # the odd fractions round when added and divided, the extremes
     # underflow or overflow
     value = st.one_of(st.sampled_from([5e-324, 1e308]),
                       st.integers(1, 10**9).map(lambda k: k / 7919),
                       st.floats(1e-3, 1e3))
-    route = st.lists(st.tuples(st.sampled_from(pool), value), max_size=6,
-                     unique_by=lambda e: e[0])
+    sessions = len(geo4.sessions)
+    rates = data.draw(st.lists(value, min_size=sessions, max_size=sessions))
+    route = st.lists(st.sampled_from(pool), max_size=6, unique=True)
     rounds = data.draw(st.lists(
-        st.lists(route, min_size=len(g.base.sessions),
-                 max_size=len(g.base.sessions)), min_size=1, max_size=8))
-    recover_both(g, idx, rounds)
+        st.lists(route, min_size=sessions, max_size=sessions), min_size=1,
+        max_size=8))
+    for kernel in loop_kernels:
+        recover_both(geo4, rates, rounds, kernel)
 
 
-def test_sparse_recovery_keeps_the_smallest_subnormal(geo4_parts):
-    g, idx = geo4_parts
-    tiny = [[(3, 5e-324), (7, 5e-324)], [(7, 5e-324)], [], [(3, 5e-324)]]
-    assert recover_both(g, idx, [tiny, tiny, tiny]) is None
+def test_sparse_recovery_keeps_the_smallest_subnormal(geo4, loop_kernels):
+    tiny = [[3, 7], [7], [], [3]]
+    for kernel in loop_kernels:
+        assert recover_both(geo4, [5e-324] * 4, [tiny, tiny, tiny],
+                            kernel) is None
 
 
-def test_sparse_recovery_overflows_at_the_dense_loops_round(geo4_parts):
-    g, idx = geo4_parts
-    huge = [[(3, 1e308)], [(7, 1.0)], [], []]
-    assert recover_both(g, idx, [huge, huge, huge]) == (
-        "iteration 2: recovered cost is inf; costs or rates are too large "
-        "for float arithmetic")
+def test_sparse_recovery_overflows_at_the_dense_loops_round(geo4,
+                                                           loop_kernels):
+    huge = [[3], [7], [], []]
+    for kernel in loop_kernels:
+        assert recover_both(geo4, [1e308, 1.0, 1.0, 1.0], [huge, huge, huge],
+                            kernel) == (
+            "iteration 2: recovered cost is inf; costs or rates are too "
+            "large for float arithmetic")
+
+
+@st.composite
+def round_inputs(draw):
+    """A path network and rounds on it: node costs with -0.0 and 1e308,
+    session rates with the smallest subnormal and ones whose sums
+    overflow to inf (and whose flows then meet as inf - inf, NaN),
+    prices and step sizes of any float, and per round each session's
+    rows in route order.  A round's flow adds positive rates from +0.0,
+    so -0.0 comes in through the prices and the costs.  Every NaN drawn
+    is the one inf - inf makes: numpy's add keeps one of two NaN payloads
+    or the other by the element's place in the array and the CPU's
+    vector width, so two NaNs of different payloads have no one sum."""
+    with np.errstate(invalid="ignore"):
+        nan = float(np.subtract(np.inf, np.inf))
+    any_float = st.floats().map(lambda x: nan if math.isnan(x) else x)
+    size = draw(st.integers(2, 5))
+    costs = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 3.7,
+                                           1e308]),
+                          min_size=size, max_size=size))
+    ends = st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                    unique=True)
+    rate = st.sampled_from([5e-324, 0.1, 1 / 3, 2.5, 1e308])
+    sessions = [Session(f"s{t}", *draw(ends), draw(rate))
+                for t in range(draw(st.integers(1, 3)))]
+    inst = Instance([Node(j, c) for j, c in enumerate(costs)],
+                    [(j, j + 1) for j in range(size - 1)], sessions)
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    prices = draw(st.lists(any_float, min_size=len(idx), max_size=len(idx)))
+    # a route has at least one row, as a session's ends are two pairs
+    route = st.lists(st.integers(0, len(idx) - 1), min_size=1, max_size=6,
+                     unique=True)
+    rounds = draw(st.lists(st.tuples(
+        st.lists(route, min_size=len(sessions), max_size=len(sessions)),
+        any_float), min_size=1, max_size=6))
+    return g, idx, prices, rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=round_inputs())
+def test_compiled_and_numpy_rounds_agree(kernel, inputs):
+    """Round for round, the compiled round and the numpy round leave the
+    same bytes in the sums, the keys and their rows, y, z and the
+    prices, and certify or raise alike."""
+    g, idx, prices, rounds = inputs
+    cfg = SolverConfig(tol=1e-2)
+    states = [_LoopState(g, idx, cfg, SolveTrace(),
+                         PriceVector(np.array(prices)), k)
+              for k in (kernel, None)]
+    compiled, numpy_round = states
+    with np.errstate(all="ignore"):
+        for n, (carried, alpha) in enumerate(rounds, 1):
+            start, rows = routes_of(carried)
+            outcome = []
+            for state in states:
+                try:
+                    outcome.append(state.ingest(n, alpha, start, rows, 0.0))
+                except NonFiniteError as exc:
+                    outcome.append(str(exc))
+            assert outcome[0] == outcome[1]
+            used = compiled.frame.nkeys
+            assert compiled.keys[:used].tobytes() == \
+                numpy_round.keys.tobytes()
+            assert compiled.bins[:used].tobytes() == \
+                numpy_round.bins.tobytes()
+            for name in ("sums", "summary.y", "summary.z"):
+                got, want = (operator.attrgetter(name)(state)
+                             for state in states)
+                assert got.tobytes() == want.tobytes(), name
+            if isinstance(outcome[0], str):
+                break  # the compiled round has stepped; the numpy one not
+            assert compiled.p.values.tobytes() == \
+                numpy_round.p.values.tobytes()
+            if outcome[0]:
+                break
 
 
 # ------------------------------------------------------------- solve loop
@@ -460,8 +568,9 @@ def test_gap_keeps_shrinking(grid2):
 
 
 def test_solve_calls_each_layer_once_per_iteration_through_solver(
-        relay3, grid2, monkeypatch):
-    # bench/spans.py times these layers by wrapping carpool.solver's names
+        relay3, grid2, loop_kernels, count_rounds, monkeypatch):
+    # bench/spans.py times these layers by wrapping carpool.solver's names;
+    # the compiled round makes the summary and the step in its one call
     calls = Counter()
     for name in ("primal_subproblem", "subgradient_step",
                  "transmission_summary", "total_cost"):
@@ -469,17 +578,23 @@ def test_solve_calls_each_layer_once_per_iteration_through_solver(
             calls[_name] += 1
             return _call(*args, **kw)
         monkeypatch.setattr(solver, name, counted)
-    for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
-                      (grid2, SolverConfig(tol=1e-12, max_iters=40))):
-        calls.clear()
-        sol, trace = solve(inst, cfg)
-        n = sol.iterations
-        assert len(trace) == n and n == (2 if inst is relay3 else 40)
-        # the last round either certifies or hits the cap; the solution
-        # costs its summary once more
-        assert calls == {"primal_subproblem": n,
-                         "subgradient_step": n - sol.certified,
-                         "transmission_summary": n, "total_cost": n + 1}
+    for kernel in loop_kernels:
+        counted_kernel = count_rounds(kernel, calls)
+        monkeypatch.setattr(edge_graph, "_load_kernel",
+                            lambda: counted_kernel)
+        for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
+                          (grid2, SolverConfig(tol=1e-12, max_iters=40))):
+            calls.clear()
+            sol, trace = solve(inst, cfg)
+            n = sol.iterations
+            assert len(trace) == n and n == (2 if inst is relay3 else 40)
+            # the last round either certifies or hits the cap; the
+            # solution costs its summary once more
+            step = ({"subgradient_step": n - sol.certified,
+                     "transmission_summary": n} if kernel is None
+                    else {"round": n})
+            assert calls == {"primal_subproblem": n, "total_cost": n + 1,
+                             **step}
 
 
 def test_solve_is_deterministic(grid2):
