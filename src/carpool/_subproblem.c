@@ -54,9 +54,10 @@
  *
  * Round n of the loop, whose step size is alpha, routed session t at
  * rate rates[t] along the triple rows rows[start[t]] .. rows[start[t +
- * 1] - 1], each (session, row) at most once.  One call does what
- * carpool.solver._LoopState's numpy round does with the same IEEE
- * operations in the same order, so both give the same bits:
+ * 1] - 1], each (session, row) at most once.  carpool.solver._round is
+ * this function in numpy, on the same buffers with the same status
+ * codes, and it makes the same IEEE operations in the same order, so
+ * both give the same bits:
  *   - it adds each rate into sums[t * nt + row], in (session, route)
  *     order, and merges the keys t * nt + row of the sums that were
  *     +-0.0 into keys[0 .. nkeys - 1], sorted, and their rows into bins,
@@ -76,13 +77,11 @@
  *     at most.
  * The larger and smaller of two doubles are taken as np.maximum and
  * np.minimum take them: a NaN first operand, else a NaN second one,
- * else the second on a tie, so max(-0.0, +0.0) is +0.0.  numpy
- * documents no rule for a tie of signed zeros: this is the one its
- * x86-64 loops follow (numpy 2.4, AVX-512), and where numpy breaks the
- * tie the other way, as NEON's fmax does, the two rounds agree only on
- * instances with no node cost of -0.0, the one source of the tie in a
- * solve.  Of two NaNs of
- * different payloads, an addition keeps the one the compiled code does;
+ * else the second on a tie, so max(-0.0, +0.0) is +0.0, as numpy's
+ * x86-64 loops take it (numpy 2.4, AVX-512); numpy documents no rule
+ * for that tie.  No solve makes it: an instance turns a node cost of
+ * -0.0 into +0.0, and then no flow, cost or price is -0.0.  Of two NaNs
+ * of different payloads, an addition keeps the one the compiled code does;
  * numpy keeps the first operand's in its vector loop and the second's
  * in the tail of some arrays, so no order matches it everywhere.
  *
@@ -90,8 +89,9 @@
  * once; a round passes n, alpha and m, the count of rows in its buffer.
  * keys and bins have room for cap entries, and nkeys of them are in use.
  * It returns 0, or -1 when memory runs out, -3 when the merged keys
- * would not fit cap (and then nothing has changed), -5 when start[0] is
- * not 0, start falls, start[ns] exceeds m or a row is out of range.
+ * would not fit cap, -5 when start[0] is not 0, start falls, start[ns]
+ * exceeds m or a row is out of range; on -1, -3 and -5 nothing has
+ * changed.
  */
 
 #include <math.h>

@@ -204,8 +204,8 @@ def bind_kernel(path) -> Kernel:
 
 @functools.cache
 def _load_kernel() -> Kernel | None:
-    """The compiled kernel, or None when only _routes and the numpy round
-    can run.
+    """The compiled kernel, or None when only _routes and solver._round,
+    its two entry points' contracts in Python, can run.
 
     Logs one line naming the kernel that runs and, on fallback, why.
     """

@@ -251,7 +251,8 @@ class Instance:
         return len(self.nodes)
 
     def costs(self) -> np.ndarray:
-        return np.array([nd.cost for nd in self.nodes], dtype=float)
+        """The node costs, a cost of -0.0 as +0.0."""
+        return np.array([nd.cost for nd in self.nodes], dtype=float) + 0.0
 
 
 @dataclass

@@ -16,11 +16,11 @@ price_ascent is the one copy of this loop, price step included: solve()
 runs it on the route search, and the message-passing twin on its
 neighbour messages, so both give the same bits.  After the routes, a
 round's recovery, transmission summary and price step are one call of
-the compiled kernel's round (carpool_round in _subproblem.c); without
-the kernel, numpy runs them as transmission_summary and
-subgradient_step, with the same IEEE operations in the same order.
-What stays in Python is the dual bound, total_cost, the gap, the trace
-and the stop decision.
+the round: the compiled kernel's carpool_round (_subproblem.c), or,
+without the kernel, _round, its contract in numpy, which runs
+transmission_summary and subgradient_step with the same IEEE operations
+in the same order.  What stays in Python is the dual bound, total_cost,
+the gap, the trace and the stop decision.
 """
 
 from __future__ import annotations
@@ -139,6 +139,47 @@ class _RoundState(ctypes.Structure):
                     "fwd", "rev", "mid", "cost", "y", "z", "p", "work")])
 
 
+def _round(state: _LoopState, n: int, alpha: float, m: int) -> int:
+    """carpool_round in numpy, which runs when the kernel cannot be built
+    or loaded: the same buffers, the arrays that state binds in its frame,
+    and the same status codes, 0, -3 or -5, with nothing changed on -3 or
+    -5.  It calls transmission_summary and subgradient_step by this
+    module's names."""
+    frame, idx, start = state.frame, state.idx, state.start
+    T, counts = frame.nt, start[1:] - start[:-1]
+    if start[0] != 0 or start[-1] > m or (counts < 0).any():
+        return -5
+    rows = state.rows[:start[-1]]
+    if (rows.view(np.uint64) >= T).any():  # a negative row too
+        return -5
+    values = state.rates.repeat(counts)
+    flat = np.arange(0, frame.ns * T, T).repeat(counts) + rows
+    sums, used = state.flat_sums, frame.nkeys
+    seen = sums[flat]
+    fresh = flat[seen == 0.0]  # never carried, as values > 0
+    if len(fresh) > frame.cap - used:
+        return -3
+    if len(fresh):
+        keys = np.sort(np.concatenate((state.keys[:used], fresh)),
+                       kind="stable")
+        used = frame.nkeys = len(keys)
+        state.keys[:used] = keys
+        np.remainder(keys, T, out=state.bins[:used])
+    sums[flat] = np.add(seen, values, out=seen)  # what += would store
+    agg = np.bincount(state.bins[:used],
+                      weights=sums[state.keys[:used]] / n, minlength=T)
+    summary = transmission_summary(agg, state.g, idx)
+    np.copyto(state.summary.y, summary.y)
+    np.copyto(state.summary.z, summary.z)
+    flow = np.bincount(rows, weights=values, minlength=T)
+    # work keeps the prices routed at, as every row is in a pair; flow is
+    # ints when the round carried nothing
+    np.copyto(state.work, state.p.values)
+    subgradient_step(state.p, flow.astype(float, copy=False), alpha, idx,
+                     out=state.p.values)
+    return 0
+
+
 class _LoopState:
     """Recovery, bounds, the price step and the stop decision of
     price_ascent's rounds, on the prices p, which it steps in place.
@@ -151,41 +192,32 @@ class _LoopState:
     by n would round differently.)  The means are built only for the
     solution.
 
-    With the compiled kernel, a round is one call of its round, which
-    does the recovery, the summary and the price step; the fixed arrays
-    are bound once in frame, keys and bins grow on demand, and the
-    routes are copied into start and rows.  The call leaves in work the
-    prices the round was routed at, which a round that certifies puts
-    back.  Without the kernel the numpy round runs: the recovery,
-    transmission_summary and, unless the round certifies,
-    subgradient_step.  The two give the same bits, with one state that
-    callers must not rely on: when ingest raises NonFiniteError on the
-    recovered cost, the compiled round has stepped p and the numpy round
-    has not.
+    A round is one call of fn, which does the recovery, the summary and
+    the price step: the compiled kernel's round on ref, the address of
+    frame, or without the kernel _round on ref, this state.  Either reads
+    and writes the arrays bound once in frame; keys and bins grow on
+    demand, and the routes are copied into start and rows.  The call
+    leaves in work the prices the round was routed at, which a round
+    that certifies puts back.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
                  cfg: SolverConfig, trace: SolveTrace, p: PriceVector,
                  kernel: edge_graph.Kernel | None):
         self.g, self.idx, self.cfg, self.trace, self.p = g, idx, cfg, trace, p
-        sessions, T = g.base.sessions, len(idx)
+        sessions, T, pairs = g.base.sessions, len(idx), len(idx.pair_fwd)
         self.sums = np.zeros((len(sessions), T))
         self.flat_sums = self.sums.reshape(-1)  # a view of sums
         # doubles whatever the rates' type: the kernel reads them as such
         self.rates = np.array([s.rate for s in sessions], dtype=np.float64)
         self.keys = self.bins = np.zeros(0, dtype=np.int64)  # bins: keys % T
         self.best = -math.inf
-        self.summary = TransmissionSummary(idx, np.zeros(len(idx.pair_fwd)),
+        self.summary = TransmissionSummary(idx, np.zeros(pairs),
                                            np.zeros(g.n_nodes))
         self.gap = 0.0
         self.certified = not sessions
-        self.fn = None if kernel is None else kernel.round
-        if self.fn is None:
-            self.ids = np.arange(len(sessions))
-            return
         # the pair arrays and the prices come from outside, and the kernel
         # reads and writes them by address: check them once
-        pairs = len(idx.pair_fwd)
         for a, dtype, size, bound in (
                 (idx.pair_fwd, np.int64, pairs, T),
                 (idx.pair_rev, np.int64, pairs, T),
@@ -209,7 +241,8 @@ class _LoopState:
         self.frame = _RoundState(
             len(sessions), T, pairs, g.n_nodes,
             **{name: a.ctypes.data for name, a in arrays.items()})
-        self.ref = ctypes.addressof(self.frame)
+        self.fn, self.ref = ((_round, self) if kernel is None
+                             else (kernel.round, ctypes.addressof(self.frame)))
 
     def ingest(self, n: int, alpha: float, start: np.ndarray,
                rows: np.ndarray, q: float) -> bool:
@@ -224,52 +257,6 @@ class _LoopState:
                 f"too large for float arithmetic")
         if q > self.best:
             self.best = q
-        if self.fn is None:
-            values = self._recover(n, start, rows)
-        else:
-            self._round(n, alpha, start, rows)
-        cost, _ = total_cost(self.summary, self.g)
-        if not math.isfinite(cost):
-            raise NonFiniteError(
-                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
-                f"are too large for float arithmetic")
-        self.gap = (cost - self.best) / max(1.0, self.best)
-        self.trace.append(n, alpha, q, self.best, cost, self.gap)
-        self.certified = self.gap <= self.cfg.tol
-        if self.fn is None:
-            if not self.certified:
-                agg = np.bincount(rows, weights=values,
-                                  minlength=len(self.idx))
-                # ints when the round carried nothing
-                subgradient_step(self.p, agg.astype(float, copy=False),
-                                 alpha, self.idx, out=self.p.values)
-        elif self.certified:  # put back the prices this round routed at
-            for pairs in (self.idx.pair_fwd, self.idx.pair_rev):
-                self.p.values[pairs] = self.work[pairs]
-        return self.certified
-
-    def _recover(self, n: int, start: np.ndarray,
-                 rows: np.ndarray) -> np.ndarray:
-        """The numpy round's recovery and summary; the values carried."""
-        counts = start[1:] - start[:-1]
-        values = self.rates.repeat(counts)
-        T, sums = len(self.idx), self.flat_sums
-        flat = self.ids.repeat(counts) * T + rows
-        seen = sums[flat]
-        fresh = flat[seen == 0.0]  # never carried, as values > 0
-        if len(fresh):
-            self.keys = np.sort(np.concatenate((self.keys, fresh)),
-                                kind="stable")
-            self.bins = self.keys % T
-        sums[flat] = np.add(seen, values, out=seen)  # what += would store
-        agg = np.bincount(self.bins, weights=sums[self.keys] / n,
-                          minlength=T)
-        self.summary = transmission_summary(agg, self.g, self.idx)
-        return values
-
-    def _round(self, n: int, alpha: float, start: np.ndarray,
-               rows: np.ndarray) -> None:
-        """The compiled round: recovery, summary and price step."""
         frame, m = self.frame, len(rows)
         if m > len(self.rows):
             self.rows = np.empty(2 * m, dtype=np.int64)
@@ -286,7 +273,19 @@ class _LoopState:
         self.rows[:m] = rows
         status = self.fn(self.ref, n, alpha, m)
         if status:
-            raise RuntimeError(f"round kernel failed with status {status}")
+            raise RuntimeError(f"round failed with status {status}")
+        cost, _ = total_cost(self.summary, self.g)
+        if not math.isfinite(cost):
+            raise NonFiniteError(
+                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
+                f"are too large for float arithmetic")
+        self.gap = (cost - self.best) / max(1.0, self.best)
+        self.trace.append(n, alpha, q, self.best, cost, self.gap)
+        self.certified = self.gap <= self.cfg.tol
+        if self.certified:  # put back the prices this round routed at
+            for pairs in (self.idx.pair_fwd, self.idx.pair_rev):
+                self.p.values[pairs] = self.work[pairs]
+        return self.certified
 
     def solution(self, iterations: int) -> Solution:
         expanded, physical = total_cost(self.summary, self.g)

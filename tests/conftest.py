@@ -34,8 +34,8 @@ def kernel(tmp_path_factory):
 @pytest.fixture(scope="session")
 def loop_kernels(request):
     """Each way a solve runs here: the compiled kernel's route search and
-    round when cc builds them, then None, for _routes and the numpy
-    round."""
+    round when cc builds them, then None, for _routes and
+    carpool.solver._round."""
     if shutil.which("cc") is None:
         return [None]
     return [request.getfixturevalue("kernel"), None]

@@ -608,13 +608,19 @@ def project_pair_reference(u1: float, u2: float, c: float
 
 def pair_network(c):
     """The triples of a network whose node j, of broadcast cost c[j],
-    relays between two leaves of its own, so pair row j is node j's."""
+    relays between two leaves of its own, so pair row j is node j's.
+
+    The costs go into the index as given, -0.0 too, which an instance
+    would turn into +0.0, so that the price step meets them."""
     m = len(c)
-    nodes = [Node(j, float(x)) for j, x in enumerate(c)]
+    raw = np.array([float(x) for x in c])
+    nodes = [Node(j, x) for j, x in enumerate(raw.tolist())]
     nodes += [Node(m + j, 1.0) for j in range(2 * m)]
     edges = [(j, m + 2 * j + e) for j in range(m) for e in (0, 1)]
     idx = enumerate_triples(build_expanded_graph(Instance(nodes, edges, [])))
     assert idx.mid[idx.pair_fwd].tolist() == list(range(m))
+    idx.cost = raw[idx.mid]
+    idx.pair_cost = raw[idx.mid[idx.pair_fwd]]
     return idx
 
 

@@ -186,7 +186,7 @@ def test_price_step_in_place_fresh_and_reference_agree(inputs):
 
 
 def test_price_step_total_equals_the_dense_session_order_sum(monkeypatch):
-    # the numpy round, whose step the test can wrap; the compiled round's
+    # _round, whose step the test can wrap; the compiled round's
     # prices are held to its bits by test_compiled_and_numpy_rounds_agree
     monkeypatch.setattr(edge_graph, "_load_kernel", lambda: None)
     rng = np.random.default_rng(5)
@@ -234,7 +234,7 @@ def with_rates(inst, rates):
 
 
 def loop_state(g, idx, cfg=None, kernel=None):
-    """A _LoopState at the initial prices, on the numpy round by default."""
+    """A _LoopState at the initial prices, on _round by default."""
     return _LoopState(g, idx, cfg or SolverConfig(), SolveTrace(),
                       init_prices(idx), kernel)
 
@@ -320,7 +320,7 @@ def test_support_restricted_total_equals_the_sum_of_session_means():
         ingest_dense(state, n, flows)
         dense.ingest(n, flows, 0.0)
         # recovery ran on fewer entries than the S x T sums hold
-        assert len(state.keys) < len(inst.sessions) * len(idx)
+        assert state.frame.nkeys < len(inst.sessions) * len(idx)
         for name in ("y", "z"):
             assert getattr(state.summary, name).tobytes() == \
                 getattr(dense.summary, name).tobytes()
@@ -430,7 +430,8 @@ def round_inputs(draw):
     overflow to inf (and whose flows then meet as inf - inf, NaN),
     prices and step sizes of any float, and per round each session's
     rows in route order.  A round's flow adds positive rates from +0.0,
-    so -0.0 comes in through the prices and the costs.  Every NaN drawn
+    so -0.0 comes in through the prices and the pair costs, which keep
+    the -0.0 that the instance reads as +0.0.  Every NaN drawn
     is the one inf - inf makes: numpy's add keeps one of two NaN payloads
     or the other by the element's place in the array and the CPU's
     vector width, so two NaNs of different payloads have no one sum."""
@@ -450,6 +451,7 @@ def round_inputs(draw):
                     [(j, j + 1) for j in range(size - 1)], sessions)
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
+    idx.pair_cost = np.array(costs)[idx.pair_mid]
     prices = draw(st.lists(any_float, min_size=len(idx), max_size=len(idx)))
     # a route has at least one row, as a session's ends are two pairs
     route = st.lists(st.integers(0, len(idx) - 1), min_size=1, max_size=6,
@@ -463,9 +465,9 @@ def round_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(inputs=round_inputs())
 def test_compiled_and_numpy_rounds_agree(kernel, inputs):
-    """Round for round, the compiled round and the numpy round leave the
-    same bytes in the sums, the keys and their rows, y, z and the
-    prices, and certify or raise alike."""
+    """Round for round, the compiled round and _round leave the same
+    bytes in the sums, the keys and their rows, y, z, work and the
+    prices, and certify or raise alike, the round that raises too."""
     g, idx, prices, rounds = inputs
     cfg = SolverConfig(tol=1e-2)
     states = [_LoopState(g, idx, cfg, SolveTrace(),
@@ -483,20 +485,52 @@ def test_compiled_and_numpy_rounds_agree(kernel, inputs):
                     outcome.append(str(exc))
             assert outcome[0] == outcome[1]
             used = compiled.frame.nkeys
-            assert compiled.keys[:used].tobytes() == \
-                numpy_round.keys.tobytes()
-            assert compiled.bins[:used].tobytes() == \
-                numpy_round.bins.tobytes()
-            for name in ("sums", "summary.y", "summary.z"):
+            assert numpy_round.frame.nkeys == used
+            for name in ("keys", "bins"):
+                got, want = (getattr(state, name)[:used] for state in states)
+                assert got.tobytes() == want.tobytes(), name
+            for name in ("sums", "summary.y", "summary.z", "work",
+                         "p.values"):
                 got, want = (operator.attrgetter(name)(state)
                              for state in states)
                 assert got.tobytes() == want.tobytes(), name
-            if isinstance(outcome[0], str):
-                break  # the compiled round has stepped; the numpy one not
-            assert compiled.p.values.tobytes() == \
-                numpy_round.p.values.tobytes()
-            if outcome[0]:
+            if outcome[0] is not False:  # certified, or raised
                 break
+
+
+@pytest.mark.parametrize("form", ["C", "python"])
+def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
+        form, grid2, request):
+    """Either round returns -5 on a bad start or row, which ingest raises,
+    and -3 when the new keys would not fit cap, and leaves every byte of
+    its state as it was."""
+    kernel = request.getfixturevalue("kernel") if form == "C" else None
+    g = build_expanded_graph(grid2)
+    idx = enumerate_triples(g)
+    T = len(idx)
+    state = loop_state(g, idx, SolverConfig(tol=1e-12), kernel)
+    state.ingest(1, 1.0, *routes_of([[3, 7], [7]]), 0.0)
+
+    def snapshot():
+        return [a.tobytes() for a in (
+            state.sums, state.keys, state.bins, state.summary.y,
+            state.summary.z, state.p.values, state.work)]
+
+    before = snapshot()
+    for start, rows in (([1, 2, 3], [3, 7, 7]),  # start[0] is not 0
+                        ([0, 2, 1], [3, 7, 7]),  # start falls
+                        ([0, 2, 4], [3, 7, 7]),  # start[ns] > m
+                        ([0, 2, 3], [3, T, 7]),
+                        ([0, 2, 3], [3, -1, 7])):
+        with pytest.raises(RuntimeError, match="status -5"):
+            state.ingest(2, 0.5, np.array(start), np.array(rows), 0.0)
+        assert snapshot() == before
+    # two new keys, and room for none
+    state.start[:] = [0, 1, 2]
+    state.rows[:2] = [5, 9]
+    state.frame.cap = state.frame.nkeys
+    assert state.fn(state.ref, 2, 0.5, 2) == -3
+    assert snapshot() == before
 
 
 # ------------------------------------------------------------- solve loop
@@ -569,8 +603,9 @@ def test_gap_keeps_shrinking(grid2):
 
 def test_solve_calls_each_layer_once_per_iteration_through_solver(
         relay3, grid2, loop_kernels, count_rounds, monkeypatch):
-    # bench/spans.py times these layers by wrapping carpool.solver's names;
-    # the compiled round makes the summary and the step in its one call
+    # bench/spans.py times these layers by wrapping carpool.solver's names,
+    # which _round calls; the compiled round makes the summary and the
+    # step in its one call
     calls = Counter()
     for name in ("primal_subproblem", "subgradient_step",
                  "transmission_summary", "total_cost"):
@@ -588,13 +623,35 @@ def test_solve_calls_each_layer_once_per_iteration_through_solver(
             sol, trace = solve(inst, cfg)
             n = sol.iterations
             assert len(trace) == n and n == (2 if inst is relay3 else 40)
-            # the last round either certifies or hits the cap; the
-            # solution costs its summary once more
-            step = ({"subgradient_step": n - sol.certified,
-                     "transmission_summary": n} if kernel is None
-                    else {"round": n})
+            # every round steps, and one that certifies puts its prices
+            # back; the solution costs its summary once more
+            step = ({"subgradient_step": n, "transmission_summary": n}
+                    if kernel is None else {"round": n})
             assert calls == {"primal_subproblem": n, "total_cost": n + 1,
                              **step}
+
+
+def test_a_node_cost_of_minus_zero_solves_as_plus_zero(grid2, loop_kernels,
+                                                     monkeypatch):
+    # an instance's costs turn -0.0 into +0.0, so no price is -0.0 and
+    # no tie of signed zeros reaches the price step's clamp
+    def at(cost):
+        return Instance([Node(nd.nid, cost if nd.nid == 12 else nd.cost,
+                              nd.pos) for nd in grid2.nodes],
+                        grid2.edges, grid2.sessions)
+
+    for kernel in loop_kernels:
+        monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        (sol, trace), (want, want_trace) = (
+            solve(at(cost), SolverConfig(tol=1e-12, max_iters=200))
+            for cost in (-0.0, 0.0))
+        for name in ("dual_bounds", "recovered_costs", "rel_gaps"):
+            assert np.array(getattr(trace, name)).tobytes() == \
+                np.array(getattr(want_trace, name)).tobytes()
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(sol.flows, want.flows))
+        assert sol.prices.values.tobytes() == want.prices.values.tobytes()
+        assert not np.signbit(sol.prices.values).any()
 
 
 def test_solve_is_deterministic(grid2):
