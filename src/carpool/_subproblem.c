@@ -36,6 +36,13 @@
  * and relaxes its range once, so a session pushes at most once per
  * range entry, plus its source.
  *
+ * The counts and arrays of one graph and its sessions are one
+ * search_state, which carpool.edge_graph.RouteSearch binds once, so a
+ * call passes one pointer; the ranges and the weights are still checked
+ * on every call.  carpool.edge_graph._routes is this function in Python
+ * on the same state, filling the same buffers with the same status
+ * codes.
+ *
  * Session t searches from src[t] to dst[t] (no early stop when dst[t]
  * is negative).  Its distance goes to qdist[t] and its arcs, source
  * first, to rows[start[t]] .. rows[start[t + 1] - 1]; an unreached
@@ -67,6 +74,10 @@
  *     session order, added from +0.0 as np.bincount adds;
  *   - it sets y[k] to the larger of work[fwd[k]] and work[rev[k]] and
  *     adds it into z[mid[k]], from +0.0, in pair order;
+ *   - it sets expanded, the summary's expanded cost, to the sum of
+ *     ncost[k] * z[k], added from +0.0 in node order, as
+ *     carpool.model.total_cost adds it, so that no bit depends on the
+ *     BLAS kernel that np.dot would pick by CPU;
  *   - it sets work[row] to the round's flow per triple, each rate added
  *     from +0.0 in (session, route) order, and steps the prices in
  *     place: x = p[fwd[k]] + 0.5 * alpha * (work[fwd[k]] -
@@ -87,6 +98,8 @@
  *
  * The fixed arrays and counts of a solve are one round_state, bound
  * once; a round passes n, alpha and m, the count of rows in its buffer.
+ * Under solve(), start and rows are the route search's own buffers, so
+ * no route is copied between the two calls.
  * keys and bins have room for cap entries, and nkeys of them are in use.
  * It returns 0, or -1 when memory runs out, -3 when the merged keys
  * would not fit cap, -5 when start[0] is not 0, start falls, start[ns]
@@ -178,13 +191,25 @@ static double value(uint64_t u)
     return d;
 }
 
-int64_t carpool_routes(int64_t nv, const int64_t *lo, const int64_t *hi,
-                       int64_t m, const int64_t *heads, const double *w,
-                       int64_t ns, const int64_t *src, const int64_t *dst,
-                       double *dist, int64_t *hops, int64_t *pred,
-                       double *qdist, int64_t *start, int64_t *rows,
-                       int64_t cap)
+typedef struct {
+    int64_t nv, m, ns, cap;   /* vertices, arcs, sessions, route rows */
+    const int64_t *lo, *hi;   /* nv */
+    const int64_t *heads;     /* m */
+    const double *w;          /* m */
+    const int64_t *src, *dst; /* ns */
+    double *dist;             /* nv */
+    int64_t *hops, *pred;     /* nv */
+    double *qdist;            /* ns */
+    int64_t *start, *rows;    /* ns + 1, cap */
+} search_state;
+
+int64_t carpool_routes(const search_state *r)
 {
+    const int64_t nv = r->nv, m = r->m, ns = r->ns, cap = r->cap;
+    const int64_t *lo = r->lo, *hi = r->hi, *heads = r->heads;
+    const double *w = r->w;
+    double *dist = r->dist;
+    int64_t *hops = r->hops, *pred = r->pred, *start = r->start;
     const int64_t limit = (int64_t)1 << 31;
     int64_t used = 0, status = 0, in_ranges = 0, *via;
     radix_heap q;
@@ -210,7 +235,7 @@ int64_t carpool_routes(int64_t nv, const int64_t *lo, const int64_t *hi,
     }
     start[0] = 0;
     for (int64_t t = 0; t < ns; t++) {
-        int64_t s = src[t], stop = dst[t], pushed = 1;
+        int64_t s = r->src[t], stop = r->dst[t], pushed = 1;
         for (int64_t x = 0; x < nv; x++) {
             dist[x] = INFINITY;
             hops[x] = 0;
@@ -251,7 +276,7 @@ int64_t carpool_routes(int64_t nv, const int64_t *lo, const int64_t *hi,
                 }
             }
         }
-        qdist[t] = stop < 0 ? 0.0 : dist[stop];
+        r->qdist[t] = stop < 0 ? 0.0 : dist[stop];
         if (stop >= 0 && dist[stop] != INFINITY) {
             int64_t len = hops[stop], x = stop;
             if (len > cap - used) {
@@ -259,7 +284,7 @@ int64_t carpool_routes(int64_t nv, const int64_t *lo, const int64_t *hi,
                 goto done;
             }
             for (int64_t i = used + len - 1; i >= used && x >= 0; i--) {
-                rows[i] = via[x];
+                r->rows[i] = via[x];
                 x = pred[x];
             }
             if (x != s) {
@@ -289,6 +314,8 @@ typedef struct {
     double *y;                   /* npairs */
     double *z;                   /* nn */
     double *p, *work;            /* nt */
+    const double *ncost;         /* nn */
+    double expanded;             /* written: the sum of ncost * z */
 } round_state;
 
 static double larger(double a, double b)
@@ -307,7 +334,7 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
     const int64_t *fwd = r->fwd, *rev = r->rev;
     double *sums = r->sums, *work = r->work, *p = r->p;
     int64_t fresh = 0, *fkeys = NULL, *fbins = NULL;
-    double dn = (double)n, half = 0.5 * alpha;
+    double dn = (double)n, half = 0.5 * alpha, e = 0.0;
     if (start[0] != 0 || start[ns] > m)
         return -5;
     for (int64_t t = 0; t < ns; t++) {
@@ -357,7 +384,7 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
     }
     r->nkeys += fresh;
     free(fkeys);
-    /* the recovered flow per triple, then y and z */
+    /* the recovered flow per triple, then y, z and the expanded cost */
     for (int64_t k = 0; k < nt; k++)
         work[k] = 0.0;
     for (int64_t i = 0; i < r->nkeys; i++)
@@ -369,6 +396,9 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
         r->y[k] = y;
         r->z[r->mid[k]] = r->z[r->mid[k]] + y;
     }
+    for (int64_t k = 0; k < r->nn; k++)
+        e = e + r->ncost[k] * r->z[k];
+    r->expanded = e;
     /* the round's flow per triple, then the step, which leaves the
        routed prices in work */
     for (int64_t k = 0; k < nt; k++)

@@ -18,10 +18,12 @@ The searches run in one call of a C kernel (_subproblem.c) for every
 session.  The kernel is compiled on first use by the local C compiler
 into the user's cache directory and loaded through ctypes; without a
 compiler, or when the build or the load fails, _routes runs instead.
-_routes takes the kernel's arguments, fills its buffers and returns its
-status codes, so either way the labels, and so every path, are the
-same bits.  The same library holds carpool_round, the rest of a round
-of the solve loop, which carpool.solver calls.
+The kernel takes one pointer, to the counts and array addresses that a
+RouteSearch binds once, and _routes takes the RouteSearch; it fills the
+same buffers and returns the same status codes, so either way the
+labels, and so every path, are the same bits.  The same library holds
+carpool_round, the rest of a round of the solve loop, which
+carpool.solver calls.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class EdgeGraph:
     to g.dst_pair[t].  Triple k is the arc idx.tail[k] -> idx.head[k],
     and the arcs leaving u are the triple rows idx.out_lo[u] to
     idx.out_hi[u] - 1, so the graph keeps no index of its own.  search is
-    the route search of every session, built by the first
-    primal_subproblem call on the graph and reused by later ones.
+    the route search of every session, which search_of builds on first
+    use and later calls reuse.
     vertices is built on first read; the solve loop never reads it.
     """
 
@@ -83,11 +85,11 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
     return EdgeGraph(g, idx)
 
 
-def _routes(nv, lo, hi, m, heads, w, ns, src, dst, dist, hops, pred, qdist,
-            start, rows, cap) -> int:
+def _routes(search: RouteSearch) -> int:
     """carpool_routes in Python, which runs when the kernel cannot be
-    built or loaded: the same arguments, with arrays where the kernel
-    takes addresses, the same buffers filled and the same status codes.
+    built or loaded: the same search_state, read from search's frame and
+    the arrays search binds there, the same buffers filled and the same
+    status codes.
 
     A binary heap of (dist, hops, vertex) pops in the kernel's order, and
     each route is walked back through via[x], the arc that set or tied
@@ -100,12 +102,15 @@ def _routes(nv, lo, hi, m, heads, w, ns, src, dst, dist, hops, pred, qdist,
     pops strictly earlier in (dist, hops) order, so one pass suffices.
     A tie has at least one hop, so never reaches src or an unreached one.
     """
-    if (w < 0.0).any():
+    frame, start, rows = search.frame, search.start, search.rows
+    if (search.wts < 0.0).any():
         return -2
-    lo, hi, heads, w = (a.tolist() for a in (lo, hi, heads, w))
+    lo, hi, heads, w = (a.tolist() for a in (search.lo, search.hi,
+                                              search.heads, search.wts))
+    nv, cap = frame.nv, frame.cap
     used = start[0] = 0
-    for t in range(ns):
-        s, stop = int(src[t]), int(dst[t])
+    for t in range(frame.ns):
+        s, stop = int(search.src[t]), int(search.dst[t])
         d_of, h_of, p_of, via = [INF] * nv, [0] * nv, [-1] * nv, [-1] * nv
         d_of[s] = 0.0
         heap = [(0.0, 0, s)]
@@ -124,8 +129,8 @@ def _routes(nv, lo, hi, m, heads, w, ns, src, dst, dist, hops, pred, qdist,
                     heappush(heap, (nd, nh, x))
                 elif nd == d_of[x] and nh == h_of[x] and u < p_of[x]:
                     p_of[x], via[x] = u, k
-        dist[:], hops[:], pred[:] = d_of, h_of, p_of
-        qdist[t] = 0.0 if stop < 0 else d_of[stop]
+        search.dist[:], search.hops[:], search.pred[:] = d_of, h_of, p_of
+        search.qdist[t] = 0.0 if stop < 0 else d_of[stop]
         if stop >= 0 and d_of[stop] != INF:
             n, x, path = h_of[stop], stop, []
             if n > cap - used:
@@ -188,16 +193,16 @@ class Kernel(NamedTuple):
 def bind_kernel(path) -> Kernel:
     """The kernel's entry points in the library at path, typed.
 
-    Arrays go in as addresses that their callers check first: numpy's
-    ndpointer argtypes would check them too, but at about 5 us per array
-    they made an iteration on a small instance about 20% slower.
+    Each takes the address of a structure of counts and array addresses
+    that its caller binds and checks once: numpy's ndpointer argtypes
+    would check the arrays on every call, at about 5 us per array, and
+    ctypes converts each argument of every call.
     """
     lib = ctypes.CDLL(str(path))
     kernel = Kernel(lib.carpool_routes, lib.carpool_round)
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     kernel.routes.restype = kernel.round.restype = i64
-    kernel.routes.argtypes = ([i64, ptr, ptr, i64, ptr, ptr, i64] + [ptr] * 8
-                              + [i64])
+    kernel.routes.argtypes = [ptr]
     kernel.round.argtypes = [ptr, i64, ctypes.c_double, i64]
     return kernel
 
@@ -228,6 +233,15 @@ def _check_array(a: np.ndarray, dtype) -> None:
                         f"array, got {a.dtype} of shape {a.shape}")
 
 
+class _SearchState(ctypes.Structure):
+    """carpool_routes's search_state (_subproblem.c), field for field."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in ("nv", "m", "ns", "cap")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "lo", "hi", "heads", "w", "src", "dst", "dist", "hops",
+                    "pred", "qdist", "start", "rows")])
+
+
 class RouteSearch:
     """Cheapest routes from src[t] to dst[t] on one graph, at any weights
     that are not negative.
@@ -238,14 +252,14 @@ class RouteSearch:
     and the arrays' types and index ranges, once: a ValueError naming
     the array whose range the kernel's status -5 would refuse, whichever
     search runs.  It also copies src and dst, allocates one array per
-    output buffer and fixes every argument but the weights, so that a call
-    checks only the weights.  The eleven arrays are one list, arrays; the
-    search, fn, is _routes, which takes them as they are, when kernel is
-    None, and otherwise the kernel's routes, which take their addresses
-    while the list keeps them alive.  args is the search's whole argument
-    list.  A call puts its weights in, unless they are wts, the array of
-    the last call, changed in place or not: an array's data does not move
-    while a reference to it is held.
+    output buffer and binds every count and array in frame, a
+    search_state, so that a call checks only the weights.  A search is
+    one call of fn on ref: the kernel's routes on the address of frame,
+    or, when kernel is None, _routes on this search, which reads the
+    counts in frame and the arrays held here, the ones whose addresses
+    the kernel reads.  A call binds its weights in frame, unless they are
+    wts, the array of the last call, changed in place or not: an array's
+    data does not move while a reference to it is held.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
@@ -272,41 +286,47 @@ class RouteSearch:
                else "heads" if (heads.view(np.uint64) >= nv).any() else "")
         if bad:
             raise ValueError(f"route search {bad} out of range")
-        self.fn = _routes if kernel is None else kernel.routes
-        self.narcs = m
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
+        self.lo, self.hi, self.heads = lo, hi, heads
+        self.src, self.dst = (np.array(x, dtype=i64) for x in (src, dst))
         self.dist, self.qdist = np.empty(nv), np.empty(ns)
         self.hops, self.pred, self.start, self.rows = (
             np.empty(size, dtype=i64) for size in (nv, nv, ns + 1, cap))
-        # bound to self, as the kernel reads and writes them by address
-        self.arrays = [lo, hi, heads, np.array(src, dtype=i64),
-                       np.array(dst, dtype=i64), self.dist, self.hops,
-                       self.pred, self.qdist, self.start, self.rows]
-        refs = (self.arrays if kernel is None
-                else [a.ctypes.data for a in self.arrays])
-        self.args = [nv, refs[0], refs[1], m, refs[2], None, ns, *refs[3:],
-                     cap]  # args[5] is the weights
+        arrays = ("lo", "hi", "heads", "src", "dst", "dist", "hops", "pred",
+                  "qdist", "start", "rows")
+        self.frame = _SearchState(
+            nv, m, ns, cap,
+            **{name: getattr(self, name).ctypes.data for name in arrays})
+        self.fn, self.ref = ((_routes, self) if kernel is None
+                             else (kernel.routes, ctypes.addressof(self.frame)))
         self.wts = None
 
-    def __call__(self, wts: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(distances, start, rows) at weights wts: route t's arcs, source
+    def run(self, wts: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(distances, start, rows) at weights wts, in the search's own
+        buffers, which the next call overwrites: route t's arcs, source
         first, are rows[start[t]:start[t + 1]]; an unreached destination
         has distance inf and no arcs."""
-        if len(wts) != self.narcs:
-            raise ValueError(f"{len(wts)} weights for {self.narcs} arcs")
+        if len(wts) != self.frame.m:
+            raise ValueError(f"{len(wts)} weights for {self.frame.m} arcs")
         _check_array(wts, F64)
         if wts is not self.wts:
             self.wts = wts
-            self.args[5] = wts if self.fn is _routes else wts.ctypes.data
-        status = self.fn(*self.args)
+            self.frame.w = wts.ctypes.data
+        status = self.fn(self.ref)
         if status == -2:
             raise _negative_weight(wts)
         if status:
             raise RuntimeError(
                 f"sub-problem kernel failed with status {status}")
-        return (self.qdist.copy(), self.start.copy(),
-                self.rows[:self.start[-1]].copy())
+        return self.qdist, self.start, self.rows[:self.start[-1]]
+
+    def __call__(self, wts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """run's three arrays, copied, so that later calls leave them
+        alone."""
+        qdist, start, rows = self.run(wts)
+        return qdist.copy(), start.copy(), rows.copy()
 
 
 def _negative_weight(wts: np.ndarray) -> ValueError:
@@ -322,15 +342,21 @@ def route_search(lo: np.ndarray, hi: np.ndarray, heads: np.ndarray,
     return RouteSearch(_load_kernel(), lo, hi, heads, src, dst)
 
 
+def search_of(h: EdgeGraph) -> RouteSearch:
+    """h.search, the route search of every session, built on first use."""
+    if h.search is None:
+        h.search = route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
+                                h.g.src_pair, h.g.dst_pair)
+    return h.search
+
+
 def primal_subproblem(h: EdgeGraph, p: PriceVector
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-session cheapest routes at prices p, as (dists, start, rows).
 
     Session t routes its rate along the triple rows rows[start[t]:start[t
     + 1]], source first, at priced distance dists[t]; sum_t R_t * dists[t]
-    never exceeds the coded optimum.
+    never exceeds the coded optimum.  The three arrays are the buffers of
+    h's search (RouteSearch.run), which the next call on h overwrites.
     """
-    if h.search is None:
-        h.search = route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
-                                h.g.src_pair, h.g.dst_pair)
-    return h.search(p.values)
+    return search_of(h).run(p.values)

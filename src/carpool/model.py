@@ -449,8 +449,12 @@ def total_cost(summary: TransmissionSummary, g: ExpandedGraph
 
     Expanded charges every broadcast, including the one each destination
     makes toward its artificial sink; physical refunds those deliveries.
+    The products are added from +0.0 in node order, as carpool_round adds
+    them, so no bit depends on the BLAS kernel np.dot would pick by CPU.
     """
-    expanded = float(np.dot(g.costs, summary.z))
+    terms = g.costs * summary.z
+    expanded = float(np.bincount(np.zeros(len(terms), dtype=np.intp),
+                                 weights=terms, minlength=1)[0])
     return expanded, expanded - g.refund
 
 

@@ -15,11 +15,13 @@ solver, fixed session order in every sum, elementwise price updates.
 price_ascent is the one copy of this loop, price step included: solve()
 runs it on the route search, and the message-passing twin on its
 neighbour messages, so both give the same bits.  After the routes, a
-round's recovery, transmission summary and price step are one call of
-the round: the compiled kernel's carpool_round (_subproblem.c), or,
-without the kernel, _round, its contract in numpy, which runs
-transmission_summary and subgradient_step with the same IEEE operations
-in the same order.  What stays in Python is the dual bound, total_cost,
+round's recovery, transmission summary, expanded cost and price step
+are one call of the round: the compiled kernel's carpool_round
+(_subproblem.c), or, without the kernel, _round, its contract in numpy,
+which runs transmission_summary, total_cost and subgradient_step with
+the same IEEE operations in the same order.  Under solve() the round
+reads the routes in the route search's own buffers, so no route is
+copied between the two calls.  What stays in Python is the dual bound,
 the gap, the trace and the stop decision.
 """
 
@@ -136,15 +138,17 @@ class _RoundState(ctypes.Structure):
                                                         "keys", "bins")]
                 + [(name, ctypes.c_int64) for name in ("nkeys", "cap")]
                 + [(name, ctypes.c_void_p) for name in (
-                    "fwd", "rev", "mid", "cost", "y", "z", "p", "work")])
+                    "fwd", "rev", "mid", "cost", "y", "z", "p", "work",
+                    "ncost")]
+                + [("expanded", ctypes.c_double)])
 
 
 def _round(state: _LoopState, n: int, alpha: float, m: int) -> int:
     """carpool_round in numpy, which runs when the kernel cannot be built
     or loaded: the same buffers, the arrays that state binds in its frame,
     and the same status codes, 0, -3 or -5, with nothing changed on -3 or
-    -5.  It calls transmission_summary and subgradient_step by this
-    module's names."""
+    -5.  It calls transmission_summary, total_cost and subgradient_step by
+    this module's names."""
     frame, idx, start = state.frame, state.idx, state.start
     T, counts = frame.nt, start[1:] - start[:-1]
     if start[0] != 0 or start[-1] > m or (counts < 0).any():
@@ -171,6 +175,7 @@ def _round(state: _LoopState, n: int, alpha: float, m: int) -> int:
     summary = transmission_summary(agg, state.g, idx)
     np.copyto(state.summary.y, summary.y)
     np.copyto(state.summary.z, summary.z)
+    frame.expanded, _ = total_cost(state.summary, state.g)
     flow = np.bincount(rows, weights=values, minlength=T)
     # work keeps the prices routed at, as every row is in a pair; flow is
     # ints when the round carried nothing
@@ -192,18 +197,22 @@ class _LoopState:
     by n would round differently.)  The means are built only for the
     solution.
 
-    A round is one call of fn, which does the recovery, the summary and
-    the price step: the compiled kernel's round on ref, the address of
-    frame, or without the kernel _round on ref, this state.  Either reads
-    and writes the arrays bound once in frame; keys and bins grow on
-    demand, and the routes are copied into start and rows.  The call
-    leaves in work the prices the round was routed at, which a round
-    that certifies puts back.
+    A round is one call of fn, which does the recovery, the summary, its
+    expanded cost and the price step: the compiled kernel's round on ref,
+    the address of frame, or without the kernel _round on ref, this
+    state.  Either reads and writes the arrays bound once in frame, and
+    leaves the expanded cost in frame.expanded; keys and bins grow on
+    demand.  start and rows are routes, the buffers that the route search
+    fills when they are given (solve() binds its search's), or else two
+    arrays that each round's routes are copied into.  The call leaves in
+    work the prices the round was routed at, which a round that certifies
+    puts back.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
                  cfg: SolverConfig, trace: SolveTrace, p: PriceVector,
-                 kernel: edge_graph.Kernel | None):
+                 kernel: edge_graph.Kernel | None,
+                 routes: tuple[np.ndarray, np.ndarray] | None = None):
         self.g, self.idx, self.cfg, self.trace, self.p = g, idx, cfg, trace, p
         sessions, T, pairs = g.base.sessions, len(idx), len(idx.pair_fwd)
         self.sums = np.zeros((len(sessions), T))
@@ -216,28 +225,35 @@ class _LoopState:
                                            np.zeros(g.n_nodes))
         self.gap = 0.0
         self.certified = not sessions
-        # the pair arrays and the prices come from outside, and the kernel
-        # reads and writes them by address: check them once
+        self.start, self.rows = routes or (
+            np.zeros(len(sessions) + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64))
+        # the pair arrays, the costs, the prices and the route buffers come
+        # from outside, and the kernel reads and writes them by address:
+        # check them once
         for a, dtype, size, bound in (
                 (idx.pair_fwd, np.int64, pairs, T),
                 (idx.pair_rev, np.int64, pairs, T),
                 (idx.pair_mid, np.int64, pairs, g.n_nodes),
                 (idx.pair_cost, np.float64, pairs, None),
-                (p.values, np.float64, T, None)):
+                (g.costs, np.float64, g.n_nodes, None),
+                (p.values, np.float64, T, None),
+                (self.start, np.int64, len(sessions) + 1, None),
+                (self.rows, np.int64, len(self.rows), None)):
             edge_graph._check_array(a, np.dtype(dtype))
             if len(a) != size or (bound is not None
                                   and (a.view(np.uint64) >= bound).any()):
                 raise ValueError("price or pair array out of range")
-        self.start = np.zeros(len(sessions) + 1, dtype=np.int64)
-        self.rows = np.zeros(0, dtype=np.int64)
         self.work = np.zeros(T)
         arrays = {"rates": self.rates, "start": self.start,
                   "rows": self.rows, "sums": self.flat_sums,
                   "keys": self.keys, "bins": self.bins, "fwd": idx.pair_fwd,
                   "rev": idx.pair_rev, "mid": idx.pair_mid,
                   "cost": idx.pair_cost, "y": self.summary.y,
-                  "z": self.summary.z, "p": p.values, "work": self.work}
-        # the frame holds addresses only; self, idx and p keep the arrays
+                  "z": self.summary.z, "p": p.values, "work": self.work,
+                  "ncost": g.costs}
+        # the frame holds addresses only; self, g, idx and p keep the
+        # arrays
         self.frame = _RoundState(
             len(sessions), T, pairs, g.n_nodes,
             **{name: a.ctypes.data for name, a in arrays.items()})
@@ -258,9 +274,12 @@ class _LoopState:
         if q > self.best:
             self.best = q
         frame, m = self.frame, len(rows)
-        if m > len(self.rows):
-            self.rows = np.empty(2 * m, dtype=np.int64)
-            frame.rows = self.rows.ctypes.data
+        if start is not self.start:  # routes from elsewhere: copy them in
+            if m > len(self.rows):
+                self.rows = np.empty(2 * m, dtype=np.int64)
+                frame.rows = self.rows.ctypes.data
+            np.copyto(self.start, start)
+            self.rows[:m] = rows
         used = frame.nkeys
         if used + m > frame.cap:  # room for every row to be a new key
             for name in ("keys", "bins"):
@@ -269,12 +288,10 @@ class _LoopState:
                 setattr(self, name, a)
                 setattr(frame, name, a.ctypes.data)
             frame.cap = len(a)
-        np.copyto(self.start, start)
-        self.rows[:m] = rows
         status = self.fn(self.ref, n, alpha, m)
         if status:
             raise RuntimeError(f"round failed with status {status}")
-        cost, _ = total_cost(self.summary, self.g)
+        cost = frame.expanded
         if not math.isfinite(cost):
             raise NonFiniteError(
                 f"iteration {n}: recovered cost is {cost!r}; costs or rates "
@@ -296,7 +313,8 @@ class _LoopState:
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
-                 route) -> tuple[Solution, SolveTrace]:
+                 route, routes: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[Solution, SolveTrace]:
     """Iterate to a certified gap or the cap; both front ends run this.
 
     route(p) gives every session's cheapest route at prices p as (dists,
@@ -308,14 +326,18 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     holds the prices for the whole solve and ends as the solution's, so
     route may read p only while it runs.  The twin copies p.values with
     tolist, and the route search keeps the array only to reuse its
-    address.  An overflowed distance makes the dual bound inf, which
+    address.  routes, when given, is the pair of buffers (start, rows)
+    that route fills: it returns that start and a prefix of that rows,
+    and the round reads them in place.  Without it, each round's routes
+    are copied.  An overflowed distance makes the dual bound inf, which
     ingest reports.  The recovery's keys sort session-major, so its sum
     adds each triple's means in session order, as a cumulative sum down
     the sessions would.
     """
     trace = SolveTrace()
     p = init_prices(idx)
-    state = _LoopState(g, idx, cfg, trace, p, edge_graph._load_kernel())
+    state = _LoopState(g, idx, cfg, trace, p, edge_graph._load_kernel(),
+                       routes)
     if state.certified:  # no sessions
         return state.solution(0), trace
     rate_list = [s.rate for s in g.base.sessions]
@@ -340,4 +362,6 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p))
+    search = edge_graph.search_of(h)
+    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p),
+                        (search.start, search.rows))

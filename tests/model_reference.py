@@ -513,8 +513,11 @@ def transmission_summary_reference(agg, g, idx) -> TransmissionSummary:
 
 
 def total_cost_reference(summary, g) -> tuple[float, float]:
-    """total_cost with the destinations' refund added up on every call."""
-    expanded = float(np.dot(g.costs, summary.z))
+    """total_cost with the products added one by one in node order and the
+    destinations' refund added up on every call."""
+    expanded = 0.0
+    for cost, z in zip(g.costs.tolist(), summary.z.tolist()):
+        expanded += cost * z
     correction = 0.0
     for s in g.base.sessions:
         correction += float(g.costs[s.dest]) * s.rate

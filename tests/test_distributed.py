@@ -117,7 +117,8 @@ def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
                                                   monkeypatch):
     # bench/spans.py times the twin's layers by wrapping these names, the
     # price step too, and both front ends run the one loop, price_ascent;
-    # the compiled round makes the summary and the step in its one call
+    # the compiled round makes the summary, its cost and the step in its
+    # one call
     calls = Counter()
     for module, name in ((distributed, "distributed_shortest_paths"),
                          (distributed, "distributed_price_update"),
@@ -139,21 +140,23 @@ def test_twin_calls_each_layer_once_per_iteration(relay3, grid2,
             calls.clear()
             sol, _ = solve(inst, cfg)
             n = sol.iterations
-            step = ({"subgradient_step": n, "transmission_summary": n}
-                    if kernel is None else {"round": n})
-            assert calls == {"price_ascent": 1, "total_cost": n + 1, **step}
+            step = ({"subgradient_step": n, "transmission_summary": n,
+                     "total_cost": n + 1}
+                    if kernel is None else {"round": n, "total_cost": 1})
+            assert calls == {"price_ascent": 1, **step}
             calls.clear()
             sol, trace, _ = run_distributed_solve(inst, cfg)
             n = sol.iterations
             assert len(trace) == n and n == (2 if inst is relay3 else 40)
             # every round steps, and one that certifies puts its prices
-            # back; the solution costs its summary once more
-            step = ({"subgradient_step": n, "transmission_summary": n}
-                    if kernel is None else {"round": n})
+            # back; the compiled round costs its summary itself, and the
+            # solution costs its summary once more
+            step = ({"subgradient_step": n, "transmission_summary": n,
+                     "total_cost": n + 1}
+                    if kernel is None else {"round": n, "total_cost": 1})
             assert calls == {"price_ascent": 1,
                              "distributed_shortest_paths": n,
-                             "distributed_price_update": n,
-                             "total_cost": n + 1, **step}
+                             "distributed_price_update": n, **step}
 
 
 def test_price_updates_track_the_centralized_iterates(geo5):

@@ -1,5 +1,6 @@
 """Edge-graph construction, priced shortest paths, primal sub-problem."""
 
+import ctypes
 import gc
 import shutil
 import subprocess
@@ -516,6 +517,50 @@ def test_kernel_failure_raises(kernel, compiled):
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
+def test_a_search_is_one_call_on_its_frame(kernel, compiled):
+    """The kernel's routes take one pointer, the address of the search's
+    frame; _routes takes the search.  Called on the same search, the two
+    fill the same buffers and return the same status codes."""
+    g, idx, _ = graph_parts(builtin_instances()["grid2"])
+    graph = (idx.out_lo, idx.out_hi, idx.head)
+    search = RouteSearch(kernel if compiled else None, *graph, g.src_pair,
+                         g.dst_pair)
+    assert kernel.routes.argtypes == [ctypes.c_void_p]
+    assert (search.fn, search.ref) == (
+        (kernel.routes, ctypes.addressof(search.frame)) if compiled
+        else (edge_graph._routes, search))
+    for name in ("lo", "hi", "heads", "src", "dst", "dist", "hops", "pred",
+                 "qdist", "start", "rows"):
+        assert getattr(search.frame, name) == \
+            getattr(search, name).ctypes.data, name
+    w = init_prices(idx).values.copy()
+    _, start, _ = search.run(w)
+    assert search.frame.w == w.ctypes.data
+
+    def fill(fn, ref):
+        for a in (search.dist, search.qdist, search.hops, search.pred,
+                  search.start, search.rows):
+            a.fill(-7)
+        status = fn(ref)
+        return status, [a.tobytes() for a in (
+            search.dist, search.qdist, search.hops, search.pred,
+            search.start, search.rows)]
+
+    full = search.frame.cap
+    negative = w.copy()
+    negative[3] = -1.0
+    for wts, cap, status in ((w, full, 0), (negative, full, -2),
+                             (w, int(start[-1]) - 1, -3)):
+        search.wts = wts
+        search.frame.w = wts.ctypes.data
+        search.frame.cap = cap
+        got = fill(kernel.routes, ctypes.addressof(search.frame))
+        assert got[0] == status
+        assert fill(edge_graph._routes, search) == got
+    search.frame.cap = full
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
 def test_route_search_keeps_its_arrays_alive(kernel, compiled):
     """A search built from arrays and lists that nothing else holds gives
     the bits of one built on arrays the caller keeps, even after a
@@ -645,9 +690,13 @@ def test_primal_subproblem_builds_one_search_per_graph(relay3_parts):
     g, idx, h = relay3_parts
     p = init_prices(idx)
     h.search = None
-    first = primal_subproblem(h, p)
+    # the three arrays are the search's buffers, which the next call
+    # overwrites
+    first = [a.copy() for a in primal_subproblem(h, p)]
     search = h.search
     assert search is not None
     again = primal_subproblem(h, p)
     assert h.search is search
+    assert again[0] is search.qdist and again[1] is search.start
+    assert again[2].base is search.rows
     assert all(np.array_equal(a, b) for a, b in zip(first, again))

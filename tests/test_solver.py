@@ -3,7 +3,11 @@
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -604,8 +608,8 @@ def test_gap_keeps_shrinking(grid2):
 def test_solve_calls_each_layer_once_per_iteration_through_solver(
         relay3, grid2, loop_kernels, count_rounds, monkeypatch):
     # bench/spans.py times these layers by wrapping carpool.solver's names,
-    # which _round calls; the compiled round makes the summary and the
-    # step in its one call
+    # which _round calls; the compiled round makes the summary, its cost
+    # and the step in its one call
     calls = Counter()
     for name in ("primal_subproblem", "subgradient_step",
                  "transmission_summary", "total_cost"):
@@ -625,10 +629,79 @@ def test_solve_calls_each_layer_once_per_iteration_through_solver(
             assert len(trace) == n and n == (2 if inst is relay3 else 40)
             # every round steps, and one that certifies puts its prices
             # back; the solution costs its summary once more
-            step = ({"subgradient_step": n, "transmission_summary": n}
-                    if kernel is None else {"round": n})
-            assert calls == {"primal_subproblem": n, "total_cost": n + 1,
-                             **step}
+            step = ({"subgradient_step": n, "transmission_summary": n,
+                     "total_cost": n + 1}
+                    if kernel is None else {"round": n, "total_cost": 1})
+            assert calls == {"primal_subproblem": n, **step}
+
+
+def test_solve_rounds_on_the_buffers_the_search_fills(grid2, loop_kernels,
+                                                      monkeypatch):
+    """On the solve() path the round reads start and rows where the route
+    search writes them, so no route is copied between the two calls, and
+    the loop gives the bits of one fed copies of the search's routes."""
+    states, graphs = [], []
+
+    class Kept(_LoopState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    def kept_graph(*args, _build=solver.build_edge_graph):
+        graphs.append(_build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(solver, "_LoopState", Kept)
+    monkeypatch.setattr(solver, "build_edge_graph", kept_graph)
+    cfg = SolverConfig(tol=1e-12, max_iters=30)
+    for kernel in loop_kernels:
+        monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        sol, trace = solve(grid2, cfg)
+        state, search = states[-1], graphs[-1].search
+        assert state.start is search.start and state.rows is search.rows
+        assert (state.frame.start, state.frame.rows) == \
+            (search.frame.start, search.frame.rows)
+        g = build_expanded_graph(grid2)
+        idx = enumerate_triples(g)
+        copied = edge_graph.route_search(idx.out_lo, idx.out_hi, idx.head,
+                                         g.src_pair, g.dst_pair)
+        want, want_trace = solver.price_ascent(g, idx, cfg,
+                                               lambda p: copied(p.values))
+        assert states[-1].start is not copied.start
+        for name in ("dual_bounds", "recovered_costs", "rel_gaps"):
+            assert np.array(getattr(trace, name)).tobytes() == \
+                np.array(getattr(want_trace, name)).tobytes()
+        assert sol.prices.values.tobytes() == want.prices.values.tobytes()
+
+
+# A solve whose trace took other bits under other OpenBLAS kernels while
+# the expanded cost was summed by np.dot
+CROSS_BLAS_SOLVE = """
+from carpool import GeometricConfig, SolverConfig, generate_geometric, solve
+inst = generate_geometric(GeometricConfig(side=10.0, sessions=8,
+                                          intensity=2.0, seed=1))
+_, trace = solve(inst, SolverConfig(tol=2e-2, max_iters=300))
+for name in ("dual_bounds", "recovered_costs", "rel_gaps"):
+    print(name, *(v.hex() for v in getattr(trace, name)))
+"""
+
+
+def test_traces_do_not_depend_on_the_blas_kernel():
+    """One solve gives the same trace, by float.hex, under OpenBLAS's
+    kernel for this CPU and under its SSE3 kernels, which any x86-64 CPU
+    runs.  OPENBLAS_CORETYPE acts only on the process that reads it, so
+    each solve runs in a process of its own; where numpy has no
+    OpenBLAS, the variable does nothing and the test passes."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    traces = [subprocess.run([sys.executable, "-c", CROSS_BLAS_SOLVE],
+                             env=e, capture_output=True, text=True,
+                             check=True).stdout
+              for e in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+    assert len(traces[0].split()) > 3 * 100  # the solve ran its rounds
+    assert traces[0] == traces[1]
 
 
 def test_a_node_cost_of_minus_zero_solves_as_plus_zero(grid2, loop_kernels,
