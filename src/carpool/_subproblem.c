@@ -1,7 +1,8 @@
 /* The two compiled parts of a round of price ascent (carpool.solver):
  * carpool_routes, the priced shortest route of every session, and
- * carpool_round, the recovery, the transmission summary and the price
- * step that follow it.  Each runs in one call.
+ * carpool_round, which closes the round that follows it: the dual
+ * bound, the recovery, the transmission summary, the price step, the
+ * gap, the trace row and the stop test.  Each runs in one call.
  *
  * carpool_routes
  *
@@ -60,11 +61,15 @@
  * carpool_round
  *
  * Round n of the loop, whose step size is alpha, routed session t at
- * rate rates[t] along the triple rows rows[start[t]] .. rows[start[t +
- * 1] - 1], each (session, row) at most once.  carpool.solver._round is
- * this function in numpy, on the same buffers with the same status
- * codes, and it makes the same IEEE operations in the same order, so
- * both give the same bits:
+ * rate rates[t] and distance qdist[t] along the triple rows
+ * rows[start[t]] .. rows[start[t + 1] - 1], each (session, row) at most
+ * once; one call closes the round.  carpool.solver._round is this
+ * function in numpy, on the same buffers with the same status codes,
+ * and it makes the same IEEE operations in the same order, so both give
+ * the same bits:
+ *   - it sets q, the round's dual bound, to the sum of rates[t] *
+ *     qdist[t], added from +0.0 in session order, and raises best to q
+ *     when q is larger;
  *   - it adds each rate into sums[t * nt + row], in (session, route)
  *     order, and merges the keys t * nt + row of the sums that were
  *     +-0.0 into keys[0 .. nkeys - 1], sorted, and their rows into bins,
@@ -85,7 +90,12 @@
  *     cost[k] - x the new p[rev[k]].  Once a pair's flows are read,
  *     work[fwd[k]] and work[rev[k]] keep its prices from before the
  *     step, the ones the round was routed at; each row is in one pair
- *     at most.
+ *     at most;
+ *   - it sets gap = (expanded - best) / (best > 1 ? best : 1) and
+ *     writes the row (alpha, q, best, expanded, gap) of the trace at
+ *     trace[5 * ntrace], then counts it in ntrace;
+ *   - when gap <= tol, the round certifies: it puts the routed prices
+ *     back from work into p, pair by pair, and returns 1.
  * The larger and smaller of two doubles are taken as np.maximum and
  * np.minimum take them: a NaN first operand, else a NaN second one,
  * else the second on a tie, so max(-0.0, +0.0) is +0.0, as numpy's
@@ -97,14 +107,22 @@
  * in the tail of some arrays, so no order matches it everywhere.
  *
  * The fixed arrays and counts of a solve are one round_state, bound
- * once; a round passes n, alpha and m, the count of rows in its buffer.
- * Under solve(), start and rows are the route search's own buffers, so
- * no route is copied between the two calls.
- * keys and bins have room for cap entries, and nkeys of them are in use.
- * It returns 0, or -1 when memory runs out, -3 when the merged keys
- * would not fit cap, -5 when start[0] is not 0, start falls, start[ns]
- * exceeds m or a row is out of range; on -1, -3 and -5 nothing has
- * changed.
+ * once; a round passes n and alpha.  The routes are start[ns] rows of
+ * the nrows that rows holds.  Under solve(), qdist, start and rows are
+ * the route search's own buffers, so no route is copied between the
+ * two calls.  keys and bins have room for cap entries, and nkeys of
+ * them are in use; the trace has room for tcap rows, and ntrace of them
+ * are written.
+ * It returns 1 when the round certifies, 0 when it does not, or
+ *   -1 when memory runs out;
+ *   -3 when the merged keys would not fit cap or the trace is full,
+ *      which the caller mends by growing them and calling again;
+ *   -5 when start[0] is not 0, start falls, start[ns] exceeds nrows or
+ *      a row is out of range;
+ *   -6 when q is not finite, which it leaves in the frame;
+ *   -7 when expanded is not finite, after the price step and with no
+ *      trace row written.
+ * -5 comes before q is summed; on -1, -3 and -6 only q has changed.
  */
 
 #include <math.h>
@@ -304,8 +322,10 @@ done:
 typedef struct {
     int64_t ns, nt, npairs, nn;  /* sessions, triples, pairs, nodes */
     const double *rates;         /* ns */
+    const double *qdist;         /* ns: the routes' distances */
     const int64_t *start;        /* ns + 1 */
-    const int64_t *rows;         /* the round's rows */
+    const int64_t *rows;         /* nrows: the round's rows and room */
+    int64_t nrows;
     double *sums;                /* ns * nt */
     int64_t *keys, *bins;        /* cap */
     int64_t nkeys, cap;
@@ -315,7 +335,11 @@ typedef struct {
     double *z;                   /* nn */
     double *p, *work;            /* nt */
     const double *ncost;         /* nn */
-    double expanded;             /* written: the sum of ncost * z */
+    double *trace;               /* 5 * tcap: a row per round */
+    int64_t ntrace, tcap;
+    double tol;
+    double best;                 /* the largest dual bound so far */
+    double q, expanded, gap;     /* written: the round's bound, cost, gap */
 } round_state;
 
 static double larger(double a, double b)
@@ -328,14 +352,14 @@ static double smaller(double a, double b)
     return isnan(a) || a < b ? a : b;
 }
 
-int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
+int64_t carpool_round(round_state *r, int64_t n, double alpha)
 {
     const int64_t ns = r->ns, nt = r->nt, *start = r->start, *rows = r->rows;
     const int64_t *fwd = r->fwd, *rev = r->rev;
-    double *sums = r->sums, *work = r->work, *p = r->p;
+    double *sums = r->sums, *work = r->work, *p = r->p, *row;
     int64_t fresh = 0, *fkeys = NULL, *fbins = NULL;
-    double dn = (double)n, half = 0.5 * alpha, e = 0.0;
-    if (start[0] != 0 || start[ns] > m)
+    double dn = (double)n, half = 0.5 * alpha, q = 0.0, e = 0.0, best, gap;
+    if (start[0] != 0 || start[ns] > r->nrows)
         return -5;
     for (int64_t t = 0; t < ns; t++) {
         if (start[t + 1] < start[t])
@@ -346,7 +370,12 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
             fresh += sums[t * nt + rows[j]] == 0.0;
         }
     }
-    if (fresh > r->cap - r->nkeys)
+    for (int64_t t = 0; t < ns; t++)
+        q = q + r->rates[t] * r->qdist[t];
+    r->q = q;
+    if (!isfinite(q))
+        return -6;
+    if (fresh > r->cap - r->nkeys || r->ntrace >= r->tcap)
         return -3;
     if (fresh) {
         fkeys = malloc(2 * fresh * sizeof *fkeys);
@@ -354,6 +383,8 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
             return -1;
         fbins = fkeys + fresh;
     }
+    if (q > r->best)
+        r->best = q;
     /* the sums; the fresh keys in order, as the keys of session t all
        lie below those of session t + 1 */
     fresh = 0;
@@ -416,5 +447,24 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha, int64_t m)
         p[fwd[k]] = x;
         p[rev[k]] = c - x;
     }
-    return 0;
+    if (!isfinite(e))
+        return -7;
+    /* the gap and the trace row; a gap within tol certifies the round,
+       at the prices it was routed at */
+    best = r->best;
+    gap = (e - best) / (best > 1.0 ? best : 1.0);
+    r->gap = gap;
+    row = r->trace + 5 * r->ntrace++;
+    row[0] = alpha;
+    row[1] = q;
+    row[2] = best;
+    row[3] = e;
+    row[4] = gap;
+    if (!(gap <= r->tol))
+        return 0;
+    for (int64_t k = 0; k < r->npairs; k++) {
+        p[fwd[k]] = work[fwd[k]];
+        p[rev[k]] = work[rev[k]];
+    }
+    return 1;
 }

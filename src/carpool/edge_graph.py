@@ -203,7 +203,7 @@ def bind_kernel(path) -> Kernel:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     kernel.routes.restype = kernel.round.restype = i64
     kernel.routes.argtypes = [ptr]
-    kernel.round.argtypes = [ptr, i64, ctypes.c_double, i64]
+    kernel.round.argtypes = [ptr, i64, ctypes.c_double]
     return kernel
 
 
@@ -253,13 +253,15 @@ class RouteSearch:
     the array whose range the kernel's status -5 would refuse, whichever
     search runs.  It also copies src and dst, allocates one array per
     output buffer and binds every count and array in frame, a
-    search_state, so that a call checks only the weights.  A search is
-    one call of fn on ref: the kernel's routes on the address of frame,
-    or, when kernel is None, _routes on this search, which reads the
-    counts in frame and the arrays held here, the ones whose addresses
-    the kernel reads.  A call binds its weights in frame, unless they are
-    wts, the array of the last call, changed in place or not: an array's
-    data does not move while a reference to it is held.
+    search_state; routes is the tuple of the three route buffers, qdist,
+    start and rows, which run returns.  A search is one call of fn on
+    ref: the kernel's routes on the address of frame, or, when kernel is
+    None, _routes on this search, which reads the counts in frame and
+    the arrays held here, the ones whose addresses the kernel reads.  A
+    call checks and binds its weights in frame, unless they are wts, the
+    array of the last call, changed in place or not: an array's data
+    does not move while a reference to it is held, and the search checks
+    their signs on every call.
 
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
@@ -297,20 +299,25 @@ class RouteSearch:
         self.frame = _SearchState(
             nv, m, ns, cap,
             **{name: getattr(self, name).ctypes.data for name in arrays})
+        self.routes = self.qdist, self.start, self.rows
         self.fn, self.ref = ((_routes, self) if kernel is None
                              else (kernel.routes, ctypes.addressof(self.frame)))
         self.wts = None
 
     def run(self, wts: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(distances, start, rows) at weights wts, in the search's own
-        buffers, which the next call overwrites: route t's arcs, source
-        first, are rows[start[t]:start[t + 1]]; an unreached destination
-        has distance inf and no arcs."""
-        if len(wts) != self.frame.m:
-            raise ValueError(f"{len(wts)} weights for {self.frame.m} arcs")
-        _check_array(wts, F64)
+        """routes, the search's own buffers (distances, start, rows), after
+        a search at weights wts; the next call overwrites them.  Route t's
+        arcs, source first, are rows[start[t]:start[t + 1]], and the rows
+        past start[-1] are free room; an unreached destination has
+        distance inf and no arcs.  Nothing is sliced or copied per call,
+        and the length and type of wts are checked when the array is
+        bound, not again while it stays bound."""
         if wts is not self.wts:
+            if len(wts) != self.frame.m:
+                raise ValueError(f"{len(wts)} weights for {self.frame.m} "
+                                 f"arcs")
+            _check_array(wts, F64)
             self.wts = wts
             self.frame.w = wts.ctypes.data
         status = self.fn(self.ref)
@@ -319,14 +326,14 @@ class RouteSearch:
         if status:
             raise RuntimeError(
                 f"sub-problem kernel failed with status {status}")
-        return self.qdist, self.start, self.rows[:self.start[-1]]
+        return self.routes
 
     def __call__(self, wts: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """run's three arrays, copied, so that later calls leave them
-        alone."""
+        """run's routes, copied, and rows cut to start[-1], so that later
+        calls leave them alone."""
         qdist, start, rows = self.run(wts)
-        return qdist.copy(), start.copy(), rows.copy()
+        return qdist.copy(), start.copy(), rows[:start[-1]].copy()
 
 
 def _negative_weight(wts: np.ndarray) -> ValueError:
@@ -357,6 +364,7 @@ def primal_subproblem(h: EdgeGraph, p: PriceVector
     Session t routes its rate along the triple rows rows[start[t]:start[t
     + 1]], source first, at priced distance dists[t]; sum_t R_t * dists[t]
     never exceeds the coded optimum.  The three arrays are the buffers of
-    h's search (RouteSearch.run), which the next call on h overwrites.
+    h's search (RouteSearch.run), which the next call on h overwrites;
+    rows holds start[-1] route rows, then free room.
     """
     return search_of(h).run(p.values)

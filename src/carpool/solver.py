@@ -14,15 +14,17 @@ All arithmetic is deterministic: fixed tie-break order in the path
 solver, fixed session order in every sum, elementwise price updates.
 price_ascent is the one copy of this loop, price step included: solve()
 runs it on the route search, and the message-passing twin on its
-neighbour messages, so both give the same bits.  After the routes, a
-round's recovery, transmission summary, expanded cost and price step
-are one call of the round: the compiled kernel's carpool_round
-(_subproblem.c), or, without the kernel, _round, its contract in numpy,
-which runs transmission_summary, total_cost and subgradient_step with
-the same IEEE operations in the same order.  Under solve() the round
-reads the routes in the route search's own buffers, so no route is
-copied between the two calls.  What stays in Python is the dual bound,
-the gap, the trace and the stop decision.
+neighbour messages, so both give the same bits.  After the routes, one
+call of the round closes it: the dual bound, the recovery, the
+transmission summary, its expanded cost, the price step, the gap, the
+trace row and the stop test.  The round is the compiled kernel's
+carpool_round (_subproblem.c), or, without the kernel, _round, its
+contract in numpy, which runs transmission_summary, total_cost and
+subgradient_step with the same IEEE operations in the same order.
+Under solve() the round reads the routes in the route search's own
+buffers, so no route is copied between the two calls.  What stays in
+Python per round is the loop step, the route call and the round call;
+the trace's lists are built once, when the loop ends.
 """
 
 from __future__ import annotations
@@ -70,15 +72,6 @@ class SolveTrace:
     best_bounds: list[float] = field(default_factory=list)
     recovered_costs: list[float] = field(default_factory=list)
     rel_gaps: list[float] = field(default_factory=list)
-
-    def append(self, n: int, alpha: float, q: float, best: float,
-               cost: float, gap: float) -> None:
-        self.iters.append(n)
-        self.alphas.append(alpha)
-        self.dual_bounds.append(q)
-        self.best_bounds.append(best)
-        self.recovered_costs.append(cost)
-        self.rel_gaps.append(gap)
 
     def __len__(self) -> int:
         return len(self.iters)
@@ -133,36 +126,49 @@ class _RoundState(ctypes.Structure):
 
     _fields_ = ([(name, ctypes.c_int64) for name in ("ns", "nt", "npairs",
                                                       "nn")]
-                + [(name, ctypes.c_void_p) for name in ("rates", "start",
-                                                        "rows", "sums",
-                                                        "keys", "bins")]
+                + [(name, ctypes.c_void_p) for name in ("rates", "qdist",
+                                                        "start", "rows")]
+                + [("nrows", ctypes.c_int64)]
+                + [(name, ctypes.c_void_p) for name in ("sums", "keys",
+                                                        "bins")]
                 + [(name, ctypes.c_int64) for name in ("nkeys", "cap")]
                 + [(name, ctypes.c_void_p) for name in (
                     "fwd", "rev", "mid", "cost", "y", "z", "p", "work",
-                    "ncost")]
-                + [("expanded", ctypes.c_double)])
+                    "ncost", "trace")]
+                + [(name, ctypes.c_int64) for name in ("ntrace", "tcap")]
+                + [(name, ctypes.c_double) for name in ("tol", "best", "q",
+                                                        "expanded", "gap")])
 
 
-def _round(state: _LoopState, n: int, alpha: float, m: int) -> int:
+def _round(state: _LoopState, n: int, alpha: float) -> int:
     """carpool_round in numpy, which runs when the kernel cannot be built
     or loaded: the same buffers, the arrays that state binds in its frame,
-    and the same status codes, 0, -3 or -5, with nothing changed on -3 or
-    -5.  It calls transmission_summary, total_cost and subgradient_step by
-    this module's names."""
+    and the same status codes, 1, 0, -3, -5, -6 or -7, with nothing
+    changed on -5 and nothing but frame.q on -3 and -6.  It calls
+    transmission_summary, total_cost and subgradient_step by this
+    module's names."""
     frame, idx, start = state.frame, state.idx, state.start
     T, counts = frame.nt, start[1:] - start[:-1]
-    if start[0] != 0 or start[-1] > m or (counts < 0).any():
+    if start[0] != 0 or start[-1] > frame.nrows or (counts < 0).any():
         return -5
     rows = state.rows[:start[-1]]
     if (rows.view(np.uint64) >= T).any():  # a negative row too
         return -5
+    q = 0.0
+    for rate, dist in zip(state.rates.tolist(), state.qdist.tolist()):
+        q = q + rate * dist
+    frame.q = q
+    if not math.isfinite(q):
+        return -6
     values = state.rates.repeat(counts)
     flat = np.arange(0, frame.ns * T, T).repeat(counts) + rows
     sums, used = state.flat_sums, frame.nkeys
     seen = sums[flat]
     fresh = flat[seen == 0.0]  # never carried, as values > 0
-    if len(fresh) > frame.cap - used:
+    if len(fresh) > frame.cap - used or frame.ntrace >= frame.tcap:
         return -3
+    if q > frame.best:
+        frame.best = q
     if len(fresh):
         keys = np.sort(np.concatenate((state.keys[:used], fresh)),
                        kind="stable")
@@ -182,12 +188,23 @@ def _round(state: _LoopState, n: int, alpha: float, m: int) -> int:
     np.copyto(state.work, state.p.values)
     subgradient_step(state.p, flow.astype(float, copy=False), alpha, idx,
                      out=state.p.values)
-    return 0
+    cost, best = frame.expanded, frame.best
+    if not math.isfinite(cost):
+        return -7
+    frame.gap = gap = (cost - best) / (best if best > 1.0 else 1.0)
+    state.trace_rows[frame.ntrace] = alpha, q, best, cost, gap
+    frame.ntrace += 1
+    if not gap <= frame.tol:
+        return 0
+    for pairs in (idx.pair_fwd, idx.pair_rev):
+        state.p.values[pairs] = state.work[pairs]
+    return 1
 
 
 class _LoopState:
-    """Recovery, bounds, the price step and the stop decision of
-    price_ascent's rounds, on the prices p, which it steps in place.
+    """The rounds of price_ascent on the prices p, which it steps in place:
+    from a round's routes, its dual bound, the recovery, the bounds, the
+    trace and the stop decision, and the price step.
 
     sums[t] is session t's flow summed over the rounds so far, and
     sums[t] / n its recovered flow after round n.  The transmission
@@ -197,37 +214,41 @@ class _LoopState:
     by n would round differently.)  The means are built only for the
     solution.
 
-    A round is one call of fn, which does the recovery, the summary, its
-    expanded cost and the price step: the compiled kernel's round on ref,
-    the address of frame, or without the kernel _round on ref, this
-    state.  Either reads and writes the arrays bound once in frame, and
-    leaves the expanded cost in frame.expanded; keys and bins grow on
-    demand.  start and rows are routes, the buffers that the route search
-    fills when they are given (solve() binds its search's), or else two
-    arrays that each round's routes are copied into.  The call leaves in
-    work the prices the round was routed at, which a round that certifies
-    puts back.
+    A round is one call of fn, which closes it: the compiled kernel's
+    round on ref, the address of frame, or without the kernel _round on
+    ref, this state.  Either reads and writes the arrays bound once in
+    frame.  It sums the dual bound from the distances qdist, raises the
+    best bound in frame.best, does the recovery, the summary, its
+    expanded cost and the price step, and writes the gap and the round's
+    trace row, (alpha, q, best, cost, gap), into trace_rows; a round whose
+    gap is within tol puts back the prices it was routed at, which it
+    left in work, and returns 1.  keys, bins and trace_rows grow when the
+    round says they are full.  qdist, start and rows are routes, the
+    buffers that the route search fills when they are given (solve()
+    binds its search's), or else three arrays that each round's routes
+    are copied into.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
-                 cfg: SolverConfig, trace: SolveTrace, p: PriceVector,
+                 cfg: SolverConfig, p: PriceVector,
                  kernel: edge_graph.Kernel | None,
-                 routes: tuple[np.ndarray, np.ndarray] | None = None):
-        self.g, self.idx, self.cfg, self.trace, self.p = g, idx, cfg, trace, p
+                 routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+                 = None):
+        self.g, self.idx, self.cfg, self.p = g, idx, cfg, p
         sessions, T, pairs = g.base.sessions, len(idx), len(idx.pair_fwd)
         self.sums = np.zeros((len(sessions), T))
         self.flat_sums = self.sums.reshape(-1)  # a view of sums
         # doubles whatever the rates' type: the kernel reads them as such
         self.rates = np.array([s.rate for s in sessions], dtype=np.float64)
         self.keys = self.bins = np.zeros(0, dtype=np.int64)  # bins: keys % T
-        self.best = -math.inf
+        # a row per round, (alpha, q, best, cost, gap); it doubles when full
+        self.trace_rows = np.zeros((64, 5))
         self.summary = TransmissionSummary(idx, np.zeros(pairs),
                                            np.zeros(g.n_nodes))
-        self.gap = 0.0
-        self.certified = not sessions
-        self.start, self.rows = routes or (
-            np.zeros(len(sessions) + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64))
+        self.routes = routes or (np.zeros(len(sessions)),
+                                 np.zeros(len(sessions) + 1, dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64))
+        self.qdist, self.start, self.rows = self.routes
         # the pair arrays, the costs, the prices and the route buffers come
         # from outside, and the kernel reads and writes them by address:
         # check them once
@@ -238,6 +259,7 @@ class _LoopState:
                 (idx.pair_cost, np.float64, pairs, None),
                 (g.costs, np.float64, g.n_nodes, None),
                 (p.values, np.float64, T, None),
+                (self.qdist, np.float64, len(sessions), None),
                 (self.start, np.int64, len(sessions) + 1, None),
                 (self.rows, np.int64, len(self.rows), None)):
             edge_graph._check_array(a, np.dtype(dtype))
@@ -245,114 +267,120 @@ class _LoopState:
                                   and (a.view(np.uint64) >= bound).any()):
                 raise ValueError("price or pair array out of range")
         self.work = np.zeros(T)
-        arrays = {"rates": self.rates, "start": self.start,
-                  "rows": self.rows, "sums": self.flat_sums,
-                  "keys": self.keys, "bins": self.bins, "fwd": idx.pair_fwd,
+        arrays = {"rates": self.rates, "qdist": self.qdist,
+                  "start": self.start, "rows": self.rows,
+                  "sums": self.flat_sums, "keys": self.keys,
+                  "bins": self.bins, "fwd": idx.pair_fwd,
                   "rev": idx.pair_rev, "mid": idx.pair_mid,
                   "cost": idx.pair_cost, "y": self.summary.y,
                   "z": self.summary.z, "p": p.values, "work": self.work,
-                  "ncost": g.costs}
+                  "ncost": g.costs, "trace": self.trace_rows}
         # the frame holds addresses only; self, g, idx and p keep the
         # arrays
         self.frame = _RoundState(
-            len(sessions), T, pairs, g.n_nodes,
+            len(sessions), T, pairs, g.n_nodes, nrows=len(self.rows),
+            tcap=len(self.trace_rows), tol=cfg.tol, best=-math.inf,
             **{name: a.ctypes.data for name, a in arrays.items()})
         self.fn, self.ref = ((_round, self) if kernel is None
                              else (kernel.round, ctypes.addressof(self.frame)))
 
-    def ingest(self, n: int, alpha: float, start: np.ndarray,
-               rows: np.ndarray, q: float) -> bool:
-        """Record round n, whose step size is alpha and whose dual bound
-        is q, in which session t carried its rate on the triple rows
-        rows[start[t]:start[t + 1]], each (session, triple) at most once,
-        and step the prices unless the round certifies; True means the
-        gap certificate is in hand."""
-        if not math.isfinite(q):
-            raise NonFiniteError(
-                f"iteration {n}: dual bound is {q!r}; costs or rates are "
-                f"too large for float arithmetic")
-        if q > self.best:
-            self.best = q
-        frame, m = self.frame, len(rows)
-        if start is not self.start:  # routes from elsewhere: copy them in
+    def ingest(self, n: int, alpha: float,
+               routes: tuple[np.ndarray, np.ndarray, np.ndarray]) -> bool:
+        """Close round n, whose step size is alpha, on routes, (dists,
+        start, rows): session t is at distance dists[t] and carried its
+        rate on the triple rows rows[start[t]:start[t + 1]], each
+        (session, triple) at most once.  True means the gap certificate
+        is in hand."""
+        if routes is not self.routes:  # routes from elsewhere: copy them in
+            dists, start, rows = routes
+            frame, m = self.frame, len(rows)
             if m > len(self.rows):
                 self.rows = np.empty(2 * m, dtype=np.int64)
                 frame.rows = self.rows.ctypes.data
+            np.copyto(self.qdist, dists)
             np.copyto(self.start, start)
             self.rows[:m] = rows
-        used = frame.nkeys
-        if used + m > frame.cap:  # room for every row to be a new key
+            frame.nrows = m
+        status = self.fn(self.ref, n, alpha)
+        if status < 0:
+            if status == -3:  # it changed nothing: grow, and close it again
+                self._grow()
+                status = self.fn(self.ref, n, alpha)
+            if status in (-6, -7):
+                name, value = (("dual bound", self.frame.q) if status == -6
+                               else ("recovered cost", self.frame.expanded))
+                raise NonFiniteError(
+                    f"iteration {n}: {name} is {value!r}; costs or rates "
+                    f"are too large for float arithmetic")
+            if status < 0:
+                raise RuntimeError(f"round failed with status {status}")
+        return status == 1
+
+    def _grow(self) -> None:
+        """Double keys and bins, unless they have room for every row of the
+        round to be a new key, and the trace rows, if they are full."""
+        frame = self.frame
+        used, m = frame.nkeys, int(self.start[-1])
+        if used + m > frame.cap:
             for name in ("keys", "bins"):
                 a = np.empty(2 * (used + m), dtype=np.int64)
                 a[:used] = getattr(self, name)[:used]
                 setattr(self, name, a)
                 setattr(frame, name, a.ctypes.data)
             frame.cap = len(a)
-        status = self.fn(self.ref, n, alpha, m)
-        if status:
-            raise RuntimeError(f"round failed with status {status}")
-        cost = frame.expanded
-        if not math.isfinite(cost):
-            raise NonFiniteError(
-                f"iteration {n}: recovered cost is {cost!r}; costs or rates "
-                f"are too large for float arithmetic")
-        self.gap = (cost - self.best) / max(1.0, self.best)
-        self.trace.append(n, alpha, q, self.best, cost, self.gap)
-        self.certified = self.gap <= self.cfg.tol
-        if self.certified:  # put back the prices this round routed at
-            for pairs in (self.idx.pair_fwd, self.idx.pair_rev):
-                self.p.values[pairs] = self.work[pairs]
-        return self.certified
+        if frame.ntrace >= frame.tcap:
+            rows = np.zeros((2 * frame.tcap, 5))
+            rows[:frame.ntrace] = self.trace_rows[:frame.ntrace]
+            self.trace_rows, frame.trace = rows, rows.ctypes.data
+            frame.tcap = len(rows)
+
+    @property
+    def trace(self) -> SolveTrace:
+        """The trace of the rounds so far; row i is round i + 1's."""
+        rows = self.trace_rows[:self.frame.ntrace]
+        return SolveTrace(list(range(1, len(rows) + 1)), *rows.T.tolist())
 
     def solution(self, iterations: int) -> Solution:
         expanded, physical = total_cost(self.summary, self.g)
         mean = [FlowVector(s.sid, row / iterations)
                 for s, row in zip(self.g.base.sessions, self.sums)]
-        return Solution(mean, self.p, self.summary, expanded, physical,
-                        self.gap, self.certified, iterations)
+        gap = self.frame.gap
+        return Solution(mean, self.p, self.summary, expanded, physical, gap,
+                        gap <= self.cfg.tol, iterations)
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
-                 route, routes: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> tuple[Solution, SolveTrace]:
+                 route, routes: tuple[np.ndarray, np.ndarray, np.ndarray]
+                 | None = None) -> tuple[Solution, SolveTrace]:
     """Iterate to a certified gap or the cap; both front ends run this.
 
     route(p) gives every session's cheapest route at prices p as (dists,
     start, rows): session t's distance is dists[t] and its triple rows
-    are rows[start[t]:start[t + 1]].  The round's ingest then moves the
-    prices on the round's flow per triple by alpha = step_a / n, worked
-    out once per round and recorded in the trace too, unless the round
+    are rows[start[t]:start[t + 1]].  A round is that call and one call
+    of the state's ingest, which closes the round in one call of the
+    round on the step size alpha = step_a / n (the trace records it too):
+    it moves the prices on the round's flow per triple unless the round
     certifies.  The step writes the new prices over p.values: one array
     holds the prices for the whole solve and ends as the solution's, so
     route may read p only while it runs.  The twin copies p.values with
     tolist, and the route search keeps the array only to reuse its
-    address.  routes, when given, is the pair of buffers (start, rows)
-    that route fills: it returns that start and a prefix of that rows,
-    and the round reads them in place.  Without it, each round's routes
-    are copied.  An overflowed distance makes the dual bound inf, which
-    ingest reports.  The recovery's keys sort session-major, so its sum
-    adds each triple's means in session order, as a cumulative sum down
-    the sessions would.
+    address.  routes, when given, is the triple of buffers that route
+    fills and returns, and the round reads them in place.  Without it,
+    each round's routes are copied.  An overflowed distance makes the
+    dual bound inf, which the round reports.  The recovery's keys sort
+    session-major, so its sum adds each triple's means in session order,
+    as a cumulative sum down the sessions would.
     """
-    trace = SolveTrace()
     p = init_prices(idx)
-    state = _LoopState(g, idx, cfg, trace, p, edge_graph._load_kernel(),
-                       routes)
-    if state.certified:  # no sessions
-        return state.solution(0), trace
-    rate_list = [s.rate for s in g.base.sessions]
-    n = 0
-    # ingest reports an overflow as a non-finite bound or cost
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, cfg.max_iters + 1):
-            alpha = cfg.step_a / n
-            dists, start, rows = route(p)
-            q = 0.0
-            for rate, dist in zip(rate_list, dists.tolist()):
-                q += rate * dist
-            if state.ingest(n, alpha, start, rows, q):
-                break
-    return state.solution(n), trace
+    state = _LoopState(g, idx, cfg, p, edge_graph._load_kernel(), routes)
+    n, step_a = 0, cfg.step_a
+    if g.base.sessions:
+        # the round reports an overflow as a non-finite bound or cost
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, cfg.max_iters + 1):
+                if state.ingest(n, step_a / n, route(p)):
+                    break
+    return state.solution(n), state.trace
 
 
 def solve(inst: Instance, cfg: SolverConfig | None = None
@@ -362,6 +390,5 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    search = edge_graph.search_of(h)
     return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p),
-                        (search.start, search.rows))
+                        edge_graph.search_of(h).routes)

@@ -566,7 +566,12 @@ class DenseLoopState:
                 f"iteration {n}: recovered cost is {cost!r}; costs or rates "
                 f"are too large for float arithmetic")
         gap = (cost - self.best) / max(1.0, self.best)
-        self.trace.append(n, self.cfg.step_a / n, q, self.best, cost, gap)
+        for column, value in zip(
+                (self.trace.iters, self.trace.alphas, self.trace.dual_bounds,
+                 self.trace.best_bounds, self.trace.recovered_costs,
+                 self.trace.rel_gaps),
+                (n, self.cfg.step_a / n, q, self.best, cost, gap)):
+            column.append(value)
         return gap <= self.cfg.tol
 
 

@@ -698,5 +698,5 @@ def test_primal_subproblem_builds_one_search_per_graph(relay3_parts):
     again = primal_subproblem(h, p)
     assert h.search is search
     assert again[0] is search.qdist and again[1] is search.start
-    assert again[2].base is search.rows
+    assert again[2] is search.rows
     assert all(np.array_equal(a, b) for a, b in zip(first, again))

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpool import (FlowVector, GeometricConfig, PriceVector, SolverConfig,
-                     SolveTrace, build_edge_graph, build_expanded_graph,
-                     enumerate_triples, generate_geometric, init_prices,
-                     edge_graph, plain_routing_cost, primal_subproblem,
-                     solve, solver, subgradient_step)
+from carpool import (FlowVector, GeometricConfig, PriceVector, SimSchedule,
+                     SolverConfig, SolveTrace, build_edge_graph,
+                     build_expanded_graph, enumerate_triples,
+                     generate_geometric, init_prices, edge_graph,
+                     plain_routing_cost, primal_subproblem,
+                     run_distributed_solve, solve, solver, subgradient_step)
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError, _LoopState
 from model_reference import (DenseLoopState, dense_aggregate, index_of,
@@ -83,7 +85,7 @@ def routed_total(g, idx, p):
     loop sums it for the price step."""
     _, start, rows = primal_subproblem(build_edge_graph(g, idx), p)
     rates = np.repeat([s.rate for s in g.base.sessions], np.diff(start))
-    return np.bincount(rows, weights=rates, minlength=len(idx))
+    return np.bincount(rows[:start[-1]], weights=rates, minlength=len(idx))
 
 
 def test_balanced_opposite_flows_leave_prices_alone(relay3_parts):
@@ -239,16 +241,19 @@ def with_rates(inst, rates):
 
 def loop_state(g, idx, cfg=None, kernel=None):
     """A _LoopState at the initial prices, on _round by default."""
-    return _LoopState(g, idx, cfg or SolverConfig(), SolveTrace(),
-                      init_prices(idx), kernel)
+    return _LoopState(g, idx, cfg or SolverConfig(), init_prices(idx),
+                      kernel)
 
 
-def routes_of(carried):
-    """(start, rows) of a round that lists each session's rows in route
-    order, as the route search returns them."""
+def routes_of(carried, dists=None):
+    """(dists, start, rows) of a round that lists each session's rows in
+    route order, as the route search returns them; every distance is 0.0
+    unless dists are given."""
     start = np.cumsum([0] + [len(ks) for ks in carried], dtype=np.int64)
     rows = np.array([k for ks in carried for k in ks], dtype=np.int64)
-    return start, rows
+    if dists is None:
+        dists = [0.0] * len(carried)
+    return np.array(dists, dtype=np.float64), start, rows
 
 
 def ingest_dense(state, n, flows):
@@ -259,8 +264,8 @@ def ingest_dense(state, n, flows):
     x[:len(flows)] = [f.values for f in flows]
     for row, s in zip(x, state.g.base.sessions):
         assert set(row[row != 0.0].tolist()) <= {s.rate}
-    start, rows = routes_of([np.nonzero(row)[0] for row in x])
-    return state.ingest(n, 1.0 / n, start, rows, 0.0)
+    return state.ingest(n, 1.0 / n,
+                        routes_of([np.nonzero(row)[0] for row in x]))
 
 
 def running_mean(g, idx, history):
@@ -350,15 +355,14 @@ def recover_both(inst, rates, rounds, kernel):
     # as in price_ascent, an overflow shows as a non-finite cost
     with np.errstate(over="ignore", invalid="ignore"):
         for n, carried in enumerate(rounds, 1):
-            start, rows = routes_of(carried)
+            routes = routes_of(carried)
             flows = []
             for s, ks in zip(g.base.sessions, carried):
                 f = np.zeros(len(idx))
                 f[list(ks)] = s.rate
                 flows.append(FlowVector(s.sid, f))
             outcome = []
-            for ingest in (lambda: state.ingest(n, 1.0 / n, start, rows,
-                                                0.0),
+            for ingest in (lambda: state.ingest(n, 1.0 / n, routes),
                            lambda: dense.ingest(n, flows, 0.0)):
                 try:
                     outcome.append(ingest())
@@ -433,9 +437,10 @@ def round_inputs(draw):
     session rates with the smallest subnormal and ones whose sums
     overflow to inf (and whose flows then meet as inf - inf, NaN),
     prices and step sizes of any float, and per round each session's
-    rows in route order.  A round's flow adds positive rates from +0.0,
-    so -0.0 comes in through the prices and the pair costs, which keep
-    the -0.0 that the instance reads as +0.0.  Every NaN drawn
+    rows in route order and its route distance: finite, the smallest
+    subnormal, 1e308, inf or NaN.  A round's flow adds positive rates
+    from +0.0, so -0.0 comes in through the prices and the pair costs,
+    which keep the -0.0 that the instance reads as +0.0.  Every NaN drawn
     is the one inf - inf makes: numpy's add keeps one of two NaN payloads
     or the other by the element's place in the array and the CPU's
     vector width, so two NaNs of different payloads have no one sum."""
@@ -460,10 +465,25 @@ def round_inputs(draw):
     # a route has at least one row, as a session's ends are two pairs
     route = st.lists(st.integers(0, len(idx) - 1), min_size=1, max_size=6,
                      unique=True)
+    dist = st.one_of(st.sampled_from([5e-324, 1e308, math.inf, nan]),
+                     st.floats(0.0, 10.0), st.integers(0, 40).map(float))
     rounds = draw(st.lists(st.tuples(
         st.lists(route, min_size=len(sessions), max_size=len(sessions)),
+        st.lists(dist, min_size=len(sessions), max_size=len(sessions)),
         any_float), min_size=1, max_size=6))
     return g, idx, prices, rounds
+
+
+def round_bytes(state):
+    """Every byte a round may write: the arrays in use, and the counts,
+    bounds, cost and gap in the frame but the dual bound q."""
+    frame, used = state.frame, state.frame.nkeys
+    return [a.tobytes() for a in (
+        state.keys[:used], state.bins[:used], state.sums, state.summary.y,
+        state.summary.z, state.work, state.p.values,
+        state.trace_rows[:frame.ntrace],
+        np.array([frame.nkeys, frame.ntrace]),
+        np.array([frame.best, frame.expanded, frame.gap]))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,33 +491,32 @@ def round_inputs(draw):
 def test_compiled_and_numpy_rounds_agree(kernel, inputs):
     """Round for round, the compiled round and _round leave the same
     bytes in the sums, the keys and their rows, y, z, work and the
-    prices, and certify or raise alike, the round that raises too."""
+    prices, the dual bound, the best bound, the gap and the trace rows,
+    and certify or raise alike, the round that raises too.  A round that
+    certifies puts back the prices it was routed at, and one whose dual
+    bound is not finite changes nothing but the bound in the frame."""
     g, idx, prices, rounds = inputs
     cfg = SolverConfig(tol=1e-2)
-    states = [_LoopState(g, idx, cfg, SolveTrace(),
-                         PriceVector(np.array(prices)), k)
+    states = [_LoopState(g, idx, cfg, PriceVector(np.array(prices)), k)
               for k in (kernel, None)]
-    compiled, numpy_round = states
     with np.errstate(all="ignore"):
-        for n, (carried, alpha) in enumerate(rounds, 1):
-            start, rows = routes_of(carried)
+        for n, (carried, dists, alpha) in enumerate(rounds, 1):
+            routes = routes_of(carried, dists)
             outcome = []
             for state in states:
+                before = round_bytes(state)
                 try:
-                    outcome.append(state.ingest(n, alpha, start, rows, 0.0))
+                    outcome.append(state.ingest(n, alpha, routes))
                 except NonFiniteError as exc:
                     outcome.append(str(exc))
+                if outcome[-1] is True:  # the prices routed at
+                    assert state.p.values.tobytes() == before[6]
+                elif "dual bound" in str(outcome[-1]):
+                    assert round_bytes(state) == before
             assert outcome[0] == outcome[1]
-            used = compiled.frame.nkeys
-            assert numpy_round.frame.nkeys == used
-            for name in ("keys", "bins"):
-                got, want = (getattr(state, name)[:used] for state in states)
-                assert got.tobytes() == want.tobytes(), name
-            for name in ("sums", "summary.y", "summary.z", "work",
-                         "p.values"):
-                got, want = (operator.attrgetter(name)(state)
-                             for state in states)
-                assert got.tobytes() == want.tobytes(), name
+            got, want = (round_bytes(state) + [
+                np.float64(state.frame.q).tobytes()] for state in states)
+            assert got == want
             if outcome[0] is not False:  # certified, or raised
                 break
 
@@ -506,14 +525,14 @@ def test_compiled_and_numpy_rounds_agree(kernel, inputs):
 def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
         form, grid2, request):
     """Either round returns -5 on a bad start or row, which ingest raises,
-    and -3 when the new keys would not fit cap, and leaves every byte of
-    its state as it was."""
+    and -3 when the new keys would not fit cap or the trace is full, and
+    leaves every byte of its state as it was."""
     kernel = request.getfixturevalue("kernel") if form == "C" else None
     g = build_expanded_graph(grid2)
     idx = enumerate_triples(g)
     T = len(idx)
     state = loop_state(g, idx, SolverConfig(tol=1e-12), kernel)
-    state.ingest(1, 1.0, *routes_of([[3, 7], [7]]), 0.0)
+    state.ingest(1, 1.0, routes_of([[3, 7], [7]]))
 
     def snapshot():
         return [a.tobytes() for a in (
@@ -527,14 +546,19 @@ def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
                         ([0, 2, 3], [3, T, 7]),
                         ([0, 2, 3], [3, -1, 7])):
         with pytest.raises(RuntimeError, match="status -5"):
-            state.ingest(2, 0.5, np.array(start), np.array(rows), 0.0)
+            state.ingest(2, 0.5, (np.zeros(2), np.array(start),
+                                  np.array(rows)))
         assert snapshot() == before
     # two new keys, and room for none
     state.start[:] = [0, 1, 2]
     state.rows[:2] = [5, 9]
-    state.frame.cap = state.frame.nkeys
-    assert state.fn(state.ref, 2, 0.5, 2) == -3
+    cap, state.frame.cap = state.frame.cap, state.frame.nkeys
+    assert state.fn(state.ref, 2, 0.5) == -3
     assert snapshot() == before
+    # room for the keys, and none for the trace row
+    state.frame.cap, state.frame.tcap = cap, state.frame.ntrace
+    assert state.fn(state.ref, 2, 0.5) == -3
+    assert snapshot() == before and state.frame.ntrace == 1
 
 
 # ------------------------------------------------------------- solve loop
@@ -658,9 +682,10 @@ def test_solve_rounds_on_the_buffers_the_search_fills(grid2, loop_kernels,
         monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
         sol, trace = solve(grid2, cfg)
         state, search = states[-1], graphs[-1].search
-        assert state.start is search.start and state.rows is search.rows
-        assert (state.frame.start, state.frame.rows) == \
-            (search.frame.start, search.frame.rows)
+        assert state.routes is search.routes
+        assert (state.qdist, state.start, state.rows) == search.routes
+        assert (state.frame.qdist, state.frame.start, state.frame.rows) == \
+            (search.frame.qdist, search.frame.start, search.frame.rows)
         g = build_expanded_graph(grid2)
         idx = enumerate_triples(g)
         copied = edge_graph.route_search(idx.out_lo, idx.out_hi, idx.head,
@@ -783,3 +808,42 @@ def test_trace_alphas_are_step_a_over_n(grid2):
                                           max_iters=4))
     assert trace.iters == [1, 2, 3, 4]
     assert [trace.alphas[n - 1] for n in (1, 2, 4)] == [2.0, 1.0, 0.5]
+
+
+def test_the_trace_grows_with_the_rounds_not_the_cap(relay3):
+    """The trace's buffer starts small and grows with the rounds run, so a
+    cap of 10**12 rounds sizes nothing."""
+    cfg = SolverConfig(max_iters=10**12)
+    solve(relay3, cfg)  # the kernel is built and loaded before the count
+    tracemalloc.start()
+    try:
+        sol, trace = solve(relay3, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.certified and sol.iterations == 2 and len(trace) == 2
+    assert peak < 1 << 20
+
+
+def test_a_trace_past_the_first_buffer_is_the_same_on_every_path(
+        grid2, loop_kernels, monkeypatch):
+    """A solve that outgrows the trace's first buffer gives the same
+    trace, by float.hex, under the compiled round, under _round and in
+    the message-passing twin."""
+    cfg = SolverConfig(tol=1e-12, max_iters=150)
+
+    def hexes(trace):
+        return trace.iters, [[v.hex() for v in getattr(trace, name)] for name
+                             in ("alphas", "dual_bounds", "best_bounds",
+                                 "recovered_costs", "rel_gaps")]
+
+    traces = []
+    for kernel in loop_kernels:
+        monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        traces.append(hexes(solve(grid2, cfg)[1]))
+        traces.append(hexes(run_distributed_solve(grid2, cfg,
+                                                  SimSchedule("sync"))[1]))
+    g = build_expanded_graph(grid2)
+    first = len(loop_state(g, enumerate_triples(g)).trace_rows)
+    assert traces[0][0] == list(range(1, 151)) and first < 150
+    assert all(trace == traces[0] for trace in traces)
