@@ -108,11 +108,12 @@
  *
  * The fixed arrays and counts of a solve are one round_state, bound
  * once; a round passes n and alpha.  The routes are start[ns] rows of
- * the nrows that rows holds.  Under solve(), qdist, start and rows are
- * the route search's own buffers, so no route is copied between the
- * two calls.  keys and bins have room for cap entries, and nkeys of
- * them are in use; the trace has room for tcap rows, and ntrace of them
- * are written.
+ * the nrows that rows holds.  qdist, start and rows are the route
+ * call's own buffers, the route search's under solve() and the
+ * simulator's under the twin, bound again only when the call returns
+ * other arrays, so no route is copied between the two calls.  keys and
+ * bins have room for cap entries, and nkeys of them are in use; the
+ * trace has room for tcap rows, and ntrace of them are written.
  * It returns 1 when the round certifies, 0 when it does not, or
  *   -1 when memory runs out;
  *   -3 when the merged keys would not fit cap or the trace is full,

@@ -20,8 +20,8 @@ After each routing phase the destination starts a hop-by-hop trace back
 along predecessors.  A label keeps the triple row that set it, so each
 node on the path adds its own triple's row to the session's route from
 that message; this chase is the only walk of a route.  solve()'s loop,
-price_ascent, gets the routes as the route search returns them and runs
-the price step.
+price_ascent, gets the routes in three buffers that the Simulator
+fills every round, as the route search does, and runs the price step.
 
 One Simulator object holds a run: the links between graph neighbours,
 the message counts, and every node's state as one table per kind.  The
@@ -137,6 +137,11 @@ class Simulator:
                                                    idx.out_hi.tolist())]
         self.wts: list[float] = []  # price per triple, set per round
         self.routes: list[list[int]] = []  # per session, destination first
+        # (dists, start, rows), which each message round refills and
+        # returns; rows has the search's room, a simple route per session
+        ns, nv = len(g.base.sessions), len(self.vertices)
+        self.route_buffers = (np.zeros(ns), np.zeros(ns + 1, dtype=np.int64),
+                              np.zeros(ns * (nv - 1), dtype=np.int64))
         # labels[t][vertex (i, j)]: (dist, hops, pred vertex, row of the
         # triple pred -> vertex) or None, held by node i; reset per flood
         self.labels: list[list] = [[] for _ in g.base.sessions]
@@ -270,7 +275,8 @@ def _message_round(sim: Simulator, p: PriceVector
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route every session by messages at prices p: each node reads its
     rows of p, then the label flood and the flow chase run.  The routes
-    come back as the route search returns them, (dists, start, rows)."""
+    come back in sim.route_buffers, as the route search returns its own:
+    (dists, start, rows), and rows past start[-1] are free room."""
     distributed_price_update(sim, p)
     stats = sim.stats
     before = stats.label_messages, stats.flow_messages, stats.rounds
@@ -284,8 +290,11 @@ def _message_round(sim: Simulator, p: PriceVector
     })
     # a chase walks from the destination, so each route is reversed
     rows = [k for route in sim.routes for k in reversed(route)]
-    start = np.cumsum([0] + list(map(len, sim.routes)), dtype=np.int64)
-    return np.array(dists), start, np.array(rows, dtype=np.int64)
+    qdist, start, buffer = sim.route_buffers
+    qdist[:] = dists
+    start[1:] = np.cumsum(list(map(len, sim.routes)))
+    buffer[:len(rows)] = rows
+    return sim.route_buffers
 
 
 def distributed_price_update(sim: Simulator, p: PriceVector) -> None:

@@ -21,9 +21,10 @@ compiler, or when the build or the load fails, _routes runs instead.
 The kernel takes one pointer, to the counts and array addresses that a
 RouteSearch binds once, and _routes takes the RouteSearch; it fills the
 same buffers and returns the same status codes, so either way the
-labels, and so every path, are the same bits.  The same library holds
-carpool_round, the rest of a round of the solve loop, which
-carpool.solver calls.
+labels, and so every path, are the same bits.  Every search returns
+the same three buffers, which the solve loop binds once.  The same
+library holds carpool_round, the rest of a round of the solve loop,
+which carpool.solver calls.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class EdgeGraph:
     to g.dst_pair[t].  Triple k is the arc idx.tail[k] -> idx.head[k],
     and the arcs leaving u are the triple rows idx.out_lo[u] to
     idx.out_hi[u] - 1, so the graph keeps no index of its own.  search is
-    the route search of every session, which search_of builds on first
-    use and later calls reuse.
+    the route search of every session, which primal_subproblem builds on
+    first use and reuses, so every call returns its same three buffers.
     vertices is built on first read; the solve loop never reads it.
     """
 
@@ -254,9 +255,9 @@ class RouteSearch:
     search runs.  It also copies src and dst, allocates one array per
     output buffer and binds every count and array in frame, a
     search_state; routes is the tuple of the three route buffers, qdist,
-    start and rows, which run returns.  A search is one call of fn on
-    ref: the kernel's routes on the address of frame, or, when kernel is
-    None, _routes on this search, which reads the counts in frame and
+    start and rows, which every run returns.  A search is one call of fn
+    on ref: the kernel's routes on the address of frame, or, when kernel
+    is None, _routes on this search, which reads the counts in frame and
     the arrays held here, the ones whose addresses the kernel reads.  A
     call checks and binds its weights in frame, unless they are wts, the
     array of the last call, changed in place or not: an array's data
@@ -328,13 +329,6 @@ class RouteSearch:
                 f"sub-problem kernel failed with status {status}")
         return self.routes
 
-    def __call__(self, wts: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """run's routes, copied, and rows cut to start[-1], so that later
-        calls leave them alone."""
-        qdist, start, rows = self.run(wts)
-        return qdist.copy(), start.copy(), rows[:start[-1]].copy()
-
 
 def _negative_weight(wts: np.ndarray) -> ValueError:
     k = int(np.argmax(wts < 0.0))
@@ -349,14 +343,6 @@ def route_search(lo: np.ndarray, hi: np.ndarray, heads: np.ndarray,
     return RouteSearch(_load_kernel(), lo, hi, heads, src, dst)
 
 
-def search_of(h: EdgeGraph) -> RouteSearch:
-    """h.search, the route search of every session, built on first use."""
-    if h.search is None:
-        h.search = route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
-                                h.g.src_pair, h.g.dst_pair)
-    return h.search
-
-
 def primal_subproblem(h: EdgeGraph, p: PriceVector
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-session cheapest routes at prices p, as (dists, start, rows).
@@ -364,7 +350,11 @@ def primal_subproblem(h: EdgeGraph, p: PriceVector
     Session t routes its rate along the triple rows rows[start[t]:start[t
     + 1]], source first, at priced distance dists[t]; sum_t R_t * dists[t]
     never exceeds the coded optimum.  The three arrays are the buffers of
-    h's search (RouteSearch.run), which the next call on h overwrites;
-    rows holds start[-1] route rows, then free room.
+    h.search (RouteSearch.run), built on the first call, which every call
+    on h overwrites and returns; rows holds start[-1] route rows, then
+    free room.
     """
-    return search_of(h).run(p.values)
+    if h.search is None:
+        h.search = route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
+                                h.g.src_pair, h.g.dst_pair)
+    return h.search.run(p.values)

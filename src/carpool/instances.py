@@ -148,7 +148,8 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
     search = route_search(bounds[:-1], bounds[1:], heads,
                           [s.source for s in inst.sessions],
                           [s.dest for s in inst.sessions])
-    dists, start, rows = search(np.repeat(inst.costs(), np.diff(bounds)))
+    wts = np.repeat(inst.costs(), np.diff(bounds))
+    dists, start, rows = search.run(wts)
     total = 0.0
     routes = []
     cuts = start.tolist()

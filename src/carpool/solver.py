@@ -21,10 +21,11 @@ trace row and the stop test.  The round is the compiled kernel's
 carpool_round (_subproblem.c), or, without the kernel, _round, its
 contract in numpy, which runs transmission_summary, total_cost and
 subgradient_step with the same IEEE operations in the same order.
-Under solve() the round reads the routes in the route search's own
-buffers, so no route is copied between the two calls.  What stays in
-Python per round is the loop step, the route call and the round call;
-the trace's lists are built once, when the loop ends.
+Either front end's route call returns its own buffers, the same three
+arrays every round, and the round reads the routes in them, so no route
+is copied between the two calls.  What stays in Python per round is the
+loop step, the route call and the round call; the trace's lists are
+built once, when the loop ends.
 """
 
 from __future__ import annotations
@@ -223,54 +224,45 @@ class _LoopState:
     trace row, (alpha, q, best, cost, gap), into trace_rows; a round whose
     gap is within tol puts back the prices it was routed at, which it
     left in work, and returns 1.  keys, bins and trace_rows grow when the
-    round says they are full.  qdist, start and rows are routes, the
-    buffers that the route search fills when they are given (solve()
-    binds its search's), or else three arrays that each round's routes
-    are copied into.
+    round says they are full.  qdist, start and rows are the routes of
+    the last round, arrays of the route call's own, which ingest binds
+    when they are not the ones bound last; the state owns no route
+    buffer and copies no route.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
                  cfg: SolverConfig, p: PriceVector,
-                 kernel: edge_graph.Kernel | None,
-                 routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-                 = None):
+                 kernel: edge_graph.Kernel | None):
         self.g, self.idx, self.cfg, self.p = g, idx, cfg, p
         sessions, T, pairs = g.base.sessions, len(idx), len(idx.pair_fwd)
         self.sums = np.zeros((len(sessions), T))
         self.flat_sums = self.sums.reshape(-1)  # a view of sums
         # doubles whatever the rates' type: the kernel reads them as such
         self.rates = np.array([s.rate for s in sessions], dtype=np.float64)
-        self.keys = self.bins = np.zeros(0, dtype=np.int64)  # bins: keys % T
-        # a row per round, (alpha, q, best, cost, gap); it doubles when full
+        # bins: keys % T; they and the trace rows, one per round, (alpha,
+        # q, best, cost, gap), start with room and double when full
+        self.keys = np.zeros(64, dtype=np.int64)
+        self.bins = np.zeros(64, dtype=np.int64)
         self.trace_rows = np.zeros((64, 5))
         self.summary = TransmissionSummary(idx, np.zeros(pairs),
                                            np.zeros(g.n_nodes))
-        self.routes = routes or (np.zeros(len(sessions)),
-                                 np.zeros(len(sessions) + 1, dtype=np.int64),
-                                 np.zeros(0, dtype=np.int64))
-        self.qdist, self.start, self.rows = self.routes
-        # the pair arrays, the costs, the prices and the route buffers come
-        # from outside, and the kernel reads and writes them by address:
-        # check them once
+        # the pair arrays, the costs and the prices come from outside, and
+        # the kernel reads and writes them by address: check them once
         for a, dtype, size, bound in (
                 (idx.pair_fwd, np.int64, pairs, T),
                 (idx.pair_rev, np.int64, pairs, T),
                 (idx.pair_mid, np.int64, pairs, g.n_nodes),
                 (idx.pair_cost, np.float64, pairs, None),
                 (g.costs, np.float64, g.n_nodes, None),
-                (p.values, np.float64, T, None),
-                (self.qdist, np.float64, len(sessions), None),
-                (self.start, np.int64, len(sessions) + 1, None),
-                (self.rows, np.int64, len(self.rows), None)):
+                (p.values, np.float64, T, None)):
             edge_graph._check_array(a, np.dtype(dtype))
             if len(a) != size or (bound is not None
                                   and (a.view(np.uint64) >= bound).any()):
                 raise ValueError("price or pair array out of range")
         self.work = np.zeros(T)
-        arrays = {"rates": self.rates, "qdist": self.qdist,
-                  "start": self.start, "rows": self.rows,
-                  "sums": self.flat_sums, "keys": self.keys,
-                  "bins": self.bins, "fwd": idx.pair_fwd,
+        self.routes = None  # bound by the first ingest
+        arrays = {"rates": self.rates, "sums": self.flat_sums,
+                  "keys": self.keys, "bins": self.bins, "fwd": idx.pair_fwd,
                   "rev": idx.pair_rev, "mid": idx.pair_mid,
                   "cost": idx.pair_cost, "y": self.summary.y,
                   "z": self.summary.z, "p": p.values, "work": self.work,
@@ -278,7 +270,7 @@ class _LoopState:
         # the frame holds addresses only; self, g, idx and p keep the
         # arrays
         self.frame = _RoundState(
-            len(sessions), T, pairs, g.n_nodes, nrows=len(self.rows),
+            len(sessions), T, pairs, g.n_nodes, cap=len(self.keys),
             tcap=len(self.trace_rows), tol=cfg.tol, best=-math.inf,
             **{name: a.ctypes.data for name, a in arrays.items()})
         self.fn, self.ref = ((_round, self) if kernel is None
@@ -289,18 +281,21 @@ class _LoopState:
         """Close round n, whose step size is alpha, on routes, (dists,
         start, rows): session t is at distance dists[t] and carried its
         rate on the triple rows rows[start[t]:start[t + 1]], each
-        (session, triple) at most once.  True means the gap certificate
-        is in hand."""
-        if routes is not self.routes:  # routes from elsewhere: copy them in
-            dists, start, rows = routes
-            frame, m = self.frame, len(rows)
-            if m > len(self.rows):
-                self.rows = np.empty(2 * m, dtype=np.int64)
-                frame.rows = self.rows.ctypes.data
-            np.copyto(self.qdist, dists)
-            np.copyto(self.start, start)
-            self.rows[:m] = rows
-            frame.nrows = m
+        (session, triple) at most once, and the rows past start[-1] are
+        free room.  True means the gap certificate is in hand."""
+        if routes is not self.routes:  # new arrays: check and bind them
+            frame, i64 = self.frame, np.dtype(np.int64)
+            for a, dtype, size in zip(routes, (edge_graph.F64, i64, i64),
+                                      (frame.ns, frame.ns + 1, None)):
+                edge_graph._check_array(a, dtype)
+                if size is not None and len(a) != size:
+                    raise ValueError(f"{len(a)} route entries where the "
+                                     f"round reads {size}")
+            # a tuple, so that no array is swapped under a bound frame
+            self.qdist, self.start, self.rows = self.routes = tuple(routes)
+            frame.qdist, frame.start, frame.rows = (a.ctypes.data
+                                                    for a in routes)
+            frame.nrows = len(self.rows)
         status = self.fn(self.ref, n, alpha)
         if status < 0:
             if status == -3:  # it changed nothing: grow, and close it again
@@ -350,29 +345,30 @@ class _LoopState:
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
-                 route, routes: tuple[np.ndarray, np.ndarray, np.ndarray]
-                 | None = None) -> tuple[Solution, SolveTrace]:
+                 route) -> tuple[Solution, SolveTrace]:
     """Iterate to a certified gap or the cap; both front ends run this.
 
     route(p) gives every session's cheapest route at prices p as (dists,
     start, rows): session t's distance is dists[t] and its triple rows
-    are rows[start[t]:start[t + 1]].  A round is that call and one call
-    of the state's ingest, which closes the round in one call of the
-    round on the step size alpha = step_a / n (the trace records it too):
-    it moves the prices on the round's flow per triple unless the round
+    are rows[start[t]:start[t + 1]], and rows past start[-1] are free
+    room.  The three are route's own buffers, which the round reads in
+    place; the loop binds them when they are not the ones it bound last,
+    so the route search and the twin, which return the same three every
+    round, are bound once a solve.  A round is that call and one call of
+    the state's ingest, which closes the round in one call of the round
+    on the step size alpha = step_a / n (the trace records it too): it
+    moves the prices on the round's flow per triple unless the round
     certifies.  The step writes the new prices over p.values: one array
     holds the prices for the whole solve and ends as the solution's, so
     route may read p only while it runs.  The twin copies p.values with
     tolist, and the route search keeps the array only to reuse its
-    address.  routes, when given, is the triple of buffers that route
-    fills and returns, and the round reads them in place.  Without it,
-    each round's routes are copied.  An overflowed distance makes the
-    dual bound inf, which the round reports.  The recovery's keys sort
-    session-major, so its sum adds each triple's means in session order,
-    as a cumulative sum down the sessions would.
+    address.  An overflowed distance makes the dual bound inf, which the
+    round reports.  The recovery's keys sort session-major, so its sum
+    adds each triple's means in session order, as a cumulative sum down
+    the sessions would.
     """
     p = init_prices(idx)
-    state = _LoopState(g, idx, cfg, p, edge_graph._load_kernel(), routes)
+    state = _LoopState(g, idx, cfg, p, edge_graph._load_kernel())
     n, step_a = 0, cfg.step_a
     if g.base.sessions:
         # the round reports an overflow as a non-finite bound or cost
@@ -390,5 +386,4 @@ def solve(inst: Instance, cfg: SolverConfig | None = None
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     h = build_edge_graph(g, idx)
-    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p),
-                        edge_graph.search_of(h).routes)
+    return price_ascent(g, idx, cfg, lambda p: primal_subproblem(h, p))

@@ -7,6 +7,7 @@ Each run fixture returns (solution, trace, elapsed_seconds).
 
 from __future__ import annotations
 
+import os
 import shutil
 import time
 
@@ -15,8 +16,15 @@ import pytest
 from carpool import (GeometricConfig, SimSchedule, SolverConfig,
                      builtin_instances, generate_geometric,
                      run_distributed_solve, solve)
+from carpool import edge_graph
 from carpool.edge_graph import Kernel, bind_kernel, build_kernel
 from carpool.model import Instance, Node, Session
+
+# Extra compiler flags for every kernel this suite builds in its own
+# process, as a sanitizer needs: CARPOOL_TEST_CFLAGS="-fsanitize=address"
+# with the sanitizer's runtime preloaded.  The flags enter the library's
+# hash, so such a build never shadows the plain one in a cache.
+edge_graph.CC_FLAGS += os.environ.get("CARPOOL_TEST_CFLAGS", "").split()
 
 
 @pytest.fixture(scope="session")

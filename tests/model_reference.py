@@ -32,11 +32,13 @@ and for naming a bad node id, so every message must match.
 The rest reads results the package only computes: the triples of a
 TripleIndex as tuples, their rows and the rows of their reversals
 (triples_of, index_of, rev_of), the arcs of each edge-graph vertex
-grouped by a sort instead of read as a range (arc_csr_reference), one
-session's route as a path (shortest_path, path_to_flow), the route a
-recovered flow settles on (dominant_path), the conservation residual of
-dense flow vectors (flow_entries, residual_of, worst_residual) and the
-dual-feasibility check of a price vector (validate_prices).
+grouped by a sort instead of read as a range (arc_csr_reference), a
+route search's routes cut and copied out of its buffers
+(routes_copied), one session's route as a path (shortest_path,
+path_to_flow), the route a recovered flow settles on (dominant_path),
+the conservation residual of dense flow vectors (flow_entries,
+residual_of, worst_residual) and the dual-feasibility check of a price
+vector (validate_prices).
 """
 
 from __future__ import annotations
@@ -394,12 +396,20 @@ class SessionPath:
     triples: list[int]  # arc ids (= triple rows) along the path
 
 
+def routes_copied(search, wts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """search.run(wts)'s routes, copied, and rows cut to start[-1], so that
+    later calls on search leave them alone."""
+    qdist, start, rows = search.run(wts)
+    return qdist.copy(), start.copy(), rows[:start[-1]].copy()
+
+
 def shortest_path(h, p, t) -> SessionPath:
     """Cheapest priced route for session index t, searched alone."""
     src = int(h.g.src_pair[t])
     search = edge_graph.route_search(h.idx.out_lo, h.idx.out_hi, h.idx.head,
                                      [src], [int(h.g.dst_pair[t])])
-    dists, _, rows = search(np.ascontiguousarray(p.values, dtype=float))
+    dists, _, rows = routes_copied(
+        search, np.ascontiguousarray(p.values, dtype=float))
     sid = h.g.base.sessions[t].sid
     if dists[0] == math.inf:
         raise InfeasibleSessionError(sid, "no priced route to destination")

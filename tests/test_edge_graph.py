@@ -23,8 +23,8 @@ from carpool.solver import NonFiniteError
 from model_reference import (arc_csr_reference, dominant_path, index_of,
                              ordered_pairs_reference, path_to_flow,
                              plain_routing_cost_reference, relaxation_labels,
-                             rev_of, shortest_path, solve_reference,
-                             triples_of, worst_residual)
+                             rev_of, routes_copied, shortest_path,
+                             solve_reference, triples_of, worst_residual)
 
 
 def graph_parts(inst):
@@ -75,7 +75,7 @@ def python_labels(graph, wts, src, dst=-1):
     """The Python search's labels (dist, hops, pred) from src, read from
     the buffers of a one-session RouteSearch that stops at dst."""
     search = RouteSearch(None, *graph, [src], [dst])
-    search(wts)
+    routes_copied(search, wts)
     return search.dist.tolist(), search.hops.tolist(), search.pred.tolist()
 
 
@@ -322,16 +322,17 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
             for src in range(nv):
                 # full tree
                 search = RouteSearch(kernel, *graph, [src], [-1])
-                search(w)
+                routes_copied(search, w)
                 dist, hops, pred = python_labels(graph, w, src)
                 assert search.dist.tobytes() == np.array(dist).tobytes()
                 assert search.hops.tolist() == hops
                 assert search.pred.tolist() == pred
                 # early stop at every destination
                 srcs, dsts = [src] * nv, list(range(nv))
-                qdist, start, rows = RouteSearch(kernel, *graph, srcs, dsts)(w)
-                ref_dist, ref_start, ref_rows = RouteSearch(None, *graph, srcs,
-                                                            dsts)(w)
+                qdist, start, rows = routes_copied(
+                    RouteSearch(kernel, *graph, srcs, dsts), w)
+                ref_dist, ref_start, ref_rows = routes_copied(
+                    RouteSearch(None, *graph, srcs, dsts), w)
                 assert qdist.tobytes() == ref_dist.tobytes()
                 for t in range(nv):
                     assert rows[start[t]:start[t + 1]].tolist() == \
@@ -339,7 +340,7 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
                 unreachable += int(np.isinf(qdist).sum())
                 dst = int(pick.integers(0, nv))
                 search = RouteSearch(kernel, *graph, [src], [dst])
-                search(w)
+                routes_copied(search, w)
                 dist, hops, pred = python_labels(graph, w, src, dst)
                 assert search.dist.tobytes() == np.array(dist).tobytes()
                 assert search.hops.tolist() == hops
@@ -478,18 +479,19 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     search = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)
     w = init_prices(idx).values
     with pytest.raises(ValueError, match="weights for"):
-        search(w[:-1])
+        routes_copied(search, w[:-1])
     with pytest.raises(TypeError, match="float64"):
-        search(w.astype(np.float32))
+        routes_copied(search, w.astype(np.float32))
     with pytest.raises(TypeError, match="contiguous"):
-        search(np.repeat(w, 2)[::2])
-    first = search(w)
+        routes_copied(search, np.repeat(w, 2)[::2])
+    first = routes_copied(search, w)
     kept = [a.copy() for a in first]
-    search(np.zeros_like(w))  # a later call leaves earlier results alone
+    # a later call leaves earlier results alone
+    routes_copied(search, np.zeros_like(w))
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
     # a negative destination searches the whole graph: distance 0, no arcs
-    qdist, start, rows = RouteSearch(fn, *graph, list(range(nv)),
-                                     [-1] * nv)(w)
+    qdist, start, rows = routes_copied(
+        RouteSearch(fn, *graph, list(range(nv)), [-1] * nv), w)
     assert qdist.tolist() == [0.0] * nv
     assert start.tolist() == [0] * (nv + 1) and rows.size == 0
 
@@ -501,19 +503,19 @@ def test_kernel_failure_raises(kernel, compiled):
     graph = [a.copy() for a in (idx.out_lo, idx.out_hi, idx.head)]
     search = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)
     w = init_prices(idx).values.copy()
-    _, start, rows = search(w)
+    _, start, rows = routes_copied(search, w)
     k = int(rows[start[0]])  # an arc of session 0's route
     for accepted in (-0.0, np.inf, np.nan):
         w[k] = accepted
-        search(w)
+        routes_copied(search, w)
     w[k] = -0.25  # no cycle, but a radix heap cannot take the key
     with pytest.raises(ValueError,
                        match=f"^weight -0.25 of arc {k} is negative; "):
-        search(w)
+        routes_copied(search, w)
     if compiled:  # the kernel checks the ranges again on every call
         graph[1][-1] = len(idx) + 1  # past the end of the arc list
         with pytest.raises(RuntimeError, match="status -5"):
-            search(init_prices(idx).values)
+            routes_copied(search, init_prices(idx).values)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
@@ -579,7 +581,8 @@ def test_route_search_keeps_its_arrays_alive(kernel, compiled):
               for size in sizes for fill, dtype in ((-7, np.int64),
                                                     (-7.5, np.float64))]
     w = init_prices(idx).values
-    assert [a.tobytes() for a in alone(w)] == [a.tobytes() for a in held(w)]
+    assert [a.tobytes() for a in routes_copied(alone, w)] == \
+        [a.tobytes() for a in routes_copied(held, w)]
     assert [a.tobytes() for a in (alone.dist, alone.hops, alone.pred)] == \
         [a.tobytes() for a in (held.dist, held.hops, held.pred)]
     assert all((a == a.flat[0]).all() for a in filler)  # nothing wrote them
@@ -601,8 +604,9 @@ def test_route_search_reads_the_weights_at_each_call(kernel, compiled):
     results = []
 
     def check(wts):
-        got = search(wts)
-        alone = RouteSearch(fn, *graph, g.src_pair, g.dst_pair)(wts.copy())
+        got = routes_copied(search, wts)
+        alone = routes_copied(RouteSearch(fn, *graph, g.src_pair,
+                                          g.dst_pair), wts.copy())
         assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
         results.append((got, [a.copy() for a in got]))
 
@@ -627,7 +631,7 @@ def test_parallel_arcs_route_along_the_arc_that_set_the_label(kernel,
     graph = (np.array([0, 2]), np.array([2, 2]), np.array([1, 1]))
     search = RouteSearch(kernel if compiled else None, *graph, [0], [1])
     for wts, row in (([5.0, 1.0], 1), ([1.0, 1.0], 0)):
-        qdist, start, rows = search(np.array(wts))
+        qdist, start, rows = routes_copied(search, np.array(wts))
         assert (qdist.tolist(), start.tolist(), rows.tolist()) == \
             ([1.0], [0, 1], [row])
 
@@ -642,19 +646,19 @@ def test_arc_blocks_out_of_vertex_order(kernel):
              np.array([3, 1, 1, 1, 2, 3]))
     w = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
     for fn in (kernel, None):
-        qdist, start, rows = RouteSearch(fn, *graph, [0, 0, 2],
-                                         [1, 3, 3])(w)
+        qdist, start, rows = routes_copied(
+            RouteSearch(fn, *graph, [0, 0, 2], [1, 3, 3]), w)
         assert qdist.tolist() == [1.0, 1.0, 1.0]
         assert (start.tolist(), rows.tolist()) == ([0, 1, 3, 4], [2, 4, 0, 0])
     rng = np.random.default_rng(5)
     for w in [w, *rng.choice([0.0, 0.5, 1.0], (30, 6))]:
         for src in range(4):
             ends = [src] * 4, [0, 1, 2, 3]
-            got = RouteSearch(kernel, *graph, *ends)(w)
-            want = RouteSearch(None, *graph, *ends)(w)
+            got = routes_copied(RouteSearch(kernel, *graph, *ends), w)
+            want = routes_copied(RouteSearch(None, *graph, *ends), w)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             search = RouteSearch(kernel, *graph, [src], [-1])
-            search(w)
+            routes_copied(search, w)
             assert (search.dist.tolist(), search.hops.tolist(),
                     search.pred.tolist()) == python_labels(graph, w, src)
 

@@ -1,5 +1,6 @@
 """Price projection, subgradient updates, certified solve loop."""
 
+import ctypes
 import itertools
 import math
 import operator
@@ -22,12 +23,14 @@ from carpool import (FlowVector, GeometricConfig, PriceVector, SimSchedule,
                      plain_routing_cost, primal_subproblem,
                      run_distributed_solve, solve, solver, subgradient_step)
 from carpool.model import Instance, Node, Session
+from carpool.distributed import Simulator, _message_round
 from carpool.solver import NonFiniteError, _LoopState
 from model_reference import (DenseLoopState, dense_aggregate, index_of,
                              pair_network, primal_subproblem_reference,
                              project_pair_reference, project_pairs_by_step,
-                             rev_of, subgradient_step_reference,
-                             validate_prices, worst_residual)
+                             rev_of, routes_copied,
+                             subgradient_step_reference, validate_prices,
+                             worst_residual)
 
 
 @pytest.fixture(scope="module")
@@ -690,13 +693,131 @@ def test_solve_rounds_on_the_buffers_the_search_fills(grid2, loop_kernels,
         idx = enumerate_triples(g)
         copied = edge_graph.route_search(idx.out_lo, idx.out_hi, idx.head,
                                          g.src_pair, g.dst_pair)
-        want, want_trace = solver.price_ascent(g, idx, cfg,
-                                               lambda p: copied(p.values))
+        want, want_trace = solver.price_ascent(
+            g, idx, cfg, lambda p: routes_copied(copied, p.values))
         assert states[-1].start is not copied.start
         for name in ("dual_bounds", "recovered_costs", "rel_gaps"):
             assert np.array(getattr(trace, name)).tobytes() == \
                 np.array(getattr(want_trace, name)).tobytes()
         assert sol.prices.values.tobytes() == want.prices.values.tobytes()
+
+
+def count_round_calls(kernel, monkeypatch):
+    """Make the solves of this test run on kernel's round, or on _round
+    when kernel is None, and list the status of every call of it, -3
+    included."""
+    statuses, call = [], solver._round if kernel is None else kernel.round
+
+    def counted(*args):
+        statuses.append(call(*args))
+        return statuses[-1]
+    loaded = None if kernel is None else edge_graph.Kernel(kernel.routes,
+                                                           counted)
+    if kernel is None:
+        monkeypatch.setattr(solver, "_round", counted)
+    monkeypatch.setattr(edge_graph, "_load_kernel", lambda: loaded)
+    return statuses
+
+
+def test_a_relay3_solve_calls_the_round_once_a_round(relay3, loop_kernels,
+                                                    monkeypatch):
+    """The keys, their rows and the trace start with room, so no round of
+    a small solve finds them full (-3) and is called again."""
+    for kernel in loop_kernels:
+        statuses = count_round_calls(kernel, monkeypatch)
+        sol, trace = solve(relay3, SolverConfig(tol=1e-4))
+        assert sol.iterations == len(trace) == 2
+        assert statuses == [0, 1]
+
+
+@pytest.mark.parametrize("spoil", ["float32 distances", "short start",
+                                   "strided rows"])
+def test_bad_route_arrays_are_refused_before_the_round(
+        relay3_parts, loop_kernels, monkeypatch, spoil):
+    """The loop checks the types and lengths of the route arrays when it
+    binds them, so arrays the frame cannot hold raise before either round
+    reads them: in the first round, and in a later one after routes that
+    were bound well."""
+    g, idx = relay3_parts
+    h = build_edge_graph(g, idx)
+
+    def spoiled(p):
+        dists, start, rows = primal_subproblem(h, p)
+        if spoil == "float32 distances":
+            return dists.astype(np.float32), start, rows
+        if spoil == "short start":
+            return dists, start[:-1].copy(), rows
+        return dists, start, np.repeat(rows, 2)[::2]
+
+    for kernel in loop_kernels:
+        statuses = count_round_calls(kernel, monkeypatch)
+        with pytest.raises((TypeError, ValueError)):
+            solver.price_ascent(g, idx, SolverConfig(), spoiled)
+        assert statuses == []
+        routes = iter([lambda p: primal_subproblem(h, p), spoiled])
+        with pytest.raises((TypeError, ValueError)):
+            solver.price_ascent(g, idx, SolverConfig(tol=1e-4),
+                                lambda p: next(routes)(p))
+        assert statuses == [0]
+
+
+def test_the_round_frame_holds_the_arrays_the_loop_holds(
+        grid2, loop_kernels, monkeypatch):
+    """After a solve and a twin run that outgrow the first keys, bins and
+    trace rows, every address in the round's frame is that of the array
+    the loop holds for it, and every count its length.  Each front end's
+    routes are its own three buffers, bound from the first round to the
+    last: the route search's, and the Simulator's."""
+    states, bound = [], []
+
+    class Kept(_LoopState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+        def ingest(self, n, alpha, routes):
+            frame = self.frame
+            done = super().ingest(n, alpha, routes)
+            bound.append((routes, (frame.qdist, frame.start, frame.rows)))
+            return done
+
+    monkeypatch.setattr(solver, "_LoopState", Kept)
+    g = build_expanded_graph(grid2)
+    idx = enumerate_triples(g)
+    cfg = SolverConfig(tol=1e-12, max_iters=150)
+    addresses = {name for name, ctype in solver._RoundState._fields_
+                 if ctype is ctypes.c_void_p}
+    for kernel in loop_kernels:
+        monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        h, sim = build_edge_graph(g, idx), Simulator(g, idx)
+        primal_subproblem(h, init_prices(idx))  # builds h.search
+        for route, buffers in ((lambda p: primal_subproblem(h, p),
+                                h.search.routes),
+                               (lambda p: _message_round(sim, p),
+                                sim.route_buffers)):
+            bound.clear()
+            solver.price_ascent(g, idx, cfg, route)
+            state = states[-1]
+            frame = state.frame
+            held = {"rates": state.rates, "qdist": state.qdist,
+                    "start": state.start, "rows": state.rows,
+                    "sums": state.sums, "keys": state.keys,
+                    "bins": state.bins, "fwd": idx.pair_fwd,
+                    "rev": idx.pair_rev, "mid": idx.pair_mid,
+                    "cost": idx.pair_cost, "y": state.summary.y,
+                    "z": state.summary.z, "p": state.p.values,
+                    "work": state.work, "ncost": g.costs,
+                    "trace": state.trace_rows}
+            assert set(held) == addresses
+            for name, a in held.items():
+                assert getattr(frame, name) == a.ctypes.data, name
+            assert frame.cap == len(state.keys) == len(state.bins) > 64
+            assert frame.tcap == len(state.trace_rows) > 64
+            assert frame.nrows == len(state.rows)
+            assert len(bound) == 150
+            assert all(routes is buffers for routes, _ in bound)
+            assert {at for _, at in bound} == \
+                {tuple(a.ctypes.data for a in buffers)}
 
 
 # A solve whose trace took other bits under other OpenBLAS kernels while
