@@ -64,9 +64,9 @@
  * rate rates[t] and distance qdist[t] along the triple rows
  * rows[start[t]] .. rows[start[t + 1] - 1], each (session, row) at most
  * once; one call closes the round.  carpool.solver._round is this
- * function in numpy, on the same buffers with the same status codes,
- * and it makes the same IEEE operations in the same order, so both give
- * the same bits:
+ * function in numpy, with the same status codes, on the same buffers
+ * but keys and bins, and it makes the same IEEE operations in the same
+ * order, so both leave the same bits in every other buffer:
  *   - it sets q, the round's dual bound, to the sum of rates[t] *
  *     qdist[t], added from +0.0 in session order, and raises best to q
  *     when q is larger;
@@ -76,7 +76,9 @@
  *     so that no key is divided by nt;
  *   - it sets work[row], the recovered flow per triple, to the sum of
  *     sums[key] / n over the keys of that row in key order, that is in
- *     session order, added from +0.0 as np.bincount adds;
+ *     session order, added from +0.0; _round, which keeps no keys, adds
+ *     every session's sums[t * nt + row] / n, and each term it adds
+ *     beyond the keys is +0.0, which moves no sum;
  *   - it sets y[k] to the larger of work[fwd[k]] and work[rev[k]] and
  *     adds it into z[mid[k]], from +0.0, in pair order;
  *   - it sets expanded, the summary's expanded cost, to the sum of
@@ -117,7 +119,8 @@
  * It returns 1 when the round certifies, 0 when it does not, or
  *   -1 when memory runs out;
  *   -3 when the merged keys would not fit cap or the trace is full,
- *      which the caller mends by growing them and calling again;
+ *      which the caller mends by growing them and calling again (_round
+ *      only on a full trace);
  *   -5 when start[0] is not 0, start falls, start[ns] exceeds nrows or
  *      a row is out of range;
  *   -6 when q is not finite, which it leaves in the frame;

@@ -228,10 +228,11 @@ def _load_kernel() -> Kernel | None:
 
 
 def _check_array(a: np.ndarray, dtype) -> None:
-    """Refuse a unless it is a 1-d, C-contiguous array of dtype."""
-    if a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous:
-        raise TypeError(f"kernel argument must be a contiguous 1-d {dtype} "
-                        f"array, got {a.dtype} of shape {a.shape}")
+    """Refuse a unless it is a 1-d, C-contiguous, aligned array of dtype."""
+    if (a.dtype != dtype or a.ndim != 1 or not a.flags.c_contiguous
+            or not a.flags.aligned):
+        raise TypeError(f"kernel argument must be an aligned, contiguous 1-d "
+                        f"{dtype} array, got {a.dtype} of shape {a.shape}")
 
 
 class _SearchState(ctypes.Structure):

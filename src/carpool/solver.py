@@ -20,7 +20,8 @@ transmission summary, its expanded cost, the price step, the gap, the
 trace row and the stop test.  The round is the compiled kernel's
 carpool_round (_subproblem.c), or, without the kernel, _round, its
 contract in numpy, which runs transmission_summary, total_cost and
-subgradient_step with the same IEEE operations in the same order.
+subgradient_step with the same IEEE operations in the same order but
+keeps no index of the entries that carry flow, which only the kernel needs.
 Either front end's route call returns its own buffers, the same three
 arrays every round, and the round reads the routes in them, so no route
 is copied between the two calls.  What stays in Python per round is the
@@ -143,11 +144,11 @@ class _RoundState(ctypes.Structure):
 
 def _round(state: _LoopState, n: int, alpha: float) -> int:
     """carpool_round in numpy, which runs when the kernel cannot be built
-    or loaded: the same buffers, the arrays that state binds in its frame,
-    and the same status codes, 1, 0, -3, -5, -6 or -7, with nothing
-    changed on -5 and nothing but frame.q on -3 and -6.  It calls
-    transmission_summary, total_cost and subgradient_step by this
-    module's names."""
+    or loaded: the arrays that state binds in its frame but keys and bins,
+    and the same status codes, 1, 0, -3 (only for a full trace), -5, -6
+    or -7, with nothing changed on -5 and nothing but frame.q on -3 and
+    -6.  It calls transmission_summary, total_cost and subgradient_step by
+    this module's names."""
     frame, idx, start = state.frame, state.idx, state.start
     T, counts = frame.nt, start[1:] - start[:-1]
     if start[0] != 0 or start[-1] > frame.nrows or (counts < 0).any():
@@ -161,24 +162,18 @@ def _round(state: _LoopState, n: int, alpha: float) -> int:
     frame.q = q
     if not math.isfinite(q):
         return -6
-    values = state.rates.repeat(counts)
-    flat = np.arange(0, frame.ns * T, T).repeat(counts) + rows
-    sums, used = state.flat_sums, frame.nkeys
-    seen = sums[flat]
-    fresh = flat[seen == 0.0]  # never carried, as values > 0
-    if len(fresh) > frame.cap - used or frame.ntrace >= frame.tcap:
+    if frame.ntrace >= frame.tcap:
         return -3
     if q > frame.best:
         frame.best = q
-    if len(fresh):
-        keys = np.sort(np.concatenate((state.keys[:used], fresh)),
-                       kind="stable")
-        used = frame.nkeys = len(keys)
-        state.keys[:used] = keys
-        np.remainder(keys, T, out=state.bins[:used])
-    sums[flat] = np.add(seen, values, out=seen)  # what += would store
-    agg = np.bincount(state.bins[:used],
-                      weights=sums[state.keys[:used]] / n, minlength=T)
+    values = state.rates.repeat(counts)
+    flat = np.arange(0, frame.ns * T, T).repeat(counts) + rows
+    state.flat_sums[flat] += values  # each entry at most once a round
+    # the means in session order from +0.0; the terms the kernel skips
+    # are +0.0, which moves no sum
+    agg = 0.0
+    for row in state.sums:
+        agg += row / n
     summary = transmission_summary(agg, state.g, idx)
     np.copyto(state.summary.y, summary.y)
     np.copyto(state.summary.z, summary.z)
@@ -209,11 +204,11 @@ class _LoopState:
 
     sums[t] is session t's flow summed over the rounds so far, and
     sums[t] / n its recovered flow after round n.  The transmission
-    summary adds those means in session order over keys, the sorted flat
-    positions t * T + row of the entries that ever carried flow; every
-    other term is +0.0 and changes no bit.  (Dividing one running total
-    by n would round differently.)  The means are built only for the
-    solution.
+    summary adds those means in session order from +0.0; the compiled
+    round adds only those over keys, the sorted flat positions t * T +
+    row of the entries that ever carried flow, as every other term is
+    +0.0 and moves no bit.  (Dividing one running total by n would round
+    differently.)  The means are built only for the solution.
 
     A round is one call of fn, which closes it: the compiled kernel's
     round on ref, the address of frame, or without the kernel _round on
@@ -223,11 +218,11 @@ class _LoopState:
     expanded cost and the price step, and writes the gap and the round's
     trace row, (alpha, q, best, cost, gap), into trace_rows; a round whose
     gap is within tol puts back the prices it was routed at, which it
-    left in work, and returns 1.  keys, bins and trace_rows grow when the
-    round says they are full.  qdist, start and rows are the routes of
-    the last round, arrays of the route call's own, which ingest binds
-    when they are not the ones bound last; the state owns no route
-    buffer and copies no route.
+    left in work, and returns 1.  keys and bins, which only the compiled
+    round fills, and trace_rows grow when the round says they are full.
+    qdist, start and rows are the routes of the last round, arrays of the
+    route call's own, which ingest binds when they are not the ones bound
+    last; the state owns no route buffer and copies no route.
     """
 
     def __init__(self, g: ExpandedGraph, idx: TripleIndex,
@@ -363,9 +358,8 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     route may read p only while it runs.  The twin copies p.values with
     tolist, and the route search keeps the array only to reuse its
     address.  An overflowed distance makes the dual bound inf, which the
-    round reports.  The recovery's keys sort session-major, so its sum
-    adds each triple's means in session order, as a cumulative sum down
-    the sessions would.
+    round reports.  The recovery adds each triple's means in session
+    order, as a cumulative sum down the sessions would.
     """
     p = init_prices(idx)
     state = _LoopState(g, idx, cfg, p, edge_graph._load_kernel())

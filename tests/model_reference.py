@@ -403,6 +403,17 @@ def routes_copied(search, wts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return qdist.copy(), start.copy(), rows[:start[-1]].copy()
 
 
+def unaligned_copy(a: np.ndarray) -> np.ndarray:
+    """A copy of the 1-d array a that starts one byte past an aligned
+    address, as a view of a byte buffer at offset 1 does: contiguous and
+    of a's dtype, but not aligned for it."""
+    out = np.ndarray(a.shape, a.dtype, offset=1,
+                     buffer=np.empty(a.nbytes + 1, dtype=np.uint8))
+    out[:] = a
+    assert not out.flags.aligned and out.flags.c_contiguous
+    return out
+
+
 def shortest_path(h, p, t) -> SessionPath:
     """Cheapest priced route for session index t, searched alone."""
     src = int(h.g.src_pair[t])

@@ -24,7 +24,8 @@ from model_reference import (arc_csr_reference, dominant_path, index_of,
                              ordered_pairs_reference, path_to_flow,
                              plain_routing_cost_reference, relaxation_labels,
                              rev_of, routes_copied, shortest_path,
-                             solve_reference, triples_of, worst_residual)
+                             solve_reference, triples_of, unaligned_copy,
+                             worst_residual)
 
 
 def graph_parts(inst):
@@ -484,6 +485,9 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
         routes_copied(search, w.astype(np.float32))
     with pytest.raises(TypeError, match="contiguous"):
         routes_copied(search, np.repeat(w, 2)[::2])
+    # a price vector keeps an unaligned view, which the kernel cannot read
+    with pytest.raises(TypeError, match="aligned"):
+        routes_copied(search, PriceVector(unaligned_copy(w)).values)
     first = routes_copied(search, w)
     kept = [a.copy() for a in first]
     # a later call leaves earlier results alone

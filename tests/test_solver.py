@@ -29,8 +29,8 @@ from model_reference import (DenseLoopState, dense_aggregate, index_of,
                              pair_network, primal_subproblem_reference,
                              project_pair_reference, project_pairs_by_step,
                              rev_of, routes_copied,
-                             subgradient_step_reference, validate_prices,
-                             worst_residual)
+                             subgradient_step_reference, unaligned_copy,
+                             validate_prices, worst_residual)
 
 
 @pytest.fixture(scope="module")
@@ -313,34 +313,38 @@ def test_recovered_average_still_conserves():
     assert mean[0].values[row[(0, 1, 3)]] == pytest.approx(2 / 3)
 
 
-def test_support_restricted_total_equals_the_sum_of_session_means():
+def test_support_restricted_total_equals_the_sum_of_session_means(
+        loop_kernels):
     inst = generate_geometric(GeometricConfig(side=6.0, sessions=6, seed=9))
-    rng = np.random.default_rng(17)
-    inst = with_rates(inst, rng.uniform(0.1, 3.0, len(inst.sessions)))
+    inst = with_rates(inst, np.random.default_rng(17).uniform(
+        0.1, 3.0, len(inst.sessions)))
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     cfg = SolverConfig(tol=1e-12)
-    state = loop_state(g, idx, cfg)
-    dense = DenseLoopState(g, idx, cfg, SolveTrace())
-    for n in range(1, 8):
-        flows = []
-        for s in inst.sessions:
-            values = np.zeros(len(idx))
-            # from a few triples, so that sessions overlap
-            values[rng.choice(20, 12, replace=False)] = s.rate
-            flows.append(FlowVector(s.sid, values))
-        ingest_dense(state, n, flows)
-        dense.ingest(n, flows, 0.0)
-        # recovery ran on fewer entries than the S x T sums hold
-        assert state.frame.nkeys < len(inst.sessions) * len(idx)
-        for name in ("y", "z"):
-            assert getattr(state.summary, name).tobytes() == \
-                getattr(dense.summary, name).tobytes()
-    assert state.trace.recovered_costs == dense.trace.recovered_costs
-    got = state.solution(7).flows
-    assert [f.session for f in got] == [f.session for f in dense.mean]
-    assert all(a.values.tobytes() == b.values.tobytes()
-               for a, b in zip(got, dense.mean))
+    for kernel in loop_kernels:
+        rng = np.random.default_rng(17)
+        state = loop_state(g, idx, cfg, kernel)
+        dense = DenseLoopState(g, idx, cfg, SolveTrace())
+        for n in range(1, 8):
+            flows = []
+            for s in inst.sessions:
+                values = np.zeros(len(idx))
+                # from a few triples, so that sessions overlap
+                values[rng.choice(20, 12, replace=False)] = s.rate
+                flows.append(FlowVector(s.sid, values))
+            ingest_dense(state, n, flows)
+            dense.ingest(n, flows, 0.0)
+            if kernel:  # recovery ran on fewer entries than the sums hold
+                assert 0 < state.frame.nkeys < len(inst.sessions) * len(idx)
+                assert_key_index(state)
+            for name in ("y", "z"):
+                assert getattr(state.summary, name).tobytes() == \
+                    getattr(dense.summary, name).tobytes()
+        assert state.trace.recovered_costs == dense.trace.recovered_costs
+        got = state.solution(7).flows
+        assert [f.session for f in got] == [f.session for f in dense.mean]
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(got, dense.mean))
 
 
 def recover_both(inst, rates, rounds, kernel):
@@ -478,26 +482,36 @@ def round_inputs(draw):
 
 
 def round_bytes(state):
-    """Every byte a round may write: the arrays in use, and the counts,
-    bounds, cost and gap in the frame but the dual bound q."""
-    frame, used = state.frame, state.frame.nkeys
+    """Every byte that either round may write: the sums, y, z, work, the
+    prices and the trace rows in use, and the trace count, bounds, cost
+    and gap in the frame but the dual bound q.  The compiled round's key
+    index is left to assert_key_index."""
+    frame = state.frame
     return [a.tobytes() for a in (
-        state.keys[:used], state.bins[:used], state.sums, state.summary.y,
-        state.summary.z, state.work, state.p.values,
-        state.trace_rows[:frame.ntrace],
-        np.array([frame.nkeys, frame.ntrace]),
+        state.sums, state.summary.y, state.summary.z, state.work,
+        state.p.values, state.trace_rows[:frame.ntrace],
+        np.array([frame.ntrace]),
         np.array([frame.best, frame.expanded, frame.gap]))]
+
+
+def assert_key_index(state):
+    """The compiled round's keys are the flat positions of the entries
+    that ever carried flow, in order, and its bins their rows."""
+    keys = state.keys[:state.frame.nkeys]
+    assert keys.tolist() == np.flatnonzero(state.flat_sums).tolist()
+    assert state.bins[:len(keys)].tolist() == (keys % state.frame.nt).tolist()
 
 
 @settings(max_examples=200, deadline=None)
 @given(inputs=round_inputs())
 def test_compiled_and_numpy_rounds_agree(kernel, inputs):
     """Round for round, the compiled round and _round leave the same
-    bytes in the sums, the keys and their rows, y, z, work and the
-    prices, the dual bound, the best bound, the gap and the trace rows,
-    and certify or raise alike, the round that raises too.  A round that
-    certifies puts back the prices it was routed at, and one whose dual
-    bound is not finite changes nothing but the bound in the frame."""
+    bytes in the sums, y, z, work and the prices, the dual bound, the
+    best bound, the gap and the trace rows, and certify or raise alike,
+    the round that raises too.  A round that certifies puts back the
+    prices it was routed at, and one whose dual bound is not finite
+    changes nothing but the bound in the frame.  The compiled round's
+    keys index the entries that carry flow, and _round keeps none."""
     g, idx, prices, rounds = inputs
     cfg = SolverConfig(tol=1e-2)
     states = [_LoopState(g, idx, cfg, PriceVector(np.array(prices)), k)
@@ -513,13 +527,15 @@ def test_compiled_and_numpy_rounds_agree(kernel, inputs):
                 except NonFiniteError as exc:
                     outcome.append(str(exc))
                 if outcome[-1] is True:  # the prices routed at
-                    assert state.p.values.tobytes() == before[6]
+                    assert state.p.values.tobytes() == before[4]
                 elif "dual bound" in str(outcome[-1]):
                     assert round_bytes(state) == before
             assert outcome[0] == outcome[1]
             got, want = (round_bytes(state) + [
                 np.float64(state.frame.q).tobytes()] for state in states)
             assert got == want
+            assert_key_index(states[0])
+            assert states[1].frame.nkeys == 0
             if outcome[0] is not False:  # certified, or raised
                 break
 
@@ -528,8 +544,9 @@ def test_compiled_and_numpy_rounds_agree(kernel, inputs):
 def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
         form, grid2, request):
     """Either round returns -5 on a bad start or row, which ingest raises,
-    and -3 when the new keys would not fit cap or the trace is full, and
-    leaves every byte of its state as it was."""
+    and -3 when the trace is full, and leaves every byte of its state as
+    it was; the compiled round also returns -3 when the new keys would
+    not fit cap, and _round, which keeps no keys, closes that round."""
     kernel = request.getfixturevalue("kernel") if form == "C" else None
     g = build_expanded_graph(grid2)
     idx = enumerate_triples(g)
@@ -552,16 +569,149 @@ def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
             state.ingest(2, 0.5, (np.zeros(2), np.array(start),
                                   np.array(rows)))
         assert snapshot() == before
-    # two new keys, and room for none
+    # two new keys, room for them, and none for the trace row
     state.start[:] = [0, 1, 2]
     state.rows[:2] = [5, 9]
-    cap, state.frame.cap = state.frame.cap, state.frame.nkeys
-    assert state.fn(state.ref, 2, 0.5) == -3
-    assert snapshot() == before
-    # room for the keys, and none for the trace row
-    state.frame.cap, state.frame.tcap = cap, state.frame.ntrace
+    tcap, state.frame.tcap = state.frame.tcap, state.frame.ntrace
     assert state.fn(state.ref, 2, 0.5) == -3
     assert snapshot() == before and state.frame.ntrace == 1
+    # room for the trace row, and none for the keys
+    state.frame.tcap, state.frame.cap = tcap, state.frame.nkeys
+    assert state.fn(state.ref, 2, 0.5) == (-3 if form == "C" else 0)
+    assert (snapshot() == before) == (form == "C")
+
+
+@st.composite
+def small_networks(draw):
+    """A connected network of 2 to 6 nodes, a random tree and a few more
+    edges, and 1 to 3 sessions, whose node costs and rates are drawn with
+    1e308, so that a dual bound or a recovered cost can overflow."""
+    size = draw(st.integers(2, 6))
+    node = st.integers(0, size - 1)
+    edges = {(draw(st.integers(0, j - 1)), j) for j in range(1, size)}
+    edges |= {(min(a, b), max(a, b))
+              for a, b in draw(st.lists(st.tuples(node, node), max_size=5))
+              if a != b}
+    cost = st.sampled_from([0.5, 3.7, 1e308])
+    rate = st.sampled_from([0.5, 1.0, 3.7, 1e308])
+    ends = st.lists(node, min_size=2, max_size=2, unique=True)
+    return Instance(
+        [Node(j, draw(cost)) for j in range(size)], sorted(edges),
+        [Session(f"s{t}", *draw(ends), draw(rate))
+         for t in range(draw(st.integers(1, 3)))])
+
+
+def squeeze(state, trace):
+    """Cut the keys and bins of state, and if trace its trace rows, to the
+    entries in use, and bind the cut arrays, so that the round finds them
+    full and a write past their end leaves the array."""
+    frame = state.frame
+    state.keys, state.bins = (a[:frame.nkeys].copy()
+                              for a in (state.keys, state.bins))
+    frame.keys, frame.bins = state.keys.ctypes.data, state.bins.ctypes.data
+    frame.cap = frame.nkeys
+    if trace:
+        state.trace_rows = state.trace_rows[:frame.ntrace].copy()
+        frame.trace = state.trace_rows.ctypes.data
+        frame.tcap = frame.ntrace
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_networks(), data=st.data())
+def test_both_entry_points_grow_and_refuse_on_random_graphs(
+        inst, data, loop_kernels):
+    """Each entry point, compiled and in Python, runs through its growth
+    and refusal codes on random small networks, so that a sanitized
+    kernel sees every edge.  The route search returns -3 when its routes
+    need one row more than cap and, compiled, -5 when a range is made bad
+    in place after the search was built (its Python form relies on the
+    constructor's checks); either way the next search gives the same
+    routes.  A round whose keys or trace are full returns -3, and once
+    they have grown gives the bytes of a round that had room; a round
+    refuses a row out of range (-5) changing nothing, and raises on a
+    dual bound (-6) or a recovered cost (-7) that is not finite at the
+    round where the dense loop does."""
+    g = build_expanded_graph(inst)
+    idx = enumerate_triples(g)
+    T, nv = len(idx), len(idx.out_lo)
+    cfg = SolverConfig(tol=1e-12)
+    rounds = data.draw(st.integers(1, 6))
+    spoil = data.draw(st.sampled_from([(0, -1), (1, T + 1), (2, nv)]))
+    for kernel in loop_kernels:
+        graph = [a.copy() for a in (idx.out_lo, idx.out_hi, idx.head)]
+        search = edge_graph.RouteSearch(kernel, *graph, g.src_pair,
+                                        g.dst_pair)
+        w = init_prices(idx).values
+        want = routes_copied(search, w)
+        cap, search.frame.cap = search.frame.cap, int(want[1][-1]) - 1
+        assert search.fn(search.ref) == -3
+        search.frame.cap = cap
+        if kernel is not None:  # lo < 0, hi > m or a head out of range
+            which, bad = spoil
+            at = data.draw(st.integers(0, len(graph[which]) - 1))
+            graph[which][at], kept = bad, graph[which][at]
+            assert search.fn(search.ref) == -5
+            graph[which][at] = kept
+        got = routes_copied(search, w)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # one state with room, and one with none for a new key before
+        # every round, nor for a trace row before every second round
+        states = [_LoopState(g, idx, cfg, init_prices(idx), kernel)
+                  for _ in range(2)]
+        roomy, tight = states
+        calls = {id(state): [] for state in states}
+        for state in states:
+            def recorded(*args, _fn=state.fn, _calls=calls[id(state)]):
+                _calls.append(_fn(*args))
+                return _calls[-1]
+            state.fn = recorded
+        dense = DenseLoopState(g, idx, cfg, SolveTrace())
+        with np.errstate(all="ignore"):
+            for n in range(1, rounds + 1):
+                squeeze(tight, trace=n % 2 == 0)
+                used, full = (tight.frame.nkeys,
+                              tight.frame.ntrace == tight.frame.tcap)
+                outcome = []
+                for state in states:
+                    calls[id(state)].clear()
+                    try:
+                        outcome.append(state.ingest(
+                            n, 1.0 / n, search.run(state.p.values)))
+                    except NonFiniteError as exc:
+                        outcome.append(str(exc))
+                qdist, start, rows = search.routes
+                q, flows = 0.0, []
+                for t, s in enumerate(inst.sessions):
+                    q = q + s.rate * float(qdist[t])
+                    f = np.zeros(T)
+                    f[rows[start[t]:start[t + 1]]] = s.rate
+                    flows.append(FlowVector(s.sid, f))
+                try:
+                    outcome.append(dense.ingest(n, flows, q))
+                except NonFiniteError as exc:
+                    outcome.append(str(exc))
+                assert outcome[0] == outcome[1] == outcome[2]
+                # the state that had room never found a buffer full; the
+                # other did when the round made a key or a trace row,
+                # unless its dual bound was not finite, which comes first
+                first = calls[id(roomy)]
+                full = full or tight.frame.nkeys > used
+                assert -3 not in first
+                assert calls[id(tight)] == (
+                    [-3] + first if full and first != [-6] else first)
+                assert round_bytes(roomy) == round_bytes(tight)
+                if kernel is not None:
+                    assert_key_index(roomy)
+                    assert_key_index(tight)
+                if outcome[0] is not False:  # certified, or raised
+                    break
+            else:
+                qdist, start, rows = routes_copied(search, roomy.p.values)
+                rows[0] = T
+                before = round_bytes(roomy)
+                with pytest.raises(RuntimeError, match="status -5"):
+                    roomy.ingest(rounds + 1, 0.5, (qdist, start, rows))
+                assert round_bytes(roomy) == before
 
 
 # ------------------------------------------------------------- solve loop
@@ -731,7 +881,7 @@ def test_a_relay3_solve_calls_the_round_once_a_round(relay3, loop_kernels,
 
 
 @pytest.mark.parametrize("spoil", ["float32 distances", "short start",
-                                   "strided rows"])
+                                   "strided rows", "unaligned rows"])
 def test_bad_route_arrays_are_refused_before_the_round(
         relay3_parts, loop_kernels, monkeypatch, spoil):
     """The loop checks the types and lengths of the route arrays when it
@@ -747,6 +897,8 @@ def test_bad_route_arrays_are_refused_before_the_round(
             return dists.astype(np.float32), start, rows
         if spoil == "short start":
             return dists, start[:-1].copy(), rows
+        if spoil == "unaligned rows":
+            return dists, start, unaligned_copy(rows)
         return dists, start, np.repeat(rows, 2)[::2]
 
     for kernel in loop_kernels:
@@ -763,9 +915,10 @@ def test_bad_route_arrays_are_refused_before_the_round(
 
 def test_the_round_frame_holds_the_arrays_the_loop_holds(
         grid2, loop_kernels, monkeypatch):
-    """After a solve and a twin run that outgrow the first keys, bins and
-    trace rows, every address in the round's frame is that of the array
-    the loop holds for it, and every count its length.  Each front end's
+    """After a solve and a twin run that outgrow the first trace rows,
+    and, on the compiled round, the first keys and bins, every address in
+    the round's frame is that of the array the loop holds for it, and
+    every count its length.  Each front end's
     routes are its own three buffers, bound from the first round to the
     last: the route search's, and the Simulator's."""
     states, bound = [], []
@@ -811,7 +964,9 @@ def test_the_round_frame_holds_the_arrays_the_loop_holds(
             assert set(held) == addresses
             for name, a in held.items():
                 assert getattr(frame, name) == a.ctypes.data, name
-            assert frame.cap == len(state.keys) == len(state.bins) > 64
+            assert frame.cap == len(state.keys) == len(state.bins)
+            # only the compiled round fills keys
+            assert frame.cap > 64 if kernel else frame.nkeys == 0
             assert frame.tcap == len(state.trace_rows) > 64
             assert frame.nrows == len(state.rows)
             assert len(bound) == 150
