@@ -20,22 +20,20 @@
  * plain IEEE double additions, so the build must not contract or
  * reorder them (no -ffast-math, -ffp-contract=off).
  *
- * The queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
- * Tarjan, J. ACM 37(2), 1990).  A key is two words compared as one
- * unsigned 128-bit number: the bit pattern of dist, then hops << 32 |
- * vertex.  Its order is the pop order (dist, hops, vertex), because a
- * finite double >= +0.0 orders by its bits exactly as by value, and no
- * distance is -0.0, NaN or infinite: +0.0 + -0.0 is +0.0, and a NaN or
- * infinite offer never beats a label.  Every weight is >= 0, so every
- * key pushed is larger than the key just popped: its distance is no
- * smaller, and an equal distance has one hop more.  Bucket 0 holds keys
- * equal to the last key popped, bucket b >= 1 those whose highest bit
- * that differs from it is bit b - 1.  A pop takes the lowest bucket
- * that is not empty, which a bitmask finds, makes its smallest key the
- * last key popped and moves the others to lower buckets.  Entries are
- * nodes of one pool of sum(hi - lo) + 1: each vertex is settled once
- * and relaxes its range once, so a session pushes at most once per
- * range entry, plus its source.
+ * The queue is an implicit binary heap of keys.  A key is two words
+ * compared as one unsigned 128-bit number, or word by word where the
+ * compiler has no such type, without a branch either way: the bit
+ * pattern of dist, then hops << 32 | vertex.  Its order is the pop order
+ * (dist, hops, vertex), because a finite double >= +0.0 orders by its
+ * bits exactly as by value, and no distance is -0.0, NaN or infinite:
+ * +0.0 + -0.0 is +0.0, and a NaN or infinite offer never beats a label.
+ * No two pushes share a key, as a vertex is pushed again only on a
+ * strictly smaller (dist, hops), so any correct queue pops in the same
+ * order.  A pop moves the hole at the root down along the smaller child
+ * to a leaf and fills it with the last key from there (I. Wegener,
+ * Theor. Comput. Sci. 118, 1993).  The heap has room for sum(hi - lo)
+ * + 1 keys: each vertex is settled once and relaxes its range once, so a
+ * session pushes at most once per range entry, plus its source.
  *
  * The counts and arrays of one graph and its sessions are one
  * search_state, which carpool.edge_graph.RouteSearch binds once, so a
@@ -52,8 +50,8 @@
  * last session when the call returns.
  *
  * It returns 0, or -1 when memory runs out, -2 when a weight is negative
- * (below -0.0: its keys could fall below the last one popped) or the
- * pushes outgrow the pool, -3 when the paths need more than cap rows,
+ * (below -0.0: a distance below +0.0 does not order by its bits) or the
+ * pushes outgrow the heap, -3 when the paths need more than cap rows,
  * -4 on a broken predecessor chain, -5 when lo[u] < 0, lo[u] > hi[u],
  * hi[u] > m or a head is out of range, or nv or m is 2^31 or more (hops
  * and the vertex must fit 32 bits each).
@@ -134,69 +132,53 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define BUCKETS 129
-
 typedef struct {
     uint64_t hi, lo; /* the bits of dist, then hops << 32 | vertex */
-    int64_t next;    /* the next node in the same bucket, or -1 */
-} node;
+} key;
 
-typedef struct {
-    node *pool;
-    int64_t head[BUCKETS];
-    uint64_t full[3];  /* bit b % 64 of full[b / 64]: bucket b has nodes */
-    uint64_t hi, lo;   /* the last key popped */
-} radix_heap;
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 u128;
 
-/* The index of the highest set bit of x, which is not 0. */
-static int top_bit(uint64_t x)
+static int less(key a, key b)
 {
-#if defined(__GNUC__)
-    return 63 - __builtin_clzll(x);
+    return ((u128)a.hi << 64 | a.lo) < ((u128)b.hi << 64 | b.lo);
+}
 #else
-    int b = 0;
-    while (x >>= 1)
-        b++;
-    return b;
+static int less(key a, key b)
+{
+    return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
+}
 #endif
-}
 
-static void put(radix_heap *q, int64_t i)
+/* Sifts k up from the hole at heap[i] and puts it where it stops. */
+static void sift_up(key *heap, int64_t i, key k)
 {
-    node *e = &q->pool[i];
-    int b = e->hi != q->hi ? 65 + top_bit(e->hi ^ q->hi)
-            : e->lo != q->lo ? 1 + top_bit(e->lo ^ q->lo) : 0;
-    uint64_t bit = (uint64_t)1 << (b % 64);
-    e->next = q->full[b / 64] & bit ? q->head[b] : -1;
-    q->head[b] = i;
-    q->full[b / 64] |= bit;
-}
-
-/* Pops the smallest key into q->hi and q->lo; 0 when q is empty. */
-static int pop(radix_heap *q)
-{
-    int word = 0;
-    while (word < 3 && !q->full[word])
-        word++;
-    if (word == 3)
-        return 0;
-    uint64_t low = q->full[word] & (~q->full[word] + 1);
-    int b = 64 * word + top_bit(low);
-    node *pool = q->pool;
-    int64_t best = q->head[b];
-    for (int64_t j = pool[best].next; j >= 0; j = pool[j].next)
-        if (pool[j].hi < pool[best].hi
-            || (pool[j].hi == pool[best].hi && pool[j].lo < pool[best].lo))
-            best = j;
-    q->full[word] &= ~low;
-    q->hi = pool[best].hi;
-    q->lo = pool[best].lo;
-    for (int64_t j = q->head[b], next; j >= 0; j = next) {
-        next = pool[j].next;
-        if (j != best)
-            put(q, j);
+    while (i > 0 && less(k, heap[(i - 1) / 2])) {
+        heap[i] = heap[(i - 1) / 2];
+        i = (i - 1) / 2;
     }
-    return 1;
+    heap[i] = k;
+}
+
+/* Takes the smallest of the n >= 1 keys in heap: the hole at the root
+   moves down along the smaller child to a leaf, and the last key fills
+   it from there. */
+static key take(key *heap, int64_t n)
+{
+    key top = heap[0];
+    int64_t i = 0, c = 1;
+    n--;
+    for (; c + 1 < n; c = 2 * c + 1) {
+        c += less(heap[c + 1], heap[c]);
+        heap[i] = heap[c];
+        i = c;
+    }
+    if (c < n) {
+        heap[i] = heap[c];
+        i = c;
+    }
+    sift_up(heap, i, heap[n]);
+    return top;
 }
 
 static uint64_t bits(double d)
@@ -234,7 +216,7 @@ int64_t carpool_routes(const search_state *r)
     int64_t *hops = r->hops, *pred = r->pred, *start = r->start;
     const int64_t limit = (int64_t)1 << 31;
     int64_t used = 0, status = 0, in_ranges = 0, *via;
-    radix_heap q;
+    key *heap;
     if (nv >= limit || m >= limit)
         return -5;
     for (int64_t u = 0; u < nv; u++) {
@@ -248,31 +230,29 @@ int64_t carpool_routes(const search_state *r)
     for (int64_t k = 0; k < m; k++)
         if (w[k] < 0.0)
             return -2;
-    q.pool = (uint64_t)in_ranges < SIZE_MAX / sizeof *q.pool
-             ? malloc((in_ranges + 1) * sizeof *q.pool) : NULL;
+    heap = (uint64_t)in_ranges < SIZE_MAX / sizeof *heap
+           ? malloc((in_ranges + 1) * sizeof *heap) : NULL;
     via = malloc((nv + 1) * sizeof *via);
-    if (!q.pool || !via) {
+    if (!heap || !via) {
         status = -1;
         goto done;
     }
     start[0] = 0;
     for (int64_t t = 0; t < ns; t++) {
-        int64_t s = r->src[t], stop = r->dst[t], pushed = 1;
+        int64_t s = r->src[t], stop = r->dst[t], size = 1;
         for (int64_t x = 0; x < nv; x++) {
             dist[x] = INFINITY;
             hops[x] = 0;
             pred[x] = -1;
         }
         dist[s] = 0.0;
-        q.full[0] = q.full[1] = q.full[2] = 0;
-        q.hi = q.lo = 0;
-        q.pool[0].hi = 0;
-        q.pool[0].lo = (uint64_t)s;
-        put(&q, 0);
-        while (pop(&q)) {
-            double d = value(q.hi);
-            int64_t h = (int64_t)(q.lo >> 32);
-            int64_t u = (int64_t)(q.lo & 0xffffffffu);
+        heap[0].hi = 0;
+        heap[0].lo = (uint64_t)s;
+        while (size) {
+            key top = take(heap, size--);
+            double d = value(top.hi);
+            int64_t h = (int64_t)(top.lo >> 32);
+            int64_t u = (int64_t)(top.lo & 0xffffffffu);
             if (d != dist[u] || h != hops[u])
                 continue;
             if (u == stop)
@@ -281,7 +261,7 @@ int64_t carpool_routes(const search_state *r)
                 int64_t x = heads[k], nh = h + 1;
                 double nd = d + w[k];
                 if (nd < dist[x] || (nd == dist[x] && nh < hops[x])) {
-                    if (pushed > in_ranges) {
+                    if (size > in_ranges) {
                         status = -2;
                         goto done;
                     }
@@ -289,9 +269,8 @@ int64_t carpool_routes(const search_state *r)
                     hops[x] = nh;
                     pred[x] = u;
                     via[x] = k;
-                    q.pool[pushed].hi = bits(nd);
-                    q.pool[pushed].lo = (uint64_t)nh << 32 | (uint64_t)x;
-                    put(&q, pushed++);
+                    key next = {bits(nd), (uint64_t)nh << 32 | (uint64_t)x};
+                    sift_up(heap, size++, next);
                 } else if (nd == dist[x] && nh == hops[x] && u < pred[x]) {
                     pred[x] = u;
                     via[x] = k;
@@ -318,7 +297,7 @@ int64_t carpool_routes(const search_state *r)
         start[t + 1] = used;
     }
 done:
-    free(q.pool);
+    free(heap);
     free(via);
     return status;
 }

@@ -95,8 +95,8 @@ def _routes(search: RouteSearch) -> int:
     A binary heap of (dist, hops, vertex) pops in the kernel's order, and
     each route is walked back through via[x], the arc that set or tied
     the label of x.  RouteSearch makes the range checks of status -5 once
-    for both searches, and a list needs no pool, so the only codes here
-    are -2, -3 and -4.
+    for both searches, and a list needs no fixed room, so the only codes
+    here are -2, -3 and -4.
 
     Predecessors settle to the smallest-index in-neighbour whose final
     label supports the vertex's final (dist, hops); every such supporter

@@ -218,8 +218,9 @@ class _LoopState:
     expanded cost and the price step, and writes the gap and the round's
     trace row, (alpha, q, best, cost, gap), into trace_rows; a round whose
     gap is within tol puts back the prices it was routed at, which it
-    left in work, and returns 1.  keys and bins, which only the compiled
-    round fills, and trace_rows grow when the round says they are full.
+    left in work, and returns 1.  trace_rows, and under the compiled
+    round the keys and bins it fills, grow when the round says they are
+    full.
     qdist, start and rows are the routes of the last round, arrays of the
     route call's own, which ingest binds when they are not the ones bound
     last; the state owns no route buffer and copies no route.
@@ -307,11 +308,13 @@ class _LoopState:
         return status == 1
 
     def _grow(self) -> None:
-        """Double keys and bins, unless they have room for every row of the
-        round to be a new key, and the trace rows, if they are full."""
+        """Double keys and bins under the compiled round, unless they have
+        room for every row of the round to be a new key, and the trace
+        rows, if they are full."""
         frame = self.frame
         used, m = frame.nkeys, int(self.start[-1])
-        if used + m > frame.cap:
+        # ref is this state only under _round, which keeps no keys
+        if self.ref is not self and used + m > frame.cap:
             for name in ("keys", "bins"):
                 a = np.empty(2 * (used + m), dtype=np.int64)
                 a[:used] = getattr(self, name)[:used]

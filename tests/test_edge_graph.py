@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carpool import (FlowVector, GenerationError, GeometricConfig,
@@ -17,7 +17,7 @@ from carpool import (FlowVector, GenerationError, GeometricConfig,
                      build_expanded_graph, builtin_instances, edge_graph,
                      enumerate_triples, generate_geometric, init_prices,
                      plain_routing_cost, primal_subproblem, solve)
-from carpool.edge_graph import RouteSearch
+from carpool.edge_graph import RouteSearch, bind_kernel, build_kernel
 from carpool.model import Instance, Node, Session
 from carpool.solver import NonFiniteError
 from model_reference import (arc_csr_reference, dominant_path, index_of,
@@ -311,42 +311,105 @@ TIE_WEIGHTS = np.array([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0, 1 + 2**-52,
                         2.0**1000, 1.7e308, np.inf, np.nan])
 
 
-def test_kernel_labels_and_rows_equal_dijkstra(kernel):
-    unreachable = 0
+def weight_draws():
+    """40 random graphs as (lo, hi, heads) with their vertex count, each
+    under a uniform weight draw and a draw from TIE_WEIGHTS, and the
+    generator that drew the weights, for picking destinations."""
     ties = np.random.default_rng(12)
     for rng, n, edges in draws(11, 40):
         g, idx, h = graph_parts(unit_instance(n, edges))
         graph = (idx.out_lo, idx.out_hi, idx.head)
-        nv = len(h.vertices)
         for w, pick in ((random_weights(rng, len(idx)), rng),
                         (ties.choice(TIE_WEIGHTS, len(idx)), ties)):
-            for src in range(nv):
-                # full tree
-                search = RouteSearch(kernel, *graph, [src], [-1])
-                routes_copied(search, w)
-                dist, hops, pred = python_labels(graph, w, src)
-                assert search.dist.tobytes() == np.array(dist).tobytes()
-                assert search.hops.tolist() == hops
-                assert search.pred.tolist() == pred
-                # early stop at every destination
-                srcs, dsts = [src] * nv, list(range(nv))
-                qdist, start, rows = routes_copied(
-                    RouteSearch(kernel, *graph, srcs, dsts), w)
-                ref_dist, ref_start, ref_rows = routes_copied(
-                    RouteSearch(None, *graph, srcs, dsts), w)
-                assert qdist.tobytes() == ref_dist.tobytes()
-                for t in range(nv):
-                    assert rows[start[t]:start[t + 1]].tolist() == \
-                        ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
-                unreachable += int(np.isinf(qdist).sum())
-                dst = int(pick.integers(0, nv))
-                search = RouteSearch(kernel, *graph, [src], [dst])
-                routes_copied(search, w)
-                dist, hops, pred = python_labels(graph, w, src, dst)
-                assert search.dist.tobytes() == np.array(dist).tobytes()
-                assert search.hops.tolist() == hops
-                assert search.pred.tolist() == pred
+            yield graph, len(h.vertices), w, pick
+
+
+def test_kernel_labels_and_rows_equal_dijkstra(kernel):
+    unreachable = 0
+    for graph, nv, w, pick in weight_draws():
+        for src in range(nv):
+            # full tree
+            search = RouteSearch(kernel, *graph, [src], [-1])
+            routes_copied(search, w)
+            dist, hops, pred = python_labels(graph, w, src)
+            assert search.dist.tobytes() == np.array(dist).tobytes()
+            assert search.hops.tolist() == hops
+            assert search.pred.tolist() == pred
+            # early stop at every destination
+            srcs, dsts = [src] * nv, list(range(nv))
+            qdist, start, rows = routes_copied(
+                RouteSearch(kernel, *graph, srcs, dsts), w)
+            ref_dist, ref_start, ref_rows = routes_copied(
+                RouteSearch(None, *graph, srcs, dsts), w)
+            assert qdist.tobytes() == ref_dist.tobytes()
+            for t in range(nv):
+                assert rows[start[t]:start[t + 1]].tolist() == \
+                    ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
+            unreachable += int(np.isinf(qdist).sum())
+            dst = int(pick.integers(0, nv))
+            search = RouteSearch(kernel, *graph, [src], [dst])
+            routes_copied(search, w)
+            dist, hops, pred = python_labels(graph, w, src, dst)
+            assert search.dist.tobytes() == np.array(dist).tobytes()
+            assert search.hops.tolist() == hops
+            assert search.pred.tolist() == pred
     assert unreachable > 0
+
+
+@st.composite
+def fanned_graphs(draw):
+    """(lo, hi, heads, w): 1 to 8 vertices, where vertex 0 has an arc to
+    every other at a heavy weight, and nv to 4 nv light arcs, parallel
+    arcs and loops among them join any two.  A light arc from a vertex
+    whose fan arc is lighter improves a label whose entry is still in the
+    heap, so stale entries pile up."""
+    nv = draw(st.integers(1, 8))
+    vertex = st.integers(0, nv - 1)
+    heavy = st.sampled_from([8.0, 12.0, 16.0])
+    light = st.sampled_from([0.0, 0.25, 1.0, 3.0])
+    arcs = [[(x, draw(heavy)) for x in range(1, nv)]] + [[] for _ in
+                                                           range(nv - 1)]
+    for u, x, wt in draw(st.lists(st.tuples(vertex, vertex, light),
+                                  min_size=nv, max_size=4 * nv)):
+        arcs[u].append((x, wt))
+    sizes = np.array([len(a) for a in arcs], dtype=np.int64)
+    hi = np.cumsum(sizes)
+    flat = [arc for a in arcs for arc in a]
+    return (hi - sizes, hi, np.array([x for x, _ in flat], dtype=np.int64),
+            np.array([wt for _, wt in flat]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=fanned_graphs())
+@example(graph=(np.array([0]), np.array([0]), np.array([], dtype=np.int64),
+                np.array([])))
+# from vertex 3 to vertex 2, a pop on 3 entries whose order shows in the
+# labels
+@example(graph=(np.array([0, 6, 6, 6, 9]), np.array([6, 6, 6, 9, 9]),
+                np.array([1, 2, 3, 4, 0, 0, 0, 1, 2]),
+                np.array([8.0, 8.0, 8.0, 8.0, 0.0, 0.0, 0.25, 0.0, 0.25])))
+def test_heap_edge_paths_equal_the_python_search(kernel, graph):
+    """The compiled search gives the labels and the routes of the Python
+    search on graphs that leave stale entries in its heap.  The labels
+    of a search that stops at a vertex are those of the entries popped
+    before it, so they change with the pop order.  From vertex 0 the heap
+    holds nv - 1 entries or more after the first pop, and as a pop takes
+    one entry, it pops heaps of every size from there down to 1: a pop on 3
+    entries moves the hole to a lone left child, one on 2 leaves it at
+    the root, and one on 1 leaves the heap empty."""
+    lo, hi, heads, w = graph
+    nv = len(lo)
+    for src in range(nv):
+        for dst in range(-1, nv):
+            search = RouteSearch(kernel, lo, hi, heads, [src], [dst])
+            routes_copied(search, w)
+            assert (search.dist.tolist(), search.hops.tolist(),
+                    search.pred.tolist()) == python_labels(
+                        (lo, hi, heads), w, src, dst)
+        ends = [src] * nv, list(range(nv))
+        got = routes_copied(RouteSearch(kernel, lo, hi, heads, *ends), w)
+        want = routes_copied(RouteSearch(None, lo, hi, heads, *ends), w)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def random_instance(rng, n, edges):
@@ -512,7 +575,7 @@ def test_kernel_failure_raises(kernel, compiled):
     for accepted in (-0.0, np.inf, np.nan):
         w[k] = accepted
         routes_copied(search, w)
-    w[k] = -0.25  # no cycle, but a radix heap cannot take the key
+    w[k] = -0.25  # no cycle, but a key below +0.0 does not order by its bits
     with pytest.raises(ValueError,
                        match=f"^weight -0.25 of arc {k} is negative; "):
         routes_copied(search, w)
@@ -667,19 +730,47 @@ def test_arc_blocks_out_of_vertex_order(kernel):
                     search.pred.tolist()) == python_labels(graph, w, src)
 
 
-def test_kernel_is_portable_c(tmp_path):
+def assert_builds_agree(other, kernel):
+    """other, a kernel built another way, gives kernel's labels and
+    routes, byte for byte, on the draws of
+    test_kernel_labels_and_rows_equal_dijkstra."""
+    def outputs(fn, graph, nv, w):
+        out = []
+        for src in range(nv):
+            search = RouteSearch(fn, *graph, [src], [-1])
+            routes_copied(search, w)
+            out += [a.tobytes() for a in (search.dist, search.hops,
+                                          search.pred)]
+            out += [a.tobytes() for a in routes_copied(
+                RouteSearch(fn, *graph, [src] * nv, list(range(nv))), w)]
+        return out
+
+    for graph, nv, w, _ in weight_draws():
+        assert outputs(other, graph, nv, w) == outputs(kernel, graph, nv, w)
+
+
+def test_kernel_is_portable_c(kernel, tmp_path):
     """The kernel builds as strict C99 with every warning an error, so a
     cc without GNU extensions builds it too instead of falling back to
-    the much slower Python search."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler")
+    the much slower Python search, and that build routes as the default
+    one does."""
     source = Path(edge_graph.__file__).with_name("_subproblem.c")
     done = subprocess.run(
-        [cc, *edge_graph.CC_FLAGS, "-std=c99", "-Wall", "-Wextra",
-         "-Wpedantic", "-Werror", "-o", str(tmp_path / "kernel.so"),
-         str(source)], capture_output=True, text=True)
+        [shutil.which("cc"), *edge_graph.CC_FLAGS, "-std=c99", "-Wall",
+         "-Wextra", "-Wpedantic", "-Werror", "-o",
+         str(tmp_path / "kernel.so"), str(source)],
+        capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert_builds_agree(bind_kernel(tmp_path / "kernel.so"), kernel)
+
+
+def test_kernel_without_int128_routes_as_the_default_build(
+        kernel, tmp_path, monkeypatch):
+    """Built where the compiler has no unsigned __int128, the kernel
+    compares keys word by word and gives the same labels and routes."""
+    monkeypatch.setattr(edge_graph, "CC_FLAGS",
+                        edge_graph.CC_FLAGS + ["-U__SIZEOF_INT128__"])
+    assert_builds_agree(bind_kernel(build_kernel(tmp_path)), kernel)
 
 
 def test_solve_never_lists_the_ordered_pairs(grid2, monkeypatch):

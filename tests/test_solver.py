@@ -975,6 +975,34 @@ def test_the_round_frame_holds_the_arrays_the_loop_holds(
                 {tuple(a.ctypes.data for a in buffers)}
 
 
+def test_the_numpy_round_grows_only_the_trace(monkeypatch):
+    """_round keeps no keys, so a solve on it whose trace fills in a round
+    of more rows than the keys have room for grows the trace rows alone:
+    the keys and bins keep their first 64 entries."""
+    inst = generate_geometric(GeometricConfig(side=6.0, intensity=2.0,
+                                              sessions=16, seed=1))
+    states, rows = [], {}
+
+    class Kept(_LoopState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+        def ingest(self, n, alpha, routes):
+            rows[n] = int(routes[1][-1])
+            return super().ingest(n, alpha, routes)
+
+    monkeypatch.setattr(solver, "_LoopState", Kept)
+    monkeypatch.setattr(edge_graph, "_load_kernel", lambda: None)
+    solve(inst, SolverConfig(tol=1e-12, max_iters=65))
+    state, = states
+    first = 64
+    assert state.frame.ntrace == 65 and len(state.trace_rows) > first
+    assert rows[first + 1] > first  # the round that found the trace full
+    assert len(state.keys) == len(state.bins) == state.frame.cap == first
+    assert state.frame.nkeys == 0
+
+
 # A solve whose trace took other bits under other OpenBLAS kernels while
 # the expanded cost was summed by np.dot
 CROSS_BLAS_SOLVE = """
