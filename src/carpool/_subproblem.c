@@ -20,20 +20,25 @@
  * plain IEEE double additions, so the build must not contract or
  * reorder them (no -ffast-math, -ffp-contract=off).
  *
- * The queue is an implicit binary heap of keys.  A key is two words
- * compared as one unsigned 128-bit number, or word by word where the
- * compiler has no such type, without a branch either way: the bit
+ * The queue is an implicit 4-ary heap of keys (D. B. Johnson, Inf.
+ * Process. Lett. 4, 1975), half as deep as a binary one.  A key is two
+ * words compared as one unsigned 128-bit number, or word by word where
+ * the compiler has no such type, without a branch either way: the bit
  * pattern of dist, then hops << 32 | vertex.  Its order is the pop order
  * (dist, hops, vertex), because a finite double >= +0.0 orders by its
  * bits exactly as by value, and no distance is -0.0, NaN or infinite:
  * +0.0 + -0.0 is +0.0, and a NaN or infinite offer never beats a label.
  * No two pushes share a key, as a vertex is pushed again only on a
  * strictly smaller (dist, hops), so any correct queue pops in the same
- * order.  A pop moves the hole at the root down along the smaller child
+ * order.  A pop moves the hole at the root down along the smallest child
  * to a leaf and fills it with the last key from there (I. Wegener,
  * Theor. Comput. Sci. 118, 1993).  The heap has room for sum(hi - lo)
  * + 1 keys: each vertex is settled once and relaxes its range once, so a
- * session pushes at most once per range entry, plus its source.
+ * session pushes at most once per range entry, plus its source.  The
+ * labels of a session are one 16-byte record per vertex, in a buffer of
+ * the call's own, so that a pop and a relaxation read one cache line per
+ * vertex; they are copied out to dist, hops and pred when the call
+ * returns.
  *
  * The counts and arrays of one graph and its sessions are one
  * search_state, which carpool.edge_graph.RouteSearch binds once, so a
@@ -47,7 +52,7 @@
  * first, to rows[start[t]] .. rows[start[t + 1] - 1]; an unreached
  * destination has distance infinity and no arcs, and a negative dst[t]
  * distance 0 and no arcs.  dist, hops and pred hold the labels of the
- * last session when the call returns.
+ * session the call ended in, unless it returns before the first one.
  *
  * It returns 0, or -1 when memory runs out, -2 when a weight is negative
  * (below -0.0: a distance below +0.0 does not order by its bits) or the
@@ -153,27 +158,32 @@ static int less(key a, key b)
 /* Sifts k up from the hole at heap[i] and puts it where it stops. */
 static void sift_up(key *heap, int64_t i, key k)
 {
-    while (i > 0 && less(k, heap[(i - 1) / 2])) {
-        heap[i] = heap[(i - 1) / 2];
-        i = (i - 1) / 2;
+    while (i > 0 && less(k, heap[(i - 1) / 4])) {
+        heap[i] = heap[(i - 1) / 4];
+        i = (i - 1) / 4;
     }
     heap[i] = k;
 }
 
 /* Takes the smallest of the n >= 1 keys in heap: the hole at the root
-   moves down along the smaller child to a leaf, and the last key fills
-   it from there. */
+   moves down along the smallest child to a leaf, and the last key fills
+   it from there.  The children of heap[i] are heap[4 * i + 1] to
+   heap[4 * i + 4]; the last group may have fewer than four. */
 static key take(key *heap, int64_t n)
 {
     key top = heap[0];
     int64_t i = 0, c = 1;
     n--;
-    for (; c + 1 < n; c = 2 * c + 1) {
-        c += less(heap[c + 1], heap[c]);
+    for (; c + 3 < n; c = 4 * c + 1) {
+        int64_t a = c + less(heap[c + 1], heap[c]);
+        int64_t b = c + 2 + less(heap[c + 3], heap[c + 2]);
+        c = less(heap[b], heap[a]) ? b : a;
         heap[i] = heap[c];
         i = c;
     }
     if (c < n) {
+        for (int64_t k = c + 1; k < n; k++)
+            c = less(heap[k], heap[c]) ? k : c;
         heap[i] = heap[c];
         i = c;
     }
@@ -207,16 +217,22 @@ typedef struct {
     int64_t *start, *rows;    /* ns + 1, cap */
 } search_state;
 
+typedef struct {
+    double dist;
+    int32_t hops, pred; /* < 2^31, as nv is */
+} label;
+
 int64_t carpool_routes(const search_state *r)
 {
     const int64_t nv = r->nv, m = r->m, ns = r->ns, cap = r->cap;
     const int64_t *lo = r->lo, *hi = r->hi, *heads = r->heads;
     const double *w = r->w;
-    double *dist = r->dist;
-    int64_t *hops = r->hops, *pred = r->pred, *start = r->start;
+    int64_t *start = r->start;
     const int64_t limit = (int64_t)1 << 31;
     int64_t used = 0, status = 0, in_ranges = 0, *via;
+    int searched = 0;
     key *heap;
+    label *lab;
     if (nv >= limit || m >= limit)
         return -5;
     for (int64_t u = 0; u < nv; u++) {
@@ -233,19 +249,21 @@ int64_t carpool_routes(const search_state *r)
     heap = (uint64_t)in_ranges < SIZE_MAX / sizeof *heap
            ? malloc((in_ranges + 1) * sizeof *heap) : NULL;
     via = malloc((nv + 1) * sizeof *via);
-    if (!heap || !via) {
+    lab = malloc((nv + 1) * sizeof *lab);
+    if (!heap || !via || !lab) {
         status = -1;
         goto done;
     }
     start[0] = 0;
     for (int64_t t = 0; t < ns; t++) {
         int64_t s = r->src[t], stop = r->dst[t], size = 1;
+        searched = 1;
         for (int64_t x = 0; x < nv; x++) {
-            dist[x] = INFINITY;
-            hops[x] = 0;
-            pred[x] = -1;
+            lab[x].dist = INFINITY;
+            lab[x].hops = 0;
+            lab[x].pred = -1;
         }
-        dist[s] = 0.0;
+        lab[s].dist = 0.0;
         heap[0].hi = 0;
         heap[0].lo = (uint64_t)s;
         while (size) {
@@ -253,40 +271,41 @@ int64_t carpool_routes(const search_state *r)
             double d = value(top.hi);
             int64_t h = (int64_t)(top.lo >> 32);
             int64_t u = (int64_t)(top.lo & 0xffffffffu);
-            if (d != dist[u] || h != hops[u])
+            if (d != lab[u].dist || h != lab[u].hops)
                 continue;
             if (u == stop)
                 break;
             for (int64_t k = lo[u]; k < hi[u]; k++) {
                 int64_t x = heads[k], nh = h + 1;
                 double nd = d + w[k];
-                if (nd < dist[x] || (nd == dist[x] && nh < hops[x])) {
+                label *to = &lab[x];
+                if (nd < to->dist || (nd == to->dist && nh < to->hops)) {
                     if (size > in_ranges) {
                         status = -2;
                         goto done;
                     }
-                    dist[x] = nd;
-                    hops[x] = nh;
-                    pred[x] = u;
+                    to->dist = nd;
+                    to->hops = (int32_t)nh;
+                    to->pred = (int32_t)u;
                     via[x] = k;
                     key next = {bits(nd), (uint64_t)nh << 32 | (uint64_t)x};
                     sift_up(heap, size++, next);
-                } else if (nd == dist[x] && nh == hops[x] && u < pred[x]) {
-                    pred[x] = u;
+                } else if (nd == to->dist && nh == to->hops && u < to->pred) {
+                    to->pred = (int32_t)u;
                     via[x] = k;
                 }
             }
         }
-        r->qdist[t] = stop < 0 ? 0.0 : dist[stop];
-        if (stop >= 0 && dist[stop] != INFINITY) {
-            int64_t len = hops[stop], x = stop;
+        r->qdist[t] = stop < 0 ? 0.0 : lab[stop].dist;
+        if (stop >= 0 && lab[stop].dist != INFINITY) {
+            int64_t len = lab[stop].hops, x = stop;
             if (len > cap - used) {
                 status = -3;
                 goto done;
             }
             for (int64_t i = used + len - 1; i >= used && x >= 0; i--) {
                 r->rows[i] = via[x];
-                x = pred[x];
+                x = lab[x].pred;
             }
             if (x != s) {
                 status = -4;
@@ -297,8 +316,15 @@ int64_t carpool_routes(const search_state *r)
         start[t + 1] = used;
     }
 done:
+    /* the labels of the session the call ended in */
+    for (int64_t x = 0; searched && x < nv; x++) {
+        r->dist[x] = lab[x].dist;
+        r->hops[x] = lab[x].hops;
+        r->pred[x] = lab[x].pred;
+    }
     free(heap);
     free(via);
+    free(lab);
     return status;
 }
 

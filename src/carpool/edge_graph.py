@@ -268,15 +268,18 @@ class RouteSearch:
     Both searches refuse a negative weight with the same ValueError; NaN,
     inf and -0.0 are accepted.  A negative dst[t] searches the whole
     graph and returns distance 0 and no arcs.  After a call, dist, hops
-    and pred hold the labels of the last session.
+    and pred hold the labels of the session it ended in, the last one
+    unless a session failed.
     """
 
     def __init__(self, kernel: Kernel | None, lo: np.ndarray, hi: np.ndarray,
                  heads: np.ndarray, src: list[int] | np.ndarray,
                  dst: list[int] | np.ndarray):
         nv, ns, m = len(lo), len(src), len(heads)
-        if len(dst) != ns or (ns and not (0 <= min(src) and max(src) < nv
-                                          and max(dst) < nv)):
+        # as arrays, of objects where an end is past int64
+        ends = [np.asarray(x) for x in (src, dst)]
+        if len(dst) != ns or (ns and not (0 <= ends[0].min() and max(
+                ends[0].max(), ends[1].max()) < nv)):
             raise ValueError("session end vertices out of range")
         i64 = np.dtype(np.int64)
         for x in (lo, hi, heads):
@@ -292,7 +295,7 @@ class RouteSearch:
             raise ValueError(f"route search {bad} out of range")
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
         self.lo, self.hi, self.heads = lo, hi, heads
-        self.src, self.dst = (np.array(x, dtype=i64) for x in (src, dst))
+        self.src, self.dst = (np.array(x, dtype=i64) for x in ends)
         self.dist, self.qdist = np.empty(nv), np.empty(ns)
         self.hops, self.pred, self.start, self.rows = (
             np.empty(size, dtype=i64) for size in (nv, nv, ns + 1, cap))

@@ -208,7 +208,8 @@ class _LoopState:
     round adds only those over keys, the sorted flat positions t * T +
     row of the entries that ever carried flow, as every other term is
     +0.0 and moves no bit.  (Dividing one running total by n would round
-    differently.)  The means are built only for the solution.
+    differently.)  solution, the state's last call, turns sums into the
+    means in place.
 
     A round is one call of fn, which closes it: the compiled kernel's
     round on ref, the address of frame, or without the kernel _round on
@@ -334,12 +335,22 @@ class _LoopState:
         return SolveTrace(list(range(1, len(rows) + 1)), *rows.T.tolist())
 
     def solution(self, iterations: int) -> Solution:
-        expanded, physical = total_cost(self.summary, self.g)
-        mean = [FlowVector(s.sid, row / iterations)
+        """The solution after iterations rounds, the last: the state's
+        last call, as it turns sums into the means in place, and each flow
+        is a row of sums.  Under the compiled round it divides only the
+        entries the keys list, as every other one is +0.0, and so is +0.0
+        / n.  The costs are the last round's, which summed them over the
+        summary as total_cost does."""
+        if self.ref is self:
+            np.divide(self.sums, iterations, out=self.sums)
+        else:
+            self.flat_sums[self.keys[:self.frame.nkeys]] /= iterations
+        mean = [FlowVector(s.sid, row)
                 for s, row in zip(self.g.base.sessions, self.sums)]
-        gap = self.frame.gap
-        return Solution(mean, self.p, self.summary, expanded, physical, gap,
-                        gap <= self.cfg.tol, iterations)
+        expanded, gap = self.frame.expanded, self.frame.gap
+        return Solution(mean, self.p, self.summary, expanded,
+                        expanded - self.g.refund, gap, gap <= self.cfg.tol,
+                        iterations)
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
@@ -362,7 +373,9 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     tolist, and the route search keeps the array only to reuse its
     address.  An overflowed distance makes the dual bound inf, which the
     round reports.  The recovery adds each triple's means in session
-    order, as a cumulative sum down the sessions would.
+    order, as a cumulative sum down the sessions would.  The state's
+    solution is taken once, after the last round, as it turns the state's
+    sums into the means.
     """
     p = init_prices(idx)
     state = _LoopState(g, idx, cfg, p, edge_graph._load_kernel())

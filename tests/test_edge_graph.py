@@ -358,12 +358,12 @@ def test_kernel_labels_and_rows_equal_dijkstra(kernel):
 
 @st.composite
 def fanned_graphs(draw):
-    """(lo, hi, heads, w): 1 to 8 vertices, where vertex 0 has an arc to
+    """(lo, hi, heads, w): 1 to 24 vertices, where vertex 0 has an arc to
     every other at a heavy weight, and nv to 4 nv light arcs, parallel
     arcs and loops among them join any two.  A light arc from a vertex
     whose fan arc is lighter improves a label whose entry is still in the
     heap, so stale entries pile up."""
-    nv = draw(st.integers(1, 8))
+    nv = draw(st.integers(1, 24))
     vertex = st.integers(0, nv - 1)
     heavy = st.sampled_from([8.0, 12.0, 16.0])
     light = st.sampled_from([0.0, 0.25, 1.0, 3.0])
@@ -394,9 +394,11 @@ def test_heap_edge_paths_equal_the_python_search(kernel, graph):
     of a search that stops at a vertex are those of the entries popped
     before it, so they change with the pop order.  From vertex 0 the heap
     holds nv - 1 entries or more after the first pop, and as a pop takes
-    one entry, it pops heaps of every size from there down to 1: a pop on 3
-    entries moves the hole to a lone left child, one on 2 leaves it at
-    the root, and one on 1 leaves the heap empty."""
+    one entry, it pops heaps of every size from there down to 1.  The
+    children of slot i are slots 4 i + 1 to 4 i + 4, and the last group
+    may have fewer: heaps of up to 23 entries give the last group below
+    the root, and below each of the root's children, every size from one
+    to four, and a pop on 1 entry leaves the heap empty."""
     lo, hi, heads, w = graph
     nv = len(lo)
     for src in range(nv):
@@ -520,8 +522,15 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     fn = kernel if compiled else None
     lo, hi, heads = graph = (idx.out_lo, idx.out_hi, idx.head)
     nv, m = len(h.vertices), len(idx)
-    for src, dst in (([nv], [0]), ([-1], [0]), ([0], [nv]), ([0, 1], [2])):
-        with pytest.raises(ValueError, match="session end"):
+    # lists, arrays, and ends past int64: 2**63 is an unsigned array's
+    # and 2**64 an object array's
+    bad_ends = [([nv], [0]), ([-1], [0]), ([0], [nv]), ([0, 1], [2]),
+                ([2**64], [0]), ([0, 1], [-1, 2**64]), ([0, 2**63], [0, 1]),
+                ([0, 1], [0, 2**63])]
+    for src, dst in bad_ends + [(np.array(src), np.array(dst))
+                                for src, dst in bad_ends]:
+        with pytest.raises(ValueError,
+                           match="^session end vertices out of range$"):
             RouteSearch(fn, *graph, src, dst)
     with pytest.raises(TypeError, match="contiguous 1-d int64"):
         RouteSearch(fn, lo.astype(np.int32), hi, heads, [0], [1])
@@ -764,12 +773,15 @@ def test_kernel_is_portable_c(kernel, tmp_path):
     assert_builds_agree(bind_kernel(tmp_path / "kernel.so"), kernel)
 
 
+@pytest.mark.parametrize("level", ["-O0", "-O2", "-O3"])
 def test_kernel_without_int128_routes_as_the_default_build(
-        kernel, tmp_path, monkeypatch):
+        kernel, tmp_path, monkeypatch, level):
     """Built where the compiler has no unsigned __int128, the kernel
-    compares keys word by word and gives the same labels and routes."""
+    compares keys word by word and gives the same labels and routes, at
+    each optimisation level: a read of a heap slot or a label that was
+    never written would likely differ between them."""
     monkeypatch.setattr(edge_graph, "CC_FLAGS",
-                        edge_graph.CC_FLAGS + ["-U__SIZEOF_INT128__"])
+                        edge_graph.CC_FLAGS + ["-U__SIZEOF_INT128__", level])
     assert_builds_agree(bind_kernel(build_kernel(tmp_path)), kernel)
 
 

@@ -22,7 +22,7 @@ from carpool import (FlowVector, GeometricConfig, PriceVector, SimSchedule,
                      generate_geometric, init_prices, edge_graph,
                      plain_routing_cost, primal_subproblem,
                      run_distributed_solve, solve, solver, subgradient_step)
-from carpool.model import Instance, Node, Session
+from carpool.model import Instance, Node, Session, total_cost
 from carpool.distributed import Simulator, _message_round
 from carpool.solver import NonFiniteError, _LoopState
 from model_reference import (DenseLoopState, dense_aggregate, index_of,
@@ -623,7 +623,8 @@ def test_both_entry_points_grow_and_refuse_on_random_graphs(
     """Each entry point, compiled and in Python, runs through its growth
     and refusal codes on random small networks, so that a sanitized
     kernel sees every edge.  The route search returns -3 when its routes
-    need one row more than cap and, compiled, -5 when a range is made bad
+    need one row more than cap, with the labels of the session that found
+    no room, and, compiled, -5 when a range is made bad
     in place after the search was built (its Python form relies on the
     constructor's checks); either way the next search gives the same
     routes.  A round whose keys or trace are full returns -3, and once
@@ -644,7 +645,17 @@ def test_both_entry_points_grow_and_refuse_on_random_graphs(
         w = init_prices(idx).values
         want = routes_copied(search, w)
         cap, search.frame.cap = search.frame.cap, int(want[1][-1]) - 1
+        for a in (search.dist, search.hops, search.pred):
+            a.fill(-7)
         assert search.fn(search.ref) == -3
+        # the labels are those of the session that found no room, as
+        # _routes leaves them
+        python = edge_graph.RouteSearch(None, *graph, g.src_pair, g.dst_pair)
+        python.wts, python.frame.cap = w, search.frame.cap
+        assert edge_graph._routes(python) == -3
+        assert [a.tobytes() for a in (search.dist, search.hops,
+                                      search.pred)] == \
+            [a.tobytes() for a in (python.dist, python.hops, python.pred)]
         search.frame.cap = cap
         if kernel is not None:  # lo < 0, hi > m or a head out of range
             which, bad = spoil
@@ -776,6 +787,26 @@ def test_no_sessions_certifies_immediately():
     assert (sol.expanded_cost, sol.physical_cost) == (0.0, 0.0)
 
 
+def test_solution_costs_are_the_cost_of_its_summary(relay3, grid2, geo4,
+                                                    loop_kernels,
+                                                    monkeypatch):
+    """The solution takes its costs from the last round, which summed
+    them over the summary it returns: they are total_cost's bits, on a
+    solve that certifies, one that stops at the cap and one with no
+    session and so no round."""
+    empty = Instance([Node(0, 1.0), Node(1, 2.5)], [(0, 1)], [])
+    for kernel in loop_kernels:
+        monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        for inst, cfg in ((relay3, SolverConfig(tol=1e-4)),
+                          (grid2, SolverConfig(tol=1e-12, max_iters=40)),
+                          (geo4, SolverConfig(tol=2e-2)),
+                          (empty, SolverConfig())):
+            sol, _ = solve(inst, cfg)
+            want = total_cost(sol.summary, build_expanded_graph(inst))
+            assert np.array([sol.expanded_cost, sol.physical_cost]
+                            ).tobytes() == np.array(want).tobytes()
+
+
 def test_gap_keeps_shrinking(grid2):
     _, trace = solve(grid2, SolverConfig(tol=1e-12, max_iters=2000))
     assert len(trace) == 2000  # nothing certifies at 1e-12 here
@@ -805,10 +836,10 @@ def test_solve_calls_each_layer_once_per_iteration_through_solver(
             n = sol.iterations
             assert len(trace) == n and n == (2 if inst is relay3 else 40)
             # every round steps, and one that certifies puts its prices
-            # back; the solution costs its summary once more
+            # back; the solution takes the last round's cost
             step = ({"subgradient_step": n, "transmission_summary": n,
-                     "total_cost": n + 1}
-                    if kernel is None else {"round": n, "total_cost": 1})
+                     "total_cost": n}
+                    if kernel is None else {"round": n})
             assert calls == {"primal_subproblem": n, **step}
 
 
