@@ -215,20 +215,24 @@ def write_trace(path: str, trace) -> None:
 
 def solution_to_dict(inst: Instance, sol, routing_cost: float) -> dict:
     """The solution document.  Only nonzero flows, y and z are stated:
-    check reads an unstated one as 0."""
+    check reads an unstated one as 0.  The flows are the solution's
+    entries, which are in (session, row) order."""
     idx = sol.summary.idx
-    v, mid, w = idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()
-    sessions = []
-    for f in sol.flows:
-        ks = np.nonzero(f.values)[0]
-        entries = [{"triple": [v[k], mid[k], w[k]], "value": x}
-                   for k, x in zip(ks.tolist(), f.values[ks].tolist())]
-        sessions.append({"id": f.session, "flows": entries})
+    t, rows, values = sol.entries
+    trips = np.stack((idx.v[rows], idx.mid[rows], idx.w[rows]), axis=1)
+    recs = [{"triple": k, "value": x}
+            for k, x in zip(trips.tolist(), values.tolist())]
+    cuts = np.searchsorted(t, np.arange(len(inst.sessions) + 1)).tolist()
+    sessions = [{"id": s.sid, "flows": recs[a:b]}
+                for s, a, b in zip(inst.sessions, cuts, cuts[1:])]
     y = sol.summary.y
-    rows = np.nonzero(y)[0]
-    pair_recs = [{"v": v[k], "mid": mid[k], "w": w[k], "y": yk}
-                 for k, yk in zip(idx.pair_fwd[rows].tolist(),
-                                  y[rows].tolist())]
+    stated = np.flatnonzero(y)
+    ks = idx.pair_fwd[stated]
+    pair_recs = [{"v": v, "mid": i, "w": w, "y": yk}
+                 for v, i, w, yk in zip(idx.v[ks].tolist(),
+                                        idx.mid[ks].tolist(),
+                                        idx.w[ks].tolist(),
+                                        y[stated].tolist())]
     z = sol.summary.z[:inst.n]
     nodes = np.nonzero(z)[0]
     node_recs = [{"node": i, "z": zi}
@@ -504,14 +508,18 @@ def cmd_solve(args) -> int:
         if not os.path.isdir(parent):
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
             raise OSError(f"cannot write {path}: {os.strerror(code)}")
-    if (args.trace and args.out
-            and os.path.realpath(args.trace) == os.path.realpath(args.out)):
+    out, trace = (path and os.path.realpath(path)
+                  for path in (args.out, args.trace))
+    if out and out == trace:
         raise ValueError(f"--out {args.out} and --trace {args.trace} name "
                          "the same file")
-    for flag, path in (("--out", args.out), ("--trace", args.trace)):
-        if path and os.path.realpath(path) == os.path.realpath(args.instance):
-            raise ValueError(f"{flag} {path} names the instance file "
-                             f"{args.instance}")
+    if out or trace:
+        instance = os.path.realpath(args.instance)
+        for flag, path, real in (("--out", args.out, out),
+                                 ("--trace", args.trace, trace)):
+            if real == instance:
+                raise ValueError(f"{flag} {path} names the instance file "
+                                 f"{args.instance}")
     inst = load_instance(args.instance)
     log.info("solving %s: %d nodes, %d edges, %d sessions",
              args.instance, len(inst.nodes), len(inst.edges),

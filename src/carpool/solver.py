@@ -81,7 +81,17 @@ class SolveTrace:
 
 @dataclass
 class Solution:
+    """The recovered routing after the last round, its prices and summary.
+
+    flows holds each session's mean flow as a dense vector over the
+    triples.  entries is the same flow by its support: three aligned
+    arrays (session, row, value), in (session, row) order, one entry for
+    each nonzero mean, session t being the instance's t-th session; the
+    file writer reads these.
+    """
+
     flows: list[FlowVector]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     prices: PriceVector
     summary: TransmissionSummary
     expanded_cost: float
@@ -339,18 +349,25 @@ class _LoopState:
         last call, as it turns sums into the means in place, and each flow
         is a row of sums.  Under the compiled round it divides only the
         entries the keys list, as every other one is +0.0, and so is +0.0
-        / n.  The costs are the last round's, which summed them over the
-        summary as total_cost does."""
+        / n; the entries are those keys, whose flat positions t * T + row
+        are sorted, and under _round the nonzero positions of sums.  Both
+        leave out a mean that rounded to +0.0, as a sum of the smallest
+        subnormal does when halved.  The costs are the last round's, which
+        summed them over the summary as total_cost does."""
         if self.ref is self:
             np.divide(self.sums, iterations, out=self.sums)
+            flat = np.flatnonzero(self.flat_sums)
         else:
-            self.flat_sums[self.keys[:self.frame.nkeys]] /= iterations
+            keys = self.keys[:self.frame.nkeys]
+            self.flat_sums[keys] /= iterations
+            flat = keys[self.flat_sums[keys] != 0.0]
+        sessions, rows = np.divmod(flat, self.frame.nt)
         mean = [FlowVector(s.sid, row)
                 for s, row in zip(self.g.base.sessions, self.sums)]
         expanded, gap = self.frame.expanded, self.frame.gap
-        return Solution(mean, self.p, self.summary, expanded,
-                        expanded - self.g.refund, gap, gap <= self.cfg.tol,
-                        iterations)
+        return Solution(mean, (sessions, rows, self.flat_sums[flat]), self.p,
+                        self.summary, expanded, expanded - self.g.refund, gap,
+                        gap <= self.cfg.tol, iterations)
 
 
 def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,

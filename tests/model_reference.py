@@ -29,6 +29,10 @@ its own, then each record checked in a loop, components by union-find.
 It has the package's later rules for a record list that is not a list
 and for naming a bad node id, so every message must match.
 
+The solution writer has its dense form here too: each session's flows
+found by np.nonzero over its dense vector, as the writer did before it
+read the solution's entries (solution_to_dict_reference).
+
 The rest reads results the package only computes: the triples of a
 TripleIndex as tuples, their rows and the rows of their reversals
 (triples_of, index_of, rev_of), the arcs of each edge-graph vertex
@@ -611,6 +615,41 @@ def solve_reference(inst, cfg):
         p = subgradient_step_reference(p, dense_aggregate(flows, len(idx)),
                                        cfg.step_a / n, idx)
     return trace, state.mean, p
+
+
+def solution_to_dict_reference(inst, sol, routing_cost: float) -> dict:
+    """The solution document as the writer built it from the dense flows,
+    before it read the solution's entries: each session's flows are the
+    np.nonzero entries of its dense vector, and the pair records come from
+    lists of every triple's ends."""
+    idx = sol.summary.idx
+    v, mid, w = idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()
+    sessions = []
+    for f in sol.flows:
+        ks = np.nonzero(f.values)[0]
+        entries = [{"triple": [v[k], mid[k], w[k]], "value": x}
+                   for k, x in zip(ks.tolist(), f.values[ks].tolist())]
+        sessions.append({"id": f.session, "flows": entries})
+    y = sol.summary.y
+    rows = np.nonzero(y)[0]
+    pair_recs = [{"v": v[k], "mid": mid[k], "w": w[k], "y": yk}
+                 for k, yk in zip(idx.pair_fwd[rows].tolist(),
+                                  y[rows].tolist())]
+    z = sol.summary.z[:inst.n]
+    nodes = np.nonzero(z)[0]
+    node_recs = [{"node": i, "z": zi}
+                 for i, zi in zip(nodes.tolist(), z[nodes].tolist())]
+    return {
+        "sessions": sessions,
+        "pair_transmissions": pair_recs,
+        "node_transmissions": node_recs,
+        "expanded_cost": sol.expanded_cost,
+        "physical_cost": sol.physical_cost,
+        "routing_cost": routing_cost,
+        "gap": sol.gap,
+        "certified": sol.certified,
+        "iterations": sol.iterations,
+    }
 
 
 # ------------------------------------------------------ coupled price pairs

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpool import (GeometricConfig, Instance, Session, SolverConfig, cli,
-                     distributed, generate_geometric, model,
-                     plain_routing_cost, run_distributed_solve, solve, solver)
-from model_reference import instance_from_dict_reference
+from carpool import (GeometricConfig, Instance, Session, SimSchedule,
+                     SolverConfig, cli, distributed, edge_graph,
+                     generate_geometric, model, plain_routing_cost,
+                     run_distributed_solve, solve, solver)
+from model_reference import (instance_from_dict_reference,
+                             solution_to_dict_reference)
 
 
 @pytest.fixture()
@@ -229,6 +231,32 @@ def test_solution_file_is_json_dumps_of_the_document(named, name, tmp_path):
     if name == "idle":
         assert len(sol.summary.y) > 0
         assert doc["pair_transmissions"] == doc["node_transmissions"] == []
+
+
+@pytest.mark.parametrize("name", ["relay3", "geo4", "grid2", "idle"])
+def test_writer_states_the_nonzero_entries_of_the_dense_flows(
+        named, name, loop_kernels, monkeypatch):
+    """The document built from the solution's entries is the one built by
+    np.nonzero over each session's dense flow, and its file the same
+    bytes, after solve() and after the twin's sync and async runs, under
+    either round.  grid2 carries flow on more entries than the compiled
+    round's keys start with room for."""
+    inst = writer_input(named, name)
+    cfg = SolverConfig(tol=2e-2, max_iters=300)
+    routing, _ = plain_routing_cost(inst)
+    for kernel in loop_kernels:
+        monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
+        sols = [solve(inst, cfg)[0]] + [
+            run_distributed_solve(inst, cfg, schedule)[0]
+            for schedule in (SimSchedule(mode="sync"),
+                             SimSchedule(mode="async", seed=1))]
+        for sol in sols:
+            want = solution_to_dict_reference(inst, sol, routing)
+            doc = cli.solution_to_dict(inst, sol, routing)
+            assert doc == want
+            assert cli.dumps_solution(doc) == json.dumps(want, indent=1)
+            if name == "grid2":
+                assert len(sol.entries[0]) > 64
 
 
 def dense_layout(doc, inst, idx):

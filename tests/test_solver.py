@@ -30,7 +30,7 @@ from model_reference import (DenseLoopState, dense_aggregate, index_of,
                              project_pair_reference, project_pairs_by_step,
                              rev_of, routes_copied,
                              subgradient_step_reference, unaligned_copy,
-                             validate_prices, worst_residual)
+                             validate_prices, flow_entries, worst_residual)
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +436,45 @@ def test_sparse_recovery_overflows_at_the_dense_loops_round(geo4,
                             kernel) == (
             "iteration 2: recovered cost is inf; costs or rates are too "
             "large for float arithmetic")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_solution_entries_are_the_nonzero_means(geo4, geo4_triples,
+                                                loop_kernels, data):
+    """Solution.entries are the nonzero entries of the solution's dense
+    flows, bit for bit and in (session, row) order, under either round.
+    A sum of the smallest subnormal rate rounds to a mean of +0.0 when
+    divided by 2 or more, which no entry states, and rates near 1e308
+    sum to inf, which ends the rounds but still leaves means."""
+    pool = data.draw(st.lists(st.integers(0, geo4_triples - 1), min_size=1,
+                              max_size=8, unique=True))
+    value = st.one_of(st.sampled_from([5e-324, 1e308]),
+                      st.floats(5e-324, 1e308))
+    sessions = len(geo4.sessions)
+    rates = data.draw(st.lists(value, min_size=sessions, max_size=sessions))
+    route = st.lists(st.sampled_from(pool), max_size=6, unique=True)
+    rounds = data.draw(st.lists(
+        st.lists(route, min_size=sessions, max_size=sessions), min_size=1,
+        max_size=6))
+    g = build_expanded_graph(with_rates(geo4, rates))
+    idx = enumerate_triples(g)
+    for kernel in loop_kernels:
+        state = loop_state(g, idx, SolverConfig(tol=1e-12), kernel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, carried in enumerate(rounds, 1):
+                try:
+                    if state.ingest(n, 1.0 / n, routes_of(carried)):
+                        break
+                except NonFiniteError:
+                    break
+        sol = state.solution(n)
+        got = sol.entries
+        want = flow_entries(sol.flows, g, idx)
+        assert [a.dtype for a in got] == [np.dtype(np.int64)] * 2 + [
+            np.dtype(np.float64)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 @st.composite
