@@ -37,8 +37,7 @@
  * session pushes at most once per range entry, plus its source.  The
  * labels of a session are one 16-byte record per vertex, in a buffer of
  * the call's own, so that a pop and a relaxation read one cache line per
- * vertex; they are copied out to dist, hops and pred when the call
- * returns.
+ * vertex.
  *
  * The counts and arrays of one graph and its sessions are one
  * search_state, which carpool.edge_graph.RouteSearch binds once, so a
@@ -47,12 +46,11 @@
  * on the same state, filling the same buffers with the same status
  * codes.
  *
- * Session t searches from src[t] to dst[t] (no early stop when dst[t]
- * is negative).  Its distance goes to qdist[t] and its arcs, source
- * first, to rows[start[t]] .. rows[start[t + 1] - 1]; an unreached
- * destination has distance infinity and no arcs, and a negative dst[t]
- * distance 0 and no arcs.  dist, hops and pred hold the labels of the
- * session the call ended in, unless it returns before the first one.
+ * Session t searches from src[t] to dst[t], both in 0 .. nv - 1 (which
+ * RouteSearch checks once), and stops when it pops dst[t].  Its distance
+ * goes to qdist[t] and its arcs, source first, to rows[start[t]] ..
+ * rows[start[t + 1] - 1]; an unreached destination has distance infinity
+ * and no arcs.
  *
  * It returns 0, or -1 when memory runs out, -2 when a weight is negative
  * (below -0.0: a distance below +0.0 does not order by its bits) or the
@@ -211,8 +209,6 @@ typedef struct {
     const int64_t *heads;     /* m */
     const double *w;          /* m */
     const int64_t *src, *dst; /* ns */
-    double *dist;             /* nv */
-    int64_t *hops, *pred;     /* nv */
     double *qdist;            /* ns */
     int64_t *start, *rows;    /* ns + 1, cap */
 } search_state;
@@ -230,7 +226,6 @@ int64_t carpool_routes(const search_state *r)
     int64_t *start = r->start;
     const int64_t limit = (int64_t)1 << 31;
     int64_t used = 0, status = 0, in_ranges = 0, *via;
-    int searched = 0;
     key *heap;
     label *lab;
     if (nv >= limit || m >= limit)
@@ -257,7 +252,6 @@ int64_t carpool_routes(const search_state *r)
     start[0] = 0;
     for (int64_t t = 0; t < ns; t++) {
         int64_t s = r->src[t], stop = r->dst[t], size = 1;
-        searched = 1;
         for (int64_t x = 0; x < nv; x++) {
             lab[x].dist = INFINITY;
             lab[x].hops = 0;
@@ -296,8 +290,8 @@ int64_t carpool_routes(const search_state *r)
                 }
             }
         }
-        r->qdist[t] = stop < 0 ? 0.0 : lab[stop].dist;
-        if (stop >= 0 && lab[stop].dist != INFINITY) {
+        r->qdist[t] = lab[stop].dist;
+        if (lab[stop].dist != INFINITY) {
             int64_t len = lab[stop].hops, x = stop;
             if (len > cap - used) {
                 status = -3;
@@ -316,12 +310,6 @@ int64_t carpool_routes(const search_state *r)
         start[t + 1] = used;
     }
 done:
-    /* the labels of the session the call ended in */
-    for (int64_t x = 0; searched && x < nv; x++) {
-        r->dist[x] = lab[x].dist;
-        r->hops[x] = lab[x].hops;
-        r->pred[x] = lab[x].pred;
-    }
     free(heap);
     free(via);
     free(lab);

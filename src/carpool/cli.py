@@ -98,42 +98,23 @@ def _session_id(value) -> str:
 
 
 def _plain_instance(doc) -> Instance | None:
-    """The instance of a document whose every record holds plain JSON
-    values: integer ids and endpoints, integer or float costs, rates and
-    positions, string or integer session ids.  None when some value is
-    missing or of another type."""
+    """The instance of a document read in bulk, its edge ends integers;
+    None when a record lacks a key or Instance refuses it, for the record
+    loop to name the fault."""
     try:
         nodes, edges, sessions = doc["nodes"], doc["edges"], doc["sessions"]
-        if not type(nodes) is type(edges) is type(sessions) is list:
+        if not (type(nodes) is type(edges) is type(sessions) is list
+                and set(map(type, edges)) <= {list}
+                and set(map(len, edges)) <= {2} and set(map(
+                    type, itertools.chain.from_iterable(edges))) <= {int}):
             return None
-        ids = [r["id"] for r in nodes]
-        costs = [r["cost"] for r in nodes]
-        placed = [r["pos"] for r in nodes if "pos" in r]
-        sids = [r["id"] for r in sessions]
-        ends = [r["source"] for r in sessions] + [r["dest"] for r in sessions]
-        rates = [r["rate"] for r in sessions]
-    except (KeyError, TypeError):
+        return Instance(
+            [Node(r["id"], r["cost"], tuple(r["pos"]) if "pos" in r else None)
+             for r in nodes], edges,
+            [Session(r["id"], r["source"], r["dest"], r["rate"])
+             for r in sessions])
+    except (KeyError, TypeError, InstanceError):
         return None
-    # numbers are checked by type, as bool is an int and float() reads
-    # numeric strings
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
-            and set(map(type, placed)) <= {list}
-            and set(map(type, itertools.chain(
-                ids, ends, itertools.chain.from_iterable(edges)))) <= {int}
-            and set(map(type, itertools.chain(
-                costs, rates, itertools.chain.from_iterable(placed))))
-            <= {int, float}
-            and set(map(type, sids)) <= {str, int}):
-        return None
-    try:
-        pos = [tuple(map(float, r["pos"])) if "pos" in r else None
-               for r in nodes]
-        nodes = list(map(Node, ids, map(float, costs), pos))
-        sessions = list(map(Session, map(str, sids), ends[:len(sids)],
-                            ends[len(sids):], map(float, rates)))
-    except OverflowError:  # an integer too large for a float
-        return None
-    return Instance(nodes, edges, sessions)
 
 
 def instance_from_dict(doc) -> Instance:

@@ -14,17 +14,15 @@ makes every run reproducible and lets the message-passing solver reach
 bit-identical results.  With the arc count in the key, zero-price arcs
 cannot produce cyclic or ambiguous paths.
 
-The searches run in one call of a C kernel (_subproblem.c) for every
-session.  The kernel is compiled on first use by the local C compiler
-into the user's cache directory and loaded through ctypes; without a
-compiler, or when the build or the load fails, _routes runs instead.
-The kernel takes one pointer, to the counts and array addresses that a
-RouteSearch binds once, and _routes takes the RouteSearch; it fills the
-same buffers and returns the same status codes, so either way the
-labels, and so every path, are the same bits.  Every search returns
-the same three buffers, which the solve loop binds once.  The same
-library holds carpool_round, the rest of a round of the solve loop,
-which carpool.solver calls.
+The searches of every session run in one call of a C kernel
+(_subproblem.c), compiled on first use by the local C compiler into the
+user's cache directory and loaded through ctypes.  It takes one pointer,
+to the counts and array addresses that a RouteSearch binds once; without
+a compiler, or when the build or the load fails, _routes runs instead
+on the RouteSearch, fills the same three buffers and returns the same
+status codes, so either way every distance and route is the same bits.
+The same library holds carpool_round, the rest of a round of the solve
+loop, which carpool.solver calls.
 """
 
 from __future__ import annotations
@@ -89,8 +87,8 @@ def build_edge_graph(g: ExpandedGraph, idx: TripleIndex) -> EdgeGraph:
 def _routes(search: RouteSearch) -> int:
     """carpool_routes in Python, which runs when the kernel cannot be
     built or loaded: the same search_state, read from search's frame and
-    the arrays search binds there, the same buffers filled and the same
-    status codes.
+    the arrays search binds there, the same route buffers filled and the
+    same status codes.
 
     A binary heap of (dist, hops, vertex) pops in the kernel's order, and
     each route is walked back through via[x], the arc that set or tied
@@ -130,9 +128,8 @@ def _routes(search: RouteSearch) -> int:
                     heappush(heap, (nd, nh, x))
                 elif nd == d_of[x] and nh == h_of[x] and u < p_of[x]:
                     p_of[x], via[x] = u, k
-        search.dist[:], search.hops[:], search.pred[:] = d_of, h_of, p_of
-        search.qdist[t] = 0.0 if stop < 0 else d_of[stop]
-        if stop >= 0 and d_of[stop] != INF:
+        search.qdist[t] = d_of[stop]
+        if d_of[stop] != INF:
             n, x, path = h_of[stop], stop, []
             if n > cap - used:
                 return -3
@@ -240,8 +237,8 @@ class _SearchState(ctypes.Structure):
 
     _fields_ = ([(name, ctypes.c_int64) for name in ("nv", "m", "ns", "cap")]
                 + [(name, ctypes.c_void_p) for name in (
-                    "lo", "hi", "heads", "w", "src", "dst", "dist", "hops",
-                    "pred", "qdist", "start", "rows")])
+                    "lo", "hi", "heads", "w", "src", "dst", "qdist", "start",
+                    "rows")])
 
 
 class RouteSearch:
@@ -250,26 +247,19 @@ class RouteSearch:
 
     The arcs leaving vertex u are the k with lo[u] <= k < hi[u], and arc
     k runs to heads[k]; the ranges need not be in vertex order, and may
-    overlap or be empty.  Building the search checks the session ends,
-    and the arrays' types and index ranges, once: a ValueError naming
-    the array whose range the kernel's status -5 would refuse, whichever
-    search runs.  It also copies src and dst, allocates one array per
-    output buffer and binds every count and array in frame, a
-    search_state; routes is the tuple of the three route buffers, qdist,
-    start and rows, which every run returns.  A search is one call of fn
-    on ref: the kernel's routes on the address of frame, or, when kernel
-    is None, _routes on this search, which reads the counts in frame and
-    the arrays held here, the ones whose addresses the kernel reads.  A
-    call checks and binds its weights in frame, unless they are wts, the
-    array of the last call, changed in place or not: an array's data
-    does not move while a reference to it is held, and the search checks
-    their signs on every call.
-
-    Both searches refuse a negative weight with the same ValueError; NaN,
-    inf and -0.0 are accepted.  A negative dst[t] searches the whole
-    graph and returns distance 0 and no arcs.  After a call, dist, hops
-    and pred hold the labels of the session it ended in, the last one
-    unless a session failed.
+    overlap or be empty.  Building the search checks once that every
+    session end is a vertex, and the arrays' types and index ranges: a
+    ValueError names the array whose range the kernel's status -5 would
+    refuse, whichever search runs.  It copies src and dst, allocates
+    routes, the buffers qdist, start and rows that every run returns, and
+    binds every count and array in frame, a search_state.  A search is
+    one call of fn on ref: the kernel's routes on the address of frame,
+    or, when kernel is None, _routes on this search, which reads the
+    arrays held here, the ones whose addresses the kernel reads.  A call
+    binds its weights in frame unless they are wts, the last call's array
+    (changed in place or not: held, its data does not move), and checks
+    their signs every time: both searches refuse a negative weight with
+    one ValueError, and take NaN, inf and -0.0.
     """
 
     def __init__(self, kernel: Kernel | None, lo: np.ndarray, hi: np.ndarray,
@@ -278,8 +268,8 @@ class RouteSearch:
         nv, ns, m = len(lo), len(src), len(heads)
         # as arrays, of objects where an end is past int64
         ends = [np.asarray(x) for x in (src, dst)]
-        if len(dst) != ns or (ns and not (0 <= ends[0].min() and max(
-                ends[0].max(), ends[1].max()) < nv)):
+        if len(dst) != ns or (ns and not all(0 <= e.min() and e.max() < nv
+                                             for e in ends)):
             raise ValueError("session end vertices out of range")
         i64 = np.dtype(np.int64)
         for x in (lo, hi, heads):
@@ -296,11 +286,9 @@ class RouteSearch:
         cap = ns * max(nv - 1, 0)  # a simple path has at most nv - 1 arcs
         self.lo, self.hi, self.heads = lo, hi, heads
         self.src, self.dst = (np.array(x, dtype=i64) for x in ends)
-        self.dist, self.qdist = np.empty(nv), np.empty(ns)
-        self.hops, self.pred, self.start, self.rows = (
-            np.empty(size, dtype=i64) for size in (nv, nv, ns + 1, cap))
-        arrays = ("lo", "hi", "heads", "src", "dst", "dist", "hops", "pred",
-                  "qdist", "start", "rows")
+        self.qdist, self.start, self.rows = (
+            np.empty(ns), np.empty(ns + 1, i64), np.empty(cap, i64))
+        arrays = ("lo", "hi", "heads", "src", "dst", "qdist", "start", "rows")
         self.frame = _SearchState(
             nv, m, ns, cap,
             **{name: getattr(self, name).ctypes.data for name in arrays})
@@ -327,17 +315,13 @@ class RouteSearch:
             self.frame.w = wts.ctypes.data
         status = self.fn(self.ref)
         if status == -2:
-            raise _negative_weight(wts)
+            k = int(np.argmax(wts < 0.0))
+            raise ValueError(f"weight {float(wts[k])!r} of arc {k} is "
+                             "negative; a route search needs weights >= 0")
         if status:
             raise RuntimeError(
                 f"sub-problem kernel failed with status {status}")
         return self.routes
-
-
-def _negative_weight(wts: np.ndarray) -> ValueError:
-    k = int(np.argmax(wts < 0.0))
-    return ValueError(f"weight {float(wts[k])!r} of arc {k} is negative; "
-                      "a route search needs weights >= 0")
 
 
 def route_search(lo: np.ndarray, hi: np.ndarray, heads: np.ndarray,

@@ -31,25 +31,28 @@ class InstanceError(ValueError):
     """Invalid instance data; the message names the offending element."""
 
 
+def _plain_number(value, what: str, integer: bool = False,
+                  error: type[ValueError] = InstanceError) -> int | float:
+    """value as an int (integer) or a float; error naming what unless its
+    type has __index__ (integer) or is real, and is not bool."""
+    kind, ok = (("an integer", hasattr(type(value), "__index__")) if integer
+                else ("a number", isinstance(value, numbers.Real)))
+    if isinstance(value, bool) or not ok:
+        raise error(f"{what} must be {kind}, got {value!r}")
+    try:
+        return operator.index(value) if integer else float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
+
+
 def check_config_types(cfg, counts: tuple[str, ...],
                        reals: tuple[str, ...]) -> None:
-    """Refuse, naming the field, a count of cfg that operator.index
-    would refuse (its type has no __index__) or a real field that is not
-    a real number; a bool is neither.  Store each as a plain int or
-    float, so that a numpy scalar computes as the Python number does."""
+    """Refuse a count of cfg that is not an integer or a real field that
+    is not a number, and store each as a plain int or float, so that a
+    numpy scalar computes as the Python number does (_plain_number)."""
     for name in counts + reals:
-        value = getattr(cfg, name)
-        if name in counts:
-            kind, ok = "an integer", hasattr(type(value), "__index__")
-        else:
-            kind, ok = "a number", isinstance(value, numbers.Real)
-        if isinstance(value, bool) or not ok:
-            raise ValueError(f"{name} must be {kind}, got {value!r}")
-        try:
-            setattr(cfg, name, operator.index(value) if name in counts
-                    else float(value))
-        except OverflowError:
-            raise ValueError(f"{name} is too large for a float") from None
+        setattr(cfg, name, _plain_number(getattr(cfg, name), name,
+                                         name in counts, ValueError))
 
 
 class InfeasibleSessionError(RuntimeError):
@@ -149,13 +152,14 @@ _NID, _COST, _POS = (operator.attrgetter(name)
 class Instance:
     """Connectivity graph with per-node broadcast costs and unicast sessions.
 
-    Validation checks the node ids, then the nodes and the edges on
-    arrays, then the sessions, and reports the first faulty record in
-    order (nodes in id order).  A node's cost is checked before its
-    position; an edge for a self-loop, then a missing node, then an
-    earlier copy; a session for an id used before, its endpoints, source
-    = dest, its rate and then whether its endpoints share a component.
-    Edges are stored as (min, max) tuples.
+    Validation checks the types of the records' values, in list order,
+    then the node ids, the nodes and the edges on arrays, then the
+    sessions, and reports the first faulty record in order (nodes in id
+    order).  A node's cost is checked before its position; an edge for a
+    self-loop, then a missing node, then an earlier copy; a session for
+    an id used before, its endpoints, source = dest, its rate and then
+    whether its endpoints share a component.  Edges are stored as (min,
+    max) tuples.
     """
 
     nodes: list[Node]
@@ -163,6 +167,7 @@ class Instance:
     sessions: list[Session]
 
     def __post_init__(self):
+        self._check_types()
         n = len(self.nodes)
         ids = list(map(_NID, self.nodes))
         if sorted(ids) != list(range(n)):
@@ -198,6 +203,35 @@ class Instance:
                     s.sid,
                     f"source {s.source} and destination {s.dest} lie in "
                     f"different components")
+
+    def _check_types(self) -> None:
+        """Refuse, naming its node or session, a value of a type the JSON
+        reader refuses, and store the others as it does, so that the file
+        an instance writes reads back as it; at once when all are so."""
+        nodes, sessions, pos = self.nodes, self.sessions, [
+            nd.pos for nd in self.nodes]
+        ints = itertools.chain(map(_NID, nodes),
+                               *((s.source, s.dest) for s in sessions))
+        reals = itertools.chain(map(_COST, nodes), (s.rate for s in sessions),
+                                *filter(None, pos))
+        if (set(map(type, pos)) <= {tuple, type(None)}
+                and set(map(type, ints)) <= {int}
+                and set(map(type, reals)) <= {float}
+                and {type(s.sid) for s in sessions} <= {str}):
+            return
+        num, self.nodes, self.sessions = _plain_number, [], []
+        for nd in nodes:
+            nid = num(nd.nid, "node id", True)
+            self.nodes.append(Node(nid, num(nd.cost, f"node {nid} cost"), (
+                None if nd.pos is None else
+                tuple(num(x, f"node {nid} position") for x in nd.pos))))
+        for s in sessions:
+            sid = s.sid if isinstance(s.sid, str) else str(
+                num(s.sid, "session id that is not a string", True))
+            self.sessions.append(Session(
+                sid, num(s.source, f"session {sid} source", True),
+                num(s.dest, f"session {sid} dest", True),
+                num(s.rate, f"session {sid} rate")))
 
     def _check_nodes(self) -> None:
         n = len(self.nodes)

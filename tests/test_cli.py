@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpool import (GeometricConfig, Instance, Session, SimSchedule,
-                     SolverConfig, cli, distributed, edge_graph,
+from carpool import (GeometricConfig, Instance, InstanceError, Node, Session,
+                     SimSchedule, SolverConfig, cli, distributed, edge_graph,
                      generate_geometric, model, plain_routing_cost,
                      run_distributed_solve, solve, solver)
 from model_reference import (instance_from_dict_reference,
@@ -59,6 +61,47 @@ def test_gen_builtin_writes_and_counts(tmp_path, capsys):
 def test_gen_roundtrips_through_the_parser(relay3, relay3_path):
     assert cli.load_instance(relay3_path) == relay3
     assert cli.instance_from_dict(cli.instance_to_dict(relay3)) == relay3
+
+
+# the types each kind of value may have, and every type, which one value
+# in 16 takes: some are refused wherever they stand, and int, float and
+# Fraction also change some values they convert
+AS_INTS = [int, np.int64, np.uint8]
+AS_REALS = [float, int, np.int64, np.float32, np.float64, Fraction]
+AS_IDS = [str, int, np.int64]
+AS_ANY = [int, float, str, bool, np.int64, np.uint8, np.float32, np.float64,
+          Fraction]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_instance_writes_a_file_that_reads_back(data):
+    """An Instance of values of any type either is refused or writes a
+    file that the JSON reader reads back as the same instance, value for
+    value and type for type."""
+    def typed(value, kinds):
+        if data.draw(st.integers(0, 15)) == 0:
+            kinds = AS_ANY
+        return data.draw(st.sampled_from(kinds))(value)
+
+    def position():
+        pos = [typed(x, AS_REALS) for x in data.draw(st.sampled_from(
+            [(0.5, 2.0), (1.0, 0.0)]))]
+        return data.draw(st.sampled_from([None, tuple(pos), pos]))
+
+    nodes = [Node(typed(nid, AS_INTS), typed(cost, AS_REALS), position())
+             for nid, cost in ((2, 0.0), (0, 1.0), (1, 2.5))]
+    sessions = [Session(typed(t, AS_IDS), typed(a, AS_INTS),
+                        typed(b, AS_INTS), typed(rate, AS_REALS))
+                for t, a, b, rate in ((1, 0, 2, 1.5), (2, 2, 1, 3.0))]
+    try:
+        inst = Instance(nodes, [(0, 1), (1, 2)], sessions)
+    except InstanceError:
+        return
+    back = cli.instance_from_dict(json.loads(json.dumps(
+        cli.instance_to_dict(inst))))
+    assert back == inst
+    assert repr(back) == repr(inst)
 
 
 def test_gen_random_is_byte_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 
 import ctypes
 import gc
+import re
 import shutil
 import subprocess
 from fractions import Fraction
@@ -17,9 +18,10 @@ from carpool import (FlowVector, GenerationError, GeometricConfig,
                      build_expanded_graph, builtin_instances, edge_graph,
                      enumerate_triples, generate_geometric, init_prices,
                      plain_routing_cost, primal_subproblem, solve)
-from carpool.edge_graph import RouteSearch, bind_kernel, build_kernel
+from carpool.edge_graph import (RouteSearch, _SearchState, bind_kernel,
+                                build_kernel)
 from carpool.model import Instance, Node, Session
-from carpool.solver import NonFiniteError
+from carpool.solver import NonFiniteError, _RoundState
 from model_reference import (arc_csr_reference, dominant_path, index_of,
                              ordered_pairs_reference, path_to_flow,
                              plain_routing_cost_reference, relaxation_labels,
@@ -72,12 +74,20 @@ def relay3_parts(relay3):
     return graph_parts(relay3)
 
 
-def python_labels(graph, wts, src, dst=-1):
-    """The Python search's labels (dist, hops, pred) from src, read from
-    the buffers of a one-session RouteSearch that stops at dst."""
-    search = RouteSearch(None, *graph, [src], [dst])
-    routes_copied(search, wts)
-    return search.dist.tolist(), search.hops.tolist(), search.pred.tolist()
+def route_labels(graph, wts, src):
+    """The labels (dist, hops, pred) of the Python search from src, read
+    off the routes of one RouteSearch with a session from src to every
+    vertex x: dist[x] is the route's distance, hops[x] its length and
+    pred[x] the tail of its last arc, which is the head of the arc before
+    it, or src for a route of one arc; pred[x] is -1 when x is src or is
+    not reached."""
+    nv, heads = len(graph[0]), graph[2]
+    qdist, start, rows = routes_copied(
+        RouteSearch(None, *graph, [src] * nv, list(range(nv))), wts)
+    hops = (start[1:] - start[:-1]).tolist()
+    pred = [-1 if n == 0 else src if n == 1 else int(heads[rows[end - 2]])
+            for n, end in zip(hops, start[1:].tolist())]
+    return qdist.tolist(), hops, pred
 
 
 # ------------------------------------------------------------ construction
@@ -249,8 +259,8 @@ def test_fifo_relaxation_matches_priority_labels():
         assert_ranges_are_the_sorted_arcs(g, idx)
         graph = idx.out_lo.tolist(), idx.out_hi.tolist(), idx.head.tolist()
         for src in range(len(h.vertices)):
-            assert relaxation_labels(*graph, wts, src) == \
-                python_labels((idx.out_lo, idx.out_hi, idx.head), vals, src)
+            assert relaxation_labels(*graph, wts, src) == route_labels(
+                (idx.out_lo, idx.out_hi, idx.head), vals, src)
 
 
 # ------------------------------------------------------------ flow reading
@@ -325,34 +335,25 @@ def weight_draws():
 
 
 def test_kernel_labels_and_rows_equal_dijkstra(kernel):
+    """From every source, the kernel routes to every vertex as the Python
+    search does, bit for bit, and so gives the labels that route_labels
+    reads off those routes; a search with one session routes as that
+    session does among others, so no label outlives its session."""
     unreachable = 0
     for graph, nv, w, pick in weight_draws():
         for src in range(nv):
-            # full tree
-            search = RouteSearch(kernel, *graph, [src], [-1])
-            routes_copied(search, w)
-            dist, hops, pred = python_labels(graph, w, src)
-            assert search.dist.tobytes() == np.array(dist).tobytes()
-            assert search.hops.tolist() == hops
-            assert search.pred.tolist() == pred
-            # early stop at every destination
-            srcs, dsts = [src] * nv, list(range(nv))
-            qdist, start, rows = routes_copied(
-                RouteSearch(kernel, *graph, srcs, dsts), w)
-            ref_dist, ref_start, ref_rows = routes_copied(
-                RouteSearch(None, *graph, srcs, dsts), w)
-            assert qdist.tobytes() == ref_dist.tobytes()
-            for t in range(nv):
-                assert rows[start[t]:start[t + 1]].tolist() == \
-                    ref_rows[ref_start[t]:ref_start[t + 1]].tolist()
+            ends = [src] * nv, list(range(nv))
+            got = routes_copied(RouteSearch(kernel, *graph, *ends), w)
+            want = routes_copied(RouteSearch(None, *graph, *ends), w)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            qdist, start, rows = got
             unreachable += int(np.isinf(qdist).sum())
             dst = int(pick.integers(0, nv))
-            search = RouteSearch(kernel, *graph, [src], [dst])
-            routes_copied(search, w)
-            dist, hops, pred = python_labels(graph, w, src, dst)
-            assert search.dist.tobytes() == np.array(dist).tobytes()
-            assert search.hops.tolist() == hops
-            assert search.pred.tolist() == pred
+            alone = routes_copied(RouteSearch(kernel, *graph, [src], [dst]),
+                                  w)
+            route = rows[start[dst]:start[dst + 1]]
+            assert alone[0].tobytes() == qdist[dst:dst + 1].tobytes()
+            assert alone[2].tolist() == route.tolist()
     assert unreachable > 0
 
 
@@ -384,30 +385,27 @@ def fanned_graphs(draw):
 @example(graph=(np.array([0]), np.array([0]), np.array([], dtype=np.int64),
                 np.array([])))
 # from vertex 3 to vertex 2, a pop on 3 entries whose order shows in the
-# labels
+# routes
 @example(graph=(np.array([0, 6, 6, 6, 9]), np.array([6, 6, 6, 9, 9]),
                 np.array([1, 2, 3, 4, 0, 0, 0, 1, 2]),
                 np.array([8.0, 8.0, 8.0, 8.0, 0.0, 0.0, 0.25, 0.0, 0.25])))
 def test_heap_edge_paths_equal_the_python_search(kernel, graph):
-    """The compiled search gives the labels and the routes of the Python
-    search on graphs that leave stale entries in its heap.  The labels
-    of a search that stops at a vertex are those of the entries popped
-    before it, so they change with the pop order.  From vertex 0 the heap
-    holds nv - 1 entries or more after the first pop, and as a pop takes
-    one entry, it pops heaps of every size from there down to 1.  The
-    children of slot i are slots 4 i + 1 to 4 i + 4, and the last group
-    may have fewer: heaps of up to 23 entries give the last group below
-    the root, and below each of the root's children, every size from one
-    to four, and a pop on 1 entry leaves the heap empty."""
+    """The compiled search gives the routes of the Python search, and so
+    the labels read off them, on graphs that leave stale entries in its
+    heap.  A search that stops at a vertex has popped the entries below
+    its key, so its route changes with the pop order.  The graph gets one
+    more vertex, which has no arcs: no search reaches it, so the session
+    to it pops every entry.  From vertex 0 the heap holds nv - 1 entries
+    or more after the first pop, and as a pop takes one entry, it pops
+    heaps of every size from there down to 1.  The children of slot i
+    are slots 4 i + 1 to 4 i + 4, and the last group may have fewer:
+    heaps of up to 23 entries give the last group below the root, and
+    below each of the root's children, every size from one to four, and
+    a pop on 1 entry leaves the heap empty."""
     lo, hi, heads, w = graph
-    nv = len(lo)
-    for src in range(nv):
-        for dst in range(-1, nv):
-            search = RouteSearch(kernel, lo, hi, heads, [src], [dst])
-            routes_copied(search, w)
-            assert (search.dist.tolist(), search.hops.tolist(),
-                    search.pred.tolist()) == python_labels(
-                        (lo, hi, heads), w, src, dst)
+    nv = len(lo) + 1
+    lo, hi = (np.append(a, len(heads)) for a in (lo, hi))
+    for src in range(nv - 1):
         ends = [src] * nv, list(range(nv))
         got = routes_copied(RouteSearch(kernel, lo, hi, heads, *ends), w)
         want = routes_copied(RouteSearch(None, lo, hi, heads, *ends), w)
@@ -524,7 +522,8 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     nv, m = len(h.vertices), len(idx)
     # lists, arrays, and ends past int64: 2**63 is an unsigned array's
     # and 2**64 an object array's
-    bad_ends = [([nv], [0]), ([-1], [0]), ([0], [nv]), ([0, 1], [2]),
+    bad_ends = [([nv], [0]), ([-1], [0]), ([0], [nv]), ([0], [-1]),
+                ([0, 1], [1, -1]), ([0, 1], [2]),
                 ([2**64], [0]), ([0, 1], [-1, 2**64]), ([0, 2**63], [0, 1]),
                 ([0, 1], [0, 2**63])]
     for src, dst in bad_ends + [(np.array(src), np.array(dst))
@@ -565,11 +564,6 @@ def test_route_search_checks_its_graph_once_and_weights_always(kernel,
     # a later call leaves earlier results alone
     routes_copied(search, np.zeros_like(w))
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
-    # a negative destination searches the whole graph: distance 0, no arcs
-    qdist, start, rows = routes_copied(
-        RouteSearch(fn, *graph, list(range(nv)), [-1] * nv), w)
-    assert qdist.tolist() == [0.0] * nv
-    assert start.tolist() == [0] * (nv + 1) and rows.size == 0
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["C", "python"])
@@ -607,8 +601,7 @@ def test_a_search_is_one_call_on_its_frame(kernel, compiled):
     assert (search.fn, search.ref) == (
         (kernel.routes, ctypes.addressof(search.frame)) if compiled
         else (edge_graph._routes, search))
-    for name in ("lo", "hi", "heads", "src", "dst", "dist", "hops", "pred",
-                 "qdist", "start", "rows"):
+    for name in ("lo", "hi", "heads", "src", "dst", "qdist", "start", "rows"):
         assert getattr(search.frame, name) == \
             getattr(search, name).ctypes.data, name
     w = init_prices(idx).values.copy()
@@ -616,13 +609,10 @@ def test_a_search_is_one_call_on_its_frame(kernel, compiled):
     assert search.frame.w == w.ctypes.data
 
     def fill(fn, ref):
-        for a in (search.dist, search.qdist, search.hops, search.pred,
-                  search.start, search.rows):
+        for a in search.routes:
             a.fill(-7)
         status = fn(ref)
-        return status, [a.tobytes() for a in (
-            search.dist, search.qdist, search.hops, search.pred,
-            search.start, search.rows)]
+        return status, [a.tobytes() for a in search.routes]
 
     full = search.frame.cap
     negative = w.copy()
@@ -659,8 +649,6 @@ def test_route_search_keeps_its_arrays_alive(kernel, compiled):
     w = init_prices(idx).values
     assert [a.tobytes() for a in routes_copied(alone, w)] == \
         [a.tobytes() for a in routes_copied(held, w)]
-    assert [a.tobytes() for a in (alone.dist, alone.hops, alone.pred)] == \
-        [a.tobytes() for a in (held.dist, held.hops, held.pred)]
     assert all((a == a.flat[0]).all() for a in filler)  # nothing wrote them
 
 
@@ -733,29 +721,47 @@ def test_arc_blocks_out_of_vertex_order(kernel):
             got = routes_copied(RouteSearch(kernel, *graph, *ends), w)
             want = routes_copied(RouteSearch(None, *graph, *ends), w)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-            search = RouteSearch(kernel, *graph, [src], [-1])
-            routes_copied(search, w)
-            assert (search.dist.tolist(), search.hops.tolist(),
-                    search.pred.tolist()) == python_labels(graph, w, src)
 
 
 def assert_builds_agree(other, kernel):
-    """other, a kernel built another way, gives kernel's labels and
-    routes, byte for byte, on the draws of
-    test_kernel_labels_and_rows_equal_dijkstra."""
+    """other, a kernel built another way, gives kernel's routes from
+    every source to every vertex, and so its labels, byte for byte, on
+    the draws of test_kernel_labels_and_rows_equal_dijkstra."""
     def outputs(fn, graph, nv, w):
         out = []
         for src in range(nv):
-            search = RouteSearch(fn, *graph, [src], [-1])
-            routes_copied(search, w)
-            out += [a.tobytes() for a in (search.dist, search.hops,
-                                          search.pred)]
             out += [a.tobytes() for a in routes_copied(
                 RouteSearch(fn, *graph, [src] * nv, list(range(nv))), w)]
         return out
 
     for graph, nv, w, _ in weight_draws():
         assert outputs(other, graph, nv, w) == outputs(kernel, graph, nv, w)
+
+
+def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
+    """The members of the typedef struct name in the C source, in order,
+    each with the ctypes type of its declaration: c_void_p for a pointer,
+    else c_int64 for int64_t and c_double for double."""
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";",
+                     source).group(1)
+    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base, _, members = decl.strip().removeprefix("const ").partition(" ")
+        for member in (m.strip() for m in members.split(",")):
+            fields.append((member.lstrip("*"), ctypes.c_void_p
+                           if member.startswith("*") else scalar[base]))
+    return fields
+
+
+@pytest.mark.parametrize("struct, frame", [("search_state", _SearchState),
+                                           ("round_state", _RoundState)])
+def test_frames_match_the_kernel_structs(struct, frame):
+    """A frame's ctypes fields are its C struct's members, in order and of
+    the same types, so that the kernel reads every field where the frame
+    writes it."""
+    source = Path(edge_graph.__file__).with_name("_subproblem.c").read_text()
+    assert frame._fields_ == c_struct_fields(source, struct)
 
 
 def test_kernel_is_portable_c(kernel, tmp_path):

@@ -1,6 +1,8 @@
 """Instance validation, node expansion, triples, conservation, costs."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -507,6 +509,57 @@ def test_instance_reports_the_first_fault_the_loops_report(nodes, edges,
     assert got == want
     if want is None:
         assert inst.edges == [(min(e), max(e)) for e in edges]
+
+
+PATH3 = [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("nodes, sessions, message", [
+    ([Node(True, 1.0), Node(0, 1.0), Node(2, 1.0)], [],
+     "node id must be an integer, got True"),
+    ([Node(0.0, 1.0), Node(1, 1.0), Node(2, 1.0)], [],
+     "node id must be an integer, got 0.0"),
+    ([Node(0, "1"), Node(1, 1.0), Node(2, 1.0)], [],
+     "node 0 cost must be a number, got '1'"),
+    ([Node(0, 1.0), Node(1, False), Node(2, 1.0)], [],
+     "node 1 cost must be a number, got False"),
+    ([Node(0, 1.0), Node(1, 1.0, (0.0, "1")), Node(2, 1.0)], [],
+     "node 1 position must be a number, got '1'"),
+    ([Node(0, 1.0), Node(1, 10**400), Node(2, 1.0)], [],
+     "node 1 cost is too large for a float"),
+    (NODES3, [Session("s", 0.5, 2, 1.0)],
+     "session s source must be an integer, got 0.5"),
+    (NODES3, [Session("s", True, 2, 1.0)],
+     "session s source must be an integer, got True"),
+    (NODES3, [Session("s", 0, "2", 1.0)],
+     "session s dest must be an integer, got '2'"),
+    (NODES3, [Session("s", 0, 2, "1")],
+     "session s rate must be a number, got '1'"),
+    (NODES3, [Session("s", 0, 2, True)],
+     "session s rate must be a number, got True"),
+    (NODES3, [Session("s", 0, 2, 10**400)],
+     "session s rate is too large for a float"),
+    (NODES3, [Session(None, 0, 2, 1.0)],
+     "session id that is not a string must be an integer, got None"),
+    (NODES3, [Session(True, 0, 2, 1.0)],
+     "session id that is not a string must be an integer, got True"),
+])
+def test_instance_refuses_what_the_reader_refuses(nodes, sessions, message):
+    """A value of a type that the JSON reader refuses is refused by
+    Instance too, with an InstanceError that names its node or session."""
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        Instance(nodes, PATH3, sessions)
+
+
+def test_instance_stores_its_values_as_the_reader_does():
+    """Ids and endpoints of another integer type are stored as int, costs,
+    rates and coordinates of another real type as float, a position as a
+    tuple and an integer session id as a string."""
+    inst = Instance([Node(np.int64(1), np.float32(0.5), [1, 2]),
+                     Node(0, 1)], [(0, 1)],
+                    [Session(7, np.int64(0), 1, Fraction(7, 3))])
+    assert repr(inst.nodes) == repr([Node(0, 1.0), Node(1, 0.5, (1.0, 2.0))])
+    assert repr(inst.sessions) == repr([Session("7", 0, 1, 7 / 3)])
 
 
 def test_unreachable_session_names_itself():
