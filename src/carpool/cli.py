@@ -9,11 +9,16 @@ Instances and solutions are JSON with round-trip-exact floats; traces
 are CSV with one row per iteration.  CARPOOL_LOG=quiet|info|debug
 controls diagnostics on stderr.
 
-Both readers take a document whose values all have their plain JSON
-types in bulk, by a type check per list, and fall back to reading
-record by record only to name the first bad record.  Instance then
-checks the values themselves, nodes and edges on arrays, and reports
-the first faulty record in order.
+The instance reader takes a document whose values all have their plain
+JSON types in bulk, into columns: each of the ids, costs, positions,
+edge ends and session fields is taken from the records with one type
+scan, and no Node is built.  Instance.from_columns checks the values
+themselves, once, and keeps the cost vector and the edge-end array
+that the graph builds and the baseline read.  The reader reads record
+by record, which builds a Node per record, only to name the first
+record that cannot be read, or when only some nodes have a position.
+The solution reader reads each column in bulk in the same way, and
+record by record to name a fault.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .instances import (GenerationError, GeometricConfig, builtin_instances,
                         generate_geometric, plain_routing_cost)
 from .model import (InfeasibleSessionError, Instance, InstanceError, Node,
                     Session, build_expanded_graph, conservation_residual,
-                    enumerate_triples, ordered_pairs, total_cost,
+                    edge_ends, enumerate_triples, ordered_pairs, total_cost,
                     transmission_summary)
 from .solver import NonFiniteError, SolverConfig, solve
 
@@ -97,24 +102,49 @@ def _session_id(value) -> str:
     return str(value)
 
 
+def _floats(values: list) -> np.ndarray | None:
+    """values as a float array when each is a JSON number, read as _number
+    reads it; None when one is not."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return np.array(values, dtype=float)
+    if kinds <= {int, float}:
+        return np.array(list(map(float, values)), dtype=float)
+    return None
+
+
 def _plain_instance(doc) -> Instance | None:
-    """The instance of a document read in bulk, its edge ends integers;
-    None when a record lacks a key or Instance refuses it, for the record
-    loop to name the fault."""
+    """The instance of a document read in bulk, into columns: one type
+    scan per column and no Node per record.  None when a record lacks a
+    key or a value is not of its plain JSON type, or when only some nodes
+    have a position, for the record loop to name the fault or read the
+    records; a fault of the values themselves Instance raises."""
     try:
         nodes, edges, sessions = doc["nodes"], doc["edges"], doc["sessions"]
-        if not (type(nodes) is type(edges) is type(sessions) is list
-                and set(map(type, edges)) <= {list}
-                and set(map(len, edges)) <= {2} and set(map(
-                    type, itertools.chain.from_iterable(edges))) <= {int}):
+        if not type(nodes) is type(edges) is type(sessions) is list:
             return None
-        return Instance(
-            [Node(r["id"], r["cost"], tuple(r["pos"]) if "pos" in r else None)
-             for r in nodes], edges,
-            [Session(r["id"], r["source"], r["dest"], r["rate"])
-             for r in sessions])
-    except (KeyError, TypeError, InstanceError):
+        ids = [r["id"] for r in nodes]
+        cost = _floats([r["cost"] for r in nodes])
+        pos = [r["pos"] for r in nodes if "pos" in r]
+        coords = _floats(list(itertools.chain.from_iterable(pos)))
+        ends = edge_ends(edges)
+        sids = [r["id"] for r in sessions]
+        src = [r["source"] for r in sessions]
+        dst = [r["dest"] for r in sessions]
+        rates = _floats([r["rate"] for r in sessions])
+    except (KeyError, TypeError, OverflowError, InstanceError):
         return None
+    if (cost is None or coords is None or rates is None
+            or not set(map(type, ids)) <= {int}
+            or not set(map(type, src + dst)) <= {int}
+            or not set(map(type, sids)) <= {str}
+            or len(pos) not in (0, len(nodes))
+            or not set(map(type, pos)) <= {list}
+            or not set(map(len, pos)) <= {2}):
+        return None
+    return Instance.from_columns(
+        ids, cost, coords.reshape(-1, 2) if pos else None, ends,
+        list(map(Session, sids, src, dst, rates.tolist())))
 
 
 def instance_from_dict(doc) -> Instance:
@@ -469,7 +499,7 @@ def cmd_gen(args) -> int:
             print(f"generation failed: {exc}", file=sys.stderr)
             return 1
     doc = json.dumps(instance_to_dict(inst), indent=1)
-    counts = (f"nodes={len(inst.nodes)} edges={len(inst.edges)} "
+    counts = (f"nodes={inst.n} edges={len(inst.ends)} "
               f"sessions={len(inst.sessions)}")
     if args.out:
         _write_text(args.out, doc + "\n")
@@ -503,8 +533,7 @@ def cmd_solve(args) -> int:
                                  f"{args.instance}")
     inst = load_instance(args.instance)
     log.info("solving %s: %d nodes, %d edges, %d sessions",
-             args.instance, len(inst.nodes), len(inst.edges),
-             len(inst.sessions))
+             args.instance, inst.n, len(inst.ends), len(inst.sessions))
     cfg = SolverConfig(step_a=args.step_a, tol=args.tol,
                        max_iters=args.max_iters)
     stats = None
@@ -535,9 +564,10 @@ def cmd_baseline(args) -> int:
     inst = load_instance(args.instance)
     cost, paths = plain_routing_cost(inst)
     print(f"routing_cost={cost:.12g}")
+    costs = inst.cost_vector.tolist()
     for s, path in zip(inst.sessions, paths):
         hops = " -> ".join(str(v) for v in path)
-        pay = sum(inst.nodes[v].cost for v in path[:-1]) * s.rate
+        pay = sum(costs[v] for v in path[:-1]) * s.rate
         print(f"{s.sid}: {hops} (cost {pay:.12g})")
     return 0
 

@@ -108,16 +108,14 @@ def generate_geometric(cfg: GeometricConfig) -> Instance:
         cfg.intensity * cfg.side ** 2))
     pos = np.random.Generator(np.random.PCG64(pos_ss)).uniform(
         0.0, cfg.side, size=(n, 2))
-    edges = edges_within_radius(pos, RADIUS)
-    nodes = [Node(i, cfg.cost, (float(pos[i, 0]), float(pos[i, 1])))
-             for i in range(n)]
+    ends = edge_ends(edges_within_radius(pos, RADIUS))
     sessions: list[Session] = []
     if cfg.sessions > 0:
         if n < 2:
             raise GenerationError(
                 f"seed {cfg.seed} drew only {n} node(s); "
                 f"cannot place {cfg.sessions} session(s)")
-        labels = component_labels(n, edge_ends(edges)).tolist()
+        labels = component_labels(n, ends).tolist()
         rng = np.random.Generator(np.random.PCG64(sess_ss))
         used: set[tuple[int, int]] = set()
         for t in range(cfg.sessions):
@@ -131,7 +129,8 @@ def generate_geometric(cfg: GeometricConfig) -> Instance:
                 raise GenerationError(
                     f"session sampling exhausted its {RETRY_BUDGET}-draw "
                     f"budget (seed {cfg.seed}, {n} nodes)")
-    return Instance(nodes, edges, sessions)
+    return Instance.from_columns(list(range(n)), np.full(n, cfg.cost), pos,
+                                 ends, sessions)
 
 
 def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
@@ -144,7 +143,7 @@ def plain_routing_cost(inst: Instance) -> tuple[float, list[list[int]]]:
     the node graph.
     """
     # arc e is entry e of the sorted adjacency lists
-    bounds, heads = adjacency(inst.n, inst.edges)
+    bounds, heads = adjacency(inst.n, inst.ends)
     search = route_search(bounds[:-1], bounds[1:], heads,
                           [s.source for s in inst.sessions],
                           [s.dest for s in inst.sessions])

@@ -14,6 +14,11 @@ every node is purely a source, a destination, or a relay, which makes the
 transmission count a clean max() per neighbour pair.  The price of the
 bookkeeping is one guaranteed broadcast by each physical destination; the
 physical cost subtracts those c_{d_t} * R_t terms back out.
+
+An Instance is validated once, on columns, whether it comes from records
+or straight from a JSON document, and keeps its costs and edge ends as
+read-only arrays; build_expanded_graph reads those, and the Node and
+edge lists are built only when read.
 """
 
 from __future__ import annotations
@@ -78,11 +83,32 @@ class Session:
     rate: float
 
 
-def edge_ends(edges: list[tuple[int, int]]) -> np.ndarray:
+def edge_ends(edges) -> np.ndarray:
     """The (m, 2) array of the ends of m edges: int64, or Python ints in an
     object array when one does not fit; such an id is out of range of
-    every instance."""
-    flat = list(itertools.chain.from_iterable(edges))
+    every instance.
+
+    Each edge must unpack to two integers, of a type with __index__ that
+    is not bool; InstanceError names the first edge that does not.  A
+    set of the ends' types skips the per-edge loop when every edge has
+    two ends of type int.
+    """
+    try:
+        flat = list(itertools.chain.from_iterable(edges))
+        plain = (set(map(len, edges)) <= {2}
+                 and set(map(type, flat)) <= {int})
+    except TypeError:  # an edge that is not iterable or has no length
+        plain = False
+    if not plain:
+        flat = []
+        for k, edge in enumerate(edges):
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise InstanceError(f"edges[{k}] must be a pair of node "
+                                    f"ids, got {edge!r}") from None
+            flat += (_plain_number(a, f"edges[{k}] end", True),
+                     _plain_number(b, f"edges[{k}] end", True))
     try:
         ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
     except OverflowError:
@@ -90,14 +116,14 @@ def edge_ends(edges: list[tuple[int, int]]) -> np.ndarray:
     return ends.reshape(-1, 2)
 
 
-def adjacency(n: int, edges: list[tuple[int, int]]
-              ) -> tuple[np.ndarray, np.ndarray]:
+def adjacency(n: int, ends) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices): the sorted neighbour lists of n nodes, as a CSR.
 
-    Node a's neighbours are indices[indptr[a]:indptr[a + 1]], ascending.
-    Each undirected edge gives one entry at either end.
+    ends is anything np.asarray reads as (m, 2) node ids, one row per
+    undirected edge, which gives one entry at either end.  Node a's
+    neighbours are indices[indptr[a]:indptr[a + 1]], ascending.
     """
-    ends = edge_ends(edges)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
     tails = np.concatenate([ends[:, 0], ends[:, 1]])
     heads = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.argsort(tails * n + heads)  # keys are distinct
@@ -148,41 +174,140 @@ _NID, _COST, _POS = (operator.attrgetter(name)
                      for name in ("nid", "cost", "pos"))
 
 
-@dataclass
+def _plain_nodes(nodes: list[Node]) -> list[Node]:
+    """nodes with int ids, float costs and positions of floats in tuples;
+    an InstanceError names the node of a value of a type the JSON reader
+    refuses.  nodes itself when every value is so already."""
+    pos = list(map(_POS, nodes))
+    if (set(map(type, pos)) <= {tuple, type(None)}
+            and set(map(type, map(_NID, nodes))) <= {int}
+            and set(map(type, itertools.chain(
+                map(_COST, nodes), *filter(None, pos)))) <= {float}):
+        return nodes
+    num, out = _plain_number, []
+    for nd in nodes:
+        nid = num(nd.nid, "node id", True)
+        cost = num(nd.cost, f"node {nid} cost")
+        coords = None
+        if nd.pos is not None:
+            try:
+                coords = iter(nd.pos)
+            except TypeError:
+                raise InstanceError(f"node {nid} position must be a "
+                                    f"sequence of numbers, got "
+                                    f"{nd.pos!r}") from None
+            coords = tuple(num(x, f"node {nid} position") for x in coords)
+        out.append(Node(nid, cost, coords))
+    return out
+
+
+def _plain_sessions(sessions: list[Session]) -> list[Session]:
+    """sessions with str ids, int ends and float rates, an integer id
+    written as a string; an InstanceError names the session of a value of
+    a type the JSON reader refuses.  sessions itself when every value is
+    so already."""
+    if ({type(s.sid) for s in sessions} <= {str}
+            and set(map(type, itertools.chain.from_iterable(
+                (s.source, s.dest) for s in sessions))) <= {int}
+            and {type(s.rate) for s in sessions} <= {float}):
+        return sessions
+    num, out = _plain_number, []
+    for s in sessions:
+        sid = s.sid if isinstance(s.sid, str) else str(
+            num(s.sid, "session id that is not a string", True))
+        out.append(Session(
+            sid, num(s.source, f"session {sid} source", True),
+            num(s.dest, f"session {sid} dest", True),
+            num(s.rate, f"session {sid} rate")))
+    return out
+
+
 class Instance:
     """Connectivity graph with per-node broadcast costs and unicast sessions.
 
-    Validation checks the types of the records' values, in list order,
-    then the node ids, the nodes and the edges on arrays, then the
-    sessions, and reports the first faulty record in order (nodes in id
-    order).  A node's cost is checked before its position; an edge for a
-    self-loop, then a missing node, then an earlier copy; a session for
-    an id used before, its endpoints, source = dest, its rate and then
-    whether its endpoints share a component.  Edges are stored as (min,
-    max) tuples.
+    An instance is validated once, on columns: the node ids, costs and
+    positions in record order, the (m, 2) array of edge ends (edge_ends)
+    and the sessions.  Instance(nodes, edges, sessions) takes the columns
+    from records, first checking the types of their values in list order
+    (nodes, edges, then sessions) and storing them as the JSON reader
+    does (int, float, tuple, str).  Instance.from_columns takes columns
+    of those types, as the JSON reader builds them straight from a
+    document.
+
+    Validation then checks the node ids, the nodes and the edges on
+    arrays, then the sessions, and reports the first faulty record in
+    order (nodes in id order).  A node's cost is checked before its
+    position; an edge for a self-loop, then a missing node, then an
+    earlier copy; a session for an id used before, its endpoints, source
+    = dest, its rate and then whether its endpoints share a component.
+
+    The instance keeps n, the sessions and two read-only arrays:
+    cost_vector, the costs in id order, and ends, the (min, max) ends of
+    every edge in list order, which the graph builds read.  nodes, in id
+    order, and edges, as (min, max) tuples, are built from the columns
+    on first read; an instance made from records keeps its nodes.
     """
 
-    nodes: list[Node]
-    edges: list[tuple[int, int]]
-    sessions: list[Session]
+    def __init__(self, nodes: list[Node], edges: list[tuple[int, int]],
+                 sessions: list[Session]):
+        nodes = _plain_nodes(nodes)
+        ends = edge_ends(edges)
+        sessions = _plain_sessions(sessions)
+        n = len(nodes)
+        pos = [(0.0, 0.0) if p is None else p  # no position passes
+               for p in map(_POS, nodes)]
+        self._validate(list(map(_NID, nodes)),
+                       np.fromiter(map(_COST, nodes), float, n),
+                       np.fromiter(map(len, pos), np.int64, n),
+                       np.fromiter(itertools.chain.from_iterable(pos), float),
+                       ends, sessions)
+        self._nodes = sorted(nodes, key=_NID)
+        self._pos = None
 
-    def __post_init__(self):
-        self._check_types()
-        n = len(self.nodes)
-        ids = list(map(_NID, self.nodes))
-        if sorted(ids) != list(range(n)):
-            raise InstanceError(f"node ids must be dense 0..{n - 1}, "
-                                f"{_dense_fault(ids, n)}")
-        self.nodes = sorted(self.nodes, key=_NID)
-        self._check_nodes()
-        ends = edge_ends(self.edges)
-        lo, hi = self._check_edges(ends)
-        self.edges = list(zip(lo.tolist(), hi.tolist()))
+    @classmethod
+    def from_columns(cls, ids: list[int], cost: np.ndarray,
+                     pos: np.ndarray | None, ends: np.ndarray,
+                     sessions: list[Session]) -> Instance:
+        """The instance of columns of plain values, in record order: int
+        ids, n float costs, an (n, 2) float array of positions or None
+        when no node has one, ends as edge_ends makes them, and sessions
+        of str ids, int ends and float rates."""
+        inst = cls.__new__(cls)
+        n = len(ids)
+        order = inst._validate(
+            ids, cost, np.full(n, 2),
+            np.zeros(2 * n) if pos is None else pos.ravel(), ends, sessions)
+        inst._nodes = None
+        inst._pos = (None if pos is None else pos.copy() if order is None
+                     else pos[order])
+        return inst
+
+    def _validate(self, ids: list, cost: np.ndarray, size: np.ndarray,
+                  flat: np.ndarray, ends: np.ndarray,
+                  sessions: list[Session]) -> np.ndarray | None:
+        """Check the columns and keep them.  Record k's position is
+        flat[s:s + size[k]], where s sums the sizes before it.  Returns
+        the record of each node id, or None when the records run in id
+        order."""
+        self.n = n = len(ids)
+        order = None
+        if ids != list(range(n)):
+            if sorted(ids) != list(range(n)):
+                raise InstanceError(f"node ids must be dense 0..{n - 1}, "
+                                    f"{_dense_fault(ids, n)}")
+            order = np.empty(n, dtype=np.int64)
+            order[ids] = np.arange(n)
+        self._check_nodes(ids, cost, size, flat)
+        self.cost_vector = cost.copy() if order is None else cost[order]
+        self.cost_vector.flags.writeable = False
+        self.ends = self._check_edges(ends)
+        self.ends.flags.writeable = False
+        self._edges = None
         # sessions number in the tens: a loop checks them faster than
         # arrays would
-        labels = component_labels(n, ends).tolist() if self.sessions else []
+        labels = component_labels(n, self.ends).tolist() if sessions else []
         sids: set[str] = set()
-        for s in self.sessions:
+        for s in sessions:
             if s.sid in sids:
                 raise InstanceError(f"duplicate session id {s.sid!r}")
             sids.add(s.sid)
@@ -203,65 +328,40 @@ class Instance:
                     s.sid,
                     f"source {s.source} and destination {s.dest} lie in "
                     f"different components")
+        self.sessions = sessions
+        return order
 
-    def _check_types(self) -> None:
-        """Refuse, naming its node or session, a value of a type the JSON
-        reader refuses, and store the others as it does, so that the file
-        an instance writes reads back as it; at once when all are so."""
-        nodes, sessions, pos = self.nodes, self.sessions, [
-            nd.pos for nd in self.nodes]
-        ints = itertools.chain(map(_NID, nodes),
-                               *((s.source, s.dest) for s in sessions))
-        reals = itertools.chain(map(_COST, nodes), (s.rate for s in sessions),
-                                *filter(None, pos))
-        if (set(map(type, pos)) <= {tuple, type(None)}
-                and set(map(type, ints)) <= {int}
-                and set(map(type, reals)) <= {float}
-                and {type(s.sid) for s in sessions} <= {str}):
-            return
-        num, self.nodes, self.sessions = _plain_number, [], []
-        for nd in nodes:
-            nid = num(nd.nid, "node id", True)
-            self.nodes.append(Node(nid, num(nd.cost, f"node {nid} cost"), (
-                None if nd.pos is None else
-                tuple(num(x, f"node {nid} position") for x in nd.pos))))
-        for s in sessions:
-            sid = s.sid if isinstance(s.sid, str) else str(
-                num(s.sid, "session id that is not a string", True))
-            self.sessions.append(Session(
-                sid, num(s.source, f"session {sid} source", True),
-                num(s.dest, f"session {sid} dest", True),
-                num(s.rate, f"session {sid} rate")))
-
-    def _check_nodes(self) -> None:
-        n = len(self.nodes)
-        cost = np.fromiter(map(_COST, self.nodes), float, n)
-        pos = [(0.0, 0.0) if p is None else p  # no position passes
-               for p in map(_POS, self.nodes)]
-        size = np.fromiter(map(len, pos), np.int64, n)
-        off = ~np.isfinite(np.fromiter(itertools.chain.from_iterable(pos),
-                                       float))
+    @staticmethod
+    def _check_nodes(ids: list, cost: np.ndarray, size: np.ndarray,
+                     flat: np.ndarray) -> None:
+        n = len(ids)
+        off = ~np.isfinite(flat)
         bad = ~(np.isfinite(cost) & (cost >= 0.0)) | (size != 2)
         if np.count_nonzero(off):  # flag each node holding a non-finite one
             bad[np.repeat(np.arange(n), size)[off]] = True
         if not np.count_nonzero(bad):
             return
-        nd = self.nodes[int(bad.argmax())]
-        if not math.isfinite(nd.cost):
-            raise InstanceError(f"node {nd.nid} has non-finite cost {nd.cost}")
-        if nd.cost < 0.0:
-            raise InstanceError(f"node {nd.nid} has negative cost {nd.cost}")
-        if len(nd.pos) != 2:
-            raise InstanceError(f"node {nd.nid} position must be 2-D")
-        raise InstanceError(
-            f"node {nd.nid} has non-finite position {tuple(nd.pos)}")
+        k = min(np.flatnonzero(bad).tolist(), key=ids.__getitem__)
+        nid, c = ids[k], float(cost[k])
+        if not math.isfinite(c):
+            raise InstanceError(f"node {nid} has non-finite cost {c}")
+        if c < 0.0:
+            raise InstanceError(f"node {nid} has negative cost {c}")
+        if size[k] != 2:
+            raise InstanceError(f"node {nid} position must be 2-D")
+        start = int(size[:k].sum())
+        raise InstanceError(f"node {nid} has non-finite position "
+                            f"{tuple(flat[start:start + 2].tolist())}")
 
-    def _check_edges(self, ends: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) of every edge; raise on the first faulty one."""
+    def _check_edges(self, ends: np.ndarray) -> np.ndarray:
+        """The (min, max) ends of every edge, a new array; raise on the
+        first faulty edge."""
         n = self.n
         a, b = ends.T
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        out = np.empty_like(ends)
+        lo, hi = out.T
+        np.minimum(a, b, out=lo)
+        np.maximum(a, b, out=hi)
         key = lo * n + hi
         bad = (a == b) | (lo < 0) | (hi >= n)
         if np.count_nonzero(key[1:] <= key[:-1]):  # else no key repeats
@@ -271,22 +371,46 @@ class Instance:
             repeat[first] = False
             bad |= repeat
         if np.count_nonzero(bad):
-            a, b = self.edges[int(bad.argmax())]
+            a, b = ends[int(bad.argmax())].tolist()
             if a == b:
                 raise InstanceError(f"edge ({a},{b}) is a self-loop")
             if not (0 <= a < n and 0 <= b < n):
                 raise InstanceError(f"edge ({a},{b}) references a missing "
                                     f"node")
             raise InstanceError(f"duplicate edge {(min(a, b), max(a, b))}")
-        return lo, hi
+        return out
 
     @property
-    def n(self) -> int:
-        return len(self.nodes)
+    def nodes(self) -> list[Node]:
+        """The nodes in id order."""
+        if self._nodes is None:
+            pos = (itertools.repeat(None) if self._pos is None
+                   else map(tuple, self._pos.tolist()))
+            self._nodes = list(map(Node, range(self.n),
+                                   self.cost_vector.tolist(), pos))
+        return self._nodes
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges as (min, max) tuples, in list order."""
+        if self._edges is None:
+            lo, hi = self.ends.T.tolist()
+            self._edges = list(zip(lo, hi))
+        return self._edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nodes, self.edges, self.sessions)
+                == (other.nodes, other.edges, other.sessions))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(nodes={self.nodes!r}, "
+                f"edges={self.edges!r}, sessions={self.sessions!r})")
 
     def costs(self) -> np.ndarray:
         """The node costs, a cost of -0.0 as +0.0."""
-        return np.array([nd.cost for nd in self.nodes], dtype=float) + 0.0
+        return self.cost_vector + 0.0
 
 
 @dataclass
@@ -333,8 +457,9 @@ def build_expanded_graph(inst: Instance) -> ExpandedGraph:
     src = np.array([s.source for s in inst.sessions], dtype=np.int64)
     dst = np.array([s.dest for s in inst.sessions], dtype=np.int64)
     sp = n + 2 * np.arange(len(src), dtype=np.int64)  # s'_t; d'_t = sp + 1
-    indptr, indices = adjacency(n_total, [*inst.edges, *zip(src, sp),
-                                          *zip(dst, sp + 1)])
+    indptr, indices = adjacency(n_total, np.concatenate(
+        [inst.ends, np.stack([src, sp], axis=1),
+         np.stack([dst, sp + 1], axis=1)]))
     refund = 0.0
     for s in inst.sessions:
         refund += float(costs[s.dest]) * s.rate

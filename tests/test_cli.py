@@ -1,12 +1,16 @@
 """CLI commands, file formats, exit codes."""
 
+import dataclasses
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +19,11 @@ from hypothesis import strategies as st
 
 from carpool import (GeometricConfig, Instance, InstanceError, Node, Session,
                      SimSchedule, SolverConfig, cli, distributed, edge_graph,
-                     generate_geometric, model, plain_routing_cost,
+                     generate_geometric, instances, model, plain_routing_cost,
                      run_distributed_solve, solve, solver)
-from model_reference import (instance_from_dict_reference,
+from model_reference import (_node_id_reference, _number_reference,
+                             _session_id_reference,
+                             instance_from_dict_reference,
                              solution_to_dict_reference)
 
 
@@ -403,6 +409,37 @@ def test_solve_builds_the_graph_once(relay3_path, tmp_path, monkeypatch):
         assert cli.main(["solve", relay3_path, "--out",
                          str(tmp_path / "sol.json")] + extra) == 0
         assert calls == ["build_expanded_graph", "enumerate_triples"]
+
+
+def test_check_and_solve_read_the_instance_once(solved, tmp_path,
+                                                monkeypatch):
+    """carpool check and carpool solve read the instance file into
+    columns: one edge_ends call, which the graph builds and the baseline
+    reuse, and no Node."""
+    calls = Counter()
+    for module in (model, cli, instances):
+        def counted(edges, _call=module.edge_ends):
+            calls["edge_ends"] += 1
+            return _call(edges)
+        monkeypatch.setattr(module, "edge_ends", counted)
+    init = Node.__init__
+
+    def counted_init(self, *args, **kw):
+        calls["Node"] += 1
+        init(self, *args, **kw)
+    monkeypatch.setattr(Node, "__init__", counted_init)
+    inst_path, sol_path, _ = solved
+    for argv in (["check", inst_path, sol_path],
+                 ["solve", inst_path, "--out", str(tmp_path / "again.json")],
+                 ["solve", inst_path, "--distributed"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == {"edge_ends": 1}
+    # the record loop, which names a bad record, builds one per record
+    calls.clear()
+    with mock.patch.object(cli, "_plain_instance", return_value=None):
+        assert cli.main(["check", inst_path, sol_path]) == 0
+    assert calls == {"edge_ends": 1, "Node": 3}
 
 
 # -------------------------------------------------------------- baseline
@@ -1018,6 +1055,106 @@ def test_plain_documents_take_no_record_path(named, side15, monkeypatch):
         got = cli.instance_from_dict(doc)
         assert got == inst
         assert field_types(got) == field_types(inst)
+
+
+@st.composite
+def drawn_instance_docs(draw):
+    """An instance document of up to seven nodes, listed in any order,
+    all, none or some of them placed; edges either way round and sessions
+    that may be unreachable."""
+    n = draw(st.integers(1, 7))
+    placed = draw(st.sampled_from(["all", "none", "some"]))
+    nodes = []
+    for nid in draw(st.permutations(range(n))):
+        rec = {"id": nid, "cost": draw(st.sampled_from(
+            [0.0, -0.0, 0.5, 1.0, 2.5, 1e-300, 3]))}
+        if placed == "all" or placed == "some" and draw(st.booleans()):
+            rec["pos"] = [draw(st.floats(-5.0, 5.0)),
+                          draw(st.sampled_from([0.0, -0.0, 1.5, 2]))]
+        nodes.append(rec)
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=12)) if pairs else []
+    edges = [[b, a] if draw(st.booleans()) else [a, b] for a, b in chosen]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    sessions = [{"id": f"s{t}", "source": a, "dest": b,
+                 "rate": draw(st.sampled_from([1.0, 0.25, 2]))}
+                for t, (b, a) in enumerate(ends)]
+    return {"nodes": nodes, "edges": edges, "sessions": sessions}
+
+
+def library_instance(doc):
+    """Instance(nodes, edges, sessions) of the document's records, each
+    value read as the reader reads it; None when one cannot be."""
+    nid, num = _node_id_reference, _number_reference
+    if not (isinstance(doc, dict) and all(
+            type(doc.get(k)) is list for k in ("nodes", "edges", "sessions"))):
+        return None
+    try:
+        nodes = [Node(nid(r["id"]), num(r["cost"]),
+                      tuple(map(num, r["pos"])) if "pos" in r else None)
+                 for r in doc["nodes"]]
+        edges = [(nid(a), nid(b)) for a, b in doc["edges"]]
+        sessions = [Session(_session_id_reference(r["id"]), nid(r["source"]),
+                            nid(r["dest"]), num(r["rate"]))
+                    for r in doc["sessions"]]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return Instance(nodes, edges, sessions)
+
+
+def loaded(load, doc):
+    """What load makes of a copy of doc: the facts of its instance, or the
+    type and text of the error it raises."""
+    try:
+        inst = load(json.loads(json.dumps(doc)))
+    except (model.InstanceError, model.InfeasibleSessionError) as exc:
+        return type(exc), str(exc)
+    if inst is None:
+        return None
+    g = model.build_expanded_graph(inst)
+    idx = model.enumerate_triples(g)
+    arrays = [getattr(obj, f.name) for obj in (g, idx)
+              for f in dataclasses.fields(obj)
+              if isinstance(getattr(obj, f.name), np.ndarray)]
+    return (repr(inst.nodes), repr(inst.edges), repr(inst.sessions),
+            json.dumps(cli.instance_to_dict(inst)),
+            [(a.dtype, a.tobytes()) for a in arrays], g.refund,
+            inst.cost_vector.tobytes(), inst.ends.tobytes(),
+            repr(plain_routing_cost(inst)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=drawn_instance_docs(), data=st.data())
+def test_bulk_record_and_library_paths_agree(doc, data):
+    """The reader's bulk path, its record loop and Instance on the records
+    make equal instances, graphs and routes, or raise the same error:
+    on plain documents, on documents that write an id or an end as a
+    float such as 2.0, which only the record loop reads, and on documents
+    with a faulty record."""
+    kind = data.draw(st.sampled_from(["plain", "float-id", "faulty"]))
+    if kind == "float-id":
+        name = data.draw(st.sampled_from(
+            [k for k in ("nodes", "edges", "sessions") if doc[k]]))
+        rec = data.draw(st.sampled_from(doc[name]))
+        key = data.draw(st.sampled_from(
+            {"nodes": ["id"], "edges": [0, 1],
+             "sessions": ["source", "dest"]}[name]))
+        rec[key] = float(rec[key])
+    elif kind == "faulty":
+        if all(doc.values()) and data.draw(st.booleans()):
+            doc = mutate_numbers(doc, data)
+        else:
+            doc = mutate_one_member(doc, data, data.draw(
+                st.sampled_from([json_values, near_values])))
+    bulk = loaded(cli.instance_from_dict, doc)
+    with mock.patch.object(cli, "_plain_instance", return_value=None):
+        record = loaded(cli.instance_from_dict, doc)
+    assert bulk == record
+    library = loaded(library_instance, doc)
+    assert library in (None, bulk)
+    if kind != "faulty":
+        assert library == bulk
 
 
 @pytest.mark.parametrize("nid, message", [

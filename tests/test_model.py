@@ -543,12 +543,57 @@ PATH3 = [(0, 1), (1, 2)]
      "session id that is not a string must be an integer, got None"),
     (NODES3, [Session(True, 0, 2, 1.0)],
      "session id that is not a string must be an integer, got True"),
+    ([Node(0, 1.0, 5), Node(1, 1.0), Node(2, 1.0)], [],
+     "node 0 position must be a sequence of numbers, got 5"),
 ])
 def test_instance_refuses_what_the_reader_refuses(nodes, sessions, message):
     """A value of a type that the JSON reader refuses is refused by
     Instance too, with an InstanceError that names its node or session."""
     with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
         Instance(nodes, PATH3, sessions)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0.5, 1), (1, 2)], "edges[0] end must be an integer, got 0.5"),
+    ([(0, 1), (True, 2)], "edges[1] end must be an integer, got True"),
+    ([("0", 1)], "edges[0] end must be an integer, got '0'"),
+    ([(0, 1, 2), (1, 2, 3)], "edges[0] must be a pair of node ids, got "
+                             "(0, 1, 2)"),
+    ([(0,)], "edges[0] must be a pair of node ids, got (0,)"),
+    ([(0, 1), 5], "edges[1] must be a pair of node ids, got 5"),
+    ([(2, 3), (0, 1), (1, 2, 3)], "edges[2] must be a pair of node ids, got "
+                                  "(1, 2, 3)"),
+], ids=["fraction", "bool", "text", "triples", "single", "number",
+        "last-triple"])
+def test_instance_refuses_an_edge_that_is_not_a_pair_of_ids(edges, message):
+    """An edge that is not two integers is refused, naming the edge, not
+    truncated, re-paired or left to numpy's reshape; before the ids and
+    the other values are checked."""
+    nodes = [Node(i, 1.0) for i in range(4)]
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        Instance(nodes, edges, [])
+    # the type is checked first, as the reader converts an edge before
+    # it reads the sessions
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        Instance(nodes[1:], edges, [Session("s", 0, 0, -1.0)])
+
+
+def test_instance_keeps_its_arrays_read_only():
+    """cost_vector and ends are the instance's own validated columns;
+    nodes and edges read them and equal what the records say."""
+    nodes = [Node(1, 2.0, (0.5, 1.0)), Node(0, -0.0), Node(2, 1.5)]
+    edges = [(2, 1), (0, 1)]
+    inst = Instance(nodes, edges, [])
+    assert inst.cost_vector.tolist() == [-0.0, 2.0, 1.5]
+    assert str(inst.costs()[0]) == "0.0"
+    assert inst.ends.tolist() == [[1, 2], [0, 1]]
+    for arr in (inst.cost_vector, inst.ends):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert inst.nodes == sorted(nodes, key=lambda nd: nd.nid)
+    assert inst.edges == [(1, 2), (0, 1)]
+    nodes[0] = Node(1, 9.0)  # the caller's list is not the instance's
+    assert inst.nodes[1].cost == 2.0
 
 
 def test_instance_stores_its_values_as_the_reader_does():
