@@ -2,7 +2,7 @@
  * carpool_routes, the priced shortest route of every session, and
  * carpool_round, which closes the round that follows it: the dual
  * bound, the recovery, the transmission summary, the price step, the
- * gap, the trace row and the stop test.  Each runs in one call.
+ * gap and the stop test.  Each runs in one call.
  *
  * carpool_routes
  *
@@ -65,9 +65,9 @@
  * rate rates[t] and distance qdist[t] along the triple rows
  * rows[start[t]] .. rows[start[t + 1] - 1], each (session, row) at most
  * once; one call closes the round.  carpool.solver._round is this
- * function in numpy, with the same status codes, on the same buffers
- * but keys and bins, and it makes the same IEEE operations in the same
- * order, so both leave the same bits in every other buffer:
+ * function in numpy, with the same status codes but -3, on the same
+ * buffers but keys and bins, and it makes the same IEEE operations in
+ * the same order, so both leave the same bits in every other buffer:
  *   - it sets q, the round's dual bound, to the sum of rates[t] *
  *     qdist[t], added from +0.0 in session order, and raises best to q
  *     when q is larger;
@@ -94,9 +94,9 @@
  *     work[fwd[k]] and work[rev[k]] keep its prices from before the
  *     step, the ones the round was routed at; each row is in one pair
  *     at most;
- *   - it sets gap = (expanded - best) / (best > 1 ? best : 1) and
- *     writes the row (alpha, q, best, expanded, gap) of the trace at
- *     trace[5 * ntrace], then counts it in ntrace;
+ *   - it sets gap = (expanded - best) / (best > 1 ? best : 1); alpha,
+ *     q, best, expanded and gap are the round's trace row, which the
+ *     caller keeps;
  *   - when gap <= tol, the round certifies: it puts the routed prices
  *     back from work into p, pair by pair, and returns 1.
  * The larger and smaller of two doubles are taken as np.maximum and
@@ -115,18 +115,17 @@
  * call's own buffers, the route search's under solve() and the
  * simulator's under the twin, bound again only when the call returns
  * other arrays, so no route is copied between the two calls.  keys and
- * bins have room for cap entries, and nkeys of them are in use; the
- * trace has room for tcap rows, and ntrace of them are written.
+ * bins have room for cap entries, and nkeys of them are in use.
  * It returns 1 when the round certifies, 0 when it does not, or
  *   -1 when memory runs out;
- *   -3 when the merged keys would not fit cap or the trace is full,
- *      which the caller mends by growing them and calling again (_round
- *      only on a full trace);
+ *   -3 when the merged keys would not fit cap, which the caller mends by
+ *      growing keys and bins and calling again (_round, which keeps no
+ *      keys, never returns it);
  *   -5 when start[0] is not 0, start falls, start[ns] exceeds nrows or
  *      a row is out of range;
  *   -6 when q is not finite, which it leaves in the frame;
- *   -7 when expanded is not finite, after the price step and with no
- *      trace row written.
+ *   -7 when expanded is not finite, after the price step and before the
+ *      gap.
  * -5 comes before q is summed; on -1, -3 and -6 only q has changed.
  */
 
@@ -332,8 +331,6 @@ typedef struct {
     double *z;                   /* nn */
     double *p, *work;            /* nt */
     const double *ncost;         /* nn */
-    double *trace;               /* 5 * tcap: a row per round */
-    int64_t ntrace, tcap;
     double tol;
     double best;                 /* the largest dual bound so far */
     double q, expanded, gap;     /* written: the round's bound, cost, gap */
@@ -353,7 +350,7 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha)
 {
     const int64_t ns = r->ns, nt = r->nt, *start = r->start, *rows = r->rows;
     const int64_t *fwd = r->fwd, *rev = r->rev;
-    double *sums = r->sums, *work = r->work, *p = r->p, *row;
+    double *sums = r->sums, *work = r->work, *p = r->p;
     int64_t fresh = 0, *fkeys = NULL, *fbins = NULL;
     double dn = (double)n, half = 0.5 * alpha, q = 0.0, e = 0.0, best, gap;
     if (start[0] != 0 || start[ns] > r->nrows)
@@ -372,7 +369,7 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha)
     r->q = q;
     if (!isfinite(q))
         return -6;
-    if (fresh > r->cap - r->nkeys || r->ntrace >= r->tcap)
+    if (fresh > r->cap - r->nkeys)
         return -3;
     if (fresh) {
         fkeys = malloc(2 * fresh * sizeof *fkeys);
@@ -446,17 +443,11 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha)
     }
     if (!isfinite(e))
         return -7;
-    /* the gap and the trace row; a gap within tol certifies the round,
-       at the prices it was routed at */
+    /* the gap; a gap within tol certifies the round, at the prices it was
+       routed at */
     best = r->best;
     gap = (e - best) / (best > 1.0 ? best : 1.0);
     r->gap = gap;
-    row = r->trace + 5 * r->ntrace++;
-    row[0] = alpha;
-    row[1] = q;
-    row[2] = best;
-    row[3] = e;
-    row[4] = gap;
     if (!(gap <= r->tol))
         return 0;
     for (int64_t k = 0; k < r->npairs; k++) {

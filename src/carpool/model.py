@@ -497,10 +497,9 @@ class TripleIndex:
     key: np.ndarray
     tail: np.ndarray         # pair index of (v, i)
     head: np.ndarray         # pair index of (i, w)
-    cost: np.ndarray         # c of the middle node, per triple
     pair_fwd: np.ndarray     # triple rows with v < w, one per unordered pair
     pair_rev: np.ndarray     # row of (w, i, v) of each pair_fwd row
-    pair_cost: np.ndarray
+    pair_cost: np.ndarray    # c of the middle node of each pair
     pair_mid: np.ndarray     # middle node of each pair_fwd row
     out_lo: np.ndarray       # first row of each pair's arcs
     out_hi: np.ndarray       # one past the last row of each pair's arcs
@@ -543,14 +542,13 @@ def enumerate_triples(g: ExpandedGraph) -> TripleIndex:
     v, w, ev, ew = v[keep], w[keep], ev[keep], ew[keep]
     mid = tails[ev]
     key = (mid * n + v) * n + w
-    cost = g.costs[mid]
     pair_fwd = np.nonzero(v < w)[0]
     fv, fw, pair_mid = ev[pair_fwd], ew[pair_fwd], mid[pair_fwd]
     # (w, i, v) is the candidate of pair (i, w) at v's place in i's list
     pair_rev = ends[first[fw] + fv - indptr[pair_mid]]
     # the arcs leaving pair (v, i) are the kept candidates of pair (i, v)
-    return TripleIndex(n, v, mid, w, key, rev[ev], ew, cost, pair_fwd,
-                       pair_rev, cost[pair_fwd], pair_mid,
+    return TripleIndex(n, v, mid, w, key, rev[ev], ew, pair_fwd, pair_rev,
+                       g.costs[pair_mid], pair_mid,
                        ends[first[rev]], ends[(first + d)[rev]])
 
 

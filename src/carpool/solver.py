@@ -16,17 +16,17 @@ price_ascent is the one copy of this loop, price step included: solve()
 runs it on the route search, and the message-passing twin on its
 neighbour messages, so both give the same bits.  After the routes, one
 call of the round closes it: the dual bound, the recovery, the
-transmission summary, its expanded cost, the price step, the gap, the
-trace row and the stop test.  The round is the compiled kernel's
-carpool_round (_subproblem.c), or, without the kernel, _round, its
-contract in numpy, which runs transmission_summary, total_cost and
-subgradient_step with the same IEEE operations in the same order but
-keeps no index of the entries that carry flow, which only the kernel needs.
-Either front end's route call returns its own buffers, the same three
-arrays every round, and the round reads the routes in them, so no route
-is copied between the two calls.  What stays in Python per round is the
-loop step, the route call and the round call; the trace's lists are
-built once, when the loop ends.
+transmission summary, its expanded cost, the price step, the gap and
+the stop test.  The round is the compiled kernel's carpool_round
+(_subproblem.c), or, without the kernel, _round, its contract in numpy,
+which runs transmission_summary, total_cost and subgradient_step with
+the same IEEE operations in the same order but keeps no index of the
+entries that carry flow, which only the kernel needs.  Either front
+end's route call returns its own buffers, the same three arrays every
+round, and the round reads the routes in them, so no route is copied
+between the two calls.  What stays in Python per round is the loop
+step, the route call, the round call and the trace row, which the loop
+reads from the round's frame and keeps; the round writes no trace.
 """
 
 from __future__ import annotations
@@ -103,7 +103,11 @@ class Solution:
 
 def init_prices(idx: TripleIndex) -> PriceVector:
     """Start every pair at an even split of its relay's broadcast cost."""
-    return PriceVector(0.5 * idx.cost)
+    half = 0.5 * idx.pair_cost
+    p = np.empty(len(idx))
+    p[idx.pair_fwd] = half  # every row is in exactly one pair
+    p[idx.pair_rev] = half
+    return PriceVector(p)
 
 
 def subgradient_step(p: PriceVector, agg: np.ndarray, alpha: float,
@@ -146,8 +150,7 @@ class _RoundState(ctypes.Structure):
                 + [(name, ctypes.c_int64) for name in ("nkeys", "cap")]
                 + [(name, ctypes.c_void_p) for name in (
                     "fwd", "rev", "mid", "cost", "y", "z", "p", "work",
-                    "ncost", "trace")]
-                + [(name, ctypes.c_int64) for name in ("ntrace", "tcap")]
+                    "ncost")]
                 + [(name, ctypes.c_double) for name in ("tol", "best", "q",
                                                         "expanded", "gap")])
 
@@ -155,8 +158,8 @@ class _RoundState(ctypes.Structure):
 def _round(state: _LoopState, n: int, alpha: float) -> int:
     """carpool_round in numpy, which runs when the kernel cannot be built
     or loaded: the arrays that state binds in its frame but keys and bins,
-    and the same status codes, 1, 0, -3 (only for a full trace), -5, -6
-    or -7, with nothing changed on -5 and nothing but frame.q on -3 and
+    and the same status codes but -3, as it keeps no keys to fill: 1, 0,
+    -5, -6 or -7, with nothing changed on -5 and nothing but frame.q on
     -6.  It calls transmission_summary, total_cost and subgradient_step by
     this module's names."""
     frame, idx, start = state.frame, state.idx, state.start
@@ -172,8 +175,6 @@ def _round(state: _LoopState, n: int, alpha: float) -> int:
     frame.q = q
     if not math.isfinite(q):
         return -6
-    if frame.ntrace >= frame.tcap:
-        return -3
     if q > frame.best:
         frame.best = q
     values = state.rates.repeat(counts)
@@ -198,8 +199,6 @@ def _round(state: _LoopState, n: int, alpha: float) -> int:
     if not math.isfinite(cost):
         return -7
     frame.gap = gap = (cost - best) / (best if best > 1.0 else 1.0)
-    state.trace_rows[frame.ntrace] = alpha, q, best, cost, gap
-    frame.ntrace += 1
     if not gap <= frame.tol:
         return 0
     for pairs in (idx.pair_fwd, idx.pair_rev):
@@ -210,7 +209,7 @@ def _round(state: _LoopState, n: int, alpha: float) -> int:
 class _LoopState:
     """The rounds of price_ascent on the prices p, which it steps in place:
     from a round's routes, its dual bound, the recovery, the bounds, the
-    trace and the stop decision, and the price step.
+    stop decision and the price step, and the trace.
 
     sums[t] is session t's flow summed over the rounds so far, and
     sums[t] / n its recovered flow after round n.  The transmission
@@ -224,14 +223,15 @@ class _LoopState:
     A round is one call of fn, which closes it: the compiled kernel's
     round on ref, the address of frame, or without the kernel _round on
     ref, this state.  Either reads and writes the arrays bound once in
-    frame.  It sums the dual bound from the distances qdist, raises the
-    best bound in frame.best, does the recovery, the summary, its
-    expanded cost and the price step, and writes the gap and the round's
-    trace row, (alpha, q, best, cost, gap), into trace_rows; a round whose
-    gap is within tol puts back the prices it was routed at, which it
-    left in work, and returns 1.  trace_rows, and under the compiled
-    round the keys and bins it fills, grow when the round says they are
-    full.
+    frame.  It sums the dual bound from the distances qdist into frame.q,
+    raises the best bound in frame.best, does the recovery, the summary,
+    its expanded cost and the price step, and sets the gap in frame.gap;
+    a round whose gap is within tol puts back the prices it was routed
+    at, which it left in work, and returns 1.  The compiled round's keys
+    and bins grow when it says they are full (-3), and it is called again.
+    After every call that closes a round, ingest appends the round's
+    trace row, (alpha, q, best, expanded cost, gap), read from the frame,
+    to trace_rows; a round that raises appends none.
     qdist, start and rows are the routes of the last round, arrays of the
     route call's own, which ingest binds when they are not the ones bound
     last; the state owns no route buffer and copies no route.
@@ -246,11 +246,10 @@ class _LoopState:
         self.flat_sums = self.sums.reshape(-1)  # a view of sums
         # doubles whatever the rates' type: the kernel reads them as such
         self.rates = np.array([s.rate for s in sessions], dtype=np.float64)
-        # bins: keys % T; they and the trace rows, one per round, (alpha,
-        # q, best, cost, gap), start with room and double when full
+        # bins: keys % T; they start with room and grow when full
         self.keys = np.zeros(64, dtype=np.int64)
         self.bins = np.zeros(64, dtype=np.int64)
-        self.trace_rows = np.zeros((64, 5))
+        self.trace_rows = []  # (alpha, q, best, expanded cost, gap) a round
         self.summary = TransmissionSummary(idx, np.zeros(pairs),
                                            np.zeros(g.n_nodes))
         # the pair arrays, the costs and the prices come from outside, and
@@ -273,12 +272,12 @@ class _LoopState:
                   "rev": idx.pair_rev, "mid": idx.pair_mid,
                   "cost": idx.pair_cost, "y": self.summary.y,
                   "z": self.summary.z, "p": p.values, "work": self.work,
-                  "ncost": g.costs, "trace": self.trace_rows}
+                  "ncost": g.costs}
         # the frame holds addresses only; self, g, idx and p keep the
         # arrays
         self.frame = _RoundState(
             len(sessions), T, pairs, g.n_nodes, cap=len(self.keys),
-            tcap=len(self.trace_rows), tol=cfg.tol, best=-math.inf,
+            tol=cfg.tol, best=-math.inf,
             **{name: a.ctypes.data for name, a in arrays.items()})
         self.fn, self.ref = ((_round, self) if kernel is None
                              else (kernel.round, ctypes.addressof(self.frame)))
@@ -290,8 +289,9 @@ class _LoopState:
         rate on the triple rows rows[start[t]:start[t + 1]], each
         (session, triple) at most once, and the rows past start[-1] are
         free room.  True means the gap certificate is in hand."""
+        frame = self.frame
         if routes is not self.routes:  # new arrays: check and bind them
-            frame, i64 = self.frame, np.dtype(np.int64)
+            i64 = np.dtype(np.int64)
             for a, dtype, size in zip(routes, (edge_graph.F64, i64, i64),
                                       (frame.ns, frame.ns + 1, None)):
                 edge_graph._check_array(a, dtype)
@@ -304,45 +304,39 @@ class _LoopState:
                                                     for a in routes)
             frame.nrows = len(self.rows)
         status = self.fn(self.ref, n, alpha)
+        if status == -3:  # full keys, and nothing changed: grow, call again
+            self._grow()
+            status = self.fn(self.ref, n, alpha)
         if status < 0:
-            if status == -3:  # it changed nothing: grow, and close it again
-                self._grow()
-                status = self.fn(self.ref, n, alpha)
             if status in (-6, -7):
-                name, value = (("dual bound", self.frame.q) if status == -6
-                               else ("recovered cost", self.frame.expanded))
+                name, value = (("dual bound", frame.q) if status == -6
+                               else ("recovered cost", frame.expanded))
                 raise NonFiniteError(
                     f"iteration {n}: {name} is {value!r}; costs or rates "
                     f"are too large for float arithmetic")
-            if status < 0:
-                raise RuntimeError(f"round failed with status {status}")
+            raise RuntimeError(f"round failed with status {status}")
+        self.trace_rows.append((alpha, frame.q, frame.best, frame.expanded,
+                                frame.gap))
         return status == 1
 
     def _grow(self) -> None:
-        """Double keys and bins under the compiled round, unless they have
-        room for every row of the round to be a new key, and the trace
-        rows, if they are full."""
+        """Grow the compiled round's keys and bins, which it found full, to
+        twice the keys in use and a new key for every row of the round."""
         frame = self.frame
         used, m = frame.nkeys, int(self.start[-1])
-        # ref is this state only under _round, which keeps no keys
-        if self.ref is not self and used + m > frame.cap:
-            for name in ("keys", "bins"):
-                a = np.empty(2 * (used + m), dtype=np.int64)
-                a[:used] = getattr(self, name)[:used]
-                setattr(self, name, a)
-                setattr(frame, name, a.ctypes.data)
-            frame.cap = len(a)
-        if frame.ntrace >= frame.tcap:
-            rows = np.zeros((2 * frame.tcap, 5))
-            rows[:frame.ntrace] = self.trace_rows[:frame.ntrace]
-            self.trace_rows, frame.trace = rows, rows.ctypes.data
-            frame.tcap = len(rows)
+        for name in ("keys", "bins"):
+            a = np.empty(2 * (used + m), dtype=np.int64)
+            a[:used] = getattr(self, name)[:used]
+            setattr(self, name, a)
+            setattr(frame, name, a.ctypes.data)
+        frame.cap = len(a)
 
     @property
     def trace(self) -> SolveTrace:
         """The trace of the rounds so far; row i is round i + 1's."""
-        rows = self.trace_rows[:self.frame.ntrace]
-        return SolveTrace(list(range(1, len(rows) + 1)), *rows.T.tolist())
+        rows = self.trace_rows
+        return SolveTrace(list(range(1, len(rows) + 1)),
+                          *map(list, zip(*rows)))
 
     def solution(self, iterations: int) -> Solution:
         """The solution after iterations rounds, the last: the state's
@@ -382,8 +376,8 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     so the route search and the twin, which return the same three every
     round, are bound once a solve.  A round is that call and one call of
     the state's ingest, which closes the round in one call of the round
-    on the step size alpha = step_a / n (the trace records it too): it
-    moves the prices on the round's flow per triple unless the round
+    on the step size alpha = step_a / n, and keeps the round's trace row:
+    the round moves the prices on its flow per triple unless it
     certifies.  The step writes the new prices over p.values: one array
     holds the prices for the whole solve and ends as the solution's, so
     route may read p only while it runs.  The twin copies p.values with

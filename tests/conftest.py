@@ -53,8 +53,8 @@ def loop_kernels(request):
 def count_rounds():
     """count_rounds(kernel, calls): kernel, the calls of its round that
     closed a round counted in calls["round"], or None for None.  A call
-    that finds the keys or the trace full (-3) changes nothing, and the
-    loop calls again once they have grown."""
+    that finds the keys full (-3) changes nothing, and the loop calls
+    again once they have grown."""
     def wrap(kernel, calls):
         if kernel is None:
             return None

@@ -72,7 +72,6 @@ class ReferenceTriples:
     mid: np.ndarray
     w: np.ndarray
     rev: np.ndarray
-    cost: np.ndarray
     pair_fwd: np.ndarray
     pair_rev: np.ndarray
     pair_cost: np.ndarray
@@ -122,8 +121,8 @@ def enumerate_triples_reference(g) -> ReferenceTriples:
     pair_fwd = np.nonzero(varr < warr)[0]
     pair_rev = rev[pair_fwd]
     pair_cost = cost[pair_fwd]
-    return ReferenceTriples(triples, index, varr, marr, warr, rev, cost,
-                            pair_fwd, pair_rev, pair_cost)
+    return ReferenceTriples(triples, index, varr, marr, warr, rev, pair_fwd,
+                            pair_rev, pair_cost)
 
 
 def ordered_pairs_reference(g) -> list[tuple[int, int]]:
@@ -465,7 +464,7 @@ def dominant_path(h, x: FlowVector, t: int) -> SessionPath:
                 f"{h.vertices[u]}")
         seen.append(u)
         trips.append(k)
-    weight = float(sum(h.idx.cost[k] for k in trips))
+    weight = float(sum(h.g.costs[h.idx.mid[k]] for k in trips))
     return SessionPath(x.session, [h.vertices[v] for v in seen], weight,
                        trips)
 
@@ -502,8 +501,10 @@ def validate_prices(p: PriceVector, idx, tol: float = 1e-12) -> None:
     if p.shape != (len(idx),):
         raise ValueError(f"price vector has shape {p.shape}, "
                          f"expected ({len(idx)},)")
+    cost = np.empty(len(idx))  # each row's pair cost
+    cost[idx.pair_fwd] = cost[idx.pair_rev] = idx.pair_cost
     lo = p < -tol
-    hi = p > idx.cost + tol
+    hi = p > cost + tol
     if lo.any() or hi.any():
         k = int(np.argmax(lo | hi))
         raise ValueError(
@@ -687,7 +688,6 @@ def pair_network(c):
     edges = [(j, m + 2 * j + e) for j in range(m) for e in (0, 1)]
     idx = enumerate_triples(build_expanded_graph(Instance(nodes, edges, [])))
     assert idx.mid[idx.pair_fwd].tolist() == list(range(m))
-    idx.cost = raw[idx.mid]
     idx.pair_cost = raw[idx.mid[idx.pair_fwd]]
     return idx
 

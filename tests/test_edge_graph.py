@@ -40,14 +40,15 @@ def unit_instance(n, edges, sessions=()):
     return Instance([Node(i, 1.0) for i in range(n)], edges, list(sessions))
 
 
-def pinned_prices(idx, fixed):
+def pinned_prices(g, idx, fixed):
     """Half-cost everywhere except explicitly fixed triples (+complement)."""
-    vals = 0.5 * idx.cost.astype(float)
+    cost = g.costs[idx.mid]
+    vals = 0.5 * cost
     row = index_of(idx)
     for trip, price in fixed.items():
         k = row[trip]
         vals[k] = price
-        vals[rev_of(idx)[k]] = idx.cost[k] - price
+        vals[rev_of(idx)[k]] = cost[k] - price
     return PriceVector(vals)
 
 
@@ -184,8 +185,8 @@ def test_price_dominates_hop_count():
     tri = unit_instance(3, [(0, 1), (0, 2), (1, 2)],
                         [Session("s1", 0, 2, 1.0)])
     g, idx, h = graph_parts(tri)
-    p = pinned_prices(idx, {(3, 0, 2): 1.0, (3, 0, 1): 0.0,
-                            (0, 1, 2): 0.0, (1, 2, 4): 0.0})
+    p = pinned_prices(g, idx, {(3, 0, 2): 1.0, (3, 0, 1): 0.0,
+                               (0, 1, 2): 0.0, (1, 2, 4): 0.0})
     sp = shortest_path(h, p, 0)
     assert sp.vertices == [(3, 0), (0, 1), (1, 2), (2, 4)]
     assert sp.weight == 0.0

@@ -127,7 +127,6 @@ def test_reversal_and_pair_tables(relay3_parts):
     for k, (v, i, w) in enumerate(triples):
         assert triples[rev[k]] == (w, i, v)
         assert rev[rev[k]] == k
-        assert idx.cost[k] == g.costs[i]
         assert pair_row_of_triple[k] == pair_row_of_triple[int(rev[k])]
     for row in range(len(idx.pair_fwd)):
         assert rev[idx.pair_fwd[row]] == idx.pair_rev[row]
@@ -143,7 +142,11 @@ def test_triple_set_properties_on_random_graphs(data):
     edges = data.draw(st.lists(st.sampled_from(possible), min_size=1,
                                max_size=len(possible), unique=True))
     g = build_expanded_graph(unit_instance(n, edges))
-    triples = triples_of(enumerate_triples(g))
+    idx = enumerate_triples(g)
+    triples = triples_of(idx)
+    # each row is in exactly one pair, forward or reverse
+    assert sorted(np.concatenate([idx.pair_fwd, idx.pair_rev]).tolist()) \
+        == list(range(len(idx)))
     seen = set(triples)
     assert len(seen) == len(triples)
     deg = {i: len(neighbours(g, i)) for i in range(n)}
@@ -258,8 +261,7 @@ def test_array_model_equals_the_loop_reference_bit_for_bit(case):
     ref = enumerate_triples_reference(g)
     assert triples_of(idx) == ref.triples
     assert index_of(idx) == ref.index
-    for name in ("v", "mid", "w", "cost", "pair_fwd", "pair_rev",
-                 "pair_cost"):
+    for name in ("v", "mid", "w", "pair_fwd", "pair_rev", "pair_cost"):
         a, b = getattr(idx, name), getattr(ref, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     rev = rev_of(idx)
@@ -300,8 +302,7 @@ def test_triples_equal_the_loop_reference_on_large_draws(side, intensity,
     want = {"key": (ref.mid * n + ref.v) * n + ref.w,
             "tail": np.array([pair_of[v, i] for v, i, _ in ref.triples]),
             "head": np.array([pair_of[i, w] for _, i, w in ref.triples])}
-    for name in ("v", "mid", "w", "cost", "pair_fwd", "pair_rev",
-                 "pair_cost"):
+    for name in ("v", "mid", "w", "pair_fwd", "pair_rev", "pair_cost"):
         want[name] = getattr(ref, name)
     assert len(idx) == len(ref.triples) > 10000
     for name, b in want.items():
@@ -331,7 +332,7 @@ def test_opposite_sessions_share_the_middle_broadcast(relay3_parts):
     assert list(summ.y) == [1.0] * 5
     assert list(summ.z) == [2.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
     assert total_cost(summ, g) == (5.0, 3.0)
-    assert float(np.dot(idx.cost, flows[0].values)) == 3.0
+    assert float(np.dot(g.costs[idx.mid], flows[0].values)) == 3.0
 
 
 def test_one_direction_pays_alone(relay3_parts):

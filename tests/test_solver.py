@@ -522,15 +522,20 @@ def round_inputs(draw):
 
 def round_bytes(state):
     """Every byte that either round may write: the sums, y, z, work, the
-    prices and the trace rows in use, and the trace count, bounds, cost
-    and gap in the frame but the dual bound q.  The compiled round's key
-    index is left to assert_key_index."""
+    prices, and the best bound, cost and gap in the frame, but the dual
+    bound q.  The compiled round's key index is left to
+    assert_key_index."""
     frame = state.frame
     return [a.tobytes() for a in (
         state.sums, state.summary.y, state.summary.z, state.work,
-        state.p.values, state.trace_rows[:frame.ntrace],
-        np.array([frame.ntrace]),
-        np.array([frame.best, frame.expanded, frame.gap]))]
+        state.p.values, np.array([frame.best, frame.expanded, frame.gap]))]
+
+
+def trace_hexes(trace):
+    """A trace's round numbers, and its other columns by float.hex."""
+    return trace.iters, [[v.hex() for v in getattr(trace, name)] for name
+                         in ("alphas", "dual_bounds", "best_bounds",
+                             "recovered_costs", "rel_gaps")]
 
 
 def assert_key_index(state):
@@ -546,11 +551,12 @@ def assert_key_index(state):
 def test_compiled_and_numpy_rounds_agree(kernel, inputs):
     """Round for round, the compiled round and _round leave the same
     bytes in the sums, y, z, work and the prices, the dual bound, the
-    best bound, the gap and the trace rows, and certify or raise alike,
-    the round that raises too.  A round that certifies puts back the
-    prices it was routed at, and one whose dual bound is not finite
-    changes nothing but the bound in the frame.  The compiled round's
-    keys index the entries that carry flow, and _round keeps none."""
+    best bound and the gap, and so the loop the same trace rows, and
+    certify or raise alike, the round that raises too.  A round that
+    certifies puts back the prices it was routed at, and one whose dual
+    bound is not finite changes nothing but the bound in the frame.  The
+    compiled round's keys index the entries that carry flow, and _round
+    keeps none."""
     g, idx, prices, rounds = inputs
     cfg = SolverConfig(tol=1e-2)
     states = [_LoopState(g, idx, cfg, PriceVector(np.array(prices)), k)
@@ -571,7 +577,8 @@ def test_compiled_and_numpy_rounds_agree(kernel, inputs):
                     assert round_bytes(state) == before
             assert outcome[0] == outcome[1]
             got, want = (round_bytes(state) + [
-                np.float64(state.frame.q).tobytes()] for state in states)
+                np.float64(state.frame.q).tobytes(),
+                np.array(state.trace_rows).tobytes()] for state in states)
             assert got == want
             assert_key_index(states[0])
             assert states[1].frame.nkeys == 0
@@ -583,9 +590,9 @@ def test_compiled_and_numpy_rounds_agree(kernel, inputs):
 def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
         form, grid2, request):
     """Either round returns -5 on a bad start or row, which ingest raises,
-    and -3 when the trace is full, and leaves every byte of its state as
-    it was; the compiled round also returns -3 when the new keys would
-    not fit cap, and _round, which keeps no keys, closes that round."""
+    and leaves every byte of its state as it was; the compiled round also
+    returns -3 when the new keys would not fit cap, changing nothing, and
+    _round, which keeps no keys, closes that round."""
     kernel = request.getfixturevalue("kernel") if form == "C" else None
     g = build_expanded_graph(grid2)
     idx = enumerate_triples(g)
@@ -608,14 +615,10 @@ def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
             state.ingest(2, 0.5, (np.zeros(2), np.array(start),
                                   np.array(rows)))
         assert snapshot() == before
-    # two new keys, room for them, and none for the trace row
+    # two new keys, and no room for them
     state.start[:] = [0, 1, 2]
     state.rows[:2] = [5, 9]
-    tcap, state.frame.tcap = state.frame.tcap, state.frame.ntrace
-    assert state.fn(state.ref, 2, 0.5) == -3
-    assert snapshot() == before and state.frame.ntrace == 1
-    # room for the trace row, and none for the keys
-    state.frame.tcap, state.frame.cap = tcap, state.frame.nkeys
+    state.frame.cap = state.frame.nkeys
     assert state.fn(state.ref, 2, 0.5) == (-3 if form == "C" else 0)
     assert (snapshot() == before) == (form == "C")
 
@@ -640,19 +643,86 @@ def small_networks(draw):
          for t in range(draw(st.integers(1, 3)))])
 
 
-def squeeze(state, trace):
-    """Cut the keys and bins of state, and if trace its trace rows, to the
-    entries in use, and bind the cut arrays, so that the round finds them
-    full and a write past their end leaves the array."""
+def squeeze(state):
+    """Cut the keys and bins of state to the entries in use, and bind the
+    cut arrays, so that the compiled round finds them full and a write
+    past their end leaves the array."""
     frame = state.frame
     state.keys, state.bins = (a[:frame.nkeys].copy()
                               for a in (state.keys, state.bins))
     frame.keys, frame.bins = state.keys.ctypes.data, state.bins.ctypes.data
     frame.cap = frame.nkeys
-    if trace:
-        state.trace_rows = state.trace_rows[:frame.ntrace].copy()
-        frame.trace = state.trace_rows.ctypes.data
-        frame.tcap = frame.ntrace
+
+
+def close_rounds(g, idx, search, kernel, rounds):
+    """Close up to rounds rounds on search's routes in two loop states on
+    kernel's round, one with room and one with none for a new key before
+    every round, and in the dense loop.  Round for round they certify or
+    raise alike and keep the same trace by float.hex, a round that raises
+    adding no row, and the two states leave the same bytes; the one
+    without room is called twice when the compiled round makes a key.
+    After rounds rounds that neither certify nor raise, a round on a row
+    out of range raises changing nothing.  The last round's number and
+    outcome: True, False or the NonFiniteError message."""
+    T, cfg = len(idx), SolverConfig(tol=1e-12)
+    states = [_LoopState(g, idx, cfg, init_prices(idx), kernel)
+              for _ in range(2)]
+    roomy, tight = states
+    calls = {id(state): [] for state in states}
+    for state in states:
+        def recorded(*args, _fn=state.fn, _calls=calls[id(state)]):
+            _calls.append(_fn(*args))
+            return _calls[-1]
+        state.fn = recorded
+    dense = DenseLoopState(g, idx, cfg, SolveTrace())
+    with np.errstate(all="ignore"):
+        for n in range(1, rounds + 1):
+            squeeze(tight)
+            used = tight.frame.nkeys
+            outcome = []
+            for state in states:
+                calls[id(state)].clear()
+                try:
+                    outcome.append(state.ingest(
+                        n, 1.0 / n, search.run(state.p.values)))
+                except NonFiniteError as exc:
+                    outcome.append(str(exc))
+            qdist, start, rows = search.routes
+            q, flows = 0.0, []
+            for t, s in enumerate(g.base.sessions):
+                q = q + s.rate * float(qdist[t])
+                f = np.zeros(T)
+                f[rows[start[t]:start[t + 1]]] = s.rate
+                flows.append(FlowVector(s.sid, f))
+            try:
+                outcome.append(dense.ingest(n, flows, q))
+            except NonFiniteError as exc:
+                outcome.append(str(exc))
+            assert outcome[0] == outcome[1] == outcome[2]
+            for state in states:
+                assert trace_hexes(state.trace) == trace_hexes(dense.trace)
+            # the state that had room never found its keys full; the
+            # other did when the compiled round made a key, unless its
+            # dual bound was not finite, which comes first
+            first = calls[id(roomy)]
+            full = tight.frame.nkeys > used
+            assert -3 not in first
+            assert calls[id(tight)] == (
+                [-3] + first if full and first != [-6] else first)
+            assert round_bytes(roomy) == round_bytes(tight)
+            if kernel is not None:
+                assert_key_index(roomy)
+                assert_key_index(tight)
+            if outcome[0] is not False:  # certified, or raised
+                break
+        else:
+            qdist, start, rows = routes_copied(search, roomy.p.values)
+            rows[0] = T
+            before = round_bytes(roomy)
+            with pytest.raises(RuntimeError, match="status -5"):
+                roomy.ingest(rounds + 1, 0.5, (qdist, start, rows))
+            assert round_bytes(roomy) == before
+    return n, outcome[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,11 +736,13 @@ def test_both_entry_points_grow_and_refuse_on_random_graphs(
     reached, so no route needs a row), and, compiled, -5 when a range is
     made bad in place after the search was built (its Python form relies
     on the constructor's checks); either way the next search gives the
-    same routes.  A round whose keys or trace are full returns -3, and
+    same routes.  A compiled round whose keys are full returns -3, and
     once they have grown gives the bytes of a round that had room; a round
     refuses a row out of range (-5) changing nothing, and raises on a
     dual bound (-6) or a recovered cost (-7) that is not finite at the
-    round where the dense loop does."""
+    round where the dense loop does.  After every round, the one that
+    certifies and the one that raises too, the loop's trace is the dense
+    loop's by float.hex: a round that raises adds no row."""
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     T, nv = len(idx), len(idx.out_lo)
@@ -701,64 +773,38 @@ def test_both_entry_points_grow_and_refuse_on_random_graphs(
             graph[which][at] = kept
         got = routes_copied(search, w)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        # one state with room, and one with none for a new key before
-        # every round, nor for a trace row before every second round
-        states = [_LoopState(g, idx, cfg, init_prices(idx), kernel)
-                  for _ in range(2)]
-        roomy, tight = states
-        calls = {id(state): [] for state in states}
-        for state in states:
-            def recorded(*args, _fn=state.fn, _calls=calls[id(state)]):
-                _calls.append(_fn(*args))
-                return _calls[-1]
-            state.fn = recorded
-        dense = DenseLoopState(g, idx, cfg, SolveTrace())
-        with np.errstate(all="ignore"):
-            for n in range(1, rounds + 1):
-                squeeze(tight, trace=n % 2 == 0)
-                used, full = (tight.frame.nkeys,
-                              tight.frame.ntrace == tight.frame.tcap)
-                outcome = []
-                for state in states:
-                    calls[id(state)].clear()
-                    try:
-                        outcome.append(state.ingest(
-                            n, 1.0 / n, search.run(state.p.values)))
-                    except NonFiniteError as exc:
-                        outcome.append(str(exc))
-                qdist, start, rows = search.routes
-                q, flows = 0.0, []
-                for t, s in enumerate(inst.sessions):
-                    q = q + s.rate * float(qdist[t])
-                    f = np.zeros(T)
-                    f[rows[start[t]:start[t + 1]]] = s.rate
-                    flows.append(FlowVector(s.sid, f))
-                try:
-                    outcome.append(dense.ingest(n, flows, q))
-                except NonFiniteError as exc:
-                    outcome.append(str(exc))
-                assert outcome[0] == outcome[1] == outcome[2]
-                # the state that had room never found a buffer full; the
-                # other did when the round made a key or a trace row,
-                # unless its dual bound was not finite, which comes first
-                first = calls[id(roomy)]
-                full = full or tight.frame.nkeys > used
-                assert -3 not in first
-                assert calls[id(tight)] == (
-                    [-3] + first if full and first != [-6] else first)
-                assert round_bytes(roomy) == round_bytes(tight)
-                if kernel is not None:
-                    assert_key_index(roomy)
-                    assert_key_index(tight)
-                if outcome[0] is not False:  # certified, or raised
-                    break
-            else:
-                qdist, start, rows = routes_copied(search, roomy.p.values)
-                rows[0] = T
-                before = round_bytes(roomy)
-                with pytest.raises(RuntimeError, match="status -5"):
-                    roomy.ingest(rounds + 1, 0.5, (qdist, start, rows))
-                assert round_bytes(roomy) == before
+        close_rounds(g, idx, search, kernel, rounds)
+
+
+# Path networks of node costs and sessions (source, dest, rate) whose
+# rounds end as given, by the round that ends them
+ENDING_ROUNDS = {
+    "certified": ([1.0, 1.0, 1.0], [(0, 2, 1.0)], 2, True),
+    "dual bound": ([0.5, 3.7, 0.5], [(0, 2, 1e308)], 1,
+                   "iteration 1: dual bound is inf"),
+    "recovered cost": ([0.5, 0.5, 0.5], [(0, 2, 0.5), (2, 0, 1e308)], 2,
+                       "iteration 2: recovered cost is inf"),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDING_ROUNDS))
+def test_rounds_that_certify_or_raise_keep_the_dense_trace(ending,
+                                                           loop_kernels):
+    """close_rounds on a round that certifies, one whose dual bound is
+    not finite (-6) and one whose recovered cost is not finite (-7), each
+    after as many rounds as ENDING_ROUNDS gives."""
+    costs, sessions, last, outcome = ENDING_ROUNDS[ending]
+    g = build_expanded_graph(Instance(
+        [Node(j, c) for j, c in enumerate(costs)],
+        [(j, j + 1) for j in range(len(costs) - 1)],
+        [Session(f"s{t}", *s) for t, s in enumerate(sessions)]))
+    idx = enumerate_triples(g)
+    for kernel in loop_kernels:
+        search = edge_graph.RouteSearch(kernel, idx.out_lo, idx.out_hi,
+                                        idx.head, g.src_pair, g.dst_pair)
+        n, got = close_rounds(g, idx, search, kernel, 6)
+        assert n == last
+        assert got is True if outcome is True else got.startswith(outcome)
 
 
 # ------------------------------------------------------------- solve loop
@@ -938,13 +984,36 @@ def count_round_calls(kernel, monkeypatch):
 
 def test_a_relay3_solve_calls_the_round_once_a_round(relay3, loop_kernels,
                                                     monkeypatch):
-    """The keys, their rows and the trace start with room, so no round of
-    a small solve finds them full (-3) and is called again."""
+    """The keys and their rows start with room, so no round of a small
+    solve finds them full (-3) and is called again."""
     for kernel in loop_kernels:
         statuses = count_round_calls(kernel, monkeypatch)
         sol, trace = solve(relay3, SolverConfig(tol=1e-4))
         assert sol.iterations == len(trace) == 2
         assert statuses == [0, 1]
+
+
+def test_a_solve_with_roomy_keys_calls_the_round_once_a_round(
+        grid2, loop_kernels, monkeypatch):
+    """When the keys and bins have room for every (session, triple)
+    entry, no round of a 200-round solve finds anything full, under
+    either round, so each round is one call."""
+    class Roomy(_LoopState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            size = self.sums.size
+            self.keys, self.bins = (np.zeros(size, dtype=np.int64)
+                                    for _ in range(2))
+            self.frame.keys, self.frame.bins = (
+                a.ctypes.data for a in (self.keys, self.bins))
+            self.frame.cap = size
+
+    monkeypatch.setattr(solver, "_LoopState", Roomy)
+    for kernel in loop_kernels:
+        statuses = count_round_calls(kernel, monkeypatch)
+        sol, trace = solve(grid2, SolverConfig(tol=1e-12, max_iters=200))
+        assert sol.iterations == len(trace) == 200
+        assert statuses == [0] * 200
 
 
 @pytest.mark.parametrize("spoil", ["float32 distances", "short start",
@@ -982,10 +1051,10 @@ def test_bad_route_arrays_are_refused_before_the_round(
 
 def test_the_round_frame_holds_the_arrays_the_loop_holds(
         grid2, loop_kernels, monkeypatch):
-    """After a solve and a twin run that outgrow the first trace rows,
-    and, on the compiled round, the first keys and bins, every address in
-    the round's frame is that of the array the loop holds for it, and
-    every count its length.  Each front end's
+    """After a solve and a twin run that outgrow, on the compiled round,
+    the first keys and bins, every address in the round's frame is that
+    of the array the loop holds for it, and every count its length.  Each
+    front end's
     routes are its own three buffers, bound from the first round to the
     last: the route search's, and the Simulator's."""
     states, bound = [], []
@@ -1026,48 +1095,19 @@ def test_the_round_frame_holds_the_arrays_the_loop_holds(
                     "rev": idx.pair_rev, "mid": idx.pair_mid,
                     "cost": idx.pair_cost, "y": state.summary.y,
                     "z": state.summary.z, "p": state.p.values,
-                    "work": state.work, "ncost": g.costs,
-                    "trace": state.trace_rows}
+                    "work": state.work, "ncost": g.costs}
             assert set(held) == addresses
             for name, a in held.items():
                 assert getattr(frame, name) == a.ctypes.data, name
             assert frame.cap == len(state.keys) == len(state.bins)
-            # only the compiled round fills keys
-            assert frame.cap > 64 if kernel else frame.nkeys == 0
-            assert frame.tcap == len(state.trace_rows) > 64
+            # only the compiled round fills keys, and grows them
+            assert frame.cap > 64 if kernel else (frame.cap, frame.nkeys) \
+                == (64, 0)
             assert frame.nrows == len(state.rows)
             assert len(bound) == 150
             assert all(routes is buffers for routes, _ in bound)
             assert {at for _, at in bound} == \
                 {tuple(a.ctypes.data for a in buffers)}
-
-
-def test_the_numpy_round_grows_only_the_trace(monkeypatch):
-    """_round keeps no keys, so a solve on it whose trace fills in a round
-    of more rows than the keys have room for grows the trace rows alone:
-    the keys and bins keep their first 64 entries."""
-    inst = generate_geometric(GeometricConfig(side=6.0, intensity=2.0,
-                                              sessions=16, seed=1))
-    states, rows = [], {}
-
-    class Kept(_LoopState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            states.append(self)
-
-        def ingest(self, n, alpha, routes):
-            rows[n] = int(routes[1][-1])
-            return super().ingest(n, alpha, routes)
-
-    monkeypatch.setattr(solver, "_LoopState", Kept)
-    monkeypatch.setattr(edge_graph, "_load_kernel", lambda: None)
-    solve(inst, SolverConfig(tol=1e-12, max_iters=65))
-    state, = states
-    first = 64
-    assert state.frame.ntrace == 65 and len(state.trace_rows) > first
-    assert rows[first + 1] > first  # the round that found the trace full
-    assert len(state.keys) == len(state.bins) == state.frame.cap == first
-    assert state.frame.nkeys == 0
 
 
 # A solve whose trace took other bits under other OpenBLAS kernels while
@@ -1182,8 +1222,8 @@ def test_trace_alphas_are_step_a_over_n(grid2):
 
 
 def test_the_trace_grows_with_the_rounds_not_the_cap(relay3):
-    """The trace's buffer starts small and grows with the rounds run, so a
-    cap of 10**12 rounds sizes nothing."""
+    """The trace grows with the rounds run, so a cap of 10**12 rounds
+    sizes nothing."""
     cfg = SolverConfig(max_iters=10**12)
     solve(relay3, cfg)  # the kernel is built and loaded before the count
     tracemalloc.start()
@@ -1196,25 +1236,16 @@ def test_the_trace_grows_with_the_rounds_not_the_cap(relay3):
     assert peak < 1 << 20
 
 
-def test_a_trace_past_the_first_buffer_is_the_same_on_every_path(
-        grid2, loop_kernels, monkeypatch):
-    """A solve that outgrows the trace's first buffer gives the same
-    trace, by float.hex, under the compiled round, under _round and in
-    the message-passing twin."""
+def test_a_long_trace_is_the_same_on_every_path(grid2, loop_kernels,
+                                                monkeypatch):
+    """A solve of 150 rounds gives the same trace, by float.hex, under
+    the compiled round, under _round and in the message-passing twin."""
     cfg = SolverConfig(tol=1e-12, max_iters=150)
-
-    def hexes(trace):
-        return trace.iters, [[v.hex() for v in getattr(trace, name)] for name
-                             in ("alphas", "dual_bounds", "best_bounds",
-                                 "recovered_costs", "rel_gaps")]
-
     traces = []
     for kernel in loop_kernels:
         monkeypatch.setattr(edge_graph, "_load_kernel", lambda: kernel)
-        traces.append(hexes(solve(grid2, cfg)[1]))
-        traces.append(hexes(run_distributed_solve(grid2, cfg,
-                                                  SimSchedule("sync"))[1]))
-    g = build_expanded_graph(grid2)
-    first = len(loop_state(g, enumerate_triples(g)).trace_rows)
-    assert traces[0][0] == list(range(1, 151)) and first < 150
+        traces.append(trace_hexes(solve(grid2, cfg)[1]))
+        traces.append(trace_hexes(run_distributed_solve(
+            grid2, cfg, SimSchedule("sync"))[1]))
+    assert traces[0][0] == list(range(1, 151))
     assert all(trace == traces[0] for trace in traces)
