@@ -65,21 +65,21 @@
  * rate rates[t] and distance qdist[t] along the triple rows
  * rows[start[t]] .. rows[start[t + 1] - 1], each (session, row) at most
  * once; one call closes the round.  carpool.solver._round is this
- * function in numpy, with the same status codes but -3, on the same
- * buffers but keys and bins, and it makes the same IEEE operations in
- * the same order, so both leave the same bits in every other buffer:
+ * function in numpy, with the same status codes, on the same buffers but
+ * support, and it makes the same IEEE operations in the same order, so
+ * both leave the same bits in every other buffer:
  *   - it sets q, the round's dual bound, to the sum of rates[t] *
  *     qdist[t], added from +0.0 in session order, and raises best to q
  *     when q is larger;
- *   - it adds each rate into sums[t * nt + row], in (session, route)
- *     order, and merges the keys t * nt + row of the sums that were
- *     +-0.0 into keys[0 .. nkeys - 1], sorted, and their rows into bins,
- *     so that no key is divided by nt;
+ *   - it adds each rate into sums[row * ns + t], in (session, route)
+ *     order, and sets mark[row] to 1; a row it marks for the first time
+ *     goes to support[nsupport++], so support lists the marked rows in
+ *     the order they were marked, and never more than nt of them;
  *   - it sets work[row], the recovered flow per triple, to the sum of
- *     sums[key] / n over the keys of that row in key order, that is in
- *     session order, added from +0.0; _round, which keeps no keys, adds
- *     every session's sums[t * nt + row] / n, and each term it adds
- *     beyond the keys is +0.0, which moves no sum;
+ *     sums[row * ns + t] / n over the sessions t in order, added from
+ *     +0.0, for each row in support, and to +0.0 for every other row;
+ *     _round, which keeps no support, sums every row, and an unmarked
+ *     row's terms are +0.0, which moves no sum;
  *   - it sets y[k] to the larger of work[fwd[k]] and work[rev[k]] and
  *     adds it into z[mid[k]], from +0.0, in pair order;
  *   - it sets expanded, the summary's expanded cost, to the sum of
@@ -114,19 +114,16 @@
  * the nrows that rows holds.  qdist, start and rows are the route
  * call's own buffers, the route search's under solve() and the
  * simulator's under the twin, bound again only when the call returns
- * other arrays, so no route is copied between the two calls.  keys and
- * bins have room for cap entries, and nkeys of them are in use.
+ * other arrays, so no route is copied between the two calls.  The round
+ * allocates nothing, and no buffer of it grows: sums, mark and support
+ * are sized by ns and nt when they are bound.
  * It returns 1 when the round certifies, 0 when it does not, or
- *   -1 when memory runs out;
- *   -3 when the merged keys would not fit cap, which the caller mends by
- *      growing keys and bins and calling again (_round, which keeps no
- *      keys, never returns it);
  *   -5 when start[0] is not 0, start falls, start[ns] exceeds nrows or
  *      a row is out of range;
  *   -6 when q is not finite, which it leaves in the frame;
  *   -7 when expanded is not finite, after the price step and before the
  *      gap.
- * -5 comes before q is summed; on -1, -3 and -6 only q has changed.
+ * -5 comes before q is summed; on -6 only q has changed.
  */
 
 #include <math.h>
@@ -322,9 +319,10 @@ typedef struct {
     const int64_t *start;        /* ns + 1 */
     const int64_t *rows;         /* nrows: the round's rows and room */
     int64_t nrows;
-    double *sums;                /* ns * nt */
-    int64_t *keys, *bins;        /* cap */
-    int64_t nkeys, cap;
+    double *sums;                /* nt * ns: sums[row * ns + t] */
+    uint8_t *mark;               /* nt: 1 once the row has carried flow */
+    int64_t *support;            /* nt: the marked rows, as marked */
+    int64_t nsupport;
     const int64_t *fwd, *rev, *mid;  /* npairs */
     const double *cost;          /* npairs */
     double *y;                   /* npairs */
@@ -351,69 +349,43 @@ int64_t carpool_round(round_state *r, int64_t n, double alpha)
     const int64_t ns = r->ns, nt = r->nt, *start = r->start, *rows = r->rows;
     const int64_t *fwd = r->fwd, *rev = r->rev;
     double *sums = r->sums, *work = r->work, *p = r->p;
-    int64_t fresh = 0, *fkeys = NULL, *fbins = NULL;
     double dn = (double)n, half = 0.5 * alpha, q = 0.0, e = 0.0, best, gap;
     if (start[0] != 0 || start[ns] > r->nrows)
         return -5;
     for (int64_t t = 0; t < ns; t++) {
         if (start[t + 1] < start[t])
             return -5;
-        for (int64_t j = start[t]; j < start[t + 1]; j++) {
+        for (int64_t j = start[t]; j < start[t + 1]; j++)
             if (rows[j] < 0 || rows[j] >= nt)
                 return -5;
-            fresh += sums[t * nt + rows[j]] == 0.0;
-        }
     }
     for (int64_t t = 0; t < ns; t++)
         q = q + r->rates[t] * r->qdist[t];
     r->q = q;
     if (!isfinite(q))
         return -6;
-    if (fresh > r->cap - r->nkeys)
-        return -3;
-    if (fresh) {
-        fkeys = malloc(2 * fresh * sizeof *fkeys);
-        if (!fkeys)
-            return -1;
-        fbins = fkeys + fresh;
-    }
     if (q > r->best)
         r->best = q;
-    /* the sums; the fresh keys in order, as the keys of session t all
-       lie below those of session t + 1 */
-    fresh = 0;
+    /* the sums, and the rows that carry flow for the first time */
     for (int64_t t = 0; t < ns; t++)
         for (int64_t j = start[t]; j < start[t + 1]; j++) {
-            int64_t row = rows[j], key = t * nt + row, i = fresh;
-            if (sums[key] == 0.0) {
-                for (; i > 0 && fkeys[i - 1] > key; i--) {
-                    fkeys[i] = fkeys[i - 1];
-                    fbins[i] = fbins[i - 1];
-                }
-                fkeys[i] = key;
-                fbins[i] = row;
-                fresh++;
+            int64_t row = rows[j];
+            if (!r->mark[row]) {
+                r->mark[row] = 1;
+                r->support[r->nsupport++] = row;
             }
-            sums[key] = sums[key] + r->rates[t];
+            sums[row * ns + t] = sums[row * ns + t] + r->rates[t];
         }
-    /* merge from the top down, so that no key is overwritten unread */
-    for (int64_t i = r->nkeys - 1, j = fresh - 1, k = r->nkeys + fresh - 1;
-         j >= 0; k--) {
-        if (i >= 0 && r->keys[i] > fkeys[j]) {
-            r->keys[k] = r->keys[i];
-            r->bins[k] = r->bins[i--];
-        } else {
-            r->keys[k] = fkeys[j];
-            r->bins[k] = fbins[j--];
-        }
-    }
-    r->nkeys += fresh;
-    free(fkeys);
     /* the recovered flow per triple, then y, z and the expanded cost */
     for (int64_t k = 0; k < nt; k++)
         work[k] = 0.0;
-    for (int64_t i = 0; i < r->nkeys; i++)
-        work[r->bins[i]] = work[r->bins[i]] + sums[r->keys[i]] / dn;
+    for (int64_t i = 0; i < r->nsupport; i++) {
+        const double *row = sums + r->support[i] * ns;
+        double mean = 0.0;
+        for (int64_t t = 0; t < ns; t++)
+            mean = mean + row[t] / dn;
+        work[r->support[i]] = mean;
+    }
     for (int64_t k = 0; k < r->nn; k++)
         r->z[k] = 0.0;
     for (int64_t k = 0; k < r->npairs; k++) {

@@ -20,13 +20,15 @@ transmission summary, its expanded cost, the price step, the gap and
 the stop test.  The round is the compiled kernel's carpool_round
 (_subproblem.c), or, without the kernel, _round, its contract in numpy,
 which runs transmission_summary, total_cost and subgradient_step with
-the same IEEE operations in the same order but keeps no index of the
-entries that carry flow, which only the kernel needs.  Either front
-end's route call returns its own buffers, the same three arrays every
-round, and the round reads the routes in them, so no route is copied
-between the two calls.  What stays in Python per round is the loop
-step, the route call, the round call and the trace row, which the loop
-reads from the round's frame and keeps; the round writes no trace.
+the same IEEE operations in the same order.  Both mark each triple once
+it has carried flow; the kernel also lists the marked triples, so that
+it sums the means over those alone.  Neither round allocates or grows a
+buffer.  Either front end's route call returns its own buffers, the
+same three arrays every round, and the round reads the routes in them,
+so no route is copied between the two calls.  What stays in Python per
+round is the loop step, the route call, the round call and the trace
+row, which the loop reads from the round's frame and keeps; the round
+writes no trace.
 """
 
 from __future__ import annotations
@@ -83,14 +85,13 @@ class SolveTrace:
 class Solution:
     """The recovered routing after the last round, its prices and summary.
 
-    flows holds each session's mean flow as a dense vector over the
-    triples.  entries is the same flow by its support: three aligned
+    entries is each session's mean flow by its support: three aligned
     arrays (session, row, value), in (session, row) order, one entry for
-    each nonzero mean, session t being the instance's t-th session; the
-    file writer reads these.
+    each nonzero mean, session t being the one whose id is
+    session_ids[t], the instance's t-th; the file writer reads these.
     """
 
-    flows: list[FlowVector]
+    session_ids: list[str]
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     prices: PriceVector
     summary: TransmissionSummary
@@ -99,6 +100,15 @@ class Solution:
     gap: float
     certified: bool
     iterations: int
+
+    @property
+    def flows(self) -> list[FlowVector]:
+        """Each session's mean flow as a dense vector over the triples,
+        built from entries on every read."""
+        t, rows, values = self.entries
+        x = np.zeros((len(self.session_ids), len(self.summary.idx)))
+        x[t, rows] = values
+        return [FlowVector(sid, row) for sid, row in zip(self.session_ids, x)]
 
 
 def init_prices(idx: TripleIndex) -> PriceVector:
@@ -145,9 +155,9 @@ class _RoundState(ctypes.Structure):
                 + [(name, ctypes.c_void_p) for name in ("rates", "qdist",
                                                         "start", "rows")]
                 + [("nrows", ctypes.c_int64)]
-                + [(name, ctypes.c_void_p) for name in ("sums", "keys",
-                                                        "bins")]
-                + [(name, ctypes.c_int64) for name in ("nkeys", "cap")]
+                + [(name, ctypes.c_void_p) for name in ("sums", "mark",
+                                                        "support")]
+                + [("nsupport", ctypes.c_int64)]
                 + [(name, ctypes.c_void_p) for name in (
                     "fwd", "rev", "mid", "cost", "y", "z", "p", "work",
                     "ncost")]
@@ -157,11 +167,10 @@ class _RoundState(ctypes.Structure):
 
 def _round(state: _LoopState, n: int, alpha: float) -> int:
     """carpool_round in numpy, which runs when the kernel cannot be built
-    or loaded: the arrays that state binds in its frame but keys and bins,
-    and the same status codes but -3, as it keeps no keys to fill: 1, 0,
-    -5, -6 or -7, with nothing changed on -5 and nothing but frame.q on
-    -6.  It calls transmission_summary, total_cost and subgradient_step by
-    this module's names."""
+    or loaded: the arrays that state binds in its frame but support, and
+    the same status codes: 1, 0, -5, -6 or -7, with nothing changed on -5
+    and nothing but frame.q on -6.  It calls transmission_summary,
+    total_cost and subgradient_step by this module's names."""
     frame, idx, start = state.frame, state.idx, state.start
     T, counts = frame.nt, start[1:] - start[:-1]
     if start[0] != 0 or start[-1] > frame.nrows or (counts < 0).any():
@@ -178,13 +187,14 @@ def _round(state: _LoopState, n: int, alpha: float) -> int:
     if q > frame.best:
         frame.best = q
     values = state.rates.repeat(counts)
-    flat = np.arange(0, frame.ns * T, T).repeat(counts) + rows
+    state.mark[rows] = 1
+    flat = rows * frame.ns + np.arange(frame.ns).repeat(counts)
     state.flat_sums[flat] += values  # each entry at most once a round
-    # the means in session order from +0.0; the terms the kernel skips
-    # are +0.0, which moves no sum
+    # the means in session order from +0.0; the terms the kernel skips,
+    # an unmarked row's, are +0.0, which moves no sum
     agg = 0.0
-    for row in state.sums:
-        agg += row / n
+    for column in state.sums.T:
+        agg += column / n
     summary = transmission_summary(agg, state.g, idx)
     np.copyto(state.summary.y, summary.y)
     np.copyto(state.summary.z, summary.z)
@@ -211,14 +221,15 @@ class _LoopState:
     from a round's routes, its dual bound, the recovery, the bounds, the
     stop decision and the price step, and the trace.
 
-    sums[t] is session t's flow summed over the rounds so far, and
-    sums[t] / n its recovered flow after round n.  The transmission
-    summary adds those means in session order from +0.0; the compiled
-    round adds only those over keys, the sorted flat positions t * T +
-    row of the entries that ever carried flow, as every other term is
-    +0.0 and moves no bit.  (Dividing one running total by n would round
-    differently.)  solution, the state's last call, turns sums into the
-    means in place.
+    sums[row, t] is session t's flow on triple row summed over the rounds
+    so far, and sums[row, t] / n its recovered flow after round n.  The
+    transmission summary adds each row's means in session order from
+    +0.0.  mark[row] is 1 once the row has carried flow, and support
+    lists the marked rows in the order the compiled round marked them,
+    nsupport of them; that round adds the means of those rows alone, as
+    every other term is +0.0 and moves no bit.  (Dividing one running
+    total by n would round differently.)  Every array is sized once, by
+    the sessions and the triples, and none grows.
 
     A round is one call of fn, which closes it: the compiled kernel's
     round on ref, the address of frame, or without the kernel _round on
@@ -227,11 +238,10 @@ class _LoopState:
     raises the best bound in frame.best, does the recovery, the summary,
     its expanded cost and the price step, and sets the gap in frame.gap;
     a round whose gap is within tol puts back the prices it was routed
-    at, which it left in work, and returns 1.  The compiled round's keys
-    and bins grow when it says they are full (-3), and it is called again.
-    After every call that closes a round, ingest appends the round's
-    trace row, (alpha, q, best, expanded cost, gap), read from the frame,
-    to trace_rows; a round that raises appends none.
+    at, which it left in work, and returns 1.  After every call that
+    closes a round, ingest appends the round's trace row, (alpha, q,
+    best, expanded cost, gap), read from the frame, to trace_rows; a
+    round that raises appends none.
     qdist, start and rows are the routes of the last round, arrays of the
     route call's own, which ingest binds when they are not the ones bound
     last; the state owns no route buffer and copies no route.
@@ -242,13 +252,12 @@ class _LoopState:
                  kernel: edge_graph.Kernel | None):
         self.g, self.idx, self.cfg, self.p = g, idx, cfg, p
         sessions, T, pairs = g.base.sessions, len(idx), len(idx.pair_fwd)
-        self.sums = np.zeros((len(sessions), T))
+        self.sums = np.zeros((T, len(sessions)))
         self.flat_sums = self.sums.reshape(-1)  # a view of sums
         # doubles whatever the rates' type: the kernel reads them as such
         self.rates = np.array([s.rate for s in sessions], dtype=np.float64)
-        # bins: keys % T; they start with room and grow when full
-        self.keys = np.zeros(64, dtype=np.int64)
-        self.bins = np.zeros(64, dtype=np.int64)
+        self.mark = np.zeros(T, dtype=np.uint8)
+        self.support = np.zeros(T, dtype=np.int64)
         self.trace_rows = []  # (alpha, q, best, expanded cost, gap) a round
         self.summary = TransmissionSummary(idx, np.zeros(pairs),
                                            np.zeros(g.n_nodes))
@@ -268,16 +277,15 @@ class _LoopState:
         self.work = np.zeros(T)
         self.routes = None  # bound by the first ingest
         arrays = {"rates": self.rates, "sums": self.flat_sums,
-                  "keys": self.keys, "bins": self.bins, "fwd": idx.pair_fwd,
-                  "rev": idx.pair_rev, "mid": idx.pair_mid,
-                  "cost": idx.pair_cost, "y": self.summary.y,
-                  "z": self.summary.z, "p": p.values, "work": self.work,
-                  "ncost": g.costs}
+                  "mark": self.mark, "support": self.support,
+                  "fwd": idx.pair_fwd, "rev": idx.pair_rev,
+                  "mid": idx.pair_mid, "cost": idx.pair_cost,
+                  "y": self.summary.y, "z": self.summary.z, "p": p.values,
+                  "work": self.work, "ncost": g.costs}
         # the frame holds addresses only; self, g, idx and p keep the
         # arrays
         self.frame = _RoundState(
-            len(sessions), T, pairs, g.n_nodes, cap=len(self.keys),
-            tol=cfg.tol, best=-math.inf,
+            len(sessions), T, pairs, g.n_nodes, tol=cfg.tol, best=-math.inf,
             **{name: a.ctypes.data for name, a in arrays.items()})
         self.fn, self.ref = ((_round, self) if kernel is None
                              else (kernel.round, ctypes.addressof(self.frame)))
@@ -304,9 +312,6 @@ class _LoopState:
                                                     for a in routes)
             frame.nrows = len(self.rows)
         status = self.fn(self.ref, n, alpha)
-        if status == -3:  # full keys, and nothing changed: grow, call again
-            self._grow()
-            status = self.fn(self.ref, n, alpha)
         if status < 0:
             if status in (-6, -7):
                 name, value = (("dual bound", frame.q) if status == -6
@@ -319,18 +324,6 @@ class _LoopState:
                                 frame.gap))
         return status == 1
 
-    def _grow(self) -> None:
-        """Grow the compiled round's keys and bins, which it found full, to
-        twice the keys in use and a new key for every row of the round."""
-        frame = self.frame
-        used, m = frame.nkeys, int(self.start[-1])
-        for name in ("keys", "bins"):
-            a = np.empty(2 * (used + m), dtype=np.int64)
-            a[:used] = getattr(self, name)[:used]
-            setattr(self, name, a)
-            setattr(frame, name, a.ctypes.data)
-        frame.cap = len(a)
-
     @property
     def trace(self) -> SolveTrace:
         """The trace of the rounds so far; row i is round i + 1's."""
@@ -339,27 +332,20 @@ class _LoopState:
                           *map(list, zip(*rows)))
 
     def solution(self, iterations: int) -> Solution:
-        """The solution after iterations rounds, the last: the state's
-        last call, as it turns sums into the means in place, and each flow
-        is a row of sums.  Under the compiled round it divides only the
-        entries the keys list, as every other one is +0.0, and so is +0.0
-        / n; the entries are those keys, whose flat positions t * T + row
-        are sorted, and under _round the nonzero positions of sums.  Both
-        leave out a mean that rounded to +0.0, as a sum of the smallest
-        subnormal does when halved.  The costs are the last round's, which
-        summed them over the summary as total_cost does."""
-        if self.ref is self:
-            np.divide(self.sums, iterations, out=self.sums)
-            flat = np.flatnonzero(self.flat_sums)
-        else:
-            keys = self.keys[:self.frame.nkeys]
-            self.flat_sums[keys] /= iterations
-            flat = keys[self.flat_sums[keys] != 0.0]
-        sessions, rows = np.divmod(flat, self.frame.nt)
-        mean = [FlowVector(s.sid, row)
-                for s, row in zip(self.g.base.sessions, self.sums)]
+        """The solution after iterations rounds, the last.  Its entries
+        are the nonzero means sums[row, t] / iterations of the marked
+        rows, read in (session, row) order; every other mean is +0.0 / n,
+        +0.0, and a mean that rounded to +0.0, as a sum of the smallest
+        subnormal does when halved, is left out too.  The costs are the
+        last round's, which summed them over the summary as total_cost
+        does."""
+        rows = np.flatnonzero(self.mark)
+        means = self.sums[rows].T  # a copy, (session, marked row)
+        means /= iterations
+        sessions, at = np.nonzero(means)
         expanded, gap = self.frame.expanded, self.frame.gap
-        return Solution(mean, (sessions, rows, self.flat_sums[flat]), self.p,
+        return Solution([s.sid for s in self.g.base.sessions],
+                        (sessions, rows[at], means[sessions, at]), self.p,
                         self.summary, expanded, expanded - self.g.refund, gap,
                         gap <= self.cfg.tol, iterations)
 
@@ -384,9 +370,8 @@ def price_ascent(g: ExpandedGraph, idx: TripleIndex, cfg: SolverConfig,
     tolist, and the route search keeps the array only to reuse its
     address.  An overflowed distance makes the dual bound inf, which the
     round reports.  The recovery adds each triple's means in session
-    order, as a cumulative sum down the sessions would.  The state's
-    solution is taken once, after the last round, as it turns the state's
-    sums into the means.
+    order, as a cumulative sum down the sessions would.  The solution is
+    the state's after the last round.
     """
     p = init_prices(idx)
     state = _LoopState(g, idx, cfg, p, edge_graph._load_kernel())

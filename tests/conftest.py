@@ -51,18 +51,15 @@ def loop_kernels(request):
 
 @pytest.fixture(scope="session")
 def count_rounds():
-    """count_rounds(kernel, calls): kernel, the calls of its round that
-    closed a round counted in calls["round"], or None for None.  A call
-    that finds the keys full (-3) changes nothing, and the loop calls
-    again once they have grown."""
+    """count_rounds(kernel, calls): kernel, the calls of its round
+    counted in calls["round"], or None for None."""
     def wrap(kernel, calls):
         if kernel is None:
             return None
 
         def counted(*args, _call=kernel.round):
-            status = _call(*args)
-            calls["round"] += status != -3
-            return status
+            calls["round"] += 1
+            return _call(*args)
         return Kernel(kernel.routes, counted)
     return wrap
 

@@ -31,7 +31,8 @@ and for naming a bad node id, so every message must match.
 
 The solution writer has its dense form here too: each session's flows
 found by np.nonzero over its dense vector, as the writer did before it
-read the solution's entries (solution_to_dict_reference).
+read the solution's entries (solution_to_dict_reference), on the dense
+loop's means.
 
 The rest reads results the package only computes: the triples of a
 TripleIndex as tuples, their rows and the rows of their reversals
@@ -618,15 +619,18 @@ def solve_reference(inst, cfg):
     return trace, state.mean, p
 
 
-def solution_to_dict_reference(inst, sol, routing_cost: float) -> dict:
-    """The solution document as the writer built it from the dense flows,
+def solution_to_dict_reference(inst, sol, flows,
+                               routing_cost: float) -> dict:
+    """The solution document as the writer built it from dense flows,
     before it read the solution's entries: each session's flows are the
-    np.nonzero entries of its dense vector, and the pair records come from
-    lists of every triple's ends."""
+    np.nonzero entries of its dense vector in flows, which the caller
+    takes from the dense loop (solve_reference), so that no flow is read
+    from the solution's entries; the pair records come from lists of
+    every triple's ends, and the rest from sol."""
     idx = sol.summary.idx
     v, mid, w = idx.v.tolist(), idx.mid.tolist(), idx.w.tolist()
     sessions = []
-    for f in sol.flows:
+    for f in flows:
         ks = np.nonzero(f.values)[0]
         entries = [{"triple": [v[k], mid[k], w[k]], "value": x}
                    for k, x in zip(ks.tolist(), f.values[ks].tolist())]

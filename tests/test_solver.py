@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from carpool import (FlowVector, GeometricConfig, PriceVector, SimSchedule,
@@ -263,7 +263,7 @@ def ingest_dense(state, n, flows):
     """Feed _LoopState round n given as one dense flow for each of the
     first sessions, which carries the session's rate on each triple it
     uses; the others carry nothing."""
-    x = np.zeros(state.sums.shape)
+    x = np.zeros(state.sums.T.shape)
     x[:len(flows)] = [f.values for f in flows]
     for row, s in zip(x, state.g.base.sessions):
         assert set(row[row != 0.0].tolist()) <= {s.rate}
@@ -325,6 +325,7 @@ def test_support_restricted_total_equals_the_sum_of_session_means(
         rng = np.random.default_rng(17)
         state = loop_state(g, idx, cfg, kernel)
         dense = DenseLoopState(g, idx, cfg, SolveTrace())
+        routed = set()
         for n in range(1, 8):
             flows = []
             for s in inst.sessions:
@@ -332,11 +333,12 @@ def test_support_restricted_total_equals_the_sum_of_session_means(
                 # from a few triples, so that sessions overlap
                 values[rng.choice(20, 12, replace=False)] = s.rate
                 flows.append(FlowVector(s.sid, values))
+                routed.update(np.flatnonzero(values).tolist())
             ingest_dense(state, n, flows)
             dense.ingest(n, flows, 0.0)
-            if kernel:  # recovery ran on fewer entries than the sums hold
-                assert 0 < state.frame.nkeys < len(inst.sessions) * len(idx)
-                assert_key_index(state)
+            assert_marked(state, routed, kernel is not None)
+            if kernel:  # recovery ran on fewer rows than the sums hold
+                assert state.frame.nsupport < len(idx)
             for name in ("y", "z"):
                 assert getattr(state.summary, name).tobytes() == \
                     getattr(dense.summary, name).tobytes()
@@ -349,10 +351,14 @@ def test_support_restricted_total_equals_the_sum_of_session_means(
 
 def recover_both(inst, rates, rounds, kernel):
     """Feed each round to _LoopState and to DenseLoopState, which must
-    agree bit for bit after every round.  Session t of inst runs at
+    agree bit for bit after every round, and then the solution's entries
+    must be the nonzero entries of the dense loop's means, in (session,
+    row) order, and its flows those means.  Session t of inst runs at
     rates[t], and a round lists, per session, the rows it carried its
-    rate on, in route order.  The NonFiniteError message that stopped
-    both at the same round, or None."""
+    rate on, in route order, at distance 0.0, so that no dual bound
+    overflows and a round that raises has added its flow into the means.
+    The NonFiniteError message that stopped both at the same round, or
+    None."""
     g = build_expanded_graph(with_rates(inst, rates))
     idx = enumerate_triples(g)
     cfg = SolverConfig(tol=1e-12)
@@ -386,11 +392,14 @@ def recover_both(inst, rates, rounds, kernel):
                  "recovered_costs", "rel_gaps"):
         assert np.array(getattr(state.trace, name)).tobytes() == \
             np.array(getattr(dense.trace, name)).tobytes()
-    if stopped is None:
-        got = state.solution(len(rounds)).flows
-        assert [f.session for f in got] == [f.session for f in dense.mean]
-        assert all(a.values.tobytes() == b.values.tobytes()
-                   for a, b in zip(got, dense.mean))
+    sol = state.solution(n)
+    got, want = sol.entries, flow_entries(dense.mean, g, idx)
+    assert [a.dtype for a in got] == [np.dtype(np.int64)] * 2 + [
+        np.dtype(np.float64)]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [f.session for f in sol.flows] == [f.session for f in dense.mean]
+    assert all(a.values.tobytes() == b.values.tobytes()
+               for a, b in zip(sol.flows, dense.mean))
     return stopped
 
 
@@ -442,11 +451,13 @@ def test_sparse_recovery_overflows_at_the_dense_loops_round(geo4,
 @given(data=st.data())
 def test_solution_entries_are_the_nonzero_means(geo4, geo4_triples,
                                                 loop_kernels, data):
-    """Solution.entries are the nonzero entries of the solution's dense
-    flows, bit for bit and in (session, row) order, under either round.
-    A sum of the smallest subnormal rate rounds to a mean of +0.0 when
-    divided by 2 or more, which no entry states, and rates near 1e308
-    sum to inf, which ends the rounds but still leaves means."""
+    """Solution.entries are the nonzero entries of the dense loop's means
+    for the same routes, bit for bit and in (session, row) order, under
+    either round, and Solution.flows are those means (recover_both), on
+    rates of any size.  A sum of the smallest subnormal rate rounds to a
+    mean of +0.0 when divided by 2 or more, which no entry states, and
+    rates near 1e308 sum to inf, which ends the rounds but still leaves
+    means."""
     pool = data.draw(st.lists(st.integers(0, geo4_triples - 1), min_size=1,
                               max_size=8, unique=True))
     value = st.one_of(st.sampled_from([5e-324, 1e308]),
@@ -457,24 +468,8 @@ def test_solution_entries_are_the_nonzero_means(geo4, geo4_triples,
     rounds = data.draw(st.lists(
         st.lists(route, min_size=sessions, max_size=sessions), min_size=1,
         max_size=6))
-    g = build_expanded_graph(with_rates(geo4, rates))
-    idx = enumerate_triples(g)
     for kernel in loop_kernels:
-        state = loop_state(g, idx, SolverConfig(tol=1e-12), kernel)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n, carried in enumerate(rounds, 1):
-                try:
-                    if state.ingest(n, 1.0 / n, routes_of(carried)):
-                        break
-                except NonFiniteError:
-                    break
-        sol = state.solution(n)
-        got = sol.entries
-        want = flow_entries(sol.flows, g, idx)
-        assert [a.dtype for a in got] == [np.dtype(np.int64)] * 2 + [
-            np.dtype(np.float64)]
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        recover_both(geo4, rates, rounds, kernel)
 
 
 @st.composite
@@ -521,14 +516,15 @@ def round_inputs(draw):
 
 
 def round_bytes(state):
-    """Every byte that either round may write: the sums, y, z, work, the
-    prices, and the best bound, cost and gap in the frame, but the dual
-    bound q.  The compiled round's key index is left to
-    assert_key_index."""
+    """Every byte that either round may write: the sums, the marks, y, z,
+    work, the prices, and the best bound, cost and gap in the frame, but
+    the dual bound q.  The compiled round's support is left to
+    assert_marked."""
     frame = state.frame
     return [a.tobytes() for a in (
-        state.sums, state.summary.y, state.summary.z, state.work,
-        state.p.values, np.array([frame.best, frame.expanded, frame.gap]))]
+        state.sums, state.mark, state.summary.y, state.summary.z,
+        state.work, state.p.values,
+        np.array([frame.best, frame.expanded, frame.gap]))]
 
 
 def trace_hexes(trace):
@@ -538,61 +534,84 @@ def trace_hexes(trace):
                              "recovered_costs", "rel_gaps")]
 
 
-def assert_key_index(state):
-    """The compiled round's keys are the flat positions of the entries
-    that ever carried flow, in order, and its bins their rows."""
-    keys = state.keys[:state.frame.nkeys]
-    assert keys.tolist() == np.flatnonzero(state.flat_sums).tolist()
-    assert state.bins[:len(keys)].tolist() == (keys % state.frame.nt).tolist()
+# The statuses a round may return: it never allocates or grows a buffer
+ROUND_STATUSES = {1, 0, -5, -6, -7}
+
+
+def record_statuses(state):
+    """Wrap the round of state so that it lists the status of every call
+    in the list returned."""
+    statuses = []
+
+    def recorded(*args, _fn=state.fn):
+        statuses.append(_fn(*args))
+        return statuses[-1]
+    state.fn = recorded
+    return statuses
+
+
+def assert_marked(state, routed, compiled):
+    """The marked rows are routed, the distinct rows routed so far, and
+    the compiled round's support lists each of them once; _round keeps
+    no support."""
+    marked = np.flatnonzero(state.mark).tolist()
+    assert marked == sorted(routed)
+    support = state.support[:state.frame.nsupport].tolist()
+    assert sorted(support) == (marked if compiled else [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(inputs=round_inputs())
 def test_compiled_and_numpy_rounds_agree(kernel, inputs):
-    """Round for round, the compiled round and _round leave the same
-    bytes in the sums, y, z, work and the prices, the dual bound, the
+    """Round for round, the compiled round and _round return the same
+    status, one of ROUND_STATUSES, in one call, leave the same bytes in
+    the sums, the marks, y, z, work and the prices, the dual bound, the
     best bound and the gap, and so the loop the same trace rows, and
     certify or raise alike, the round that raises too.  A round that
     certifies puts back the prices it was routed at, and one whose dual
     bound is not finite changes nothing but the bound in the frame.  The
-    compiled round's keys index the entries that carry flow, and _round
-    keeps none."""
+    marks are the distinct rows routed so far, which the compiled round's
+    support lists, and _round keeps no support."""
     g, idx, prices, rounds = inputs
     cfg = SolverConfig(tol=1e-2)
     states = [_LoopState(g, idx, cfg, PriceVector(np.array(prices)), k)
               for k in (kernel, None)]
+    statuses = [record_statuses(state) for state in states]
+    routed = set()
     with np.errstate(all="ignore"):
         for n, (carried, dists, alpha) in enumerate(rounds, 1):
             routes = routes_of(carried, dists)
             outcome = []
-            for state in states:
+            for state, calls in zip(states, statuses):
+                calls.clear()
                 before = round_bytes(state)
                 try:
                     outcome.append(state.ingest(n, alpha, routes))
                 except NonFiniteError as exc:
                     outcome.append(str(exc))
                 if outcome[-1] is True:  # the prices routed at
-                    assert state.p.values.tobytes() == before[4]
+                    assert state.p.values.tobytes() == before[5]
                 elif "dual bound" in str(outcome[-1]):
                     assert round_bytes(state) == before
             assert outcome[0] == outcome[1]
+            assert statuses[0] == statuses[1]
+            assert len(statuses[0]) == 1 and statuses[0][0] in ROUND_STATUSES
             got, want = (round_bytes(state) + [
                 np.float64(state.frame.q).tobytes(),
                 np.array(state.trace_rows).tobytes()] for state in states)
             assert got == want
-            assert_key_index(states[0])
-            assert states[1].frame.nkeys == 0
+            if "dual bound" not in str(outcome[0]):
+                routed.update(k for ks in carried for k in ks)
+            for state, compiled in zip(states, (True, False)):
+                assert_marked(state, routed, compiled)
             if outcome[0] is not False:  # certified, or raised
                 break
 
 
 @pytest.mark.parametrize("form", ["C", "python"])
-def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
-        form, grid2, request):
+def test_round_refuses_bad_routes_changing_nothing(form, grid2, request):
     """Either round returns -5 on a bad start or row, which ingest raises,
-    and leaves every byte of its state as it was; the compiled round also
-    returns -3 when the new keys would not fit cap, changing nothing, and
-    _round, which keeps no keys, closes that round."""
+    and leaves every byte of its state as it was."""
     kernel = request.getfixturevalue("kernel") if form == "C" else None
     g = build_expanded_graph(grid2)
     idx = enumerate_triples(g)
@@ -602,8 +621,9 @@ def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
 
     def snapshot():
         return [a.tobytes() for a in (
-            state.sums, state.keys, state.bins, state.summary.y,
-            state.summary.z, state.p.values, state.work)]
+            state.sums, state.mark, state.support, state.summary.y,
+            state.summary.z, state.p.values, state.work,
+            np.array([state.frame.nsupport]))]
 
     before = snapshot()
     for start, rows in (([1, 2, 3], [3, 7, 7]),  # start[0] is not 0
@@ -615,78 +635,59 @@ def test_round_refuses_bad_routes_and_full_keys_changing_nothing(
             state.ingest(2, 0.5, (np.zeros(2), np.array(start),
                                   np.array(rows)))
         assert snapshot() == before
-    # two new keys, and no room for them
-    state.start[:] = [0, 1, 2]
-    state.rows[:2] = [5, 9]
-    state.frame.cap = state.frame.nkeys
-    assert state.fn(state.ref, 2, 0.5) == (-3 if form == "C" else 0)
-    assert (snapshot() == before) == (form == "C")
 
 
 @st.composite
 def small_networks(draw):
     """A connected network of 2 to 6 nodes, a random tree and a few more
-    edges, and 1 to 3 sessions, whose node costs and rates are drawn with
-    1e308, so that a dual bound or a recovered cost can overflow."""
+    edges, and 1 to 3 sessions.  In about one example in four one node
+    cost or one rate is 1e308, so that a dual bound or a recovered cost
+    can overflow; in the others every round is finite."""
     size = draw(st.integers(2, 6))
     node = st.integers(0, size - 1)
     edges = {(draw(st.integers(0, j - 1)), j) for j in range(1, size)}
     edges |= {(min(a, b), max(a, b))
               for a, b in draw(st.lists(st.tuples(node, node), max_size=5))
               if a != b}
-    cost = st.sampled_from([0.5, 3.7, 1e308])
-    rate = st.sampled_from([0.5, 1.0, 3.7, 1e308])
     ends = st.lists(node, min_size=2, max_size=2, unique=True)
-    return Instance(
-        [Node(j, draw(cost)) for j in range(size)], sorted(edges),
-        [Session(f"s{t}", *draw(ends), draw(rate))
-         for t in range(draw(st.integers(1, 3)))])
-
-
-def squeeze(state):
-    """Cut the keys and bins of state to the entries in use, and bind the
-    cut arrays, so that the compiled round finds them full and a write
-    past their end leaves the array."""
-    frame = state.frame
-    state.keys, state.bins = (a[:frame.nkeys].copy()
-                              for a in (state.keys, state.bins))
-    frame.keys, frame.bins = state.keys.ctypes.data, state.bins.ctypes.data
-    frame.cap = frame.nkeys
+    costs = draw(st.lists(st.sampled_from([0.5, 3.7]), min_size=size,
+                          max_size=size))
+    sessions = [[f"s{t}", *draw(ends), draw(st.sampled_from([0.5, 1.0, 3.7]))]
+                for t in range(draw(st.integers(1, 3)))]
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, size + len(sessions) - 1))
+        if at < size:
+            costs[at] = 1e308
+        else:
+            sessions[at - size][3] = 1e308
+    return Instance([Node(j, c) for j, c in enumerate(costs)], sorted(edges),
+                    [Session(*s) for s in sessions])
 
 
 def close_rounds(g, idx, search, kernel, rounds):
-    """Close up to rounds rounds on search's routes in two loop states on
-    kernel's round, one with room and one with none for a new key before
-    every round, and in the dense loop.  Round for round they certify or
-    raise alike and keep the same trace by float.hex, a round that raises
-    adding no row, and the two states leave the same bytes; the one
-    without room is called twice when the compiled round makes a key.
-    After rounds rounds that neither certify nor raise, a round on a row
-    out of range raises changing nothing.  The last round's number and
-    outcome: True, False or the NonFiniteError message."""
+    """Close up to rounds rounds on search's routes in a loop state on
+    kernel's round and in the dense loop.  Round for round they certify
+    or raise alike and keep the same trace by float.hex, a round that
+    raises adding no row; each round is one call of the round, which
+    returns one of ROUND_STATUSES, and the marks are the distinct rows
+    routed so far.  After rounds rounds that neither certify nor raise,
+    a round on a row out of range raises changing nothing.  The last
+    round's number and outcome: True, False or the NonFiniteError
+    message."""
     T, cfg = len(idx), SolverConfig(tol=1e-12)
-    states = [_LoopState(g, idx, cfg, init_prices(idx), kernel)
-              for _ in range(2)]
-    roomy, tight = states
-    calls = {id(state): [] for state in states}
-    for state in states:
-        def recorded(*args, _fn=state.fn, _calls=calls[id(state)]):
-            _calls.append(_fn(*args))
-            return _calls[-1]
-        state.fn = recorded
+    state = _LoopState(g, idx, cfg, init_prices(idx), kernel)
+    statuses = record_statuses(state)
     dense = DenseLoopState(g, idx, cfg, SolveTrace())
+    routed = set()
     with np.errstate(all="ignore"):
         for n in range(1, rounds + 1):
-            squeeze(tight)
-            used = tight.frame.nkeys
+            statuses.clear()
             outcome = []
-            for state in states:
-                calls[id(state)].clear()
-                try:
-                    outcome.append(state.ingest(
-                        n, 1.0 / n, search.run(state.p.values)))
-                except NonFiniteError as exc:
-                    outcome.append(str(exc))
+            try:
+                outcome.append(state.ingest(n, 1.0 / n,
+                                            search.run(state.p.values)))
+            except NonFiniteError as exc:
+                outcome.append(str(exc))
             qdist, start, rows = search.routes
             q, flows = 0.0, []
             for t, s in enumerate(g.base.sessions):
@@ -698,55 +699,42 @@ def close_rounds(g, idx, search, kernel, rounds):
                 outcome.append(dense.ingest(n, flows, q))
             except NonFiniteError as exc:
                 outcome.append(str(exc))
-            assert outcome[0] == outcome[1] == outcome[2]
-            for state in states:
-                assert trace_hexes(state.trace) == trace_hexes(dense.trace)
-            # the state that had room never found its keys full; the
-            # other did when the compiled round made a key, unless its
-            # dual bound was not finite, which comes first
-            first = calls[id(roomy)]
-            full = tight.frame.nkeys > used
-            assert -3 not in first
-            assert calls[id(tight)] == (
-                [-3] + first if full and first != [-6] else first)
-            assert round_bytes(roomy) == round_bytes(tight)
-            if kernel is not None:
-                assert_key_index(roomy)
-                assert_key_index(tight)
+            assert outcome[0] == outcome[1]
+            assert trace_hexes(state.trace) == trace_hexes(dense.trace)
+            assert len(statuses) == 1 and statuses[0] in ROUND_STATUSES
+            if statuses[0] != -6:  # the dual bound comes before the sums
+                routed.update(rows[:start[-1]].tolist())
+            assert_marked(state, routed, kernel is not None)
             if outcome[0] is not False:  # certified, or raised
                 break
         else:
-            qdist, start, rows = routes_copied(search, roomy.p.values)
+            qdist, start, rows = routes_copied(search, state.p.values)
             rows[0] = T
-            before = round_bytes(roomy)
+            before = round_bytes(state)
             with pytest.raises(RuntimeError, match="status -5"):
-                roomy.ingest(rounds + 1, 0.5, (qdist, start, rows))
-            assert round_bytes(roomy) == before
+                state.ingest(rounds + 1, 0.5, (qdist, start, rows))
+            assert round_bytes(state) == before
     return n, outcome[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(inst=small_networks(), data=st.data())
-def test_both_entry_points_grow_and_refuse_on_random_graphs(
-        inst, data, loop_kernels):
-    """Each entry point, compiled and in Python, runs through its growth
-    and refusal codes on random small networks, so that a sanitized
-    kernel sees every edge.  The route search returns -3 when its routes
-    need one row more than cap, as _routes does (0 when no destination is
-    reached, so no route needs a row), and, compiled, -5 when a range is
-    made bad in place after the search was built (its Python form relies
-    on the constructor's checks); either way the next search gives the
-    same routes.  A compiled round whose keys are full returns -3, and
-    once they have grown gives the bytes of a round that had room; a round
+def test_both_entry_points_refuse_on_random_graphs(inst, data, loop_kernels):
+    """Each entry point, compiled and in Python, runs through its refusal
+    codes on random small networks, so that a sanitized kernel sees every
+    edge.  The route search returns -3 when its routes need one row more
+    than cap, as _routes does (0 when no destination is reached, so no
+    route needs a row), and, compiled, -5 when a range is made bad in
+    place after the search was built (its Python form relies on the
+    constructor's checks); either way the next search gives the same
+    routes.  Then close_rounds runs the rounds on the search: a round
     refuses a row out of range (-5) changing nothing, and raises on a
     dual bound (-6) or a recovered cost (-7) that is not finite at the
-    round where the dense loop does.  After every round, the one that
-    certifies and the one that raises too, the loop's trace is the dense
-    loop's by float.hex: a round that raises adds no row."""
+    round where the dense loop does.  Each example is tagged with how
+    its rounds ended."""
     g = build_expanded_graph(inst)
     idx = enumerate_triples(g)
     T, nv = len(idx), len(idx.out_lo)
-    cfg = SolverConfig(tol=1e-12)
     rounds = data.draw(st.integers(1, 6))
     spoil = data.draw(st.sampled_from([(0, -1), (1, T + 1), (2, nv)]))
     for kernel in loop_kernels:
@@ -773,7 +761,10 @@ def test_both_entry_points_grow_and_refuse_on_random_graphs(
             graph[which][at] = kept
         got = routes_copied(search, w)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        close_rounds(g, idx, search, kernel, rounds)
+        n, outcome = close_rounds(g, idx, search, kernel, rounds)
+    ending = ("certified" if outcome is True else "ran its rounds"
+              if outcome is False else outcome.split(": ")[1].split(" is ")[0])
+    event(f"{ending} at round {n if n == 1 else '2 or later'}")
 
 
 # Path networks of node costs and sessions (source, dest, rate) whose
@@ -967,8 +958,7 @@ def test_solve_rounds_on_the_buffers_the_search_fills(grid2, loop_kernels,
 
 def count_round_calls(kernel, monkeypatch):
     """Make the solves of this test run on kernel's round, or on _round
-    when kernel is None, and list the status of every call of it, -3
-    included."""
+    when kernel is None, and list the status of every call of it."""
     statuses, call = [], solver._round if kernel is None else kernel.round
 
     def counted(*args):
@@ -984,36 +974,13 @@ def count_round_calls(kernel, monkeypatch):
 
 def test_a_relay3_solve_calls_the_round_once_a_round(relay3, loop_kernels,
                                                     monkeypatch):
-    """The keys and their rows start with room, so no round of a small
-    solve finds them full (-3) and is called again."""
+    """Each round of a solve is one call of the round, which has no
+    buffer to find full and so is never called again."""
     for kernel in loop_kernels:
         statuses = count_round_calls(kernel, monkeypatch)
         sol, trace = solve(relay3, SolverConfig(tol=1e-4))
         assert sol.iterations == len(trace) == 2
         assert statuses == [0, 1]
-
-
-def test_a_solve_with_roomy_keys_calls_the_round_once_a_round(
-        grid2, loop_kernels, monkeypatch):
-    """When the keys and bins have room for every (session, triple)
-    entry, no round of a 200-round solve finds anything full, under
-    either round, so each round is one call."""
-    class Roomy(_LoopState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            size = self.sums.size
-            self.keys, self.bins = (np.zeros(size, dtype=np.int64)
-                                    for _ in range(2))
-            self.frame.keys, self.frame.bins = (
-                a.ctypes.data for a in (self.keys, self.bins))
-            self.frame.cap = size
-
-    monkeypatch.setattr(solver, "_LoopState", Roomy)
-    for kernel in loop_kernels:
-        statuses = count_round_calls(kernel, monkeypatch)
-        sol, trace = solve(grid2, SolverConfig(tol=1e-12, max_iters=200))
-        assert sol.iterations == len(trace) == 200
-        assert statuses == [0] * 200
 
 
 @pytest.mark.parametrize("spoil", ["float32 distances", "short start",
@@ -1051,12 +1018,12 @@ def test_bad_route_arrays_are_refused_before_the_round(
 
 def test_the_round_frame_holds_the_arrays_the_loop_holds(
         grid2, loop_kernels, monkeypatch):
-    """After a solve and a twin run that outgrow, on the compiled round,
-    the first keys and bins, every address in the round's frame is that
-    of the array the loop holds for it, and every count its length.  Each
-    front end's
-    routes are its own three buffers, bound from the first round to the
-    last: the route search's, and the Simulator's."""
+    """After a solve and a twin run, every address in the round's frame
+    is that of the array the loop holds for it, and every count its
+    length; the compiled round's support holds the rows marked, and
+    _round's none.  Each front end's routes are its own three buffers,
+    bound from the first round to the last: the route search's, and the
+    Simulator's."""
     states, bound = [], []
 
     class Kept(_LoopState):
@@ -1090,8 +1057,8 @@ def test_the_round_frame_holds_the_arrays_the_loop_holds(
             frame = state.frame
             held = {"rates": state.rates, "qdist": state.qdist,
                     "start": state.start, "rows": state.rows,
-                    "sums": state.sums, "keys": state.keys,
-                    "bins": state.bins, "fwd": idx.pair_fwd,
+                    "sums": state.sums, "mark": state.mark,
+                    "support": state.support, "fwd": idx.pair_fwd,
                     "rev": idx.pair_rev, "mid": idx.pair_mid,
                     "cost": idx.pair_cost, "y": state.summary.y,
                     "z": state.summary.z, "p": state.p.values,
@@ -1099,10 +1066,9 @@ def test_the_round_frame_holds_the_arrays_the_loop_holds(
             assert set(held) == addresses
             for name, a in held.items():
                 assert getattr(frame, name) == a.ctypes.data, name
-            assert frame.cap == len(state.keys) == len(state.bins)
-            # only the compiled round fills keys, and grows them
-            assert frame.cap > 64 if kernel else (frame.cap, frame.nkeys) \
-                == (64, 0)
+            assert len(state.mark) == len(state.support) == frame.nt
+            marked = int(np.count_nonzero(state.mark))
+            assert frame.nsupport == (marked if kernel else 0)
             assert frame.nrows == len(state.rows)
             assert len(bound) == 150
             assert all(routes is buffers for routes, _ in bound)
